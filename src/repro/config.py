@@ -56,7 +56,7 @@ class NetworkConfig:
     #: one-sided verbs to the same server into one posted batch — one
     #: request message carrying the summed payloads and, via selective
     #: signaling, one completion/response message for the whole batch.
-    #: Consumers: head-node prefetch fan-out (``read_many``/``read_nodes``)
+    #: Consumers: head-node prefetch fan-out (``RemoteAccessor.read_nodes``)
     #: and ``unlock_write``'s WRITE+FETCH_ADD pair. See docs/performance.md.
     doorbell_batching: bool = True
     #: Most work-queue entries one doorbell may flush (send-queue depth a

@@ -287,15 +287,16 @@ class RemoteAccessor(NodeAccessor):
             # inlined (RemotePointer.from_raw without the tuple).
             if raw_ptr == 0 or raw_ptr & NULL_RAW:
                 raise RemoteAccessError("cannot decode a NULL remote pointer")
+            # Zero-copy fetch: the view aliases the live region, so it is
+            # decoded immediately — before the search-cost yield, during
+            # which a concurrent writer could change the page — and
+            # dropped. The decode input is exactly the bytes a copying
+            # READ would have returned (and under fault injection it is
+            # that copy).
+            data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read_view(
+                raw_ptr & _PTR_OFFSET_MASK, self.page_size
+            )
             if fabric.injector is None:
-                # Zero-copy fetch: the view aliases the live region, so it
-                # is decoded immediately — before the search-cost yield,
-                # during which a concurrent writer could change the page —
-                # and dropped. The decode input is exactly the bytes a
-                # copying READ would have returned.
-                data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read_view(
-                    raw_ptr & _PTR_OFFSET_MASK, self.page_size
-                )
                 master = self._decode_shared(raw_ptr, data)
                 data = None
                 yield compute.sim.timeout(self._search_cost)
@@ -305,11 +306,6 @@ class RemoteAccessor(NodeAccessor):
                 # Mutating callers (insert/update/delete descents) get a
                 # private clone of the memoized decode.
                 return master.clone()
-            data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read(
-                raw_ptr & _PTR_OFFSET_MASK, self.page_size
-            )
-            yield compute.sim.timeout(self._search_cost)
-            return Node.from_bytes(data)
         else:
             pointer = RemotePointer.from_raw(raw_ptr)
 
@@ -318,8 +314,13 @@ class RemoteAccessor(NodeAccessor):
                 return (yield from qp.read(pointer.offset, self.page_size))
 
             data = yield from failover_retry(compute, pointer.server_id, op)
+        # No decode memo under fault injection or replication: a fresh,
+        # private node — decoded before the yield, because on a co-located
+        # queue pair *data* is a live view even with an injector attached.
+        node = Node.from_bytes(data)
+        data = None
         yield compute.sim.timeout(self._search_cost)
-        return Node.from_bytes(data)
+        return node
 
     def read_nodes(self, raw_ptrs) -> Generator[Any, Any, List[Node]]:
         """Fetch several nodes at once (head-node prefetch fan-out).
@@ -334,7 +335,7 @@ class RemoteAccessor(NodeAccessor):
         sim = self.compute_server.sim
         raw_ptrs = list(raw_ptrs)
         if not self._batching or len(raw_ptrs) < 2:
-            pending = [sim.process(self.read_node(raw)) for raw in raw_ptrs]
+            pending = [sim.process(self.read_node(raw, True)) for raw in raw_ptrs]
             nodes = yield sim.all_of(pending)
             return nodes
         by_server: dict = {}
@@ -458,30 +459,17 @@ class RemoteAccessor(NodeAccessor):
             # before the version bump, so the unlock is still a release
             # store — and the two round trips collapse into one.
             compute = self.compute_server
-            fabric = compute.fabric
-            if fabric.replication is None:
-                if fabric.injector is None:
-                    # Hottest chain of every write workload: skip the
-                    # VerbBatch staging and drive the specialized
-                    # WRITE+FAA generator (same wire accounting).
-                    yield from compute.qp(pointer.server_id).write_faa_chain(
-                        pointer.offset, data
-                    )
-                    return
-                batch = compute.qp(pointer.server_id).batch()
-                batch.write(pointer.offset, data)
-                batch.fetch_and_add(pointer.offset, 1)
-                yield from batch.execute()
+            if compute.fabric.replication is None:
+                yield from compute.qp(pointer.server_id).write_faa_chain(
+                    pointer.offset, data
+                )
                 return
 
-            def batch_op() -> Generator[Any, Any, list]:
+            def chain_op() -> Generator[Any, Any, int]:
                 qp = compute.qp(pointer.server_id)
-                batch = qp.batch()
-                batch.write(pointer.offset, data)
-                batch.fetch_and_add(pointer.offset, 1)
-                return (yield from batch.execute())
+                return (yield from qp.write_faa_chain(pointer.offset, data))
 
-            yield from failover_retry(compute, pointer.server_id, batch_op)
+            yield from failover_retry(compute, pointer.server_id, chain_op)
             return
 
         def write_op() -> Generator[Any, Any, None]:

@@ -206,31 +206,21 @@ class FaultInjector:
             return plan.server_drop[server_id]
         return plan.verb_drop.get(verb, plan.drop_probability)
 
-    def should_drop(self, verb: Verb, server_id: int) -> bool:
-        """Decide the fate of one message leg to/from *server_id*."""
-        if not self._messages_faulty():
-            return False
-        p = self._drop_probability(verb, server_id)
-        if p <= 0.0:
-            return False
-        if self.rng.random() < p:
-            self.stats["drops"] += 1
-            return True
-        return False
+    def should_drop(self, verb: Verb, server_id: int, followers=()) -> bool:
+        """Decide the fate of one message leg to/from *server_id*.
 
-    def should_drop_batch(self, verbs, server_id: int) -> bool:
-        """One drop decision for a doorbell-batched message leg.
-
-        A batch's request (and its selectively-signaled response) is one
-        wire message carrying several verbs' payloads, so it is delivered
-        or lost as a unit. The leg inherits the *worst* (highest) drop
-        probability among the batched verbs — a batch is at least as
-        exposed as its most fragile member — and draws once from the same
-        seeded stream as single-verb decisions.
+        *verb* leads the message; *followers* are the other verbs of a
+        doorbell chain riding the same leg. A chain's request (and its
+        selectively-signaled response) is one wire message, delivered or
+        lost as a unit at the *worst* (highest) drop probability among
+        its members — a chain is at least as exposed as its most fragile
+        verb. Either way the decision is one draw from the seeded stream.
         """
         if not self._messages_faulty():
             return False
-        p = max(self._drop_probability(verb, server_id) for verb in verbs)
+        p = self._drop_probability(verb, server_id)
+        for follower in followers:
+            p = max(p, self._drop_probability(follower, server_id))
         if p <= 0.0:
             return False
         if self.rng.random() < p:

@@ -4,43 +4,62 @@ A :class:`QueuePair` connects a client endpoint (a compute-server thread's
 NIC port) to one memory server and exposes the verbs of Section 2.1 as
 simulation processes:
 
-* one-sided: :meth:`read`, :meth:`write`, :meth:`compare_and_swap`,
-  :meth:`fetch_and_add` — executed against the server's registered
+* one-sided: :meth:`~QueuePair.read`, :meth:`~QueuePair.write`,
+  :meth:`~QueuePair.compare_and_swap`, :meth:`~QueuePair.fetch_and_add` —
+  executed against the server's registered
   :class:`~repro.rdma.memory.MemoryRegion` without involving its CPU;
-* two-sided: :meth:`call` — an RPC implemented with SEND/RECEIVE over the
-  server's shared receive queue (SRQ, Section 3.2), handled by a
-  memory-server worker.
+* two-sided: :meth:`~QueuePair.call` — an RPC implemented with
+  SEND/RECEIVE over the server's shared receive queue (SRQ, Section 3.2),
+  handled by a memory-server worker.
 
-When the cluster is co-located (Appendix A.3) and the remote server lives on
-the same physical machine, one-sided verbs take the local-memory fast path
-and bypass the NIC entirely.
+One executor for one-sided verbs. The paper's cost model prices all four
+one-sided verbs the same way — one request message, one response message,
+an effect on remote memory — and so does this module: every one-sided
+post, whatever its shape, is a *chain* of 1..N work-queue entries behind
+one doorbell, run by the single generator :meth:`QueuePair._post`. A WQE
+is a plain tuple ``(verb, payload_bytes, offset, ...)`` (see
+:meth:`QueuePair._post` for the per-verb tail); nothing is staged as a
+closure, the executor dispatches the effect on the verb. The public verbs
+are few-line posters onto it:
 
-Doorbell batching: several one-sided verbs to the same server can be
-chained into a :class:`VerbBatch` (:meth:`QueuePair.batch`) and posted with
-a single doorbell — one request wire message carrying every work-queue
-entry's payload and, via selective signaling (only the last WQE is posted
-signaled), one response/completion message for the whole batch. Per-message
-fixed costs are paid once per leg instead of once per verb; effects apply
-in posting order. See docs/performance.md.
+* a single verb is a chain of one that returns its bare result and
+  consumes no batch id; :meth:`~QueuePair.read_view` is :meth:`read` with
+  the READ entry's borrow flag set;
+* :meth:`~QueuePair.write_faa_chain` — the unlock — is the chain of two;
+* :class:`VerbBatch` (:meth:`QueuePair.batch`) stages any chain and gets
+  every entry's result back in posting order.
 
-Fault handling: while a :class:`~repro.rdma.faults.FaultInjector` is
-attached to the fabric, every non-local verb runs an attempt loop governed
-by :class:`~repro.config.RetryConfig` — a lost request or response is
+A chain is one request wire message carrying every entry's payload and,
+via selective signaling (only the last WQE is posted signaled), one
+response/completion message. Per-message fixed costs are paid once per leg
+instead of once per verb; effects apply in posting order. When the
+cluster is co-located (Appendix A.3) and the remote server lives on the
+same physical machine, the chain takes the local-memory fast path and
+bypasses the NIC entirely. See docs/performance.md.
+
+The executor has two arms, and the only real difference between them is
+*when* the effects land. Fault-free (no injector, or a local chain) they
+land at completion, after the response leg. While a
+:class:`~repro.rdma.faults.FaultInjector` is attached to the fabric, every
+non-local chain runs an attempt loop governed by
+:class:`~repro.config.RetryConfig` — a lost request or response is
 detected after ``timeout_s``, retried with exponential backoff and
 deterministic jitter, and surfaces
-:class:`~repro.errors.RetriesExhaustedError` once the budget is spent. The
-modeled transport behaves like InfiniBand RC with responder-side duplicate
-detection: a verb's memory effect is applied *at most once* per logical
-operation (retries replay the first outcome, mirroring the NIC's atomic
+:class:`~repro.errors.RetriesExhaustedError` once the budget is spent —
+and the effects land when the request is first *delivered*. The modeled
+transport behaves like InfiniBand RC with responder-side duplicate
+detection: a chain's memory effects are applied *at most once* per logical
+post (retries replay the first outcome, mirroring the NIC's atomic
 response cache / PSN dedup), and two-sided requests carry sequence numbers
-the server uses to replay — never re-execute — duplicated handlers. With no
-injector attached, none of this code runs and behavior is identical to a
-fault-free build.
+the server uses to replay — never re-execute — duplicated handlers. The
+two-sided :meth:`~QueuePair.call` keeps its own fault-free path and
+attempt loop (``_faulty_call``); with no injector attached neither loop
+runs and behavior is identical to a fault-free build.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -55,7 +74,19 @@ from repro.sim import Event, Simulator
 
 __all__ = ["QueuePair", "RpcEnvelope", "VerbBatch"]
 
-_UNSET = object()
+READ = Verb.READ
+WRITE = Verb.WRITE
+CAS = Verb.CAS
+FETCH_ADD = Verb.FETCH_ADD
+#: ``(kind, verb name)`` a landed effect is reported under to the trace
+#: sanitizer. Strings match repro.analysis.namsan.events (kept literal to
+#: avoid an rdma -> analysis import).
+_SANITIZER_KINDS = {
+    READ: ("read", "READ"),
+    WRITE: ("write", "WRITE"),
+    CAS: ("atomic", "CAS"),
+    FETCH_ADD: ("atomic", "FETCH_ADD"),
+}
 #: Replayed-response cache entries kept per QP (at-most-once RPC dedup).
 #: Fallback used when no injector is attached; under fault injection the
 #: limit comes from :attr:`repro.config.RetryConfig.rpc_dedup_cache_entries`.
@@ -158,7 +189,6 @@ class QueuePair:
         # instead of on every READ/WRITE (counters are windowed by
         # snapshot/delta, never by object replacement).
         config = fabric.config
-        self._req_leg_wire = config.request_wire_bytes + config.header_wire_bytes
         self._header_wire = config.header_wire_bytes
         self._latency = config.one_way_latency_s
         self._request_wire = config.request_wire_bytes
@@ -173,16 +203,10 @@ class QueuePair:
     def _request_leg(self, payload_bytes: int) -> Generator[Any, Any, None]:
         # Returns fabric.transmit's generator directly (no wrapper frame);
         # callers drive it with ``yield from`` exactly as before.
-        return self.fabric.transmit(
-            self.local_port.tx, self.remote.port.rx, payload_bytes
-        )
+        return self.fabric.transmit(self._ltx, self._rrx, payload_bytes)
 
     def _response_leg(self, payload_bytes: int) -> Generator[Any, Any, None]:
-        return self.fabric.transmit(
-            self.remote.port.tx, self.local_port.rx, payload_bytes
-        )
-
-    # -- one-sided verbs -------------------------------------------------------
+        return self.fabric.transmit(self._rtx, self._lrx, payload_bytes)
 
     def _trace(
         self,
@@ -192,8 +216,8 @@ class QueuePair:
         batch_id: Optional[int] = None,
     ) -> None:
         """Completion chokepoint for every verb: feeds the (optional) verb
-        tracer and the (optional) observability hub. With both detached —
-        the default — this is two attribute-is-None tests and nothing else.
+        tracer and the (optional) observability hub. Callers skip it when
+        both are detached — the default.
         """
         obs = self.fabric.obs
         tracer = self.fabric.tracer
@@ -219,157 +243,250 @@ class QueuePair:
                 batch_id=batch_id,
             )
 
-    def batch(self) -> "VerbBatch":
-        """Start a doorbell batch of one-sided verbs on this connection."""
-        return VerbBatch(self)
-
-    # -- sanitizer-visible region effects -------------------------------------
-    #
-    # All four one-sided verbs apply their memory effect through these
-    # wrappers, on the fast path and inside the fault-injected attempt
-    # loop alike, so an attached trace sanitizer sees every effect exactly
-    # once — at the simulated instant it hits the region. Kind strings
-    # match repro.analysis.namsan.events (kept literal to avoid an
-    # rdma -> analysis import).
-
     @property
     def _actor(self) -> str:
         return f"c{self.client_id}" if self.client_id is not None else "c?"
 
-    def _emit(self, kind: str, verb: str, offset: int, length: int, epoch: int = 0) -> None:
-        sanitizer = self.fabric.sanitizer
-        if sanitizer is not None:
-            sanitizer.emit(
-                self._actor,
-                kind,
-                verb,
-                self.logical_id,
-                offset,
-                length,
-                self.sim.now,
-                lock_epoch=epoch,
-            )
-
-    def _apply_read(self, offset: int, length: int) -> bytes:
-        data = self.region.read(offset, length)
-        self._emit("read", "READ", offset, length)
-        return data
-
-    def _apply_write(self, offset: int, data: bytes) -> None:
-        self.region.write(offset, data)
-        self._emit("write", "WRITE", offset, len(data))
-
-    def _apply_cas(self, offset: int, expected: int, new: int) -> Tuple[bool, int]:
-        swapped, old = self.region.compare_and_swap(offset, expected, new)
-        self._emit("atomic", "CAS", offset, 8, epoch=old)
-        return swapped, old
-
-    def _apply_faa(self, offset: int, delta: int) -> int:
-        old = self.region.fetch_and_add(offset, delta)
-        self._emit("atomic", "FETCH_ADD", offset, 8, epoch=old)
-        return old
-
-    def _mirror(self, payload_bytes: int) -> Generator[Any, Any, None]:
-        """Replication fan-out after a mutating verb's primary effect: one
-        leg per live backup, charged before the client's completion.
-        A falsy no-op unless a replication manager is attached."""
-        replication = self.fabric.replication
-        if replication is not None and payload_bytes:
-            yield from replication.mirror_legs(self.logical_id, payload_bytes)
-
-    def _faulty_onesided(
-        self,
-        verb: Verb,
-        payload_bytes: int,
-        request_bytes: int,
-        response_bytes: int,
-        effect: Callable[[], Any],
-        atomic: bool = False,
-        mirror_bytes: Callable[[Any], int] = None,
-    ) -> Generator[Any, Any, Any]:
-        """Attempt loop for a non-local one-sided verb under fault injection.
-
-        *effect* applies the verb against the remote region; it runs when
-        the first request is delivered and never again (RC duplicate
-        suppression), so retries only re-learn the cached outcome.
-        ``mirror_bytes(result)`` sizes the replication fan-out of a
-        mutating verb (0/None for reads and failed CASes); like the
-        effect, the fan-out happens exactly once, right after the effect
-        and before the response leg — primary-then-backup ordering.
-        """
-        injector = self.fabric.injector
-        retry = injector.retry
-        config = self.fabric.config
-        server_id = self.remote.server_id
-        started_at = self.sim.now
-        result: Any = _UNSET
-        last_attempt = retry.max_attempts - 1
-        for attempt in range(retry.max_attempts):
-            self.remote.stats.record(verb, payload_bytes)
-            yield from self._request_leg(request_bytes)
-            if injector.should_duplicate(verb, server_id):
-                # The NIC discards the duplicate; it only burns RX bandwidth.
-                self.remote.port.rx.reserve(
-                    request_bytes + config.header_wire_bytes
-                )
-            delivered = not injector.server_down(server_id) and not (
-                injector.should_drop(verb, server_id)
-            )
-            if delivered:
-                if result is _UNSET:
-                    result = effect()
-                    if mirror_bytes is not None:
-                        yield from self._mirror(mirror_bytes(result))
-                if atomic:
-                    yield self.sim.timeout(config.atomic_extra_latency_s)
-                delay = injector.extra_delay(verb, server_id)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-                yield from self._response_leg(response_bytes)
-                if not injector.server_down(server_id) and not (
-                    injector.should_drop(verb, server_id)
-                ):
-                    self._trace(verb, payload_bytes, started_at)
-                    return result
-            # The request or response was lost: wait out the detection
-            # timeout, then back off before the next attempt.
-            obs = self.fabric.obs
-            if obs is not None:
-                obs.attempt_failed(verb, server_id, retried=attempt < last_attempt)
-            wait_start = self.sim.now
-            yield self.sim.timeout(retry.timeout_s)
-            if attempt < last_attempt:
-                yield self.sim.timeout(injector.backoff_delay(attempt))
-            if obs is not None:
-                obs.stamp("client_backoff", wait_start, self.sim.now)
-        raise RetriesExhaustedError(
-            f"{verb.value} to memory server {server_id} gave up after "
-            f"{retry.max_attempts} attempts"
+    def _emit(self, wqe: Tuple, result: Any) -> None:
+        """Report one landed effect to the attached trace sanitizer — at
+        the simulated instant it hits the region, exactly once per WQE on
+        either arm of the executor. An atomic's lock epoch is the old word
+        it returned."""
+        verb = wqe[0]
+        kind, name = _SANITIZER_KINDS[verb]
+        epoch = result[1] if verb is CAS else result if verb is FETCH_ADD else 0
+        self.fabric.sanitizer.emit(
+            self._actor,
+            kind,
+            name,
+            self.logical_id,
+            wqe[2],
+            wqe[1],
+            self.sim.now,
+            lock_epoch=epoch,
         )
+
+    # -- one-sided verbs -------------------------------------------------------
+
+    def _post(
+        self, wqes, n: int, chained: bool, whole: bool
+    ) -> Generator[Any, Any, Any]:
+        """The one executor: post a chain of *n* WQEs behind one doorbell.
+
+        *wqes* is a sequence of plain tuples, dispatched on the verb:
+
+        * ``(READ, length, offset, borrow)`` — *borrow* asks for a
+          zero-copy view instead of a copy (honoured fault-free only);
+        * ``(WRITE, len(data), offset, data)``;
+        * ``(CAS, 8, offset, expected, new)``;
+        * ``(FETCH_ADD, 8, offset, delta)``.
+
+        *chained* names the chain with a fabric batch id (shared by its
+        trace records) and reports it to the hub; a single verb passes
+        False. *whole* returns every entry's result in posting order;
+        otherwise only the last — the one signaled — entry's result comes
+        back, bare. *n* is passed in because ``len()`` is a call the
+        profiler counts.
+
+        Stages, in order: doorbell, stats and leg sizing, request leg,
+        atomic surcharge, response leg, effects with their replication
+        mirror legs, trace. Fault-free the effects land at completion;
+        under an injector the attempt loop lands them once, when the
+        request is first delivered, and retries only re-learn the outcome.
+        The chain's two wire legs live or die as a unit (one drop draw per
+        leg, at the most fault-prone member's probability). Either way
+        the mirror legs are charged before the client's completion, so
+        the trace reports the chain after them.
+        """
+        if not n:
+            return []
+        fabric = self.fabric
+        sim = self.sim
+        obs = fabric.obs
+        local = self.is_local
+        if not local:
+            port = self.local_port
+            port.doorbells += 1
+            port.wqes_posted += n
+        batch_id = None
+        if chained:
+            if obs is not None and not local:
+                obs.batch_executed(self.remote.server_id, n)
+            batch_id = fabric.next_batch_id()
+        started_at = sim.now
+        # Count the chain and size its two messages (integer byte sums; the
+        # per-message header is added once per leg): every entry ships one
+        # request word, a WRITE its data and an atomic its two operands;
+        # back come a READ's bytes, an atomic's old word, and for a WRITE
+        # nothing but the completion.
+        verb_ops = self._rstats.ops
+        verb_bytes = self._rstats.bytes
+        request_bytes = n * self._request_wire
+        response_bytes = atomics = 0
+        for wqe in wqes:
+            verb = wqe[0]
+            nbytes = wqe[1]
+            verb_ops[verb] += 1
+            verb_bytes[verb] += nbytes
+            if verb is READ:
+                response_bytes += nbytes
+            elif verb is WRITE:
+                request_bytes += nbytes
+            else:
+                request_bytes += 16
+                response_bytes += 8
+                atomics += 1
+        region = self.region
+        injector = fabric.injector
+        results: Optional[List[Any]] = [] if whole else None
+        if local or injector is None:
+            if local:
+                yield from fabric.local_copy(sum([wqe[1] for wqe in wqes]))
+            else:
+                # Both legs book the sender's TX line before the
+                # receiver's RX line and cost one timeout each. The hub's
+                # busy_until reads are pure: stamping never moves a
+                # booking.
+                latency = self._latency
+                wire = request_bytes + self._header_wire
+                if obs is None:
+                    arrival = self._ltx.reserve(wire) + latency
+                else:
+                    leg_start = sim.now
+                    tx_start = self._ltx.busy_until
+                    arrival = self._ltx.reserve(wire) + latency
+                    rx_start = max(self._rrx.busy_until, arrival)
+                done = self._rrx.reserve(wire, arrival)
+                if obs is not None:
+                    obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
+                yield sim.timeout(done - sim.now)
+                if atomics:
+                    yield sim.timeout(atomics * fabric.config.atomic_extra_latency_s)
+                wire = response_bytes + self._header_wire
+                if obs is None:
+                    arrival = self._rtx.reserve(wire) + latency
+                else:
+                    leg_start = sim.now
+                    tx_start = self._rtx.busy_until
+                    arrival = self._rtx.reserve(wire) + latency
+                    rx_start = max(self._lrx.busy_until, arrival)
+                done = self._lrx.reserve(wire, arrival)
+                if obs is not None:
+                    obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
+                yield sim.timeout(done - sim.now)
+            # The effects land at completion, in posting order; *mirror* is
+            # what a mutation fans out to the backups (nothing for a READ
+            # or a failed CAS).
+            sanitizer = fabric.sanitizer
+            replication = fabric.replication
+            for wqe in wqes:
+                verb = wqe[0]
+                mirror = 0
+                if verb is READ:
+                    if wqe[3]:
+                        result = region.read_view(wqe[2], wqe[1])
+                    else:
+                        result = region.read(wqe[2], wqe[1])
+                elif verb is WRITE:
+                    result = region.write(wqe[2], wqe[3])
+                    mirror = wqe[1]
+                elif verb is CAS:
+                    result = region.compare_and_swap(wqe[2], wqe[3], wqe[4])
+                    if result[0]:
+                        mirror = 8
+                else:
+                    result = region.fetch_and_add(wqe[2], wqe[3])
+                    mirror = 8
+                if sanitizer is not None:
+                    self._emit(wqe, result)
+                if mirror and replication is not None:
+                    yield from replication.mirror_legs(self.logical_id, mirror)
+                if whole:
+                    results.append(result)
+        else:
+            retry = injector.retry
+            server_id = self.remote.server_id
+            lead = wqes[0][0]
+            followers = [wqe[0] for wqe in wqes[1:]] if n > 1 else ()
+            last_attempt = retry.max_attempts - 1
+            landed = False
+            for attempt in range(retry.max_attempts):
+                if attempt:
+                    # A re-posted chain counts again.
+                    for wqe in wqes:
+                        self._rstats.record(wqe[0], wqe[1])
+                yield from self._request_leg(request_bytes)
+                if injector.should_duplicate(lead, server_id):
+                    # The NIC discards the duplicate; it only burns RX bandwidth.
+                    self._rrx.reserve(request_bytes + self._header_wire)
+                if not injector.server_down(server_id) and not (
+                    injector.should_drop(lead, server_id, followers)
+                ):
+                    if not landed:
+                        # RC duplicate suppression: the effects (and their
+                        # primary-then-backup mirror legs) happen on first
+                        # delivery and never again. Same dispatch as the
+                        # fault-free arm, except that a retried READ needs
+                        # bytes that outlive the attempt: a borrow is
+                        # served as a copy.
+                        landed = True
+                        sanitizer = fabric.sanitizer
+                        replication = fabric.replication
+                        for wqe in wqes:
+                            verb = wqe[0]
+                            mirror = 0
+                            if verb is READ:
+                                result = region.read(wqe[2], wqe[1])
+                            elif verb is WRITE:
+                                result = region.write(wqe[2], wqe[3])
+                                mirror = wqe[1]
+                            elif verb is CAS:
+                                result = region.compare_and_swap(wqe[2], wqe[3], wqe[4])
+                                if result[0]:
+                                    mirror = 8
+                            else:
+                                result = region.fetch_and_add(wqe[2], wqe[3])
+                                mirror = 8
+                            if sanitizer is not None:
+                                self._emit(wqe, result)
+                            if mirror and replication is not None:
+                                yield from replication.mirror_legs(self.logical_id, mirror)
+                            if whole:
+                                results.append(result)
+                    if atomics:
+                        yield sim.timeout(atomics * fabric.config.atomic_extra_latency_s)
+                    delay = injector.extra_delay(lead, server_id)
+                    if delay > 0.0:
+                        yield sim.timeout(delay)
+                    yield from self._response_leg(response_bytes)
+                    if not injector.server_down(server_id) and not (
+                        injector.should_drop(lead, server_id, followers)
+                    ):
+                        break
+                # The request or response was lost: wait out the detection
+                # timeout, then back off before re-posting the chain.
+                if obs is not None:
+                    obs.attempt_failed(lead, server_id, retried=attempt < last_attempt)
+                wait_start = sim.now
+                yield sim.timeout(retry.timeout_s)
+                if attempt < last_attempt:
+                    yield sim.timeout(injector.backoff_delay(attempt))
+                if obs is not None:
+                    obs.stamp("client_backoff", wait_start, sim.now)
+            else:
+                what = lead.value if n == 1 else f"doorbell batch of {n} verbs"
+                raise RetriesExhaustedError(
+                    f"{what} to memory server {server_id} gave up after "
+                    f"{retry.max_attempts} attempts"
+                )
+        if fabric.tracer is not None or obs is not None:
+            for wqe in wqes:
+                self._trace(wqe[0], wqe[1], started_at, batch_id)
+        return results if whole else result
 
     def read(self, offset: int, length: int) -> Generator[Any, Any, bytes]:
         """RDMA READ *length* bytes at *offset* of the remote region."""
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        if self.fabric.injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_onesided(
-                    Verb.READ,
-                    length,
-                    self.fabric.config.request_wire_bytes,
-                    length,
-                    lambda: self._apply_read(offset, length),
-                )
-            )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.READ, length)
-        if self.is_local:
-            yield from self.fabric.local_copy(length)
-        else:
-            yield from self._request_leg(self.fabric.config.request_wire_bytes)
-            yield from self._response_leg(length)
-        self._trace(Verb.READ, length, started_at)
-        return self._apply_read(offset, length)
+        return self._post(((READ, length, offset, False),), 1, False, False)
 
     def read_view(self, offset: int, length: int) -> Generator[Any, Any, memoryview]:
         """RDMA READ returning a zero-copy view of the remote region.
@@ -379,257 +496,46 @@ class QueuePair:
         The view aliases live region memory and blocks region growth while
         any reference survives, so callers must consume it *before their
         next simulation yield* and drop every reference (see
-        :meth:`MemoryRegion.read_view`). Not valid under fault injection,
-        where a retried READ must re-materialize fresh bytes — callers
-        gate on ``fabric.injector is None``.
+        :meth:`MemoryRegion.read_view`). Under fault injection a retried
+        READ must outlive its attempt, so the result is the copied
+        ``bytes`` of :meth:`read` instead — same content, same contract.
         """
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        sim = self.sim
-        started_at = sim.now
-        stats = self._rstats
-        stats.ops[Verb.READ] += 1
-        stats.bytes[Verb.READ] += length
-        if self.is_local:
-            yield from self.fabric.local_copy(length)
-        else:
-            # Both legs inlined from fabric.transmit — same reservation
-            # order (tx before rx), same single timeout per leg.
-            latency = self._latency
-            obs = self.fabric.obs
-            if obs is None:
-                wire = self._req_leg_wire
-                done = self._rrx.reserve(wire, self._ltx.reserve(wire) + latency)
-                yield sim.timeout(done - sim.now)
-                wire = length + self._header_wire
-                done = self._lrx.reserve(wire, self._rtx.reserve(wire) + latency)
-                yield sim.timeout(done - sim.now)
-            else:
-                # Same reservations in the same order, plus pure
-                # busy_until reads to split queueing from flight.
-                wire = self._req_leg_wire
-                leg_start = sim.now
-                tx_start = self._ltx.busy_until
-                arrival = self._ltx.reserve(wire) + latency
-                rx_start = max(self._rrx.busy_until, arrival)
-                done = self._rrx.reserve(wire, arrival)
-                obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
-                yield sim.timeout(done - sim.now)
-                wire = length + self._header_wire
-                leg_start = sim.now
-                tx_start = self._rtx.busy_until
-                arrival = self._rtx.reserve(wire) + latency
-                rx_start = max(self._lrx.busy_until, arrival)
-                done = self._lrx.reserve(wire, arrival)
-                obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
-                yield sim.timeout(done - sim.now)
-        fabric = self.fabric
-        if fabric.tracer is not None or fabric.obs is not None:
-            self._trace(Verb.READ, length, started_at)
-        data = self.region.read_view(offset, length)
-        if fabric.sanitizer is not None:
-            self._emit("read", "READ", offset, length)
-        return data
+        return self._post(((READ, length, offset, True),), 1, False, False)
 
     def write(self, offset: int, data: bytes) -> Generator[Any, Any, None]:
         """RDMA WRITE *data* at *offset* of the remote region."""
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        if self.fabric.injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_onesided(
-                    Verb.WRITE,
-                    len(data),
-                    self.fabric.config.request_wire_bytes + len(data),
-                    0,
-                    lambda: self._apply_write(offset, data),
-                    mirror_bytes=lambda _result, n=len(data): n,
-                )
-            )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.WRITE, len(data))
-        if self.is_local:
-            yield from self.fabric.local_copy(len(data))
-        else:
-            yield from self._request_leg(
-                self.fabric.config.request_wire_bytes + len(data)
-            )
-            # Completion (ACK) back to the requester.
-            yield from self._response_leg(0)
-        self._trace(Verb.WRITE, len(data), started_at)
-        self._apply_write(offset, data)
-        yield from self._mirror(len(data))
-
-    def write_faa_chain(self, offset: int, data) -> Generator[Any, Any, int]:
-        """Doorbell-chained WRITE + FETCH_ADD(+1) on one page — the
-        unlock-release sequence, specialized past VerbBatch staging.
-
-        Wire accounting, stats, tracing, and memory effects are identical
-        to ``batch().write(offset, data).fetch_and_add(offset, 1)
-        .execute()``; the specialization exists because this 2-WQE chain
-        is the hottest batch of every write workload and the generic
-        staging (per-op closures, op tuples, result list) costs more host
-        time than the chain's own simulated legs. Callers gate on
-        ``fabric.injector is None and fabric.replication is None`` — under
-        faults or replication the generic batch path handles retry replay
-        and mirror legs.
-        """
-        fabric = self.fabric
-        nbytes = len(data)
-        if not self.is_local:
-            self.local_port.ring_doorbell(2)
-            obs = fabric.obs
-            if obs is not None:
-                obs.batch_executed(self.remote.server_id, 2)
-        batch_id = fabric.next_batch_id()
-        sim = self.sim
-        started_at = sim.now
-        stats = self._rstats
-        stats.ops[Verb.WRITE] += 1
-        stats.bytes[Verb.WRITE] += nbytes
-        stats.ops[Verb.FETCH_ADD] += 1
-        stats.bytes[Verb.FETCH_ADD] += 8
-        if self.is_local:
-            yield from fabric.local_copy(nbytes + 8)
-        else:
-            # Legs inlined from fabric.transmit (tx reserve before rx,
-            # one timeout per leg), atomic surcharge between them.
-            latency = self._latency
-            request_wire = self._request_wire
-            obs = fabric.obs
-            if obs is None:
-                wire = request_wire + nbytes + request_wire + 16 + self._header_wire
-                done = self._rrx.reserve(wire, self._ltx.reserve(wire) + latency)
-                yield sim.timeout(done - sim.now)
-                yield sim.timeout(fabric.config.atomic_extra_latency_s)
-                wire = 8 + self._header_wire
-                done = self._lrx.reserve(wire, self._rtx.reserve(wire) + latency)
-                yield sim.timeout(done - sim.now)
-            else:
-                # Same reservations in the same order, plus pure
-                # busy_until reads to split queueing from flight.
-                wire = request_wire + nbytes + request_wire + 16 + self._header_wire
-                leg_start = sim.now
-                tx_start = self._ltx.busy_until
-                arrival = self._ltx.reserve(wire) + latency
-                rx_start = max(self._rrx.busy_until, arrival)
-                done = self._rrx.reserve(wire, arrival)
-                obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
-                yield sim.timeout(done - sim.now)
-                yield sim.timeout(fabric.config.atomic_extra_latency_s)
-                wire = 8 + self._header_wire
-                leg_start = sim.now
-                tx_start = self._rtx.busy_until
-                arrival = self._rtx.reserve(wire) + latency
-                rx_start = max(self._lrx.busy_until, arrival)
-                done = self._lrx.reserve(wire, arrival)
-                obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
-                yield sim.timeout(done - sim.now)
-        self._apply_write(offset, data)
-        old = self._apply_faa(offset, 1)
-        if fabric.tracer is not None or fabric.obs is not None:
-            self._trace(Verb.WRITE, nbytes, started_at, batch_id=batch_id)
-            self._trace(Verb.FETCH_ADD, 8, started_at, batch_id=batch_id)
-        return old
-
-    def _atomic_legs(self) -> Generator[Any, Any, None]:
-        if self.is_local:
-            yield from self.fabric.local_copy(8)
-        else:
-            yield from self._request_leg(self.fabric.config.request_wire_bytes + 16)
-            yield self.sim.timeout(self.fabric.config.atomic_extra_latency_s)
-            yield from self._response_leg(8)
+        return self._post(((WRITE, len(data), offset, data),), 1, False, False)
 
     def compare_and_swap(
         self, offset: int, expected: int, new: int
     ) -> Generator[Any, Any, Tuple[bool, int]]:
         """RDMA CAS on the 8-byte word at *offset*; returns ``(swapped, old)``."""
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        if self.fabric.injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_onesided(
-                    Verb.CAS,
-                    8,
-                    self.fabric.config.request_wire_bytes + 16,
-                    8,
-                    lambda: self._apply_cas(offset, expected, new),
-                    atomic=True,
-                    mirror_bytes=lambda result: 8 if result[0] else 0,
-                )
-            )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.CAS, 8)
-        yield from self._atomic_legs()
-        self._trace(Verb.CAS, 8, started_at)
-        swapped, old = self._apply_cas(offset, expected, new)
-        if swapped:
-            yield from self._mirror(8)
-        return swapped, old
+        return self._post(((CAS, 8, offset, expected, new),), 1, False, False)
 
     def fetch_and_add(self, offset: int, delta: int) -> Generator[Any, Any, int]:
         """RDMA FETCH_AND_ADD on the 8-byte word at *offset*; returns old value."""
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        if self.fabric.injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_onesided(
-                    Verb.FETCH_ADD,
-                    8,
-                    self.fabric.config.request_wire_bytes + 16,
-                    8,
-                    lambda: self._apply_faa(offset, delta),
-                    atomic=True,
-                    mirror_bytes=lambda _result: 8,
-                )
-            )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.FETCH_ADD, 8)
-        yield from self._atomic_legs()
-        self._trace(Verb.FETCH_ADD, 8, started_at)
-        old = self._apply_faa(offset, delta)
-        yield from self._mirror(8)
-        return old
+        return self._post(((FETCH_ADD, 8, offset, delta),), 1, False, False)
 
-    def read_many(self, requests) -> Generator[Any, Any, list]:
-        """Issue several READs at once and wait for all of them.
+    def write_faa_chain(self, offset: int, data) -> Generator[Any, Any, int]:
+        """Doorbell-chained WRITE + FETCH_ADD(+1) on one page — the
+        unlock-release sequence, returning the FAA's old value.
 
-        Used for head-node prefetching (Section 4.3): the scan overlaps the
-        round trips of up to ``prefetch_window`` leaf reads.
-        *requests* is an iterable of ``(offset, length)`` pairs; the return
-        value is the list of byte strings in request order.
-
-        With ``doorbell_batching`` enabled the reads are posted as doorbell
-        batches of up to ``max_batch_wqes`` work-queue entries each — one
-        request/response message pair per batch instead of per read.
-        Otherwise each read is its own parallel verb (the seed behavior).
+        Exactly ``batch().write(offset, data).fetch_and_add(offset, 1)
+        .execute()`` minus the staging object and the result list: RC
+        in-order execution applies the page image before the version
+        bump, so the pair is a release store in one round trip. Valid
+        under fault injection and replication like any other chain.
         """
-        requests = list(requests)
-        config = self.fabric.config
-        if self.is_local or not config.doorbell_batching or len(requests) < 2:
-            pending = [
-                self.sim.process(self.read(offset, length))
-                for offset, length in requests
-            ]
-            results = yield self.sim.all_of(pending)
-            return results
-        chunks = [
-            requests[i : i + config.max_batch_wqes]
-            for i in range(0, len(requests), config.max_batch_wqes)
-        ]
+        return self._post(
+            ((WRITE, len(data), offset, data), (FETCH_ADD, 8, offset, 1)),
+            2,
+            True,
+            False,
+        )
 
-        def run_chunk(chunk) -> Generator[Any, Any, list]:
-            batch = self.batch()
-            for offset, length in chunk:
-                batch.read(offset, length)
-            return (yield from batch.execute())
-
-        if len(chunks) == 1:
-            return (yield from run_chunk(chunks[0]))
-        pending = [self.sim.process(run_chunk(chunk)) for chunk in chunks]
-        grouped = yield self.sim.all_of(pending)
-        return [data for group in grouped for data in group]
-
+    def batch(self) -> "VerbBatch":
+        """Start a doorbell batch of one-sided verbs on this connection."""
+        return VerbBatch(self)
     # -- two-sided RPC ---------------------------------------------------------
 
     def call(
@@ -831,266 +737,63 @@ class VerbBatch:
 
     The posting methods (:meth:`read`, :meth:`write`,
     :meth:`compare_and_swap`, :meth:`fetch_and_add`) only *stage* work-queue
-    entries; nothing touches the wire until :meth:`execute`, which rings the
-    doorbell once and ships every entry in one request message. Only the
-    last WQE is posted signaled (selective signaling), so the server's
-    single response message acknowledges the whole chain. On an RC queue
-    pair the NIC executes the entries in posting order, which is what makes
-    a WRITE-then-FAA unlock batch a release store followed by the version
-    bump — see docs/performance.md.
+    entries; nothing touches the wire until :meth:`execute`, which hands
+    the chain to the queue pair's one executor: one doorbell, every entry
+    in one request message. Only the last WQE is posted signaled
+    (selective signaling), so the server's single response message
+    acknowledges the whole chain. On an RC queue pair the NIC executes the
+    entries in posting order, which is what makes a WRITE-then-FAA unlock
+    batch a release store followed by the version bump — see
+    docs/performance.md.
 
     Wire costs are exactly the sum of the per-verb request/response sizes;
     what a batch saves is the per-message fixed overhead (header +
     ``message_overhead_s``) and the extra round trips. Each verb still
     produces its own completion value: :meth:`execute` returns the results
-    in posting order.
-
-    Under fault injection the batch's two wire legs live or die as a unit
-    (one drop draw per leg, at the most fault-prone member's probability),
-    while memory effects keep per-verb at-most-once replay semantics across
-    retries, exactly like single verbs.
+    in posting order. Fault semantics are the executor's, the same for a
+    batch as for a single verb (:meth:`QueuePair._post`).
     """
 
-    __slots__ = ("qp", "_ops", "_executed", "_request_bytes",
-                 "_response_bytes", "_payload_total", "_num_atomics")
+    __slots__ = ("qp", "_wqes", "_executed")
 
     def __init__(self, qp: QueuePair) -> None:
         self.qp = qp
-        # (verb, payload_bytes, effect, mirror_bytes) per staged WQE. The
-        # wire totals are running sums maintained at staging time, so
-        # execute() does no per-verb aggregation passes. Two compact
-        # encodings keep the hottest stagings allocation-free: a READ's
-        # ``effect`` slot holds the region *offset* (an int — the apply
-        # call is reconstructed at execution), and a constant-size mirror
-        # leg (WRITE/FAA) stores the byte count itself instead of a
-        # callable returning it.
-        self._ops: List[Tuple] = []
+        self._wqes: List[Tuple] = []
         self._executed = False
-        self._request_bytes = 0
-        self._response_bytes = 0
-        self._payload_total = 0
-        self._num_atomics = 0
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._wqes)
 
-    def _stage(
-        self,
-        verb: Verb,
-        payload_bytes: int,
-        request_bytes: int,
-        response_bytes: int,
-        effect,
-        atomic: bool = False,
-        mirror_bytes=None,
-    ) -> "VerbBatch":
+    def _stage(self, wqe: Tuple) -> "VerbBatch":
         if self._executed:
             raise NetworkError("cannot post to an already-executed VerbBatch")
-        self._ops.append((verb, payload_bytes, effect, mirror_bytes))
-        self._request_bytes += request_bytes
-        self._response_bytes += response_bytes
-        self._payload_total += payload_bytes
-        if atomic:
-            self._num_atomics += 1
+        self._wqes.append(wqe)
         return self
-
-    @staticmethod
-    def _apply(qp: QueuePair, op: Tuple) -> Any:
-        """Run one staged WQE's memory effect (decoding the READ shorthand)."""
-        effect = op[2]
-        if effect.__class__ is int:
-            return qp._apply_read(effect, op[1])
-        return effect()
 
     # -- posting (returns self for chaining) ---------------------------------
 
     def read(self, offset: int, length: int) -> "VerbBatch":
         """Stage an RDMA READ of *length* bytes at *offset*."""
-        return self._stage(
-            Verb.READ,
-            length,
-            self.qp.fabric.config.request_wire_bytes,
-            length,
-            offset,
-        )
+        return self._stage((READ, length, offset, False))
 
     def write(self, offset: int, data: bytes) -> "VerbBatch":
         """Stage an RDMA WRITE of *data* at *offset*."""
-        qp = self.qp
-        return self._stage(
-            Verb.WRITE,
-            len(data),
-            self.qp.fabric.config.request_wire_bytes + len(data),
-            0,
-            lambda: qp._apply_write(offset, data),
-            mirror_bytes=len(data),
-        )
+        return self._stage((WRITE, len(data), offset, data))
 
     def compare_and_swap(self, offset: int, expected: int, new: int) -> "VerbBatch":
         """Stage an RDMA CAS; its result slot gets ``(swapped, old)``."""
-        qp = self.qp
-        return self._stage(
-            Verb.CAS,
-            8,
-            self.qp.fabric.config.request_wire_bytes + 16,
-            8,
-            lambda: qp._apply_cas(offset, expected, new),
-            atomic=True,
-            mirror_bytes=lambda result: 8 if result[0] else 0,
-        )
+        return self._stage((CAS, 8, offset, expected, new))
 
     def fetch_and_add(self, offset: int, delta: int) -> "VerbBatch":
         """Stage an RDMA FETCH_AND_ADD; its result slot gets the old value."""
-        qp = self.qp
-        return self._stage(
-            Verb.FETCH_ADD,
-            8,
-            self.qp.fabric.config.request_wire_bytes + 16,
-            8,
-            lambda: qp._apply_faa(offset, delta),
-            atomic=True,
-            mirror_bytes=8,
-        )
+        return self._stage((FETCH_ADD, 8, offset, delta))
 
     # -- execution -----------------------------------------------------------
 
     def execute(self) -> Generator[Any, Any, List[Any]]:
         """Ring the doorbell: ship the chain, return per-verb results in
         posting order."""
-        qp = self.qp
-        ops = self._ops
         if self._executed:
             raise NetworkError("VerbBatch already executed")
         self._executed = True
-        if not ops:
-            return []
-        fabric = qp.fabric
-        request_bytes = self._request_bytes
-        response_bytes = self._response_bytes
-        num_atomics = self._num_atomics
-        if not qp.is_local:
-            qp.local_port.ring_doorbell(len(ops))
-            obs = fabric.obs
-            if obs is not None:
-                obs.batch_executed(qp.remote.server_id, len(ops))
-        batch_id = fabric.next_batch_id()
-        if fabric.injector is not None and not qp.is_local:
-            return (
-                yield from self._faulty_execute(
-                    request_bytes, response_bytes, num_atomics, batch_id
-                )
-            )
-        started_at = qp.sim.now
-        record = qp.remote.stats.record
-        for op in ops:
-            record(op[0], op[1])
-        if qp.is_local:
-            yield from fabric.local_copy(self._payload_total)
-        else:
-            yield from qp._request_leg(request_bytes)
-            if num_atomics:
-                yield qp.sim.timeout(
-                    num_atomics * fabric.config.atomic_extra_latency_s
-                )
-            yield from qp._response_leg(response_bytes)
-        apply = self._apply
-        replicated = fabric.replication is not None
-        results: List[Any] = []
-        append = results.append
-        for op in ops:
-            result = apply(qp, op)
-            mirror_bytes = op[3]
-            if mirror_bytes is not None and replicated:
-                yield from qp._mirror(
-                    mirror_bytes
-                    if mirror_bytes.__class__ is int
-                    else mirror_bytes(result)
-                )
-            append(result)
-        if fabric.tracer is not None or fabric.obs is not None:
-            for op in ops:
-                qp._trace(op[0], op[1], started_at, batch_id=batch_id)
-        return results
-
-    def _faulty_execute(
-        self,
-        request_bytes: int,
-        response_bytes: int,
-        num_atomics: int,
-        batch_id: int,
-    ) -> Generator[Any, Any, List[Any]]:
-        """Attempt loop for a non-local batch under fault injection.
-
-        The request and response legs carry the whole chain, so each leg is
-        a single delivery draw (the most fault-prone member's probability);
-        per-WQE effects keep the at-most-once replay guarantee — a retry
-        after a lost *response* re-learns the cached outcomes instead of
-        re-executing writes or double-bumping atomics.
-        """
-        qp = self.qp
-        ops = self._ops
-        injector = qp.fabric.injector
-        retry = injector.retry
-        config = qp.fabric.config
-        server_id = qp.remote.server_id
-        verbs = [op[0] for op in ops]
-        lead_verb = verbs[0]
-        started_at = qp.sim.now
-        results: List[Any] = [_UNSET] * len(ops)
-        last_attempt = retry.max_attempts - 1
-        for attempt in range(retry.max_attempts):
-            for verb, payload_bytes, *_rest in ops:
-                qp.remote.stats.record(verb, payload_bytes)
-            yield from qp._request_leg(request_bytes)
-            if injector.should_duplicate(lead_verb, server_id):
-                # The NIC discards the duplicate; it only burns RX bandwidth.
-                qp.remote.port.rx.reserve(request_bytes + config.header_wire_bytes)
-            delivered = not injector.server_down(server_id) and not (
-                injector.should_drop_batch(verbs, server_id)
-            )
-            if delivered:
-                replicated = qp.fabric.replication is not None
-                for i, op in enumerate(ops):
-                    if results[i] is _UNSET:
-                        result = results[i] = self._apply(qp, op)
-                        mirror_bytes = op[3]
-                        if mirror_bytes is not None and replicated:
-                            yield from qp._mirror(
-                                mirror_bytes
-                                if mirror_bytes.__class__ is int
-                                else mirror_bytes(result)
-                            )
-                if num_atomics:
-                    yield qp.sim.timeout(
-                        num_atomics * config.atomic_extra_latency_s
-                    )
-                delay = injector.extra_delay(lead_verb, server_id)
-                if delay > 0.0:
-                    yield qp.sim.timeout(delay)
-                yield from qp._response_leg(response_bytes)
-                if not injector.server_down(server_id) and not (
-                    injector.should_drop_batch(verbs, server_id)
-                ):
-                    if qp.fabric.tracer is not None or qp.fabric.obs is not None:
-                        for verb, payload_bytes, *_rest in ops:
-                            qp._trace(
-                                verb, payload_bytes, started_at, batch_id=batch_id
-                            )
-                    return results
-            # Request or response lost: wait out the detection timeout,
-            # then back off before re-posting the chain.
-            obs = qp.fabric.obs
-            if obs is not None:
-                obs.attempt_failed(
-                    lead_verb, server_id, retried=attempt < last_attempt
-                )
-            wait_start = qp.sim.now
-            yield qp.sim.timeout(retry.timeout_s)
-            if attempt < last_attempt:
-                yield qp.sim.timeout(injector.backoff_delay(attempt))
-            if obs is not None:
-                obs.stamp("client_backoff", wait_start, qp.sim.now)
-        raise RetriesExhaustedError(
-            f"doorbell batch of {len(ops)} verbs to memory server {server_id} "
-            f"gave up after {retry.max_attempts} attempts"
-        )
+        return self.qp._post(self._wqes, len(self._wqes), True, True)

@@ -7,21 +7,6 @@ from repro.rdma.verbs import Verb, VerbStats
 from repro.sim import BandwidthChannel, Simulator
 
 
-def test_qp_read_many_returns_in_request_order(cluster, compute):
-    server = cluster.memory_server(0)
-    server.region.write(4096, b"A" * 8)
-    server.region.write(8192, b"B" * 8)
-    server.region.write(12288, b"C" * 8)
-    start = cluster.now
-    results = cluster.execute(
-        compute.qp(0).read_many([(4096, 8), (8192, 8), (12288, 8)])
-    )
-    assert results == [b"A" * 8, b"B" * 8, b"C" * 8]
-    # Issued in parallel: cheaper than three serial round trips.
-    serial_floor = 3 * 2 * cluster.config.network.one_way_latency_s
-    assert cluster.now - start < serial_floor
-
-
 def test_verb_stats_totals_and_delta():
     stats = VerbStats()
     stats.record(Verb.READ, 100)

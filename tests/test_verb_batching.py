@@ -107,15 +107,122 @@ class TestVerbBatchSemantics:
         )
         assert tx1 - tx0 == n * (length + network.header_wire_bytes)
 
-    def test_batch_of_one_matches_single_verb_timing(self, wired):
-        cluster, compute = wired
-        start = cluster.now
-        cluster.execute(compute.qp(0).read(0, 1024))
-        single_elapsed = cluster.now - start
-        start = cluster.now
-        cluster.execute(compute.qp(0).batch().read(0, 1024).execute())
-        batch_elapsed = cluster.now - start
-        assert batch_elapsed == pytest.approx(single_elapsed)
+    @pytest.mark.parametrize("mode", ["fault-free", "lossy", "replicated"])
+    @pytest.mark.parametrize("verb", ["read", "write", "cas", "faa"])
+    def test_batch_of_one_matches_single_verb(self, verb, mode):
+        """A single verb is a chain of one: posted bare or through a
+        one-entry batch it leaves the same memory, stats, wire traffic,
+        doorbells, clock and — under a plan — the same injector state."""
+
+        def run(batched: bool):
+            cluster = Cluster(
+                ClusterConfig(
+                    num_memory_servers=3,
+                    memory_servers_per_machine=1,
+                    replication_factor=2 if mode == "replicated" else 1,
+                    seed=41,
+                )
+            )
+            compute = cluster.new_compute_server()
+            injector = None
+            if mode == "lossy":
+                injector = cluster.attach_faults(
+                    FaultPlan(
+                        seed=13,
+                        drop_probability=0.15,
+                        delay_probability=0.1,
+                        duplicate_probability=0.1,
+                    )
+                )
+            def post(target, i: int):
+                offset = 4096 + 64 * i
+                if verb == "read":
+                    return target.read(offset, 48)
+                if verb == "write":
+                    return target.write(offset, bytes([i + 1]) * 48)
+                if verb == "cas":
+                    return target.compare_and_swap(offset, 0, i + 1)
+                return target.fetch_and_add(4096, i + 1)
+
+            outcomes = []
+            for i in range(25):
+                qp = compute.qp(0)
+                try:
+                    if batched:
+                        outcomes.append(cluster.execute(post(qp.batch(), i).execute())[0])
+                    else:
+                        outcomes.append(cluster.execute(post(qp, i)))
+                except RetriesExhaustedError as exc:
+                    outcomes.append(type(exc).__name__)
+            ports = [compute.port] + [
+                cluster.memory_server(i).port for i in range(3)
+            ]
+            state = {
+                "outcomes": outcomes,
+                "regions": [
+                    cluster.memory_server(i).region.read(0, 8192) for i in range(3)
+                ],
+                "stats": [
+                    (dict(cluster.memory_server(i).stats.ops),
+                     dict(cluster.memory_server(i).stats.bytes))
+                    for i in range(3)
+                ],
+                "channels": [(p.tx.snapshot(), p.rx.snapshot()) for p in ports],
+                "doorbells": (compute.port.doorbells, compute.port.wqes_posted),
+                "now": cluster.now,
+            }
+            if injector is not None:
+                state["injector"] = dict(injector.stats)
+                state["next_draw"] = injector.rng.random()
+            return state
+
+        single, batch = run(batched=False), run(batched=True)
+        assert single == batch
+        if mode == "lossy":
+            assert single["injector"]["drops"] > 0
+            assert single["injector"]["retries"] > 0
+
+    def test_read_view_goes_through_the_injector(self):
+        """read_view is read with a borrow flag: under a lossy plan it is
+        dropped and retried like any verb and hands back the right —
+        copied — bytes."""
+        cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=43))
+        compute = cluster.new_compute_server()
+        cluster.memory_server(0).region.write(4096, b"borrowed" * 8)
+        injector = cluster.attach_faults(FaultPlan(seed=3, drop_probability=0.3))
+        for _ in range(20):
+            try:
+                data = cluster.execute(compute.qp(0).read_view(4096, 64))
+            except RetriesExhaustedError:
+                continue
+            assert bytes(data) == b"borrowed" * 8
+        injector.quiesce()
+        assert injector.stats["drops"] > 0
+        assert bytes(cluster.execute(compute.qp(0).read_view(4096, 64))) == b"borrowed" * 8
+
+    def test_completion_reported_after_mirror_legs(self):
+        """Mirror legs are charged before the client's completion on every
+        path: a replicated WRITE traces the same duration posted bare or
+        in a batch, and a longer one than without replication."""
+
+        def durations(replication_factor: int):
+            cluster = Cluster(
+                ClusterConfig(
+                    num_memory_servers=3,
+                    memory_servers_per_machine=1,
+                    replication_factor=replication_factor,
+                    seed=47,
+                )
+            )
+            qp = cluster.new_compute_server().qp(0)
+            with VerbTracer(cluster) as tracer:
+                cluster.execute(qp.write(4096, b"x" * 256))
+                cluster.execute(qp.batch().write(8192, b"x" * 256).execute())
+            return [record.duration for record in tracer.records]
+
+        single, batched = durations(replication_factor=2)
+        assert single == pytest.approx(batched)
+        assert single > durations(replication_factor=1)[0]
 
     def test_batched_faster_than_parallel_singles(self):
         """On a message-rate-bound link the batch saves (N-1) per-message
@@ -226,60 +333,11 @@ class TestVerbBatchSemantics:
 
 
 # --------------------------------------------------------------------------- #
-# read_many chunking                                                           #
-# --------------------------------------------------------------------------- #
-
-class TestReadMany:
-    def test_chunks_of_max_batch_wqes(self):
-        config = ClusterConfig(
-            num_memory_servers=2,
-            seed=3,
-            network=NetworkConfig(max_batch_wqes=4),
-        )
-        cluster = Cluster(config)
-        compute = cluster.new_compute_server()
-        server = cluster.memory_server(0)
-        requests = [(i * 64, 64) for i in range(10)]
-        for offset, length in requests:
-            server.region.write(offset, bytes([offset % 251]) * length)
-        with VerbTracer(cluster) as tracer:
-            results = cluster.execute(compute.qp(0).read_many(requests))
-        assert results == [
-            bytes([offset % 251]) * length for offset, length in requests
-        ]
-        assert sorted(tracer.batch_sizes()) == [2, 4, 4]
-        assert compute.qp(0).local_port.doorbells == 3
-
-    def test_falls_back_when_batching_disabled(self):
-        config = ClusterConfig(
-            num_memory_servers=2,
-            seed=3,
-            network=NetworkConfig(doorbell_batching=False),
-        )
-        cluster = Cluster(config)
-        compute = cluster.new_compute_server()
-        with VerbTracer(cluster) as tracer:
-            results = cluster.execute(
-                compute.qp(0).read_many([(0, 64), (64, 64), (128, 64)])
-            )
-        assert len(results) == 3
-        assert tracer.batch_sizes() == []
-        assert tracer.doorbells == 3
-
-    def test_single_request_stays_unbatched(self, wired):
-        cluster, compute = wired
-        with VerbTracer(cluster) as tracer:
-            results = cluster.execute(compute.qp(0).read_many([(0, 64)]))
-        assert len(results) == 1
-        assert tracer.batch_sizes() == []
-
-
-# --------------------------------------------------------------------------- #
 # fault interaction                                                            #
 # --------------------------------------------------------------------------- #
 
 class TestBatchFaults:
-    def test_read_many_correct_under_drop_delay_duplicate(self):
+    def test_chained_reads_correct_under_drop_delay_duplicate(self):
         """A batch's two wire legs live or die as a unit; retries replay the
         whole chain — the caller always gets every payload back intact."""
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=19))
@@ -301,7 +359,10 @@ class TestBatchFaults:
             )
         )
         for _ in range(10):
-            assert cluster.execute(compute.qp(0).read_many(requests)) == expected
+            batch = compute.qp(0).batch()
+            for offset, length in requests:
+                batch.read(offset, length)
+            assert cluster.execute(batch.execute()) == expected
         injector.quiesce()
         assert injector.stats["drops"] > 0
         assert injector.stats["retries"] > 0
