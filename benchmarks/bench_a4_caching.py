@@ -18,7 +18,7 @@ def test_a4_inner_node_caching(benchmark, run_once, bench_scale):
     benchmark.extra_info["hit_rates"] = {"A": read_hit_rate, "D": mixed_hit_rate}
 
     # Paper shape (A.4): read-only workloads benefit significantly from
-    # caching; write-heavy workloads benefit less (invalidation/TTL churn).
+    # caching; write-heavy workloads benefit less (revalidation/invalidation churn).
     assert read_gain > 1.5
     assert read_hit_rate > 0.4
     assert mixed_gain < read_gain

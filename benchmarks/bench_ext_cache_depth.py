@@ -3,7 +3,7 @@
 Runs the cache depth x skew x write-ratio grid of
 :mod:`repro.experiments.ext_cache_depth` at its default scale on the
 fine-grained design and writes ``BENCH_caching.json`` at the repo root so
-the speedup trajectory is recorded per commit. The CI ``cache-smoke`` job
+the speedup trajectory is recorded per commit. The CI ``smoke (caching)`` job
 gates the same numbers (smoke scale) against
 ``benchmarks/baselines/BENCH_caching_smoke.json``. See docs/caching.md.
 """

@@ -3,7 +3,7 @@
 Runs the engine grid of :mod:`repro.experiments.ext_engine` at its default
 scale (CG/FG/hybrid x batched/unbatched x observability on/off) and writes
 ``BENCH_engine.json`` next to the repo root so the host-speed trajectory is
-recorded per commit. The CI ``engine-smoke`` job gates the same numbers
+recorded per commit. The CI ``smoke (engine)`` job gates the same numbers
 (smoke scale) against ``benchmarks/baselines/BENCH_engine_smoke.json``.
 
 Unlike the rest of the suite this one measures the *simulator itself*:

@@ -4,7 +4,7 @@ Runs the admission-policy x offered-load grid of
 :mod:`repro.experiments.ext_overload` at its default scale on the
 coarse-grained design and writes ``BENCH_overload.json`` at the repo root
 so the containment trajectory is recorded per commit. The CI
-``overload-smoke`` job gates the same numbers (smoke scale) against
+``smoke (overload)`` job gates the same numbers (smoke scale) against
 ``benchmarks/baselines/BENCH_overload_smoke.json``. See docs/overload.md.
 """
 

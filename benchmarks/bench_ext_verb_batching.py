@@ -4,7 +4,7 @@ Runs the batched-vs-unbatched grid of
 :mod:`repro.experiments.ext_verb_batching` at its default scale (all three
 designs, 8 memory servers) and writes ``BENCH_batching.json`` next to the
 repo root so the speedup and engine-speed trajectory is recorded per
-commit. The CI ``perf-smoke`` job gates the same numbers (smoke scale)
+commit. The CI ``smoke (batching)`` job gates the same numbers (smoke scale)
 against ``benchmarks/baselines/BENCH_batching_smoke.json``.
 """
 

@@ -79,8 +79,6 @@ _TABLE = [
     Experiment("srq", "Ablation: shared receive queues", "ablation_srq"),
     Experiment("reqskew", "Extension: Zipfian request skew",
                "ext_request_skew", style="extension"),
-    Experiment("cachestrat", "Extension: caching strategies",
-               "ext_caching_strategies", style="extension"),
     Experiment("cachedepth", "Extension: coherent cache-depth sweep",
                "ext_cache_depth", style="extension"),
     Experiment("pagesize", "Extension: page-size sensitivity",

@@ -253,27 +253,19 @@ class CacheConfig:
     the catalog) has not moved; afterwards they are revalidated with a
     1-verb READ of the page's version word. On the write path, a lock
     attempt whose version came from the cache is preceded by the same
-    header READ when ``validate_writes`` is set.
+    header READ.
     """
 
     #: Top tree levels cached per client (0 disables the cache).
     depth: int = 0
     #: LRU capacity in pages, per client session.
     capacity: int = 4096
-    #: Optional extra staleness bound; None relies purely on epoch/version
-    #: revalidation (the coherent default).
-    ttl_s: Optional[float] = None
-    #: Revalidate cache-served versions with a header READ before CASing
-    #: them on the lock path.
-    validate_writes: bool = True
 
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ConfigurationError("cache depth must be >= 0")
         if self.capacity < 0:
             raise ConfigurationError("cache capacity must be >= 0")
-        if self.ttl_s is not None and self.ttl_s <= 0:
-            raise ConfigurationError("cache ttl_s must be > 0 (or None)")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Appendix A.4: opportunities and challenges of client-side caching.
 
-Runs the fine-grained design with and without the inner-node cache
-(:mod:`repro.index.caching`) on a read-only point workload — where caching
-saves most of the traversal round trips — and on an insert-heavy workload,
-where invalidations and TTL expiry erode the benefit. Reports throughput
-and the cache hit rate.
+Runs the fine-grained design with and without the coherent inner-node
+cache (:mod:`repro.index.caching`, ``CacheConfig(depth=2)`` — both inner
+levels at every scale this harness runs) on a read-only point workload —
+where caching saves most of the traversal round trips — and on an
+insert-heavy workload, where revalidation and invalidation erode the
+benefit. Reports throughput and the cache hit rate (from the namscope
+``nam_cache_*`` counters).
 
-See also :mod:`repro.experiments.ext_caching_strategies` for the
-strategy comparison (including the coherent, TTL-free strategy) and
-:mod:`repro.experiments.ext_cache_depth` for the full cache-depth x skew
-x write-ratio sweep backing ``BENCH_caching.json``.
+See :mod:`repro.experiments.ext_cache_depth` for the full cache-depth x
+skew x write-ratio sweep backing ``BENCH_caching.json``; its uniform
+read-only and 50 %-insert columns are this harness's two workloads at
+every depth.
 
 Run with ``python -m repro.experiments.a4_caching``.
 """
@@ -18,9 +20,15 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.experiments.common import build_cluster, build_index, format_rate, print_table
+from repro.config import ObservabilityConfig
+from repro.experiments.common import (
+    build_cluster,
+    build_index,
+    cache_hit_rate,
+    format_rate,
+    print_table,
+)
 from repro.experiments.scale import DEFAULT, ExperimentScale, measure_window
-from repro.index.caching import cached_session
 from repro.workloads import (
     RunResult,
     WorkloadRunner,
@@ -35,47 +43,33 @@ __all__ = ["run", "print_figure", "main"]
 Key = Tuple[str, bool]
 
 
-class _CachedIndexProxy:
-    """Wraps a fine-grained index so every session carries the node cache."""
-
-    def __init__(self, index, ttl_s: float) -> None:
-        self._index = index
-        self.design = index.design + "+cache"
-        self.ttl_s = ttl_s
-        self.accessors = []
-
-    def session(self, compute_server):
-        session = cached_session(self._index, compute_server, ttl_s=self.ttl_s)
-        self.accessors.append(session._tree.acc)
-        return session
-
-
 def run(
-    scale: ExperimentScale = DEFAULT, num_clients: int = 80, ttl_s: float = 0.01
+    scale: ExperimentScale = DEFAULT, num_clients: int = 80
 ) -> Dict[Key, Tuple[RunResult, float]]:
     """Returns ``(RunResult, cache hit rate)`` per (workload, cached) cell."""
     results: Dict[Key, Tuple[RunResult, float]] = {}
     for spec in (workload_a(), workload_d()):
         for cached in (False, True):
             dataset = generate_dataset(scale.num_keys, scale.gap)
-            cluster = build_cluster(scale)
+            cluster = build_cluster(
+                scale,
+                observability=ObservabilityConfig(enabled=cached),
+                cache_depth=2 if cached else 0,
+            )
             index = build_index(cluster, "fine-grained", dataset)
-            target = _CachedIndexProxy(index, ttl_s) if cached else index
             runner = WorkloadRunner(cluster, dataset)
             result = runner.run(
-                target,
+                index,
                 spec,
                 num_clients=num_clients,
                 warmup_s=scale.warmup_s,
                 measure_s=measure_window(scale),
                 seed=scale.seed,
             )
-            hit_rate = 0.0
-            if cached and target.accessors:
-                hits = sum(accessor.hits for accessor in target.accessors)
-                misses = sum(accessor.misses for accessor in target.accessors)
-                hit_rate = hits / (hits + misses) if hits + misses else 0.0
-            results[(spec.name, cached)] = (result, hit_rate)
+            results[(spec.name, cached)] = (
+                result,
+                cache_hit_rate(result) if cached else 0.0,
+            )
     return results
 
 

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.config import ClusterConfig, ObservabilityConfig
+from repro.config import CacheConfig, ClusterConfig, ObservabilityConfig
 from repro.errors import ConfigurationError
 from repro.index import (
     CoarseGrainedIndex,
@@ -35,6 +35,7 @@ __all__ = [
     "DESIGNS",
     "build_cluster",
     "build_index",
+    "cache_hit_rate",
     "run_cell",
     "format_rate",
     "write_obs_artifacts",
@@ -52,12 +53,16 @@ def build_cluster(
     num_memory_servers: Optional[int] = None,
     colocated: bool = False,
     observability: Optional[ObservabilityConfig] = None,
+    cache_depth: int = 0,
 ) -> Cluster:
     """A fresh cluster shaped by *scale*.
 
     Pass an :class:`ObservabilityConfig` to run the cell with the metrics
     registry and span sampling attached; the default (None) builds the
-    cluster with observability off, exactly as before.
+    cluster with observability off, exactly as before. *cache_depth* > 0
+    gives every fine-grained session the coherent client cache
+    (docs/caching.md); with observability on as well, the cell's hit rate
+    can be read back with :func:`cache_hit_rate`.
     """
     servers = num_memory_servers or scale.num_memory_servers
     config = ClusterConfig(
@@ -65,9 +70,23 @@ def build_cluster(
         memory_servers_per_machine=min(scale.memory_servers_per_machine, servers),
         colocated=colocated,
         seed=scale.seed,
+        cache=CacheConfig(depth=cache_depth),
         observability=observability or ObservabilityConfig(),
     )
     return Cluster(config)
+
+
+def cache_hit_rate(result: RunResult) -> float:
+    """Share of node reads the client caches served over *result*'s whole
+    run, from the ``nam_cache_*`` counters of its observability snapshot."""
+    counters = {
+        metric["name"]: metric["value"]
+        for metric in result.observability["metrics"]
+        if metric["type"] == "counter"
+    }
+    hits = counters.get("nam_cache_hits_total", 0)
+    misses = counters.get("nam_cache_misses_total", 0)
+    return hits / (hits + misses) if hits + misses else 0.0
 
 
 def build_index(

@@ -27,14 +27,19 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import CacheConfig, ClusterConfig, ObservabilityConfig
-from repro.experiments.common import build_index, format_rate, print_table
+from repro.config import ObservabilityConfig
+from repro.experiments.common import (
+    build_cluster,
+    build_index,
+    cache_hit_rate,
+    format_rate,
+    print_table,
+)
 from repro.experiments.scale import ExperimentScale
-from repro.nam.cluster import Cluster
 from repro.rdma.verbs import Verb
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
 
@@ -70,7 +75,7 @@ DEFAULT_SCALE = ExperimentScale(
     measure_s=0.004,
 )
 
-#: Tiny grid for the CI cache-smoke job.
+#: Tiny grid for the CI smoke (caching) job.
 SMOKE = ExperimentScale(
     num_keys=6_000,
     num_memory_servers=4,
@@ -123,16 +128,11 @@ def _measure_cell(
     seed: int,
 ) -> CacheCell:
     dataset = generate_dataset(scale.num_keys, scale.gap)
-    config = ClusterConfig(
-        num_memory_servers=scale.num_memory_servers,
-        memory_servers_per_machine=min(
-            scale.memory_servers_per_machine, scale.num_memory_servers
-        ),
-        seed=seed,
-        cache=CacheConfig(depth=depth),
+    cluster = build_cluster(
+        replace(scale, seed=seed),
         observability=ObservabilityConfig(enabled=True),
+        cache_depth=depth,
     )
-    cluster = Cluster(config)
     index = build_index(cluster, "fine-grained", dataset)
     runner = WorkloadRunner(cluster, dataset)
     baseline_reads = sum(
@@ -151,14 +151,12 @@ def _measure_cell(
         - baseline_reads
     )
     registry = cluster.obs.registry
-    hits = registry.counter("nam_cache_hits_total").value
-    misses = registry.counter("nam_cache_misses_total").value
     return CacheCell(
         depth=depth,
         distribution=distribution,
         write_ratio=write_ratio,
         sim_ops_per_s=result.throughput,
-        hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+        hit_rate=cache_hit_rate(result),
         # Whole-run READs (warm-up included) over window ops: slightly
         # over-estimated, identically for every cell.
         reads_per_op=total_reads / max(1, result.total_ops),

@@ -124,7 +124,7 @@ class EngineScale:
 
 DEFAULT_SCALE = EngineScale()
 
-#: Tiny grid for the CI ``engine-smoke`` job.
+#: Tiny grid for the CI ``smoke (engine)`` job.
 SMOKE = EngineScale(num_keys=3_000, ops_per_client=30, reps=3)
 
 

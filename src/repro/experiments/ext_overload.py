@@ -119,7 +119,7 @@ DEFAULT_SCALE = ExperimentScale(
     measure_s=0.004,
 )
 
-#: Tiny grid for the CI overload-smoke job.
+#: Tiny grid for the CI smoke (overload) job.
 SMOKE = ExperimentScale(
     num_keys=4_000,
     num_memory_servers=2,

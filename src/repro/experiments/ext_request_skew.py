@@ -6,9 +6,9 @@ keys receive most of the accesses (Section 6: "the original YCSB only
 supports a skewed access pattern of queries by using a Zipfian
 distribution"). This extension runs workload A under uniform, Zipfian
 (hot keys clustered at the low end of the key space) and scrambled-Zipfian
-(hot keys spread) request distributions, and adds the A.4 inner-node
-cache, which thrives on request skew: the hot traversal paths pin
-themselves into the client cache.
+(hot keys spread) request distributions, and adds the coherent A.4
+inner-node cache (``CacheConfig(depth=2)``), which thrives on request
+skew: the hot traversal paths pin themselves into the client cache.
 
 Run with ``python -m repro.experiments.ext_request_skew``.
 """
@@ -17,34 +17,27 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.config import ObservabilityConfig
 from repro.experiments.common import (
     DESIGNS,
     build_cluster,
     build_index,
+    cache_hit_rate,
     format_rate,
     print_table,
 )
 from repro.experiments.scale import DEFAULT, ExperimentScale
-from repro.index.caching import cached_session
 from repro.workloads import RunResult, WorkloadRunner, generate_dataset, workload_a
 
-__all__ = ["run", "print_figure", "main", "DISTRIBUTIONS"]
+__all__ = ["run", "print_figure", "main", "DISTRIBUTIONS", "CACHED"]
 
 DISTRIBUTIONS = ("uniform", "zipfian", "scrambled_zipfian")
 
+#: Row label of the fine-grained design under ``CacheConfig(depth=2)``.
+CACHED = "fine-grained+cache"
+
 #: (design label, distribution)
 Key = Tuple[str, str]
-
-
-class _CachedProxy:
-    """Fine-grained index whose sessions carry the A.4 node cache."""
-
-    def __init__(self, index) -> None:
-        self._index = index
-        self.design = index.design + "+cache"
-
-    def session(self, compute_server):
-        return cached_session(self._index, compute_server, ttl_s=0.01)
 
 
 def run(
@@ -52,18 +45,21 @@ def run(
 ) -> Dict[Key, RunResult]:
     """Run this experiment's grid; returns the per-cell results."""
     results: Dict[Key, RunResult] = {}
-    rows = list(DESIGNS) + ["fine-grained+cache"]
-    for label in rows:
+    for label in list(DESIGNS) + [CACHED]:
+        cached = label == CACHED
         for distribution in DISTRIBUTIONS:
             dataset = generate_dataset(scale.num_keys, scale.gap)
-            cluster = build_cluster(scale)
-            if label == "fine-grained+cache":
-                target = _CachedProxy(build_index(cluster, "fine-grained", dataset))
-            else:
-                target = build_index(cluster, label, dataset)
+            cluster = build_cluster(
+                scale,
+                observability=ObservabilityConfig(enabled=cached),
+                cache_depth=2 if cached else 0,
+            )
+            index = build_index(
+                cluster, "fine-grained" if cached else label, dataset
+            )
             runner = WorkloadRunner(cluster, dataset)
             results[(label, distribution)] = runner.run(
-                target,
+                index,
                 workload_a(distribution=distribution),
                 num_clients=num_clients,
                 warmup_s=scale.warmup_s,
@@ -88,6 +84,13 @@ def print_figure(results: Dict[Key, RunResult]) -> None:
         DISTRIBUTIONS,
         rows,
         col_header="",
+    )
+    print(
+        "  cache hit rate: "
+        + ", ".join(
+            f"{distribution} {cache_hit_rate(results[(CACHED, distribution)]) * 100:.0f}%"
+            for distribution in DISTRIBUTIONS
+        )
     )
 
 

@@ -20,7 +20,7 @@ by wire flight, while the flash-crowd tail shifts toward queueing
 segments — per design, the decomposition names the bottleneck the
 design's own tradeoffs predict.
 
-Doubles as the tail-smoke regression gate: ``--check BASELINE`` compares
+Doubles as the smoke (tail) regression gate: ``--check BASELINE`` compares
 goodput per cell (tolerance ``TOLERANCE``) and re-asserts structural
 invariants — every cell retains spans, every attribution reconciles
 (shares sum to 1), flash cells record flight activity.
@@ -112,7 +112,7 @@ DEFAULT_SCALE = ExperimentScale(
     measure_s=0.004,
 )
 
-#: Tiny grid for the CI tail-smoke job: zipf only, all designs, both
+#: Tiny grid for the CI smoke (tail) job: zipf only, all designs, both
 #: phases (the skew axis is the least load-bearing for the gate).
 SMOKE = ExperimentScale(
     num_keys=4_000,
@@ -454,7 +454,7 @@ def print_figure(results: Dict[str, TailCell]) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
-        description="critical-path tail attribution sweep + tail-smoke gate"
+        description="critical-path tail attribution sweep + smoke (tail) gate"
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(

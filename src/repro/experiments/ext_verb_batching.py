@@ -20,7 +20,7 @@ perf-regression gate:
 
 ``--check BASELINE`` compares a run against a committed baseline JSON and
 exits non-zero if either metric regressed more than ``TOLERANCE`` (CI's
-``perf-smoke`` job), or if the fine-grained batching speedup fell below
+``smoke (batching)`` job), or if the fine-grained batching speedup fell below
 ``SPEEDUP_FLOOR``. ``--update-baseline BASELINE`` rewrites the file.
 
 Run with ``python -m repro.experiments.ext_verb_batching``.
@@ -137,7 +137,7 @@ DEFAULT_SCALE = ExperimentScale(
     measure_s=0.006,
 )
 
-#: Tiny grid for the CI perf-smoke job.
+#: Tiny grid for the CI smoke (batching) job.
 SMOKE = ExperimentScale(
     num_keys=6_000,
     num_memory_servers=8,

@@ -43,20 +43,11 @@ from typing import Any, Dict, Generator, List
 from repro.btree.accessor import NodeAccessor, RootRef
 from repro.btree.node import Node
 from repro.btree.pointers import NULL_RAW, RemotePointer, encode_pointer
-
-#: Low 56 bits of a raw pointer (RemotePointer.from_raw's offset mask),
-#: for the inlined decode on the read_node hot path.
-_PTR_OFFSET_MASK = (1 << 56) - 1
-
-#: Version-word peek without a slice allocation (unpack_from reads the
-#: first 8 bytes of any buffer directly).
-_PEEK_U64 = struct.Struct("<Q").unpack_from
 from repro.errors import CatalogError, RemoteAccessError
 from repro.nam.allocator import ALLOC_WORD_OFFSET
 from repro.nam.catalog import RootLocation
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
-from repro.nam.replication import failover_retry
 
 __all__ = ["LocalAccessor", "RemoteAccessor", "LocalRootRef", "RemoteRootRef"]
 
@@ -66,6 +57,41 @@ __all__ = ["LocalAccessor", "RemoteAccessor", "LocalRootRef", "RemoteRootRef"]
 #: even versions exactly as in the paper.
 _LOCK_TAG_SHIFT = 48
 _LOCK_VERSION_MASK = (1 << _LOCK_TAG_SHIFT) - 1
+
+#: Low 56 bits of a raw pointer (RemotePointer.from_raw's offset mask),
+#: for the inlined decode on the read_node hot path.
+_PTR_OFFSET_MASK = (1 << 56) - 1
+
+#: Version-word peek without a slice allocation (unpack_from reads the
+#: first 8 bytes of any buffer directly).
+_PEEK_U64 = struct.Struct("<Q").unpack_from
+
+
+def _emit_local(
+    server: MemoryServer,
+    kind: str,
+    verb: str,
+    logical_id: int,
+    offset: int,
+    length: int,
+    epoch: int = 0,
+) -> None:
+    """Report a region effect of a server-resident accessor or root ref to
+    an attached trace sanitizer. The actor is the *physical* host whose
+    worker does the work; the server field is the logical id whose bytes
+    are touched (they differ on a promoted backup)."""
+    sanitizer = server.sanitizer
+    if sanitizer is not None:
+        sanitizer.emit(
+            f"s{server.server_id}",
+            kind,
+            verb,
+            logical_id,
+            offset,
+            length,
+            server.sim.now,
+            lock_epoch=epoch,
+        )
 
 
 class LocalAccessor(NodeAccessor):
@@ -105,24 +131,6 @@ class LocalAccessor(NodeAccessor):
             )
         return pointer.offset
 
-    def _emit(self, kind: str, verb: str, offset: int, length: int, epoch: int = 0) -> None:
-        """Report a region effect to an attached trace sanitizer. The actor
-        is the *physical* host whose worker runs this accessor; the server
-        field is the logical id whose bytes are touched (they differ on a
-        promoted backup)."""
-        sanitizer = getattr(self.server, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.emit(
-                f"s{self.server.server_id}",
-                kind,
-                verb,
-                self.logical_id,
-                offset,
-                length,
-                self.server.sim.now,
-                lock_epoch=epoch,
-            )
-
     def read_node(
         self, raw_ptr: int, shared: bool = False
     ) -> Generator[Any, Any, Node]:
@@ -132,7 +140,7 @@ class LocalAccessor(NodeAccessor):
         # view, consumed before the next simulation yield (holding it longer
         # would block region growth — see MemoryRegion.read_view).
         view = self.region.read_view(offset, self.page_size)
-        self._emit("read", "LOCAL_READ", offset, self.page_size)
+        _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, offset, self.page_size)
         try:
             return Node.from_bytes(view)
         finally:
@@ -142,7 +150,7 @@ class LocalAccessor(NodeAccessor):
         offset = self._offset(raw_ptr)
         yield self.server.cpu(self._node_cost)
         self.region.write(offset, node.to_bytes(self.page_size))
-        self._emit("write", "LOCAL_WRITE", offset, self.page_size)
+        _emit_local(self.server, "write", "LOCAL_WRITE", self.logical_id, offset, self.page_size)
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
         offset = self._offset(raw_ptr)
@@ -150,7 +158,7 @@ class LocalAccessor(NodeAccessor):
         swapped, old = self.region.compare_and_swap(
             offset, version, version | 1
         )
-        self._emit("atomic", "LOCAL_CAS", offset, 8, epoch=old)
+        _emit_local(self.server, "atomic", "LOCAL_CAS", self.logical_id, offset, 8, old)
         obs = self.obs
         if obs is not None:
             if swapped:
@@ -164,15 +172,15 @@ class LocalAccessor(NodeAccessor):
         node.version |= 1
         yield self.server.cpu(self._node_cost)
         self.region.write(offset, node.to_bytes(self.page_size))
-        self._emit("write", "LOCAL_WRITE", offset, self.page_size)
+        _emit_local(self.server, "write", "LOCAL_WRITE", self.logical_id, offset, self.page_size)
         old = self.region.fetch_and_add(offset, 1)
-        self._emit("atomic", "LOCAL_FAA", offset, 8, epoch=old)
+        _emit_local(self.server, "atomic", "LOCAL_FAA", self.logical_id, offset, 8, old)
 
     def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
         yield self.server.cpu(self._atomic_cost)
         old = self.region.fetch_and_add(offset, 1)
-        self._emit("atomic", "LOCAL_FAA", offset, 8, epoch=old)
+        _emit_local(self.server, "atomic", "LOCAL_FAA", self.logical_id, offset, 8, old)
 
     def alloc(self, level: int) -> Generator[Any, Any, int]:
         yield self.server.cpu(self._atomic_cost)
@@ -244,24 +252,6 @@ class RemoteAccessor(NodeAccessor):
         # worth reasoning about.
         self._decode_cache: Dict[int, Node] = {}
 
-    def _failover(self, server_id: int, op_factory) -> Generator[Any, Any, Any]:
-        """Run ``op_factory()`` with failover-on-retries-exhausted.
-
-        Without a replication manager this is a plain delegation (zero
-        extra simulation events). With one, a
-        :class:`~repro.errors.RetriesExhaustedError` triggers a consult of
-        the directory epoch — and a backup promotion if this client is the
-        first to notice the crash — before the operation is retried
-        against the re-routed queue pair. ``op_factory`` must resolve its
-        queue pair via :meth:`ComputeServer.qp` on every call so the
-        retry lands on the new primary.
-        """
-        if self.compute_server.fabric.replication is None:
-            return (yield from op_factory())
-        return (
-            yield from failover_retry(self.compute_server, server_id, op_factory)
-        )
-
     def _decode_shared(self, raw_ptr: int, data) -> Node:
         """Decode *data*, reusing the cached master if the image's version
         word is unchanged. The returned node is shared: callers must treat
@@ -281,39 +271,29 @@ class RemoteAccessor(NodeAccessor):
     ) -> Generator[Any, Any, Node]:
         compute = self.compute_server
         fabric = compute.fabric
-        if fabric.replication is None:
-            # Hot path: no failover wrapper, no op closure — drive the
-            # queue pair's READ generator directly. The pointer decode is
-            # inlined (RemotePointer.from_raw without the tuple).
-            if raw_ptr == 0 or raw_ptr & NULL_RAW:
-                raise RemoteAccessError("cannot decode a NULL remote pointer")
-            # Zero-copy fetch: the view aliases the live region, so it is
-            # decoded immediately — before the search-cost yield, during
-            # which a concurrent writer could change the page — and
-            # dropped. The decode input is exactly the bytes a copying
-            # READ would have returned (and under fault injection it is
-            # that copy).
-            data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read_view(
-                raw_ptr & _PTR_OFFSET_MASK, self.page_size
-            )
-            if fabric.injector is None:
-                master = self._decode_shared(raw_ptr, data)
-                data = None
-                yield compute.sim.timeout(self._search_cost)
-                if shared:
-                    # Read-only traversals take the memoized master as-is.
-                    return master
-                # Mutating callers (insert/update/delete descents) get a
-                # private clone of the memoized decode.
-                return master.clone()
-        else:
-            pointer = RemotePointer.from_raw(raw_ptr)
-
-            def op() -> Generator[Any, Any, bytes]:
-                qp = compute.qp(pointer.server_id)
-                return (yield from qp.read(pointer.offset, self.page_size))
-
-            data = yield from failover_retry(compute, pointer.server_id, op)
+        # The pointer decode is inlined (RemotePointer.from_raw without the
+        # tuple).
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
+        # Zero-copy fetch: the view aliases the live region, so it is
+        # decoded immediately — before the search-cost yield, during
+        # which a concurrent writer could change the page — and
+        # dropped. The decode input is exactly the bytes a copying
+        # READ would have returned (and under fault injection it is
+        # that copy).
+        data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read_view(
+            raw_ptr & _PTR_OFFSET_MASK, self.page_size
+        )
+        if fabric.injector is None and fabric.replication is None:
+            master = self._decode_shared(raw_ptr, data)
+            data = None
+            yield compute.sim.timeout(self._search_cost)
+            if shared:
+                # Read-only traversals take the memoized master as-is.
+                return master
+            # Mutating callers (insert/update/delete descents) get a
+            # private clone of the memoized decode.
+            return master.clone()
         # No decode memo under fault injection or replication: a fresh,
         # private node — decoded before the yield, because on a co-located
         # queue pair *data* is a live view even with an injector attached.
@@ -359,21 +339,11 @@ class RemoteAccessor(NodeAccessor):
         def read_group(server_id, members) -> Generator[Any, Any, None]:
             for start in range(0, len(members), max_wqes):
                 chunk = members[start : start + max_wqes]
-                if fabric.replication is None:
-                    batch = compute.qp(server_id).batch()
-                    batch_read = batch.read
-                    for _slot, offset in chunk:
-                        batch_read(offset, page_size)
-                    pages = yield from batch.execute()
-                else:
-                    def op(chunk=chunk) -> Generator[Any, Any, list]:
-                        qp = compute.qp(server_id)
-                        batch = qp.batch()
-                        for _slot, offset in chunk:
-                            batch.read(offset, page_size)
-                        return (yield from batch.execute())
-
-                    pages = yield from failover_retry(compute, server_id, op)
+                batch = compute.qp(server_id).batch()
+                batch_read = batch.read
+                for _slot, offset in chunk:
+                    batch_read(offset, page_size)
+                pages = yield from batch.execute()
                 yield sim.timeout(search_cost * len(chunk))
                 if memoize:
                     for (slot, _offset), data in zip(chunk, pages):
@@ -399,44 +369,22 @@ class RemoteAccessor(NodeAccessor):
         means the image must be refetched.
         """
         pointer = RemotePointer.from_raw(raw_ptr)
-
-        def op() -> Generator[Any, Any, bytes]:
-            qp = self.compute_server.qp(pointer.server_id)
-            return (yield from qp.read(pointer.offset, 8))
-
-        data = yield from self._failover(pointer.server_id, op)
+        data = yield from self.compute_server.qp(pointer.server_id).read(
+            pointer.offset, 8
+        )
         return int.from_bytes(data, "little")
 
     def write_node(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         pointer = RemotePointer.from_raw(raw_ptr)
-        data = node.to_bytes(self.page_size)
-
-        def op() -> Generator[Any, Any, None]:
-            qp = self.compute_server.qp(pointer.server_id)
-            yield from qp.write(pointer.offset, data)
-
-        yield from self._failover(pointer.server_id, op)
+        return self.compute_server.qp(pointer.server_id).write(
+            pointer.offset, node.to_bytes(self.page_size)
+        )
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
         pointer = RemotePointer.from_raw(raw_ptr)
-        compute = self.compute_server
-        locked_word = version | 1 | self._owner_tag_word
-        if compute.fabric.replication is None:
-            swapped, _old = yield from compute.qp(
-                pointer.server_id
-            ).compare_and_swap(pointer.offset, version, locked_word)
-        else:
-            def op() -> Generator[Any, Any, Any]:
-                qp = compute.qp(pointer.server_id)
-                return (
-                    yield from qp.compare_and_swap(
-                        pointer.offset, version, locked_word
-                    )
-                )
-
-            swapped, _old = yield from failover_retry(
-                compute, pointer.server_id, op
-            )
+        swapped, _old = yield from self.compute_server.qp(
+            pointer.server_id
+        ).compare_and_swap(pointer.offset, version, version | 1 | self._owner_tag_word)
         obs = self.obs
         if obs is not None:
             if swapped:
@@ -452,55 +400,26 @@ class RemoteAccessor(NodeAccessor):
         pointer = RemotePointer.from_raw(raw_ptr)
         node.version |= 1
         data = node.to_bytes(self.page_size)
-
+        qp = self.compute_server.qp
         if self._batching:
             # One doorbell: the page WRITE and the releasing FAA travel in
             # a single chain. RC in-order execution applies the write
             # before the version bump, so the unlock is still a release
             # store — and the two round trips collapse into one.
-            compute = self.compute_server
-            if compute.fabric.replication is None:
-                yield from compute.qp(pointer.server_id).write_faa_chain(
-                    pointer.offset, data
-                )
-                return
-
-            def chain_op() -> Generator[Any, Any, int]:
-                qp = compute.qp(pointer.server_id)
-                return (yield from qp.write_faa_chain(pointer.offset, data))
-
-            yield from failover_retry(compute, pointer.server_id, chain_op)
+            yield from qp(pointer.server_id).write_faa_chain(pointer.offset, data)
             return
-
-        def write_op() -> Generator[Any, Any, None]:
-            qp = self.compute_server.qp(pointer.server_id)
-            yield from qp.write(pointer.offset, data)
-
-        def faa_op() -> Generator[Any, Any, int]:
-            qp = self.compute_server.qp(pointer.server_id)
-            return (yield from qp.fetch_and_add(pointer.offset, 1))
-
-        yield from self._failover(pointer.server_id, write_op)
-        yield from self._failover(pointer.server_id, faa_op)
+        # The queue pair is resolved per verb: a failover between the two
+        # re-routes the FAA to the promoted copy the WRITE was mirrored to.
+        yield from qp(pointer.server_id).write(pointer.offset, data)
+        yield from qp(pointer.server_id).fetch_and_add(pointer.offset, 1)
 
     def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, None]:
         # Single FAA that increments the version *and* subtracts our owner
         # tag (mod 2**64), restoring a clean even word in one atomic.
         pointer = RemotePointer.from_raw(raw_ptr)
-        compute = self.compute_server
-        if compute.fabric.replication is None:
-            yield from compute.qp(pointer.server_id).fetch_and_add(
-                pointer.offset, 1 - self._owner_tag_word
-            )
-            return
-
-        def op() -> Generator[Any, Any, int]:
-            qp = compute.qp(pointer.server_id)
-            return (
-                yield from qp.fetch_and_add(pointer.offset, 1 - self._owner_tag_word)
-            )
-
-        yield from failover_retry(compute, pointer.server_id, op)
+        return self.compute_server.qp(pointer.server_id).fetch_and_add(
+            pointer.offset, 1 - self._owner_tag_word
+        )
 
     def alloc(self, level: int) -> Generator[Any, Any, int]:
         if self._alloc_pinned is not None:
@@ -508,12 +427,9 @@ class RemoteAccessor(NodeAccessor):
         else:
             server_id = self._alloc_counter % self.compute_server.num_memory_servers
             self._alloc_counter += 1
-
-        def op() -> Generator[Any, Any, int]:
-            qp = self.compute_server.qp(server_id)
-            return (yield from qp.fetch_and_add(ALLOC_WORD_OFFSET, self.page_size))
-
-        offset = yield from self._failover(server_id, op)
+        offset = yield from self.compute_server.qp(server_id).fetch_and_add(
+            ALLOC_WORD_OFFSET, self.page_size
+        )
         return encode_pointer(server_id, offset)
 
     def spin_pause(self) -> Generator[Any, Any, None]:
@@ -549,16 +465,9 @@ class RemoteAccessor(NodeAccessor):
         # that captured the pre-crash version correctly restart.
         pointer = RemotePointer.from_raw(raw_ptr)
         stolen_word = ((observed_word & _LOCK_VERSION_MASK) & ~1) + 2
-
-        def op() -> Generator[Any, Any, Any]:
-            qp = self.compute_server.qp(pointer.server_id)
-            return (
-                yield from qp.compare_and_swap(
-                    pointer.offset, observed_word, stolen_word
-                )
-            )
-
-        swapped, _old = yield from self._failover(pointer.server_id, op)
+        swapped, _old = yield from self.compute_server.qp(
+            pointer.server_id
+        ).compare_and_swap(pointer.offset, observed_word, stolen_word)
         if swapped:
             self.lock_steals += 1
             injector = self.compute_server.fabric.injector
@@ -589,35 +498,23 @@ class LocalRootRef(RootRef):
         self.logical_id = location.server_id
         self.offset = location.offset
 
-    def _emit(self, kind: str, verb: str, epoch: int = 0) -> None:
-        sanitizer = getattr(self.server, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.emit(
-                f"s{self.server.server_id}",
-                kind,
-                verb,
-                self.logical_id,
-                self.offset,
-                8,
-                self.server.sim.now,
-                lock_epoch=epoch,
-            )
-
     def get(self) -> Generator[Any, Any, int]:
         raw = self.region.read_u64(self.offset)
-        self._emit("read", "LOCAL_READ")
+        _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, self.offset, 8)
         return raw
         yield  # pragma: no cover - unreachable; makes this a generator
 
     def refresh(self) -> Generator[Any, Any, int]:
         raw = self.region.read_u64(self.offset)
-        self._emit("read", "LOCAL_READ")
+        _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, self.offset, 8)
         return raw
         yield  # pragma: no cover - unreachable; makes this a generator
 
     def compare_and_swap(self, old: int, new: int) -> Generator[Any, Any, bool]:
         swapped, current = self.region.compare_and_swap(self.offset, old, new)
-        self._emit("atomic", "LOCAL_CAS", epoch=current)
+        _emit_local(
+            self.server, "atomic", "LOCAL_CAS", self.logical_id, self.offset, 8, current
+        )
         return swapped
         yield  # pragma: no cover - unreachable; makes this a generator
 
@@ -641,21 +538,11 @@ class RemoteRootRef(RootRef):
             return self._cached
         return (yield from self.refresh())
 
-    def _failover(self, op_factory) -> Generator[Any, Any, Any]:
-        if self.compute_server.fabric.replication is None:
-            return (yield from op_factory())
-        return (
-            yield from failover_retry(
-                self.compute_server, self.location.server_id, op_factory
-            )
-        )
-
     def refresh(self) -> Generator[Any, Any, int]:
-        def op() -> Generator[Any, Any, bytes]:
-            qp = self.compute_server.qp(self.location.server_id)
-            return (yield from qp.read(self.location.offset, 8))
-
-        data = yield from self._failover(op)
+        location = self.location
+        data = yield from self.compute_server.qp(location.server_id).read(
+            location.offset, 8
+        )
         raw = int.from_bytes(data, "little")
         if raw == 0:
             raise CatalogError("root pointer word is uninitialized")
@@ -663,12 +550,9 @@ class RemoteRootRef(RootRef):
         return raw
 
     def compare_and_swap(self, old: int, new: int) -> Generator[Any, Any, bool]:
-        def op() -> Generator[Any, Any, Any]:
-            qp = self.compute_server.qp(self.location.server_id)
-            return (
-                yield from qp.compare_and_swap(self.location.offset, old, new)
-            )
-
-        swapped, current = yield from self._failover(op)
+        location = self.location
+        swapped, current = yield from self.compute_server.qp(
+            location.server_id
+        ).compare_and_swap(location.offset, old, new)
         self._cached = new if swapped else current
         return swapped

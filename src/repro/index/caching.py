@@ -44,7 +44,7 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.btree.algorithm import BLinkTree
 from repro.btree.node import Node
-from repro.index.accessors import RemoteAccessor, RemoteRootRef
+from repro.index.accessors import RemoteAccessor
 from repro.nam.compute_server import ComputeServer
 
 __all__ = [
@@ -62,42 +62,25 @@ class RemoteCache:
     it three questions (lookup / cacheable / store) and reports outcomes
     back (confirm / reject / invalidate); every answer is O(1).
 
-    Exactly one caching policy is active:
-
-    * ``depth`` — cache the top *depth* tree levels, relative to the
-      highest level this client has observed (its root-level estimate,
-      maintained by :meth:`observe`); always clipped above the leaves.
-      Depth 0 disables caching entirely.
-    * ``min_level`` — the legacy absolute policy: cache every inner node
-      at this level or above (1 = all inner nodes).
-
-    ``ttl_s`` is an optional extra staleness bound kept for the Appendix
-    A.4 harness; the coherent default (None) relies purely on epoch and
-    version revalidation.
+    One policy: ``depth`` — cache the top *depth* tree levels, relative to
+    the highest level this client has observed (its root-level estimate,
+    maintained by :meth:`observe`); always clipped above the leaves.
+    Depth 0 disables caching entirely. Staleness is bounded by epoch and
+    version revalidation, never by a clock.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        depth: Optional[int] = None,
-        min_level: Optional[int] = None,
-        ttl_s: Optional[float] = None,
-    ) -> None:
-        if depth is not None and min_level is not None:
-            raise ValueError("choose either depth or min_level, not both")
+    def __init__(self, capacity: int = 4096, depth: int = 0) -> None:
         self.capacity = capacity
         self.depth = depth
-        self.min_level = min_level
-        self.ttl_s = ttl_s
         #: Highest node level this client has seen (root-level estimate).
         self.top_level = 0
-        #: raw_ptr -> [data, level, version, epoch, stored_at, master]
+        #: raw_ptr -> [data, level, version, epoch, master]
         #: where ``master`` is the shared decoded Node of ``data`` —
         #: the serialization cache of docs/performance.md: repeated serves
         #: of an unchanged image clone the master instead of re-parsing
         #: the bytes. The master lives and dies with its entry, so every
-        #: coherence action (reject / invalidate / eviction / TTL expiry)
-        #: that drops the image drops the decode with it.
+        #: coherence action (reject / invalidate / eviction) that drops
+        #: the image drops the decode with it.
         self._entries: "OrderedDict[int, list]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -105,7 +88,6 @@ class RemoteCache:
         self.revalidation_failures = 0
         self.invalidations = 0
         self.evictions = 0
-        self.ttl_expirations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -122,59 +104,45 @@ class RemoteCache:
 
     def cacheable(self, node: Node) -> bool:
         """Should *node* be stored? Inner, unlocked, and within policy."""
-        if self.capacity <= 0:
+        if self.capacity <= 0 or self.depth <= 0:
             return False
         if not node.is_inner or node.is_locked or node.level < 1:
             return False
-        if self.min_level is not None:
-            return node.level >= self.min_level
-        if self.depth is not None and self.depth > 0:
-            return node.level > self.top_level - self.depth
-        return False
+        return node.level > self.top_level - self.depth
 
     def lookup(
-        self, raw_ptr: int, epoch: int, now: float
+        self, raw_ptr: int, epoch: int
     ) -> Optional[Tuple[bytes, int, bool, Node]]:
         """``(data, version, fresh, master)`` for a cached page, or None.
 
         ``fresh`` is False when the index's structure epoch has moved past
         the epoch the image was filled (or last revalidated) under — the
         caller must then revalidate the version word before serving it.
-        TTL-expired entries (legacy policy) are evicted and count as
-        misses. Does **not** bump hit/miss counters; the accessor does,
-        once it knows the serve outcome.
+        Does **not** bump hit/miss counters; the accessor does, once it
+        knows the serve outcome.
         """
         entry = self._entries.get(raw_ptr)
         if entry is None:
             return None
-        if self.ttl_s is not None and now - entry[4] > self.ttl_s:
-            del self._entries[raw_ptr]
-            self.ttl_expirations += 1
-            return None
         self._entries.move_to_end(raw_ptr)
-        return entry[0], entry[2], entry[3] >= epoch, entry[5]
+        return entry[0], entry[2], entry[3] >= epoch, entry[4]
 
-    def store(
-        self, raw_ptr: int, node: Node, data: bytes, epoch: int, now: float
-    ) -> None:
+    def store(self, raw_ptr: int, node: Node, data: bytes, epoch: int) -> None:
         # The master decode is cloned off the caller's node: the caller
         # keeps (and may mutate) its own copy, the cache keeps the
         # immutable decode of *data*.
-        self._entries[raw_ptr] = [
-            data, node.level, node.version, epoch, now, node.clone()
-        ]
+        self._entries[raw_ptr] = [data, node.level, node.version, epoch, node.clone()]
         self._entries.move_to_end(raw_ptr)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def confirm(self, raw_ptr: int, epoch: int, now: float) -> None:
+    def confirm(self, raw_ptr: int, epoch: int) -> None:
         """A revalidation READ matched: the image is current up to *epoch*."""
         self.revalidations += 1
         entry = self._entries.get(raw_ptr)
         if entry is not None:
             entry[3] = epoch
-            entry[4] = now
 
     def reject(self, raw_ptr: int) -> None:
         """A revalidation READ mismatched: drop the stale image."""
@@ -197,39 +165,24 @@ class RemoteCache:
 class CachingRemoteAccessor(RemoteAccessor):
     """One-sided access through a coherent :class:`RemoteCache`.
 
-    ``epoch_source`` is a zero-arg callable returning the index's current
-    structure epoch (a catalog read — free at run time, see
-    :mod:`repro.nam.catalog`); None pins the epoch at 0, i.e. images are
-    never epoch-revalidated (the legacy TTL-only harness mode — write
-    validation still applies).
+    The one constructor every cached session goes through. The structure
+    epoch is read off *index*'s catalog descriptor — compile-time metadata,
+    free to read at run time (see :mod:`repro.nam.catalog`) — so SMOs
+    published by any writer (through
+    :attr:`BLinkTree.on_structure_change`) are visible to every cached
+    session immediately.
     """
 
     def __init__(
-        self,
-        compute_server: ComputeServer,
-        config,
-        capacity: int = 4096,
-        ttl_s: Optional[float] = None,
-        min_cached_level: Optional[int] = None,
-        depth: Optional[int] = None,
-        validate_writes: bool = True,
-        epoch_source=None,
-        cache: Optional[RemoteCache] = None,
-        batch_verbs: Optional[bool] = None,
+        self, index, compute_server: ComputeServer, depth: int, capacity: int
     ) -> None:
-        super().__init__(compute_server, config, batch_verbs=batch_verbs)
-        if cache is None:
-            if depth is None and min_cached_level is None:
-                min_cached_level = 1  # legacy default: every inner node
-            cache = RemoteCache(
-                capacity=capacity,
-                depth=depth,
-                min_level=min_cached_level,
-                ttl_s=ttl_s,
-            )
-        self.cache = cache
-        self._epoch_source = epoch_source
-        self._validate_writes = validate_writes
+        super().__init__(
+            compute_server, index.cluster.config, batch_verbs=index.batch_verbs
+        )
+        self.cache = RemoteCache(capacity=capacity, depth=depth)
+        catalog = index.cluster.catalog
+        name = index.name
+        self._epoch = lambda: catalog.lookup(name).structure_epoch
         #: raw_ptr -> version of the image this client last served from
         #: cache (cleared on fresh reads/locks): marks the versions whose
         #: lock attempts must be revalidated before the CAS.
@@ -253,10 +206,6 @@ class CachingRemoteAccessor(RemoteAccessor):
     def _cache(self) -> "OrderedDict[int, list]":
         return self.cache._entries
 
-    def _epoch(self) -> int:
-        source = self._epoch_source
-        return source() if source is not None else 0
-
     def invalidate(self, raw_ptr: int) -> None:
         self._served_versions.pop(raw_ptr, None)
         if self.cache.invalidate(raw_ptr) and self.obs is not None:
@@ -270,7 +219,7 @@ class CachingRemoteAccessor(RemoteAccessor):
         obs = self.obs
         sim = self.compute_server.sim
         epoch = self._epoch()
-        found = self.cache.lookup(raw_ptr, epoch, sim.now)
+        found = self.cache.lookup(raw_ptr, epoch)
         if found is not None:
             data, version, fresh, master = found
             if not fresh:
@@ -279,7 +228,7 @@ class CachingRemoteAccessor(RemoteAccessor):
                 word = yield from self.read_version(raw_ptr)
                 fresh = word == version
                 if fresh:
-                    self.cache.confirm(raw_ptr, epoch, sim.now)
+                    self.cache.confirm(raw_ptr, epoch)
                 else:
                     self.cache.reject(raw_ptr)
                 if obs is not None:
@@ -303,15 +252,13 @@ class CachingRemoteAccessor(RemoteAccessor):
         node = yield from super().read_node(raw_ptr, shared)
         self.cache.observe(node.level)
         if self.cache.cacheable(node):
-            self.cache.store(
-                raw_ptr, node, node.to_bytes(self.page_size), epoch, sim.now
-            )
+            self.cache.store(raw_ptr, node, node.to_bytes(self.page_size), epoch)
         return node
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
         obs = self.obs
         served = self._served_versions.pop(raw_ptr, None)
-        if self._validate_writes and served == version:
+        if served == version:
             # The caller is about to CAS a version it got from our cache.
             # A stale image would make the CAS fail — and, left cached,
             # make every retry re-fail after re-reading the same stale
@@ -324,17 +271,14 @@ class CachingRemoteAccessor(RemoteAccessor):
                     obs.cache_revalidated(False)
                     obs.lock_contended()
                 return False
-            self.cache.confirm(raw_ptr, self._epoch(), self.compute_server.sim.now)
+            self.cache.confirm(raw_ptr, self._epoch())
             if obs is not None:
                 obs.cache_revalidated(True)
         swapped = yield from super().try_lock(raw_ptr, version)
-        if swapped:
-            # We hold the lock and will bump the version on unlock; the
-            # cached pre-lock image goes stale either way.
-            self.invalidate(raw_ptr)
-        else:
-            # CAS mismatch: whatever image produced this version is stale.
-            self.invalidate(raw_ptr)
+        # Swapped: we hold the lock and will bump the version on unlock.
+        # Not swapped: whatever image produced this version is stale. The
+        # cached pre-lock image goes either way.
+        self.invalidate(raw_ptr)
         return swapped
 
     def unlock_write(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
@@ -352,67 +296,20 @@ class CachingRemoteAccessor(RemoteAccessor):
 
 def attach_cache(tree: BLinkTree, index, compute_server: ComputeServer) -> BLinkTree:
     """Swap *tree*'s accessor for a caching one per the cluster's
-    :class:`~repro.config.CacheConfig`; returns the tree.
-
-    The epoch source is the index's catalog descriptor — compile-time
-    metadata, free to read at run time — so SMOs published by any writer
-    (through :attr:`BLinkTree.on_structure_change`) are visible to every
-    cached session immediately.
-    """
+    :class:`~repro.config.CacheConfig`; returns the tree."""
     cache_cfg = index.cluster.config.cache
-    catalog = index.cluster.catalog
-    name = index.name
     tree.acc = CachingRemoteAccessor(
-        compute_server,
-        index.cluster.config,
-        capacity=cache_cfg.capacity,
-        ttl_s=cache_cfg.ttl_s,
-        depth=cache_cfg.depth,
-        validate_writes=cache_cfg.validate_writes,
-        epoch_source=lambda: catalog.lookup(name).structure_epoch,
-        batch_verbs=index.batch_verbs,
+        index, compute_server, cache_cfg.depth, cache_cfg.capacity
     )
     return tree
 
 
 def cached_session(
-    index,
-    compute_server: ComputeServer,
-    capacity: int = 4096,
-    ttl_s: Optional[float] = 0.01,
-    min_cached_level: Optional[int] = None,
-    depth: Optional[int] = None,
-    validate_writes: bool = True,
+    index, compute_server: ComputeServer, depth: int, capacity: int = 4096
 ):
-    """A fine-grained session whose traversals use the inner-node cache.
-
-    The explicit-knob variant of the config-driven wiring (set
-    ``CacheConfig.depth > 0`` to cache every session instead). With
-    neither *depth* nor *min_cached_level* given, all inner nodes are
-    cached (the legacy Appendix A.4 harness behavior, ``ttl_s=0.01``).
-    """
+    """A fine-grained session whose traversals cache the top *depth* tree
+    levels, whatever the cluster's :class:`~repro.config.CacheConfig` says
+    (set ``CacheConfig.depth > 0`` to cache every session instead)."""
     session = index.session(compute_server)
-    if depth is None and min_cached_level is None:
-        min_cached_level = 1
-    catalog = index.cluster.catalog
-    name = index.name
-    accessor = CachingRemoteAccessor(
-        compute_server,
-        index.cluster.config,
-        capacity=capacity,
-        ttl_s=ttl_s,
-        min_cached_level=min_cached_level,
-        depth=depth,
-        validate_writes=validate_writes,
-        epoch_source=lambda: catalog.lookup(name).structure_epoch,
-        batch_verbs=index.batch_verbs,
-    )
-    tree = BLinkTree(
-        accessor,
-        RemoteRootRef(compute_server, index.root_location),
-        use_head_nodes=index.use_head_nodes,
-        prefetch_window=index.cluster.config.tree.prefetch_window,
-    )
-    tree.on_structure_change = lambda: catalog.bump_structure_epoch(name)
-    session._tree = tree
+    session._tree.acc = CachingRemoteAccessor(index, compute_server, depth, capacity)
     return session

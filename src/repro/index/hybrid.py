@@ -325,17 +325,9 @@ class HybridSession(IndexSession):
     # -- RPC plumbing -------------------------------------------------------------
 
     def _call(self, server_id: int, request) -> Generator[Any, Any, Any]:
-        def op() -> Generator[Any, Any, Any]:
-            qp = self.compute_server.qp(server_id)
-            return (
-                yield from qp.call(request, request.wire_bytes, tenant=self.tenant)
-            )
-
-        if self.compute_server.fabric.replication is None:
-            return (yield from op())
-        from repro.nam.replication import failover_retry
-
-        return (yield from failover_retry(self.compute_server, server_id, op))
+        return self.compute_server.qp(server_id).call(
+            request, request.wire_bytes, tenant=self.tenant
+        )
 
     def _traverse(self, server_id: int, key: int) -> Generator[Any, Any, int]:
         request = rpc.TraverseRequest(self.index.name, key, partition=server_id)

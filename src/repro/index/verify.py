@@ -219,18 +219,17 @@ def _orphan_accounting(
     replication = cluster.replication
     for server in cluster.memory_servers:
         logical = server.server_id
+        accounted = set(reached_by_server.get(logical, ()))
+        accounted |= root_words.get(logical, set())
         if replication is not None:
             _host, region = replication.route(logical)
         else:
             region = server.region
+            accounted |= set(server.allocator._free)
         # Reading the allocator's high-water word straight off the region is
         # the point of the orphan scan (it audits the accessors' product
         # from outside), so the accessor-only rule is waived here.
         high_water = region.read_u64(ALLOC_WORD_OFFSET)  # namsan: allow[N03]
-        accounted = set(reached_by_server.get(logical, ()))
-        accounted |= root_words.get(logical, set())
-        if replication is None:
-            accounted |= set(server.allocator._free)
         for offset in range(page_size, high_water, page_size):
             if offset not in accounted:
                 unreachable += 1

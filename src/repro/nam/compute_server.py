@@ -51,7 +51,7 @@ class ComputeServer:
                 port,
                 server,
                 use_local_fast_path=local,
-                client_id=server_id,
+                owner=self,
             )
 
     def qp(self, server_id: int) -> QueuePair:
@@ -84,7 +84,7 @@ class ComputeServer:
                     use_local_fast_path=local,
                     region=region,
                     logical_id=server_id,
-                    client_id=self.server_id,
+                    owner=self,
                 )
                 self._qps[server_id] = qp
             qp.route_epoch = replication.epoch

@@ -33,10 +33,11 @@ State vs timing
 
 Failover
     Crash detection rides PR 1's timeout/retry machinery: when a verb or
-    RPC exhausts its retries, the accessor calls :func:`failover_retry`,
-    which consults the catalog epoch, promotes the first live backup in
-    placement order (:meth:`ReplicationManager.promote`), re-routes, and
-    retries. Promotion hooks let the two-sided designs re-install their
+    RPC exhausts its retries, the queue pair's attempt loop asks
+    :meth:`ReplicationManager.handle_failure`, which consults the catalog
+    epoch and promotes the first live backup in placement order
+    (:meth:`ReplicationManager.promote`); the queue pair then re-posts on
+    the owning compute server's re-routed connection. Promotion hooks let the two-sided designs re-install their
     server-resident trees and handlers on the new primary. A background
     re-replication task then restores the replication factor on a spare
     host, and a restarting host is resynchronized from the current
@@ -51,11 +52,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import FailoverError, ReplicaDivergenceError, RetriesExhaustedError
+from repro.errors import FailoverError, ReplicaDivergenceError
 from repro.nam.allocator import ALLOC_WORD_OFFSET
 from repro.rdma.memory import MemoryRegion
 
-__all__ = ["ReplicaCopy", "ReplicationManager", "failover_retry"]
+__all__ = ["ReplicaCopy", "ReplicationManager"]
 
 #: Wire framing of one mirror leg (replica id, offset, length, checksum).
 MIRROR_HEADER_BYTES = 24
@@ -401,30 +402,3 @@ class ReplicationManager:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReplicationManager(factor={self.factor}, stats={self.stats})"
 
-
-def failover_retry(
-    compute_server: Any, logical_id: int, op_factory: Callable[[], Generator]
-) -> Generator[Any, Any, Any]:
-    """Run ``op_factory()`` (a fresh operation generator per attempt)
-    against logical server *logical_id*, failing over on exhausted
-    retries.
-
-    On :class:`RetriesExhaustedError` the client consults the catalog
-    epoch it captured before the attempt: if the directory moved on, some
-    other client already re-routed and we simply retry through the new
-    route; otherwise, if the primary host is down, we promote a backup
-    ourselves and retry. A timeout with a healthy primary (pure message
-    loss) re-raises — failover is for dead servers, not lossy links.
-    """
-    fabric = compute_server.fabric
-    while True:
-        replication = fabric.replication
-        observed_epoch = replication.epoch if replication is not None else 0
-        try:
-            return (yield from op_factory())
-        except RetriesExhaustedError:
-            replication = fabric.replication
-            if replication is None:
-                raise
-            if not replication.handle_failure(logical_id, observed_epoch):
-                raise

@@ -52,9 +52,20 @@ detection: a chain's memory effects are applied *at most once* per logical
 post (retries replay the first outcome, mirroring the NIC's atomic
 response cache / PSN dedup), and two-sided requests carry sequence numbers
 the server uses to replay — never re-execute — duplicated handlers. The
-two-sided :meth:`~QueuePair.call` keeps its own fault-free path and
-attempt loop (``_faulty_call``); with no injector attached neither loop
-runs and behavior is identical to a fault-free build.
+two-sided :meth:`~QueuePair.call` has the same two arms behind one shared
+head and tail; with no injector attached neither attempt loop runs and
+behavior is identical to a fault-free build.
+
+Failover is routing, and it is decided where exhaustion is detected: the
+attempt-loop arm of :meth:`~QueuePair._post` and of
+:meth:`~QueuePair.call` snapshots the directory epoch when it starts, and
+once the budget is spent asks
+:meth:`~repro.nam.replication.ReplicationManager.handle_failure` whether
+the route changed (someone else failed over, or the primary is down and
+this client promotes a backup). If it did, the same chain or request is
+re-posted on the owning compute server's re-routed queue pair instead of
+raising; a healthy primary behind a lossy link still raises. Nothing above
+this module knows the policy (docs/replication.md).
 """
 
 from __future__ import annotations
@@ -87,10 +98,6 @@ _SANITIZER_KINDS = {
     CAS: ("atomic", "CAS"),
     FETCH_ADD: ("atomic", "FETCH_ADD"),
 }
-#: Replayed-response cache entries kept per QP (at-most-once RPC dedup).
-#: Fallback used when no injector is attached; under fault injection the
-#: limit comes from :attr:`repro.config.RetryConfig.rpc_dedup_cache_entries`.
-_RPC_CACHE_LIMIT = 128
 
 
 class RpcEnvelope:
@@ -154,16 +161,18 @@ class QueuePair:
         use_local_fast_path: bool = False,
         region: Any = None,
         logical_id: int = None,
-        client_id: int = None,
+        owner: Any = None,
     ) -> None:
         self.sim = sim
         self.fabric = fabric
         self.local_port = local_port
         self.remote = remote_server
         self.is_local = use_local_fast_path
-        #: Owning compute server's id, naming this QP's actor in sanitizer
-        #: traces (None for anonymous QPs, e.g. in unit tests).
-        self.client_id = client_id
+        #: Owning :class:`~repro.nam.compute_server.ComputeServer`: names
+        #: this QP's actor in sanitizer traces and resolves the re-routed
+        #: queue pair a spent retry budget re-posts on (None for anonymous
+        #: QPs, e.g. in unit tests — those never fail over).
+        self.owner = owner
         # Replication indirection: verbs address the *logical* server's
         # authoritative region, which after a failover may live on a
         # different physical host than ``remote_server`` originally did.
@@ -245,7 +254,7 @@ class QueuePair:
 
     @property
     def _actor(self) -> str:
-        return f"c{self.client_id}" if self.client_id is not None else "c?"
+        return f"c{self.owner.server_id}" if self.owner is not None else "c?"
 
     def _emit(self, wqe: Tuple, result: Any) -> None:
         """Report one landed effect to the attached trace sanitizer — at
@@ -265,6 +274,22 @@ class QueuePair:
             self.sim.now,
             lock_epoch=epoch,
         )
+
+    def _rerouted(self, route_epoch: int) -> Optional["QueuePair"]:
+        """The retry budget is spent: the queue pair to re-post on, or None
+        to raise. *route_epoch* is the directory epoch the attempt loop
+        started under. Failover is for dead servers, not lossy links:
+        :meth:`ReplicationManager.handle_failure` says yes only when the
+        directory already moved on or it just promoted a backup of a down
+        primary, and the owner's epoch-checked routing does the rest."""
+        replication = self.fabric.replication
+        if (
+            replication is None
+            or self.owner is None
+            or not replication.handle_failure(self.logical_id, route_epoch)
+        ):
+            return None
+        return self.owner.qp(self.logical_id)
 
     # -- one-sided verbs -------------------------------------------------------
 
@@ -338,6 +363,7 @@ class QueuePair:
                 atomics += 1
         region = self.region
         injector = fabric.injector
+        replication = fabric.replication
         results: Optional[List[Any]] = [] if whole else None
         if local or injector is None:
             if local:
@@ -378,7 +404,6 @@ class QueuePair:
             # what a mutation fans out to the backups (nothing for a READ
             # or a failed CAS).
             sanitizer = fabric.sanitizer
-            replication = fabric.replication
             for wqe in wqes:
                 verb = wqe[0]
                 mirror = 0
@@ -405,6 +430,7 @@ class QueuePair:
                     results.append(result)
         else:
             retry = injector.retry
+            route_epoch = replication.epoch if replication is not None else 0
             server_id = self.remote.server_id
             lead = wqes[0][0]
             followers = [wqe[0] for wqe in wqes[1:]] if n > 1 else ()
@@ -431,7 +457,6 @@ class QueuePair:
                         # served as a copy.
                         landed = True
                         sanitizer = fabric.sanitizer
-                        replication = fabric.replication
                         for wqe in wqes:
                             verb = wqe[0]
                             mirror = 0
@@ -474,6 +499,9 @@ class QueuePair:
                 if obs is not None:
                     obs.stamp("client_backoff", wait_start, sim.now)
             else:
+                rerouted = self._rerouted(route_epoch)
+                if rerouted is not None:
+                    return (yield from rerouted._post(wqes, n, chained, whole))
                 what = lead.value if n == 1 else f"doorbell batch of {n} verbs"
                 raise RetriesExhaustedError(
                     f"{what} to memory server {server_id} gave up after "
@@ -552,44 +580,112 @@ class QueuePair:
         control; when the server bounces the request the marker response
         surfaces here as :class:`~repro.errors.ThrottledError` /
         :class:`~repro.errors.AdmissionRejectedError`.
+
+        Same shape as :meth:`_post`. Shared head: doorbell, one reply
+        event, the issuing span. Fault-free arm: one SEND, wait for the
+        reply. Attempt-loop arm (an injector is attached and the server is
+        not co-located): at-least-once SENDs, exactly-once handling — the
+        one *reply* event spans all attempts, so a response that is merely
+        slow (queueing on a loaded worker pool) still completes the call
+        even if a retry is already in flight; the retry is then suppressed
+        server-side via the sequence number. A spent budget re-posts on
+        the promoted route or raises (:meth:`_rerouted`). Shared tail:
+        trace, admission check.
         """
-        if not self.is_local:
+        sim = self.sim
+        fabric = self.fabric
+        remote = self.remote
+        local = self.is_local
+        if not local:
             self.local_port.ring_doorbell()
-        injector = self.fabric.injector
-        if injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_call(
-                    request, request_wire_bytes, injector, tenant
+        started_at = sim.now
+        reply = sim.event()
+        obs = fabric.obs
+        span = obs.active_span() if obs is not None else None
+        injector = fabric.injector
+        if local or injector is None:
+            remote.stats.record(Verb.SEND, request_wire_bytes)
+            if local:
+                yield from fabric.local_copy(request_wire_bytes)
+            else:
+                yield from self._request_leg(request_wire_bytes)
+            remote.submit(
+                RpcEnvelope(
+                    self, request, reply, tenant=tenant, span=span,
+                    enqueued_at=None if obs is None else sim.now,
                 )
             )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.SEND, request_wire_bytes)
-        reply = self.sim.event()
-        if self.is_local:
-            yield from self.fabric.local_copy(request_wire_bytes)
+            response = yield reply
         else:
-            yield from self._request_leg(request_wire_bytes)
-        obs = self.fabric.obs
-        if obs is None:
-            envelope = RpcEnvelope(self, request, reply, tenant=tenant)
-        else:
-            envelope = RpcEnvelope(
-                self, request, reply, tenant=tenant,
-                span=obs.active_span(), enqueued_at=self.sim.now,
-            )
-        self.remote.submit(envelope)
-        response = yield reply
+            retry = injector.retry
+            replication = fabric.replication
+            route_epoch = replication.epoch if replication is not None else 0
+            server_id = remote.server_id
+            seq = self._next_seq
+            self._next_seq += 1
+            last_attempt = retry.max_attempts - 1
+            for attempt in range(retry.max_attempts):
+                remote.stats.record(Verb.SEND, request_wire_bytes)
+                yield from self._request_leg(request_wire_bytes)
+                if not injector.server_down(server_id) and not (
+                    injector.should_drop(Verb.SEND, server_id)
+                ):
+                    delay = injector.extra_delay(Verb.SEND, server_id)
+                    if delay > 0.0:
+                        yield sim.timeout(delay)
+                    epoch = injector.crash_epoch(server_id)
+                    remote.submit(
+                        RpcEnvelope(
+                            self, request, reply, seq=seq, epoch=epoch,
+                            tenant=tenant, span=span, enqueued_at=sim.now,
+                        )
+                    )
+                    if injector.should_duplicate(Verb.SEND, server_id):
+                        remote.submit(
+                            RpcEnvelope(
+                                self, request, reply, seq=seq, epoch=epoch,
+                                tenant=tenant, span=span, enqueued_at=sim.now,
+                            )
+                        )
+                wait_start = sim.now
+                yield sim.any_of([reply, sim.timeout(retry.timeout_s)])
+                if not reply.triggered:
+                    if obs is not None:
+                        obs.attempt_failed(
+                            Verb.SEND, server_id, retried=attempt < last_attempt
+                        )
+                    if attempt < last_attempt:
+                        yield sim.timeout(injector.backoff_delay(attempt))
+                    if obs is not None and not reply.triggered:
+                        # The timed-out detection window plus the backoff are
+                        # client-side retry delay (a reply landing mid-backoff
+                        # keeps its server-stamped segments instead).
+                        obs.stamp("client_backoff", wait_start, sim.now)
+                if reply.triggered:
+                    break
+            self._rpc_cache.pop(seq, None)
+            self._rpc_admitted.discard(seq)
+            if not reply.triggered:
+                self._rpc_inflight.discard(seq)
+                rerouted = self._rerouted(route_epoch)
+                if rerouted is not None:
+                    return (
+                        yield from rerouted.call(request, request_wire_bytes, tenant)
+                    )
+                raise RetriesExhaustedError(
+                    f"rpc to memory server {server_id} gave up after "
+                    f"{retry.max_attempts} attempts"
+                )
+            response = reply.value
         self._trace(Verb.SEND, request_wire_bytes, started_at)
         return self._check_admitted(response, started_at)
 
-    def _check_admitted(
-        self, response: Any, started_at: Optional[float] = None
-    ) -> Any:
+    def _check_admitted(self, response: Any, started_at: float) -> Any:
         """Translate an admission bounce into its client-side exception."""
         if getattr(response, "throttled", False):
             reason = response.reason
             obs = self.fabric.obs
-            if obs is not None and started_at is not None:
+            if obs is not None:
                 # The whole bounced round trip is admission-rejection
                 # delay; its priority outranks the wire segments beneath.
                 obs.stamp("admission_reject", started_at, self.sim.now)
@@ -603,79 +699,6 @@ class QueuePair:
                 f"request ({reason})"
             )
         return response
-
-    def _faulty_call(
-        self,
-        request: Any,
-        request_wire_bytes: int,
-        injector,
-        tenant: Optional[str] = None,
-    ) -> Generator[Any, Any, Any]:
-        """RPC attempt loop: at-least-once SENDs, exactly-once handling.
-
-        One *reply* event spans all attempts, so a response that is merely
-        slow (queueing on a loaded worker pool) still completes the call
-        even if a retry is already in flight; the retry is then suppressed
-        server-side via the sequence number.
-        """
-        retry = injector.retry
-        server_id = self.remote.server_id
-        started_at = self.sim.now
-        reply = self.sim.event()
-        seq = self._next_seq
-        self._next_seq += 1
-        last_attempt = retry.max_attempts - 1
-        obs = self.fabric.obs
-        span = obs.active_span() if obs is not None else None
-        for attempt in range(retry.max_attempts):
-            self.remote.stats.record(Verb.SEND, request_wire_bytes)
-            yield from self._request_leg(request_wire_bytes)
-            if not injector.server_down(server_id) and not (
-                injector.should_drop(Verb.SEND, server_id)
-            ):
-                delay = injector.extra_delay(Verb.SEND, server_id)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-                epoch = injector.crash_epoch(server_id)
-                self.remote.submit(
-                    RpcEnvelope(
-                        self, request, reply, seq=seq, epoch=epoch, tenant=tenant,
-                        span=span, enqueued_at=self.sim.now,
-                    )
-                )
-                if injector.should_duplicate(Verb.SEND, server_id):
-                    self.remote.submit(
-                        RpcEnvelope(
-                            self, request, reply, seq=seq, epoch=epoch,
-                            tenant=tenant, span=span, enqueued_at=self.sim.now,
-                        )
-                    )
-            wait_start = self.sim.now
-            yield self.sim.any_of([reply, self.sim.timeout(retry.timeout_s)])
-            if not reply.triggered:
-                if obs is not None:
-                    obs.attempt_failed(
-                        Verb.SEND, server_id, retried=attempt < last_attempt
-                    )
-                if attempt < last_attempt:
-                    yield self.sim.timeout(injector.backoff_delay(attempt))
-                if obs is not None and not reply.triggered:
-                    # The timed-out detection window plus the backoff are
-                    # client-side retry delay (a reply landing mid-backoff
-                    # keeps its server-stamped segments instead).
-                    obs.stamp("client_backoff", wait_start, self.sim.now)
-            if reply.triggered:
-                self._rpc_cache.pop(seq, None)
-                self._rpc_admitted.discard(seq)
-                self._trace(Verb.SEND, request_wire_bytes, started_at)
-                return self._check_admitted(reply.value, started_at)
-        self._rpc_cache.pop(seq, None)
-        self._rpc_inflight.discard(seq)
-        self._rpc_admitted.discard(seq)
-        raise RetriesExhaustedError(
-            f"rpc to memory server {server_id} gave up after "
-            f"{retry.max_attempts} attempts"
-        )
 
     # -- server-side dedup bookkeeping (used by MemoryServer workers) ---------
 
@@ -691,12 +714,7 @@ class QueuePair:
         """Remember the handler outcome so retransmits replay, not re-run."""
         self._rpc_inflight.discard(seq)
         self._rpc_cache[seq] = (response, wire_bytes)
-        injector = self.fabric.injector
-        limit = (
-            injector.retry.rpc_dedup_cache_entries
-            if injector is not None
-            else _RPC_CACHE_LIMIT
-        )
+        limit = self.fabric.injector.retry.rpc_dedup_cache_entries
         while len(self._rpc_cache) > limit:
             self._rpc_cache.pop(next(iter(self._rpc_cache)))
 

@@ -19,14 +19,14 @@ def total_reads(cluster):
 
 def test_cached_lookups_are_correct(fg):
     cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), ttl_s=1.0)
+    session = cached_session(index, cluster.new_compute_server(), depth=3)
     for i in (0, 5, 77, 1999):
         assert cluster.execute(session.lookup(dataset.key_at(i))) == [i]
 
 
 def test_repeat_lookups_save_reads(fg):
     cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), ttl_s=1.0)
+    session = cached_session(index, cluster.new_compute_server(), depth=3)
     cluster.execute(session.lookup(dataset.key_at(100)))
     warm = total_reads(cluster)
     cluster.execute(session.lookup(dataset.key_at(100)))
@@ -37,7 +37,7 @@ def test_repeat_lookups_save_reads(fg):
 
 def test_leaves_never_cached(fg):
     cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), ttl_s=1.0)
+    session = cached_session(index, cluster.new_compute_server(), depth=3)
     writer = index.session(cluster.new_compute_server())
     key = dataset.key_at(42)
     assert cluster.execute(session.lookup(key)) == [42]
@@ -47,19 +47,9 @@ def test_leaves_never_cached(fg):
     assert sorted(cluster.execute(session.lookup(key))) == [42, 4242]
 
 
-def test_ttl_expires_entries(fg):
-    cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), ttl_s=1e-9)
-    cluster.execute(session.lookup(dataset.key_at(1)))
-    warm = total_reads(cluster)
-    cluster.execute(session.lookup(dataset.key_at(1)))
-    assert total_reads(cluster) - warm > 1  # cache was cold again
-    assert session._tree.acc.hits == 0
-
-
 def test_writes_invalidate_cached_pages(fg):
     cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), ttl_s=10.0)
+    session = cached_session(index, cluster.new_compute_server(), depth=3)
     accessor = session._tree.acc
     cluster.execute(session.lookup(dataset.key_at(7)))
     assert len(accessor._cache) > 0
@@ -71,7 +61,7 @@ def test_writes_invalidate_cached_pages(fg):
 def test_capacity_bounds_cache(fg):
     cluster, dataset, index = fg
     session = cached_session(
-        index, cluster.new_compute_server(), capacity=2, ttl_s=10.0
+        index, cluster.new_compute_server(), capacity=2, depth=3
     )
     for i in range(0, 2000, 97):
         cluster.execute(session.lookup(dataset.key_at(i)))
@@ -81,7 +71,7 @@ def test_capacity_bounds_cache(fg):
 def test_cached_session_survives_concurrent_splits(fg):
     """Stale cached inner nodes are routed around via move-right."""
     cluster, dataset, index = fg
-    reader = cached_session(index, cluster.new_compute_server(), ttl_s=10.0)
+    reader = cached_session(index, cluster.new_compute_server(), depth=3)
     writer = index.session(cluster.new_compute_server())
     # Warm the cache.
     for i in range(0, 2000, 40):
@@ -117,13 +107,13 @@ def test_lru_eviction_order():
 
     cache = RemoteCache(capacity=3, depth=3)
     for ptr in (1, 2, 3):
-        cache.store(ptr, _FakeNode(), b"x", epoch=0, now=0.0)
+        cache.store(ptr, _FakeNode(), b"x", epoch=0)
     # Touch 1 so 2 becomes the least recently used entry.
-    assert cache.lookup(1, epoch=0, now=0.0) is not None
-    cache.store(4, _FakeNode(), b"x", epoch=0, now=0.0)
-    assert cache.lookup(2, epoch=0, now=0.0) is None
+    assert cache.lookup(1, epoch=0) is not None
+    cache.store(4, _FakeNode(), b"x", epoch=0)
+    assert cache.lookup(2, epoch=0) is None
     assert all(
-        cache.lookup(ptr, epoch=0, now=0.0) is not None for ptr in (1, 3, 4)
+        cache.lookup(ptr, epoch=0) is not None for ptr in (1, 3, 4)
     )
     assert cache.evictions == 1
     assert len(cache) == 3

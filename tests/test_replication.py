@@ -31,9 +31,11 @@ from repro import (
     ServerCrash,
     verify_index,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RetriesExhaustedError
 from repro.nam.allocator import PageAllocator
+from repro.nam.rpc import AckResponse, PointLookupRequest
 from repro.rdma.memory import MemoryRegion
+from repro.rdma.qp import QueuePair
 from repro.workloads import generate_dataset
 
 DESIGNS = ("coarse-grained", "fine-grained", "hybrid")
@@ -271,6 +273,149 @@ class TestFailover:
         ]
         assert len(live) >= 2
         cluster.replication.assert_replicas_converged()
+
+
+# -- failover is decided in the queue pair's executor -----------------------
+
+#: A scratch word on logical server 1 (holding ``_WORD``) and the 8 bytes
+#: after it, well inside the region's initial registration.
+_OFF = 4096
+_WORD = 7
+_PAGE = (21).to_bytes(8, "little") + b"unlocked"
+
+
+def _word(region, offset=_OFF):
+    return int.from_bytes(region.read(offset, 8), "little")
+
+
+def _batch_of_three_reads(qp):
+    return qp.batch().read(_OFF, 8).read(_OFF + 8, 8).read(_OFF, 16).execute()
+
+
+#: verb -> (post it on a queue pair, check its result and the promoted region)
+_VERB_CASES = {
+    "read": (
+        lambda qp: qp.read(_OFF, 8),
+        lambda result, region: _word(region) == _WORD
+        and result == _WORD.to_bytes(8, "little"),
+    ),
+    "read_view": (
+        lambda qp: qp.read_view(_OFF, 8),
+        lambda result, region: bytes(result) == _WORD.to_bytes(8, "little"),
+    ),
+    "write": (
+        lambda qp: qp.write(_OFF + 8, b"failover"),
+        lambda result, region: region.read(_OFF + 8, 8) == b"failover"
+        and _word(region) == _WORD,
+    ),
+    "compare_and_swap": (
+        lambda qp: qp.compare_and_swap(_OFF, _WORD, 99),
+        lambda result, region: result == (True, _WORD) and _word(region) == 99,
+    ),
+    "fetch_and_add": (
+        lambda qp: qp.fetch_and_add(_OFF, 5),
+        lambda result, region: result == _WORD and _word(region) == _WORD + 5,
+    ),
+    "write_faa_chain": (
+        lambda qp: qp.write_faa_chain(_OFF, _PAGE),
+        # The FAA's old word is the image's; exactly one bump landed.
+        lambda result, region: result == 21
+        and _word(region) == 22
+        and region.read(_OFF + 8, 8) == b"unlocked",
+    ),
+    "batch": (
+        _batch_of_three_reads,
+        lambda result, region: result
+        == [
+            _WORD.to_bytes(8, "little"),
+            b"original",
+            _WORD.to_bytes(8, "little") + b"original",
+        ],
+    ),
+}
+
+
+def _crashed_primary():
+    """Replicated cluster, no-op fault plan, logical server 1's primary
+    crashed after a queue pair to it was resolved."""
+    cluster = _replicated_cluster()
+    cluster.memory_server(1).region.write(
+        _OFF, _WORD.to_bytes(8, "little") + b"original"
+    )
+    injector = cluster.attach_faults(FaultPlan())
+    compute = cluster.new_compute_server()
+    qp = compute.qp(1)
+    assert qp.remote is cluster.memory_server(1)
+    injector.crash_memory_server(1)
+    return cluster, injector, qp
+
+
+@pytest.mark.parametrize("verb", [*_VERB_CASES, "call"])
+def test_exhausted_verb_fails_over_in_the_executor(verb):
+    """No accessor, no wrapper: a verb posted straight on ``compute.qp(sid)``
+    spends its retry budget against the dead primary, promotes the backup
+    from inside the executor and completes against the promoted region,
+    landing its effect there exactly once."""
+    cluster, injector, qp = _crashed_primary()
+    replication = cluster.replication
+    handled = {host.server_id: 0 for host in cluster.memory_servers}
+    if verb == "call":
+
+        def handler(srv, msg):
+            handled[srv.server_id] += 1
+            yield srv.cpu(1e-6)
+            response = AckResponse(ok=True)
+            return response, response.wire_bytes
+
+        for host in cluster.memory_servers:
+            host.register_handler(PointLookupRequest, handler)
+        request = PointLookupRequest("idx", 42)
+        result = cluster.execute(qp.call(request, request.wire_bytes))
+        assert result.ok is True
+        assert handled == {0: 0, 1: 0, 2: 1}
+    else:
+        post, landed = _VERB_CASES[verb]
+        result = cluster.execute(post(qp))
+        promoted = cluster.memory_server(2).backup_regions[1]
+        assert replication.route(1)[1] is promoted
+        assert landed(result, promoted)
+    assert replication.stats["failovers"] == 1
+    assert replication.primary_host_id(1) == 2
+    # A second client's next post re-routes on the directory epoch alone:
+    # no retry budget burned, no second promotion.
+    retries = injector.stats["retries"]
+    assert retries >= cluster.config.retry.max_attempts - 1
+    other = cluster.new_compute_server()
+    cluster.execute(other.qp(1).read(_OFF, 8))
+    assert other.qp(1).remote is cluster.memory_server(2)
+    assert injector.stats["retries"] == retries
+    assert replication.stats["failovers"] == 1
+
+
+def test_lossy_link_to_healthy_primary_never_promotes():
+    """docs/replication.md step 4: failover is for dead servers. A live
+    primary behind a 100 %-drop link still exhausts its retries."""
+    cluster = _replicated_cluster()
+    cluster.attach_faults(FaultPlan(server_drop={1: 1.0}))
+    compute = cluster.new_compute_server()
+    epoch = cluster.replication.epoch
+    with pytest.raises(RetriesExhaustedError):
+        cluster.execute(compute.qp(1).read(_OFF, 8))
+    assert cluster.replication.stats["failovers"] == 0
+    assert cluster.replication.epoch == epoch
+    assert compute.qp(1).remote is cluster.memory_server(1)
+
+
+def test_ownerless_queue_pair_raises_as_before():
+    """Failover re-posts on the owner's re-routed queue pair; an anonymous
+    queue pair has no owner to ask, so exhaustion surfaces unchanged."""
+    cluster, _injector, routed = _crashed_primary()
+    anonymous = QueuePair(
+        cluster.sim, cluster.fabric, routed.local_port, cluster.memory_server(1)
+    )
+    with pytest.raises(RetriesExhaustedError):
+        cluster.execute(anonymous.read(_OFF, 8))
+    assert cluster.replication.stats["failovers"] == 0
 
 
 @pytest.mark.parametrize("design", DESIGNS)

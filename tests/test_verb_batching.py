@@ -560,7 +560,7 @@ class TestBatchedUnlockWrite:
 
 
 # --------------------------------------------------------------------------- #
-# RPC dedup cache sizing (configurable _RPC_CACHE_LIMIT)                       #
+# RPC dedup cache sizing (RetryConfig.rpc_dedup_cache_entries)                 #
 # --------------------------------------------------------------------------- #
 
 class TestRpcDedupCacheLimit:
@@ -580,15 +580,6 @@ class TestRpcDedupCacheLimit:
         # Bounded at the configured size, evicting oldest-first.
         assert len(qp._rpc_cache) == 16
         assert set(qp._rpc_cache) == set(range(34, 50))
-
-    def test_module_default_without_injector(self):
-        from repro.rdma import qp as qp_module
-
-        cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=41))
-        qp = cluster.new_compute_server().qp(0)
-        for seq in range(qp_module._RPC_CACHE_LIMIT + 40):
-            qp.rpc_finish(seq, None, 0)
-        assert len(qp._rpc_cache) == qp_module._RPC_CACHE_LIMIT
 
 
 # --------------------------------------------------------------------------- #
