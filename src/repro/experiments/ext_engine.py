@@ -85,8 +85,12 @@ DETERMINISTIC_TOLERANCE = 0.02
 #: slowdowns (a zero-copy path reverting to copies, a cache stopping to
 #: hit, the kernel fast loop falling off).
 WALL_TOLERANCE = 0.50
-#: Same gate for the obs-on half of the grid — bounds the observability
-#: overhead relative to the committed obs-on aggregate.
+#: Same gate for a hub-on run: the obs-on half of this grid vs the
+#: committed obs-on aggregate, and ``ext_verb_batching --obs`` (which
+#: imports it) vs its hub-off baseline. The one definition. It stays wide
+#: on purpose: a wall band against a baseline recorded on another host
+#: cannot be tightened honestly. The tight gate on hub overhead is an
+#: exact call count, ``tests/test_obs_overhead.py``.
 OBS_WALL_TOLERANCE = 0.55
 #: Per-design floor on batched/unbatched wall-step throughput. The
 #: recorded full runs hold ``>= 1.0`` (batching must never cost host

@@ -57,6 +57,7 @@ from repro.obs.attribution import (
     aggregate_attributions,
     attribute_span_dict,
 )
+from repro.obs.export import retained_spans
 from repro.workloads import (
     ArrivalProcess,
     OpenLoopRunner,
@@ -252,19 +253,14 @@ def _tenant(capacity: float, skew: str, phase: str) -> TenantSpec:
 
 def _attribution_summary(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
     """Typical-vs-tail attribution shares over a snapshot's retained spans."""
-    seen: set = set()
     attributed: List[Tuple[float, Dict[str, float]]] = []
-    for group in ("sampled_spans", "slow_spans"):
-        for span in snapshot.get(group, []):
-            if span["op_id"] in seen:
-                continue
-            seen.add(span["op_id"])
-            finished = span["finished_at"]
-            if finished is None:
-                finished = span["started_at"]
-            attributed.append(
-                (finished - span["started_at"], attribute_span_dict(span))
-            )
+    for span in retained_spans(snapshot):
+        finished = span["finished_at"]
+        if finished is None:
+            finished = span["started_at"]
+        attributed.append(
+            (finished - span["started_at"], attribute_span_dict(span))
+        )
     attributed.sort(key=lambda item: item[0])
     if not attributed:
         return {"retained": 0, "p50_share": {}, "p99_share": {}, "top": ""}

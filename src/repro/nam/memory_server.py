@@ -200,10 +200,11 @@ class MemoryServer:
             started = self.sim.now
             span = envelope.span
             if span is not None:
-                # Adopt the issuing op's span for the handler's duration so
-                # server-side events (lock spins, nested verbs) attribute to
-                # the client's operation. Observability only: envelopes
-                # carry a span solely when the hub is attached.
+                # Adopt the issuing process's frame for the handler's
+                # duration so server-side events (descent steps, lock
+                # spins, nested verbs) log into the client's operation.
+                # Observability only: envelopes carry one solely when the
+                # hub is attached.
                 self.sim._active.span = span
             fixed_cost = cpu_config.rpc_fixed_cost_s
             if not cpu_config.use_srq:

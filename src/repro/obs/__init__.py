@@ -45,6 +45,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.export import (
     chrome_trace,
     prometheus_text,
+    retained_spans,
     to_json,
     validate_chrome_trace,
     validate_json_snapshot,
@@ -74,6 +75,7 @@ __all__ = [
     "prometheus_text",
     "to_json",
     "chrome_trace",
+    "retained_spans",
     "validate_prometheus_text",
     "validate_json_snapshot",
     "validate_chrome_trace",

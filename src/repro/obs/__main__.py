@@ -45,6 +45,7 @@ from repro.obs.config import ObservabilityConfig
 from repro.obs.export import (
     chrome_trace,
     prometheus_text,
+    retained_spans,
     to_json,
     validate_chrome_trace,
     validate_json_snapshot,
@@ -105,46 +106,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    failures = 0
-    try:
-        samples = validate_prometheus_text((out_dir / PROM_FILE).read_text())
-        print(f"{PROM_FILE}: OK ({samples} samples)")
-    except (OSError, ReproError) as exc:
-        print(f"{PROM_FILE}: FAIL ({exc})")
-        failures += 1
-    try:
-        snapshot = validate_json_snapshot((out_dir / SNAPSHOT_FILE).read_text())
-        print(
-            f"{SNAPSHOT_FILE}: OK ({len(snapshot['metrics'])} metrics, "
-            f"{len(snapshot['sampled_spans'])} sampled spans)"
+    def snapshot_summary(text: str) -> str:
+        snapshot = validate_json_snapshot(text)
+        return (
+            f"{len(snapshot['metrics'])} metrics, "
+            f"{len(snapshot['sampled_spans'])} sampled spans"
         )
-    except (OSError, ReproError) as exc:
-        print(f"{SNAPSHOT_FILE}: FAIL ({exc})")
-        failures += 1
-    try:
-        events = validate_chrome_trace((out_dir / TRACE_FILE).read_text())
-        print(f"{TRACE_FILE}: OK ({events} events)")
-    except (OSError, ReproError) as exc:
-        print(f"{TRACE_FILE}: FAIL ({exc})")
-        failures += 1
+
+    checks = (
+        (PROM_FILE, lambda text: f"{validate_prometheus_text(text)} samples"),
+        (SNAPSHOT_FILE, snapshot_summary),
+        (TRACE_FILE, lambda text: f"{validate_chrome_trace(text)} events"),
+    )
+    failures = 0
+    for name, check in checks:
+        try:
+            print(f"{name}: OK ({check((Path(args.out_dir) / name).read_text())})")
+        except (OSError, ReproError) as exc:
+            print(f"{name}: FAIL ({exc})")
+            failures += 1
     return 1 if failures else 0
 
 
 # -- report ---------------------------------------------------------------------
-
-
-def _retained_spans(snapshot: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """Sampled + slow spans, deduplicated by op_id (a span can be both)."""
-    seen: set = set()
-    spans: List[Dict[str, Any]] = []
-    for group in ("sampled_spans", "slow_spans"):
-        for span in snapshot.get(group, []):
-            if span["op_id"] in seen:
-                continue
-            seen.add(span["op_id"])
-            spans.append(span)
-    return spans
 
 
 def _span_duration(span: Mapping[str, Any]) -> float:
@@ -157,7 +141,7 @@ def _span_duration(span: Mapping[str, Any]) -> float:
 def report_data(snapshot: Mapping[str, Any], top_k: int) -> Dict[str, Any]:
     """The ``report`` verb's payload: top-K slowest ops with attribution,
     plus the typical-vs-tail (p50 vs p99) aggregate share diff."""
-    spans = _retained_spans(snapshot)
+    spans = retained_spans(snapshot)
     rows = sorted(
         (
             {

@@ -3,11 +3,13 @@
 The paper's whole argument is a latency decomposition (Section 2.3): which
 traversal design wins depends on *where* an operation's time goes — NIC
 queueing, wire flight, server queue wait, server CPU, lock spinning. While
-observability is enabled, the fabric stamps ``(label, start, end)``
-intervals onto the root :class:`~repro.obs.spans.OpSpan` of the operation
-they belong to (see ``Observability.stamp``), and every completed verb
-leaves a :class:`~repro.obs.spans.VerbEvent` window. This module turns
-those raw intervals into a **closed decomposition**: a mapping from the
+observability is enabled, the fabric logs ``(label, start, end)`` stamps
+and the five raw timestamps of every wire leg onto the operation they
+belong to (see ``Observability.stamp`` / ``stamp_leg``), and every
+completed verb leaves a :class:`~repro.obs.spans.VerbEvent` window. When
+a log is materialised :func:`leg_segments` splits each leg into queueing
+and flight; this module then turns the intervals into a **closed
+decomposition**: a mapping from the
 segment taxonomy below to seconds, whose values sum to the span's
 duration — exactly, for every sampled op (the reconciliation invariant
 ``tests/test_obs_attribution.py`` pins).
@@ -46,6 +48,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Tuple
 __all__ = [
     "SEGMENTS",
     "SEGMENT_PRIORITY",
+    "leg_segments",
     "attribute_intervals",
     "attribute_span",
     "attribute_span_dict",
@@ -69,6 +72,26 @@ SEGMENTS: Tuple[str, ...] = (
 SEGMENT_PRIORITY: Dict[str, int] = {label: i for i, label in enumerate(SEGMENTS)}
 
 _THINK_RANK = SEGMENT_PRIORITY["client_think"]
+
+
+def leg_segments(
+    started_at: float,
+    tx_start: float,
+    arrival: float,
+    rx_start: float,
+    finished_at: float,
+) -> List[Tuple[str, float, float]]:
+    """One wire leg's anatomy as segments: ``nic_queue`` for the wait on a
+    busy TX line (doorbell to *tx_start*) and on a busy RX line (*arrival*
+    to *rx_start*), ``network_flight`` for wire occupancy + propagation.
+    The non-empty ones tile ``[started_at, finished_at)`` exactly."""
+    cuts = (
+        ("nic_queue", started_at, tx_start),
+        ("network_flight", tx_start, arrival),
+        ("nic_queue", arrival, rx_start),
+        ("network_flight", rx_start, finished_at),
+    )
+    return [cut for cut in cuts if cut[2] > cut[1]]
 
 
 def attribute_intervals(
@@ -140,36 +163,10 @@ def attribute_intervals(
     return out
 
 
-def _collect_intervals(
-    verbs: Iterable[Mapping[str, Any]],
-    segments: Iterable[Tuple[str, float, float]],
-) -> List[Tuple[str, float, float]]:
-    intervals: List[Tuple[str, float, float]] = [
-        (label, float(start), float(end)) for label, start, end in segments
-    ]
-    for verb in verbs:
-        intervals.append(
-            ("network_flight", verb["started_at"], verb["finished_at"])
-        )
-    return intervals
-
-
 def attribute_span(span: Any) -> Dict[str, float]:
-    """Attribution of one retained :class:`~repro.obs.spans.OpSpan` tree.
-
-    Stamped segments live on the root span; verb windows are collected
-    from the whole subtree as the lowest-priority ``network_flight``
-    base cover.
-    """
-    finished = span.finished_at if span.finished_at is not None else span.started_at
-    verbs = [
-        {"started_at": event.started_at, "finished_at": event.finished_at}
-        for node in span.iter_spans()
-        for event in node.verbs
-    ]
-    return attribute_intervals(
-        span.started_at, finished, _collect_intervals(verbs, span.segments)
-    )
+    """Attribution of one retained :class:`~repro.obs.spans.OpSpan` tree:
+    :func:`attribute_span_dict` of its rendering."""
+    return attribute_span_dict(span.as_dict())
 
 
 def _iter_span_dicts(span: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:
@@ -179,25 +176,27 @@ def _iter_span_dicts(span: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:
 
 
 def attribute_span_dict(span: Mapping[str, Any]) -> Dict[str, float]:
-    """Same as :func:`attribute_span`, over a JSON-decoded span dict (the
-    shape :meth:`OpSpan.as_dict` exports — what snapshots and flight
-    bundles carry)."""
+    """Attribution of one span dict (the shape :meth:`OpSpan.as_dict`
+    exports — what snapshots and flight bundles carry).
+
+    Stamped segments live on the root span; verb windows are collected
+    from the whole subtree as the lowest-priority ``network_flight``
+    base cover.
+    """
     started = span["started_at"]
     finished = span["finished_at"]
     if finished is None:
         finished = started
-    verbs = [
-        {"started_at": verb["started_at"], "finished_at": verb["finished_at"]}
+    intervals = [
+        (label, float(start), float(end))
+        for label, start, end in span.get("segments", ())
+    ]
+    intervals += [
+        ("network_flight", verb["started_at"], verb["finished_at"])
         for node in _iter_span_dicts(span)
         for verb in node.get("verbs", ())
     ]
-    segments = [
-        (segment[0], segment[1], segment[2])
-        for segment in span.get("segments", ())
-    ]
-    return attribute_intervals(
-        started, finished, _collect_intervals(verbs, segments)
-    )
+    return attribute_intervals(started, finished, intervals)
 
 
 def aggregate_attributions(

@@ -29,6 +29,7 @@ __all__ = [
     "prometheus_text",
     "to_json",
     "chrome_trace",
+    "retained_spans",
     "validate_prometheus_text",
     "validate_json_snapshot",
     "validate_chrome_trace",
@@ -149,6 +150,16 @@ def _span_events(span: Dict[str, Any], pid: int) -> List[Dict[str, Any]]:
     return events
 
 
+def retained_spans(snapshot: Mapping[str, Any]) -> List[Dict[str, Any]]:
+    """A snapshot's sampled + slow span dicts, each operation once (a span
+    can be both)."""
+    spans = {}
+    for group in ("sampled_spans", "slow_spans"):
+        for span in snapshot.get(group, []):
+            spans.setdefault(span["op_id"], span)
+    return list(spans.values())
+
+
 def chrome_trace(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
     """Render the retained span trees as a Chrome trace-event document.
 
@@ -158,14 +169,9 @@ def chrome_trace(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
     be both; it appears once).
     """
     events: List[Dict[str, Any]] = []
-    seen_ops: set = set()
-    for group in ("sampled_spans", "slow_spans"):
-        for span in snapshot.get(group, []):
-            if span["op_id"] in seen_ops:
-                continue
-            seen_ops.add(span["op_id"])
-            pid = span["client_id"] if span["client_id"] is not None else 0
-            events.extend(_span_events(span, pid))
+    for span in retained_spans(snapshot):
+        pid = span["client_id"] if span["client_id"] is not None else 0
+        events.extend(_span_events(span, pid))
     for series in snapshot.get("timeseries", []):
         pid = int(series["labels"].get("server", 0))
         for t, value in series["points"]:
@@ -235,8 +241,6 @@ def validate_prometheus_text(text: str) -> int:
                     f"line {lineno}: non-cumulative bucket series for {name!r}"
                 )
             history.append(value)
-            if 'le="+Inf"' not in series:
-                pass  # the +Inf bucket is checked by its own line's presence
         samples += 1
     if not declared:
         raise ValidationError("no metrics declared")

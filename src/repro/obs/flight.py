@@ -5,14 +5,16 @@ happened *just before* — the ops, verbs, faults and admission verdicts
 leading up to the errored op or SLO violation. The counters have already
 aggregated that away and span sampling may have skipped the crucial op.
 The :class:`FlightRecorder` is the always-on black box: bounded rings
-(per-client recent op spans, per-server admission decisions, cluster-wide
-fault events, a compact recent-verb ring) that cost a few deque appends
-per event and never grow.
+(per-client recent operations — their event logs, not trees —,
+per-server admission decisions, cluster-wide fault events, a compact
+recent-verb ring of the hub's own verb tuples) that cost a few deque
+appends per event and never grow.
 
 On a trigger — an errored op, a verifier failure, a tenant SLO violation
 — :meth:`dump` freezes the rings into a **self-contained JSON bundle**:
-the triggering op's span tree with its critical-path attribution
-(:mod:`repro.obs.attribution`), plus every ring's contents. Bundles are
+the triggering op's span tree, materialised from its log there and then,
+with its critical-path attribution (:mod:`repro.obs.attribution`), plus
+every ring's contents. Bundles are
 kept in memory on the hub (bounded by ``max_flight_dumps``; overflow is
 counted, not stored) and exported inside the observability snapshot under
 ``"flight"`` — harnesses write them to disk, the recorder itself never
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from repro.obs.attribution import attribute_span
+from repro.obs.attribution import attribute_span_dict
 
 __all__ = ["FlightRecorder"]
 
@@ -33,18 +35,18 @@ __all__ = ["FlightRecorder"]
 class FlightRecorder:
     """Bounded recent-activity rings and trigger-driven dump bundles."""
 
-    def __init__(self, clock, ring: int, max_dumps: int) -> None:
-        self._clock = clock
+    def __init__(self, sim: Any, ring: int, max_dumps: int) -> None:
+        self._sim = sim
         self._ring = ring
         self._max_dumps = max_dumps
-        #: client_id -> ring of recently finished root OpSpans.
+        #: client_id -> ring of recently finished root records (log-backed).
         self._client_ops: Dict[Any, deque] = {}
         #: server_id -> ring of (t, verdict) admission decisions, where
         #: verdict is "accepted" or the rejection reason.
         self._admission: Dict[int, deque] = {}
         #: Cluster-wide ring of (t, kind, server_id) fault events.
         self._faults: deque = deque(maxlen=ring)
-        #: Cluster-wide compact ring of recently completed verbs.
+        #: Cluster-wide ring of recently completed verbs (VERB log tuples).
         self._verbs: deque = deque(maxlen=ring)
         #: Frozen dump bundles, oldest first (bounded; overflow counted).
         self.dumps: List[Dict[str, Any]] = []
@@ -53,27 +55,26 @@ class FlightRecorder:
     # -- ring feeds (called from hub hooks; bounded, allocation-light) --------
 
     def record_op(self, span: Any) -> None:
-        ring = self._client_ops.get(span.client_id)
-        if ring is None:
-            ring = deque(maxlen=self._ring)
-            self._client_ops[span.client_id] = ring
+        try:
+            ring = self._client_ops[span.client_id]
+        except KeyError:
+            ring = self._client_ops[span.client_id] = deque(maxlen=self._ring)
         ring.append(span)
 
-    def record_verb(
-        self, verb: str, server_id: int, payload_bytes: int,
-        started_at: float, finished_at: float,
-    ) -> None:
-        self._verbs.append((verb, server_id, payload_bytes, started_at, finished_at))
+    def record_verb(self, event: tuple) -> None:
+        """*event* is the ``(VERB, step, verb, server_id, payload_bytes,
+        started_at, finished_at, ...)`` tuple the hub logged."""
+        self._verbs.append(event)
 
     def record_admission(self, server_id: int, verdict: str) -> None:
         ring = self._admission.get(server_id)
         if ring is None:
             ring = deque(maxlen=self._ring)
             self._admission[server_id] = ring
-        ring.append((self._clock(), verdict))
+        ring.append((self._sim.now, verdict))
 
     def record_fault(self, kind: str, server_id: int) -> None:
-        self._faults.append((self._clock(), kind, server_id))
+        self._faults.append((self._sim.now, kind, server_id))
 
     # -- dumping ---------------------------------------------------------------
 
@@ -91,13 +92,13 @@ class FlightRecorder:
         bundle: Dict[str, Any] = {
             "kind": "flight-dump",
             "trigger": trigger,
-            "sim_time": self._clock(),
+            "sim_time": self._sim.now,
         }
         if detail is not None:
             bundle["detail"] = detail
         if span is not None:
             bundle["op"] = span.as_dict()
-            bundle["attribution"] = attribute_span(span)
+            bundle["attribution"] = attribute_span_dict(bundle["op"])
         bundle["recent_ops"] = {
             str(client_id): [
                 {
@@ -128,7 +129,7 @@ class FlightRecorder:
                 "started_at": started_at,
                 "finished_at": finished_at,
             }
-            for verb, server_id, payload_bytes, started_at, finished_at
+            for _, _, verb, server_id, payload_bytes, started_at, finished_at, *_
             in self._verbs
         ]
         self.dumps.append(bundle)

@@ -10,10 +10,14 @@ race sanitizer follow.
 Event attribution (how a verb finds its operation): the simulation kernel
 tracks the currently executing :class:`~repro.sim.core.Process` in
 ``Simulator._active``, and every process carries a ``span`` pointer — the
-deepest open :class:`~repro.obs.spans.OpSpan` of the operation it is
-running (inherited at spawn, so prefetch fan-out sub-processes report
-into their operation's span). Queue pairs only ever ask the hub "what is
-the active span"; no identifiers are threaded through the verb APIs.
+*frame* ``(root, step, enclosing frame)`` it is running in: the root
+record of its operation (whose ``events`` list is the operation's log, see
+:mod:`repro.obs.spans`), the id of its innermost open traversal step (0 =
+none) and the frame to return to when that step exits. Frames are
+inherited at spawn, so parallel partition scans and prefetch fan-out
+sub-processes log into their operation, each under its own open step.
+Every emit point appends one tuple to ``frame[0].events``; nothing walks
+parent links and no identifiers are threaded through the verb APIs.
 
 Metrics are a hybrid of push and pull: latency-shaped quantities
 (per-verb latency, RPC service time, batch sizes) are pushed at the
@@ -29,12 +33,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.config import ObservabilityConfig
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.obs.spans import OpSpan, VerbEvent
+from repro.obs.spans import ENTER, EXIT, LEG, STAMP, VERB, OpSpan
 from repro.obs.timeseries import TimeSeriesRegistry
 
 __all__ = ["Observability"]
@@ -46,18 +50,23 @@ class Observability:
     def __init__(self, sim: Any, config: Optional[ObservabilityConfig] = None) -> None:
         self.sim = sim
         self.config = config if config is not None else ObservabilityConfig(enabled=True)
-        self.registry = MetricsRegistry(lambda: sim.now, self.config)
-        #: Span trees kept by sampling (every Nth operation, op 1 included).
+        self.registry = MetricsRegistry(sim, self.config)
+        #: Operations kept by sampling (every Nth operation, op 1 included).
+        #: Like the flight ring these hold root records with their logs;
+        #: the trees are built when a snapshot (or anyone) reads them.
         self.sampled_spans: deque = deque(maxlen=self.config.max_sampled_spans)
-        #: Span trees kept because the op exceeded ``slow_op_threshold_s``.
+        #: Operations kept because they exceeded ``slow_op_threshold_s``.
         self.slow_spans: deque = deque(maxlen=self.config.max_slow_spans)
         self._op_seq = 0
-        self._collectors: List[Callable[[MetricsRegistry], None]] = []
+        #: Step ids: unique per hub, so unique within any operation's log.
+        self._step_seq = 0
         # Pre-resolved instrument handles so hot-path emission is a dict
-        # lookup plus attribute bumps, never label sorting.
+        # lookup plus attribute bumps, never label sorting. Verb handles
+        # are keyed by the ``Verb`` member as posted and carry its name.
         reg = self.registry
-        self._verb_handles: Dict[Tuple[str, int], Tuple[Counter, Counter, Histogram]] = {}
-        self._retry_handles: Dict[Tuple[str, int], Tuple[Counter, Counter]] = {}
+        self._verb_handles: Dict[
+            Tuple[Any, int], Tuple[str, Counter, Counter, Histogram]
+        ] = {}
         self._rpc_handles: Dict[int, Tuple[Counter, Histogram, Histogram]] = {}
         self._op_handles: Dict[str, Tuple[Counter, Histogram]] = {}
         self._batch_wqes = reg.histogram("nam_batch_wqes")
@@ -75,26 +84,21 @@ class Observability:
         self._gc_sweeps = reg.counter("nam_gc_sweeps_total")
         self._gc_leaves = reg.counter("nam_gc_leaves_scanned_total")
         self._gc_removed = reg.counter("nam_gc_entries_removed_total")
-        # Overload stack (docs/overload.md): server-side admission verdicts
-        # and client-side degradation events.
-        self._admission_handles: Dict[Any, Counter] = {}
-        self._shed_handles: Dict[Any, Counter] = {}
-        self._breaker_handles: Dict[Any, Counter] = {}
-        self._budget_handles: Dict[Any, Counter] = {}
+        #: Counters of the rare events (timeouts, admission verdicts,
+        #: client-side degradation), created on first use: see _counter.
+        self._handles: Dict[tuple, Counter] = {}
         # Per-server time series (docs/observability.md): sampled lazily on
         # a sim-time cadence from the hooks above, never event-scheduled.
-        self.timeseries = TimeSeriesRegistry(
-            lambda: sim.now, self.config.timeseries_points
-        )
+        self.timeseries = TimeSeriesRegistry(sim, self.config.timeseries_points)
         self._ts_cadence = self.config.timeseries_cadence_s
         self._ts_next = 0.0
         self._ts_last_t: Optional[float] = None
         self._ts_busy: Dict[int, float] = {}
         self._ts_ops: Dict[int, int] = {}
-        self._ts_cluster: Any = None
+        self._cluster: Any = None
         # Flight recorder: always-on bounded rings + trigger-driven dumps.
         self.flight = FlightRecorder(
-            lambda: sim.now, self.config.flight_ring, self.config.max_flight_dumps
+            sim, self.config.flight_ring, self.config.max_flight_dumps
         )
         # Per-client slow-op thresholds (seconds), derived from tenant SLOs
         # by the open-loop runner when ``derive_slow_from_slo`` is set.
@@ -105,9 +109,10 @@ class Observability:
     # -- correlation ---------------------------------------------------------
 
     def active_span(self) -> Optional[OpSpan]:
-        """The deepest open span of the currently executing process."""
+        """The root record of the operation the executing process works for."""
         process = self.sim._active
-        return process.span if process is not None else None
+        frame = process.span if process is not None else None
+        return frame[0] if frame is not None else None
 
     def current_op_id(self) -> Optional[int]:
         """Op id stamped onto trace records while an operation is active."""
@@ -116,12 +121,6 @@ class Observability:
 
     # -- critical-path stamps (consumed by repro.obs.attribution) --------------
 
-    @staticmethod
-    def _root(span: OpSpan) -> OpSpan:
-        while span.parent is not None:
-            span = span.parent
-        return span
-
     def stamp(self, label: str, started_at: float, finished_at: float) -> None:
         """Attribute ``[started_at, finished_at)`` of the *active* process's
         operation to segment *label*. No-op outside an operation or for a
@@ -129,20 +128,19 @@ class Observability:
         if finished_at <= started_at:
             return
         process = self.sim._active
-        span = process.span if process is not None else None
-        if span is None:
-            return
-        self._root(span).segments.append((label, started_at, finished_at))
+        frame = process.span if process is not None else None
+        if frame is not None:
+            frame[0].events.append((STAMP, label, started_at, finished_at))
 
     def stamp_span(
-        self, span: OpSpan, label: str, started_at: float, finished_at: float
+        self, span: tuple, label: str, started_at: float, finished_at: float
     ) -> None:
-        """Like :meth:`stamp`, but for code that holds an explicit span
-        reference instead of running inside the op's process (memory-server
-        workers stamping queue wait and CPU time onto the client's op)."""
-        if finished_at <= started_at:
-            return
-        self._root(span).segments.append((label, started_at, finished_at))
+        """Like :meth:`stamp`, but for code that holds an operation's frame
+        (what ``Process.span`` and an RPC envelope carry) instead of running
+        inside the op's process: memory-server workers stamping queue wait
+        and CPU time onto the client's op."""
+        if finished_at > started_at:
+            span[0].events.append((STAMP, label, started_at, finished_at))
 
     def stamp_leg(
         self,
@@ -152,39 +150,33 @@ class Observability:
         rx_start: float,
         finished_at: float,
     ) -> None:
-        """Stamp one wire leg's anatomy onto the active operation:
-        ``nic_queue`` for the TX-busy and RX-busy waits, ``network_flight``
-        for wire occupancy + propagation. The four stamps tile
-        ``[started_at, finished_at)`` exactly."""
+        """Log one wire leg of the active operation as its five raw
+        timestamps; :func:`~repro.obs.attribution.leg_segments` splits them
+        into ``nic_queue`` and ``network_flight`` when the log is read."""
         process = self.sim._active
-        span = process.span if process is not None else None
-        if span is None:
-            return
-        segments = self._root(span).segments
-        if tx_start > started_at:
-            segments.append(("nic_queue", started_at, tx_start))
-        if arrival > tx_start:
-            segments.append(("network_flight", tx_start, arrival))
-        if rx_start > arrival:
-            segments.append(("nic_queue", arrival, rx_start))
-        if finished_at > rx_start:
-            segments.append(("network_flight", rx_start, finished_at))
+        frame = process.span if process is not None else None
+        if frame is not None:
+            frame[0].events.append(
+                (LEG, started_at, tx_start, arrival, rx_start, finished_at)
+            )
 
     # -- operation lifecycle (called by the workload runner) -------------------
 
     def begin_op(self, op_type: str, client_id: Optional[int] = None) -> OpSpan:
-        """Open a root span for one index operation and make it the active
-        span of the calling process."""
+        """Open the root record of one index operation, with an empty event
+        log, and make it the frame of the calling process."""
         self._op_seq += 1
-        span = OpSpan(self._op_seq, "op", op_type, self.sim.now, client_id=client_id)
+        span = OpSpan(
+            self._op_seq, "op", op_type, self.sim.now, client_id=client_id, events=[]
+        )
         process = self.sim._active
         if process is not None:
-            process.span = span
+            process.span = (span, 0, None)
         return span
 
     def end_op(self, span: OpSpan, op_type: Optional[str] = None) -> None:
-        """Close an operation's span tree, record its metrics, and decide
-        whether the tree is retained (sampling or the slow-op hook).
+        """Close an operation, record its metrics, and decide whether its
+        record is retained (sampling or the slow-op hook).
 
         ``op_type`` is the operation's final classification — the runner
         only knows it after the fact (an op that exhausts its retry budget
@@ -194,20 +186,22 @@ class Observability:
         now = self.sim.now
         if op_type is not None:
             span.name = op_type
-        span.finish(now)
+        if span.finished_at is None:
+            span.finished_at = now
         process = self.sim._active
         if process is not None:
             process.span = None
-        handles = self._op_handles.get(span.name)
-        if handles is None:
-            handles = (
+        try:
+            count, latency = self._op_handles[span.name]
+        except KeyError:
+            count, latency = self._op_handles[span.name] = (
                 self.registry.counter("nam_ops_total", type=span.name),
                 self.registry.histogram("nam_op_latency_seconds", type=span.name),
             )
-            self._op_handles[span.name] = handles
         duration = now - span.started_at
-        handles[0].inc()
-        handles[1].observe(duration)
+        count.value += 1.0
+        count.updated_at = now
+        latency.observe(duration)
         if (span.op_id - 1) % self.config.sample_every == 0:
             self.sampled_spans.append(span)
         threshold = self.config.slow_op_threshold_s
@@ -227,21 +221,25 @@ class Observability:
     # -- traversal structure (called by the tree algorithm) --------------------
 
     def enter_step(self, kind: str, name: str) -> None:
-        """Open a child span under the active one (level descent, move-right,
-        lock wait). No-op outside an operation."""
+        """Open a step (level descent, move-right) under the executing
+        process's innermost open one. No-op outside an operation."""
         process = self.sim._active
-        if process is None or process.span is None:
+        frame = process.span if process is not None else None
+        if frame is None:
             return
-        process.span = process.span.child(kind, name, self.sim.now)
+        root = frame[0]
+        self._step_seq = step = self._step_seq + 1
+        root.events.append((ENTER, step, frame[1], kind, name, self.sim.now))
+        process.span = (root, step, frame)
 
     def exit_step(self) -> None:
-        """Close the innermost step span opened by :meth:`enter_step`."""
+        """Close the innermost step opened by :meth:`enter_step`."""
         process = self.sim._active
-        span = process.span if process is not None else None
-        if span is None or span.parent is None:
+        frame = process.span if process is not None else None
+        if frame is None or frame[2] is None:
             return
-        span.finish(self.sim.now)
-        process.span = span.parent
+        frame[0].events.append((EXIT, frame[1], self.sim.now))
+        process.span = frame[2]
 
     # -- hot-path events (push) -------------------------------------------------
 
@@ -256,33 +254,31 @@ class Observability:
         batch_id: Optional[int] = None,
     ) -> None:
         """One RDMA verb finished: bump per-verb/per-server counters and
-        the latency histogram, and attribute the verb to the active span."""
-        name = getattr(verb, "value", verb)
-        key = (name, server_id)
-        handles = self._verb_handles.get(key)
-        if handles is None:
-            handles = (
-                self.registry.counter("nam_verbs_total", verb=name, server=server_id),
-                self.registry.counter(
-                    "nam_verb_payload_bytes_total", verb=name, server=server_id
-                ),
-                self.registry.histogram(
-                    "nam_verb_latency_seconds", verb=name, server=server_id
-                ),
+        the latency histogram, and log the verb under the open step."""
+        try:
+            handles = self._verb_handles[verb, server_id]
+        except KeyError:
+            labels = {"verb": getattr(verb, "value", verb), "server": server_id}
+            handles = self._verb_handles[verb, server_id] = (
+                labels["verb"],
+                self.registry.counter("nam_verbs_total", **labels),
+                self.registry.counter("nam_verb_payload_bytes_total", **labels),
+                self.registry.histogram("nam_verb_latency_seconds", **labels),
             )
-            self._verb_handles[key] = handles
-        handles[0].inc()
-        handles[1].inc(payload_bytes)
-        handles[2].observe(finished_at - started_at)
+        name, count, nbytes, latency = handles
+        count.value += 1.0
+        nbytes.value += payload_bytes
+        count.updated_at = nbytes.updated_at = self.sim.now
+        latency.observe(finished_at - started_at)
         process = self.sim._active
-        if process is not None and process.span is not None:
-            process.span.verbs.append(
-                VerbEvent(
-                    name, server_id, payload_bytes, started_at,
-                    finished_at, local, batch_id,
-                )
-            )
-        self.flight.record_verb(name, server_id, payload_bytes, started_at, finished_at)
+        frame = process.span if process is not None else None
+        event = (
+            VERB, frame[1] if frame is not None else 0, name, server_id,
+            payload_bytes, started_at, finished_at, local, batch_id,
+        )
+        if frame is not None:
+            frame[0].events.append(event)
+        self.flight.record_verb(event)
         if self._ts_cadence is not None:
             self.maybe_sample()
 
@@ -293,22 +289,12 @@ class Observability:
     def attempt_failed(self, verb: Any, server_id: int, retried: bool) -> None:
         """A verb/RPC attempt timed out; ``retried`` says whether another
         attempt follows (False = the retry budget is spent)."""
-        name = getattr(verb, "value", verb)
-        key = (name, server_id)
-        handles = self._retry_handles.get(key)
-        if handles is None:
-            handles = (
-                self.registry.counter(
-                    "nam_verb_timeouts_total", verb=name, server=server_id
-                ),
-                self.registry.counter(
-                    "nam_verb_retries_total", verb=name, server=server_id
-                ),
-            )
-            self._retry_handles[key] = handles
-        handles[0].inc()
+        labels = {"verb": getattr(verb, "value", verb), "server": server_id}
+        self._counter("nam_verb_timeouts_total", **labels).inc()
+        # Resolved even when unused: both series exist from the first timeout.
+        retries = self._counter("nam_verb_retries_total", **labels)
         if retried:
-            handles[1].inc()
+            retries.inc()
 
     def rpc_served(self, server_id: int, queue_depth: int, service_s: float) -> None:
         """An RPC worker finished a handler: record queue depth at dequeue
@@ -366,66 +352,46 @@ class Observability:
         self._gc_leaves.inc(leaves_seen)
         self._gc_removed.inc(entries_removed)
 
-    # -- overload stack (push) ---------------------------------------------------
+    # -- overload stack (push; docs/overload.md) ----------------------------------
+
+    def _counter(self, name: str, **labels: Any) -> Counter:
+        """A labelled counter for the events below, which are too rare to
+        earn a pre-resolved tuple: the registry sorts labels once per set."""
+        key = (name, *labels.values())
+        handle = self._handles.get(key)
+        if handle is None:
+            handle = self._handles[key] = self.registry.counter(name, **labels)
+        return handle
 
     def admission_accepted(self, server_id: int) -> None:
         """Admission control let an RPC onto a worker-pool queue."""
-        key = ("accepted", server_id)
-        handle = self._admission_handles.get(key)
-        if handle is None:
-            handle = self.registry.counter(
-                "nam_admission_accepted_total", server=server_id
-            )
-            self._admission_handles[key] = handle
-        handle.inc()
+        self._counter("nam_admission_accepted_total", server=server_id).inc()
         self.flight.record_admission(server_id, "accepted")
         if self._ts_cadence is not None:
             self.maybe_sample()
 
     def admission_rejected(self, server_id: int, reason: str) -> None:
         """Admission control bounced an RPC (``rate-limit``/``queue-full``)."""
-        key = (reason, server_id)
-        handle = self._admission_handles.get(key)
-        if handle is None:
-            handle = self.registry.counter(
-                "nam_admission_rejected_total", server=server_id, reason=reason
-            )
-            self._admission_handles[key] = handle
-        handle.inc()
+        self._counter(
+            "nam_admission_rejected_total", server=server_id, reason=reason
+        ).inc()
         self.flight.record_admission(server_id, reason)
         if self._ts_cadence is not None:
             self.maybe_sample()
 
     def load_shed(self, tenant: Optional[str]) -> None:
         """A client shed an operation before issuing it (open breaker)."""
-        handle = self._shed_handles.get(tenant)
-        if handle is None:
-            handle = self.registry.counter(
-                "nam_load_shed_total", tenant=str(tenant)
-            )
-            self._shed_handles[tenant] = handle
-        handle.inc()
+        self._counter("nam_load_shed_total", tenant=str(tenant)).inc()
 
     def breaker_transition(self, tenant: Optional[str], state: str) -> None:
         """A client circuit breaker changed state (open/half-open/closed)."""
-        key = (tenant, state)
-        handle = self._breaker_handles.get(key)
-        if handle is None:
-            handle = self.registry.counter(
-                "nam_breaker_transitions_total", tenant=str(tenant), state=state
-            )
-            self._breaker_handles[key] = handle
-        handle.inc()
+        self._counter(
+            "nam_breaker_transitions_total", tenant=str(tenant), state=state
+        ).inc()
 
     def retry_budget_exhausted(self, tenant: Optional[str]) -> None:
         """A client skipped an application-level retry: budget empty."""
-        handle = self._budget_handles.get(tenant)
-        if handle is None:
-            handle = self.registry.counter(
-                "nam_retry_budget_exhausted_total", tenant=str(tenant)
-            )
-            self._budget_handles[tenant] = handle
-        handle.inc()
+        self._counter("nam_retry_budget_exhausted_total", tenant=str(tenant)).inc()
 
     # -- time series (lazy sampler) ----------------------------------------------
 
@@ -444,7 +410,7 @@ class Observability:
         self._ts_next = (math.floor(now / cadence) + 1.0) * cadence
 
     def _sample_all(self, now: float) -> None:
-        cluster = self._ts_cluster
+        cluster = self._cluster
         if cluster is None:
             return
         ts = self.timeseries
@@ -454,16 +420,9 @@ class Observability:
         for server in cluster.memory_servers:
             sid = server.server_id
             port = server.port
-            ts.record(
-                "nic_tx_backlog_seconds",
-                max(0.0, port.tx.busy_until - now),
-                server=sid,
-            )
-            ts.record(
-                "nic_rx_backlog_seconds",
-                max(0.0, port.rx.busy_until - now),
-                server=sid,
-            )
+            # busy_until is clamped to now: the backlogs are never negative.
+            ts.record("nic_tx_backlog_seconds", port.tx.busy_until - now, server=sid)
+            ts.record("nic_rx_backlog_seconds", port.rx.busy_until - now, server=sid)
             ts.record("rpc_queue_len", float(server.rpc_backlog), server=sid)
             busy = server._busy_time
             if elapsed is not None:
@@ -498,65 +457,54 @@ class Observability:
         per-run dump budget is spent."""
         return self.flight.dump(trigger, span=span, detail=detail)
 
-    # -- pull collectors ---------------------------------------------------------
-
-    def register_collector(self, collect: Callable[[MetricsRegistry], None]) -> None:
-        """Run *collect(registry)* at every snapshot — mirrors cumulative
-        counters the simulation keeps anyway into the registry for free."""
-        self._collectors.append(collect)
+    # -- pull collector --------------------------------------------------------
 
     def attach_cluster(self, cluster: Any) -> None:
-        """Register the standard pull collector over a cluster's NIC ports,
-        verb stats, fault injector, replication manager, and sim kernel."""
-        self._ts_cluster = cluster
+        """Point the time-series sampler and the snapshot-time pull
+        collector at *cluster*."""
+        self._cluster = cluster
 
-        def collect(reg: MetricsRegistry) -> None:
-            for server in cluster.memory_servers:
-                sid = server.server_id
-                port = server.port
-                reg.counter("nic_doorbells_total", server=sid).set_total(port.doorbells)
-                reg.counter("nic_wqes_posted_total", server=sid).set_total(
-                    port.wqes_posted
-                )
-                tx, rx = port.traffic()
-                reg.counter("nic_tx_bytes_total", server=sid).set_total(tx)
-                reg.counter("nic_rx_bytes_total", server=sid).set_total(rx)
-                reg.gauge("nam_rpc_queue_length", server=sid).set(
-                    server.rpc_backlog
-                )
-                reg.counter("nam_rpcs_handled_total", server=sid).set_total(
-                    server.rpcs_handled
-                )
-                for verb, count in server.stats.ops.items():
-                    reg.counter(
-                        "nam_server_verbs_total", server=sid, verb=verb.value
-                    ).set_total(count)
-                for verb, nbytes in server.stats.bytes.items():
-                    reg.counter(
-                        "nam_server_verb_bytes_total", server=sid, verb=verb.value
-                    ).set_total(nbytes)
-            for compute in cluster.compute_servers:
-                port = compute.port
+    def _collect(self) -> None:
+        """Mirror the cumulative counters the simulation keeps anyway (NIC
+        ports, verb stats, fault injector, replication manager, kernel)
+        into the registry — run at every snapshot, free on the hot path."""
+        cluster = self._cluster
+        if cluster is None:
+            return
+        reg = self.registry
+        for server in cluster.memory_servers:
+            sid = server.server_id
+            port = server.port
+            reg.counter("nic_doorbells_total", server=sid).set_total(port.doorbells)
+            reg.counter("nic_wqes_posted_total", server=sid).set_total(port.wqes_posted)
+            tx, rx = port.traffic()
+            reg.counter("nic_tx_bytes_total", server=sid).set_total(tx)
+            reg.counter("nic_rx_bytes_total", server=sid).set_total(rx)
+            reg.gauge("nam_rpc_queue_length", server=sid).set(server.rpc_backlog)
+            reg.counter("nam_rpcs_handled_total", server=sid).set_total(
+                server.rpcs_handled
+            )
+            for verb, count in server.stats.ops.items():
                 reg.counter(
-                    "nic_doorbells_total", compute=compute.server_id
-                ).set_total(port.doorbells)
+                    "nam_server_verbs_total", server=sid, verb=verb.value
+                ).set_total(count)
+            for verb, nbytes in server.stats.bytes.items():
                 reg.counter(
-                    "nic_wqes_posted_total", compute=compute.server_id
-                ).set_total(port.wqes_posted)
-            injector = cluster.fault_injector
-            if injector is not None:
-                for event, count in injector.stats.items():
-                    reg.counter("nam_fault_events_total", event=event).set_total(count)
-            replication = cluster.replication
-            if replication is not None:
-                for event, count in replication.stats.items():
-                    reg.counter(
-                        "nam_replication_events_total", event=event
-                    ).set_total(count)
-            reg.gauge("sim_events_scheduled").set(cluster.sim.events_scheduled)
-            reg.gauge("sim_time_seconds").set(cluster.sim.now)
-
-        self.register_collector(collect)
+                    "nam_server_verb_bytes_total", server=sid, verb=verb.value
+                ).set_total(nbytes)
+        for compute in cluster.compute_servers:
+            port = compute.port
+            cid = compute.server_id
+            reg.counter("nic_doorbells_total", compute=cid).set_total(port.doorbells)
+            reg.counter("nic_wqes_posted_total", compute=cid).set_total(port.wqes_posted)
+        if cluster.fault_injector is not None:
+            for event, count in cluster.fault_injector.stats.items():
+                reg.counter("nam_fault_events_total", event=event).set_total(count)
+        if cluster.replication is not None:
+            for event, count in cluster.replication.stats.items():
+                reg.counter("nam_replication_events_total", event=event).set_total(count)
+        reg.gauge("sim_events_scheduled").set(cluster.sim.events_scheduled)
+        reg.gauge("sim_time_seconds").set(cluster.sim.now)
 
     # -- snapshot ---------------------------------------------------------------
 
@@ -565,9 +513,8 @@ class Observability:
         return self._op_seq
 
     def snapshot(self) -> Dict[str, object]:
-        """Run the pull collectors, then render everything JSON-ready."""
-        for collect in self._collectors:
-            collect(self.registry)
+        """Run the pull collector, then render everything JSON-ready."""
+        self._collect()
         base = self.registry.snapshot()
         return {
             "sim_time": base["sim_time"],

@@ -6,8 +6,9 @@ once at wiring time and hold the reference, so an enabled hot path pays
 a couple of attribute operations per event — and a disabled hot path
 pays a single ``is None`` test, because no registry exists at all.
 
-Every instrument is stamped with *simulated* time on mutation (the
-registry carries the simulator clock). Nothing here touches wall-clock
+Every instrument is stamped with *simulated* time on mutation: it holds
+the simulator (any object with a ``now`` attribute) and reads the clock
+as an attribute, not through a call. Nothing here touches wall-clock
 time and nothing schedules simulation events: metrics observe the
 simulation, they never perturb it (namsan rule N06 enforces this for
 the whole package).
@@ -16,7 +17,8 @@ the whole package).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.config import ObservabilityConfig
@@ -27,22 +29,27 @@ LabelPairs = Tuple[Tuple[str, str], ...]
 
 
 class Counter:
-    """Monotonically increasing count (ops, bytes, retries, ...)."""
+    """Monotonically increasing count (ops, bytes, retries, ...).
 
-    __slots__ = ("name", "labels", "value", "updated_at", "_clock")
+    :meth:`inc` is the checked front door. The hub's two per-event paths
+    (verb completed, operation ended) bump ``value`` and ``updated_at`` in
+    place with amounts that cannot be negative — same effect, no call.
+    """
 
-    def __init__(self, name: str, labels: LabelPairs, clock: Callable[[], float]) -> None:
+    __slots__ = ("name", "labels", "value", "updated_at", "_sim")
+
+    def __init__(self, name: str, labels: LabelPairs, sim: Any) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self.updated_at = clock()
-        self._clock = clock
+        self.updated_at = sim.now
+        self._sim = sim
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (amount={amount})")
         self.value += amount
-        self.updated_at = self._clock()
+        self.updated_at = self._sim.now
 
     def set_total(self, value: float) -> None:
         """Overwrite with a cumulative total read from an external counter
@@ -53,7 +60,7 @@ class Counter:
                 f"counter {self.name} cannot decrease ({self.value} -> {value})"
             )
         self.value = value
-        self.updated_at = self._clock()
+        self.updated_at = self._sim.now
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -68,22 +75,22 @@ class Counter:
 class Gauge:
     """Point-in-time level (queue depth, cache size, epoch, ...)."""
 
-    __slots__ = ("name", "labels", "value", "updated_at", "_clock")
+    __slots__ = ("name", "labels", "value", "updated_at", "_sim")
 
-    def __init__(self, name: str, labels: LabelPairs, clock: Callable[[], float]) -> None:
+    def __init__(self, name: str, labels: LabelPairs, sim: Any) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self.updated_at = clock()
-        self._clock = clock
+        self.updated_at = sim.now
+        self._sim = sim
 
     def set(self, value: float) -> None:
         self.value = value
-        self.updated_at = self._clock()
+        self.updated_at = self._sim.now
 
     def add(self, amount: float) -> None:
         self.value += amount
-        self.updated_at = self._clock()
+        self.updated_at = self._sim.now
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -98,9 +105,11 @@ class Gauge:
 class Histogram:
     """Log-bucketed histogram for long-tailed quantities (latencies).
 
-    Bucket ``i`` covers ``[floor * base**i, floor * base**(i+1))``;
-    observations below ``floor`` land in bucket 0 and observations past
-    the last edge land in the overflow bucket. With the default config
+    Bucket ``i`` is upper-inclusive, as Prometheus' cumulative ``le``
+    series needs: it covers ``(floor * base**(i-1), floor * base**i]``,
+    bucket 0 takes everything up to and including ``floor``, and
+    observations past the last edge land in the overflow bucket — the
+    bucket hit is ``bisect_left(bucket_edges(), value)``. With the default config
     (floor 100 ns, base 2, 40 buckets) the range spans 100 ns to ~30 h
     of simulated time at ~2x resolution — plenty for verb latencies
     through whole-experiment durations.
@@ -115,16 +124,15 @@ class Histogram:
         "max",
         "buckets",
         "updated_at",
-        "_clock",
-        "_floor",
-        "_log_base",
+        "_sim",
+        "_edges",
     )
 
     def __init__(
         self,
         name: str,
         labels: LabelPairs,
-        clock: Callable[[], float],
+        sim: Any,
         floor: float,
         base: float,
         bucket_count: int,
@@ -137,33 +145,24 @@ class Histogram:
         self.max = -math.inf
         # bucket_count regular buckets + 1 overflow bucket.
         self.buckets = [0] * (bucket_count + 1)
-        self.updated_at = clock()
-        self._clock = clock
-        self._floor = floor
-        self._log_base = math.log(base)
+        self.updated_at = sim.now
+        self._sim = sim
+        #: Finite upper edges; an index past them is the overflow bucket.
+        self._edges = [floor * base**i for i in range(bucket_count)]
 
     def observe(self, value: float) -> None:
-        if value <= self._floor:
-            index = 0
-        else:
-            index = int(math.log(value / self._floor) / self._log_base) + 1
-            if index >= len(self.buckets):
-                index = len(self.buckets) - 1
-        self.buckets[index] += 1
+        self.buckets[bisect_left(self._edges, value)] += 1
         self.count += 1
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        self.updated_at = self._clock()
+        self.updated_at = self._sim.now
 
     def bucket_edges(self) -> List[float]:
         """Upper edge of each bucket; the last is +inf (overflow)."""
-        base = math.exp(self._log_base)
-        edges = [self._floor * base**i for i in range(len(self.buckets) - 1)]
-        edges.append(math.inf)
-        return edges
+        return self._edges + [math.inf]
 
     @property
     def mean(self) -> float:
@@ -228,14 +227,14 @@ class Histogram:
 class MetricsRegistry:
     """Named, labelled instrument store stamped with simulator time.
 
-    ``clock`` is the simulator clock (``lambda: sim.now``); it is the
-    only notion of time the registry knows about. Instruments are
-    interned by ``(name, labels)`` so repeated lookups return the same
+    ``sim`` is the simulator, or anything else with a ``now`` attribute;
+    it is the only notion of time the registry knows about. Instruments
+    are interned by ``(name, labels)`` so repeated lookups return the same
     object — call sites cache the handle and mutate it directly.
     """
 
-    def __init__(self, clock: Callable[[], float], config: Optional[ObservabilityConfig] = None):
-        self._clock = clock
+    def __init__(self, sim: Any, config: Optional[ObservabilityConfig] = None):
+        self._sim = sim
         self._config = config if config is not None else ObservabilityConfig(enabled=True)
         self._instruments: Dict[Tuple[str, LabelPairs], object] = {}
 
@@ -243,40 +242,26 @@ class MetricsRegistry:
     def _label_pairs(labels: Dict[str, object]) -> LabelPairs:
         return tuple(sorted((key, str(value)) for key, value in labels.items()))
 
-    def _intern(self, name: str, labels: Dict[str, object], factory) -> object:
+    def _intern(self, kind: type, name: str, labels: Dict[str, object], *shape) -> Any:
         key = (name, self._label_pairs(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
-            instrument = factory(key[1])
-            self._instruments[key] = instrument
+            instrument = self._instruments[key] = kind(name, key[1], self._sim, *shape)
+        elif not isinstance(instrument, kind):
+            raise ConfigurationError(f"metric {name!r} already registered with another type")
         return instrument
 
     def counter(self, name: str, **labels: object) -> Counter:
-        instrument = self._intern(
-            name, labels, lambda pairs: Counter(name, pairs, self._clock)
-        )
-        if not isinstance(instrument, Counter):
-            raise ConfigurationError(f"metric {name!r} already registered with another type")
-        return instrument
+        return self._intern(Counter, name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        instrument = self._intern(name, labels, lambda pairs: Gauge(name, pairs, self._clock))
-        if not isinstance(instrument, Gauge):
-            raise ConfigurationError(f"metric {name!r} already registered with another type")
-        return instrument
+        return self._intern(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: object) -> Histogram:
         cfg = self._config
-        instrument = self._intern(
-            name,
-            labels,
-            lambda pairs: Histogram(
-                name, pairs, self._clock, cfg.bucket_floor, cfg.bucket_base, cfg.bucket_count
-            ),
+        return self._intern(
+            Histogram, name, labels, cfg.bucket_floor, cfg.bucket_base, cfg.bucket_count
         )
-        if not isinstance(instrument, Histogram):
-            raise ConfigurationError(f"metric {name!r} already registered with another type")
-        return instrument
 
     def instruments(self) -> Iterable[object]:
         """All instruments in deterministic (name, labels) order."""
@@ -286,6 +271,6 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready snapshot of every instrument, stamped with sim time."""
         return {
-            "sim_time": self._clock(),
+            "sim_time": self._sim.now,
             "metrics": [inst.as_dict() for inst in self.instruments()],  # type: ignore[attr-defined]
         }

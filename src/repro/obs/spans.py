@@ -1,23 +1,38 @@
-"""Per-operation span trees.
+"""Per-operation event logs, and the span trees built from them.
 
-An :class:`OpSpan` captures the anatomy of one index operation as a tree:
-the operation is the root, traversal steps (level descents, move-rights,
-lock waits) are child spans, and the RDMA verbs issued while a span is
-open are recorded as :class:`VerbEvent` leaves on it. Every span carries
-the ``op_id`` of its root operation — the same id stamped onto
-:class:`~repro.rdma.tracing.TraceRecord` while observability is on, which
-is what correlates a span tree with the raw wire trace.
+While an operation runs, the hub keeps one flat list for it — the
+``events`` of the root record :meth:`Observability.begin_op` hands out —
+and every layer boundary appends exactly one plain tuple to it:
 
-Span objects are plain containers; all lifecycle decisions (sampling,
-slow-op capture, retention bounds) live in
-:class:`~repro.obs.hub.Observability`. Timestamps are simulated seconds.
+* ``(VERB, step, verb, server_id, payload_bytes, started_at, finished_at,
+  local, batch_id)`` — a verb completed while step *step* was open;
+* ``(LEG, leg_start, tx_start, arrival, rx_start, done)`` — one wire leg;
+* ``(STAMP, label, started_at, finished_at)`` — an explicit segment;
+* ``(ENTER, step, parent_step, kind, name, now)`` / ``(EXIT, step, now)`` —
+  a traversal step opened under *parent_step* (0 = the operation) / closed.
+
+Nothing else is built on the hot path. The tree — the operation as root
+:class:`OpSpan`, traversal steps as child spans, verbs as
+:class:`VerbEvent` leaves on the span that was open, critical-path
+``segments`` on the root — is what :func:`materialise` derives from the
+log, and only when somebody looks: reading ``children`` / ``verbs`` /
+``segments`` of a log-backed root (snapshot, flight dump, attribution, a
+test) replays the log first. Every span carries its root's ``op_id`` — the
+id stamped onto :class:`~repro.rdma.tracing.TraceRecord` while the hub is
+on. Retention (sampling, slow ops, rings) is the hub's business.
+Timestamps are simulated seconds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
-__all__ = ["VerbEvent", "OpSpan"]
+from repro.obs.attribution import leg_segments
+
+__all__ = ["VerbEvent", "OpSpan", "materialise", "VERB", "LEG", "STAMP", "ENTER", "EXIT"]
+
+#: Event kinds: the first element of every log tuple.
+VERB, LEG, STAMP, ENTER, EXIT = range(5)
 
 
 class VerbEvent(NamedTuple):
@@ -35,7 +50,8 @@ class VerbEvent(NamedTuple):
 
 
 class OpSpan:
-    """One node of an operation's span tree."""
+    """One node of an operation's span tree; the root doubles as the
+    operation's record and, when the hub made it, owns the event log."""
 
     __slots__ = (
         "op_id",
@@ -45,9 +61,11 @@ class OpSpan:
         "started_at",
         "finished_at",
         "parent",
-        "children",
-        "verbs",
-        "segments",
+        "events",
+        "_replayed",
+        "_children",
+        "_verbs",
+        "_segments",
     )
 
     def __init__(
@@ -58,6 +76,7 @@ class OpSpan:
         started_at: float,
         client_id: Optional[int] = None,
         parent: Optional["OpSpan"] = None,
+        events: Optional[list] = None,
     ) -> None:
         self.op_id = op_id
         self.kind = kind
@@ -66,12 +85,35 @@ class OpSpan:
         self.started_at = started_at
         self.finished_at: Optional[float] = None
         self.parent = parent
-        self.children: List["OpSpan"] = []
-        self.verbs: List[VerbEvent] = []
-        #: Critical-path stamps ``(label, start, end)`` collected on the
-        #: *root* span only (the hub walks child stamps up); consumed by
-        #: :mod:`repro.obs.attribution` to decompose the op's wall time.
-        self.segments: List[tuple] = []
+        #: The operation's event log (hub-made roots only; None on child
+        #: spans and on trees built by hand).
+        self.events = events
+        self._replayed = 0
+        self._children: List["OpSpan"] = []
+        self._verbs: List[VerbEvent] = []
+        self._segments: List[tuple] = []
+
+    def _sync(self) -> None:
+        events = self.events
+        if events is not None and len(events) != self._replayed:
+            materialise(self)
+
+    @property
+    def children(self) -> List["OpSpan"]:
+        self._sync()
+        return self._children
+
+    @property
+    def verbs(self) -> List[VerbEvent]:
+        self._sync()
+        return self._verbs
+
+    @property
+    def segments(self) -> List[tuple]:
+        """Critical-path stamps ``(label, start, end)``, on the *root* span
+        only; consumed by :mod:`repro.obs.attribution`."""
+        self._sync()
+        return self._segments
 
     def child(self, kind: str, name: str, started_at: float) -> "OpSpan":
         """Open a child span (inherits op_id and client_id)."""
@@ -156,8 +198,33 @@ class OpSpan:
             parts.append(span.format(indent + 1))
         return "\n".join(parts)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"OpSpan(op={self.op_id}, {self.kind}:{self.name}, "
-            f"children={len(self.children)}, verbs={len(self.verbs)})"
-        )
+
+def materialise(root: OpSpan) -> None:
+    """Rebuild *root*'s children, verbs and segments from its event log.
+
+    A pure function of ``(root.events, root.finished_at)``: the log is
+    replayed in order, steps become child spans under the step they were
+    opened in (so sub-processes of one operation, each with its own open
+    step, nest correctly), a leg expands into its ``nic_queue`` /
+    ``network_flight`` segments, and a finished root closes whatever its
+    operation left open at its own finish time.
+    """
+    events = root.events
+    root._replayed = len(events)
+    root._children, root._verbs, root._segments = [], [], []
+    segments = root._segments
+    spans = {0: root}
+    for event in events:
+        kind = event[0]
+        if kind == LEG:
+            segments.extend(leg_segments(*event[1:]))
+        elif kind == VERB:
+            spans[event[1]].verbs.append(VerbEvent(*event[2:]))
+        elif kind == ENTER:
+            spans[event[1]] = spans[event[2]].child(*event[3:])
+        elif kind == EXIT:
+            spans[event[1]].finish(event[2])
+        else:
+            segments.append(event[1:])
+    if root.finished_at is not None:
+        root.finish(root.finished_at)

@@ -21,7 +21,7 @@ short-circuits to a single ``is None`` test.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["TimeSeries", "TimeSeriesRegistry"]
 
@@ -57,8 +57,8 @@ class TimeSeries:
 class TimeSeriesRegistry:
     """Interned store of :class:`TimeSeries`, deterministic iteration order."""
 
-    def __init__(self, clock: Callable[[], float], maxlen: int) -> None:
-        self._clock = clock
+    def __init__(self, sim: Any, maxlen: int) -> None:
+        self._sim = sim
         self._maxlen = maxlen
         self._series: Dict[Tuple[str, LabelPairs], TimeSeries] = {}
 
@@ -75,7 +75,7 @@ class TimeSeriesRegistry:
         return entry
 
     def record(self, name: str, value: float, **labels: object) -> None:
-        self.series(name, **labels).record(self._clock(), value)
+        self.series(name, **labels).record(self._sim.now, value)
 
     def all_series(self) -> List[TimeSeries]:
         """Every series in deterministic (name, labels) order."""

@@ -16,7 +16,32 @@ from repro.config import NetworkConfig
 from repro.sim import Simulator
 from repro.sim.resources import BandwidthChannel
 
-__all__ = ["Fabric"]
+__all__ = ["Fabric", "stamped_leg"]
+
+
+def stamped_leg(
+    obs: Any,
+    now: float,
+    tx: BandwidthChannel,
+    rx: BandwidthChannel,
+    wire: int,
+    latency: float,
+) -> float:
+    """The hub-on branch of every wire leg: the two bookings of the hub-off
+    branch beside each call site, in the same order, plus one
+    ``obs.stamp_leg``. When a line starts on the message is its reservation
+    clock just before the booking (an attribute read: it moves nothing),
+    clamped to when the message can be there. Returns the completion time."""
+    tx_start = tx.available_at
+    if tx_start < now:
+        tx_start = now
+    arrival = tx.reserve(wire) + latency
+    rx_start = rx.available_at
+    if rx_start < arrival:
+        rx_start = arrival
+    done = rx.reserve(wire, arrival)
+    obs.stamp_leg(now, tx_start, arrival, rx_start, done)
+    return done
 
 
 class Fabric:
@@ -82,15 +107,9 @@ class Fabric:
             arrival = tx_done + self.config.one_way_latency_s
             rx_done = rx.reserve(wire, earliest=arrival)
         else:
-            # Same reservations in the same order; the extra busy_until
-            # reads are pure and let the stamp split queueing from flight.
-            started = self.sim.now
-            tx_start = tx.busy_until
-            tx_done = tx.reserve(wire)
-            arrival = tx_done + self.config.one_way_latency_s
-            rx_start = max(rx.busy_until, arrival)
-            rx_done = rx.reserve(wire, earliest=arrival)
-            obs.stamp_leg(started, tx_start, arrival, rx_start, rx_done)
+            rx_done = stamped_leg(
+                obs, self.sim.now, tx, rx, wire, self.config.one_way_latency_s
+            )
         yield self.sim.timeout(rx_done - self.sim.now)
 
     def local_copy(self, payload_bytes: int) -> Generator[Any, Any, None]:

@@ -78,7 +78,7 @@ from repro.errors import (
     RetriesExhaustedError,
     ThrottledError,
 )
-from repro.rdma.fabric import Fabric
+from repro.rdma.fabric import Fabric, stamped_leg
 from repro.rdma.nic import NicPort
 from repro.rdma.verbs import Verb
 from repro.sim import Event, Simulator
@@ -136,9 +136,9 @@ class RpcEnvelope:
         #: Workload tenant that issued the call; admission control keys its
         #: token buckets and bulkhead routing on this (None = anonymous).
         self.tenant = tenant
-        #: Issuing operation's span (observability only; None when the hub
-        #: is detached). Workers stamp queue-wait/CPU segments onto it and
-        #: adopt it while running the handler.
+        #: Issuing process's frame (its ``Process.span``; observability
+        #: only, None when the hub is detached). Workers stamp queue-wait /
+        #: CPU segments onto it and adopt it while running the handler.
         self.span = span
         #: Sim time the request reached the server's SRQ (observability
         #: only); the worker's dequeue time minus this is the queue wait.
@@ -370,35 +370,24 @@ class QueuePair:
                 yield from fabric.local_copy(sum([wqe[1] for wqe in wqes]))
             else:
                 # Both legs book the sender's TX line before the
-                # receiver's RX line and cost one timeout each. The hub's
-                # busy_until reads are pure: stamping never moves a
-                # booking.
+                # receiver's RX line and cost one timeout each; with the
+                # hub on, stamped_leg makes the same two bookings.
                 latency = self._latency
                 wire = request_bytes + self._header_wire
                 if obs is None:
                     arrival = self._ltx.reserve(wire) + latency
+                    done = self._rrx.reserve(wire, arrival)
                 else:
-                    leg_start = sim.now
-                    tx_start = self._ltx.busy_until
-                    arrival = self._ltx.reserve(wire) + latency
-                    rx_start = max(self._rrx.busy_until, arrival)
-                done = self._rrx.reserve(wire, arrival)
-                if obs is not None:
-                    obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
+                    done = stamped_leg(obs, sim.now, self._ltx, self._rrx, wire, latency)
                 yield sim.timeout(done - sim.now)
                 if atomics:
                     yield sim.timeout(atomics * fabric.config.atomic_extra_latency_s)
                 wire = response_bytes + self._header_wire
                 if obs is None:
                     arrival = self._rtx.reserve(wire) + latency
+                    done = self._lrx.reserve(wire, arrival)
                 else:
-                    leg_start = sim.now
-                    tx_start = self._rtx.busy_until
-                    arrival = self._rtx.reserve(wire) + latency
-                    rx_start = max(self._lrx.busy_until, arrival)
-                done = self._lrx.reserve(wire, arrival)
-                if obs is not None:
-                    obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
+                    done = stamped_leg(obs, sim.now, self._rtx, self._lrx, wire, latency)
                 yield sim.timeout(done - sim.now)
             # The effects land at completion, in posting order; *mirror* is
             # what a mutation fans out to the backups (nothing for a READ
@@ -601,7 +590,7 @@ class QueuePair:
         started_at = sim.now
         reply = sim.event()
         obs = fabric.obs
-        span = obs.active_span() if obs is not None else None
+        span = sim._active.span if obs is not None else None
         injector = fabric.injector
         if local or injector is None:
             remote.stats.record(Verb.SEND, request_wire_bytes)

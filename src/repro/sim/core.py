@@ -181,11 +181,11 @@ class Process(Event):
         super().__init__(sim)
         self._generator = generator
         self._killed = False
-        #: Observability attribution: the deepest open span of the
-        #: operation this process works for, or None. Inherited from the
-        #: spawning process, so fan-out sub-processes (parallel reads,
-        #: batch chunks) report into their operation's span tree. The
-        #: kernel never reads this — it only carries it.
+        #: Observability attribution: the hub's frame ``(operation record,
+        #: open step, enclosing frame)`` for the operation this process
+        #: works for, or None. Inherited from the spawning process, so
+        #: fan-out sub-processes (parallel reads, batch chunks) log into
+        #: their operation. The kernel never reads this — it only carries it.
         parent = sim._active
         self.span = parent.span if parent is not None else None
         # Kick the process off at the current instant (the bootstrap event

@@ -176,7 +176,9 @@ class BandwidthChannel:
         self.sim = sim
         self.rate = rate_bytes_per_s
         self.overhead = per_message_overhead_s
-        self._available_at = 0.0
+        #: The reservation clock: when the line's last booking ends. It may
+        #: lie in the past (an idle line); :attr:`busy_until` clamps it.
+        self.available_at = 0.0
         self.bytes_total = 0
         self.messages_total = 0
 
@@ -188,13 +190,13 @@ class BandwidthChannel:
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
-        start = self._available_at
+        start = self.available_at
         if start < self.sim.now:
             start = self.sim.now
         if earliest is not None and start < earliest:
             start = earliest
         done = start + self.overhead + nbytes / self.rate
-        self._available_at = done
+        self.available_at = done
         self.bytes_total += nbytes
         self.messages_total += 1
         return done
@@ -207,7 +209,7 @@ class BandwidthChannel:
     @property
     def busy_until(self) -> float:
         """The time at which the line next becomes idle."""
-        return max(self._available_at, self.sim.now)
+        return max(self.available_at, self.sim.now)
 
     def snapshot(self) -> Tuple[int, int]:
         """``(bytes_total, messages_total)`` so far."""

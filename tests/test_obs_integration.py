@@ -236,7 +236,8 @@ class TestZeroPerturbation:
     def test_disabled_cluster_reaches_no_metric_code(self, monkeypatch):
         """The `is None` fast path is total: with observability off, not a
         single instrument or span method may execute."""
-        from repro.obs import flight, hub, metrics, spans, timeseries
+        from repro.obs import attribution, flight, hub, metrics, spans, timeseries
+        from repro.rdma import fabric, qp
 
         def boom(*_args, **_kwargs):
             raise AssertionError("metric work on the disabled path")
@@ -256,6 +257,16 @@ class TestZeroPerturbation:
         monkeypatch.setattr(flight.FlightRecorder, "record_verb", boom)
         monkeypatch.setattr(flight.FlightRecorder, "record_fault", boom)
         monkeypatch.setattr(flight.FlightRecorder, "dump", boom)
+        # The flat event log's emit points: the one leg helper (both names
+        # it is called through), every hub method that appends a tuple, and
+        # the functions that turn a log into a tree.
+        monkeypatch.setattr(fabric, "stamped_leg", boom)
+        monkeypatch.setattr(qp, "stamped_leg", boom)
+        for name in ("stamp_span", "enter_step", "exit_step",
+                     "verb_completed", "end_op", "active_span"):
+            monkeypatch.setattr(hub.Observability, name, boom)
+        monkeypatch.setattr(spans, "materialise", boom)
+        monkeypatch.setattr(attribution, "leg_segments", boom)
         cluster = fresh_cluster()
         assert cluster.obs is None
         result = run_workload(cluster, measure_s=0.002)

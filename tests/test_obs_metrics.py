@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ValidationError
 from repro.obs import (
@@ -117,6 +120,28 @@ class TestHistogram:
         assert hist.buckets[2] == 1
         assert hist.buckets[-1] == 1
         assert hist.count == 4
+
+    def test_a_value_on_an_edge_counts_under_that_edge(self, clock):
+        """Prometheus' cumulative ``le="<edge>"`` series includes
+        observations equal to the edge: buckets are upper-inclusive."""
+        hist = self.make(clock)
+        edges = hist.bucket_edges()
+        for edge in edges[:-1]:
+            hist.observe(edge)
+        assert hist.buckets == [1] * (len(edges) - 1) + [0]
+
+    @given(
+        value=st.floats(min_value=0.0, allow_nan=False, exclude_min=True),
+        floor=st.sampled_from([1e-7, 1e-6, 0.5]),
+        base=st.sampled_from([1.5, 2.0, 10.0]),
+        count=st.integers(min_value=1, max_value=40),
+    )
+    def test_bucket_hit_is_bisect_left_of_the_edges(self, value, floor, base, count):
+        hist = Histogram("h", (), FakeClock(), floor, base, count)
+        hist.observe(value)
+        expected = min(bisect_left(hist.bucket_edges(), value), count)
+        assert hist.buckets[expected] == 1
+        assert sum(hist.buckets) == 1
 
     def test_edges_are_geometric_and_inf_terminated(self, clock):
         hist = self.make(clock, floor=1e-6, base=2.0, count=4)
