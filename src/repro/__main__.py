@@ -7,17 +7,23 @@ Subcommands:
   harness, print its paper-shaped series, optionally export the raw cells
   to CSV;
 * ``chart <experiment> [--small]`` — run and render an ASCII chart of the
-  headline series (throughput experiments only).
+  headline series (throughput experiments only);
+* ``gate [experiment ...] [--record] [--seed N] [--artifacts DIR]`` —
+  run the gated experiments (all of them by default) at the scale their
+  committed ``BENCH_*.json`` was recorded at and judge each run against
+  that file (:mod:`repro.experiments.gate`); exit 1 unless every verdict
+  is ``same`` or ``better``.
 
 Every experiment is declared once, in :data:`EXPERIMENTS` — the table
-drives ``list``, ``run``, ``chart``, and the ``--help`` epilog, so a new
-harness registers here and nowhere else.
+drives ``list``, ``run``, ``chart``, ``gate`` and the ``--help`` epilog,
+so a new harness registers here and nowhere else.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from repro.experiments.scale import DEFAULT, SMALL
@@ -37,10 +43,11 @@ class Experiment:
       ``print_figure(results, scale)``;
     * ``"extension"`` — ``module.run(scale=...)`` and
       ``print_figure(results)``; the module may carry its own
-      ``DEFAULT_SCALE``/``SMOKE`` pair (used instead of the generic
-      scales) and its cells may be experiment-specific dataclasses
-      rather than ``RunResult`` (CSV export then defers to the module's
-      own ``--json``).
+      ``DEFAULT_SCALE`` (used instead of the generic one) and its cells
+      may be experiment-specific dataclasses rather than ``RunResult``.
+
+    *bench* names the committed baseline of a gated experiment, relative
+    to the repository root; ``gate`` runs exactly the entries that have one.
     """
 
     key: str
@@ -49,6 +56,7 @@ class Experiment:
     style: str = "figure"
     skewed: Optional[bool] = None
     chartable: bool = False
+    bench: Optional[str] = None
 
 
 _TABLE = [
@@ -80,22 +88,23 @@ _TABLE = [
     Experiment("reqskew", "Extension: Zipfian request skew",
                "ext_request_skew", style="extension"),
     Experiment("cachedepth", "Extension: coherent cache-depth sweep",
-               "ext_cache_depth", style="extension"),
+               "ext_cache_depth", style="extension", bench="BENCH_caching.json"),
     Experiment("pagesize", "Extension: page-size sensitivity",
                "ext_page_size", style="extension"),
     Experiment("availability", "Extension: crash availability & replication",
-               "ext_availability", style="extension"),
+               "ext_availability", style="extension", bench="BENCH_availability.json"),
     Experiment("batching", "Extension: doorbell-batched verb pipeline",
-               "ext_verb_batching", style="extension"),
+               "ext_verb_batching", style="extension", bench="BENCH_batching.json"),
     Experiment("overload", "Extension: flash-crowd overload & admission",
-               "ext_overload", style="extension"),
+               "ext_overload", style="extension", bench="BENCH_overload.json"),
     Experiment("tail", "Extension: critical-path tail-latency attribution",
-               "ext_tail_attribution", style="extension"),
+               "ext_tail_attribution", style="extension", bench="BENCH_tail.json"),
     Experiment("engine", "Extension: engine wall-clock speed (host-side)",
-               "ext_engine", style="extension"),
+               "ext_engine", style="extension", bench="BENCH_engine.json"),
 ]
 
 EXPERIMENTS = {entry.key: entry for entry in _TABLE}
+_GATED = sorted(entry.key for entry in _TABLE if entry.bench)
 
 
 def _experiment_table() -> str:
@@ -119,25 +128,14 @@ def _load(name: str):
     return entry, importlib.import_module(f"repro.experiments.{entry.module}")
 
 
-def _scales(module):
-    """The (default, small) scale pair for one module.
-
-    Extension harnesses that calibrate their own cluster shape publish a
-    ``DEFAULT_SCALE``/``SMOKE`` pair; everything else runs on the shared
-    grid sizes.
-    """
-    if hasattr(module, "DEFAULT_SCALE"):
-        return module.DEFAULT_SCALE, getattr(module, "SMOKE", SMALL)
-    return DEFAULT, SMALL
-
-
 def _run_experiment(name: str, small: bool):
     entry, module = _load(name)
     if entry.style == "analytical":
         module.main()
         return None
-    default_scale, small_scale = _scales(module)
-    scale = small_scale if small else default_scale
+    # Extension harnesses that calibrate their own cluster shape publish a
+    # ``DEFAULT_SCALE``; everything else runs on the shared grid sizes.
+    scale = SMALL if small else getattr(module, "DEFAULT_SCALE", DEFAULT)
     if entry.style == "skewed":
         results = module.run(skewed=entry.skewed, scale=scale)
         module.print_figure(results, entry.skewed, scale)
@@ -163,23 +161,18 @@ def cmd_run(args) -> None:
         from repro.reporting import write_csv
         from repro.workloads.metrics import RunResult
 
-        if not hasattr(results, "items"):
-            entry = EXPERIMENTS[args.experiment]
-            print(
-                f"(these cells are not RunResults; use `python -m "
-                f"repro.experiments.{entry.module} --json PATH` instead)"
-            )
-            return
         flat = {
             key: value[0] if isinstance(value, tuple) else value
             for key, value in results.items()
         }
         if not all(isinstance(value, RunResult) for value in flat.values()):
-            entry = EXPERIMENTS[args.experiment]
-            print(
-                f"(these cells are not RunResults; use `python -m "
-                f"repro.experiments.{entry.module} --json PATH` instead)"
+            hint = (
+                f"`python -m repro gate {args.experiment} --artifacts DIR` "
+                f"writes them as JSON"
+                if EXPERIMENTS[args.experiment].bench
+                else "nothing to export"
             )
+            print(f"(these cells are not RunResults; {hint})")
             return
         write_csv(flat, args.csv)
         print(f"\nwrote {len(flat)} rows to {args.csv}")
@@ -212,7 +205,30 @@ def cmd_chart(args) -> None:
         )
 
 
-def main(argv=None) -> None:
+def cmd_gate(args) -> int:
+    from repro.experiments.gate import gate
+
+    passed = True
+    for name in args.experiment or _GATED:
+        entry, module = _load(name)
+        if entry.bench is None:
+            raise SystemExit(f"{name!r} is not gated; choose from {', '.join(_GATED)}")
+        if args.record and args.seed not in (None, module.DEFAULT_SCALE.seed):
+            raise SystemExit(
+                f"--record keeps {entry.bench} at seed {module.DEFAULT_SCALE.seed}, "
+                f"the seed a plain `gate {name}` runs; drop --seed {args.seed}"
+            )
+        if not args.record and not Path(entry.bench).exists():
+            raise SystemExit(
+                f"{entry.bench} not found: run from the repository root, or "
+                f"record it with `python -m repro gate {name} --record`"
+            )
+        passed &= gate(name, module, Path(entry.bench), record=args.record,
+                       seed=args.seed, artifacts=args.artifacts)
+    return 0 if passed else 1
+
+
+def main(argv=None) -> Optional[int]:
     chartable = sorted(
         entry.key for entry in EXPERIMENTS.values() if entry.chartable
     )
@@ -237,9 +253,25 @@ def main(argv=None) -> None:
     chart_parser.add_argument("experiment", choices=chartable)
     chart_parser.add_argument("--small", action="store_true")
 
+    gate_parser = commands.add_parser(
+        "gate", help="judge the gated experiments against their BENCH files"
+    )
+    gate_parser.add_argument("experiment", nargs="*", metavar="NAME",
+                             help="default: every gated experiment ("
+                             + ", ".join(_GATED) + ")")
+    gate_parser.add_argument("--record", action="store_true",
+                             help="rewrite the BENCH files from this run"
+                             " (at the default seed only)")
+    gate_parser.add_argument("--seed", type=int, default=None,
+                             help="any seed but the recorded one judges the"
+                             " claims alone")
+    gate_parser.add_argument("--artifacts", type=Path, default=None,
+                             help="keep payloads, flight bundles and traces here")
+
     args = parser.parse_args(argv)
-    {"list": cmd_list, "run": cmd_run, "chart": cmd_chart}[args.command](args)
+    return {"list": cmd_list, "run": cmd_run, "chart": cmd_chart,
+            "gate": cmd_gate}[args.command](args)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -8,11 +8,21 @@ single entry point all figures use.
 
 from __future__ import annotations
 
+import gc
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from time import perf_counter  # namsan: allow[N01] — wall-clock engine-speed measurement
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import CacheConfig, ClusterConfig, ObservabilityConfig
+from repro.config import (
+    CacheConfig,
+    ClusterConfig,
+    CpuConfig,
+    NetworkConfig,
+    ObservabilityConfig,
+    TreeConfig,
+)
 from repro.errors import ConfigurationError
 from repro.index import (
     CoarseGrainedIndex,
@@ -33,11 +43,15 @@ from repro.experiments.scale import ExperimentScale, measure_window
 
 __all__ = [
     "DESIGNS",
+    "TimedCell",
     "build_cluster",
     "build_index",
     "cache_hit_rate",
+    "cluster_config",
+    "measure_capacity",
     "run_cell",
     "format_rate",
+    "timed_pair",
     "write_obs_artifacts",
 ]
 
@@ -46,6 +60,22 @@ DESIGNS = {
     "fine-grained": FineGrainedIndex,
     "hybrid": HybridIndex,
 }
+
+
+def cluster_config(
+    scale: ExperimentScale,
+    seed: Optional[int] = None,
+    num_memory_servers: Optional[int] = None,
+    **fields: Any,
+) -> ClusterConfig:
+    """The :class:`ClusterConfig` of *scale*'s shape; *fields* set the rest."""
+    servers = num_memory_servers or scale.num_memory_servers
+    return ClusterConfig(
+        num_memory_servers=servers,
+        memory_servers_per_machine=min(scale.memory_servers_per_machine, servers),
+        seed=scale.seed if seed is None else seed,
+        **fields,
+    )
 
 
 def build_cluster(
@@ -64,16 +94,15 @@ def build_cluster(
     (docs/caching.md); with observability on as well, the cell's hit rate
     can be read back with :func:`cache_hit_rate`.
     """
-    servers = num_memory_servers or scale.num_memory_servers
-    config = ClusterConfig(
-        num_memory_servers=servers,
-        memory_servers_per_machine=min(scale.memory_servers_per_machine, servers),
-        colocated=colocated,
-        seed=scale.seed,
-        cache=CacheConfig(depth=cache_depth),
-        observability=observability or ObservabilityConfig(),
+    return Cluster(
+        cluster_config(
+            scale,
+            num_memory_servers=num_memory_servers,
+            colocated=colocated,
+            cache=CacheConfig(depth=cache_depth),
+            observability=observability or ObservabilityConfig(),
+        )
     )
-    return Cluster(config)
 
 
 def cache_hit_rate(result: RunResult) -> float:
@@ -157,6 +186,122 @@ def run_cell(
         measure_s=measure_window(scale, spec.selectivity if spec.range_fraction else 0),
         seed=scale.seed,
     )
+
+
+def measure_capacity(
+    design: str,
+    scale: ExperimentScale,
+    seed: int,
+    cores_per_server: int,
+    num_clients: int = 64,
+) -> float:
+    """Closed-loop saturation throughput of *design* at *scale*'s shape.
+
+    A closed loop with enough clients drives every RPC worker to 100%
+    utilization without unbounded queueing — the paper's own measurement
+    mode — so its throughput is the service capacity the open-loop
+    experiments (overload, tail) calibrate their offered load against.
+    """
+    dataset = generate_dataset(scale.num_keys, scale.gap)
+    cluster = Cluster(
+        cluster_config(scale, seed, cpu=CpuConfig(cores_per_server=cores_per_server))
+    )
+    index = build_index(cluster, design, dataset)
+    result = WorkloadRunner(cluster, dataset).run(
+        index,
+        WorkloadSpec(name="capacity-probe", point_fraction=1.0),
+        num_clients=num_clients,
+        warmup_s=scale.warmup_s,
+        measure_s=scale.measure_s,
+        seed=seed,
+    )
+    return result.throughput
+
+
+@dataclass
+class TimedCell:
+    """One (design, batching, observability) cell of a message-rate-bound grid."""
+
+    design: str
+    batched: bool
+    obs: bool
+    #: Operations/second of simulated time (deterministic given a seed).
+    sim_ops_per_s: float
+    #: Simulator events the run scheduled (deterministic given a seed).
+    sim_steps: int
+    #: Wall-clock seconds of ``runner.run``, one entry per paired rep.
+    wall_s: List[float]
+
+    @property
+    def wall_steps_per_s(self) -> float:
+        """Simulator events per wall-clock second, on the fastest rep."""
+        return self.sim_steps / min(self.wall_s)
+
+
+#: Small pages and wide head groups: scans touch many leaves and the
+#: prefetch fan-out is deep. (A head node holds one entry per leaf of its
+#: group, so the interval must stay below the page fanout:
+#: (512 - 40) // 16 = 29.)
+_MESSAGE_RATE_TREE = TreeConfig(page_size=512, head_node_interval=24, prefetch_window=24)
+
+
+def timed_pair(
+    design: str,
+    obs: bool,
+    scale: ExperimentScale,
+    seed: int,
+    spec: WorkloadSpec,
+    num_clients: int,
+    reps: int,
+    **window: Any,
+) -> Tuple[TimedCell, TimedCell]:
+    """Time *design*'s (batched, unbatched) cells on the message-rate-bound
+    cluster the batching and engine experiments share.
+
+    The per-message NIC cost (``message_overhead_s=1e-6``) dominates, so
+    collapsing N messages into one is worth almost N simulated, and
+    host-side per-event work is the largest share of wall time. Each rep
+    runs *spec* on a fresh cluster; *window* is ``runner.run``'s
+    ``warmup_s``/``measure_s`` or ``ops_per_client``. Only ``runner.run``
+    is on the clock: the bulk load schedules no events, and the garbage
+    collector is parked so a collection of build garbage cannot land in
+    the window. Wall time on shared hosts moves in phases, so the pair's
+    order alternates per rep and slow phases bias neither mode.
+    """
+    cells = {
+        batched: TimedCell(design, batched, obs, 0.0, 0, []) for batched in (True, False)
+    }
+    for rep in range(reps):
+        for batched in (True, False) if rep % 2 == 0 else (False, True):
+            dataset = generate_dataset(scale.num_keys, scale.gap)
+            cluster = Cluster(
+                cluster_config(
+                    scale,
+                    seed,
+                    network=NetworkConfig(
+                        message_overhead_s=1.0e-6, doorbell_batching=batched
+                    ),
+                    tree=_MESSAGE_RATE_TREE,
+                    observability=ObservabilityConfig(enabled=obs),
+                )
+            )
+            index = build_index(cluster, design, dataset)
+            runner = WorkloadRunner(cluster, dataset)
+            gc.collect()
+            gc.disable()
+            try:
+                started = perf_counter()
+                result = runner.run(
+                    index, spec, num_clients=num_clients, seed=seed, **window
+                )
+                wall_s = perf_counter() - started
+            finally:
+                gc.enable()
+            cell = cells[batched]
+            cell.sim_ops_per_s = result.throughput
+            cell.sim_steps = cluster.sim.events_scheduled
+            cell.wall_s.append(wall_s)
+    return cells[True], cells[False]
 
 
 def write_obs_artifacts(

@@ -16,39 +16,49 @@ extension measures what the primary/backup replication layer
 
 Each availability cell ends with the online verifier
 (:func:`repro.index.verify.verify_index`) and a replica byte-equality
-check, so a run doubles as a chaos test — ``--smoke`` mode (used by the CI
-seed matrix) runs a scaled-down grid and exits non-zero on any lost
-structure or divergence.
-
-Run with ``python -m repro.experiments.ext_availability``.
+check, so a run doubles as a chaos test: ``python -m repro gate
+availability --seed N`` (the CI seed matrix) judges the ``CLAIMS`` alone
+on any seed but the one ``BENCH_availability.json`` was recorded at.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.config import ClusterConfig, ObservabilityConfig
+from repro.config import ObservabilityConfig
 from repro.experiments.common import (
     DESIGNS,
     build_index,
+    cluster_config,
     format_rate,
     print_table,
     write_obs_artifacts,
 )
-from repro.experiments.scale import DEFAULT, SMALL, ExperimentScale
-from repro.index.verify import VerifyReport, verify_index
+from repro.experiments.gate import Claim
+from repro.experiments.scale import SMALL, ExperimentScale
+from repro.index.verify import verify_index
 from repro.nam.cluster import Cluster
 from repro.rdma.faults import FaultPlan, ServerCrash
 from repro.workloads import WorkloadRunner, generate_dataset, workload_d
 
-__all__ = ["AvailabilityResult", "run", "print_figure", "main"]
+__all__ = [
+    "AvailabilityCell",
+    "run",
+    "print_figure",
+    "CLAIMS",
+    "WALL_FIELDS",
+    "DEFAULT_SCALE",
+]
+
+DEFAULT_SCALE = SMALL
+
+WALL_FIELDS: Tuple[str, ...] = ()
 
 
 @dataclass
-class AvailabilityResult:
+class AvailabilityCell:
     """One design's availability + overhead measurements."""
 
     design: str
@@ -64,9 +74,11 @@ class AvailabilityResult:
     replicated_throughput: float
     #: Operations that surfaced typed errors during the crash window.
     errored_ops: int
-    #: Replication-layer counters (failovers, re_replications, ...).
-    replication_stats: Dict[str, int]
-    verify_report: VerifyReport
+    #: Replication-layer counters of the crash run.
+    failovers: int
+    re_replications: int
+    #: What the online verifier and the replica byte-equality check found.
+    violations: List[str]
 
     @property
     def write_overhead(self) -> float:
@@ -101,15 +113,7 @@ def _healthy_throughput(
     design: str, scale: ExperimentScale, factor: int, num_clients: int, seed: int
 ) -> float:
     dataset = generate_dataset(scale.num_keys, scale.gap)
-    config = ClusterConfig(
-        num_memory_servers=scale.num_memory_servers,
-        memory_servers_per_machine=min(
-            scale.memory_servers_per_machine, scale.num_memory_servers
-        ),
-        replication_factor=factor,
-        seed=seed,
-    )
-    cluster = Cluster(config)
+    cluster = Cluster(cluster_config(scale, seed, replication_factor=factor))
     index = build_index(cluster, design, dataset)
     runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
@@ -129,7 +133,8 @@ def _availability_cell(
     num_clients: int,
     seed: int,
     artifacts: Optional[Path] = None,
-) -> Tuple[float, float, float, int, Dict[str, int], VerifyReport]:
+) -> Dict[str, Any]:
+    """The crash run's fields of one design's :class:`AvailabilityCell`."""
     # Observability is attached only when a CI artifacts dir is requested;
     # the simulation is byte-identical either way (the instrumentation
     # never schedules events), so measurements are unaffected.
@@ -141,16 +146,9 @@ def _availability_cell(
         else ObservabilityConfig()
     )
     dataset = generate_dataset(scale.num_keys, scale.gap)
-    config = ClusterConfig(
-        num_memory_servers=scale.num_memory_servers,
-        memory_servers_per_machine=min(
-            scale.memory_servers_per_machine, scale.num_memory_servers
-        ),
-        replication_factor=2,
-        seed=seed,
-        observability=obs_config,
+    cluster = Cluster(
+        cluster_config(scale, seed, replication_factor=2, observability=obs_config)
     )
-    cluster = Cluster(config)
     index = build_index(cluster, design, dataset)
 
     # Crash a third into the measurement window; restart two thirds in, so
@@ -200,43 +198,57 @@ def _availability_cell(
             artifacts,
             f"availability-{design}",
         )
-    errored = sum(result.errors.values())
-    stats = dict(cluster.replication.stats)
-    return pre_rate, dip, recovery, errored, stats, report
+    stats = cluster.replication.stats
+    return dict(
+        pre_crash_throughput=pre_rate,
+        dip_throughput=dip,
+        recovery_time_s=recovery,
+        errored_ops=sum(result.errors.values()),
+        failovers=stats.get("failovers", 0),
+        re_replications=stats.get("re_replications", 0),
+        violations=list(report.violations),
+    )
 
 
 def run(
-    scale: ExperimentScale = DEFAULT,
-    num_clients: int = 40,
+    scale: ExperimentScale = DEFAULT_SCALE,
     seed: Optional[int] = None,
+    num_clients: int = 20,
     artifacts: Optional[Path] = None,
-) -> Dict[str, AvailabilityResult]:
-    """Run the availability + overhead grid; returns per-design results."""
+) -> Dict[str, AvailabilityCell]:
+    """Run the availability + overhead grid; returns per-design cells."""
     seed = scale.seed if seed is None else seed
-    results: Dict[str, AvailabilityResult] = {}
+    results: Dict[str, AvailabilityCell] = {}
     for design in DESIGNS:
-        pre, dip, recovery, errored, stats, report = _availability_cell(
-            design, scale, num_clients, seed, artifacts=artifacts
-        )
-        results[design] = AvailabilityResult(
+        results[design] = AvailabilityCell(
             design=design,
-            pre_crash_throughput=pre,
-            dip_throughput=dip,
-            recovery_time_s=recovery,
             unreplicated_throughput=_healthy_throughput(
                 design, scale, 1, num_clients, seed
             ),
             replicated_throughput=_healthy_throughput(
                 design, scale, 2, num_clients, seed
             ),
-            errored_ops=errored,
-            replication_stats=stats,
-            verify_report=report,
+            **_availability_cell(design, scale, num_clients, seed, artifacts=artifacts),
         )
     return results
 
 
-def print_figure(results: Dict[str, AvailabilityResult]) -> None:
+CLAIMS = (
+    # No lost structure, no replica divergence, on any design.
+    Claim("verifier_ok", lambda r: sum(len(c.violations) for c in r.values()), "==", 0),
+    # The crash is real: every design's clients promoted a backup.
+    Claim("crash_triggers_failover", lambda r: min(c.failovers for c in r.values()), ">=", 1),
+    # The crash dents throughput but never floors it for the window ...
+    Claim("crash_dip_below_pre_crash_rate",
+          lambda r: max(c.dip_throughput / c.pre_crash_throughput for c in r.values()),
+          "<", 1.0),
+    # ... and replication stays a modest tax on a healthy cluster.
+    Claim("replication_write_overhead",
+          lambda r: max(c.write_overhead for c in r.values()), "<", 2.0),
+)
+
+
+def print_figure(results: Mapping[str, AvailabilityCell]) -> None:
     """Print the per-design availability series."""
     columns = ("pre-crash", "dip", "recovery", "overhead", "verify")
     rows = {}
@@ -251,7 +263,7 @@ def print_figure(results: Dict[str, AvailabilityResult]) -> None:
             format_rate(cell.dip_throughput),
             recovery,
             f"{cell.write_overhead:.2f}x",
-            "OK" if cell.verify_report.ok else "FAIL",
+            "FAIL" if cell.violations else "OK",
         ]
     print_table(
         "Extension - availability under a memory-server crash (factor=2)",
@@ -260,65 +272,10 @@ def print_figure(results: Dict[str, AvailabilityResult]) -> None:
         col_header="",
     )
     for design, cell in results.items():
-        stats = cell.replication_stats
         print(
             f"  {design}: {cell.errored_ops} errored ops, "
-            f"{stats.get('failovers', 0)} failovers, "
-            f"{stats.get('re_replications', 0)} re-replications"
+            f"{cell.failovers} failovers, "
+            f"{cell.re_replications} re-replications"
         )
-        if not cell.verify_report.ok:
-            for violation in cell.verify_report.violations[:8]:
-                print(f"    VIOLATION: {violation}")
-
-
-#: Tiny grid for the CI chaos-smoke matrix.
-SMOKE = ExperimentScale(
-    num_keys=3_000,
-    num_memory_servers=3,
-    memory_servers_per_machine=1,
-    warmup_s=0.001,
-    measure_s=0.004,
-)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        description="availability under memory-server crashes"
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--small", action="store_true", help="scaled-down grid (faster)"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny CI grid; exit non-zero on any verifier violation",
-    )
-    parser.add_argument(
-        "--artifacts",
-        type=Path,
-        default=None,
-        help="run with observability on and write per-cell flight bundles"
-        " + Chrome traces into this dir (for CI failure uploads)",
-    )
-    args = parser.parse_args(argv)
-    scale = SMOKE if args.smoke else (SMALL if args.small else DEFAULT)
-    num_clients = 15 if args.smoke else 40
-    results = run(
-        scale=scale, num_clients=num_clients, seed=args.seed,
-        artifacts=args.artifacts,
-    )
-    print_figure(results)
-    failed = False
-    for design, cell in results.items():
-        if not cell.verify_report.ok:
-            failed = True
-        if args.smoke and not cell.replication_stats.get("failovers"):
-            print(f"  {design}: SMOKE FAIL - crash did not trigger a failover")
-            failed = True
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        for violation in cell.violations[:8]:
+            print(f"    VIOLATION: {violation}")

@@ -1,10 +1,10 @@
-"""Extension: coherent cache-depth sweep — speedup and perf regression.
+"""Extension: coherent cache-depth sweep — what caching upper levels buys.
 
 Appendix A.4 sketches client-side caching of upper tree levels; the
 coherent :class:`repro.index.caching.RemoteCache` turns it into a real
 design axis: **cache depth** (how many of the top tree levels each client
-caches) against request **skew** and **write ratio**. This harness sweeps
-the full grid on the fine-grained design using the config-driven wiring
+caches) against request **skew** and **write ratio**. This grid sweeps
+all three on the fine-grained design using the config-driven wiring
 (``CacheConfig.depth``) with the observability hub attached, so every
 reported hit/revalidation/invalidation figure comes from the namscope
 counters the cache exports.
@@ -12,24 +12,14 @@ counters the cache exports.
 Per cell: simulated ops/s, hit rate, remote READs per operation (the
 traversal round trips actually saved, revalidation READs included), and
 the revalidation/invalidation volume (the price of coherence under
-writes).
-
-Doubles as the cache perf-regression gate: ``--check BASELINE`` compares
-a run against a committed baseline JSON and exits non-zero if any cell's
-simulated ops/s regressed more than ``TOLERANCE`` or if the Zipfian
-read-only speedup at the best depth fell below ``SPEEDUP_FLOOR``.
-``--update-baseline BASELINE`` rewrites the file.
-
-Run with ``python -m repro.experiments.ext_cache_depth``.
+writes). Gated by ``python -m repro gate cachedepth`` against
+``BENCH_caching.json`` (docs/caching.md).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.config import ObservabilityConfig
 from repro.experiments.common import (
@@ -39,6 +29,7 @@ from repro.experiments.common import (
     format_rate,
     print_table,
 )
+from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
 from repro.rdma.verbs import Verb
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
@@ -49,19 +40,12 @@ __all__ = [
     "DISTRIBUTIONS",
     "WRITE_RATIOS",
     "run",
-    "results_to_json",
-    "check_against_baseline",
     "print_figure",
-    "main",
-    "SPEEDUP_FLOOR",
-    "TOLERANCE",
+    "speedup",
+    "CLAIMS",
+    "WALL_FIELDS",
+    "DEFAULT_SCALE",
 ]
-
-#: Required Zipfian read-only speedup of the best cache depth over the
-#: uncached baseline (the ISSUE's acceptance bar).
-SPEEDUP_FLOOR = 2.0
-#: Allowed per-cell regression of simulated ops/s vs the committed baseline.
-TOLERANCE = 0.20
 
 DEPTHS: Tuple[int, ...] = (0, 1, 2, 3)
 DISTRIBUTIONS: Tuple[str, ...] = ("uniform", "zipfian")
@@ -75,16 +59,7 @@ DEFAULT_SCALE = ExperimentScale(
     measure_s=0.004,
 )
 
-#: Tiny grid for the CI smoke (caching) job.
-SMOKE = ExperimentScale(
-    num_keys=6_000,
-    num_memory_servers=4,
-    memory_servers_per_machine=2,
-    warmup_s=0.0005,
-    measure_s=0.002,
-)
-
-SMOKE_WRITE_RATIOS: Tuple[float, ...] = (0.0, 0.5)
+WALL_FIELDS: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -170,17 +145,14 @@ def _measure_cell(
 
 def run(
     scale: ExperimentScale = DEFAULT_SCALE,
-    num_clients: int = 80,
     seed: Optional[int] = None,
-    write_ratios: Optional[Tuple[float, ...]] = None,
+    num_clients: int = 80,
 ) -> Dict[str, CacheCell]:
     """Measure the depth x skew x write-ratio grid; keyed by cell_key."""
     seed = scale.seed if seed is None else seed
-    if write_ratios is None:
-        write_ratios = WRITE_RATIOS
     results: Dict[str, CacheCell] = {}
     for distribution in DISTRIBUTIONS:
-        for write_ratio in write_ratios:
+        for write_ratio in WRITE_RATIOS:
             for depth in DEPTHS:
                 cell = _measure_cell(
                     depth, distribution, write_ratio, scale, num_clients, seed
@@ -189,61 +161,27 @@ def run(
     return results
 
 
-def _speedups(results: Dict[str, CacheCell]) -> Dict[str, float]:
-    """Best-depth / depth-0 ops/s ratio per (distribution, write ratio)."""
-    speedups: Dict[str, float] = {}
-    groups: Dict[Tuple[str, float], List[CacheCell]] = {}
-    for cell in results.values():
-        groups.setdefault((cell.distribution, cell.write_ratio), []).append(cell)
-    for (distribution, write_ratio), cells in groups.items():
-        base = next((c for c in cells if c.depth == 0), None)
-        if base is None or base.sim_ops_per_s <= 0:
-            continue
-        best = max(c.sim_ops_per_s for c in cells)
-        speedups[f"{distribution}/w{write_ratio:g}"] = best / base.sim_ops_per_s
-    return speedups
+def speedup(
+    results: Mapping[str, CacheCell], distribution: str, write_ratio: float
+) -> float:
+    """Best-depth / depth-0 ops/s ratio of one (distribution, write ratio)."""
+    series = [results[cell_key(d, distribution, write_ratio)] for d in DEPTHS]
+    return max(cell.sim_ops_per_s for cell in series) / series[0].sim_ops_per_s
 
 
-def results_to_json(results: Dict[str, CacheCell]) -> Dict:
-    """A JSON-serializable snapshot (the BENCH_caching.json payload)."""
-    return {
-        "cells": {key: asdict(cell) for key, cell in results.items()},
-        "speedups": _speedups(results),
-    }
-
-
-def check_against_baseline(
-    results: Dict[str, CacheCell], baseline: Dict
-) -> List[str]:
-    """Regression failures of *results* vs a committed *baseline* payload.
-
-    Every cell's simulated ops/s must stay above ``(1 - TOLERANCE) *``
-    baseline — depth-0 cells gate the uncached path, depth>0 write-heavy
-    cells gate the coherence overhead (revalidation/invalidation cost).
-    The Zipfian read-only best-depth speedup must additionally clear
-    ``SPEEDUP_FLOOR`` in absolute terms. Improvements never fail.
-    """
-    failures: List[str] = []
-    base_cells = baseline.get("cells", {})
-    for key, cell in results.items():
-        base = base_cells.get(key)
-        if base is None:
-            failures.append(f"{key}: missing from baseline")
-            continue
-        reference = base.get("sim_ops_per_s", 0.0)
-        if reference > 0 and cell.sim_ops_per_s < (1.0 - TOLERANCE) * reference:
-            failures.append(
-                f"{key}: sim_ops_per_s regressed {cell.sim_ops_per_s:.0f} < "
-                f"{(1.0 - TOLERANCE) * reference:.0f} "
-                f"(baseline {reference:.0f}, tolerance {TOLERANCE:.0%})"
-            )
-    speedup = _speedups(results).get("zipfian/w0", 0.0)
-    if speedup < SPEEDUP_FLOOR:
-        failures.append(
-            f"zipfian read-only: best-depth speedup {speedup:.2f}x is below "
-            f"the {SPEEDUP_FLOOR:.1f}x floor"
-        )
-    return failures
+CLAIMS = (
+    # The acceptance bar: caching buys the Zipfian read-only workload at
+    # least 2x simulated throughput at the best depth.
+    Claim("zipf_readonly_best_depth", lambda r: speedup(r, "zipfian", 0.0), ">=", 2.0),
+    # Depth 0 is a clean disable: no cache traffic at all.
+    Claim("depth0_is_uncached",
+          lambda r: sum(c.hit_rate + c.revalidations + c.invalidations
+                        for c in r.values() if c.depth == 0), "==", 0),
+    # Read-only runs never revalidate (no structure modification ran).
+    Claim("readonly_never_revalidates",
+          lambda r: sum(c.revalidations for c in r.values() if c.write_ratio == 0.0),
+          "==", 0),
+)
 
 
 def print_figure(results: Dict[str, CacheCell]) -> None:
@@ -277,66 +215,3 @@ def print_figure(results: Dict[str, CacheCell]) -> None:
             rows,
             col_header="",
         )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        description="coherent cache-depth sweep + cache perf regression gate"
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny CI grid (faster)"
-    )
-    parser.add_argument(
-        "--json", type=Path, default=None, help="write results to this file"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="compare against this baseline JSON; exit non-zero on regression",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        type=Path,
-        default=None,
-        help="write this run's numbers as the new baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        results = run(
-            scale=SMOKE,
-            num_clients=24,
-            seed=args.seed,
-            write_ratios=SMOKE_WRITE_RATIOS,
-        )
-    else:
-        results = run(seed=args.seed)
-    print_figure(results)
-    payload = results_to_json(results)
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    if args.update_baseline is not None:
-        args.update_baseline.parent.mkdir(parents=True, exist_ok=True)
-        args.update_baseline.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote baseline {args.update_baseline}")
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(results, baseline)
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}")
-        if failures:
-            return 1
-        speedup = _speedups(results).get("zipfian/w0", 0.0)
-        print(
-            f"cache perf check OK vs {args.check} "
-            f"(tolerance {TOLERANCE:.0%}, zipfian read-only best-depth "
-            f"speedup {speedup:.2f}x)"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,508 +1,128 @@
-"""Extension: engine wall-clock benchmark — the simulator-speed gate.
+"""Extension: engine wall-clock benchmark — the simulator-speed grid.
 
-Every other harness reports *simulated* rates; this one measures the
-engine itself: **wall_steps_per_s**, simulator events processed per
-wall-clock second, across the full design grid (coarse/fine/hybrid ×
-doorbell batching on/off × observability on/off). It is the regression
-gate for the host-side fast paths — the event kernel's two-lane queue and
-timeout free-list, the zero-copy READ (``QueuePair.read_view``), the
-``(raw_ptr, version)``-keyed decode cache, the shared-master reads of
-read-only traversals, and the specialized WRITE+FAA unlock chain.
+Every other experiment reports *simulated* rates; this one measures the
+engine itself: simulator events processed per wall-clock second across
+the full design grid (coarse/fine/hybrid × doorbell batching on/off ×
+observability on/off), on the message-rate-bound cluster of
+:func:`repro.experiments.common.timed_pair`. It watches the host-side
+fast paths — the event kernel's two-lane queue and timeout free-list, the
+zero-copy READ, the ``(raw_ptr, version)``-keyed decode cache, the
+shared-master reads of read-only traversals, the WRITE+FAA unlock chain.
 
 Methodology (docs/performance.md, "Engine profiling"):
 
-* **Fixed work, not fixed time.** Cells run with
-  ``WorkloadRunner(..., ops_per_client=N)``: every client executes
-  exactly N operations and the measurement window is the whole run, so a
-  cell's event count is deterministic given its seed and the wall clock
-  measures exactly the same computation on every rep.
-* **Paired best-of-N.** Wall time on shared hosts is noisy (±20% phases
-  are routine), so each (batched, unbatched) pair is re-run ``reps``
-  times with the measurement order alternating per rep, under
-  ``gc.disable()``, and each mode keeps its *minimum* wall time. The
-  minimum estimates the noise-free cost; pairing keeps slow host phases
-  from biasing one mode.
-* **Read-dominant mix.** The cell mix is 95% point lookups / 5% inserts:
-  lookups drive the zero-copy read + decode-cache path at the highest
-  event rate, while the insert tail exercises the batched unlock chain
-  (batching genuinely removes host work there, so the batched
-  fine-grained cell must not trail the unbatched one).
+* **Fixed work, not fixed time.** Cells run with ``ops_per_client=N``:
+  every client executes exactly N operations and the measurement window
+  is the whole run, so a cell's event count is deterministic given its
+  seed and the wall clock measures the same computation on every rep.
+* **Paired reps.** Each (batched, unbatched) pair is re-run ``reps``
+  times, order alternating, garbage collector parked; a cell's speed is
+  read off its fastest rep and the reps' spread is kept beside it.
+* **Read-dominant mix.** 95% point lookups / 5% inserts: lookups drive
+  the zero-copy read + decode-cache path at the highest event rate, the
+  insert tail exercises the batched unlock chain.
 
-``--check BASELINE`` gates a run against a committed baseline JSON: the
-deterministic metrics (per-cell event counts and simulated ops/s) at a
-tight tolerance, the wall-clock engine speed at a noise-padded one, the
-batched/unbatched wall-step ratio against ``BATCH_RATIO_FLOOR``, and the
-obs-on cells' simulated numbers against their obs-off twins (the hub must
-never schedule events). ``--profile`` prints a ranked cProfile cost table
-of the fine-grained batched cell; ``--trace PATH`` writes a namscope
-Chrome trace of the same cell (load in Perfetto).
-
-Run with ``python -m repro.experiments.ext_engine`` or
-``python -m repro run engine``.
+Gated by ``python -m repro gate engine`` against ``BENCH_engine.json``:
+event counts and simulated ops/s exactly, wall seconds on the one host
+band, and the claims below.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import time  # namsan: allow[N01] — wall-clock engine-speed measurement
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
-from repro.config import ClusterConfig, NetworkConfig, ObservabilityConfig, TreeConfig
-from repro.errors import ConfigurationError
-from repro.experiments.common import DESIGNS, build_index, format_rate, print_table
-from repro.nam.cluster import Cluster
-from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
-from repro.workloads.metrics import RunResult
+from repro.experiments.common import DESIGNS, TimedCell, format_rate, print_table, timed_pair
+from repro.experiments.gate import Claim
+from repro.experiments.scale import ExperimentScale
+from repro.workloads import WorkloadSpec
 
-__all__ = [
-    "EngineCell",
-    "EngineScale",
-    "run",
-    "print_figure",
-    "results_to_json",
-    "check_against_baseline",
-    "profile_cell",
-    "write_chrome_trace",
-    "main",
-    "DETERMINISTIC_TOLERANCE",
-    "WALL_TOLERANCE",
-    "OBS_WALL_TOLERANCE",
-    "BATCH_RATIO_FLOOR",
-]
-
-#: Allowed drift of the deterministic metrics (per-cell simulated ops/s)
-#: vs the committed baseline. Event counts are gated exactly — the same
-#: config and seed must schedule the same events on every host.
-DETERMINISTIC_TOLERANCE = 0.02
-#: Allowed wall-clock engine-speed regression (grid aggregate, obs-off
-#: cells) vs the committed baseline. Wide: shared CI runners differ from
-#: the recording host; the deterministic gates catch "schedules more
-#: events" regressions, this one only catches gross interpreter-side
-#: slowdowns (a zero-copy path reverting to copies, a cache stopping to
-#: hit, the kernel fast loop falling off).
-WALL_TOLERANCE = 0.50
-#: Same gate for a hub-on run: the obs-on half of this grid vs the
-#: committed obs-on aggregate, and ``ext_verb_batching --obs`` (which
-#: imports it) vs its hub-off baseline. The one definition. It stays wide
-#: on purpose: a wall band against a baseline recorded on another host
-#: cannot be tightened honestly. The tight gate on hub overhead is an
-#: exact call count, ``tests/test_obs_overhead.py``.
-OBS_WALL_TOLERANCE = 0.55
-#: Per-design floor on batched/unbatched wall-step throughput. The
-#: recorded full runs hold ``>= 1.0`` (batching must never cost host
-#: time per event); CI pads for wall noise on cells whose batched and
-#: unbatched simulations are identical (read-only traffic), where the
-#: ratio is pure measurement noise around 1.0.
-BATCH_RATIO_FLOOR = 0.80
+__all__ = ["run", "print_figure", "CLAIMS", "WALL_FIELDS", "DEFAULT_SCALE"]
 
 #: Read-dominant engine mix: point lookups at the highest event rate,
 #: plus an insert tail so the batched unlock chain is on the clock.
 _SPEC = WorkloadSpec(name="pt95ins5", point_fraction=0.95, insert_fraction=0.05)
 
-#: Message-rate-bound profile, same shape as the batching extension: the
-#: per-message fixed cost dominates, so host-side per-event work is the
-#: largest share of wall time the simulator can expose.
-_NETWORK_OVERHEAD_S = 1.0e-6
-_TREE = TreeConfig(page_size=512, head_node_interval=24, prefetch_window=24)
+#: Only the cluster shape is read: the cells are fixed-work, not windowed.
+DEFAULT_SCALE = ExperimentScale(
+    num_keys=8_000, num_memory_servers=8, memory_servers_per_machine=2
+)
+
+WALL_FIELDS = ("wall_s",)
 
 
-@dataclass
-class EngineScale:
-    """Knobs of one engine-benchmark run."""
-
-    num_keys: int = 8_000
-    num_memory_servers: int = 8
-    memory_servers_per_machine: int = 2
-    num_clients: int = 24
-    ops_per_client: int = 100
-    #: Paired repetitions per (design, obs) pair; each mode keeps its
-    #: minimum wall time.
-    reps: int = 5
-    seed: int = 42
-    gap: int = 8
-
-
-DEFAULT_SCALE = EngineScale()
-
-#: Tiny grid for the CI ``smoke (engine)`` job.
-SMOKE = EngineScale(num_keys=3_000, ops_per_client=30, reps=3)
-
-
-@dataclass
-class EngineCell:
-    """One (design, batching, observability) measurement."""
-
-    design: str
-    batched: bool
-    obs: bool
-    #: Simulator events the measured run scheduled (deterministic).
-    sim_steps: int
-    #: Best (minimum) wall-clock seconds over the paired reps.
-    wall_s: float
-    #: Operations/second of simulated time (deterministic).
-    sim_ops_per_s: float
-    #: Wall seconds of every rep, recording order included (diagnostics).
-    rep_walls: List[float] = field(default_factory=list)
-
-    @property
-    def wall_steps_per_s(self) -> float:
-        """Simulator events processed per wall-clock second."""
-        return self.sim_steps / self.wall_s if self.wall_s > 0 else 0.0
-
-
-def _run_once(
-    design: str, batched: bool, obs: bool, scale: EngineScale
-) -> Tuple[RunResult, int, float]:
-    """Build a fresh cluster and run the fixed-work cell once, timed.
-
-    Only ``runner.run`` is on the clock: the bulk load writes pages
-    straight into the regions (no events), and the garbage collector is
-    parked so a collection triggered by build garbage cannot land inside
-    the measured window.
-    """
-    dataset = generate_dataset(scale.num_keys, scale.gap)
-    config = ClusterConfig(
-        num_memory_servers=scale.num_memory_servers,
-        memory_servers_per_machine=min(
-            scale.memory_servers_per_machine, scale.num_memory_servers
-        ),
-        network=NetworkConfig(
-            message_overhead_s=_NETWORK_OVERHEAD_S,
-            doorbell_batching=batched,
-        ),
-        tree=_TREE,
-        seed=scale.seed,
-        observability=ObservabilityConfig(enabled=obs),
-    )
-    cluster = Cluster(config)
-    index = build_index(cluster, design, dataset)
-    runner = WorkloadRunner(cluster, dataset)
-    gc.collect()
-    gc.disable()
-    try:
-        wall_start = time.perf_counter()  # namsan: allow[N01]
-        result = runner.run(
-            index,
-            _SPEC,
-            num_clients=scale.num_clients,
-            seed=scale.seed,
-            ops_per_client=scale.ops_per_client,
-        )
-        wall_s = time.perf_counter() - wall_start  # namsan: allow[N01]
-    finally:
-        gc.enable()
-    steps = cluster.sim.events_scheduled
-    result.wall_steps_per_s = steps / wall_s if wall_s > 0 else 0.0
-    return result, steps, wall_s
-
-
-def _measure_pair(
-    design: str, obs: bool, scale: EngineScale
-) -> Tuple[EngineCell, EngineCell]:
-    """Measure (batched, unbatched) for one design, paired and alternated."""
-    best: Dict[bool, Optional[float]] = {True: None, False: None}
-    walls: Dict[bool, List[float]] = {True: [], False: []}
-    steps: Dict[bool, int] = {}
-    ops_rate: Dict[bool, float] = {}
-    for rep in range(scale.reps):
-        order = (True, False) if rep % 2 == 0 else (False, True)
-        for batched in order:
-            result, sim_steps, wall_s = _run_once(design, batched, obs, scale)
-            steps[batched] = sim_steps
-            ops_rate[batched] = result.throughput
-            walls[batched].append(wall_s)
-            if best[batched] is None or wall_s < best[batched]:
-                best[batched] = wall_s
-    return tuple(
-        EngineCell(
-            design=design,
-            batched=batched,
-            obs=obs,
-            sim_steps=steps[batched],
-            wall_s=best[batched],
-            sim_ops_per_s=ops_rate[batched],
-            rep_walls=walls[batched],
-        )
-        for batched in (True, False)
-    )
+def _key(design: str, batched: bool, obs: bool) -> str:
+    return f"{design}/{'batched' if batched else 'unbatched'}/{'obs' if obs else 'plain'}"
 
 
 def run(
-    scale: EngineScale = DEFAULT_SCALE, seed: Optional[int] = None
-) -> List[EngineCell]:
-    """Measure the full grid; returns the twelve cells."""
-    if seed is not None:
-        scale = EngineScale(**{**asdict(scale), "seed": seed})
-    cells: List[EngineCell] = []
+    scale: ExperimentScale = DEFAULT_SCALE,
+    seed: Optional[int] = None,
+    num_clients: int = 24,
+    ops_per_client: int = 100,
+    reps: int = 5,
+) -> Dict[str, TimedCell]:
+    """Measure the twelve cells; keyed ``design/(un)batched/(obs|plain)``."""
+    seed = scale.seed if seed is None else seed
+    results: Dict[str, TimedCell] = {}
     for obs in (False, True):
         for design in DESIGNS:
-            cells.extend(_measure_pair(design, obs, scale))
-    return cells
+            for cell in timed_pair(
+                design, obs, scale, seed, _SPEC, num_clients, reps,
+                ops_per_client=ops_per_client,
+            ):
+                results[_key(design, cell.batched, obs)] = cell
+    return results
 
 
-def _cell(cells: List[EngineCell], design: str, batched: bool, obs: bool) -> EngineCell:
-    for cell in cells:
-        if cell.design == design and cell.batched == batched and cell.obs == obs:
-            return cell
-    raise ConfigurationError(f"no measured cell {(design, batched, obs)!r}")
-
-
-def results_to_json(cells: List[EngineCell]) -> Dict:
-    """A JSON-serializable snapshot (the BENCH_engine.json payload)."""
-    payload: Dict = {
-        "workload": _SPEC.name,
-        "cells": [
-            {**asdict(cell), "wall_steps_per_s": cell.wall_steps_per_s}
-            for cell in cells
-        ],
-    }
-    off = [cell for cell in cells if not cell.obs]
-    on = [cell for cell in cells if cell.obs]
-    payload["wall_steps_per_s"] = (
-        sum(c.sim_steps for c in off) / sum(c.wall_s for c in off) if off else 0.0
+def _batch_ratio(results: Mapping[str, TimedCell], design: str) -> float:
+    """Batched / unbatched wall-step throughput of *design*, hub off."""
+    return (
+        results[_key(design, True, False)].wall_steps_per_s
+        / results[_key(design, False, False)].wall_steps_per_s
     )
-    payload["obs_wall_steps_per_s"] = (
-        sum(c.sim_steps for c in on) / sum(c.wall_s for c in on) if on else 0.0
+
+
+def _obs_twin_mismatches(results: Mapping[str, TimedCell]) -> int:
+    """Hub-on cells whose simulation differs from their hub-off twin's."""
+    def simulated(cell: TimedCell):
+        return cell.sim_steps, cell.sim_ops_per_s
+
+    return sum(
+        simulated(cell) != simulated(results[_key(cell.design, cell.batched, False)])
+        for cell in results.values() if cell.obs
     )
-    fine = _cell(cells, "fine-grained", True, False)
-    payload["fine_grained_batched_wall_steps_per_s"] = fine.wall_steps_per_s
-    return payload
 
 
-def check_against_baseline(
-    cells: List[EngineCell],
-    baseline: Dict,
-    ratio_floor: float = BATCH_RATIO_FLOOR,
-) -> List[str]:
-    """Regression failures of *cells* vs a committed *baseline* payload.
-
-    Deterministic gates (exact event counts, near-exact simulated ops/s)
-    run per cell; wall-clock gates run on the obs-off and obs-on grid
-    aggregates; the batched/unbatched wall-step ratio is held per design
-    at *ratio_floor*; and every obs-on cell must reproduce its obs-off
-    twin's simulated numbers exactly — the hub never schedules events.
-    """
-    failures: List[str] = []
-    base_cells = {
-        (c["design"], c["batched"], c["obs"]): c
-        for c in baseline.get("cells", [])
-    }
-    for cell in cells:
-        base = base_cells.get((cell.design, cell.batched, cell.obs))
-        tag = f"{cell.design}/{'batched' if cell.batched else 'unbatched'}" + (
-            "/obs" if cell.obs else ""
-        )
-        if base is None:
-            failures.append(f"{tag}: missing from baseline")
-            continue
-        if cell.sim_steps != base["sim_steps"]:
-            failures.append(
-                f"{tag}: sim_steps {cell.sim_steps} != baseline "
-                f"{base['sim_steps']} (determinism break)"
-            )
-        reference = base.get("sim_ops_per_s", 0.0)
-        if reference > 0 and abs(cell.sim_ops_per_s - reference) > (
-            DETERMINISTIC_TOLERANCE * reference
-        ):
-            failures.append(
-                f"{tag}: sim_ops_per_s {cell.sim_ops_per_s:.0f} drifted from "
-                f"baseline {reference:.0f} "
-                f"(tolerance {DETERMINISTIC_TOLERANCE:.0%})"
-            )
-    for obs, key, tolerance in (
-        (False, "wall_steps_per_s", WALL_TOLERANCE),
-        (True, "obs_wall_steps_per_s", OBS_WALL_TOLERANCE),
-    ):
-        subset = [c for c in cells if c.obs == obs]
-        rate = (
-            sum(c.sim_steps for c in subset) / sum(c.wall_s for c in subset)
-            if subset
-            else 0.0
-        )
-        base_rate = baseline.get(key, 0.0)
-        if base_rate > 0 and rate < (1.0 - tolerance) * base_rate:
-            failures.append(
-                f"grid{'/obs' if obs else ''}: wall_steps_per_s regressed "
-                f"{rate:.0f} < {(1.0 - tolerance) * base_rate:.0f} "
-                f"(baseline {base_rate:.0f}, tolerance {tolerance:.0%})"
-            )
-    for design in DESIGNS:
-        batched = _cell(cells, design, True, False)
-        unbatched = _cell(cells, design, False, False)
-        if unbatched.wall_steps_per_s > 0:
-            ratio = batched.wall_steps_per_s / unbatched.wall_steps_per_s
-            if ratio < ratio_floor:
-                failures.append(
-                    f"{design}: batched wall-step throughput is "
-                    f"{ratio:.2f}x unbatched (floor {ratio_floor:.2f})"
-                )
-        # Batching must not schedule extra events, ever.
-        if batched.sim_steps > unbatched.sim_steps:
-            failures.append(
-                f"{design}: batched run scheduled more events "
-                f"({batched.sim_steps} > {unbatched.sim_steps})"
-            )
-    for cell in cells:
-        if not cell.obs:
-            continue
-        twin = _cell(cells, cell.design, cell.batched, False)
-        if cell.sim_steps != twin.sim_steps or (
-            abs(cell.sim_ops_per_s - twin.sim_ops_per_s)
-            > 1e-6 * max(1.0, twin.sim_ops_per_s)
-        ):
-            failures.append(
-                f"{cell.design}/{'batched' if cell.batched else 'unbatched'}: "
-                f"observability changed the simulation "
-                f"({cell.sim_steps} ev vs {twin.sim_steps}, "
-                f"{cell.sim_ops_per_s:.2f} vs {twin.sim_ops_per_s:.2f} ops/s)"
-            )
-    return failures
+CLAIMS = (
+    # The hub never schedules events: a hub-on cell reproduces its
+    # hub-off twin's simulated numbers exactly.
+    Claim("obs_twin_identical", _obs_twin_mismatches, "==", 0),
+    # Batching must not schedule extra events, ever.
+    Claim("batching_never_adds_events",
+          lambda r: max(r[_key(d, True, False)].sim_steps
+                        - r[_key(d, False, False)].sim_steps for d in DESIGNS),
+          "<=", 0),
+    # ... nor cost host time per event. The floor pads for wall noise: on
+    # the cells whose batched and unbatched simulations are identical
+    # (coarse-grained) the ratio is pure noise around 1.0.
+    Claim("batching_keeps_engine_speed",
+          lambda r: min(_batch_ratio(r, d) for d in DESIGNS), ">=", 0.80),
+)
 
 
-def print_figure(cells: List[EngineCell]) -> None:
-    """Print the engine-speed grid (obs-off rows, obs-on in parentheses)."""
-    columns = ("batched", "unbatched", "ratio", "obs batched")
+def print_figure(results: Mapping[str, TimedCell]) -> None:
+    """Print the engine-speed grid (obs-off rows, obs-on in the last column)."""
     rows = {}
     for design in DESIGNS:
-        batched = _cell(cells, design, True, False)
-        unbatched = _cell(cells, design, False, False)
-        obs_b = _cell(cells, design, True, True)
-        ratio = (
-            batched.wall_steps_per_s / unbatched.wall_steps_per_s
-            if unbatched.wall_steps_per_s
-            else float("inf")
-        )
         rows[design] = [
-            format_rate(batched.wall_steps_per_s),
-            format_rate(unbatched.wall_steps_per_s),
-            f"{ratio:.2f}x",
-            format_rate(obs_b.wall_steps_per_s),
+            format_rate(results[_key(design, True, False)].wall_steps_per_s),
+            format_rate(results[_key(design, False, False)].wall_steps_per_s),
+            f"{_batch_ratio(results, design):.2f}x",
+            format_rate(results[_key(design, True, True)].wall_steps_per_s),
         ]
     print_table(
         "Extension - engine speed (simulator events per wall-second)",
-        columns,
+        ("batched", "unbatched", "ratio", "obs batched"),
         rows,
         col_header="",
     )
-
-
-# -- profiling modes --------------------------------------------------------
-
-
-def profile_cell(
-    scale: EngineScale = DEFAULT_SCALE,
-    design: str = "fine-grained",
-    top: int = 25,
-) -> str:
-    """cProfile the batched cell of *design*; returns the ranked table."""
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    _run_once(design, True, False, scale)
-    profiler.disable()
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("tottime").print_stats(top)
-    return stream.getvalue()
-
-
-def write_chrome_trace(
-    path: Path, scale: EngineScale = DEFAULT_SCALE, design: str = "fine-grained"
-) -> int:
-    """Run the batched cell of *design* with namscope attached and write
-    its Chrome trace (load in ``chrome://tracing`` or Perfetto). Returns
-    the number of trace events written."""
-    from repro.obs import chrome_trace
-
-    result, _steps, _wall = _run_once(design, True, True, scale)
-    trace = chrome_trace(result.observability)
-    path.write_text(json.dumps(trace, sort_keys=True) + "\n")
-    return len(trace.get("traceEvents", []))
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        description="engine wall-clock benchmark + perf regression gate"
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny CI grid (faster)"
-    )
-    parser.add_argument(
-        "--reps", type=int, default=None, help="paired reps per cell pair"
-    )
-    parser.add_argument(
-        "--json", type=Path, default=None, help="write results to this file"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="compare against this baseline JSON; exit non-zero on regression",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        type=Path,
-        default=None,
-        help="write this run's numbers as the new baseline",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile the fine-grained batched cell and print the ranked "
-        "cost table instead of running the grid",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        help="write a namscope Chrome trace of the fine-grained batched "
-        "cell to this path instead of running the grid",
-    )
-    args = parser.parse_args(argv)
-    scale = SMOKE if args.smoke else DEFAULT_SCALE
-    if args.reps is not None:
-        scale = EngineScale(**{**asdict(scale), "reps": args.reps})
-    if args.profile:
-        print(profile_cell(scale))
-        return 0
-    if args.trace is not None:
-        events = write_chrome_trace(args.trace, scale)
-        print(f"wrote {events} trace events to {args.trace}")
-        return 0
-    cells = run(scale=scale, seed=args.seed)
-    print_figure(cells)
-    payload = results_to_json(cells)
-    print(
-        f"grid engine speed: {payload['wall_steps_per_s']:,.0f} steps/s "
-        f"(obs on: {payload['obs_wall_steps_per_s']:,.0f}); fine-grained "
-        f"batched: {payload['fine_grained_batched_wall_steps_per_s']:,.0f}"
-    )
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    if args.update_baseline is not None:
-        args.update_baseline.parent.mkdir(parents=True, exist_ok=True)
-        args.update_baseline.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote baseline {args.update_baseline}")
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(cells, baseline)
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}")
-        if failures:
-            return 1
-        print(f"perf check OK vs {args.check}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

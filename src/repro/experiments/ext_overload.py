@@ -2,51 +2,39 @@
 
 The paper's closed-loop clients can never push a NAM cluster past
 saturation: offered load is bounded by completed load by construction.
-This harness opens the loop (docs/overload.md): a two-tenant mix — a
+This grid opens the loop (docs/overload.md): a two-tenant mix — a
 rate-limited *interactive* tenant carrying a p99 SLO and an abusive
 *flood* tenant — offers Poisson arrivals against the coarse-grained
 design, sweeping **offered load** (steady / surge / 5x flash crowd)
 against **admission policy** (none / token-bucket + bounded queues +
 bulkhead worker pools).
 
-Per cell: offered/accepted/rejected/shed counts, goodput as a fraction
-of the measured closed-loop capacity, accepted-op p99, and the
-interactive tenant's SLO attainment. The headline (the ISSUE's
-acceptance bar): under a 5x flash crowd the admission-controlled system
-keeps accepted-op p99 within ``P99_RATIO_CEILING`` of its own steady
-state and goodput above ``GOODPUT_FLOOR`` of capacity, while the
-uncontrolled baseline's p99 inflates past ``COLLAPSE_RATIO_FLOOR`` and
-the interactive tenant's SLO collapses with it.
-
-Doubles as the overload regression gate: ``--check BASELINE`` compares
-goodput per cell against a committed baseline JSON (tolerance
-``TOLERANCE``) and re-asserts the headline bars in absolute terms.
-
-Run with ``python -m repro.experiments.ext_overload``.
+Per cell: offered/accepted/rejected/shed counts, goodput against the
+measured closed-loop capacity, accepted-op p99, and the interactive
+tenant's SLO attainment. The headline is the ``CLAIMS`` below: under a 5x
+flash crowd the admission-controlled system keeps its p99, goodput and
+interactive SLO, while the uncontrolled baseline collapses. Gated by
+``python -m repro gate overload`` against ``BENCH_overload.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.config import (
-    AdmissionConfig,
-    ClusterConfig,
-    CpuConfig,
-    ObservabilityConfig,
-)
+from repro.config import AdmissionConfig, ClusterConfig, CpuConfig, ObservabilityConfig
 from repro.experiments.common import (
     build_index,
+    cluster_config,
     format_rate,
+    measure_capacity,
     print_table,
     write_obs_artifacts,
 )
+from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
 from repro.nam.cluster import Cluster
 from repro.workloads import (
@@ -54,7 +42,6 @@ from repro.workloads import (
     DegradationConfig,
     OpenLoopRunner,
     TenantSpec,
-    WorkloadRunner,
     WorkloadSpec,
     generate_dataset,
 )
@@ -64,30 +51,12 @@ __all__ = [
     "POLICIES",
     "LOADS",
     "run",
-    "measure_capacity",
-    "results_to_json",
-    "check_against_baseline",
     "print_figure",
-    "main",
-    "P99_RATIO_CEILING",
-    "GOODPUT_FLOOR",
-    "COLLAPSE_RATIO_FLOOR",
-    "SLO_ATTAINMENT_FLOOR",
-    "TOLERANCE",
+    "p99_ratio",
+    "CLAIMS",
+    "WALL_FIELDS",
+    "DEFAULT_SCALE",
 ]
-
-#: Under the flash crowd, the admission-controlled accepted-op p99 must
-#: stay within this multiple of the same policy's steady-state p99.
-P99_RATIO_CEILING = 3.0
-#: ... while goodput stays above this fraction of closed-loop capacity.
-GOODPUT_FLOOR = 0.70
-#: ... and the interactive tenant keeps at least this SLO attainment.
-SLO_ATTAINMENT_FLOOR = 0.95
-#: The uncontrolled baseline must visibly collapse: its flash-crowd p99
-#: inflates past this multiple of its own steady state.
-COLLAPSE_RATIO_FLOOR = 10.0
-#: Allowed per-cell goodput regression vs the committed baseline.
-TOLERANCE = 0.20
 
 #: Offered-load levels as multiples of measured closed-loop capacity.
 LOADS: Dict[str, float] = {"steady": 0.6, "surge": 2.0, "flash": 5.0}
@@ -109,7 +78,6 @@ FLOOD_RATE_LIMIT_FRACTION = 0.5
 #: Two RPC workers per memory server: one bulkheaded for the flood
 #: tenant under the admission policy, one left in the shared pool.
 CORES_PER_SERVER = 2
-PROBE_CLIENTS = 64
 
 DEFAULT_SCALE = ExperimentScale(
     num_keys=8_000,
@@ -119,16 +87,7 @@ DEFAULT_SCALE = ExperimentScale(
     measure_s=0.004,
 )
 
-#: Tiny grid for the CI smoke (overload) job.
-SMOKE = ExperimentScale(
-    num_keys=4_000,
-    num_memory_servers=2,
-    memory_servers_per_machine=2,
-    warmup_s=0.0005,
-    measure_s=0.002,
-)
-
-SMOKE_LOADS: Tuple[str, ...] = ("steady", "flash")
+WALL_FIELDS: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -182,47 +141,13 @@ def _cluster_config(
             tenant_burst_ops=32.0,
             bulkhead_workers={"flood": 1},
         )
-    return ClusterConfig(
-        num_memory_servers=scale.num_memory_servers,
-        memory_servers_per_machine=min(
-            scale.memory_servers_per_machine, scale.num_memory_servers
-        ),
-        seed=seed,
+    return cluster_config(
+        scale,
+        seed,
         cpu=CpuConfig(cores_per_server=CORES_PER_SERVER),
         admission=admission,
         observability=ObservabilityConfig(enabled=True),
     )
-
-
-def measure_capacity(scale: ExperimentScale, seed: int) -> float:
-    """Closed-loop saturation throughput of the overload cluster shape.
-
-    A closed loop with enough clients drives every RPC worker to 100%
-    utilization without unbounded queueing — the paper's own measurement
-    mode — so its throughput is the service capacity the open-loop cells
-    are calibrated against.
-    """
-    dataset = generate_dataset(scale.num_keys, scale.gap)
-    config = ClusterConfig(
-        num_memory_servers=scale.num_memory_servers,
-        memory_servers_per_machine=min(
-            scale.memory_servers_per_machine, scale.num_memory_servers
-        ),
-        seed=seed,
-        cpu=CpuConfig(cores_per_server=CORES_PER_SERVER),
-    )
-    cluster = Cluster(config)
-    index = build_index(cluster, "coarse-grained", dataset)
-    runner = WorkloadRunner(cluster, dataset)
-    result = runner.run(
-        index,
-        WorkloadSpec(name="capacity-probe", point_fraction=1.0),
-        num_clients=PROBE_CLIENTS,
-        warmup_s=scale.warmup_s,
-        measure_s=scale.measure_s,
-        seed=seed,
-    )
-    return result.throughput
 
 
 def _tenants(capacity: float, load_multiple: float) -> List[TenantSpec]:
@@ -325,17 +250,14 @@ def _measure_cell(
 def run(
     scale: ExperimentScale = DEFAULT_SCALE,
     seed: Optional[int] = None,
-    loads: Optional[Tuple[str, ...]] = None,
     artifacts: Optional[Path] = None,
 ) -> Dict[str, OverloadCell]:
     """Measure the policy x offered-load grid; keyed by ``policy/load``."""
     seed = scale.seed if seed is None else seed
-    if loads is None:
-        loads = tuple(LOADS)
-    capacity = measure_capacity(scale, seed)
+    capacity = measure_capacity("coarse-grained", scale, seed, CORES_PER_SERVER)
     results: Dict[str, OverloadCell] = {}
     for policy in POLICIES:
-        for load in loads:
+        for load in LOADS:
             cell = _measure_cell(
                 policy, load, capacity, scale, seed, artifacts=artifacts
             )
@@ -343,108 +265,52 @@ def run(
     return results
 
 
-def _headline(results: Dict[str, OverloadCell]) -> Dict[str, Dict[str, float]]:
-    """Flash-over-steady ratios per policy (the collapse-vs-contained story)."""
-    headline: Dict[str, Dict[str, float]] = {}
-    for policy in POLICIES:
-        steady = results.get(cell_key(policy, "steady"))
-        flash = results.get(cell_key(policy, "flash"))
-        if steady is None or flash is None:
-            continue
-        if steady.accepted_p99_s <= 0:
-            continue
-        entry = {
-            "p99_ratio": flash.accepted_p99_s / steady.accepted_p99_s,
-            "goodput_fraction": flash.goodput_fraction,
-        }
-        if flash.interactive_slo_attainment is not None:
-            entry["interactive_slo_attainment"] = (
-                flash.interactive_slo_attainment
-            )
-        headline[policy] = entry
-    return headline
+def interactive_slo(results: Mapping[str, OverloadCell], policy: str) -> float:
+    """Flash-crowd SLO attainment of the interactive tenant under *policy*
+    (0.0 when not one of its operations completed: none met the SLO)."""
+    return results[cell_key(policy, "flash")].interactive_slo_attainment or 0.0
 
 
-def results_to_json(results: Dict[str, OverloadCell]) -> Dict:
-    """A JSON-serializable snapshot (the BENCH_overload.json payload)."""
-    capacity = next(iter(results.values())).capacity_ops_s if results else 0.0
-    return {
-        "capacity_ops_s": capacity,
-        "cells": {key: asdict(cell) for key, cell in results.items()},
-        "headline": _headline(results),
-    }
+def p99_ratio(results: Mapping[str, OverloadCell], policy: str) -> float:
+    """Flash-crowd over steady-state accepted-op p99 of *policy*."""
+    return (
+        results[cell_key(policy, "flash")].accepted_p99_s
+        / results[cell_key(policy, "steady")].accepted_p99_s
+    )
 
 
-def check_against_baseline(
-    results: Dict[str, OverloadCell], baseline: Dict
-) -> List[str]:
-    """Regression failures of *results* vs a committed *baseline* payload.
-
-    Every cell's goodput must stay above ``(1 - TOLERANCE) *`` baseline,
-    and the headline bars are re-asserted in absolute terms: admission
-    contains the flash crowd (p99 ratio, goodput floor, interactive SLO)
-    while the uncontrolled baseline demonstrably collapses.
-    """
-    failures: List[str] = []
-    base_cells = baseline.get("cells", {})
-    for key, cell in results.items():
-        base = base_cells.get(key)
-        if base is None:
-            failures.append(f"{key}: missing from baseline")
-            continue
-        reference = base.get("goodput_ops_s", 0.0)
-        if reference > 0 and cell.goodput_ops_s < (1.0 - TOLERANCE) * reference:
-            failures.append(
-                f"{key}: goodput regressed {cell.goodput_ops_s:.0f} < "
-                f"{(1.0 - TOLERANCE) * reference:.0f} "
-                f"(baseline {reference:.0f}, tolerance {TOLERANCE:.0%})"
-            )
-    headline = _headline(results)
-    contained = headline.get("admission")
-    if contained is None:
-        failures.append("admission steady/flash cells missing")
-    else:
-        if contained["p99_ratio"] > P99_RATIO_CEILING:
-            failures.append(
-                f"admission/flash: accepted p99 is {contained['p99_ratio']:.1f}x "
-                f"steady state, above the {P99_RATIO_CEILING:.1f}x ceiling"
-            )
-        if contained["goodput_fraction"] < GOODPUT_FLOOR:
-            failures.append(
-                f"admission/flash: goodput is "
-                f"{contained['goodput_fraction']:.0%} of capacity, below the "
-                f"{GOODPUT_FLOOR:.0%} floor"
-            )
-        attainment = contained.get("interactive_slo_attainment")
-        if attainment is not None and attainment < SLO_ATTAINMENT_FLOOR:
-            failures.append(
-                f"admission/flash: interactive SLO attainment {attainment:.2f} "
-                f"below the {SLO_ATTAINMENT_FLOOR:.2f} floor"
-            )
-    collapse = headline.get("none")
-    if collapse is None:
-        failures.append("uncontrolled steady/flash cells missing")
-    elif collapse["p99_ratio"] < COLLAPSE_RATIO_FLOOR:
-        failures.append(
-            f"none/flash: baseline p99 only inflated "
-            f"{collapse['p99_ratio']:.1f}x; the uncontrolled collapse the "
-            f"experiment demonstrates needs >= {COLLAPSE_RATIO_FLOOR:.0f}x"
-        )
-    return failures
+CLAIMS = (
+    # Admission contains the 5x flash crowd: accepted-op p99 stays within
+    # 3x of the same policy's steady state ...
+    Claim("admission_contains_flash_crowd",
+          lambda r: p99_ratio(r, "admission"), "<=", 3.0),
+    # ... goodput stays above 70% of closed-loop capacity ...
+    Claim("admission_keeps_flash_goodput",
+          lambda r: r["admission/flash"].goodput_fraction, ">=", 0.70),
+    # ... and the interactive tenant keeps its SLO.
+    Claim("admission_keeps_interactive_slo",
+          lambda r: interactive_slo(r, "admission"), ">=", 0.95),
+    # The flood is the tenant being bounced, not the interactive one.
+    Claim("admission_bounces_the_flood",
+          lambda r: r["admission/flash"].flood_rejected, ">", 0),
+    # The uncontrolled baseline must visibly collapse: p99 inflates by an
+    # order of magnitude and the interactive tenant's SLO with it ...
+    Claim("uncontrolled_collapses", lambda r: p99_ratio(r, "none"), ">=", 10.0),
+    Claim("uncontrolled_loses_interactive_slo",
+          lambda r: interactive_slo(r, "none"), "<", 0.5),
+    # ... and it bounces nothing: no policy, no rejections, no shedding.
+    Claim("uncontrolled_rejects_nothing",
+          lambda r: sum(c.rejected_ops + c.shed_ops for c in r.values() if c.policy == "none"),
+          "==", 0),
+)
 
 
 def print_figure(results: Dict[str, OverloadCell]) -> None:
     """One table per policy, one row per offered-load level."""
-    loads = [
-        load for load in LOADS
-        if any(cell.load == load for cell in results.values())
-    ]
     for policy in POLICIES:
         rows = {}
-        for load in loads:
-            cell = results.get(cell_key(policy, load))
-            if cell is None:
-                continue
+        for load in LOADS:
+            cell = results[cell_key(policy, load)]
             attainment = cell.interactive_slo_attainment
             rows[f"{load} ({cell.load_multiple:g}x)"] = [
                 f"{cell.offered_ops}",
@@ -464,78 +330,8 @@ def print_figure(results: Dict[str, OverloadCell]) -> None:
             rows,
             col_header="load",
         )
-    headline = _headline(results)
-    for policy, entry in headline.items():
+    for policy in POLICIES:
         print(
-            f"  {policy}: flash p99 = {entry['p99_ratio']:.1f}x steady, "
-            f"goodput {entry['goodput_fraction']:.0%} of capacity"
+            f"  {policy}: flash p99 = {p99_ratio(results, policy):.1f}x steady, "
+            f"goodput {results[cell_key(policy, 'flash')].goodput_fraction:.0%} of capacity"
         )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        description="open-loop flash-crowd sweep + overload regression gate"
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny CI grid (faster)"
-    )
-    parser.add_argument(
-        "--json", type=Path, default=None, help="write results to this file"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="compare against this baseline JSON; exit non-zero on regression",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        type=Path,
-        default=None,
-        help="write this run's numbers as the new baseline",
-    )
-    parser.add_argument(
-        "--artifacts",
-        type=Path,
-        default=None,
-        help="write per-cell flight bundles + Chrome traces into this dir"
-        " (for CI failure uploads)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        results = run(
-            scale=SMOKE, seed=args.seed, loads=SMOKE_LOADS,
-            artifacts=args.artifacts,
-        )
-    else:
-        results = run(seed=args.seed, artifacts=args.artifacts)
-    print_figure(results)
-    payload = results_to_json(results)
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    if args.update_baseline is not None:
-        args.update_baseline.parent.mkdir(parents=True, exist_ok=True)
-        args.update_baseline.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote baseline {args.update_baseline}")
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(results, baseline)
-        for failure in failures:
-            print(f"OVERLOAD REGRESSION: {failure}")
-        if failures:
-            return 1
-        headline = _headline(results)
-        contained = headline.get("admission", {})
-        print(
-            f"overload check OK vs {args.check} "
-            f"(admission flash p99 {contained.get('p99_ratio', 0):.1f}x steady, "
-            f"goodput {contained.get('goodput_fraction', 0):.0%} of capacity)"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

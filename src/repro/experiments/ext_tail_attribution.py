@@ -1,7 +1,7 @@
 """Extension: where does the tail go? Critical-path latency attribution.
 
 The paper's latency analysis (Section 2.3, Figures 13/14) reports *how
-long* operations take per design; this harness reports *where that time
+long* operations take per design; this grid reports *where that time
 goes* — and, more to the point, where the **p99 tail** spends time that
 the median op does not. Each cell runs an open-loop single-tenant
 workload against one traversal design with observability enabled, then
@@ -20,36 +20,29 @@ by wire flight, while the flash-crowd tail shifts toward queueing
 segments — per design, the decomposition names the bottleneck the
 design's own tradeoffs predict.
 
-Doubles as the smoke (tail) regression gate: ``--check BASELINE`` compares
-goodput per cell (tolerance ``TOLERANCE``) and re-asserts structural
-invariants — every cell retains spans, every attribution reconciles
-(shares sum to 1), flash cells record flight activity.
-
-Run with ``python -m repro.experiments.ext_tail_attribution``.
+Gated by ``python -m repro gate tail`` against ``BENCH_tail.json``; the
+``CLAIMS`` are the structural promises of the attribution stack.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.config import (
-    AdmissionConfig,
-    ClusterConfig,
-    CpuConfig,
-    ObservabilityConfig,
-)
+from repro.config import AdmissionConfig, ClusterConfig, CpuConfig, ObservabilityConfig
 from repro.experiments.common import (
+    DESIGNS,
     build_index,
+    cluster_config,
     format_rate,
+    measure_capacity,
     print_table,
     write_obs_artifacts,
 )
+from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
 from repro.nam.cluster import Cluster
 from repro.obs.attribution import (
@@ -62,39 +55,27 @@ from repro.workloads import (
     ArrivalProcess,
     OpenLoopRunner,
     TenantSpec,
-    WorkloadRunner,
     WorkloadSpec,
     generate_dataset,
 )
 
 __all__ = [
     "TailCell",
-    "DESIGNS",
     "SKEWS",
     "PHASES",
     "run",
-    "measure_capacity",
-    "results_to_json",
-    "check_against_baseline",
     "print_figure",
-    "main",
-    "TOLERANCE",
-    "SHARE_SUM_TOLERANCE",
+    "CLAIMS",
+    "WALL_FIELDS",
+    "DEFAULT_SCALE",
 ]
 
-DESIGNS: Tuple[str, ...] = ("coarse-grained", "fine-grained", "hybrid")
 #: Request-key distributions (WorkloadSpec.distribution values).
 SKEWS: Dict[str, str] = {"uniform": "uniform", "zipf": "scrambled_zipfian"}
 #: Offered load as a multiple of measured closed-loop capacity. The flash
 #: phase offers the steady base rate times a burst multiplier that covers
 #: the whole window — a sustained flash crowd.
 PHASES: Dict[str, float] = {"steady": 0.6, "flash": 3.0}
-
-#: Allowed per-cell goodput regression vs the committed baseline.
-TOLERANCE = 0.20
-#: Attribution shares must sum to 1 within this (they reconcile exactly in
-#: seconds; normalization only divides by the same duration).
-SHARE_SUM_TOLERANCE = 1e-6
 
 #: Single tenant: its p99 SLO (drives derive_slow_from_slo thresholds and
 #: flight-recorder slo-violation dumps) and its admission allowance as a
@@ -103,7 +84,6 @@ SLO_P99_S = 150e-6
 ADMIT_FRACTION = 1.2
 
 CORES_PER_SERVER = 2
-PROBE_CLIENTS = 64
 
 DEFAULT_SCALE = ExperimentScale(
     num_keys=8_000,
@@ -113,17 +93,7 @@ DEFAULT_SCALE = ExperimentScale(
     measure_s=0.004,
 )
 
-#: Tiny grid for the CI smoke (tail) job: zipf only, all designs, both
-#: phases (the skew axis is the least load-bearing for the gate).
-SMOKE = ExperimentScale(
-    num_keys=4_000,
-    num_memory_servers=2,
-    memory_servers_per_machine=2,
-    warmup_s=0.0005,
-    measure_s=0.002,
-)
-
-SMOKE_SKEWS: Tuple[str, ...] = ("zipf",)
+WALL_FIELDS: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -173,12 +143,9 @@ def _cluster_config(
     capacity: float, scale: ExperimentScale, seed: int
 ) -> ClusterConfig:
     per_server = ADMIT_FRACTION * capacity / scale.num_memory_servers
-    return ClusterConfig(
-        num_memory_servers=scale.num_memory_servers,
-        memory_servers_per_machine=min(
-            scale.memory_servers_per_machine, scale.num_memory_servers
-        ),
-        seed=seed,
+    return cluster_config(
+        scale,
+        seed,
         cpu=CpuConfig(cores_per_server=CORES_PER_SERVER),
         admission=AdmissionConfig(
             enabled=True,
@@ -193,34 +160,6 @@ def _cluster_config(
             derive_slow_from_slo=True,
         ),
     )
-
-
-def measure_capacity(
-    design: str, scale: ExperimentScale, seed: int
-) -> float:
-    """Closed-loop saturation throughput of *design* at this shape (the
-    open-loop cells' calibration reference; see ext_overload)."""
-    dataset = generate_dataset(scale.num_keys, scale.gap)
-    config = ClusterConfig(
-        num_memory_servers=scale.num_memory_servers,
-        memory_servers_per_machine=min(
-            scale.memory_servers_per_machine, scale.num_memory_servers
-        ),
-        seed=seed,
-        cpu=CpuConfig(cores_per_server=CORES_PER_SERVER),
-    )
-    cluster = Cluster(config)
-    index = build_index(cluster, design, dataset)
-    runner = WorkloadRunner(cluster, dataset)
-    result = runner.run(
-        index,
-        WorkloadSpec(name="capacity-probe", point_fraction=1.0),
-        num_clients=PROBE_CLIENTS,
-        warmup_s=scale.warmup_s,
-        measure_s=scale.measure_s,
-        seed=seed,
-    )
-    return result.throughput
 
 
 def _tenant(capacity: float, skew: str, phase: str) -> TenantSpec:
@@ -332,17 +271,14 @@ def _measure_cell(
 def run(
     scale: ExperimentScale = DEFAULT_SCALE,
     seed: Optional[int] = None,
-    skews: Optional[Tuple[str, ...]] = None,
     artifacts: Optional[Path] = None,
 ) -> Dict[str, TailCell]:
     """Measure the design x skew x phase grid; keyed by ``design/skew/phase``."""
     seed = scale.seed if seed is None else seed
-    if skews is None:
-        skews = tuple(SKEWS)
     results: Dict[str, TailCell] = {}
     for design in DESIGNS:
-        capacity = measure_capacity(design, scale, seed)
-        for skew in skews:
+        capacity = measure_capacity(design, scale, seed, CORES_PER_SERVER)
+        for skew in SKEWS:
             for phase in PHASES:
                 cell = _measure_cell(
                     design, skew, phase, capacity, scale, seed,
@@ -352,73 +288,39 @@ def run(
     return results
 
 
-def results_to_json(results: Dict[str, TailCell]) -> Dict:
-    """A JSON-serializable snapshot (the BENCH_tail.json payload)."""
-    return {
-        "segments": list(SEGMENTS),
-        "cells": {key: asdict(cell) for key, cell in results.items()},
-    }
+def _worst_share_sum_error(results: Mapping[str, TailCell]) -> float:
+    """Largest distance from 1 of any cell's p50 or p99 share vector."""
+    return max(
+        abs(sum(share.get(label, 0.0) for label in SEGMENTS) - 1.0)
+        for cell in results.values()
+        for share in (cell.p50_share, cell.p99_share)
+    )
 
 
-def check_against_baseline(
-    results: Dict[str, TailCell], baseline: Dict
-) -> List[str]:
-    """Regression failures of *results* vs a committed *baseline* payload.
-
-    Gates per-cell goodput (tolerance ``TOLERANCE``) and re-asserts the
-    structural invariants the attribution stack promises: every cell
-    retains spans, every reported share vector sums to 1, and the flash
-    cells actually exercised the flight recorder.
-    """
-    failures: List[str] = []
-    base_cells = baseline.get("cells", {})
-    for key, cell in results.items():
-        base = base_cells.get(key)
-        if base is None:
-            failures.append(f"{key}: missing from baseline")
-            continue
-        reference = base.get("goodput_ops_s", 0.0)
-        if reference > 0 and cell.goodput_ops_s < (1.0 - TOLERANCE) * reference:
-            failures.append(
-                f"{key}: goodput regressed {cell.goodput_ops_s:.0f} < "
-                f"{(1.0 - TOLERANCE) * reference:.0f} "
-                f"(baseline {reference:.0f}, tolerance {TOLERANCE:.0%})"
-            )
-        if cell.retained_ops <= 0:
-            failures.append(f"{key}: no spans retained for attribution")
-            continue
-        for name, share in (("p50", cell.p50_share), ("p99", cell.p99_share)):
-            total = sum(share.get(label, 0.0) for label in SEGMENTS)
-            if abs(total - 1.0) > SHARE_SUM_TOLERANCE:
-                failures.append(
-                    f"{key}: {name} attribution shares sum to {total!r}, "
-                    f"not 1 (reconciliation broken)"
-                )
-        if cell.timeseries_points <= 0:
-            failures.append(f"{key}: no time-series points sampled")
-        if cell.phase == "flash" and (
-            cell.flight_dumps + cell.flight_dumps_suppressed
-        ) <= 0:
-            failures.append(
-                f"{key}: flash crowd produced no flight-recorder activity"
-            )
-    return failures
+CLAIMS = (
+    # Every cell retains spans for attribution (sampling + slow-op hook).
+    Claim("every_cell_retains_spans",
+          lambda r: min(c.retained_ops for c in r.values()), ">", 0),
+    # Attributions reconcile: shares sum to 1 (they reconcile exactly in
+    # seconds; normalization only divides by the same duration).
+    Claim("attribution_shares_sum_to_one", _worst_share_sum_error, "<=", 1e-6),
+    Claim("every_cell_samples_time_series",
+          lambda r: min(c.timeseries_points for c in r.values()), ">", 0),
+    # Flash crowds violate the SLO, so they must reach the flight recorder.
+    Claim("flash_exercises_flight_recorder",
+          lambda r: min(c.flight_dumps + c.flight_dumps_suppressed
+                        for c in r.values() if c.phase == "flash"), ">", 0),
+)
 
 
 def print_figure(results: Dict[str, TailCell]) -> None:
     """One table per design; rows are skew/phase cells."""
-    skews = [
-        skew for skew in SKEWS
-        if any(cell.skew == skew for cell in results.values())
-    ]
     for design in DESIGNS:
         rows = {}
         capacity = 0.0
-        for skew in skews:
+        for skew in SKEWS:
             for phase in PHASES:
-                cell = results.get(cell_key(design, skew, phase))
-                if cell is None:
-                    continue
+                cell = results[cell_key(design, skew, phase)]
                 capacity = cell.capacity_ops_s
                 top = cell.tail_top_segment
                 top_share = cell.p99_share.get(top, 0.0)
@@ -431,8 +333,6 @@ def print_figure(results: Dict[str, TailCell]) -> None:
                     f"{top} {top_share:.0%}" if top else "-",
                     f"{cell.flight_dumps}+{cell.flight_dumps_suppressed}",
                 ]
-        if not rows:
-            continue
         print_table(
             f"Extension - tail-latency attribution, design={design} "
             f"(capacity {format_rate(capacity)}/s)",
@@ -445,65 +345,3 @@ def print_figure(results: Dict[str, TailCell]) -> None:
         "  tail bottleneck = largest p99 attribution share "
         "(dumps = kept+suppressed flight bundles)"
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        description="critical-path tail attribution sweep + smoke (tail) gate"
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny CI grid (faster)"
-    )
-    parser.add_argument(
-        "--json", type=Path, default=None, help="write results to this file"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="compare against this baseline JSON; exit non-zero on regression",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        type=Path,
-        default=None,
-        help="write this run's numbers as the new baseline",
-    )
-    parser.add_argument(
-        "--artifacts",
-        type=Path,
-        default=None,
-        help="write per-cell flight bundles + Chrome traces into this dir",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        results = run(
-            scale=SMOKE, seed=args.seed, skews=SMOKE_SKEWS,
-            artifacts=args.artifacts,
-        )
-    else:
-        results = run(seed=args.seed, artifacts=args.artifacts)
-    print_figure(results)
-    payload = results_to_json(results)
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    if args.update_baseline is not None:
-        args.update_baseline.parent.mkdir(parents=True, exist_ok=True)
-        args.update_baseline.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote baseline {args.update_baseline}")
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(results, baseline)
-        for failure in failures:
-            print(f"TAIL REGRESSION: {failure}")
-        if failures:
-            return 1
-        print(f"tail check OK vs {args.check} ({len(results)} cells)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

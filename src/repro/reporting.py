@@ -49,7 +49,7 @@ _CSV_FIELDS = [
     "shed_ops",
     "slo_attainment",
     # Engine speed (events per wall-second); 0.0 unless the harness
-    # timed the run (see repro.experiments.ext_engine).
+    # timed the run and set it (RunResult.wall_steps_per_s).
     "wall_steps_per_s",
 ]
 

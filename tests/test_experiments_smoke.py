@@ -2,7 +2,8 @@
 
 These guard the benchmark suite — each ``run``/``print_figure`` pair must
 execute and produce plausible structures. Shape assertions live in
-test_paper_shapes.py; here we only check plumbing.
+test_paper_shapes.py; here we only check plumbing. The gated extensions
+(those with a ``BENCH_*.json``) run in test_gate.py instead.
 """
 
 import pytest
@@ -12,8 +13,6 @@ from repro.experiments import (
     ablation_head_nodes,
     ablation_insert_contention,
     ablation_srq,
-    ext_cache_depth,
-    ext_engine,
     ext_page_size,
     ext_request_skew,
     fig03_analytical,
@@ -133,58 +132,11 @@ def test_ext_request_skew(capsys):
     assert "request skew" in capsys.readouterr().out
 
 
-def test_ext_cache_depth(capsys):
-    results = ext_cache_depth.run(
-        scale=TINY, num_clients=8, write_ratios=(0.0,)
-    )
-    assert len(results) == len(ext_cache_depth.DEPTHS) * len(
-        ext_cache_depth.DISTRIBUTIONS
-    )
-    assert all(cell.sim_ops_per_s > 0 for cell in results.values())
-    payload = ext_cache_depth.results_to_json(results)
-    assert set(payload) == {"cells", "speedups"}
-    # Self-comparison: every per-cell gate is clean by construction; at
-    # this tiny scale only the absolute speedup floor may trip (the tree
-    # is too shallow to save 2x in round trips).
-    failures = ext_cache_depth.check_against_baseline(results, payload)
-    assert all("floor" in failure for failure in failures)
-    ext_cache_depth.print_figure(results)
-    assert "cache depth" in capsys.readouterr().out
-
-
 def test_ext_page_size(capsys):
     results = ext_page_size.run(scale=TINY, num_clients=8)
     assert len(results) == 2 * len(ext_page_size.PAGE_SIZES)
     ext_page_size.print_figure(results)
     assert "page-size" in capsys.readouterr().out
-
-
-def test_ext_engine(capsys):
-    scale = ext_engine.EngineScale(
-        num_keys=1_500,
-        num_memory_servers=4,
-        num_clients=8,
-        ops_per_client=10,
-        reps=1,
-    )
-    cells = ext_engine.run(scale=scale)
-    assert len(cells) == 12  # designs x batching x observability
-    assert all(cell.sim_steps > 0 and cell.wall_s > 0 for cell in cells)
-    payload = ext_engine.results_to_json(cells)
-    assert {
-        "workload",
-        "cells",
-        "wall_steps_per_s",
-        "obs_wall_steps_per_s",
-        "fine_grained_batched_wall_steps_per_s",
-    } <= set(payload)
-    # Self-comparison: every deterministic gate is clean by construction;
-    # at one rep of ten ops only the wall-noise batched/unbatched ratio
-    # may trip.
-    failures = ext_engine.check_against_baseline(cells, payload)
-    assert all("wall-step throughput" in failure for failure in failures)
-    ext_engine.print_figure(cells)
-    assert "engine speed" in capsys.readouterr().out
 
 
 def test_ablation_insert_contention(capsys):

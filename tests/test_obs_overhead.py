@@ -5,8 +5,8 @@ The same seeded fine-grained point workload runs hub-off and hub-on under
 function calls (Python + C) made inside ``runner.run`` must stay under
 ``CALL_RATIO_BOUND``. A call count repeats to the last digit on any host,
 so this is the tight gate on "cheap enough to leave on" (ROADMAP north
-star 4); the wall-clock bands (``OBS_WALL_TOLERANCE``) only catch gross
-slowdowns.
+star 4); the gate's wall-clock band (``repro.experiments.gate.HOST_BAND``)
+only catches gross slowdowns.
 
 Numbers, on this test's inputs (8 clients x 50 ops, seed 7):
 
