@@ -10,8 +10,9 @@ Run with: ``python examples/ycsb_comparison.py [--clients 80] [--skew]``
 
 import argparse
 
-from repro.experiments.common import build_cluster, build_index
+from repro.experiments.common import build_index, cluster_config
 from repro.experiments.scale import ExperimentScale
+from repro.nam.cluster import Cluster
 from repro.workloads import (
     OpType,
     WorkloadRunner,
@@ -42,7 +43,7 @@ def main() -> None:
         print(header)
         for design in ("coarse-grained", "fine-grained", "hybrid"):
             dataset = generate_dataset(scale.num_keys, scale.gap)
-            cluster = build_cluster(scale)
+            cluster = Cluster(cluster_config(scale))
             index = build_index(cluster, design, dataset, skewed=args.skew)
             runner = WorkloadRunner(cluster, dataset)
             result = runner.run(

@@ -4,8 +4,9 @@ Subcommands:
 
 * ``list`` — show the reproduced tables/figures and their modules;
 * ``run <experiment> [--small] [--csv PATH]`` — run one experiment
-  harness, print its paper-shaped series, optionally export the raw cells
-  to CSV;
+  harness (``module.run(scale=...)``), print its paper-shaped series
+  (``module.print_figure(results)``), optionally export the raw cells to
+  CSV;
 * ``chart <experiment> [--small]`` — run and render an ASCII chart of the
   headline series (throughput experiments only);
 * ``gate [experiment ...] [--record] [--seed N] [--artifacts DIR]`` —
@@ -33,18 +34,11 @@ from repro.experiments.scale import DEFAULT, SMALL
 class Experiment:
     """One registered experiment harness.
 
-    *style* picks the dispatch convention:
-
-    * ``"analytical"`` — ``module.main()``; produces no result cells;
-    * ``"skewed"`` — ``module.run(skewed=..., scale=...)`` and
-      ``print_figure(results, skewed, scale)`` (the paired
-      skewed/uniform figures);
-    * ``"figure"`` — ``module.run(scale=...)`` and
-      ``print_figure(results, scale)``;
-    * ``"extension"`` — ``module.run(scale=...)`` and
-      ``print_figure(results)``; the module may carry its own
-      ``DEFAULT_SCALE`` (used instead of the generic one) and its cells
-      may be experiment-specific dataclasses rather than ``RunResult``.
+    Every module has ``run(scale=...)`` and ``print_figure(results)``. A
+    figure module's cells are ``RunResult`` objects under tuple keys (a paired
+    module — Figures 7/8, 13/14 — runs both placements); an extension's may
+    be its own dataclasses, and it may carry its own ``DEFAULT_SCALE``
+    (used instead of the generic one).
 
     *bench* names the committed baseline of a gated experiment, relative
     to the repository root; ``gate`` runs exactly the entries that have one.
@@ -53,54 +47,47 @@ class Experiment:
     key: str
     title: str
     module: str
-    style: str = "figure"
-    skewed: Optional[bool] = None
     chartable: bool = False
     bench: Optional[str] = None
 
 
 _TABLE = [
-    Experiment("fig03", "Table 2 + Figure 3 (analytical model)",
-               "fig03_analytical", style="analytical"),
-    Experiment("fig07", "Figure 7: throughput, skewed data",
-               "fig07_08_throughput", style="skewed", skewed=True,
-               chartable=True),
-    Experiment("fig08", "Figure 8: throughput, uniform data",
-               "fig07_08_throughput", style="skewed", skewed=False,
-               chartable=True),
+    Experiment("fig03", "Table 2 + Figure 3 (analytical model)", "fig03_analytical"),
+    Experiment("fig07", "Figure 7: throughput, skewed data (with Figure 8)",
+               "fig07_08_throughput", chartable=True),
+    Experiment("fig08", "Figure 8: throughput, uniform data (with Figure 7)",
+               "fig07_08_throughput", chartable=True),
     Experiment("fig09", "Figure 9: network utilization", "fig09_network"),
     Experiment("fig10", "Figure 10: varying data size", "fig10_datasize"),
     Experiment("fig11", "Figure 11: varying memory servers", "fig11_servers"),
     Experiment("fig12", "Figure 12: workloads with inserts", "fig12_inserts",
                chartable=True),
-    Experiment("fig13", "Figure 13: latency, skewed data",
-               "fig13_14_latency", style="skewed", skewed=True),
-    Experiment("fig14", "Figure 14: latency, uniform data",
-               "fig13_14_latency", style="skewed", skewed=False),
+    Experiment("fig13", "Figure 13: latency, skewed data (with Figure 14)",
+               "fig13_14_latency"),
+    Experiment("fig14", "Figure 14: latency, uniform data (with Figure 13)",
+               "fig13_14_latency"),
     Experiment("fig15", "Figure 15: co-location", "fig15_colocation"),
-    Experiment("a4", "Appendix A.4: client-side caching", "a4_caching",
-               style="extension"),
-    Experiment("heads", "Ablation: head-node prefetching",
-               "ablation_head_nodes"),
+    Experiment("a4", "Appendix A.4: client-side caching", "a4_caching"),
+    Experiment("heads", "Ablation: head-node prefetching", "ablation_head_nodes"),
     Experiment("contention", "Ablation: insert hotspot spinning",
-               "ablation_insert_contention", style="extension"),
+               "ablation_insert_contention"),
     Experiment("srq", "Ablation: shared receive queues", "ablation_srq"),
-    Experiment("reqskew", "Extension: Zipfian request skew",
-               "ext_request_skew", style="extension"),
+    Experiment("reqskew", "Extension: Zipfian request skew", "ext_request_skew"),
+    Experiment("pagesize", "Extension: page-size sensitivity", "ext_page_size"),
+    Experiment("paper", "All of the above, once, with every shape a named claim",
+               "paper", bench="BENCH_paper.json"),
     Experiment("cachedepth", "Extension: coherent cache-depth sweep",
-               "ext_cache_depth", style="extension", bench="BENCH_caching.json"),
-    Experiment("pagesize", "Extension: page-size sensitivity",
-               "ext_page_size", style="extension"),
+               "ext_cache_depth", bench="BENCH_caching.json"),
     Experiment("availability", "Extension: crash availability & replication",
-               "ext_availability", style="extension", bench="BENCH_availability.json"),
+               "ext_availability", bench="BENCH_availability.json"),
     Experiment("batching", "Extension: doorbell-batched verb pipeline",
-               "ext_verb_batching", style="extension", bench="BENCH_batching.json"),
+               "ext_verb_batching", bench="BENCH_batching.json"),
     Experiment("overload", "Extension: flash-crowd overload & admission",
-               "ext_overload", style="extension", bench="BENCH_overload.json"),
+               "ext_overload", bench="BENCH_overload.json"),
     Experiment("tail", "Extension: critical-path tail-latency attribution",
-               "ext_tail_attribution", style="extension", bench="BENCH_tail.json"),
+               "ext_tail_attribution", bench="BENCH_tail.json"),
     Experiment("engine", "Extension: engine wall-clock speed (host-side)",
-               "ext_engine", style="extension", bench="BENCH_engine.json"),
+               "ext_engine", bench="BENCH_engine.json"),
 ]
 
 EXPERIMENTS = {entry.key: entry for entry in _TABLE}
@@ -129,23 +116,11 @@ def _load(name: str):
 
 
 def _run_experiment(name: str, small: bool):
-    entry, module = _load(name)
-    if entry.style == "analytical":
-        module.main()
-        return None
+    _entry, module = _load(name)
     # Extension harnesses that calibrate their own cluster shape publish a
     # ``DEFAULT_SCALE``; everything else runs on the shared grid sizes.
     scale = SMALL if small else getattr(module, "DEFAULT_SCALE", DEFAULT)
-    if entry.style == "skewed":
-        results = module.run(skewed=entry.skewed, scale=scale)
-        module.print_figure(results, entry.skewed, scale)
-    elif entry.style == "extension":
-        results = module.run(scale=scale)
-        module.print_figure(results)
-    else:
-        results = module.run(scale=scale)
-        module.print_figure(results, scale)
-    return results
+    return module, module.run(scale=scale)
 
 
 def cmd_list(_args) -> None:
@@ -153,11 +128,9 @@ def cmd_list(_args) -> None:
 
 
 def cmd_run(args) -> None:
-    results = _run_experiment(args.experiment, args.small)
+    module, results = _run_experiment(args.experiment, args.small)
+    module.print_figure(results)
     if args.csv:
-        if results is None:
-            print("(this experiment is analytical; nothing to export)")
-            return
         from repro.reporting import write_csv
         from repro.workloads.metrics import RunResult
 
@@ -179,30 +152,22 @@ def cmd_run(args) -> None:
 
 
 def cmd_chart(args) -> None:
-    scale = SMALL if args.small else DEFAULT
-    entry, module = _load(args.experiment)
-    if entry.skewed is not None:
-        results = module.run(skewed=entry.skewed, scale=scale)
-    else:
-        results = module.run(scale=scale)
     from repro.reporting import ascii_chart
 
-    workloads = sorted({workload for _d, workload, _c in results})
-    clients = sorted({c for _d, _w, c in results})
-    designs = sorted({design for design, _w, _c in results})
-    for workload in workloads:
+    # Keys end (..., design, workload, clients); what comes before (a
+    # paired module's placement) and the workload name one chart.
+    _module, results = _run_experiment(args.experiment, args.small)
+    clients = sorted({key[-1] for key in results})
+    designs = sorted({key[-3] for key in results})
+    for panel in sorted({(*key[:-3], key[-2]) for key in results}):
+        *prefix, workload = panel
         series = {
-            design: [results[(design, workload, c)].throughput for c in clients]
+            design: [results[(*prefix, design, workload, c)].throughput for c in clients]
             for design in designs
         }
         print()
-        print(
-            ascii_chart(
-                series,
-                clients,
-                title=f"{args.experiment} workload {workload}: ops/s vs clients",
-            )
-        )
+        title = " ".join([args.experiment, *prefix, f"workload {workload}: ops/s vs clients"])
+        print(ascii_chart(series, clients, title=title))
 
 
 def cmd_gate(args) -> int:

@@ -12,94 +12,67 @@ See :mod:`repro.experiments.ext_cache_depth` for the full cache-depth x
 skew x write-ratio sweep backing ``BENCH_caching.json``; its uniform
 read-only and 50 %-insert columns are this harness's two workloads at
 every depth.
-
-Run with ``python -m repro.experiments.a4_caching``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-from repro.config import ObservabilityConfig
-from repro.experiments.common import (
-    build_cluster,
-    build_index,
-    cache_hit_rate,
-    format_rate,
-    print_table,
-)
-from repro.experiments.scale import DEFAULT, ExperimentScale, measure_window
-from repro.workloads import (
-    RunResult,
-    WorkloadRunner,
-    generate_dataset,
-    workload_a,
-    workload_d,
-)
+from repro.config import CacheConfig, ObservabilityConfig
+from repro.experiments.common import format_rate, level, print_table, ratio, run_cell, summarise
+from repro.experiments.gate import Claim
+from repro.experiments.scale import DEFAULT, ExperimentScale
+from repro.workloads import RunResult, workload_a, workload_d
 
-__all__ = ["run", "print_figure", "main"]
+__all__ = ["run", "print_figure", "CLAIMS"]
 
-#: (workload name, cached)
-Key = Tuple[str, bool]
+#: Cell mode -> ``CacheConfig.depth`` (and the hub on, to count the hits).
+MODES = {"plain": 0, "cached": 2}
 
 
 def run(
     scale: ExperimentScale = DEFAULT, num_clients: int = 80
-) -> Dict[Key, Tuple[RunResult, float]]:
-    """Returns ``(RunResult, cache hit rate)`` per (workload, cached) cell."""
-    results: Dict[Key, Tuple[RunResult, float]] = {}
-    for spec in (workload_a(), workload_d()):
-        for cached in (False, True):
-            dataset = generate_dataset(scale.num_keys, scale.gap)
-            cluster = build_cluster(
-                scale,
-                observability=ObservabilityConfig(enabled=cached),
-                cache_depth=2 if cached else 0,
-            )
-            index = build_index(cluster, "fine-grained", dataset)
-            runner = WorkloadRunner(cluster, dataset)
-            result = runner.run(
-                index,
-                spec,
-                num_clients=num_clients,
-                warmup_s=scale.warmup_s,
-                measure_s=measure_window(scale),
-                seed=scale.seed,
-            )
-            results[(spec.name, cached)] = (
-                result,
-                cache_hit_rate(result) if cached else 0.0,
-            )
-    return results
+) -> Dict[Tuple[str, str], RunResult]:
+    """Run the grid; results keyed ``(workload name, mode)``."""
+    return {
+        (spec.name, mode): run_cell(
+            "fine-grained", spec, num_clients, scale,
+            cache=CacheConfig(depth=depth),
+            observability=ObservabilityConfig(enabled=depth > 0),
+        )
+        for spec in (workload_a(), workload_d())
+        for mode, depth in MODES.items()
+    }
 
 
-def print_figure(results: Dict[Key, Tuple[RunResult, float]]) -> None:
+def _gain(workload: str):
+    return ratio("throughput", f"a4/{workload}/cached", f"a4/{workload}/plain")
+
+
+CLAIMS = (
+    # Read-only workloads benefit significantly from caching; write-heavy
+    # workloads benefit less (revalidation/invalidation churn).
+    Claim("a4_cache_speeds_up_read_only_lookups", _gain("A"), ">", 1.5),
+    Claim("a4_read_only_hit_rate", level("cache_hit_rate", "a4/A/cached"), ">", 0.4),
+    Claim("a4_inserts_erode_the_cache_gain",
+          lambda r: _gain("D")(r) / _gain("A")(r), "<", 1.0),
+)
+
+
+def print_figure(results: Mapping[Any, Any]) -> None:
     """Print the paper-shaped series for *results*."""
-    for spec_name in ("A", "D"):
-        base, _ = results[(spec_name, False)]
-        cached, hit_rate = results[(spec_name, True)]
-        gain = cached.throughput / base.throughput if base.throughput else 0.0
+    cells = summarise(results)
+    for workload in dict.fromkeys(workload for workload, _mode in cells):
+        plain, cached = (cells[(workload, mode)] for mode in MODES)
         rows = {
-            "fine-grained": [format_rate(base.throughput), "-", "-"],
+            "fine-grained": [format_rate(plain.throughput), "-", "-"],
             "fine-grained+cache": [
                 format_rate(cached.throughput),
-                f"{hit_rate * 100:.0f}%",
-                f"{gain:.2f}x",
+                f"{cached.cache_hit_rate * 100:.0f}%",
+                f"{cached.throughput / plain.throughput:.2f}x",
             ],
         }
         print_table(
-            f"Appendix A.4 - workload {spec_name}: inner-node caching "
-            "(80 clients, uniform)",
-            ["throughput", "hit rate", "gain"],
-            rows,
-            col_header="",
+            f"Appendix A.4 - workload {workload}: inner-node caching (uniform)",
+            ["throughput", "hit rate", "gain"], rows, col_header="",
         )
-
-
-def main() -> None:
-    """CLI entry point."""
-    print_figure(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -11,76 +11,58 @@ SRQs on (the paper's choice) and off (per-client receive queues: every
 RPC pays a poll across all connected queue pairs) over growing client
 counts. Expected shape: identical at few clients, and a widening gap as
 connections accumulate.
-
-Run with ``python -m repro.experiments.ablation_srq``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-from repro.config import ClusterConfig
-from repro.experiments.common import build_index, format_rate, print_table
+from repro.config import CpuConfig
+from repro.experiments.common import format_rate, print_panels, ratio, run_cell, summarise
+from repro.experiments.gate import Claim
 from repro.experiments.scale import DEFAULT, ExperimentScale
-from repro.nam.cluster import Cluster
-from repro.workloads import RunResult, WorkloadRunner, generate_dataset, workload_a
+from repro.workloads import RunResult, workload_a
 
-__all__ = ["run", "print_figure", "main"]
+__all__ = ["run", "print_figure", "CLAIMS"]
 
-#: (use_srq, num_clients)
-Key = Tuple[bool, int]
-
-
-def run(scale: ExperimentScale = DEFAULT) -> Dict[Key, RunResult]:
-    """Run this experiment's grid; returns the per-cell results."""
-    results: Dict[Key, RunResult] = {}
-    for use_srq in (True, False):
-        for num_clients in scale.clients:
-            dataset = generate_dataset(scale.num_keys, scale.gap)
-            config = ClusterConfig(
-                num_memory_servers=scale.num_memory_servers,
-                memory_servers_per_machine=scale.memory_servers_per_machine,
-                seed=scale.seed,
-            )
-            config = config.with_(cpu=replace(config.cpu, use_srq=use_srq))
-            cluster = Cluster(config)
-            index = build_index(cluster, "coarse-grained", dataset)
-            runner = WorkloadRunner(cluster, dataset)
-            results[(use_srq, num_clients)] = runner.run(
-                index,
-                workload_a(),
-                num_clients=num_clients,
-                warmup_s=scale.warmup_s,
-                measure_s=scale.measure_s,
-                seed=scale.seed,
-            )
-    return results
+#: Receive-queue mode -> ``CpuConfig.use_srq``.
+MODES = {"shared receive queues": True, "per-client queues": False}
 
 
-def print_figure(results: Dict[Key, RunResult], scale: ExperimentScale) -> None:
-    """Print the paper-shaped series for *results*."""
-    rows = {
-        label: [
-            format_rate(results[(use_srq, c)].throughput) for c in scale.clients
-        ]
-        for label, use_srq in (
-            ("shared receive queues", True),
-            ("per-client queues", False),
+def run(scale: ExperimentScale = DEFAULT) -> Dict[Tuple[str, int], RunResult]:
+    """Run the grid; results keyed ``(receive-queue mode, num_clients)``."""
+    return {
+        (mode, num_clients): run_cell(
+            "coarse-grained", workload_a(), num_clients, scale, cpu=CpuConfig(use_srq=use_srq)
         )
+        for mode, use_srq in MODES.items()
+        for num_clients in scale.clients
     }
-    print_table(
-        "Ablation (Sec 3.2) - coarse-grained point queries: SRQ vs. "
+
+
+def _throughput(over: str, under: str):
+    return ratio("throughput", f"srq/{over}", f"srq/{under}")
+
+
+CLAIMS = (
+    # At few clients the choice barely matters...
+    Claim("srq_choice_barely_matters_at_few_clients",
+          _throughput("per-client queues/[0]", "shared receive queues/[0]"), ">", 0.9),
+    # ...at many clients per-client receive queues collapse (the polling
+    # cost grows with every connection) while SRQs hold steady — the
+    # paper's reason for using SRQs.
+    Claim("srq_holds_where_per_client_queues_collapse",
+          _throughput("shared receive queues/[-1]", "per-client queues/[-1]"), ">", 1.5),
+    Claim("srq_per_client_queues_lose_throughput_as_connections_grow",
+          _throughput("per-client queues/[-1]", "per-client queues/[1]"), "<", 1.0),
+)
+
+
+def print_figure(results: Mapping[Any, Any]) -> None:
+    """Print the paper-shaped series for *results*."""
+    print_panels(
+        summarise(results),
+        lambda: "Ablation (Sec 3.2) - coarse-grained point queries: SRQ vs. "
         "per-client receive queues",
-        scale.clients,
-        rows,
+        row=0, col=1, fmt=lambda cell: format_rate(cell.throughput),
     )
-
-
-def main() -> None:
-    """CLI entry point."""
-    print_figure(run(), DEFAULT)
-
-
-if __name__ == "__main__":
-    main()

@@ -3,20 +3,22 @@
 Every measured cell — one (design, workload, client count, placement)
 combination — runs on a *fresh* cluster with a freshly bulk-loaded index,
 exactly as the paper restarts its system between runs. ``run_cell`` is the
-single entry point all figures use.
+single entry point all figures use; :func:`summarise` reduces its
+results to :class:`Cell` summaries, which every ``print_figure``
+prints and ``BENCH_paper.json`` holds (:mod:`repro.experiments.paper`).
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter  # namsan: allow[N01] — wall-clock engine-speed measurement
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import (
-    CacheConfig,
     ClusterConfig,
     CpuConfig,
     NetworkConfig,
@@ -24,15 +26,11 @@ from repro.config import (
     TreeConfig,
 )
 from repro.errors import ConfigurationError
-from repro.index import (
-    CoarseGrainedIndex,
-    FineGrainedIndex,
-    HashPartitioner,
-    HybridIndex,
-)
+from repro.index import CoarseGrainedIndex, FineGrainedIndex, HybridIndex
 from repro.nam.cluster import Cluster
 from repro.workloads import (
     Dataset,
+    OpType,
     RunResult,
     WorkloadRunner,
     WorkloadSpec,
@@ -43,14 +41,20 @@ from repro.experiments.scale import ExperimentScale, measure_window
 
 __all__ = [
     "DESIGNS",
+    "Cell",
     "TimedCell",
-    "build_cluster",
     "build_index",
     "cache_hit_rate",
+    "cells_of",
     "cluster_config",
     "measure_capacity",
     "run_cell",
     "format_rate",
+    "level",
+    "pick",
+    "print_panels",
+    "ratio",
+    "summarise",
     "timed_pair",
     "write_obs_artifacts",
 ]
@@ -78,36 +82,12 @@ def cluster_config(
     )
 
 
-def build_cluster(
-    scale: ExperimentScale,
-    num_memory_servers: Optional[int] = None,
-    colocated: bool = False,
-    observability: Optional[ObservabilityConfig] = None,
-    cache_depth: int = 0,
-) -> Cluster:
-    """A fresh cluster shaped by *scale*.
-
-    Pass an :class:`ObservabilityConfig` to run the cell with the metrics
-    registry and span sampling attached; the default (None) builds the
-    cluster with observability off, exactly as before. *cache_depth* > 0
-    gives every fine-grained session the coherent client cache
-    (docs/caching.md); with observability on as well, the cell's hit rate
-    can be read back with :func:`cache_hit_rate`.
-    """
-    return Cluster(
-        cluster_config(
-            scale,
-            num_memory_servers=num_memory_servers,
-            colocated=colocated,
-            cache=CacheConfig(depth=cache_depth),
-            observability=observability or ObservabilityConfig(),
-        )
-    )
-
-
 def cache_hit_rate(result: RunResult) -> float:
     """Share of node reads the client caches served over *result*'s whole
-    run, from the ``nam_cache_*`` counters of its observability snapshot."""
+    run, from the ``nam_cache_*`` counters of its observability snapshot
+    (0.0 for a run without one)."""
+    if result.observability is None:
+        return 0.0
     counters = {
         metric["name"]: metric["value"]
         for metric in result.observability["metrics"]
@@ -123,8 +103,6 @@ def build_index(
     design: str,
     dataset: Dataset,
     skewed: bool = False,
-    partitioning: str = "range",
-    name: str = "ycsb",
 ):
     """Bulk-load *dataset* into *cluster* under the named design.
 
@@ -138,22 +116,10 @@ def build_index(
     cls = DESIGNS[design]
     pairs = dataset.pairs()
     if cls is FineGrainedIndex:
-        return cls.build(cluster, name, pairs)
-    if partitioning == "hash":
-        if skewed:
-            # Attribute-value skew concentrates one key's duplicates; with
-            # our unique-key datasets hash placement stays balanced, so the
-            # paper models hash-under-skew as single-server bound. Range
-            # placement reproduces that bound directly.
-            partitioner = skewed_partitioner(dataset, cluster.num_memory_servers)
-        else:
-            partitioner = HashPartitioner(cluster.num_memory_servers)
-    elif skewed:
-        partitioner = skewed_partitioner(dataset, cluster.num_memory_servers)
-    else:
-        partitioner = None
+        return cls.build(cluster, "ycsb", pairs)
+    partitioner = skewed_partitioner(dataset, cluster.num_memory_servers) if skewed else None
     return cls.build(
-        cluster, name, pairs, partitioner=partitioner, key_space=dataset.key_space
+        cluster, "ycsb", pairs, partitioner=partitioner, key_space=dataset.key_space
     )
 
 
@@ -163,22 +129,22 @@ def run_cell(
     num_clients: int,
     scale: ExperimentScale,
     skewed: bool = False,
-    num_memory_servers: Optional[int] = None,
-    colocated: bool = False,
-    partitioning: str = "range",
     num_keys: Optional[int] = None,
-    observability: Optional[ObservabilityConfig] = None,
+    **config: Any,
 ) -> RunResult:
     """Measure one cell on a fresh cluster.
 
-    With *observability* set, the returned result additionally carries
-    the full metrics/span snapshot in :attr:`RunResult.observability`.
+    *config* goes to :func:`cluster_config`: ``num_memory_servers``,
+    ``colocated``, ``cpu``/``tree`` variations, ``cache=CacheConfig(depth)``
+    for the coherent client cache of the fine-grained sessions. With
+    ``observability`` set, the returned result additionally carries the
+    full metrics/span snapshot in :attr:`RunResult.observability` (and a
+    cached cell's hit rate can be read back with :func:`cache_hit_rate`).
     """
     dataset = generate_dataset(num_keys or scale.num_keys, scale.gap)
-    cluster = build_cluster(scale, num_memory_servers, colocated, observability)
-    index = build_index(cluster, design, dataset, skewed, partitioning)
-    runner = WorkloadRunner(cluster, dataset)
-    return runner.run(
+    cluster = Cluster(cluster_config(scale, **config))
+    index = build_index(cluster, design, dataset, skewed)
+    return WorkloadRunner(cluster, dataset).run(
         index,
         spec,
         num_clients=num_clients,
@@ -186,6 +152,105 @@ def run_cell(
         measure_s=measure_window(scale, spec.selectivity if spec.range_fraction else 0),
         seed=scale.seed,
     )
+
+
+@dataclass(frozen=True)
+class Cell:
+    """What the figures print and the claims read of one measured cell."""
+
+    #: Completed operations per second, all types together and by type
+    #: (Figure 3's cells hold the model's bound here and nothing else).
+    throughput: float
+    point_throughput: float = 0.0
+    insert_throughput: float = 0.0
+    #: Mean latency per operation type, seconds; 0.0 when none completed.
+    point_latency_s: float = 0.0
+    range_latency_s: float = 0.0
+    insert_latency_s: float = 0.0
+    #: Memory-server traffic: over the window, per completed operation,
+    #: the busiest server's share of it; that server's RPC-worker utilization.
+    network_gb_per_s: float = 0.0
+    network_bytes_per_op: float = 0.0
+    hot_server_share: float = 0.0
+    hot_cpu: float = 0.0
+    #: Client-cache hit rate; 0.0 unless the cell ran with the cache on.
+    cache_hit_rate: float = 0.0
+    #: Tree height, where the experiment measured it (page-size sweep).
+    tree_height: int = 0
+
+    @classmethod
+    def of(cls, result: RunResult, tree_height: int = 0) -> "Cell":
+        def latency(op_type: str) -> float:
+            return result.latency_mean(op_type) if result.latencies.get(op_type) else 0.0
+
+        traffic = [tx + rx for tx, rx in result.network.values()]
+        return cls(
+            throughput=result.throughput,
+            point_throughput=result.throughput_of(OpType.POINT),
+            insert_throughput=result.throughput_of(OpType.INSERT),
+            point_latency_s=latency(OpType.POINT),
+            range_latency_s=latency(OpType.RANGE),
+            insert_latency_s=latency(OpType.INSERT),
+            network_gb_per_s=result.network_gb_per_s,
+            network_bytes_per_op=(
+                result.network_bytes / result.total_ops if result.total_ops else 0.0
+            ),
+            hot_server_share=max(traffic) / sum(traffic) if sum(traffic) else 0.0,
+            hot_cpu=max(result.cpu_utilization.values(), default=0.0),
+            cache_hit_rate=cache_hit_rate(result),
+            tree_height=tree_height,
+        )
+
+
+def summarise(results: Mapping[Any, Any]) -> Dict[Tuple[str, ...], Cell]:
+    """*results* as ``{key parts, as strings: Cell}`` — from a figure
+    module's ``run`` (tuple keys; :class:`RunResult` or ``(RunResult, tree
+    height)`` values) or from ``paper.run`` (``/``-joined keys, Cells)."""
+    cells = {}
+    for key, value in results.items():
+        parts = key.split("/") if isinstance(key, str) else key
+        if not isinstance(value, Cell):
+            value = Cell.of(*value) if isinstance(value, tuple) else Cell.of(value)
+        cells[tuple(str(part) for part in parts)] = value
+    return cells
+
+
+def cells_of(results: Mapping[str, Any], grid: str) -> Dict[str, Any]:
+    """One grid's cells of ``paper.run``'s *results*, keyed without the grid."""
+    return {
+        key[len(grid) + 1:]: cell for key, cell in results.items() if key.startswith(grid + "/")
+    }
+
+
+def pick(results: Mapping[str, Any], path: str) -> Any:
+    """The cell of ``paper.run``'s *results* at *path*: a cell key,
+    ``grid/part/...``, in which ``[i]`` stands for the i-th distinct value
+    of that part across the grid, in run order — ``sweep/skewed/hybrid/A/[-1]``
+    is the highest client count, ``fig10/hybrid/[-1]/[0]`` the range workload
+    on the smallest data set. Such a claim holds a shape, not a grid size,
+    so it can be judged at any scale."""
+    grid, *parts = path.split("/")
+    keys = [key.split("/") for key in cells_of(results, grid)]
+    for position, part in enumerate(parts):
+        if part.startswith("["):
+            axis = list(dict.fromkeys(key[position] for key in keys))
+            parts[position] = axis[int(part[1:-1])]
+    return results["/".join([grid, *parts])]
+
+
+def level(field: str, path: str) -> Callable[[Mapping[str, Any]], float]:
+    """Claim measure: *field* of the cell at *path* (see :func:`pick`)."""
+    return lambda results: getattr(pick(results, path), field)
+
+
+def ratio(field: str, over: str, under: str) -> Callable[[Mapping[str, Any]], float]:
+    """Claim measure: *field* at path *over* divided by *field* at *under*."""
+
+    def measure(results: Mapping[str, Any]) -> float:
+        a, b = (getattr(pick(results, path), field) for path in (over, under))
+        return a / b if b else math.inf
+
+    return measure
 
 
 def measure_capacity(
@@ -202,20 +267,13 @@ def measure_capacity(
     mode — so its throughput is the service capacity the open-loop
     experiments (overload, tail) calibrate their offered load against.
     """
-    dataset = generate_dataset(scale.num_keys, scale.gap)
-    cluster = Cluster(
-        cluster_config(scale, seed, cpu=CpuConfig(cores_per_server=cores_per_server))
-    )
-    index = build_index(cluster, design, dataset)
-    result = WorkloadRunner(cluster, dataset).run(
-        index,
+    return run_cell(
+        design,
         WorkloadSpec(name="capacity-probe", point_fraction=1.0),
-        num_clients=num_clients,
-        warmup_s=scale.warmup_s,
-        measure_s=scale.measure_s,
-        seed=seed,
-    )
-    return result.throughput
+        num_clients,
+        replace(scale, seed=seed),
+        cpu=CpuConfig(cores_per_server=cores_per_server),
+    ).throughput
 
 
 @dataclass
@@ -359,3 +417,28 @@ def print_table(
     print(header)
     for label, cells in rows.items():
         print(f"{label:>22s} " + " ".join(f"{c:>10}" for c in cells))
+
+
+def print_panels(
+    cells: Mapping[Tuple[str, ...], Cell],
+    title: Callable[..., str],
+    row: int,
+    col: Optional[int],
+    fmt: Callable[[Cell], Any],
+    col_header: str = "clients",
+) -> None:
+    """Print *cells* (of :func:`summarise`) as tables: key part *row* down,
+    part *col* across (``None``: *fmt* returns the row, ``{column: text}``),
+    one table per combination of the remaining parts (handed to *title*),
+    all in run order."""
+    panels: Dict[Tuple[str, ...], Dict[str, Dict[str, str]]] = {}
+    for key, cell in cells.items():
+        rest = tuple(part for i, part in enumerate(key) if i not in (row, col))
+        line = panels.setdefault(rest, {}).setdefault(key[row], {})
+        line.update(fmt(cell) if col is None else {key[col]: fmt(cell)})
+    for rest, rows in panels.items():
+        cols = list(next(iter(rows.values())))
+        print_table(
+            title(*rest), cols, {label: list(line.values()) for label, line in rows.items()},
+            col_header,
+        )

@@ -18,19 +18,20 @@ writes). Gated by ``python -m repro gate cachedepth`` against
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.config import ObservabilityConfig
+from repro.config import CacheConfig, ObservabilityConfig
 from repro.experiments.common import (
-    build_cluster,
     build_index,
     cache_hit_rate,
+    cluster_config,
     format_rate,
     print_table,
 )
 from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
+from repro.nam.cluster import Cluster
 from repro.rdma.verbs import Verb
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
 
@@ -103,10 +104,13 @@ def _measure_cell(
     seed: int,
 ) -> CacheCell:
     dataset = generate_dataset(scale.num_keys, scale.gap)
-    cluster = build_cluster(
-        replace(scale, seed=seed),
-        observability=ObservabilityConfig(enabled=True),
-        cache_depth=depth,
+    cluster = Cluster(
+        cluster_config(
+            scale,
+            seed,
+            cache=CacheConfig(depth=depth),
+            observability=ObservabilityConfig(enabled=True),
+        )
     )
     index = build_index(cluster, "fine-grained", dataset)
     runner = WorkloadRunner(cluster, dataset)

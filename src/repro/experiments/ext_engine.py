@@ -5,7 +5,7 @@ engine itself: simulator events processed per wall-clock second across
 the full design grid (coarse/fine/hybrid × doorbell batching on/off ×
 observability on/off), on the message-rate-bound cluster of
 :func:`repro.experiments.common.timed_pair`. It watches the host-side
-fast paths — the event kernel's two-lane queue and timeout free-list, the
+fast paths — the event kernel's heap and event free-lists, the
 zero-copy READ, the ``(raw_ptr, version)``-keyed decode cache, the
 shared-master reads of read-only traversals, the WRITE+FAA unlock chain.
 

@@ -6,67 +6,68 @@ fine-grained designs, 80 clients, uniform data, point queries and range
 queries. With one compute server per memory machine, 1/num_machines of all
 accesses become local memory accesses; the paper reports a similar
 constant-factor gain for all workloads.
-
-Run with ``python -m repro.experiments.fig15_colocation``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-from repro.experiments.common import format_rate, print_table, run_cell
+from repro.experiments.common import format_rate, print_table, ratio, run_cell, summarise
+from repro.experiments.gate import Claim
 from repro.experiments.scale import DEFAULT, ExperimentScale
 from repro.workloads import RunResult, workload_a, workload_b
 
-__all__ = ["run", "print_figure", "main", "DESIGNS_FIG15"]
+__all__ = ["run", "print_figure", "CLAIMS", "DESIGNS_FIG15"]
 
 DESIGNS_FIG15 = ("fine-grained", "coarse-grained")
 
-#: (design, workload name, colocated)
-Key = Tuple[str, str, bool]
+#: Deployment name -> ``run_cell``'s *colocated*.
+DEPLOYMENTS = {"distributed": False, "co-located": True}
+
+def run(
+    scale: ExperimentScale = DEFAULT, num_clients: int = 80
+) -> Dict[Tuple[str, str, str], RunResult]:
+    """Run the grid; results keyed ``(design, workload name, deployment)``."""
+    return {
+        (design, spec.name, deployment): run_cell(
+            design, spec, num_clients, scale, colocated=colocated
+        )
+        for spec in [workload_a()] + [workload_b(sel) for sel in scale.selectivities]
+        for design in DESIGNS_FIG15
+        for deployment, colocated in DEPLOYMENTS.items()
+    }
 
 
-def run(scale: ExperimentScale = DEFAULT, num_clients: int = 80) -> Dict[Key, RunResult]:
-    """Run this experiment's grid; returns the per-cell results."""
-    specs = [workload_a()] + [workload_b(sel) for sel in scale.selectivities]
-    results: Dict[Key, RunResult] = {}
-    for spec in specs:
-        for design in DESIGNS_FIG15:
-            for colocated in (False, True):
-                results[(design, spec.name, colocated)] = run_cell(
-                    design, spec, num_clients, scale, colocated=colocated
-                )
-    return results
+def _gain(cells: str):
+    return ratio("throughput", f"fig15/{cells}/co-located", f"fig15/{cells}/distributed")
 
 
-def print_figure(results: Dict[Key, RunResult], scale: ExperimentScale) -> None:
+CLAIMS = (
+    # Co-location yields a similar constant-factor gain for both designs
+    # (a share of accesses becomes local memory traffic)...
+    Claim("fig15_colocation_gain_fg_points", _gain("fine-grained/A"), ">", 1.3),
+    Claim("fig15_colocation_gain_cg_points", _gain("coarse-grained/A"), ">", 1.3),
+    Claim("fig15_colocation_gain_fg_ranges", _gain("fine-grained/[-1]"), ">", 1.3),
+    # ...and with it CG has the best absolute point-query throughput. (The
+    # paper also reports FG keeping the range-query lead; at our
+    # scaled-down range sizes — a few leaves per scan instead of
+    # thousands — the RPC's fixed-cost efficiency lets CG keep up; see
+    # EXPERIMENTS.md.)
+    Claim("fig15_colocated_cg_keeps_the_point_lead",
+          ratio("throughput", "fig15/coarse-grained/A/co-located",
+                "fig15/fine-grained/A/co-located"), ">=", 0.95),
+)
+
+
+def print_figure(results: Mapping[Any, Any]) -> None:
     """Print the paper-shaped series for *results*."""
-    specs = [workload_a()] + [workload_b(sel) for sel in scale.selectivities]
-    for spec in specs:
+    cells = summarise(results)
+    for workload in dict.fromkeys(key[1] for key in cells):
         rows = {}
         for design in DESIGNS_FIG15:
-            distributed = results[(design, spec.name, False)].throughput
-            colocated = results[(design, spec.name, True)].throughput
-            gain = colocated / distributed if distributed else float("nan")
-            rows[design] = [
-                format_rate(distributed),
-                format_rate(colocated),
-                f"{gain:.2f}x",
-            ]
+            apart, together = (cells[(design, workload, d)].throughput for d in DEPLOYMENTS)
+            rows[design] = [format_rate(apart), format_rate(together), f"{together / apart:.2f}x"]
         print_table(
-            f"Figure 15 - workload {spec.name}: distributed vs. co-located "
-            "(80 clients, uniform)",
-            ["distributed", "co-located", "gain"],
-            rows,
-            col_header="",
+            f"Figure 15 - workload {workload}: distributed vs. co-located (uniform)",
+            [*DEPLOYMENTS, "gain"], rows, col_header="",
         )
-
-
-def main() -> None:
-    """CLI entry point."""
-    results = run()
-    print_figure(results, DEFAULT)
-
-
-if __name__ == "__main__":
-    main()

@@ -4,8 +4,8 @@ The paper's testbed runs 100M-1B keys against 8 InfiniBand machines for
 minutes; a pure-Python discrete-event simulation cannot, so every
 experiment harness accepts an :class:`ExperimentScale`. ``DEFAULT``
 approximates the paper's sweep shape (client counts 10..240, three
-selectivities); ``SMALL`` is the fast grid used by the pytest benchmarks
-and CI. Absolute numbers shrink with the data; the *relative* shapes —
+selectivities); ``SMALL`` is the fast grid ``--small`` runs and the gate
+records ``BENCH_paper.json`` at. Absolute numbers shrink with the data; the *relative* shapes —
 who wins, where curves flatten, what skew does — are scale-invariant
 (see EXPERIMENTS.md).
 """

@@ -77,21 +77,20 @@ def _emit_local(
     epoch: int = 0,
 ) -> None:
     """Report a region effect of a server-resident accessor or root ref to
-    an attached trace sanitizer. The actor is the *physical* host whose
-    worker does the work; the server field is the logical id whose bytes
-    are touched (they differ on a promoted backup)."""
-    sanitizer = server.sanitizer
-    if sanitizer is not None:
-        sanitizer.emit(
-            f"s{server.server_id}",
-            kind,
-            verb,
-            logical_id,
-            offset,
-            length,
-            server.sim.now,
-            lock_epoch=epoch,
-        )
+    the attached trace sanitizer (callers test ``server.sanitizer`` first,
+    so an untraced run pays no call). The actor is the *physical* host
+    whose worker does the work; the server field is the logical id whose
+    bytes are touched (they differ on a promoted backup)."""
+    server.sanitizer.emit(
+        f"s{server.server_id}",
+        kind,
+        verb,
+        logical_id,
+        offset,
+        length,
+        server.sim.now,
+        lock_epoch=epoch,
+    )
 
 
 class LocalAccessor(NodeAccessor):
@@ -140,7 +139,8 @@ class LocalAccessor(NodeAccessor):
         # view, consumed before the next simulation yield (holding it longer
         # would block region growth — see MemoryRegion.read_view).
         view = self.region.read_view(offset, self.page_size)
-        _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, offset, self.page_size)
+        if self.server.sanitizer is not None:
+            _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, offset, self.page_size)
         try:
             return Node.from_bytes(view)
         finally:
@@ -150,7 +150,10 @@ class LocalAccessor(NodeAccessor):
         offset = self._offset(raw_ptr)
         yield self.server.cpu(self._node_cost)
         self.region.write(offset, node.to_bytes(self.page_size))
-        _emit_local(self.server, "write", "LOCAL_WRITE", self.logical_id, offset, self.page_size)
+        if self.server.sanitizer is not None:
+            _emit_local(
+                self.server, "write", "LOCAL_WRITE", self.logical_id, offset, self.page_size
+            )
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
         offset = self._offset(raw_ptr)
@@ -158,7 +161,8 @@ class LocalAccessor(NodeAccessor):
         swapped, old = self.region.compare_and_swap(
             offset, version, version | 1
         )
-        _emit_local(self.server, "atomic", "LOCAL_CAS", self.logical_id, offset, 8, old)
+        if self.server.sanitizer is not None:
+            _emit_local(self.server, "atomic", "LOCAL_CAS", self.logical_id, offset, 8, old)
         obs = self.obs
         if obs is not None:
             if swapped:
@@ -172,15 +176,20 @@ class LocalAccessor(NodeAccessor):
         node.version |= 1
         yield self.server.cpu(self._node_cost)
         self.region.write(offset, node.to_bytes(self.page_size))
-        _emit_local(self.server, "write", "LOCAL_WRITE", self.logical_id, offset, self.page_size)
+        if self.server.sanitizer is not None:
+            _emit_local(
+                self.server, "write", "LOCAL_WRITE", self.logical_id, offset, self.page_size
+            )
         old = self.region.fetch_and_add(offset, 1)
-        _emit_local(self.server, "atomic", "LOCAL_FAA", self.logical_id, offset, 8, old)
+        if self.server.sanitizer is not None:
+            _emit_local(self.server, "atomic", "LOCAL_FAA", self.logical_id, offset, 8, old)
 
     def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
         yield self.server.cpu(self._atomic_cost)
         old = self.region.fetch_and_add(offset, 1)
-        _emit_local(self.server, "atomic", "LOCAL_FAA", self.logical_id, offset, 8, old)
+        if self.server.sanitizer is not None:
+            _emit_local(self.server, "atomic", "LOCAL_FAA", self.logical_id, offset, 8, old)
 
     def alloc(self, level: int) -> Generator[Any, Any, int]:
         yield self.server.cpu(self._atomic_cost)
@@ -210,7 +219,6 @@ class RemoteAccessor(NodeAccessor):
         compute_server: ComputeServer,
         config,
         alloc_server_id: int = None,
-        batch_verbs: bool = None,
     ) -> None:
         self.compute_server = compute_server
         self.config = config
@@ -219,11 +227,8 @@ class RemoteAccessor(NodeAccessor):
         self._search_cost = config.cpu.client_per_node_cost_s
         self._spin_slice = config.cpu.spin_wait_slice_s
         # Doorbell batching for multi-verb operations (prefetch fan-out,
-        # write+FAA unlocks). ``batch_verbs`` overrides the cluster-wide
-        # NetworkConfig.doorbell_batching default per index build.
-        self._batching = (
-            config.network.doorbell_batching if batch_verbs is None else batch_verbs
-        )
+        # write+FAA unlocks).
+        self._batching = config.network.doorbell_batching
         self._max_wqes = config.network.max_batch_wqes
         # Stagger allocation round-robin across compute servers so they do
         # not all bump the same server's allocator in lockstep. When
@@ -500,21 +505,24 @@ class LocalRootRef(RootRef):
 
     def get(self) -> Generator[Any, Any, int]:
         raw = self.region.read_u64(self.offset)
-        _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, self.offset, 8)
+        if self.server.sanitizer is not None:
+            _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, self.offset, 8)
         return raw
         yield  # pragma: no cover - unreachable; makes this a generator
 
     def refresh(self) -> Generator[Any, Any, int]:
         raw = self.region.read_u64(self.offset)
-        _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, self.offset, 8)
+        if self.server.sanitizer is not None:
+            _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, self.offset, 8)
         return raw
         yield  # pragma: no cover - unreachable; makes this a generator
 
     def compare_and_swap(self, old: int, new: int) -> Generator[Any, Any, bool]:
         swapped, current = self.region.compare_and_swap(self.offset, old, new)
-        _emit_local(
-            self.server, "atomic", "LOCAL_CAS", self.logical_id, self.offset, 8, current
-        )
+        if self.server.sanitizer is not None:
+            _emit_local(
+                self.server, "atomic", "LOCAL_CAS", self.logical_id, self.offset, 8, current
+            )
         return swapped
         yield  # pragma: no cover - unreachable; makes this a generator
 

@@ -176,9 +176,7 @@ class CachingRemoteAccessor(RemoteAccessor):
     def __init__(
         self, index, compute_server: ComputeServer, depth: int, capacity: int
     ) -> None:
-        super().__init__(
-            compute_server, index.cluster.config, batch_verbs=index.batch_verbs
-        )
+        super().__init__(compute_server, index.cluster.config)
         self.cache = RemoteCache(capacity=capacity, depth=depth)
         catalog = index.cluster.catalog
         name = index.name

@@ -57,8 +57,6 @@ class FineGrainedIndex(DistributedIndex):
         super().__init__(cluster, name)
         self.root_location = root_location
         self.use_head_nodes = use_head_nodes
-        #: Per-index doorbell-batching override (None = cluster default).
-        self.batch_verbs: Optional[bool] = None
 
     @classmethod
     def build(
@@ -68,7 +66,6 @@ class FineGrainedIndex(DistributedIndex):
         pairs: Sequence[Tuple[int, int]],
         home_server: int = 0,
         head_interval: Optional[int] = None,
-        batch_verbs: Optional[bool] = None,
         **_options: Any,
     ) -> "FineGrainedIndex":
         """Bulk-load *pairs* round-robin across all memory servers.
@@ -76,8 +73,6 @@ class FineGrainedIndex(DistributedIndex):
         The root pointer word lives on *home_server* (its location is the
         catalog entry compute servers start from). *head_interval*
         overrides ``TreeConfig.head_node_interval``; 0 disables head nodes.
-        *batch_verbs* overrides ``NetworkConfig.doorbell_batching`` for
-        this index's sessions (None = use the cluster default).
         """
         config = cluster.config
         if head_interval is None:
@@ -97,7 +92,6 @@ class FineGrainedIndex(DistributedIndex):
             home_server, root_location.offset, result.root_raw
         )
         index = cls(cluster, name, root_location, use_head_nodes=head_interval > 0)
-        index.batch_verbs = batch_verbs
         cluster.catalog.register(
             IndexDescriptor(
                 name=name,
@@ -118,9 +112,7 @@ class FineGrainedIndex(DistributedIndex):
 
     def tree_for(self, compute_server: ComputeServer) -> BLinkTree:
         """A raw client-side tree handle (used by tests and the global GC)."""
-        accessor = RemoteAccessor(
-            compute_server, self.cluster.config, batch_verbs=self.batch_verbs
-        )
+        accessor = RemoteAccessor(compute_server, self.cluster.config)
         root = RemoteRootRef(compute_server, self.root_location)
         tree = BLinkTree(
             accessor,

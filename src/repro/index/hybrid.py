@@ -130,8 +130,6 @@ class HybridIndex(DistributedIndex):
         self.partitioner = partitioner
         self.roots = roots
         self.use_head_nodes = use_head_nodes
-        #: Per-index doorbell-batching override (None = cluster default).
-        self.batch_verbs: Optional[bool] = None
 
     @classmethod
     def build(
@@ -142,13 +140,10 @@ class HybridIndex(DistributedIndex):
         partitioner: Optional[Partitioner] = None,
         key_space: Optional[int] = None,
         head_interval: Optional[int] = None,
-        batch_verbs: Optional[bool] = None,
         **_options: Any,
     ) -> "HybridIndex":
         """Partition *pairs*; per partition, bulk-load inner nodes onto the
-        owner and leaves round-robin across all servers. *batch_verbs*
-        overrides ``NetworkConfig.doorbell_batching`` for this index's
-        one-sided leaf accessors (None = use the cluster default)."""
+        owner and leaves round-robin across all servers."""
         config = cluster.config
         num_servers = cluster.num_memory_servers
         if head_interval is None:
@@ -204,7 +199,6 @@ class HybridIndex(DistributedIndex):
             )
 
         index = cls(cluster, name, partitioner, roots, head_interval > 0)
-        index.batch_verbs = batch_verbs
         cluster.catalog.register(
             IndexDescriptor(
                 name=name,
@@ -257,9 +251,7 @@ class HybridIndex(DistributedIndex):
         """
         from repro.index.accessors import RemoteRootRef
 
-        accessor = RemoteAccessor(
-            compute_server, self.cluster.config, batch_verbs=self.batch_verbs
-        )
+        accessor = RemoteAccessor(compute_server, self.cluster.config)
         root = RemoteRootRef(compute_server, self.roots[server_id])
         return BLinkTree(accessor, root)
 
@@ -316,10 +308,7 @@ class HybridSession(IndexSession):
         for server in index.cluster.memory_servers:
             server.connected_qps += 1
         self._leaves = _HybridLeafTree(
-            RemoteAccessor(
-                compute_server, index.cluster.config, batch_verbs=index.batch_verbs
-            ),
-            self,
+            RemoteAccessor(compute_server, index.cluster.config), self
         )
 
     # -- RPC plumbing -------------------------------------------------------------

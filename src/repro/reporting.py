@@ -48,9 +48,6 @@ _CSV_FIELDS = [
     "rejected_ops",
     "shed_ops",
     "slo_attainment",
-    # Engine speed (events per wall-second); 0.0 unless the harness
-    # timed the run and set it (RunResult.wall_steps_per_s).
-    "wall_steps_per_s",
 ]
 
 
@@ -91,7 +88,6 @@ def _row(key, result: RunResult) -> Dict[str, object]:
         "slo_attainment": (
             "" if result.slo_attainment is None else result.slo_attainment
         ),
-        "wall_steps_per_s": result.wall_steps_per_s,
     }
     if not isinstance(key, tuple):
         key = (key,)

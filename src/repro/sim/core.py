@@ -18,21 +18,21 @@ Determinism: events scheduled for the same instant fire in scheduling order
 (a monotonically increasing sequence number breaks ties), so a seeded run is
 fully reproducible.
 
-Engine speed (docs/performance.md "engine profiling"): the queue is a
-two-lane calendar — a plain FIFO deque for events triggered *at the current
-instant* (zero delay: process bootstraps, ``succeed`` chains, RPC handoffs —
-the majority of all events) and a binary heap for everything in the future.
-Deque entries carry ``(sequence, event)``; because the clock only advances
-when the instant lane is dry, every deque entry's timestamp is exactly
-``now``, and comparing the deque front's sequence number against the heap
-front reproduces the global ``(time, sequence)`` order of a single heap
-while the common case pays ``append``/``popleft`` instead of two
-``O(log n)`` sift passes. Fired ``Event``/``Timeout``/``Condition`` objects
-whose last external reference died with their firing (checked with
-``sys.getrefcount`` — conservative: any surviving reference, e.g. a pending
-``any_of`` sibling or model code that kept the handle, keeps the object out
-of the pool) are recycled through per-simulator free-lists, so the
-steady-state hot path allocates no event objects at all.
+Engine speed (docs/performance.md "engine profiling"): the queue is one
+binary heap of ``(time, sequence, event)`` entries; a zero-delay trigger
+(process bootstrap, ``succeed`` chain, RPC handoff) is pushed at ``now``
+like any other. A second, FIFO lane for those instant events was measured
+and removed: they are 0.2-0.4 % of all events on the one-sided workloads
+and a third on the RPC ones, and host time per operation did not resolve
+either way in ten alternating pairs. Fired ``Event``/``Timeout``/
+``Condition`` objects whose last external reference died with their firing
+(checked with ``sys.getrefcount`` — conservative: any surviving reference,
+e.g. a pending ``any_of`` sibling or model code that kept the handle, keeps
+the object out of the pool) are recycled through per-simulator free-lists.
+The pool pays for itself in host time, not in calls: without it
+nambench's ``fg_point_uniform`` makes fewer calls per operation
+(270.2 -> 234.1) but each takes longer (42.1 -> 45.1 us/op, slower in 4 of
+5 pairs; ``cg_point_zipf`` 49.9 -> 52.2).
 
 Schedule control: a :class:`Simulator` optionally carries a *scheduler* —
 any object with a ``choose(at, ready)`` method and an optional ``window``
@@ -50,14 +50,12 @@ byte-identical to the plain heap order, and a scheduler with ``window == 0``
 that returns ``0`` from ``choose`` reproduces it. This is the hook the
 namsan schedule explorer (:mod:`repro.analysis.namsan.explore`) uses to
 enumerate interleavings of concurrent client processes at synchronization
-points. Attaching a scheduler flushes the instant lane into the heap and
-routes all queueing there, so ``choose`` always sees the complete ready set.
+points.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -317,13 +315,9 @@ class Simulator:
 
     def __init__(self, scheduler: Optional[Any] = None) -> None:
         self.now: float = 0.0
-        #: Far lane: ``(time, sequence, event)`` entries with a positive
-        #: delay (and, while a scheduler is attached, *all* entries).
+        #: ``(time, sequence, event)`` entries; the sequence number makes
+        #: same-instant events fire in scheduling order.
         self._heap: List[Any] = []
-        #: Instant lane: ``(sequence, event)`` entries triggered at the
-        #: current instant. Invariant: every entry's timestamp is exactly
-        #: ``now`` — the clock only advances once this lane is dry.
-        self._dq: "deque[Any]" = deque()
         self._sequence = 0
         self._scheduler: Optional[Any] = None
         self._window = 0.0
@@ -369,18 +363,7 @@ class Simulator:
     @scheduler.setter
     def scheduler(self, value: Optional[Any]) -> None:
         self._scheduler = value
-        if value is None:
-            self._window = 0.0
-            return
-        self._window = getattr(value, "window", 0.0)
-        # Flush the instant lane so ``choose`` sees one complete ready
-        # set; while attached, _queue_fire routes everything to the heap.
-        dq = self._dq
-        heap = self._heap
-        now = self.now
-        while dq:
-            seq, event = dq.popleft()
-            heapq.heappush(heap, (now, seq, event))
+        self._window = 0.0 if value is None else getattr(value, "window", 0.0)
 
     def event(self) -> Event:
         """A fresh untriggered event (a mailbox another process can fire)."""
@@ -428,10 +411,7 @@ class Simulator:
     def _queue_fire(self, event: Event, delay: float = 0.0) -> None:
         seq = self._sequence + 1
         self._sequence = seq
-        if delay == 0.0 and self._scheduler is None:
-            self._dq.append((seq, event))
-        else:
-            heapq.heappush(self._heap, (self.now + delay, seq, event))
+        heapq.heappush(self._heap, (self.now + delay, seq, event))
 
     def _recycle(self, event: Event) -> None:
         """Pool *event* for reuse if its firing dropped the last reference.
@@ -499,33 +479,19 @@ class Simulator:
 
         When stopped by *until*, the clock is set exactly to *until* and any
         events scheduled later stay queued (``run`` may be called again).
+        An *until* the clock has already passed fires nothing and leaves
+        the clock where it is: it never runs backwards.
         """
-        dq = self._dq
         heap = self._heap
         pop = heapq.heappop
-        while dq or heap:
+        while heap:
+            at = heap[0][0]
+            if until is not None and at > until:
+                break
             if self._scheduler is None:
-                if dq and (
-                    not heap
-                    or heap[0][0] > self.now
-                    or heap[0][1] > dq[0][0]
-                ):
-                    if until is not None and self.now > until:
-                        self.now = until
-                        return
-                    event = dq.popleft()[1]
-                else:
-                    at = heap[0][0]
-                    if until is not None and at > until:
-                        self.now = until
-                        return
-                    event = pop(heap)[2]
-                    self.now = at
+                event = pop(heap)[2]
+                self.now = at
             else:
-                at = heap[0][0]
-                if until is not None and at > until:
-                    self.now = until
-                    return
                 at, _seq, event = self._pop_choice(at, until)
                 # A deferred entry may carry a timestamp the clock already
                 # passed; it fires late, the clock never runs backwards.
@@ -544,31 +510,18 @@ class Simulator:
         deadlock in model code), or re-raises the event's exception if it
         failed.
         """
-        dq = self._dq
         heap = self._heap
         pop = heapq.heappop
         while target._value is _PENDING:
+            if not heap:
+                raise SimulationError(
+                    "event queue drained before the awaited event fired "
+                    "(model deadlock?)"
+                )
             if self._scheduler is None:
-                if dq and (
-                    not heap
-                    or heap[0][0] > self.now
-                    or heap[0][1] > dq[0][0]
-                ):
-                    event = dq.popleft()[1]
-                elif heap:
-                    at, _seq, event = pop(heap)
-                    self.now = at
-                else:
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired "
-                        "(model deadlock?)"
-                    )
+                at, _seq, event = pop(heap)
+                self.now = at
             else:
-                if not heap and not dq:
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired "
-                        "(model deadlock?)"
-                    )
                 at, _seq, event = self._pop_choice(heap[0][0])
                 if at > self.now:
                     self.now = at

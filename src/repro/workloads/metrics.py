@@ -113,12 +113,6 @@ class RunResult:
     offered_ops: int = 0
     rejected_ops: int = 0
     shed_ops: int = 0
-    #: Engine speed: simulator events processed per *wall-clock* second
-    #: while this run executed. Host-dependent (never part of golden
-    #: fingerprints); 0.0 unless the harness timed the run and filled it
-    #: in (the metric is defined in docs/performance.md; the gated grids
-    #: report it per cell as ``TimedCell.wall_steps_per_s``).
-    wall_steps_per_s: float = 0.0
     #: Per-tenant outcomes of an open-loop run, keyed by tenant name.
     tenants: Dict[str, TenantOutcome] = field(default_factory=dict)
 

@@ -46,3 +46,14 @@ def dataset():
 @pytest.fixture
 def pairs(dataset):
     return dataset.pairs()
+
+
+@pytest.fixture(scope="session")
+def paper_run():
+    """The whole reproduction (``repro.experiments.paper``) at the tier-1
+    scale, run once: test_paper_shapes judges its claims, test_gate its
+    payload, test_experiments_smoke each figure's cells and heading."""
+    from repro.experiments import paper
+    from tests.test_paper_shapes import SCALE
+
+    return paper.run(scale=SCALE)

@@ -1,140 +1,111 @@
-"""Integration tests asserting the paper's qualitative findings.
+"""The paper's qualitative findings, as the named claims of ``repro.experiments.paper``.
 
-Each test runs a miniature version of an evaluation-section experiment and
-checks the *shape* the paper reports (who wins, what saturates, what skew
-does) with comfortable margins. These are the contract EXPERIMENTS.md is
-built on.
+One run of the whole reproduction at a miniature scale (the session's
+``paper_run`` fixture, tests/conftest.py); every claim the gate judges at
+its own scale against ``BENCH_paper.json`` must hold here too — who wins,
+what saturates, what skew does. These are the contract EXPERIMENTS.md is
+built on. A claim that cannot hold at this scale is fixed in ``SCALE``,
+never by exempting the claim.
+
+``SCALE`` is the one the shape tests have always run at, plus the two grid
+axes they never used (data sizes, server counts) and minus most of its
+window: a cell costs what its window simulates, and between 2.5 ms after
+0.8 ms of warm-up (before) and 1 ms after 0.4 ms (now) no claim's value
+moves by more than 4 %, except three insert-bound ones that move away from
+their bounds (9-35 %), while the run falls from 90 s to 56 s.
 """
 
 import pytest
 
-from repro.experiments.common import run_cell
+from repro.experiments import paper
 from repro.experiments.scale import ExperimentScale
-from repro.workloads import OpType, workload_a, workload_b, workload_d
 
 SCALE = ExperimentScale(
     num_keys=6_000,
     clients=(10, 40, 120),
     selectivities=(0.01,),
-    measure_s=0.0025,
-    warmup_s=0.0008,
+    data_sizes=(1_500, 12_000),
+    servers_sweep=(2, 8),
+    measure_s=0.001,
+    warmup_s=0.0004,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
 
+@pytest.fixture(scope="module")
+def judged(paper_run):
+    return {claim.name: claim.judge(paper_run) for claim in paper.CLAIMS}
+
+
+def _assert_holds(judged, *claims):
+    for claim in claims:
+        assert judged[claim]["ok"], (claim, judged[claim])
+
+
+@pytest.mark.parametrize("claim", [claim.name for claim in paper.CLAIMS])
+def test_claim_holds_at_the_tier1_scale(judged, claim):
+    _assert_holds(judged, claim)
+
+
+# The shape tests this module held before the claims existed, by their old
+# names: each now reads the claims that carry its assertions.
+
+
 class TestFigure7And8PointQueries:
-    def test_uniform_cg_wins_at_low_load(self):
-        cg = run_cell("coarse-grained", workload_a(), 10, SCALE)
-        fg = run_cell("fine-grained", workload_a(), 10, SCALE)
-        assert cg.throughput > fg.throughput
+    def test_uniform_cg_wins_at_low_load(self, judged):
+        _assert_holds(judged, "fig08_cg_leads_at_light_load")
 
-    def test_uniform_hybrid_wins_at_high_load(self):
-        hybrid = run_cell("hybrid", workload_a(), 120, SCALE)
-        cg = run_cell("coarse-grained", workload_a(), 120, SCALE)
-        fg = run_cell("fine-grained", workload_a(), 120, SCALE)
-        assert hybrid.throughput > cg.throughput
-        assert hybrid.throughput > fg.throughput
+    def test_uniform_hybrid_wins_at_high_load(self, judged):
+        _assert_holds(judged, "fig08_hybrid_matches_cg_at_high_load",
+                      "fig08_hybrid_beats_fg_at_high_load")
 
-    def test_skew_caps_cg_but_not_fg(self):
-        fg_uniform = run_cell("fine-grained", workload_a(), 120, SCALE)
-        fg_skew = run_cell("fine-grained", workload_a(), 120, SCALE, skewed=True)
-        cg_uniform = run_cell("coarse-grained", workload_a(), 120, SCALE)
-        cg_skew = run_cell("coarse-grained", workload_a(), 120, SCALE, skewed=True)
-        assert fg_skew.throughput == pytest.approx(
-            fg_uniform.throughput, rel=0.05
-        )  # FG is immune to data skew
-        assert cg_skew.throughput < 0.7 * cg_uniform.throughput
+    def test_skew_caps_cg_but_not_fg(self, judged):
+        _assert_holds(judged, "fig07_08_fg_is_immune_to_data_skew", "fig07_08_skew_caps_cg")
 
-    def test_skewed_fg_beats_skewed_cg_under_high_load(self):
-        fg = run_cell("fine-grained", workload_a(), 120, SCALE, skewed=True)
-        cg = run_cell("coarse-grained", workload_a(), 120, SCALE, skewed=True)
-        assert fg.throughput > cg.throughput
+    def test_skewed_fg_beats_skewed_cg_under_high_load(self, judged):
+        _assert_holds(judged, "fig07_fg_beats_cg_on_skewed_points")
 
-    def test_cg_saturates_between_low_and_high_load(self):
-        low = run_cell("coarse-grained", workload_a(), 40, SCALE)
-        high = run_cell("coarse-grained", workload_a(), 120, SCALE)
-        # Tripling the clients gains little once the server CPUs saturate.
-        assert high.throughput < 1.3 * low.throughput
+    def test_cg_saturates_between_low_and_high_load(self, judged):
+        _assert_holds(judged, "fig08_cg_saturates_before_high_load")
 
 
 class TestFigure7RangeQueries:
-    def test_skewed_range_queries_fg_beats_cg(self):
-        spec = workload_b(0.01)
-        fg = run_cell("fine-grained", spec, 120, SCALE, skewed=True)
-        cg = run_cell("coarse-grained", spec, 120, SCALE, skewed=True)
-        assert fg.throughput > 1.5 * cg.throughput
+    def test_skewed_range_queries_fg_beats_cg(self, judged):
+        _assert_holds(judged, "fig07_fg_beats_cg_on_skewed_ranges")
 
-    def test_skewed_cg_traffic_concentrates_on_hot_server(self):
-        spec = workload_b(0.01)
-        cg = run_cell("coarse-grained", spec, 40, SCALE, skewed=True)
-        fg = run_cell("fine-grained", spec, 40, SCALE, skewed=True)
-
-        def hot_share(result):
-            totals = [tx + rx for tx, rx in result.network.values()]
-            return max(totals) / sum(totals)
-
-        assert hot_share(cg) > 0.6  # one server carries the range traffic
-        assert hot_share(fg) < 0.45  # leaves spread over all ports
+    def test_skewed_cg_traffic_concentrates_on_hot_server(self, judged):
+        _assert_holds(judged, "fig09_skewed_cg_range_traffic_funnels_through_one_server",
+                      "fig09_fg_range_traffic_spreads_over_all_servers")
 
 
 class TestFigure9Network:
-    def test_fg_moves_more_bytes_per_point_query(self):
-        fg = run_cell("fine-grained", workload_a(), 40, SCALE)
-        cg = run_cell("coarse-grained", workload_a(), 40, SCALE)
-        fg_bytes_per_op = fg.network_bytes / fg.total_ops
-        cg_bytes_per_op = cg.network_bytes / cg.total_ops
-        assert fg_bytes_per_op > 5 * cg_bytes_per_op
+    def test_fg_moves_more_bytes_per_point_query(self, judged):
+        _assert_holds(judged, "fig09_fg_moves_more_bytes_per_point_query")
 
 
 class TestFigure11Servers:
-    def test_fg_scales_with_servers_under_skew(self):
-        spec = workload_b(0.01)
-        fg2 = run_cell("fine-grained", spec, 120, SCALE, skewed=True,
-                       num_memory_servers=2)
-        fg8 = run_cell("fine-grained", spec, 120, SCALE, skewed=True,
-                       num_memory_servers=8)
-        cg2 = run_cell("coarse-grained", spec, 120, SCALE, skewed=True,
-                       num_memory_servers=2)
-        cg8 = run_cell("coarse-grained", spec, 120, SCALE, skewed=True,
-                       num_memory_servers=8)
-        assert fg8.throughput > 1.5 * fg2.throughput
-        assert cg8.throughput < 1.2 * cg2.throughput  # skew pins CG
+    def test_fg_scales_with_servers_under_skew(self, judged):
+        _assert_holds(judged, "fig11_fg_ranges_scale_with_servers_under_skew",
+                      "fig11_skew_pins_cg_ranges")
 
-    def test_fg_point_queries_gain_from_servers_under_skew(self):
-        spec = workload_a()
-        fg2 = run_cell("fine-grained", spec, 120, SCALE, skewed=True,
-                       num_memory_servers=2)
-        fg8 = run_cell("fine-grained", spec, 120, SCALE, skewed=True,
-                       num_memory_servers=8)
-        # Sub-linear (the single root page's home port is a hot spot at our
-        # shallow tree heights) but clearly positive scaling.
-        assert fg8.throughput > 1.2 * fg2.throughput
+    def test_fg_point_queries_gain_from_servers_under_skew(self, judged):
+        _assert_holds(judged, "fig11_fg_points_gain_from_servers_under_skew")
 
 
 class TestFigure12Inserts:
-    def test_hybrid_beats_cg_on_mixed_workloads(self):
-        hybrid = run_cell("hybrid", workload_d(), 120, SCALE)
-        cg = run_cell("coarse-grained", workload_d(), 120, SCALE)
-        assert hybrid.throughput > cg.throughput
+    def test_hybrid_beats_cg_on_mixed_workloads(self, judged):
+        _assert_holds(judged, "fig12_hybrid_beats_cg_at_high_load")
 
-    def test_insert_latency_reasonable_for_all_designs(self):
-        for design in ("coarse-grained", "fine-grained", "hybrid"):
-            result = run_cell(design, workload_d(), 40, SCALE)
-            assert result.op_counts.get(OpType.INSERT, 0) > 0
-            assert result.latency_mean(OpType.INSERT) < 1e-3
+    def test_insert_latency_reasonable_for_all_designs(self, judged):
+        _assert_holds(judged, "fig12_every_design_completes_inserts",
+                      "fig12_insert_latency_stays_below_a_millisecond")
 
 
 class TestFigure13Latency:
-    def test_cg_has_lowest_point_latency_at_low_load(self):
-        cg = run_cell("coarse-grained", workload_a(), 10, SCALE)
-        fg = run_cell("fine-grained", workload_a(), 10, SCALE)
-        hybrid = run_cell("hybrid", workload_a(), 10, SCALE)
-        cg_latency = cg.latency_mean(OpType.POINT)
-        assert cg_latency < fg.latency_mean(OpType.POINT)
-        assert cg_latency < hybrid.latency_mean(OpType.POINT)
+    def test_cg_has_lowest_point_latency_at_low_load(self, judged):
+        _assert_holds(judged, "fig14_cg_latency_below_hybrid_at_light_load",
+                      "fig14_hybrid_latency_below_fg_at_light_load")
 
-    def test_fg_latency_beats_cg_under_skewed_high_load(self):
-        cg = run_cell("coarse-grained", workload_a(), 120, SCALE, skewed=True)
-        fg = run_cell("fine-grained", workload_a(), 120, SCALE, skewed=True)
-        assert fg.latency_mean(OpType.POINT) < cg.latency_mean(OpType.POINT)
+    def test_fg_latency_beats_cg_under_skewed_high_load(self, judged):
+        _assert_holds(judged, "fig13_fg_latency_beats_cg_at_skewed_high_load")

@@ -98,20 +98,6 @@ class TestCsv:
         assert int(row["shed_ops"]) == result.shed_ops == 30
         assert float(row["slo_attainment"]) == result.slo_attainment == 0.5
 
-    def test_wall_steps_per_s_round_trips(self, tmp_path):
-        # The engine benchmark stamps host speed onto its results; the
-        # column must survive a write/parse cycle exactly, and stay 0.0
-        # (not empty) for untimed runs so downstream joins never see NaN.
-        timed = make_result()
-        timed.wall_steps_per_s = 123456.75
-        untimed = make_result(design="hybrid")
-        path = tmp_path / "engine.csv"
-        write_csv({("t",): timed, ("u",): untimed}, str(path))
-        with open(path, newline="") as handle:
-            rows = {row["key_0"]: row for row in csv.DictReader(handle)}
-        assert float(rows["t"]["wall_steps_per_s"]) == 123456.75
-        assert float(rows["u"]["wall_steps_per_s"]) == 0.0
-
     def test_closed_loop_rows_export_accepted_equals_total(self):
         # Closed-loop runs never reject or shed; accepted aliases total
         # and the SLO column stays an empty cell, not a fake 1.0.
@@ -209,3 +195,15 @@ class TestCli:
         main(["run", "a4", "--small", "--csv", str(csv_path)])
         assert csv_path.exists()
         assert "wrote" in capsys.readouterr().out
+
+    def test_chart_of_a_paired_module_draws_both_placements(self, capsys, monkeypatch):
+        import repro.__main__ as cli
+        from repro.experiments.scale import ExperimentScale
+
+        tiny = ExperimentScale(num_keys=800, clients=(4, 8), selectivities=(0.01,),
+                               measure_s=0.0006, warmup_s=0.0003)
+        monkeypatch.setattr(cli, "SMALL", tiny)
+        cli.main(["chart", "fig07", "--small"])
+        out = capsys.readouterr().out
+        assert "fig07 skewed workload A: ops/s vs clients" in out
+        assert "fig07 uniform workload B(sel=0.01): ops/s vs clients" in out

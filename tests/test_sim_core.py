@@ -86,6 +86,36 @@ def test_same_time_events_fire_in_scheduling_order():
     assert order == [0, 1, 2, 3, 4]
 
 
+def test_same_instant_merges_succeed_zero_and_positive_timeouts_by_sequence():
+    # One heap ordered by (time, sequence): events triggered *at* an instant
+    # (succeed, timeout(0)) queue behind everything already scheduled *for*
+    # it, whenever that was scheduled.
+    sim = Simulator()
+    order = []
+
+    def note(tag):
+        return lambda _event: order.append(tag)
+
+    mailbox = sim.event()
+    mailbox.add_callback(note("succeed"))
+
+    def first(_event):
+        order.append("first")
+        mailbox.succeed()
+        sim.timeout(0.0).add_callback(note("zero"))
+
+    sim.timeout(1.0).add_callback(first)
+    sim.timeout(1.0).add_callback(note("second"))
+    # Scheduled at 0.5, lands on 1.0 too: after "second", before the
+    # events "first" triggers once it fires.
+    sim.timeout(0.5).add_callback(
+        lambda _event: sim.timeout(0.5).add_callback(note("late"))
+    )
+    sim.run()
+    assert order == ["first", "second", "late", "succeed", "zero"]
+    assert sim.now == 1.0
+
+
 def test_all_of_collects_values_in_order():
     sim = Simulator()
 
@@ -225,6 +255,22 @@ def test_run_until_stops_clock_at_bound():
     assert sim.now == 4.0
     sim.run()  # finish the rest
     assert sim.now == 10.0
+
+
+def test_run_until_a_passed_instant_leaves_the_clock_alone():
+    sim = Simulator()
+    fired = []
+    sim.timeout(3.0)
+    sim.run()
+    assert sim.now == 3.0
+    sim.run(until=1.0)  # empty queue
+    assert sim.now == 3.0
+    sim.timeout(0.0).add_callback(fired.append)
+    sim.timeout(2.0).add_callback(fired.append)
+    sim.run(until=1.0)  # queued events, at the current instant and later
+    assert sim.now == 3.0 and not fired
+    sim.run()
+    assert sim.now == 5.0 and len(fired) == 2
 
 
 def test_yielding_non_event_fails_the_process():

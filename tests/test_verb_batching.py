@@ -505,9 +505,12 @@ class TestBatchedUnlockWrite:
         assert reread.keys == [10, 15, 20]
         assert reread.values == [1, 99, 2]
 
-    def test_unbatched_override_uses_two_round_trips(self, cluster):
+    def test_unbatched_override_uses_two_round_trips(self, small_config):
+        cluster = Cluster(
+            small_config.with_(network=NetworkConfig(doorbell_batching=False))
+        )
         compute = cluster.new_compute_server()
-        accessor = RemoteAccessor(compute, cluster.config, batch_verbs=False)
+        accessor = RemoteAccessor(compute, cluster.config)
         raw_ptr, node = _plant_leaf(cluster, 1, 8192, version=4)
         assert cluster.execute(accessor.try_lock(raw_ptr, 4))
         with VerbTracer(cluster) as tracer:
@@ -590,10 +593,14 @@ def test_index_results_identical_batched_vs_unbatched():
     dataset = generate_dataset(1_200, gap=8)
 
     def run(batched: bool):
-        cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=11))
-        index = FineGrainedIndex.build(
-            cluster, "idx", dataset.pairs(), batch_verbs=batched
+        cluster = Cluster(
+            ClusterConfig(
+                num_memory_servers=4,
+                seed=11,
+                network=NetworkConfig(doorbell_batching=batched),
+            )
         )
+        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
         session = index.session(cluster.new_compute_server())
         out = []
         for i in (0, 37, 555, 1_199):
