@@ -11,8 +11,11 @@ synchronization rather than by scheduling luck.
 
 Attaching a :class:`TraceCollector` to a cluster is pure recording — no
 simulation events are created, no timing changes, and with none attached
-the emission hooks are a single ``is None`` test (the same pattern as
-:class:`~repro.rdma.tracing.VerbTracer`).
+the emission hooks are a single ``is None`` test. It is a hook of its own
+rather than a reader of the observability hub (as
+:class:`~repro.rdma.tracing.VerbTracer` is) because its record is a
+different fact — the landing instant, byte range and lock epoch of an
+*effect*, not a verb's completion (docs/namsan.md).
 """
 
 from __future__ import annotations

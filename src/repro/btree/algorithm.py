@@ -26,7 +26,7 @@ All public methods are simulation processes (drive them with
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.btree.accessor import NodeAccessor, RootRef
 from repro.btree.node import (
@@ -69,7 +69,7 @@ class BLinkTree:
         #: The index designs wire it to the catalog's per-index structure
         #: epoch so client-side caches know their images may be stale
         #: (docs/caching.md). Pure bookkeeping: never schedules events.
-        self.on_structure_change = None
+        self.on_structure_change: Optional[Callable[[], None]] = None
 
     def _structure_changed(self) -> None:
         callback = self.on_structure_change

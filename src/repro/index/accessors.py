@@ -38,7 +38,7 @@ split sibling (reachable via the sibling pointer), or after the page write
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.btree.accessor import NodeAccessor, RootRef
 from repro.btree.node import Node
@@ -218,7 +218,7 @@ class RemoteAccessor(NodeAccessor):
         self,
         compute_server: ComputeServer,
         config,
-        alloc_server_id: int = None,
+        alloc_server_id: Optional[int] = None,
     ) -> None:
         self.compute_server = compute_server
         self.config = config

@@ -26,6 +26,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Generator, List, Sequence, Tuple
 
+from repro.btree.algorithm import BLinkTree
 from repro.nam.cluster import Cluster
 from repro.nam.compute_server import ComputeServer
 
@@ -89,3 +90,13 @@ class DistributedIndex(abc.ABC):
     @abc.abstractmethod
     def session(self, compute_server: ComputeServer) -> IndexSession:
         """Open a session for clients running on *compute_server*."""
+
+    @abc.abstractmethod
+    def client_trees(self, compute_server: ComputeServer) -> List[Tuple[str, BLinkTree]]:
+        """Labelled one-sided tree handles for *compute_server* that
+        together reach every page of the index (the verifier's walk)."""
+
+    def _structure_changed(self) -> None:
+        """Publish an inner-node SMO so cached sessions revalidate (free
+        catalog bookkeeping; behaviorally invisible without a cache)."""
+        self.cluster.catalog.bump_structure_epoch(self.name)

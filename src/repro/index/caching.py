@@ -74,13 +74,12 @@ class RemoteCache:
         self.depth = depth
         #: Highest node level this client has seen (root-level estimate).
         self.top_level = 0
-        #: raw_ptr -> [data, level, version, epoch, master]
-        #: where ``master`` is the shared decoded Node of ``data`` —
-        #: the serialization cache of docs/performance.md: repeated serves
-        #: of an unchanged image clone the master instead of re-parsing
-        #: the bytes. The master lives and dies with its entry, so every
-        #: coherence action (reject / invalidate / eviction) that drops
-        #: the image drops the decode with it.
+        #: raw_ptr -> [version, epoch, master] where ``master`` is
+        #: the shared decoded Node of the page image — the serialization
+        #: cache of docs/performance.md: serves clone the master, the
+        #: bytes are never kept. The master lives and dies with its entry,
+        #: so every coherence action (reject / invalidate / eviction) that
+        #: drops the image drops the decode with it.
         self._entries: "OrderedDict[int, list]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -112,8 +111,8 @@ class RemoteCache:
 
     def lookup(
         self, raw_ptr: int, epoch: int
-    ) -> Optional[Tuple[bytes, int, bool, Node]]:
-        """``(data, version, fresh, master)`` for a cached page, or None.
+    ) -> Optional[Tuple[int, bool, Node]]:
+        """``(version, fresh, master)`` for a cached page, or None.
 
         ``fresh`` is False when the index's structure epoch has moved past
         the epoch the image was filled (or last revalidated) under — the
@@ -125,13 +124,13 @@ class RemoteCache:
         if entry is None:
             return None
         self._entries.move_to_end(raw_ptr)
-        return entry[0], entry[2], entry[3] >= epoch, entry[4]
+        return entry[0], entry[1] >= epoch, entry[2]
 
-    def store(self, raw_ptr: int, node: Node, data: bytes, epoch: int) -> None:
+    def store(self, raw_ptr: int, node: Node, epoch: int) -> None:
         # The master decode is cloned off the caller's node: the caller
-        # keeps (and may mutate) its own copy, the cache keeps the
-        # immutable decode of *data*.
-        self._entries[raw_ptr] = [data, node.level, node.version, epoch, node.clone()]
+        # keeps (and may mutate) its own copy, the cache keeps an
+        # immutable one.
+        self._entries[raw_ptr] = [node.version, epoch, node.clone()]
         self._entries.move_to_end(raw_ptr)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -142,7 +141,7 @@ class RemoteCache:
         self.revalidations += 1
         entry = self._entries.get(raw_ptr)
         if entry is not None:
-            entry[3] = epoch
+            entry[1] = epoch
 
     def reject(self, raw_ptr: int) -> None:
         """A revalidation READ mismatched: drop the stale image."""
@@ -219,7 +218,7 @@ class CachingRemoteAccessor(RemoteAccessor):
         epoch = self._epoch()
         found = self.cache.lookup(raw_ptr, epoch)
         if found is not None:
-            data, version, fresh, master = found
+            version, fresh, master = found
             if not fresh:
                 # The structure epoch moved since this image was filled:
                 # re-check the page's version word with one 8-byte READ.
@@ -238,7 +237,7 @@ class CachingRemoteAccessor(RemoteAccessor):
                 self._served_versions[raw_ptr] = version
                 # Only the local search cost; no page round trip. Serve a
                 # clone of the entry's master decode — identical to
-                # re-parsing ``data``, without the parse.
+                # re-parsing the page image, without the parse.
                 yield sim.timeout(self._search_cost)
                 if shared:
                     return master
@@ -250,7 +249,7 @@ class CachingRemoteAccessor(RemoteAccessor):
         node = yield from super().read_node(raw_ptr, shared)
         self.cache.observe(node.level)
         if self.cache.cacheable(node):
-            self.cache.store(raw_ptr, node, node.to_bytes(self.page_size), epoch)
+            self.cache.store(raw_ptr, node, epoch)
         return node
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
@@ -279,17 +278,19 @@ class CachingRemoteAccessor(RemoteAccessor):
         self.invalidate(raw_ptr)
         return swapped
 
+    # The writers drop the image when called and hand back the parent's
+    # generator: no forwarding frame to re-enter on every resume.
     def unlock_write(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         self.invalidate(raw_ptr)
-        yield from super().unlock_write(raw_ptr, node)
+        return super().unlock_write(raw_ptr, node)
 
     def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, None]:
         self.invalidate(raw_ptr)
-        yield from super().unlock_nochange(raw_ptr)
+        return super().unlock_nochange(raw_ptr)
 
     def write_node(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         self.invalidate(raw_ptr)
-        yield from super().write_node(raw_ptr, node)
+        return super().write_node(raw_ptr, node)
 
 
 def attach_cache(tree: BLinkTree, index, compute_server: ComputeServer) -> BLinkTree:

@@ -33,8 +33,8 @@ from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.btree.algorithm import BLinkTree
 from repro.btree.bulk import bulk_load
-from repro.index.accessors import RemoteAccessor, RemoteRootRef
 from repro.index.base import DistributedIndex, IndexSession
+from repro.index.partitioned import client_tree
 from repro.nam.catalog import IndexDescriptor, RootLocation
 from repro.nam.cluster import Cluster
 from repro.nam.compute_server import ComputeServer
@@ -112,21 +112,14 @@ class FineGrainedIndex(DistributedIndex):
 
     def tree_for(self, compute_server: ComputeServer) -> BLinkTree:
         """A raw client-side tree handle (used by tests and the global GC)."""
-        accessor = RemoteAccessor(compute_server, self.cluster.config)
-        root = RemoteRootRef(compute_server, self.root_location)
-        tree = BLinkTree(
-            accessor,
-            root,
-            use_head_nodes=self.use_head_nodes,
-            prefetch_window=self.cluster.config.tree.prefetch_window,
+        tree = client_tree(
+            self.cluster, compute_server, self.root_location, self.use_head_nodes
         )
-        # Publish inner-node SMOs so cached sessions revalidate (free
-        # catalog bookkeeping; behaviorally invisible without a cache).
         tree.on_structure_change = self._structure_changed
         return tree
 
-    def _structure_changed(self) -> None:
-        self.cluster.catalog.bump_structure_epoch(self.name)
+    def client_trees(self, compute_server: ComputeServer) -> List[Tuple[str, BLinkTree]]:
+        return [(self.design, self.tree_for(compute_server))]
 
     def start_gc(
         self,
@@ -164,19 +157,21 @@ class FineGrainedSession(IndexSession):
         self.compute_server = compute_server
         self._tree = index.tree_for(compute_server)
 
+    # The tree's generators are handed out as they are: a forwarding
+    # ``yield from`` frame would be re-entered on every resume.
     def lookup(self, key: int) -> Generator[Any, Any, List[int]]:
-        return (yield from self._tree.lookup(key))
+        return self._tree.lookup(key)
 
     def range_scan(
         self, low: int, high: int
     ) -> Generator[Any, Any, List[Tuple[int, int]]]:
-        return (yield from self._tree.range_scan(low, high))
+        return self._tree.range_scan(low, high)
 
     def insert(self, key: int, value: int) -> Generator[Any, Any, None]:
-        yield from self._tree.insert(key, value)
+        return self._tree.insert(key, value)
 
     def update(self, key: int, value: int) -> Generator[Any, Any, bool]:
-        return (yield from self._tree.update(key, value))
+        return self._tree.update(key, value)
 
     def delete(self, key: int) -> Generator[Any, Any, bool]:
-        return (yield from self._tree.delete(key))
+        return self._tree.delete(key)

@@ -17,28 +17,24 @@ round-robin across **all** servers — and accessed with one-sided verbs:
 
 This combines the low traversal latency of RPCs with the aggregated leaf
 bandwidth of all servers — which is why the hybrid is the paper's most
-robust design (Section 6.1).
+robust design (Section 6.1). Both halves live in
+:mod:`repro.index.partitioned`; this module is the seam between them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import count
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.btree.algorithm import BLinkTree
-from repro.btree.bulk import bulk_load
-from repro.errors import ConfigurationError
-from repro.index.accessors import (
-    LocalAccessor,
-    LocalRootRef,
-    RemoteAccessor,
+from repro.index.accessors import RemoteAccessor
+from repro.index.partitioned import (
+    PartitionedIndex,
+    PartitionedSession,
+    client_tree,
+    merge_partials,
 )
-from repro.index.base import DistributedIndex, IndexSession
-from repro.index.partitioning import Partitioner, RangePartitioner
 from repro.nam import rpc
-from repro.nam.catalog import IndexDescriptor, RootLocation
-from repro.nam.cluster import Cluster
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
 
@@ -51,24 +47,15 @@ _APP = "hybrid"
 # server-side RPC handlers (inner levels only)                                 #
 # --------------------------------------------------------------------------- #
 
-def _tree(server: MemoryServer, index_name: str, partition: int) -> BLinkTree:
-    """The inner-level tree serving *partition* on *server* (a promoted
-    host serves partitions besides its own; ``partition < 0`` means the
-    server's native one)."""
-    if partition < 0:
-        partition = server.server_id
-    return server.app[(_APP, index_name, partition)]
-
-
 def _handle_traverse(server: MemoryServer, msg: rpc.TraverseRequest):
-    tree = _tree(server, msg.index, msg.partition)
+    tree = server.app[_APP, msg.index, msg.partition]
     _ptr, node = yield from tree._descend_to_level(msg.key, 1)
     response = rpc.PointerResponse(node.find_child(msg.key))
     return response, response.wire_bytes
 
 
 def _handle_install_separator(server: MemoryServer, msg: rpc.InstallSeparatorRequest):
-    tree = _tree(server, msg.index, msg.partition)
+    tree = server.app[_APP, msg.index, msg.partition]
     yield from tree._install_separator(
         1, msg.separator, msg.new_child, msg.split_child
     )
@@ -76,145 +63,44 @@ def _handle_install_separator(server: MemoryServer, msg: rpc.InstallSeparatorReq
     return response, response.wire_bytes
 
 
-def _promotion_hook(
-    name: str, roots: Dict[int, RootLocation], page_size: int, catalog=None
-):
-    """Re-install one partition's inner-level tree on a promoted host.
-
-    Mirrors the coarse-grained hook: the adopted replica region carries the
-    partition's inner pages and allocation high-water mark; leaf pages are
-    unaffected (they live on *all* logical servers and are re-routed by the
-    one-sided accessors individually).
-    """
-    from repro.nam.allocator import PageAllocator
-
-    def hook(logical_id: int, host: MemoryServer, region) -> None:
-        if logical_id not in roots:
-            return
-        allocator = PageAllocator.adopt(region, page_size)
-        tree = BLinkTree(
-            LocalAccessor(
-                host, region=region, logical_id=logical_id, allocator=allocator
-            ),
-            LocalRootRef(host, roots[logical_id], region=region),
-        )
-        if catalog is not None:
-            tree.on_structure_change = lambda: catalog.bump_structure_epoch(name)
-        host.app[(_APP, name, logical_id)] = tree
-        host.register_handler(rpc.TraverseRequest, _handle_traverse)
-        host.register_handler(
-            rpc.InstallSeparatorRequest, _handle_install_separator
-        )
-
-    return hook
-
-
 # --------------------------------------------------------------------------- #
 # the index                                                                     #
 # --------------------------------------------------------------------------- #
 
-class HybridIndex(DistributedIndex):
+class HybridIndex(PartitionedIndex):
     """Partitioned inner levels + globally scattered leaf level."""
 
-    design = "hybrid"
+    design = _APP
+    handlers = {
+        rpc.TraverseRequest: _handle_traverse,
+        rpc.InstallSeparatorRequest: _handle_install_separator,
+    }
+    # The partition owner applies every inner-level SMO of its partition, so
+    # it is the one publishing structure epochs for the client-side caches
+    # (see docs/caching.md).
+    on_structure_change = PartitionedIndex._structure_changed
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        name: str,
-        partitioner: Partitioner,
-        roots: Dict[int, RootLocation],
-        use_head_nodes: bool,
-    ) -> None:
-        super().__init__(cluster, name)
-        self.partitioner = partitioner
-        self.roots = roots
-        self.use_head_nodes = use_head_nodes
-
-    @classmethod
-    def build(
-        cls,
-        cluster: Cluster,
-        name: str,
-        pairs: Sequence[Tuple[int, int]],
-        partitioner: Optional[Partitioner] = None,
-        key_space: Optional[int] = None,
-        head_interval: Optional[int] = None,
-        **_options: Any,
-    ) -> "HybridIndex":
-        """Partition *pairs*; per partition, bulk-load inner nodes onto the
-        owner and leaves round-robin across all servers."""
-        config = cluster.config
-        num_servers = cluster.num_memory_servers
+    def _placement(
+        self, head_interval: Optional[int] = None, **_options: Any
+    ) -> Callable[[int], Dict[str, Any]]:
+        """Leaves and head nodes round-robin across all servers, under at
+        least one inner level. *head_interval* overrides
+        ``TreeConfig.head_node_interval``; 0 disables head nodes."""
+        num_servers = self.cluster.num_memory_servers
         if head_interval is None:
-            head_interval = config.tree.head_node_interval
-        if partitioner is None:
-            if key_space is None:
-                key_space = (pairs[-1][0] + 1) if pairs else num_servers
-            partitioner = RangePartitioner.uniform(key_space, num_servers)
-        if partitioner.num_servers != num_servers:
-            raise ConfigurationError(
-                "partitioner server count does not match the cluster"
-            )
-        buckets: Dict[int, list] = defaultdict(list)
-        for key, value in pairs:
-            buckets[partitioner.server_for_key(key)].append((key, value))
-
-        sink = cluster.direct_sink()
+            head_interval = self.cluster.config.tree.head_node_interval
+        self.use_head_nodes = head_interval > 0
         # One global counter so leaves of *all* partitions interleave evenly
         # across servers (the property that defeats attribute-value skew).
         leaf_counter = count()
         head_counter = count(1)
-        roots: Dict[int, RootLocation] = {}
-        for server in cluster.memory_servers:
-            server_id = server.server_id
-            root_location = cluster.alloc_control_word(server_id)
-            result = bulk_load(
-                buckets.get(server_id, []),
-                sink,
-                place_leaf=lambda i: next(leaf_counter) % num_servers,
-                place_inner=lambda level, i, s=server_id: s,
-                place_head=lambda i: next(head_counter) % num_servers,
-                fill=config.tree.bulk_fill,
-                head_interval=head_interval,
-                min_height=2,
-            )
-            cluster.write_control_word(
-                server_id, root_location.offset, result.root_raw
-            )
-            roots[server_id] = root_location
-            tree = BLinkTree(
-                LocalAccessor(server), LocalRootRef(server, root_location)
-            )
-            # The partition owner applies every inner-level SMO of its
-            # partition, so it is the one publishing structure epochs for
-            # the client-side caches (see docs/caching.md).
-            tree.on_structure_change = (
-                lambda: cluster.catalog.bump_structure_epoch(name)
-            )
-            server.app[(_APP, name, server_id)] = tree
-            server.register_handler(rpc.TraverseRequest, _handle_traverse)
-            server.register_handler(
-                rpc.InstallSeparatorRequest, _handle_install_separator
-            )
-
-        index = cls(cluster, name, partitioner, roots, head_interval > 0)
-        cluster.catalog.register(
-            IndexDescriptor(
-                name=name,
-                design=cls.design,
-                roots=roots,
-                partitioner=partitioner,
-                use_head_nodes=index.use_head_nodes,
-            )
-        )
-        if cluster.replication is not None:
-            cluster.replication.register_promotion_hook(
-                _promotion_hook(
-                    name, roots, config.tree.page_size, catalog=cluster.catalog
-                )
-            )
-        return index
+        keywords = {
+            "place_leaf": lambda i: next(leaf_counter) % num_servers,
+            "place_head": lambda i: next(head_counter) % num_servers,
+            "head_interval": head_interval,
+            "min_height": 2,
+        }
+        return lambda owner: keywords
 
     def session(self, compute_server: ComputeServer) -> "HybridSession":
         session = HybridSession(self, compute_server)
@@ -229,17 +115,7 @@ class HybridIndex(DistributedIndex):
             attach_cache(session._leaves, self, compute_server)
         return session
 
-    def inner_tree(self, server_id: int) -> BLinkTree:
-        """The server-resident inner-level tree (tests/validation).
-
-        Routed: after a failover the tree lives on the promoted host."""
-        replication = self.cluster.replication
-        host_id = (
-            replication.primary_host_id(server_id)
-            if replication is not None
-            else server_id
-        )
-        return _tree(self.cluster.memory_server(host_id), self.name, server_id)
+    inner_tree = PartitionedIndex.partition_tree
 
     def gc_tree(self, compute_server: ComputeServer, server_id: int) -> BLinkTree:
         """A one-sided tree handle over partition *server_id* for the
@@ -249,28 +125,16 @@ class HybridIndex(DistributedIndex):
         compute server can descend them with one-sided READs even though
         regular clients go through traversal RPCs.
         """
-        from repro.index.accessors import RemoteRootRef
-
-        accessor = RemoteAccessor(compute_server, self.cluster.config)
-        root = RemoteRootRef(compute_server, self.roots[server_id])
-        return BLinkTree(accessor, root)
+        return client_tree(self.cluster, compute_server, self.roots[server_id])
 
     def start_gc(self, compute_server: ComputeServer, epoch_s: float = 0.05):
         """Launch the global leaf garbage collectors (Section 5.2): one
         sweeper per partition chain, all running on *compute_server*.
         Returns the collectors."""
-        from repro.index.gc import EpochGarbageCollector
-
-        collectors = []
-        for server_id in self.roots:
-            collector = EpochGarbageCollector(
-                self.cluster.sim,
-                self.gc_tree(compute_server, server_id),
-                epoch_s=epoch_s,
-            )
-            collector.start()
-            collectors.append(collector)
-        return collectors
+        return self._start_collectors(
+            [self.gc_tree(compute_server, server_id) for server_id in self.roots],
+            epoch_s,
+        )
 
 
 class _HybridLeafTree(BLinkTree):
@@ -298,25 +162,16 @@ class _HybridLeafTree(BLinkTree):
         )
 
 
-class HybridSession(IndexSession):
+class HybridSession(PartitionedSession):
     """Client-side handle: traversal RPCs + one-sided leaf access."""
 
     def __init__(self, index: HybridIndex, compute_server: ComputeServer) -> None:
-        self.index = index
-        self.compute_server = compute_server
-        # One client thread's reliable connections (see Section 3.2 SRQs).
-        for server in index.cluster.memory_servers:
-            server.connected_qps += 1
+        super().__init__(index, compute_server)
         self._leaves = _HybridLeafTree(
             RemoteAccessor(compute_server, index.cluster.config), self
         )
 
     # -- RPC plumbing -------------------------------------------------------------
-
-    def _call(self, server_id: int, request) -> Generator[Any, Any, Any]:
-        return self.compute_server.qp(server_id).call(
-            request, request.wire_bytes, tenant=self.tenant
-        )
 
     def _traverse(self, server_id: int, key: int) -> Generator[Any, Any, int]:
         request = rpc.TraverseRequest(self.index.name, key, partition=server_id)
@@ -353,11 +208,7 @@ class HybridSession(IndexSession):
             for server_id in server_ids
         ]
         partials = yield sim.all_of(scans)
-        merged: List[Tuple[int, int]] = []
-        for partial in partials:
-            merged.extend(partial)
-        merged.sort(key=lambda pair: pair[0])
-        return merged
+        return merge_partials(partials)
 
     def _scan_partition(
         self, server_id: int, low: int, high: int

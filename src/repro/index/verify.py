@@ -30,7 +30,7 @@ list. It is also skipped entirely when the catalog holds other indexes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Set, Tuple
+from typing import Any, Dict, Generator, List, Set
 
 from repro.btree.node import MAX_KEY, is_tombstoned
 from repro.btree.pointers import RemotePointer, is_null
@@ -173,32 +173,6 @@ def _walk_tree(
     report.stranded_locks += getattr(tree.acc, "lock_steals", 0) - steals_before
 
 
-def _client_trees(index, compute_server) -> List[Tuple[str, Any]]:
-    """One-sided client-side tree handles covering every page of *index*."""
-    from repro.btree.algorithm import BLinkTree
-    from repro.index.accessors import RemoteAccessor, RemoteRootRef
-
-    config = index.cluster.config
-    if index.design == "fine-grained":
-        return [("fine-grained", index.tree_for(compute_server))]
-    trees = []
-    for server_id, location in sorted(index.roots.items()):
-        accessor = RemoteAccessor(compute_server, config)
-        root = RemoteRootRef(compute_server, location)
-        trees.append(
-            (
-                f"{index.design} partition {server_id}",
-                BLinkTree(
-                    accessor,
-                    root,
-                    use_head_nodes=getattr(index, "use_head_nodes", False),
-                    prefetch_window=config.tree.prefetch_window,
-                ),
-            )
-        )
-    return trees
-
-
 def _orphan_accounting(
     cluster, index, reached: Set[int], report: VerifyReport, strict: bool
 ) -> None:
@@ -265,7 +239,7 @@ def verify_index(
     reached: Set[int] = set()
 
     def walk_all() -> Generator[Any, Any, None]:
-        for label, tree in _client_trees(index, compute_server):
+        for label, tree in index.client_trees(compute_server):
             yield from _walk_tree(tree, report, reached, label)
 
     cluster.execute(walk_all())

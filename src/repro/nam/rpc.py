@@ -5,7 +5,10 @@ the hybrid design ships only inner-level traversals and separator
 installations (Section 5.2). Messages are plain dataclasses; their
 ``wire_bytes`` reflect the sizes a real implementation would serialize
 (8-byte keys/values/pointers plus a small header) and drive both network
-and CPU-copy cost accounting.
+and CPU-copy cost accounting. Every request names the logical
+``partition`` it targets — a promoted host serves partitions besides its
+own — and the index designs always set it; left unset (-1), a custom
+handler serves the server the request arrives at.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ class PointLookupRequest:
     index: str
     key: int
 
-    #: Logical partition this request targets; -1 means "the
-    #: server it arrives at" (pre-replication wire compatibility).
+    #: Logical partition this request targets (module docstring).
     partition: int = -1
 
     @property
@@ -57,8 +59,7 @@ class RangeScanRequest:
     low: int
     high: int
 
-    #: Logical partition this request targets; -1 means "the
-    #: server it arrives at" (pre-replication wire compatibility).
+    #: Logical partition this request targets (module docstring).
     partition: int = -1
 
     @property
@@ -72,8 +73,7 @@ class InsertRequest:
     key: int
     value: int
 
-    #: Logical partition this request targets; -1 means "the
-    #: server it arrives at" (pre-replication wire compatibility).
+    #: Logical partition this request targets (module docstring).
     partition: int = -1
 
     @property
@@ -89,8 +89,7 @@ class UpdateRequest:
     key: int
     value: int
 
-    #: Logical partition this request targets; -1 means "the
-    #: server it arrives at" (pre-replication wire compatibility).
+    #: Logical partition this request targets (module docstring).
     partition: int = -1
 
     @property
@@ -103,8 +102,7 @@ class DeleteRequest:
     index: str
     key: int
 
-    #: Logical partition this request targets; -1 means "the
-    #: server it arrives at" (pre-replication wire compatibility).
+    #: Logical partition this request targets (module docstring).
     partition: int = -1
 
     @property
@@ -120,8 +118,7 @@ class TraverseRequest:
     index: str
     key: int
 
-    #: Logical partition this request targets; -1 means "the
-    #: server it arrives at" (pre-replication wire compatibility).
+    #: Logical partition this request targets (module docstring).
     partition: int = -1
 
     @property
@@ -139,8 +136,7 @@ class InstallSeparatorRequest:
     new_child: int
     split_child: int
 
-    #: Logical partition this request targets; -1 means "the
-    #: server it arrives at" (pre-replication wire compatibility).
+    #: Logical partition this request targets (module docstring).
     partition: int = -1
 
     @property

@@ -9,7 +9,8 @@ byte-identical to an uninstrumented build):
   histograms in a :class:`MetricsRegistry` stamped with simulated time;
 * :mod:`repro.obs.spans` — :class:`OpSpan` trees recording the anatomy
   of individual operations (operation → traversal steps → verbs),
-  correlated to :class:`~repro.rdma.tracing.TraceRecord` via ``op_id``;
+  whose verb tuples :class:`~repro.rdma.tracing.VerbTracer` reads too
+  (a ``TraceRecord`` is one of them plus its operation's ``op_id``);
 * :mod:`repro.obs.hub` — :class:`Observability`, the cluster-wide hub
   that owns the registry, samples span trees (every Nth op), captures
   slow ops past a latency threshold, and pulls NIC/injector/replication

@@ -4,8 +4,8 @@
 With ``enabled=False`` (the default) no hub is created, every
 instrumentation point in the hot paths degenerates to a single
 ``is None`` attribute test, and a run is byte-identical to an
-uninstrumented build — the same contract the detached
-:class:`~repro.rdma.tracing.VerbTracer` honors.
+uninstrumented build (a :class:`~repro.rdma.tracing.VerbTracer` brings a
+private hub for its own lifetime: it reads this stream, it has no other).
 
 With ``enabled=True`` the cluster carries an
 :class:`~repro.obs.hub.Observability` hub: an always-on metrics registry,

@@ -4,8 +4,9 @@ An :class:`Observability` instance is created by the cluster when
 ``ClusterConfig.observability.enabled`` is set, attached to the fabric as
 ``fabric.obs`` and to every memory server as ``server.obs``. Hot paths
 reach it through one attribute that is ``None`` on a disabled cluster —
-the same no-op fast-path contract the verb tracer, fault injector and
-race sanitizer follow.
+the same no-op fast-path contract the fault injector and race sanitizer
+follow. The verb tracer (:mod:`repro.rdma.tracing`) is a reader of this
+hub, not a hook of its own: see :attr:`Observability.verb_readers`.
 
 Event attribution (how a verb finds its operation): the simulation kernel
 tracks the currently executing :class:`~repro.sim.core.Process` in
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.config import ObservabilityConfig
 from repro.obs.flight import FlightRecorder
@@ -57,6 +58,10 @@ class Observability:
         self.sampled_spans: deque = deque(maxlen=self.config.max_sampled_spans)
         #: Operations kept because they exceeded ``slow_op_threshold_s``.
         self.slow_spans: deque = deque(maxlen=self.config.max_slow_spans)
+        #: Callables ``reader(event, root)`` handed every completed verb's
+        #: log tuple and the root record of its operation (None outside
+        #: one), after the flight ring. Empty unless somebody is reading.
+        self.verb_readers: List[Callable[[tuple, Optional[OpSpan]], None]] = []
         self._op_seq = 0
         #: Step ids: unique per hub, so unique within any operation's log.
         self._step_seq = 0
@@ -115,7 +120,7 @@ class Observability:
         return frame[0] if frame is not None else None
 
     def current_op_id(self) -> Optional[int]:
-        """Op id stamped onto trace records while an operation is active."""
+        """Op id of the operation the executing process works for."""
         span = self.active_span()
         return span.op_id if span is not None else None
 
@@ -254,7 +259,8 @@ class Observability:
         batch_id: Optional[int] = None,
     ) -> None:
         """One RDMA verb finished: bump per-verb/per-server counters and
-        the latency histogram, and log the verb under the open step."""
+        the latency histogram, log the verb under the open step, and hand
+        the tuple to the flight ring and the verb readers."""
         try:
             handles = self._verb_handles[verb, server_id]
         except KeyError:
@@ -279,6 +285,8 @@ class Observability:
         if frame is not None:
             frame[0].events.append(event)
         self.flight.record_verb(event)
+        for reader in self.verb_readers:
+            reader(event, frame[0] if frame is not None else None)
         if self._ts_cadence is not None:
             self.maybe_sample()
 

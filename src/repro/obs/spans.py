@@ -18,8 +18,8 @@ Nothing else is built on the hot path. The tree — the operation as root
 log, and only when somebody looks: reading ``children`` / ``verbs`` /
 ``segments`` of a log-backed root (snapshot, flight dump, attribution, a
 test) replays the log first. Every span carries its root's ``op_id`` — the
-id stamped onto :class:`~repro.rdma.tracing.TraceRecord` while the hub is
-on. Retention (sampling, slow ops, rings) is the hub's business.
+id a :class:`~repro.rdma.tracing.TraceRecord`, a view of the same VERB
+tuple, names. Retention (sampling, slow ops, rings) is the hub's business.
 Timestamps are simulated seconds.
 """
 

@@ -50,9 +50,6 @@ class Fabric:
     def __init__(self, sim: Simulator, config: NetworkConfig) -> None:
         self.sim = sim
         self.config = config
-        #: Optional :class:`repro.rdma.tracing.VerbTracer` capturing the
-        #: wire anatomy of operations (None during measurement runs).
-        self.tracer = None
         #: Optional :class:`repro.rdma.faults.FaultInjector`. While None
         #: (the default) queue pairs take the exact fault-free fast path;
         #: attaching one enables message faults, crash windows, retries and
@@ -67,12 +64,13 @@ class Fabric:
         #: While None (the default) emission is a single attribute test.
         self.sanitizer = None
         #: Optional :class:`repro.obs.hub.Observability` hub, set by the
-        #: cluster when ``ClusterConfig.observability.enabled``. While None
-        #: (the default) every metric/span emission point is a single
-        #: attribute test and runs are byte-identical to an
-        #: uninstrumented build.
+        #: cluster when ``ClusterConfig.observability.enabled`` (or, for its
+        #: own lifetime, by a :class:`repro.rdma.tracing.VerbTracer` on a
+        #: cluster without one). While None (the default) every metric/span
+        #: emission point is a single attribute test and runs are
+        #: byte-identical to an uninstrumented build.
         self.obs = None
-        # Monotone id for doorbell batches (tracing/debugging only).
+        # Monotone id for doorbell batches (drawn only while a hub listens).
         self._batch_seq = 0
 
     def next_batch_id(self) -> int:

@@ -217,41 +217,6 @@ class QueuePair:
     def _response_leg(self, payload_bytes: int) -> Generator[Any, Any, None]:
         return self.fabric.transmit(self._rtx, self._lrx, payload_bytes)
 
-    def _trace(
-        self,
-        verb: Verb,
-        payload_bytes: int,
-        started_at: float,
-        batch_id: Optional[int] = None,
-    ) -> None:
-        """Completion chokepoint for every verb: feeds the (optional) verb
-        tracer and the (optional) observability hub. Callers skip it when
-        both are detached — the default.
-        """
-        obs = self.fabric.obs
-        tracer = self.fabric.tracer
-        if tracer is not None:
-            tracer.record(
-                verb,
-                self.remote.server_id,
-                payload_bytes,
-                started_at,
-                self.sim.now,
-                local=self.is_local,
-                batch_id=batch_id,
-                op_id=obs.current_op_id() if obs is not None else None,
-            )
-        if obs is not None:
-            obs.verb_completed(
-                verb,
-                self.remote.server_id,
-                payload_bytes,
-                started_at,
-                self.sim.now,
-                local=self.is_local,
-                batch_id=batch_id,
-            )
-
     @property
     def _actor(self) -> str:
         return f"c{self.owner.server_id}" if self.owner is not None else "c?"
@@ -306,22 +271,23 @@ class QueuePair:
         * ``(CAS, 8, offset, expected, new)``;
         * ``(FETCH_ADD, 8, offset, delta)``.
 
-        *chained* names the chain with a fabric batch id (shared by its
-        trace records) and reports it to the hub; a single verb passes
-        False. *whole* returns every entry's result in posting order;
+        *chained* reports the chain to the hub, which names it with a
+        fabric batch id shared by its verb records (drawn only while a hub
+        listens); a single verb passes False. *whole* returns every
+        entry's result in posting order;
         otherwise only the last — the one signaled — entry's result comes
         back, bare. *n* is passed in because ``len()`` is a call the
         profiler counts.
 
         Stages, in order: doorbell, stats and leg sizing, request leg,
         atomic surcharge, response leg, effects with their replication
-        mirror legs, trace. Fault-free the effects land at completion;
+        mirror legs, hub report. Fault-free the effects land at completion;
         under an injector the attempt loop lands them once, when the
         request is first delivered, and retries only re-learn the outcome.
         The chain's two wire legs live or die as a unit (one drop draw per
         leg, at the most fault-prone member's probability). Either way
         the mirror legs are charged before the client's completion, so
-        the trace reports the chain after them.
+        the hub hears of the chain after them.
         """
         if not n:
             return []
@@ -334,8 +300,8 @@ class QueuePair:
             port.doorbells += 1
             port.wqes_posted += n
         batch_id = None
-        if chained:
-            if obs is not None and not local:
+        if chained and obs is not None:
+            if not local:
                 obs.batch_executed(self.remote.server_id, n)
             batch_id = fabric.next_batch_id()
         started_at = sim.now
@@ -496,9 +462,11 @@ class QueuePair:
                     f"{what} to memory server {server_id} gave up after "
                     f"{retry.max_attempts} attempts"
                 )
-        if fabric.tracer is not None or obs is not None:
+        if obs is not None:
             for wqe in wqes:
-                self._trace(wqe[0], wqe[1], started_at, batch_id)
+                obs.verb_completed(
+                    wqe[0], self.remote.server_id, wqe[1], started_at, sim.now, local, batch_id
+                )
         return results if whole else result
 
     def read(self, offset: int, length: int) -> Generator[Any, Any, bytes]:
@@ -579,7 +547,7 @@ class QueuePair:
         even if a retry is already in flight; the retry is then suppressed
         server-side via the sequence number. A spent budget re-posts on
         the promoted route or raises (:meth:`_rerouted`). Shared tail:
-        trace, admission check.
+        hub report, admission check.
         """
         sim = self.sim
         fabric = self.fabric
@@ -666,7 +634,11 @@ class QueuePair:
                     f"{retry.max_attempts} attempts"
                 )
             response = reply.value
-        self._trace(Verb.SEND, request_wire_bytes, started_at)
+        if obs is not None:
+            obs.verb_completed(
+                Verb.SEND, remote.server_id, request_wire_bytes, started_at,
+                sim.now, local,
+            )
         return self._check_admitted(response, started_at)
 
     def _check_admitted(self, response: Any, started_at: float) -> Any:

@@ -14,26 +14,28 @@ Usage::
         cluster.execute(session.lookup(42))
     print(tracer.format())
 
-No-op fast path: with no tracer attached (``fabric.tracer is None``, the
-default) the verb hot paths pay exactly one attribute-is-None test per
-completed operation — no :class:`TraceRecord` is constructed, no argument
-tuple is built, nothing is appended. Measurement runs therefore leave the
-tracer detached; tracing is for understanding single operations.
+The tracer has no hook of its own: a completed verb is reported once, to
+the observability hub (``fabric.obs``), and the tracer reads the hub's verb
+tuples (``Observability.verb_readers``). On a cluster without a hub it
+installs a private one on ``fabric.obs`` for its own lifetime and puts back
+what was there on exit, so with nothing attached the verb hot paths pay one
+attribute-is-None test per post. The hub never schedules events: a traced
+run's simulated outcome equals an untraced one's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, NamedTuple, Optional
 
+from repro.obs.hub import Observability
+from repro.obs.spans import OpSpan
 from repro.rdma.verbs import Verb
 
 __all__ = ["TraceRecord", "VerbTracer"]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One verb on the wire."""
+class TraceRecord(NamedTuple):
+    """One verb on the wire: the hub's verb tuple, named."""
 
     verb: Verb
     server_id: int
@@ -46,10 +48,8 @@ class TraceRecord:
     #: Verbs sharing a ``batch_id`` traveled in one request message and
     #: were acknowledged by one selectively-signaled completion.
     batch_id: Optional[int] = None
-    #: Operation id correlating this record with an observability
-    #: :class:`~repro.obs.spans.OpSpan` tree. Stamped only while an
-    #: :class:`~repro.obs.hub.Observability` hub is attached *and* the
-    #: verb ran inside a tracked operation; None otherwise.
+    #: ``op_id`` of the :class:`~repro.obs.spans.OpSpan` tree of the tracked
+    #: operation the verb ran inside; None outside one (no cluster hub).
     op_id: Optional[int] = None
 
     @property
@@ -60,39 +60,36 @@ class TraceRecord:
 class VerbTracer:
     """Collects :class:`TraceRecord` objects from a cluster's queue pairs.
 
-    Works as a context manager; while attached, every verb of every
-    session on the cluster is recorded (tracing is for understanding and
-    debugging single operations, not for measurement runs).
+    Works as a context manager, and nests; while attached, every verb of
+    every session on the cluster is recorded (tracing is for understanding
+    and debugging single operations, not for measurement runs).
     """
 
-    def __init__(self, cluster) -> None:
+    def __init__(self, cluster: Any) -> None:
         self._cluster = cluster
+        self._displaced: Optional[Observability] = None
         self.records: List[TraceRecord] = []
 
     # -- attachment ----------------------------------------------------------
 
     def __enter__(self) -> "VerbTracer":
-        self._cluster.fabric.tracer = self
+        fabric = self._cluster.fabric
+        self._displaced = fabric.obs
+        if fabric.obs is None:
+            fabric.obs = Observability(self._cluster.sim)
+        fabric.obs.verb_readers.append(self._read)
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self._cluster.fabric.tracer = None
+    def __exit__(self, *exc_info: Any) -> None:
+        fabric = self._cluster.fabric
+        fabric.obs.verb_readers.remove(self._read)
+        fabric.obs = self._displaced
 
-    def record(
-        self,
-        verb: Verb,
-        server_id: int,
-        payload_bytes: int,
-        started_at: float,
-        finished_at: float,
-        local: bool = False,
-        batch_id: Optional[int] = None,
-        op_id: Optional[int] = None,
-    ) -> None:
-        self.records.append(
-            TraceRecord(verb, server_id, payload_bytes, started_at,
-                        finished_at, local, batch_id, op_id)
-        )
+    def _read(self, event: tuple, root: Optional[OpSpan]) -> None:
+        # event: (VERB, step, verb name, server_id, payload_bytes,
+        # started_at, finished_at, local, batch_id) — see repro.obs.spans.
+        op_id = root.op_id if root is not None else None
+        self.records.append(TraceRecord._make((Verb(event[2]), *event[3:], op_id)))
 
     # -- reporting ---------------------------------------------------------------
 

@@ -107,10 +107,10 @@ def test_lru_eviction_order():
 
     cache = RemoteCache(capacity=3, depth=3)
     for ptr in (1, 2, 3):
-        cache.store(ptr, _FakeNode(), b"x", epoch=0)
+        cache.store(ptr, _FakeNode(), epoch=0)
     # Touch 1 so 2 becomes the least recently used entry.
     assert cache.lookup(1, epoch=0) is not None
-    cache.store(4, _FakeNode(), b"x", epoch=0)
+    cache.store(4, _FakeNode(), epoch=0)
     assert cache.lookup(2, epoch=0) is None
     assert all(
         cache.lookup(ptr, epoch=0) is not None for ptr in (1, 3, 4)

@@ -8,6 +8,7 @@ from repro import (
     CoarseGrainedIndex,
     FineGrainedIndex,
     HybridIndex,
+    verify_index,
 )
 
 DESIGN_CLASSES = [CoarseGrainedIndex, FineGrainedIndex, HybridIndex]
@@ -188,3 +189,34 @@ class TestConcurrency:
         cluster.sim.run_until_complete(cluster.sim.all_of(writers + readers))
         for proc in readers:
             assert proc.value == 40  # every original key found exactly once
+
+
+class TestClientTrees:
+    """``index.client_trees`` is one interface over all three designs: the
+    one-sided handles the verifier walks."""
+
+    #: design -> (trees, nodes, leaves, head nodes, entries, unreachable)
+    #: of ``verify_index`` over the ``setup`` build, recorded at the commit
+    #: before the handles got one constructor.
+    VERIFIED = {
+        "coarse-grained": (4, 52, 48, 0, 2000, 0),
+        "fine-grained": (1, 57, 48, 6, 2000, 0),
+        "hybrid": (4, 60, 48, 8, 2000, 0),
+    }
+
+    def test_handles_cover_every_entry_once(self, setup):
+        cluster, dataset, index, _session = setup
+        handles = index.client_trees(cluster.new_compute_server())
+        labels = [label for label, _tree in handles]
+        assert len(set(labels)) == len(labels) == self.VERIFIED[index.design][0]
+        entries = [cluster.execute(tree.validate())["entries"] for _, tree in handles]
+        assert sum(entries) == dataset.num_keys
+
+    def test_verifier_counts_are_pinned(self, setup):
+        cluster, _dataset, index, _session = setup
+        report = verify_index(cluster, index)
+        assert report.ok, report.violations
+        assert (
+            report.trees, report.nodes, report.leaves, report.head_nodes,
+            report.entries, report.unreachable_pages,
+        ) == self.VERIFIED[index.design]

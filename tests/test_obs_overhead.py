@@ -10,13 +10,15 @@ only catches gross slowdowns.
 
 Numbers, on this test's inputs (8 clients x 50 ops, seed 7):
 
-* parent (377182d, eager span trees):  hub-on / hub-off = 1.551  (169 041 / 109 021 calls)
-* this change (flat per-op event log):  hub-on / hub-off = 1.240  (135 235 / 109 021 calls)
+* eager span trees (377182d):              hub-on / hub-off = 1.551   (169 041 / 109 021 calls)
+* flat per-op event log (PR 15):            hub-on / hub-off = 1.2389  (135 071 / 109 021 calls)
+* the tracer reads the hub, no ``_trace``
+  frame, no forwarding generators (PR 18):  hub-on / hub-off = 1.2357  (130 255 / 105 413 calls)
 
 and on nambench's ``fg_point_uniform`` inputs (120 x 100, seed 1):
-1.553 (419.64 / 270.21) before, 1.226 (331.28 / 270.21) after. The bound
-sits a few percent above the change's own number: a hook that adds one
-call per verb (+3 on 272.6 hub-off calls/op) moves the ratio by 0.011;
+1.553 (419.64 / 270.21), 1.226 (331.27 / 270.23), 1.222 (319.25 / 261.22).
+The bound sits a few percent above the current number: a hook that adds
+one call per verb (+3 on 263.5 hub-off calls/op) moves the ratio by 0.011;
 three of those trip it. (Counted on CPython 3.11; other versions count a
 few builtins differently on both sides of the ratio.)
 """

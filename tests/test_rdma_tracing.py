@@ -1,5 +1,7 @@
 """Tests for verb-level tracing — and, through it, the designs' verb mixes."""
 
+import contextlib
+
 import pytest
 
 from repro import (
@@ -9,8 +11,10 @@ from repro import (
     FineGrainedIndex,
     HybridIndex,
 )
+from repro.config import ObservabilityConfig
 from repro.rdma.tracing import VerbTracer
 from repro.rdma.verbs import Verb
+from repro.workloads import WorkloadRunner, generate_dataset, workload_d
 
 
 @pytest.fixture
@@ -103,3 +107,85 @@ def test_trace_metrics_and_format(rigs, dataset):
     assert "read" in text and "bytes" in text
     tracer.clear()
     assert tracer.format() == "(no verbs recorded)"
+
+
+# -- the tracer is a reader of the observability hub ------------------------
+
+
+def test_nested_tracers_both_record_and_the_outer_outlives_the_inner(rigs):
+    cluster, session = rigs["fine-grained"]
+    with VerbTracer(cluster) as outer:
+        cluster.execute(session.lookup(8))
+        first = len(outer.records)
+        with VerbTracer(cluster) as inner:
+            cluster.execute(session.lookup(16))
+        second = len(outer.records)
+        assert len(inner.records) == second - first > 0
+        assert inner.records == outer.records[first:]
+        cluster.execute(session.lookup(24))
+        assert len(outer.records) > second  # still attached
+        assert len(inner.records) == second - first  # detached for good
+
+
+@pytest.mark.parametrize("hub", [False, True], ids=["hub-less", "hub-enabled"])
+def test_exit_restores_the_fabric_hub(hub):
+    cluster = Cluster(
+        ClusterConfig(seed=17, observability=ObservabilityConfig(enabled=hub))
+    )
+    before = cluster.fabric.obs
+    assert (before is not None) == hub
+    with VerbTracer(cluster):
+        assert cluster.fabric.obs is not None
+    assert cluster.fabric.obs is before
+    with pytest.raises(RuntimeError):
+        with VerbTracer(cluster):
+            raise RuntimeError("boom")
+    assert cluster.fabric.obs is before
+    assert before is None or before.verb_readers == []
+
+
+def _runner_trace(hub: bool, traced: bool = True):
+    """One seeded closed-loop run, optionally under a tracer spanning it."""
+    cluster = Cluster(
+        ClusterConfig(
+            seed=17,
+            observability=ObservabilityConfig(enabled=hub, sample_every=1),
+        )
+    )
+    dataset = generate_dataset(2_000, gap=8)
+    index = FineGrainedIndex.build(cluster, "t", dataset.pairs())
+    runner = WorkloadRunner(cluster, dataset)
+    tracer = VerbTracer(cluster)
+    with tracer if traced else contextlib.nullcontext():
+        result = runner.run(
+            index, workload_d(), num_clients=4, ops_per_client=10, seed=17
+        )
+    return cluster, result, tracer.records
+
+
+def test_records_carry_the_operation_id_of_the_cluster_hub():
+    cluster, result, records = _runner_trace(hub=True)
+    _, _, plain = _runner_trace(hub=False)
+    assert records and {r.verb for r in records} > {Verb.READ}  # inserts too
+    # Every verb of a runner-issued operation names that operation, and
+    # the operation's own log holds the same verb.
+    spans = {span.op_id: span for span in cluster.obs.sampled_spans}
+    assert len(spans) == result.total_ops == 40
+    for record in records:
+        logged = [
+            (Verb(event.verb), *event[1:])
+            for span in spans[record.op_id].iter_spans()
+            for event in span.verbs
+        ]
+        assert record[:7] in logged
+    # The hub-less twin sees the same wire anatomy, outside any operation.
+    assert all(r.op_id is None for r in plain)
+    assert [r._replace(op_id=None) for r in records] == plain
+
+
+def test_tracing_does_not_move_the_simulation():
+    traced, _, records = _runner_trace(hub=False)
+    untraced, _, nothing = _runner_trace(hub=False, traced=False)
+    assert records and not nothing
+    assert traced.sim.now == untraced.sim.now
+    assert traced.sim.events_scheduled == untraced.sim.events_scheduled

@@ -275,6 +275,49 @@ class TestFailover:
         cluster.replication.assert_replicas_converged()
 
 
+@pytest.mark.parametrize("design", ("coarse-grained", "hybrid"))
+def test_partition_tree_follows_the_promotion(design):
+    """``local_tree`` / ``inner_tree`` promise "Routed: after a failover the
+    tree lives on the promoted host": once a client failed over, the
+    partition's registered tree is the one the promotion installed on the
+    new host, over the adopted replica region, and it serves the data."""
+    cluster = _replicated_cluster(factor=2, num_servers=3)
+    dataset = generate_dataset(600, gap=4)
+    index = _build(design, cluster, dataset.pairs(), dataset.key_space)
+    injector = cluster.attach_faults(FaultPlan())
+    session = index.session(cluster.new_compute_server())
+    victim = 1
+    built = index.partition_tree(victim)
+    assert built.acc.server is cluster.memory_server(victim)
+    ordinal = next(
+        i for i in range(dataset.num_keys)
+        if index.partitioner.server_for_key(dataset.key_at(i)) == victim
+    )
+
+    injector.crash_memory_server(victim)
+    # The lookup exhausts its retries on the dead primary, promotes the
+    # backup and is answered by the re-installed tree.
+    assert cluster.execute(session.lookup(dataset.key_at(ordinal))) == [ordinal]
+    assert cluster.replication.stats["failovers"] == 1
+
+    host, region = cluster.replication.route(victim)
+    assert host.server_id != victim
+    tree = index.partition_tree(victim)
+    assert tree is not built
+    assert tree is host.app[design, "idx", victim]
+    assert tree.acc.server is host
+    assert tree.acc.region is region and tree.root.region is region
+    named = index.local_tree if design == "coarse-grained" else index.inner_tree
+    assert named(victim) is tree
+    stats = cluster.execute(tree.validate(min_level=1 if design == "hybrid" else 0))
+    assert stats["nodes"] >= 1
+    if design == "coarse-grained":
+        assert stats["entries"] == sum(
+            index.partitioner.server_for_key(key) == victim
+            for key, _value in dataset.pairs()
+        )
+
+
 # -- failover is decided in the queue pair's executor -----------------------
 
 #: A scratch word on logical server 1 (holding ``_WORD``) and the 8 bytes
