@@ -29,8 +29,8 @@ Finding = Tuple[int, int, str]
 
 #: ``time`` module functions that read a real clock. ``time.sleep`` would
 #: be equally wrong inside the simulator but already cannot work there
-#: (processes advance via ``yield env.timeout(...)``), so the rule focuses
-#: on the silent poison: real timestamps leaking into simulated results.
+#: (processes advance via ``yield seconds``), so the rule focuses on the
+#: silent poison: real timestamps leaking into simulated results.
 _TIME_WALLCLOCK = {
     "time",
     "time_ns",

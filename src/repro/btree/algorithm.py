@@ -115,12 +115,13 @@ class BLinkTree:
                 observed_since = self.acc.now()
 
     def _descend_from(
-        self, raw_ptr: int, node: Node, key: int, level: int,
+        self, raw_ptr: int, node: Optional[Node], key: int, level: int,
         shared: bool = False,
     ) -> Generator[Any, Any, Tuple[int, Node]]:
-        """Walk down from *node* to the node at *level* covering *key*,
-        moving right through siblings whenever the key escapes a node's
-        range (concurrent splits).
+        """Walk down from *node* (at *raw_ptr*; the root, read here, when
+        None) to the node at *level* covering *key*, moving right through
+        siblings whenever the key escapes a node's range (concurrent
+        splits).
 
         Each page fetch of the walk becomes a child span of the active
         operation (kind ``descend``/``move_right``, named for the level the
@@ -128,6 +129,13 @@ class BLinkTree:
         trips went. With observability off, ``obs`` is None and every
         guard collapses to one attribute test."""
         obs = self.acc.obs
+        if node is None:
+            raw_ptr = yield from self.root.get()
+            if obs is not None:
+                obs.enter_step("descend", "root")
+            node = yield from self._read_unlocked(raw_ptr, shared)
+            if obs is not None:
+                obs.exit_step()
         while node.level > level:
             if not node.covers(key) and not is_null(node.right):
                 raw_ptr = node.right
@@ -152,16 +160,8 @@ class BLinkTree:
     def _descend_to_level(
         self, key: int, level: int, shared: bool = False
     ) -> Generator[Any, Any, Tuple[int, Node]]:
-        obs = self.acc.obs
-        raw_ptr = yield from self.root.get()
-        if obs is not None:
-            obs.enter_step("descend", "root")
-        node = yield from self._read_unlocked(raw_ptr, shared)
-        if obs is not None:
-            obs.exit_step()
-        return (
-            yield from self._descend_from(raw_ptr, node, key, level, shared)
-        )
+        """Descend from the root; no frame of its own on the yield chain."""
+        return self._descend_from(0, None, key, level, shared)
 
     # ------------------------------------------------------------------ #
     # reads                                                               #

@@ -292,7 +292,7 @@ class RemoteAccessor(NodeAccessor):
         if fabric.injector is None and fabric.replication is None:
             master = self._decode_shared(raw_ptr, data)
             data = None
-            yield compute.sim.timeout(self._search_cost)
+            yield self._search_cost
             if shared:
                 # Read-only traversals take the memoized master as-is.
                 return master
@@ -304,7 +304,7 @@ class RemoteAccessor(NodeAccessor):
         # queue pair *data* is a live view even with an injector attached.
         node = Node.from_bytes(data)
         data = None
-        yield compute.sim.timeout(self._search_cost)
+        yield self._search_cost
         return node
 
     def read_nodes(self, raw_ptrs) -> Generator[Any, Any, List[Node]]:
@@ -349,7 +349,7 @@ class RemoteAccessor(NodeAccessor):
                 for _slot, offset in chunk:
                     batch_read(offset, page_size)
                 pages = yield from batch.execute()
-                yield sim.timeout(search_cost * len(chunk))
+                yield search_cost * len(chunk)
                 if memoize:
                     for (slot, _offset), data in zip(chunk, pages):
                         nodes[slot] = decode(raw_ptrs[slot], data)
@@ -441,12 +441,12 @@ class RemoteAccessor(NodeAccessor):
         # Remote spinlock: back off, then the caller re-READs the node.
         obs = self.obs
         if obs is None:
-            yield self.compute_server.sim.timeout(self._spin_slice)
+            yield self._spin_slice
             return
         obs.lock_spin_round()
         sim = self.compute_server.sim
         started = sim.now
-        yield sim.timeout(self._spin_slice)
+        yield self._spin_slice
         obs.stamp("lock_wait", started, sim.now)
 
     # -- lock-lease recovery ----------------------------------------------------

@@ -214,7 +214,6 @@ class CachingRemoteAccessor(RemoteAccessor):
         self, raw_ptr: int, shared: bool = False
     ) -> Generator[Any, Any, Node]:
         obs = self.obs
-        sim = self.compute_server.sim
         epoch = self._epoch()
         found = self.cache.lookup(raw_ptr, epoch)
         if found is not None:
@@ -238,7 +237,7 @@ class CachingRemoteAccessor(RemoteAccessor):
                 # Only the local search cost; no page round trip. Serve a
                 # clone of the entry's master decode — identical to
                 # re-parsing the page image, without the parse.
-                yield sim.timeout(self._search_cost)
+                yield self._search_cost
                 if shared:
                     return master
                 return master.clone()

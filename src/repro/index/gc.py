@@ -56,7 +56,7 @@ class EpochGarbageCollector:
 
     def _run(self) -> Generator[Any, Any, None]:
         while not self.stopped:
-            yield self.sim.timeout(self.epoch_s)
+            yield self.epoch_s
             if self.stopped:
                 return
             yield from self.sweep()

@@ -102,12 +102,12 @@ class MemoryServer:
 
     # -- CPU accounting ------------------------------------------------------
 
-    def cpu(self, seconds: float):
-        """Timeout event charging *seconds* of worker CPU (QPI-adjusted)."""
-        return self.sim.timeout(seconds * self.qpi_factor)
+    def cpu(self, seconds: float) -> float:
+        """Seconds to ``yield`` to charge *seconds* of worker CPU (QPI-adjusted)."""
+        return seconds * self.qpi_factor
 
-    def cpu_bytes(self, nbytes: int):
-        """Timeout event for copying/serializing *nbytes* on a worker."""
+    def cpu_bytes(self, nbytes: int) -> float:
+        """Seconds to ``yield`` for copying/serializing *nbytes* on a worker."""
         return self.cpu(nbytes * self.config.cpu.per_byte_cost_s)
 
     # -- RPC dispatch ----------------------------------------------------------

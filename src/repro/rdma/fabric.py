@@ -96,7 +96,7 @@ class Fabric:
         The message occupies the sender's TX line, propagates through the
         switch, then occupies the receiver's RX line. Both line bookings
         happen through channel reservations so the whole transmit costs a
-        single simulation event.
+        single sleep.
         """
         wire = payload_bytes + self.config.header_wire_bytes
         obs = self.obs
@@ -108,12 +108,11 @@ class Fabric:
             rx_done = stamped_leg(
                 obs, self.sim.now, tx, rx, wire, self.config.one_way_latency_s
             )
-        yield self.sim.timeout(rx_done - self.sim.now)
+        yield rx_done - self.sim.now
 
     def local_copy(self, payload_bytes: int) -> Generator[Any, Any, None]:
         """Process: a same-machine memory access (co-located fast path)."""
-        cost = (
+        yield (
             self.config.local_access_latency_s
             + payload_bytes / self.config.local_memory_bandwidth_bytes_per_s
         )
-        yield self.sim.timeout(cost)

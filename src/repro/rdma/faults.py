@@ -298,9 +298,9 @@ class FaultInjector:
 
     def _server_crash_schedule(self, crash: ServerCrash) -> Generator[Any, Any, None]:
         if crash.at_s > self.sim.now:
-            yield self.sim.timeout(crash.at_s - self.sim.now)
+            yield crash.at_s - self.sim.now
         self.crash_memory_server(crash.server_id)
-        yield self.sim.timeout(crash.down_for_s)
+        yield crash.down_for_s
         self.restart_memory_server(crash.server_id)
 
     # -- compute-server crashes ------------------------------------------------
@@ -332,7 +332,7 @@ class FaultInjector:
 
     def _compute_crash_schedule(self, crash: ComputeCrash) -> Generator[Any, Any, None]:
         if crash.at_s > self.sim.now:
-            yield self.sim.timeout(crash.at_s - self.sim.now)
+            yield crash.at_s - self.sim.now
         self.kill_compute_server(crash.server_id)
 
     # -- lock-lease recovery ---------------------------------------------------

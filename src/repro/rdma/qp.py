@@ -336,7 +336,7 @@ class QueuePair:
                 yield from fabric.local_copy(sum([wqe[1] for wqe in wqes]))
             else:
                 # Both legs book the sender's TX line before the
-                # receiver's RX line and cost one timeout each; with the
+                # receiver's RX line and cost one sleep each; with the
                 # hub on, stamped_leg makes the same two bookings.
                 latency = self._latency
                 wire = request_bytes + self._header_wire
@@ -345,16 +345,16 @@ class QueuePair:
                     done = self._rrx.reserve(wire, arrival)
                 else:
                     done = stamped_leg(obs, sim.now, self._ltx, self._rrx, wire, latency)
-                yield sim.timeout(done - sim.now)
+                yield done - sim.now
                 if atomics:
-                    yield sim.timeout(atomics * fabric.config.atomic_extra_latency_s)
+                    yield atomics * fabric.config.atomic_extra_latency_s
                 wire = response_bytes + self._header_wire
                 if obs is None:
                     arrival = self._rtx.reserve(wire) + latency
                     done = self._lrx.reserve(wire, arrival)
                 else:
                     done = stamped_leg(obs, sim.now, self._rtx, self._lrx, wire, latency)
-                yield sim.timeout(done - sim.now)
+                yield done - sim.now
             # The effects land at completion, in posting order; *mirror* is
             # what a mutation fans out to the backups (nothing for a READ
             # or a failed CAS).
@@ -434,10 +434,10 @@ class QueuePair:
                             if whole:
                                 results.append(result)
                     if atomics:
-                        yield sim.timeout(atomics * fabric.config.atomic_extra_latency_s)
+                        yield atomics * fabric.config.atomic_extra_latency_s
                     delay = injector.extra_delay(lead, server_id)
                     if delay > 0.0:
-                        yield sim.timeout(delay)
+                        yield delay
                     yield from self._response_leg(response_bytes)
                     if not injector.server_down(server_id) and not (
                         injector.should_drop(lead, server_id, followers)
@@ -448,9 +448,9 @@ class QueuePair:
                 if obs is not None:
                     obs.attempt_failed(lead, server_id, retried=attempt < last_attempt)
                 wait_start = sim.now
-                yield sim.timeout(retry.timeout_s)
+                yield retry.timeout_s
                 if attempt < last_attempt:
-                    yield sim.timeout(injector.backoff_delay(attempt))
+                    yield injector.backoff_delay(attempt)
                 if obs is not None:
                     obs.stamp("client_backoff", wait_start, sim.now)
             else:
@@ -589,7 +589,7 @@ class QueuePair:
                 ):
                     delay = injector.extra_delay(Verb.SEND, server_id)
                     if delay > 0.0:
-                        yield sim.timeout(delay)
+                        yield delay
                     epoch = injector.crash_epoch(server_id)
                     remote.submit(
                         RpcEnvelope(
@@ -612,7 +612,7 @@ class QueuePair:
                             Verb.SEND, server_id, retried=attempt < last_attempt
                         )
                     if attempt < last_attempt:
-                        yield sim.timeout(injector.backoff_delay(attempt))
+                        yield injector.backoff_delay(attempt)
                     if obs is not None and not reply.triggered:
                         # The timed-out detection window plus the backoff are
                         # client-side retry delay (a reply landing mid-backoff
@@ -699,7 +699,7 @@ class QueuePair:
                         return  # the response is lost; the client retries
                     delay = injector.extra_delay(Verb.SEND, server_id)
                     if delay > 0.0:
-                        yield self.sim.timeout(delay)
+                        yield delay
                 yield from self._response_leg(wire_bytes)
             if not reply.triggered:
                 reply.succeed(response)

@@ -1,38 +1,43 @@
 """A small discrete-event simulation kernel.
 
 The kernel follows the well-known *process interaction* style (as popularized
-by SimPy): model code is written as Python generators that ``yield`` events;
-the simulator advances virtual time, fires events, and resumes the waiting
-generators. The kernel is deliberately minimal — just what the RDMA fabric
-and NAM cluster models need:
+by SimPy): model code is written as Python generators; the simulator advances
+virtual time, fires events, and resumes the waiting generators. The kernel is
+deliberately minimal — just what the RDMA fabric and NAM cluster models need:
 
 * :class:`Event` — a one-shot occurrence carrying a value or an exception.
-* :class:`Timeout` — an event that fires after a virtual-time delay.
+* :class:`Timeout` — a delay *as an event*: ``any_of([reply, sim.timeout(t)])``.
 * :class:`Process` — wraps a generator; itself an event that fires when the
   generator returns (its value is the generator's return value).
 * :class:`Condition` — ``all_of`` / ``any_of`` composition, used e.g. for
   head-node prefetching where several RDMA READs are issued in parallel.
 * :class:`Simulator` — the event loop and virtual clock.
 
+Process protocol: a generator yields an :class:`Event` and is resumed with
+its value (or has its exception thrown in) once it fires, or yields a plain
+``float``/``int`` of seconds and *sleeps*: the process itself is queued at
+``now + seconds`` under the next sequence number and resumed with ``None``
+— no event object, no callback. Anything else (a negative number, ``bool``,
+``None``, a numpy scalar, a bare generator) is thrown back at the offending
+``yield`` as a :class:`SimulationError`, so ``finally`` blocks run there.
+
 Determinism: events scheduled for the same instant fire in scheduling order
 (a monotonically increasing sequence number breaks ties), so a seeded run is
 fully reproducible.
 
-Engine speed (docs/performance.md "engine profiling"): the queue is one
-binary heap of ``(time, sequence, event)`` entries; a zero-delay trigger
-(process bootstrap, ``succeed`` chain, RPC handoff) is pushed at ``now``
-like any other. A second, FIFO lane for those instant events was measured
-and removed: they are 0.2-0.4 % of all events on the one-sided workloads
-and a third on the RPC ones, and host time per operation did not resolve
-either way in ten alternating pairs. Fired ``Event``/``Timeout``/
-``Condition`` objects whose last external reference died with their firing
-(checked with ``sys.getrefcount`` — conservative: any surviving reference,
-e.g. a pending ``any_of`` sibling or model code that kept the handle, keeps
-the object out of the pool) are recycled through per-simulator free-lists.
-The pool pays for itself in host time, not in calls: without it
-nambench's ``fg_point_uniform`` makes fewer calls per operation
-(270.2 -> 234.1) but each takes longer (42.1 -> 45.1 us/op, slower in 4 of
-5 pairs; ``cg_point_zipf`` 49.9 -> 52.2).
+Engine speed (docs/performance.md "What a sleep costs"): the queue is one
+binary heap of ``(time, sequence, event, wakes)`` entries; a zero-delay
+trigger (``succeed`` chain, RPC handoff) is pushed at ``now`` like any
+other, and a process starts as a sleep of zero. A sleep — every verb leg,
+CPU charge and think time, nearly all of the 9.04 entries an FG lookup
+queues — is four function calls (``heappush``, ``heappop``, ``_resume``, ``send``)
+where the pooled ``Timeout`` it replaced was fourteen: nambench's
+``fg_point_uniform`` 261.2 -> 164.9 calls/op. Fired ``Event``/``Condition``
+objects whose last reference died with their firing are recycled through
+per-simulator free-lists (:meth:`Simulator._recycle`). Only RPCs and
+fan-outs still draw on them, and host time no longer resolves the pool
+either way (``cg_point_zipf`` without it: 222.6 -> 213.5 calls/op, 45.5 ->
+43.7 us/op, lower in 5 of 6 pairs, within the quartiles).
 
 Schedule control: a :class:`Simulator` optionally carries a *scheduler* —
 any object with a ``choose(at, ready)`` method and an optional ``window``
@@ -55,9 +60,9 @@ points.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Union
 
 from repro.errors import SimulationError
 
@@ -69,8 +74,9 @@ __all__ = [
     "Simulator",
 ]
 
-#: Type alias for model code: a generator that yields events.
-ProcessGenerator = Generator["Event", Any, Any]
+#: Type alias for model code: a generator that yields events to wait for
+#: and plain numbers of seconds to sleep.
+ProcessGenerator = Generator[Union["Event", float], Any, Any]
 
 _PENDING = object()
 
@@ -152,7 +158,7 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` virtual seconds after creation."""
+    """A delay as an event: fires ``delay`` virtual seconds after creation."""
 
     __slots__ = ()
 
@@ -167,10 +173,10 @@ class Timeout(Event):
 class Process(Event):
     """A running model process; fires when its generator returns.
 
-    The process drives its generator by sending each yielded event's value
-    back in (or throwing the event's exception). The generator's ``return``
-    value becomes the process event's value, so processes compose: one
-    process may ``yield`` another and receive its result.
+    It drives the generator by the module docstring's protocol (a yielded
+    event's value is sent back in or its exception thrown; yielded seconds
+    are slept). The generator's ``return`` value becomes the process
+    event's value, so one process may ``yield`` another for its result.
     """
 
     __slots__ = ("_generator", "_killed", "span")
@@ -185,13 +191,10 @@ class Process(Event):
         #: fan-out sub-processes (parallel reads, batch chunks) log into
         #: their operation. The kernel never reads this — it only carries it.
         parent = sim._active
-        self.span = parent.span if parent is not None else None
-        # Kick the process off at the current instant (the bootstrap event
-        # comes from the free-list when one is available).
-        free = sim._free_events
-        bootstrap = free.pop() if free else Event(sim)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        self.span: Any = parent.span if parent is not None else None
+        # Kick the process off at the current instant: a sleep of zero.
+        sim._sequence = seq = sim._sequence + 1
+        heappush(sim._heap, (sim.now, seq, self, True))
 
     def kill(self) -> None:
         """Abandon the process at its current suspension point.
@@ -210,8 +213,9 @@ class Process(Event):
 
     def _resume(self, fired: Event) -> None:
         if self._killed:
-            # A crash left this callback registered on an in-flight event;
-            # swallow the wake-up (and defuse failures aimed at a corpse).
+            # A crash left this process queued asleep, or this callback on
+            # an in-flight event; swallow the wake-up (and defuse failures
+            # aimed at a corpse).
             if fired._is_error:
                 fired._defused = True
             return
@@ -222,6 +226,7 @@ class Process(Event):
         previous = sim._active
         sim._active = self
         generator = self._generator
+        target: Any  # told apart by class identity: no isinstance per sleep
         try:
             while True:
                 try:
@@ -236,20 +241,28 @@ class Process(Event):
                 except BaseException as exc:  # model code raised
                     self.fail(exc)
                     return
-                if not isinstance(target, Event):
-                    self.fail(
-                        SimulationError(
-                            f"process yielded {target!r}, which is not an Event"
-                        )
-                    )
+                cls = target.__class__
+                if cls is float or cls is int:
+                    if target >= 0:
+                        sim._sequence = seq = sim._sequence + 1
+                        heappush(sim._heap, (sim.now + target, seq, self, True))
+                        return
+                elif isinstance(target, Event):
+                    if target.callbacks is None:
+                        # Already fired: loop and resume immediately without
+                        # recursing (keeps deep chains iterative).
+                        fired = target
+                        continue
+                    target.callbacks.append(self._resume)
                     return
-                if target.callbacks is None:
-                    # Already fired: loop and resume immediately without
-                    # recursing (keeps deep chains iterative).
-                    fired = target
-                    continue
-                target.callbacks.append(self._resume)
-                return
+                # Thrown at the offending yield, so the generator's
+                # ``finally`` blocks run now and the traceback names the line.
+                fired = Event(sim)
+                fired._is_error = True
+                fired._value = SimulationError(
+                    f"process yielded {target!r}, which is not an Event or a "
+                    "non-negative float/int of seconds to sleep"
+                )
         finally:
             sim._active = previous
 
@@ -305,7 +318,7 @@ class Simulator:
         sim = Simulator()
 
         def model():
-            yield sim.timeout(1.0)
+            yield 1.0  # sleep one virtual second
             return "done"
 
         proc = sim.process(model())
@@ -315,17 +328,19 @@ class Simulator:
 
     def __init__(self, scheduler: Optional[Any] = None) -> None:
         self.now: float = 0.0
-        #: ``(time, sequence, event)`` entries; the sequence number makes
-        #: same-instant events fire in scheduling order.
+        #: ``(time, sequence, event, wakes)`` entries; the sequence number
+        #: makes same-instant events fire in scheduling order. *wakes* marks
+        #: a sleeping :class:`Process` to resume; otherwise *event* fires.
         self._heap: List[Any] = []
         self._sequence = 0
-        self._scheduler: Optional[Any] = None
+        #: What a process whose sleep ended is resumed with: ``None``.
+        self._slept = Event(self)
+        self._slept._value = None
+        self._scheduler: Any = None
         self._window = 0.0
         #: Free-lists of fired, unreferenced event objects, reused by
-        #: :meth:`event`, :meth:`timeout`, :meth:`all_of`/:meth:`any_of`
-        #: and process bootstraps.
+        #: :meth:`event` and :meth:`all_of`/:meth:`any_of`.
         self._free_events: List[Event] = []
-        self._free_timeouts: List[Timeout] = []
         self._free_conditions: List[Condition] = []
         self.scheduler = scheduler
         #: The :class:`Process` currently driving its generator, or None
@@ -339,7 +354,7 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events queued so far — the simulator's work counter.
+        """Total entries queued so far, events and sleeps — the work counter.
 
         Dividing it by the wall-clock seconds a run took gives the
         engine's events/s rate, the metric the batching benchmark uses to
@@ -350,7 +365,7 @@ class Simulator:
     @property
     def scheduler(self) -> Optional[Any]:
         """Optional tie-breaking policy: an object with
-        ``choose(at: float, ready: List[(at, seq, Event)]) -> int``,
+        ``choose(at: float, ready: List[(at, seq, Event, wakes)]) -> int``,
         consulted whenever >= 2 events are ready within its ``window`` of
         the earliest one. ``ready`` is sorted by sequence number; index 0
         reproduces the default order. May be attached/detached at any
@@ -373,15 +388,7 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing *delay* virtual seconds from now."""
-        free = self._free_timeouts
-        if free:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay!r}")
-            timeout = free.pop()
-            timeout._value = value
-            self._queue_fire(timeout, delay)
-            return timeout
+        """A delay as an event, to compose or hang a callback on."""
         return Timeout(self, delay, value)
 
     def process(self, generator: ProcessGenerator) -> Process:
@@ -409,11 +416,10 @@ class Simulator:
     # -- scheduling & the loop ---------------------------------------------
 
     def _queue_fire(self, event: Event, delay: float = 0.0) -> None:
-        seq = self._sequence + 1
-        self._sequence = seq
-        heapq.heappush(self._heap, (self.now + delay, seq, event))
+        self._sequence = seq = self._sequence + 1
+        heappush(self._heap, (self.now + delay, seq, event, False))
 
-    def _recycle(self, event: Event) -> None:
+    def _recycle(self, event: Any) -> None:
         """Pool *event* for reuse if its firing dropped the last reference.
 
         Called right after ``event._fire()`` with exactly two references
@@ -421,14 +427,12 @@ class Simulator:
         additional reference — model code that kept the handle, a pending
         ``any_of`` sibling's callback, a heap entry — keeps the object out
         of the pool, so recycling is conservative and invisible. Only the
-        three concrete high-churn classes are pooled; a :class:`Process`
+        two concrete high-churn classes are pooled; a :class:`Process`
         owns a generator and is never reused.
         """
         cls = event.__class__
-        if cls is Timeout:
-            pool = self._free_timeouts
-        elif cls is Event:
-            pool = self._free_events
+        if cls is Event:
+            pool: List[Any] = self._free_events
         elif cls is Condition:
             pool = self._free_conditions
             event._events = ()
@@ -459,10 +463,10 @@ class Simulator:
         if size == 1 or (
             heap[1][0] > limit and (size < 3 or heap[2][0] > limit)
         ):
-            return heapq.heappop(heap)
-        ready = [heapq.heappop(heap)]
+            return heappop(heap)
+        ready = [heappop(heap)]
         while heap and heap[0][0] <= limit:
-            ready.append(heapq.heappop(heap))
+            ready.append(heappop(heap))
         if len(ready) > 1:
             index = self._scheduler.choose(at, ready)
             if not 0 <= index < len(ready):
@@ -471,8 +475,33 @@ class Simulator:
             index = 0
         chosen = ready.pop(index)
         for entry in ready:
-            heapq.heappush(heap, entry)
+            heappush(heap, entry)
         return chosen
+
+    def _fire_queued(self, until: Optional[float], target: Optional[Event]) -> None:
+        """The loop: fire entries in ``(time, sequence)`` order until the
+        queue drains, the next one lies past *until*, or *target* triggers."""
+        heap = self._heap
+        slept = self._slept
+        while heap and (target is None or target._value is _PENDING):
+            at = heap[0][0]
+            if until is not None and at > until:
+                break
+            if self._scheduler is None:
+                at, _seq, event, wakes = heappop(heap)
+                self.now = at
+            else:
+                at, _seq, event, wakes = self._pop_choice(at, until)
+                # A deferred entry may carry a timestamp the clock already
+                # passed; it fires late, the clock never runs backwards.
+                if at > self.now:
+                    self.now = at
+            if wakes:
+                event._resume(slept)
+            else:
+                event._fire()
+                if getrefcount(event) == 2:
+                    self._recycle(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock passes *until*.
@@ -482,24 +511,7 @@ class Simulator:
         An *until* the clock has already passed fires nothing and leaves
         the clock where it is: it never runs backwards.
         """
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            at = heap[0][0]
-            if until is not None and at > until:
-                break
-            if self._scheduler is None:
-                event = pop(heap)[2]
-                self.now = at
-            else:
-                at, _seq, event = self._pop_choice(at, until)
-                # A deferred entry may carry a timestamp the clock already
-                # passed; it fires late, the clock never runs backwards.
-                if at > self.now:
-                    self.now = at
-            event._fire()
-            if getrefcount(event) == 2:
-                self._recycle(event)
+        self._fire_queued(until, None)
         if until is not None and until > self.now:
             self.now = until
 
@@ -510,24 +522,12 @@ class Simulator:
         deadlock in model code), or re-raises the event's exception if it
         failed.
         """
-        heap = self._heap
-        pop = heapq.heappop
-        while target._value is _PENDING:
-            if not heap:
-                raise SimulationError(
-                    "event queue drained before the awaited event fired "
-                    "(model deadlock?)"
-                )
-            if self._scheduler is None:
-                at, _seq, event = pop(heap)
-                self.now = at
-            else:
-                at, _seq, event = self._pop_choice(heap[0][0])
-                if at > self.now:
-                    self.now = at
-            event._fire()
-            if getrefcount(event) == 2:
-                self._recycle(event)
+        self._fire_queued(None, target)
+        if target._value is _PENDING:
+            raise SimulationError(
+                "event queue drained before the awaited event fired "
+                "(model deadlock?)"
+            )
         if target._is_error:
             target._defused = True
             raise target.value

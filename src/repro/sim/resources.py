@@ -13,10 +13,10 @@ Three primitives cover everything the RDMA/NAM models need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Event, ProcessGenerator, Simulator
 
 __all__ = ["Resource", "Store", "BandwidthChannel"]
 
@@ -28,7 +28,7 @@ class Resource:
 
         yield resource.request()
         try:
-            yield sim.timeout(service_time)
+            yield service_time
         finally:
             resource.release()
     """
@@ -71,11 +71,11 @@ class Resource:
             self._account()
             self.in_use -= 1
 
-    def acquire(self, hold_time: float) -> Generator[Event, Any, None]:
+    def acquire(self, hold_time: float) -> ProcessGenerator:
         """Convenience process: wait for a unit, hold it *hold_time*, release."""
         yield self.request()
         try:
-            yield self.sim.timeout(hold_time)
+            yield hold_time
         finally:
             self.release()
 
@@ -111,7 +111,7 @@ class Store:
     rather than crash use :meth:`try_put`.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = None) -> None:
+    def __init__(self, sim: Simulator, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise SimulationError(f"store capacity must be >= 1, got {capacity}")
         self.sim = sim
@@ -160,7 +160,7 @@ class BandwidthChannel:
     channel for ``overhead + n / rate`` seconds. The implementation uses a
     *reservation clock* instead of a queue — each transfer reserves the
     next free slot on the line and sleeps until its completion time — which
-    is semantically identical for a serial line but costs a single event.
+    is semantically identical for a serial line but costs a single sleep.
     The channel counts bytes and messages so experiments can report network
     utilization (paper Figure 9).
     """
@@ -182,7 +182,7 @@ class BandwidthChannel:
         self.bytes_total = 0
         self.messages_total = 0
 
-    def reserve(self, nbytes: int, earliest: float = None) -> float:
+    def reserve(self, nbytes: int, earliest: Optional[float] = None) -> float:
         """Book *nbytes* onto the line; returns the completion time.
 
         *earliest* is the time the first byte can possibly be on this line
@@ -201,10 +201,10 @@ class BandwidthChannel:
         self.messages_total += 1
         return done
 
-    def transfer(self, nbytes: int) -> Generator[Event, Any, None]:
+    def transfer(self, nbytes: int) -> ProcessGenerator:
         """Process: occupy the channel while *nbytes* go over the wire."""
         done = self.reserve(nbytes)
-        yield self.sim.timeout(done - self.sim.now)
+        yield done - self.sim.now
 
     @property
     def busy_until(self) -> float:

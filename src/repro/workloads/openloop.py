@@ -338,10 +338,10 @@ class OpenLoopRunner:
     def _controller(
         self, run: "_RunState", warmup_s: float, measure_s: float
     ) -> Generator[Any, Any, dict]:
-        yield self.cluster.sim.timeout(warmup_s)
+        yield warmup_s
         baseline = self.cluster.reset_measurement()
         run.measure_from = self.cluster.now
-        yield self.cluster.sim.timeout(measure_s)
+        yield measure_s
         run.stop = True
         # Snapshot counters exactly at the window edge, before the drain.
         return self.cluster.measurement_delta(baseline)
@@ -364,7 +364,7 @@ class OpenLoopRunner:
         breaker = tstate.breaker
         next_session = 0
         while not run.stop:
-            yield sim.timeout(float(rng.exponential(1.0 / peak)))
+            yield float(rng.exponential(1.0 / peak))
             if run.stop:
                 break
             # Thinning: keep the candidate with probability rate/peak.
@@ -417,7 +417,7 @@ class OpenLoopRunner:
                         attempt += 1
                         if spec.retry_backoff_s > 0:
                             backoff_start = sim.now
-                            yield sim.timeout(spec.retry_backoff_s * attempt)
+                            yield spec.retry_backoff_s * attempt
                             if obs is not None:
                                 obs.stamp(
                                     "client_backoff", backoff_start, sim.now

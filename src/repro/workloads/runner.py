@@ -246,10 +246,10 @@ class WorkloadRunner:
     def _controller(
         self, state: _ClientState, warmup_s: float, measure_s: float
     ) -> Generator[Any, Any, dict]:
-        yield self.cluster.sim.timeout(warmup_s)
+        yield warmup_s
         baseline = self.cluster.reset_measurement()
         state.measure_from = self.cluster.now
-        yield self.cluster.sim.timeout(measure_s)
+        yield measure_s
         state.stop = True
         # Snapshot counters exactly at the window edge, before the clients'
         # in-flight operations drain.

@@ -1,9 +1,10 @@
 """Tests for the discrete-event kernel."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Process, Simulator
 
 
 def test_timeout_advances_clock():
@@ -299,3 +300,245 @@ def test_determinism_across_runs():
         return log
 
     assert trace() == trace()
+
+
+
+# -- sleeping: a process yields plain seconds ----------------------------------
+
+
+def mixed_instant(sim, order):
+    """Sleeps, a composable timeout, a ``succeed`` and zero-second naps that
+    all land on t = 1.0; the comments give each entry's place in the queue."""
+    mailbox = sim.event()
+    mailbox.add_callback(lambda _event: order.append("succeed"))
+
+    def sleeper(tag, seconds):
+        yield seconds
+        order.append(tag)
+
+    def timer():
+        yield sim.timeout(1.0)
+        order.append("timeout")
+
+    def first():
+        yield 1.0
+        order.append("first")
+        mailbox.succeed()  # queued at 1.0 behind all that is already there
+        yield 0
+        order.append("zero")
+
+    def late():
+        yield 0.5
+        yield 0.5  # scheduled at 0.5, lands on 1.0 behind the four above
+        order.append("late")
+
+    sim.process(sleeper("sleep", 1.0))
+    sim.process(timer())
+    sim.process(first())
+    sim.process(late())
+    sim.process(sleeper("int", 1))
+
+
+def test_sleeps_timeouts_and_succeeds_at_one_instant_fire_by_sequence():
+    # A sleep draws its sequence number at the yield, where the
+    # ``sim.timeout`` it replaces drew it.
+    sim = Simulator()
+    order = []
+    mixed_instant(sim, order)
+    sim.run()
+    assert order == ["sleep", "timeout", "first", "int", "late", "succeed", "zero"]
+    assert sim.now == 1.0
+    # 5 bootstraps + 6 sleeps + 1 timeout + 1 succeed + 5 completions.
+    assert sim.events_scheduled == 18
+
+
+def test_zero_second_sleeps_queue_behind_what_the_instant_already_holds():
+    sim = Simulator()
+    order = []
+
+    def napper(tag, zero):
+        order.append(f"{tag} runs")
+        yield zero
+        order.append(f"{tag} wakes")
+
+    sim.process(napper("int", 0))
+    sim.process(napper("float", 0.0))
+    sim.timeout(0.0).add_callback(lambda _event: order.append("timeout"))
+    sim.run()
+    assert order == ["int runs", "float runs", "timeout", "int wakes", "float wakes"]
+    assert sim.now == 0.0
+
+
+def test_killing_a_sleeper_fires_joins_now_and_swallows_the_late_wakeup():
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield 5.0
+            log.append("victim resumed")
+        finally:
+            log.append(("cleanup", sim.now))
+
+    def joiner():
+        yield sim.all_of([proc])
+        log.append(("joined", sim.now))
+
+    def killer():
+        yield 2.0
+        proc.kill()
+        proc.kill()  # a no-op
+
+    proc = sim.process(victim())
+    sim.process(joiner())
+    sim.process(killer())
+    sim.run()
+    assert log == [("cleanup", 2.0), ("joined", 2.0)]
+    assert proc.value is None
+    assert sim.now == 5.0  # the wake-up stayed queued and woke nobody
+
+
+@pytest.mark.parametrize(
+    "killer_first, expected, drained_at",
+    [
+        # The kill runs first: the victim's wake-up, next in the queue, is
+        # swallowed; joins fire where the kill queued them, behind the
+        # bystander that was already waiting for this instant.
+        (True, ["kill", "cleanup", "bystander", "joined", "killer goes on"], 1.0),
+        # The wake-up runs first: the victim sleeps again and dies there.
+        (False, ["victim woke", "kill", "cleanup", "bystander", "joined",
+                 "killer goes on"], 2.0),
+    ],
+)
+def test_kill_at_the_instant_the_sleep_ends_goes_by_sequence(
+    killer_first, expected, drained_at
+):
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield 1.0
+            log.append("victim woke")
+            yield 1.0
+            log.append("victim woke twice")
+        finally:
+            log.append("cleanup")
+
+    def killer():
+        yield 1.0
+        log.append("kill")
+        proc.kill()
+        yield 0
+        log.append("killer goes on")
+
+    def bystander():
+        yield 1.0
+        log.append("bystander")
+
+    if killer_first:
+        sim.process(killer())
+        proc = sim.process(victim())
+    else:
+        proc = sim.process(victim())
+        sim.process(killer())
+    proc.add_callback(lambda _event: log.append("joined"))
+    sim.process(bystander())
+    sim.run()
+    assert log == expected
+    assert sim.now == drained_at
+
+
+def test_a_failing_event_reaches_a_process_that_has_slept_before():
+    sim = Simulator()
+    doomed = sim.event()
+
+    def proc():
+        yield 1.0
+        try:
+            yield doomed
+        except ValueError as exc:
+            woken_with = yield 1.0  # and a sleep after a failure is a sleep
+            return f"caught {exc}, then {woken_with}"
+
+    def failer():
+        yield 2.0
+        doomed.fail(ValueError("boom"))
+
+    p = sim.process(proc())
+    sim.process(failer())
+    sim.run()
+    assert p.value == "caught boom, then None"
+    assert sim.now == 3.0
+
+
+def test_a_first_choice_scheduler_reproduces_heap_order_with_sleepers_ready():
+    class First:
+        window = 0.0
+
+        def __init__(self):
+            self.sleepers_offered = 0
+
+        def choose(self, at, ready):
+            assert [entry[:2] for entry in ready] == sorted(entry[:2] for entry in ready)
+            self.sleepers_offered += sum(
+                isinstance(entry[2], Process) and not entry[2].triggered
+                for entry in ready
+            )
+            return 0
+
+    def trace(scheduler):
+        sim = Simulator(scheduler)
+        order = []
+        mixed_instant(sim, order)
+        sim.run()
+        return order, sim.events_scheduled, sim.now
+
+    first = First()
+    assert trace(first) == trace(None)
+    assert first.sleepers_offered > 0
+
+
+GARBAGE = {
+    "negative float": -1.0,
+    "negative int": -1,
+    "bool": True,
+    "None": None,
+    "numpy scalar": np.float64(1.0),
+    "string": "not an event",
+    "bare generator": (never for never in ()),
+}
+
+
+@pytest.mark.parametrize("garbage", GARBAGE.values(), ids=GARBAGE.keys())
+def test_a_bad_yield_is_thrown_back_at_the_yield_that_made_it(garbage):
+    sim = Simulator()
+    log = []
+
+    def proc():
+        try:
+            yield garbage
+        finally:
+            log.append("finally")
+
+    p = sim.process(proc())
+    with pytest.raises(SimulationError, match="not an Event or a non-negative") as info:
+        sim.run_until_complete(p)
+    # Unwound by the throw — not whenever the suspended generator is collected.
+    assert log == ["finally"]
+    assert "proc" in [entry.name for entry in info.traceback]
+
+
+def test_a_process_may_catch_the_rejection_and_carry_on():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield None
+        except SimulationError:
+            pass
+        yield 1.0
+        return "recovered"
+
+    assert sim.run_until_complete(sim.process(proc())) == "recovered"
+    assert sim.now == 1.0

@@ -66,6 +66,16 @@ class TestResource:
         # One of two units busy for 1s out of 2s: 25% of capacity.
         assert res.utilization() == pytest.approx(0.25)
 
+    def test_a_negative_hold_time_still_releases_the_unit(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        held = sim.process(res.acquire(-1.0))
+        with pytest.raises(SimulationError, match="non-negative"):
+            sim.run_until_complete(held)
+        assert res.in_use == 0  # released by the throw at the bad yield
+        sim.run_until_complete(sim.process(res.acquire(2.0)))
+        assert sim.now == 2.0
+
     def test_queue_length(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
