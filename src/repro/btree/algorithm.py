@@ -163,40 +163,25 @@ class BLinkTree:
         """Descend from the root; no frame of its own on the yield chain."""
         return self._descend_from(0, None, key, level, shared)
 
+    def _find_leaf(
+        self, key: int, shared: bool = False
+    ) -> Generator[Any, Any, Tuple[int, Node]]:
+        """``(raw_ptr, node)`` of the leaf covering *key* — the step every
+        operation below starts from, and the one a design overrides when
+        it reaches its leaves another way (the hybrid's traversal RPC,
+        Section 5.2). Here: the root descent."""
+        return self._descend_from(0, None, key, 0, shared)
+
     # ------------------------------------------------------------------ #
     # reads                                                               #
     # ------------------------------------------------------------------ #
-
-    def _locate_from(
-        self, raw_ptr: int, key: int, shared: bool = False
-    ) -> Generator[Any, Any, Tuple[int, Node]]:
-        """Read the node at *raw_ptr* and move right until it covers *key*.
-
-        The hybrid design starts leaf operations from a pointer returned by
-        a traversal RPC; the leaf may have split since, so the move-right
-        step is mandatory (Section 5.2)."""
-        obs = self.acc.obs
-        node = yield from self._read_unlocked(raw_ptr, shared)
-        while not node.covers(key) and not is_null(node.right):
-            raw_ptr = node.right
-            if obs is not None:
-                obs.enter_step("move_right", f"level_{node.level}")
-            node = yield from self._read_unlocked(raw_ptr, shared)
-            if obs is not None:
-                obs.exit_step()
-        return raw_ptr, node
 
     def lookup(self, key: int) -> Generator[Any, Any, List[int]]:
         """Point query: all live payloads stored under *key*.
 
         Non-unique keys are supported; an empty list means "not found".
         """
-        _ptr, leaf = yield from self._descend_to_level(key, 0, shared=True)
-        return leaf.leaf_matches(key)
-
-    def lookup_at(self, leaf_ptr: int, key: int) -> Generator[Any, Any, List[int]]:
-        """Point query starting from a known leaf pointer (hybrid design)."""
-        _ptr, leaf = yield from self._locate_from(leaf_ptr, key, shared=True)
+        _ptr, leaf = yield from self._find_leaf(key, True)
         return leaf.leaf_matches(key)
 
     def range_scan(
@@ -210,21 +195,7 @@ class BLinkTree:
         """
         if high <= low:
             return []
-        raw_ptr, node = yield from self._descend_to_level(low, 0, shared=True)
-        return (yield from self._scan_chain(raw_ptr, node, low, high))
-
-    def scan_at(
-        self, leaf_ptr: int, low: int, high: int
-    ) -> Generator[Any, Any, List[Tuple[int, int]]]:
-        """Range query starting from a known leaf pointer (hybrid design)."""
-        if high <= low:
-            return []
-        raw_ptr, node = yield from self._locate_from(leaf_ptr, low, shared=True)
-        return (yield from self._scan_chain(raw_ptr, node, low, high))
-
-    def _scan_chain(
-        self, raw_ptr: int, node: Node, low: int, high: int
-    ) -> Generator[Any, Any, List[Tuple[int, int]]]:
+        raw_ptr, node = yield from self._find_leaf(low, True)
         results: List[Tuple[int, int]] = []
         prefetched: Dict[int, Node] = {}
         seen_heads = set()
@@ -292,40 +263,22 @@ class BLinkTree:
         if is_tombstoned(value):
             raise IndexError_("payloads must leave bit 63 clear (tombstone bit)")
         while True:
-            done = yield from self._insert_once(key, value)
-            if done:
-                return
-
-    def _insert_once(self, key: int, value: int) -> Generator[Any, Any, bool]:
-        raw_ptr, node = yield from self._descend_to_level(key, 0)
-        return (yield from self._insert_at_node(raw_ptr, node, key, value))
-
-    def insert_at(self, leaf_ptr: int, key: int, value: int) -> Generator[Any, Any, bool]:
-        """One insertion attempt starting from a known leaf pointer.
-
-        Returns True when the insert completed; False means a lock conflict
-        and the caller should retry (typically re-traversing first)."""
-        raw_ptr, node = yield from self._locate_from(leaf_ptr, key)
-        return (yield from self._insert_at_node(raw_ptr, node, key, value))
-
-    def _insert_at_node(
-        self, raw_ptr: int, node: Node, key: int, value: int
-    ) -> Generator[Any, Any, bool]:
-        locked = yield from self.acc.try_lock(raw_ptr, node.version)
-        if not locked:
-            yield from self.acc.spin_pause()
-            return False
-        # The CAS succeeded on the version we read, so our copy is the
-        # current page content and its range information is trustworthy.
-        if not node.covers(key) and not is_null(node.right):
-            yield from self.acc.unlock_nochange(raw_ptr)
-            return False
-        if node.count < self.max_entries:
-            node.insert_entry(key, value)
-            yield from self.acc.unlock_write(raw_ptr, node)
-            return True
-        yield from self._split_and_insert(raw_ptr, node, key, value)
-        return True
+            raw_ptr, node = yield from self._find_leaf(key)
+            locked = yield from self.acc.try_lock(raw_ptr, node.version)
+            if not locked:
+                yield from self.acc.spin_pause()
+                continue
+            # The CAS succeeded on the version we read, so our copy is the
+            # current page content and its range information is trustworthy.
+            if not node.covers(key) and not is_null(node.right):
+                yield from self.acc.unlock_nochange(raw_ptr)
+                continue
+            if node.count < self.max_entries:
+                node.insert_entry(key, value)
+                yield from self.acc.unlock_write(raw_ptr, node)
+            else:
+                yield from self._split_and_insert(raw_ptr, node, key, value)
+            return
 
     @staticmethod
     def _split_for_insert(node: Node, key: int) -> Tuple[Node, int]:
@@ -471,37 +424,7 @@ class BLinkTree:
         result, so no split/ascend handling is needed. Returns True if an
         entry existed.
         """
-        if is_tombstoned(value):
-            raise IndexError_("payloads must leave bit 63 clear (tombstone bit)")
-        while True:
-            raw_ptr, node = yield from self._descend_to_level(key, 0)
-            done, found = yield from self._update_at_node(raw_ptr, node, key, value)
-            if done:
-                return found
-
-    def update_at(
-        self, leaf_ptr: int, key: int, value: int
-    ) -> Generator[Any, Any, Tuple[bool, bool]]:
-        """One update attempt from a known leaf pointer; ``(done, found)``."""
-        raw_ptr, node = yield from self._locate_from(leaf_ptr, key)
-        return (yield from self._update_at_node(raw_ptr, node, key, value))
-
-    def _update_at_node(
-        self, raw_ptr: int, node: Node, key: int, value: int
-    ) -> Generator[Any, Any, Tuple[bool, bool]]:
-        if self._first_live_index(node, key) is None:
-            return True, False
-        locked = yield from self.acc.try_lock(raw_ptr, node.version)
-        if not locked:
-            yield from self.acc.spin_pause()
-            return False, False
-        target = self._first_live_index(node, key)
-        if target is None:
-            yield from self.acc.unlock_nochange(raw_ptr)
-            return True, False
-        node.values[target] = value
-        yield from self.acc.unlock_write(raw_ptr, node)
-        return True, True
+        return self._rewrite_first_live(key, value)
 
     def delete(self, key: int) -> Generator[Any, Any, bool]:
         """Mark the first live entry for *key* deleted (Sections 3.2/4.2).
@@ -509,33 +432,32 @@ class BLinkTree:
         Returns True if an entry was tombstoned. Physical removal is the
         epoch garbage collector's job (:mod:`repro.index.gc`).
         """
+        return self._rewrite_first_live(key, None)
+
+    def _rewrite_first_live(
+        self, key: int, value: Optional[int]
+    ) -> Generator[Any, Any, bool]:
+        """Under the leaf lock, give the first live entry for *key* the
+        payload *value* — or, for None, its tombstone bit. False if the
+        leaf holds no live entry for *key*."""
+        if value is not None and is_tombstoned(value):
+            raise IndexError_("payloads must leave bit 63 clear (tombstone bit)")
         while True:
-            raw_ptr, node = yield from self._descend_to_level(key, 0)
-            done, found = yield from self._delete_at_node(raw_ptr, node, key)
-            if done:
-                return found
-
-    def delete_at(self, leaf_ptr: int, key: int) -> Generator[Any, Any, Tuple[bool, bool]]:
-        """One delete attempt from a known leaf pointer; ``(done, found)``."""
-        raw_ptr, node = yield from self._locate_from(leaf_ptr, key)
-        return (yield from self._delete_at_node(raw_ptr, node, key))
-
-    def _delete_at_node(
-        self, raw_ptr: int, node: Node, key: int
-    ) -> Generator[Any, Any, Tuple[bool, bool]]:
-        if self._first_live_index(node, key) is None:
-            return True, False
-        locked = yield from self.acc.try_lock(raw_ptr, node.version)
-        if not locked:
-            yield from self.acc.spin_pause()
-            return False, False
-        target = self._first_live_index(node, key)
-        if target is None:
-            yield from self.acc.unlock_nochange(raw_ptr)
-            return True, False
-        node.values[target] |= 1 << 63
-        yield from self.acc.unlock_write(raw_ptr, node)
-        return True, True
+            raw_ptr, node = yield from self._find_leaf(key)
+            target = self._first_live_index(node, key)
+            if target is None:
+                return False
+            locked = yield from self.acc.try_lock(raw_ptr, node.version)
+            if not locked:
+                yield from self.acc.spin_pause()
+                continue
+            # The CAS succeeded on the version we read: *target* still
+            # names the entry in the current page content.
+            node.values[target] = (
+                node.values[target] | TOMBSTONE_BIT if value is None else value
+            )
+            yield from self.acc.unlock_write(raw_ptr, node)
+            return True
 
     @staticmethod
     def _first_live_index(node: Node, key: int) -> Optional[int]:

@@ -247,14 +247,19 @@ class RemoteAccessor(NodeAccessor):
         self.lock_steals = 0
         # Decode memoization: raw_ptr -> master Node of the last unlocked
         # page image seen there, keyed by the version word embedded in the
-        # image (pages are bump-allocated and never recycled, and every
-        # mutation bumps the version, so (raw_ptr, even version) names one
-        # page content for the whole run). Purely host-side: the RDMA READ
-        # still happens; only the redundant re-parse of an unchanged image
-        # is skipped. Masters are shared — mutable callers get clones.
-        # Disabled (checked per read) under fault injection or replication,
-        # where observed images may be transient locked/stale states not
-        # worth reasoning about.
+        # image. Purely host-side: the RDMA READ still happens; only the
+        # redundant re-parse of an unchanged image is skipped. Masters are
+        # shared — mutable callers get clones. On under fault injection
+        # and replication too, because (raw_ptr, even version) names one
+        # page content for the whole run: pages are bump-allocated and
+        # never recycled, version words only grow, and odd (locked) words
+        # are never memoized. A backup is byte-converged by synchronous
+        # region mirrors, so a promoted copy serves the same bytes under
+        # the same word; a retried READ replays its first delivery, and an
+        # older image either fails the version compare or equals the
+        # master; a robbed-but-alive lock holder writing under a stolen
+        # word is excluded by the lease assumption RetryConfig warns about.
+        # RemoteCache has shared masters on the same terms all along.
         self._decode_cache: Dict[int, Node] = {}
 
     def _decode_shared(self, raw_ptr: int, data) -> Node:
@@ -274,8 +279,6 @@ class RemoteAccessor(NodeAccessor):
     def read_node(
         self, raw_ptr: int, shared: bool = False
     ) -> Generator[Any, Any, Node]:
-        compute = self.compute_server
-        fabric = compute.fabric
         # The pointer decode is inlined (RemotePointer.from_raw without the
         # tuple).
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
@@ -285,27 +288,19 @@ class RemoteAccessor(NodeAccessor):
         # which a concurrent writer could change the page — and
         # dropped. The decode input is exactly the bytes a copying
         # READ would have returned (and under fault injection it is
-        # that copy).
-        data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read_view(
+        # that copy, unless the queue pair is co-located).
+        data = yield from self.compute_server.qp((raw_ptr >> 56) & 0x7F).read_view(
             raw_ptr & _PTR_OFFSET_MASK, self.page_size
         )
-        if fabric.injector is None and fabric.replication is None:
-            master = self._decode_shared(raw_ptr, data)
-            data = None
-            yield self._search_cost
-            if shared:
-                # Read-only traversals take the memoized master as-is.
-                return master
-            # Mutating callers (insert/update/delete descents) get a
-            # private clone of the memoized decode.
-            return master.clone()
-        # No decode memo under fault injection or replication: a fresh,
-        # private node — decoded before the yield, because on a co-located
-        # queue pair *data* is a live view even with an injector attached.
-        node = Node.from_bytes(data)
+        master = self._decode_shared(raw_ptr, data)
         data = None
         yield self._search_cost
-        return node
+        if shared:
+            # Read-only traversals take the memoized master as-is.
+            return master
+        # Mutating callers (insert/update/delete descents) get a private
+        # clone of the memoized decode.
+        return master.clone()
 
     def read_nodes(self, raw_ptrs) -> Generator[Any, Any, List[Node]]:
         """Fetch several nodes at once (head-node prefetch fan-out).
@@ -331,15 +326,12 @@ class RemoteAccessor(NodeAccessor):
             )
         nodes: List[Node] = [None] * len(raw_ptrs)
         compute = self.compute_server
-        fabric = compute.fabric
         page_size = self.page_size
         max_wqes = self._max_wqes
         search_cost = self._search_cost
         # Prefetched nodes feed read-only scan consumers, so memoized
         # masters are handed out without cloning (see _decode_shared).
-        memoize = fabric.injector is None and fabric.replication is None
         decode = self._decode_shared
-        from_bytes = Node.from_bytes
 
         def read_group(server_id, members) -> Generator[Any, Any, None]:
             for start in range(0, len(members), max_wqes):
@@ -350,12 +342,8 @@ class RemoteAccessor(NodeAccessor):
                     batch_read(offset, page_size)
                 pages = yield from batch.execute()
                 yield search_cost * len(chunk)
-                if memoize:
-                    for (slot, _offset), data in zip(chunk, pages):
-                        nodes[slot] = decode(raw_ptrs[slot], data)
-                else:
-                    for (slot, _offset), data in zip(chunk, pages):
-                        nodes[slot] = from_bytes(data)
+                for (slot, _offset), data in zip(chunk, pages):
+                    nodes[slot] = decode(raw_ptrs[slot], data)
 
         pending = [
             sim.process(read_group(server_id, members))

@@ -40,7 +40,7 @@ API). Counters are exported through namscope as
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, Optional, Tuple
 
 from repro.btree.algorithm import BLinkTree
 from repro.btree.node import Node
@@ -292,14 +292,17 @@ class CachingRemoteAccessor(RemoteAccessor):
         return super().write_node(raw_ptr, node)
 
 
-def attach_cache(tree: BLinkTree, index, compute_server: ComputeServer) -> BLinkTree:
-    """Swap *tree*'s accessor for a caching one per the cluster's
-    :class:`~repro.config.CacheConfig`; returns the tree."""
+def attach_cache(
+    trees: Iterable[BLinkTree], index, compute_server: ComputeServer
+) -> None:
+    """Swap the accessor the *trees* of one session share for a caching
+    one per the cluster's :class:`~repro.config.CacheConfig`."""
     cache_cfg = index.cluster.config.cache
-    tree.acc = CachingRemoteAccessor(
+    accessor = CachingRemoteAccessor(
         index, compute_server, cache_cfg.depth, cache_cfg.capacity
     )
-    return tree
+    for tree in trees:
+        tree.acc = accessor
 
 
 def cached_session(

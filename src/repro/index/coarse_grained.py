@@ -8,7 +8,7 @@ Compute servers never touch pages directly — every operation is an RPC
 over SEND/RECEIVE handled by a memory-server worker, which traverses its
 local tree under optimistic lock coupling (Listings 1 and 3).
 
-Routing (client side):
+Routing (client side, :class:`~repro.index.partitioned.PartitionedSession`):
 
 * point lookups / inserts / deletes go to the single owning server;
 * range scans go to every server whose partition intersects the range —
@@ -19,13 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
-from repro.btree.algorithm import BLinkTree
-from repro.index.partitioned import (
-    PartitionedIndex,
-    PartitionedSession,
-    client_tree,
-    merge_partials,
-)
+from repro.index.partitioned import PartitionedIndex, PartitionedSession, client_tree
 from repro.nam import rpc
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
@@ -108,92 +102,76 @@ class CoarseGrainedIndex(PartitionedIndex):
         )
 
 
-class CoarseGrainedSession(PartitionedSession):
-    """Client-side handle: every operation is one RPC (plus fan-out merges).
+class _RpcTree:
+    """One partition's tree as its owner serves it: each of the five
+    operations is one RPC to that partition."""
 
-    When the cluster is co-located and the owning memory server lives on
-    this compute server's machine, operations run the traversal *locally*
-    in the client thread instead of paying an RPC — the shared-nothing
-    locality benefit of Appendix A.3. A compute thread on the same
-    physical machine reaches the partition tree through the
-    local-fast-path queue pair: reads cost local memory latency/bandwidth
-    and the memory server's CPU workers are not involved.
-    """
-
-    def __init__(self, index: CoarseGrainedIndex, compute_server: ComputeServer) -> None:
-        super().__init__(index, compute_server)
-        self._local_trees: Dict[int, BLinkTree] = {}
-        if index.cluster.config.colocated:
-            for server in index.cluster.memory_servers:
-                if server.machine is compute_server.machine:
-                    server_id = server.server_id
-                    self._local_trees[server_id] = client_tree(
-                        index.cluster,
-                        compute_server,
-                        index.roots[server_id],
-                        alloc_server_id=server_id,
-                    )
-
-    # -- operations ---------------------------------------------------------------
+    def __init__(self, session: "CoarseGrainedSession", partition: int) -> None:
+        self._call = session._call
+        self._index = session.index.name
+        self._partition = partition
 
     def lookup(self, key: int) -> Generator[Any, Any, List[int]]:
-        server_id = self.index.partitioner.server_for_key(key)
-        local = self._local_trees.get(server_id)
-        if local is not None:
-            return (yield from local.lookup(key))
+        partition = self._partition
         response = yield from self._call(
-            server_id, rpc.PointLookupRequest(self.index.name, key, partition=server_id)
+            partition, rpc.PointLookupRequest(self._index, key, partition=partition)
         )
         return list(response.values)
 
     def range_scan(
         self, low: int, high: int
     ) -> Generator[Any, Any, List[Tuple[int, int]]]:
-        server_ids = self.index.partitioner.servers_for_range(low, high)
-        if not server_ids:
-            return []
-
-        def one_partition(server_id: int):
-            local = self._local_trees.get(server_id)
-            if local is not None:
-                pairs = yield from local.range_scan(low, high)
-                return pairs
-            response = yield from self._call(
-                server_id, rpc.RangeScanRequest(self.index.name, low, high, partition=server_id)
-            )
-            return list(response.pairs)
-
-        if len(server_ids) == 1:
-            return (yield from one_partition(server_ids[0]))
-        sim = self.compute_server.sim
-        calls = [sim.process(one_partition(server_id)) for server_id in server_ids]
-        partials = yield sim.all_of(calls)
-        return merge_partials(partials)
+        partition = self._partition
+        response = yield from self._call(
+            partition, rpc.RangeScanRequest(self._index, low, high, partition=partition)
+        )
+        return list(response.pairs)
 
     def insert(self, key: int, value: int) -> Generator[Any, Any, None]:
-        server_id = self.index.partitioner.server_for_key(key)
-        local = self._local_trees.get(server_id)
-        if local is not None:
-            yield from local.insert(key, value)
-            return
-        yield from self._call(server_id, rpc.InsertRequest(self.index.name, key, value, partition=server_id))
+        partition = self._partition
+        yield from self._call(
+            partition, rpc.InsertRequest(self._index, key, value, partition=partition)
+        )
 
     def update(self, key: int, value: int) -> Generator[Any, Any, bool]:
-        server_id = self.index.partitioner.server_for_key(key)
-        local = self._local_trees.get(server_id)
-        if local is not None:
-            return (yield from local.update(key, value))
+        partition = self._partition
         response = yield from self._call(
-            server_id, rpc.UpdateRequest(self.index.name, key, value, partition=server_id)
+            partition, rpc.UpdateRequest(self._index, key, value, partition=partition)
         )
         return response.ok
 
     def delete(self, key: int) -> Generator[Any, Any, bool]:
-        server_id = self.index.partitioner.server_for_key(key)
-        local = self._local_trees.get(server_id)
-        if local is not None:
-            return (yield from local.delete(key))
+        partition = self._partition
         response = yield from self._call(
-            server_id, rpc.DeleteRequest(self.index.name, key, partition=server_id)
+            partition, rpc.DeleteRequest(self._index, key, partition=partition)
         )
         return response.ok
+
+
+class CoarseGrainedSession(PartitionedSession):
+    """Client-side handle: every operation is one RPC (plus fan-out merges).
+
+    When the cluster is co-located and the owning memory server lives on
+    this compute server's machine, the partition's handle is a one-sided
+    tree instead: operations run the traversal *locally* in the client
+    thread and pay no RPC — the shared-nothing locality benefit of
+    Appendix A.3. A compute thread on the same physical machine reaches
+    the partition tree through the local-fast-path queue pair: reads cost
+    local memory latency/bandwidth and the memory server's CPU workers
+    are not involved.
+    """
+
+    def __init__(self, index: CoarseGrainedIndex, compute_server: ComputeServer) -> None:
+        super().__init__(index, compute_server)
+        cluster = index.cluster
+        for server in cluster.memory_servers:
+            partition = server.server_id
+            if cluster.config.colocated and server.machine is compute_server.machine:
+                self._trees[partition] = client_tree(
+                    cluster,
+                    compute_server,
+                    index.roots[partition],
+                    alloc_server_id=partition,
+                )
+            else:
+                self._trees[partition] = _RpcTree(self, partition)

@@ -107,7 +107,7 @@ class FineGrainedIndex(DistributedIndex):
         if self.cluster.config.cache.depth > 0:
             from repro.index.caching import attach_cache
 
-            attach_cache(session._tree, self, compute_server)
+            attach_cache([session._tree], self, compute_server)
         return session
 
     def tree_for(self, compute_server: ComputeServer) -> BLinkTree:

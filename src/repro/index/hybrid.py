@@ -24,16 +24,12 @@ robust design (Section 6.1). Both halves live in
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.btree.algorithm import BLinkTree
-from repro.index.accessors import RemoteAccessor
-from repro.index.partitioned import (
-    PartitionedIndex,
-    PartitionedSession,
-    client_tree,
-    merge_partials,
-)
+from repro.btree.node import Node
+from repro.index.accessors import RemoteAccessor, RemoteRootRef
+from repro.index.partitioned import PartitionedIndex, PartitionedSession, client_tree
 from repro.nam import rpc
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
@@ -112,7 +108,7 @@ class HybridIndex(PartitionedIndex):
             # partition trees *are* the cache for those levels).
             from repro.index.caching import attach_cache
 
-            attach_cache(session._leaves, self, compute_server)
+            attach_cache(session._trees.values(), self, compute_server)
         return session
 
     inner_tree = PartitionedIndex.partition_tree
@@ -138,104 +134,62 @@ class HybridIndex(PartitionedIndex):
 
 
 class _HybridLeafTree(BLinkTree):
-    """Leaf-level operations over one-sided verbs.
+    """One partition's leaf chain over one-sided verbs, its inner levels
+    behind the owner's RPCs.
 
-    Only the ``*_at`` entry points are used (traversal happens via RPC);
-    leaf splits route their separator installation back through the
-    session's RPC path instead of ascending locally.
+    The leaf protocol is Design 2's. What differs is the way to the leaf —
+    a traversal RPC to *this* partition, then move right — and the way
+    back up: the separator of a leaf split goes to the partition the leaf
+    was reached through, whatever the separator key would hash to. The
+    root word is the partition's; no operation reads it.
     """
 
-    def __init__(self, accessor: RemoteAccessor, session: "HybridSession") -> None:
+    def __init__(
+        self, accessor: RemoteAccessor, session: "HybridSession", partition: int
+    ) -> None:
+        index = session.index
         super().__init__(
             accessor,
-            root_ref=None,
-            use_head_nodes=session.index.use_head_nodes,
-            prefetch_window=session.index.cluster.config.tree.prefetch_window,
+            RemoteRootRef(session.compute_server, index.roots[partition]),
+            use_head_nodes=index.use_head_nodes,
+            prefetch_window=index.cluster.config.tree.prefetch_window,
         )
-        self._session = session
+        self._call = session._call
+        self._index = index.name
+        self._partition = partition
+
+    def _find_leaf(
+        self, key: int, shared: bool = False
+    ) -> Generator[Any, Any, Tuple[int, Node]]:
+        partition = self._partition
+        response = yield from self._call(
+            partition, rpc.TraverseRequest(self._index, key, partition=partition)
+        )
+        # The leaf may have split since the owner answered, so the
+        # move-right step is mandatory (Section 5.2). The first read opens
+        # no span step: the RPC is the traversal.
+        node = yield from self._read_unlocked(response.raw, shared)
+        return (yield from self._descend_from(response.raw, node, key, 0, shared))
 
     def _install_separator(
         self, level: int, sep_key: int, new_child: int, split_child: int
     ) -> Generator[Any, Any, None]:
-        yield from self._session._install_separator_rpc(
-            sep_key, new_child, split_child
+        partition = self._partition
+        return self._call(
+            partition,
+            rpc.InstallSeparatorRequest(
+                self._index, sep_key, new_child, split_child, partition=partition
+            ),
         )
 
 
 class HybridSession(PartitionedSession):
-    """Client-side handle: traversal RPCs + one-sided leaf access."""
+    """Client-side handle: traversal RPCs + one-sided leaf access — one
+    leaf tree per partition, all over one accessor (one allocation
+    round-robin, one decode memo per client thread)."""
 
     def __init__(self, index: HybridIndex, compute_server: ComputeServer) -> None:
         super().__init__(index, compute_server)
-        self._leaves = _HybridLeafTree(
-            RemoteAccessor(compute_server, index.cluster.config), self
-        )
-
-    # -- RPC plumbing -------------------------------------------------------------
-
-    def _traverse(self, server_id: int, key: int) -> Generator[Any, Any, int]:
-        request = rpc.TraverseRequest(self.index.name, key, partition=server_id)
-        response = yield from self._call(server_id, request)
-        return response.raw
-
-    def _install_separator_rpc(
-        self, sep_key: int, new_child: int, split_child: int
-    ) -> Generator[Any, Any, None]:
-        server_id = self.index.partitioner.server_for_key(sep_key)
-        request = rpc.InstallSeparatorRequest(
-            self.index.name, sep_key, new_child, split_child, partition=server_id
-        )
-        yield from self._call(server_id, request)
-
-    # -- operations ---------------------------------------------------------------
-
-    def lookup(self, key: int) -> Generator[Any, Any, List[int]]:
-        server_id = self.index.partitioner.server_for_key(key)
-        leaf_ptr = yield from self._traverse(server_id, key)
-        return (yield from self._leaves.lookup_at(leaf_ptr, key))
-
-    def range_scan(
-        self, low: int, high: int
-    ) -> Generator[Any, Any, List[Tuple[int, int]]]:
-        server_ids = self.index.partitioner.servers_for_range(low, high)
-        if not server_ids:
-            return []
-        if len(server_ids) == 1:
-            return (yield from self._scan_partition(server_ids[0], low, high))
-        sim = self.compute_server.sim
-        scans = [
-            sim.process(self._scan_partition(server_id, low, high))
-            for server_id in server_ids
-        ]
-        partials = yield sim.all_of(scans)
-        return merge_partials(partials)
-
-    def _scan_partition(
-        self, server_id: int, low: int, high: int
-    ) -> Generator[Any, Any, List[Tuple[int, int]]]:
-        leaf_ptr = yield from self._traverse(server_id, low)
-        return (yield from self._leaves.scan_at(leaf_ptr, low, high))
-
-    def insert(self, key: int, value: int) -> Generator[Any, Any, None]:
-        server_id = self.index.partitioner.server_for_key(key)
-        while True:
-            leaf_ptr = yield from self._traverse(server_id, key)
-            done = yield from self._leaves.insert_at(leaf_ptr, key, value)
-            if done:
-                return
-
-    def update(self, key: int, value: int) -> Generator[Any, Any, bool]:
-        server_id = self.index.partitioner.server_for_key(key)
-        while True:
-            leaf_ptr = yield from self._traverse(server_id, key)
-            done, found = yield from self._leaves.update_at(leaf_ptr, key, value)
-            if done:
-                return found
-
-    def delete(self, key: int) -> Generator[Any, Any, bool]:
-        server_id = self.index.partitioner.server_for_key(key)
-        while True:
-            leaf_ptr = yield from self._traverse(server_id, key)
-            done, found = yield from self._leaves.delete_at(leaf_ptr, key)
-            if done:
-                return found
+        accessor = RemoteAccessor(compute_server, index.cluster.config)
+        for partition in index.roots:
+            self._trees[partition] = _HybridLeafTree(accessor, self, partition)

@@ -14,10 +14,13 @@ of which lives here once:
   Design 2 is nothing else; Design 3's leaf garbage collector, Design 1's
   co-located fast path and the verifier's walk are further uses.
 
-What stays in :mod:`~repro.index.coarse_grained` and
-:mod:`~repro.index.hybrid` is what differs: the RPC handlers, where
-bulk-loaded leaves go, and — for the hybrid — the seam where a traversal
-RPC hands a leaf pointer to one-sided verbs.
+A session of either partitioned design is a router over one *handle* per
+partition (:class:`PartitionedSession`): the five operations are written
+once, as "the owning partition's handle does it". What stays in
+:mod:`~repro.index.coarse_grained` and :mod:`~repro.index.hybrid` is what
+differs: the RPC handlers, where bulk-loaded leaves go, and which handle a
+session holds — an RPC stub, a :func:`client_tree` for a co-located
+partition, or a leaf tree whose way to the leaf is a traversal RPC.
 """
 
 from __future__ import annotations
@@ -246,11 +249,21 @@ class PartitionedIndex(DistributedIndex):
 
 
 class PartitionedSession(IndexSession):
-    """A client thread's connections to every partition owner."""
+    """A client thread's connections to every partition owner, and a router
+    over them: each operation goes to the handle of the partition(s) that
+    own its key(s).
+
+    A handle is anything with the five operations over one partition's
+    share of the keys; the design fills :attr:`_trees` with one per
+    partition — an RPC stub, a one-sided :func:`client_tree`, a leaf tree
+    behind a traversal RPC — and *which* handle is all it decides.
+    """
 
     def __init__(self, index: PartitionedIndex, compute_server: ComputeServer) -> None:
         self.index = index
         self.compute_server = compute_server
+        #: partition -> its handle (filled by the design's constructor).
+        self._trees: Dict[int, Any] = {}
         # Each session models one client thread's reliable connections; the
         # count drives the per-client receive-queue polling cost when SRQs
         # are disabled (Section 3.2).
@@ -262,3 +275,35 @@ class PartitionedSession(IndexSession):
         return self.compute_server.qp(server_id).call(
             request, request.wire_bytes, tenant=self.tenant
         )
+
+    # Point operations hand out the owning handle's generator as it is: a
+    # forwarding ``yield from`` frame would be re-entered on every resume.
+    def lookup(self, key: int) -> Generator[Any, Any, List[int]]:
+        return self._trees[self.index.partitioner.server_for_key(key)].lookup(key)
+
+    def insert(self, key: int, value: int) -> Generator[Any, Any, None]:
+        return self._trees[self.index.partitioner.server_for_key(key)].insert(key, value)
+
+    def update(self, key: int, value: int) -> Generator[Any, Any, bool]:
+        return self._trees[self.index.partitioner.server_for_key(key)].update(key, value)
+
+    def delete(self, key: int) -> Generator[Any, Any, bool]:
+        return self._trees[self.index.partitioner.server_for_key(key)].delete(key)
+
+    def range_scan(
+        self, low: int, high: int
+    ) -> Generator[Any, Any, List[Tuple[int, int]]]:
+        """Scan every partition whose share intersects ``[low, high)`` —
+        all of them under hash partitioning — in parallel, and merge."""
+        server_ids = self.index.partitioner.servers_for_range(low, high)
+        if not server_ids:
+            return []
+        if len(server_ids) == 1:
+            return (yield from self._trees[server_ids[0]].range_scan(low, high))
+        sim = self.compute_server.sim
+        scans = [
+            sim.process(self._trees[server_id].range_scan(low, high))
+            for server_id in server_ids
+        ]
+        partials = yield sim.all_of(scans)
+        return merge_partials(partials)

@@ -7,7 +7,8 @@ byte-equality guarantee:
 
 * per level: keys sorted, inside the node's ``[low fence, high key)``
   range, sibling chain strictly ordered with the rightmost high key at
-  ``MAX_KEY``, and every node at its expected level;
+  ``MAX_KEY``, every node at its expected level, and every child pointer
+  of the level above on the chain;
 * version words even (unlocked) — a lock stranded by a crashed client is
   lease-stolen during the walk (and reported) rather than wedging it;
 * no orphaned pages: every allocated page is reachable from a root,
@@ -98,6 +99,12 @@ def _walk_tree(
     leftmost = root_ptr
     seen_pointers: Set[int] = set()
     head_pointers: Set[int] = set()
+    # Child pointers of the level above: each must lie on the sibling
+    # chain walked next. (A half-split sibling is on the chain before its
+    # separator exists, and GC compacts leaves in place, so this holds on
+    # a live tree.) A separator installed into another partition's inner
+    # level breaks exactly this, and nothing else the walk checks.
+    parent_children: Set[int] = set()
     for level in range(root.level, -1, -1):
         node = yield from tree._read_unlocked(leftmost)
         if node.level != level:
@@ -109,12 +116,17 @@ def _walk_tree(
         next_leftmost = node.values[0] if node.is_inner and node.count else None
         previous_high = 0
         raw_ptr = leftmost
+        chain: Set[int] = set()
+        children: Set[int] = set()
         while True:
             if raw_ptr in seen_pointers:
                 bad.append(f"{label}: sibling cycle through {raw_ptr:#x}")
                 return
             seen_pointers.add(raw_ptr)
             reached.add(raw_ptr)
+            chain.add(raw_ptr)
+            if node.is_inner:
+                children.update(node.values)
             report.nodes += 1
             if node.version & 1:
                 bad.append(f"{label}: odd (locked) version at {raw_ptr:#x}")
@@ -153,6 +165,12 @@ def _walk_tree(
                 f"{label}: rightmost node at level {level} has high key "
                 f"{previous_high}, expected MAX_KEY"
             )
+        for stray in sorted(parent_children - chain):
+            bad.append(
+                f"{label}: level-{level + 1} child pointer {stray:#x} is not "
+                f"on the level-{level} sibling chain"
+            )
+        parent_children = children
         if level > 0:
             if next_leftmost is None:
                 bad.append(f"{label}: inner node at level {level} has no children")

@@ -484,6 +484,9 @@ class QueuePair:
         :meth:`MemoryRegion.read_view`). Under fault injection a retried
         READ must outlive its attempt, so the result is the copied
         ``bytes`` of :meth:`read` instead — same content, same contract.
+        That copy stays even though the decode memo above it no longer
+        looks at the injector: a view held across a retry's backoff would
+        block region growth for as long as the retry takes.
         """
         return self._post(((READ, length, offset, True),), 1, False, False)
 

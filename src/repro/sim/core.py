@@ -32,12 +32,10 @@ other, and a process starts as a sleep of zero. A sleep — every verb leg,
 CPU charge and think time, nearly all of the 9.04 entries an FG lookup
 queues — is four function calls (``heappush``, ``heappop``, ``_resume``, ``send``)
 where the pooled ``Timeout`` it replaced was fourteen: nambench's
-``fg_point_uniform`` 261.2 -> 164.9 calls/op. Fired ``Event``/``Condition``
-objects whose last reference died with their firing are recycled through
-per-simulator free-lists (:meth:`Simulator._recycle`). Only RPCs and
-fan-outs still draw on them, and host time no longer resolves the pool
-either way (``cg_point_zipf`` without it: 222.6 -> 213.5 calls/op, 45.5 ->
-43.7 us/op, lower in 5 of 6 pairs, within the quartiles).
+``fg_point_uniform`` 261.2 -> 164.9 calls/op. Nothing is pooled: an
+``Event`` or ``Condition`` — RPC replies, SRQ hand-offs, fan-out joins —
+is allocated where it is needed and dies with its last reference
+(docs/performance.md "The free-lists went" has the measurement).
 
 Schedule control: a :class:`Simulator` optionally carries a *scheduler* —
 any object with a ``choose(at, ready)`` method and an optional ``window``
@@ -61,7 +59,6 @@ points.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, Union
 
 from repro.errors import SimulationError
@@ -79,11 +76,6 @@ __all__ = [
 ProcessGenerator = Generator[Union["Event", float], Any, Any]
 
 _PENDING = object()
-
-#: Per-simulator free-list size cap (objects, per class). Big enough to
-#: absorb the burstiest fan-out in the experiment grids, small enough that
-#: an idle simulator pins a few KB at most.
-_POOL_CAP = 4096
 
 
 class Event:
@@ -280,10 +272,6 @@ class Condition(Event):
 
     def __init__(self, sim: "Simulator", events: Iterable[Event], wait_all: bool) -> None:
         super().__init__(sim)
-        self._attach(events, wait_all)
-
-    def _attach(self, events: Iterable[Event], wait_all: bool) -> None:
-        """(Re)arm over *events* — shared by ``__init__`` and pool reuse."""
         self._events = list(events)
         self._wait_all = wait_all
         self._remaining = len(self._events)
@@ -338,10 +326,6 @@ class Simulator:
         self._slept._value = None
         self._scheduler: Any = None
         self._window = 0.0
-        #: Free-lists of fired, unreferenced event objects, reused by
-        #: :meth:`event` and :meth:`all_of`/:meth:`any_of`.
-        self._free_events: List[Event] = []
-        self._free_conditions: List[Condition] = []
         self.scheduler = scheduler
         #: The :class:`Process` currently driving its generator, or None
         #: (between events, or while firing non-process callbacks). Spawned
@@ -382,9 +366,6 @@ class Simulator:
 
     def event(self) -> Event:
         """A fresh untriggered event (a mailbox another process can fire)."""
-        free = self._free_events
-        if free:
-            return free.pop()
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -397,20 +378,10 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> Condition:
         """Event firing once all *events* fired; value is their value list."""
-        free = self._free_conditions
-        if free:
-            condition = free.pop()
-            condition._attach(events, True)
-            return condition
         return Condition(self, events, wait_all=True)
 
     def any_of(self, events: Iterable[Event]) -> Condition:
         """Event firing once any of *events* fired."""
-        free = self._free_conditions
-        if free:
-            condition = free.pop()
-            condition._attach(events, False)
-            return condition
         return Condition(self, events, wait_all=False)
 
     # -- scheduling & the loop ---------------------------------------------
@@ -418,33 +389,6 @@ class Simulator:
     def _queue_fire(self, event: Event, delay: float = 0.0) -> None:
         self._sequence = seq = self._sequence + 1
         heappush(self._heap, (self.now + delay, seq, event, False))
-
-    def _recycle(self, event: Any) -> None:
-        """Pool *event* for reuse if its firing dropped the last reference.
-
-        Called right after ``event._fire()`` with exactly two references
-        alive (the caller's local + the refcount probe's argument): any
-        additional reference — model code that kept the handle, a pending
-        ``any_of`` sibling's callback, a heap entry — keeps the object out
-        of the pool, so recycling is conservative and invisible. Only the
-        two concrete high-churn classes are pooled; a :class:`Process`
-        owns a generator and is never reused.
-        """
-        cls = event.__class__
-        if cls is Event:
-            pool: List[Any] = self._free_events
-        elif cls is Condition:
-            pool = self._free_conditions
-            event._events = ()
-            event._remaining = 0
-        else:
-            return
-        if len(pool) < _POOL_CAP:
-            event.callbacks = []
-            event._value = _PENDING
-            event._is_error = False
-            event._defused = False
-            pool.append(event)
 
     def _pop_choice(self, at: float, until: Optional[float] = None) -> Any:
         """Pop the next entry to fire, letting the attached scheduler pick
@@ -500,8 +444,6 @@ class Simulator:
                 event._resume(slept)
             else:
                 event._fire()
-                if getrefcount(event) == 2:
-                    self._recycle(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock passes *until*.

@@ -57,8 +57,8 @@ def _hybrid_cluster(factor=1, num_servers=2, seed=37):
 def _leaf_word(cluster, index, key):
     """(logical server id, region, offset) of the leaf covering *key*."""
     session = index.session(cluster.new_compute_server())
-    server_id = index.partitioner.server_for_key(key)
-    raw_ptr = cluster.execute(session._traverse(server_id, key))
+    handle = session._trees[index.partitioner.server_for_key(key)]
+    raw_ptr, _leaf = cluster.execute(handle._find_leaf(key))
     pointer = RemotePointer.from_raw(raw_ptr)
     if cluster.replication is not None:
         _host, region = cluster.replication.route(pointer.server_id)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Cluster, ClusterConfig, CoarseGrainedIndex
+from repro.btree.algorithm import BLinkTree
 from repro.errors import ConfigurationError
 from repro.index.partitioning import HashPartitioner, RangePartitioner
 from repro.workloads import skewed_partitioner
@@ -105,7 +106,13 @@ def test_colocated_sessions_bypass_rpc_for_local_partitions(dataset):
     )
     compute = cluster.new_compute_server()  # lands on machine 0 (servers 0, 1)
     session = index.session(compute)
-    assert set(session._local_trees) == {0, 1}
+    one_sided = {
+        partition
+        for partition, handle in session._trees.items()
+        if isinstance(handle, BLinkTree)
+    }
+    assert set(session._trees) == {0, 1, 2, 3}
+    assert one_sided == {0, 1}  # the others are RPC stubs
     before = cluster.memory_server(0).rpcs_handled
     assert cluster.execute(session.lookup(dataset.key_at(10))) == [10]
     assert cluster.memory_server(0).rpcs_handled == before  # no RPC issued

@@ -10,6 +10,8 @@ from repro import (
     HybridIndex,
     verify_index,
 )
+from repro.btree.node import MAX_KEY
+from repro.errors import IndexError_
 
 DESIGN_CLASSES = [CoarseGrainedIndex, FineGrainedIndex, HybridIndex]
 
@@ -148,6 +150,26 @@ class TestDelete:
             session.range_scan(dataset.key_at(799), dataset.key_at(802))
         )
         assert all(k != key for k, _v in got)
+
+
+class TestArgumentValidation:
+    """Every design refuses the reserved key and payloads carrying the
+    tombstone bit — whatever way it reaches its leaves."""
+
+    def test_reserved_arguments_rejected_index_unchanged(self, setup):
+        cluster, dataset, _index, session = setup
+        loaded_key = dataset.key_at(40)
+        before = cluster.execute(session.range_scan(0, MAX_KEY))
+        for operation in (
+            lambda: session.insert(MAX_KEY, 1),
+            lambda: session.insert(17, 1 << 63),
+            lambda: session.update(loaded_key, 1 << 63),
+        ):
+            with pytest.raises(IndexError_):
+                cluster.execute(operation())
+        assert cluster.execute(session.range_scan(0, MAX_KEY)) == before
+        assert cluster.execute(session.lookup(loaded_key)) == [40]
+        assert cluster.execute(session.lookup(17)) == []
 
 
 class TestConcurrency:

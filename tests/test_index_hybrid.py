@@ -1,7 +1,11 @@
 """Design-specific tests for the hybrid index."""
 
-from repro import Cluster, ClusterConfig, HybridIndex
+import pytest
+
+from repro import Cluster, ClusterConfig, HybridIndex, TreeConfig, verify_index
 from repro.btree.pointers import RemotePointer
+from repro.index.partitioning import HashPartitioner, RoundRobinPartitioner
+from repro.nam import rpc
 from repro.rdma.verbs import Verb
 from repro.workloads import skewed_partitioner
 
@@ -81,3 +85,62 @@ def test_point_skew_hits_owner_cpu_but_leaves_spread(dataset):
     reads = [server.stats.ops[Verb.READ] for server in cluster.memory_servers]
     assert rpcs[0] > 0.7 * sum(rpcs)  # hot partition owner takes the RPCs
     assert min(reads) > 0  # leaf reads hit every server
+
+
+@pytest.mark.parametrize(
+    "partitioner, gap_high, probe",
+    [(HashPartitioner(4), 1203, 1003), (RoundRobinPartitioner(4), 1205, 1005)],
+    ids=["hash", "round-robin"],
+)
+def test_duplicate_run_split_keeps_its_separator_in_its_partition(
+    partitioner, gap_high, probe
+):
+    """A full leaf of one key splits at ``run_key + 1`` — a made-up
+    separator that hashes (or strides) to another partition than the leaf
+    it came from. It must still go to the owner the leaf was reached
+    through; routed by its own key it lands in a foreign inner level and
+    shadows that partition's keys."""
+    cluster = Cluster(
+        ClusterConfig(num_memory_servers=4, seed=11, tree=TreeConfig(page_size=256))
+    )
+    loaded = [(k, k) for k in range(0, 20000, 7) if not 951 <= k <= gap_high]
+    index = HybridIndex.build(cluster, "idx", loaded, partitioner=partitioner)
+    session = index.session(cluster.new_compute_server())
+    for i in range(13):
+        cluster.execute(session.insert(1001, 5000 + i))
+    cluster.execute(session.insert(probe, 777))
+
+    fresh = index.session(cluster.new_compute_server())
+    lost = [k for k, v in loaded if cluster.execute(fresh.lookup(k)) != [v]]
+    assert lost == []
+    assert cluster.execute(fresh.lookup(probe)) == [777]
+    assert sorted(cluster.execute(fresh.lookup(1001))) == [5000 + i for i in range(13)]
+    report = verify_index(cluster, index)
+    assert report.ok, report.violations
+
+
+def test_verifier_reports_a_separator_installed_in_the_wrong_partition(
+    cluster, dataset
+):
+    """Every invariant of partition 1's inner level still holds after it
+    is handed partition 0's leaf under an in-range separator — except that
+    the leaf is not on partition 1's chain."""
+    index = build(cluster, dataset)
+    compute = cluster.new_compute_server()
+    low, _high = index.partitioner.partition_bounds(1, dataset.key_space)
+    foreign_leaf, _leaf = cluster.execute(
+        index.gc_tree(compute, 0)._descend_to_level(0, 0)
+    )
+    own_leaf, _leaf = cluster.execute(
+        index.gc_tree(compute, 1)._descend_to_level(low + 9, 0)
+    )
+    assert verify_index(cluster, index).ok
+    request = rpc.InstallSeparatorRequest(
+        index.name, low + 9, foreign_leaf, own_leaf, partition=1
+    )
+    cluster.execute(compute.qp(1).call(request, request.wire_bytes))
+    report = verify_index(cluster, index)
+    assert [v for v in report.violations if f"{foreign_leaf:#x}" in v] == [
+        f"hybrid partition 1: level-1 child pointer {foreign_leaf:#x} is not "
+        "on the level-0 sibling chain"
+    ]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import Cluster, ClusterConfig, FineGrainedIndex, HybridIndex
 from repro.errors import TimeoutError_
+from repro.nam import rpc
 from repro.rdma.faults import FaultPlan
 from repro.workloads import generate_dataset
 
@@ -202,30 +203,51 @@ class TestStalePointers:
         session = index.session(cluster.new_compute_server())
         return cluster, dataset, index, session
 
+    @staticmethod
+    def _answer_traversals_with(handle, stale_ptr):
+        """Make *handle*'s traversal RPC return *stale_ptr* whatever the
+        owner would say now; every other request still goes out."""
+        real_call = handle._call
+
+        def call(partition, request):
+            if isinstance(request, rpc.TraverseRequest):
+                return rpc.PointerResponse(stale_ptr)
+            return (yield from real_call(partition, request))
+
+        handle._call = call
+
     def test_leaf_ops_through_stale_pointer(self, rig):
         cluster, dataset, index, session = rig
         # Capture a leaf pointer, then split that leaf repeatedly.
-        server_id = index.partitioner.server_for_key(0)
-        stale_ptr = cluster.execute(session._traverse(server_id, 0))
+        handle = session._trees[index.partitioner.server_for_key(0)]
+        stale_ptr, _leaf = cluster.execute(handle._find_leaf(0))
         for i in range(120):
             cluster.execute(session.insert(1 + (i % 7), 5000 + i))
-        # Directly drive leaf-entry operations through the stale pointer:
-        # they must move right to the correct (post-split) leaves.
+        # Directly drive the move-right step through the stale pointer: it
+        # must reach the correct (post-split) leaf.
         # Keys must stay inside partition 0: leaf chains are per-partition.
-        got = cluster.execute(session._leaves.lookup_at(stale_ptr, 200))
-        assert got == [50]
-        pairs = cluster.execute(session._leaves.scan_at(stale_ptr, 196, 212))
+        stale = cluster.execute(handle._read_unlocked(stale_ptr, True))
+        assert not stale.covers(200)
+        _ptr, leaf = cluster.execute(
+            handle._descend_from(stale_ptr, stale, 200, 0, True)
+        )
+        assert leaf.leaf_matches(200) == [50]
+        # ... and the handle's operations, their traversal answered with it.
+        self._answer_traversals_with(handle, stale_ptr)
+        assert cluster.execute(handle.lookup(200)) == [50]
+        pairs = cluster.execute(handle.range_scan(196, 212))
         assert [k for k, _ in pairs] == [196, 200, 204, 208]
 
     def test_insert_at_through_stale_pointer(self, rig):
         cluster, dataset, index, session = rig
-        server_id = index.partitioner.server_for_key(0)
-        stale_ptr = cluster.execute(session._traverse(server_id, 0))
+        handle = session._trees[index.partitioner.server_for_key(0)]
+        stale_ptr, _leaf = cluster.execute(handle._find_leaf(0))
         for i in range(120):
             cluster.execute(session.insert(1 + (i % 5), 5000 + i))
-        done = cluster.execute(session._leaves.insert_at(stale_ptr, 399, 777))
-        assert done
-        assert 777 in cluster.execute(session.lookup(399))
+        self._answer_traversals_with(handle, stale_ptr)
+        cluster.execute(handle.insert(399, 777))
+        fresh = index.session(cluster.new_compute_server())
+        assert 777 in cluster.execute(fresh.lookup(399))
 
 
 def test_concurrent_mixed_ops_preserve_invariants():

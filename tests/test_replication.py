@@ -31,6 +31,8 @@ from repro import (
     ServerCrash,
     verify_index,
 )
+from repro.btree.node import Node
+from repro.btree.pointers import RemotePointer
 from repro.errors import ConfigurationError, RetriesExhaustedError
 from repro.nam.allocator import PageAllocator
 from repro.nam.rpc import AckResponse, PointLookupRequest
@@ -542,6 +544,66 @@ def test_scheduled_crash_under_workload(design):
         assert value in cluster.execute(session.lookup(key))
     report = verify_index(cluster, index)
     assert report.ok, report.violations
+    cluster.replication.assert_replicas_converged()
+
+
+@pytest.mark.parametrize("design", ("fine-grained", "hybrid"))
+def test_decode_memo_serves_the_authoritative_bytes_across_a_failover(design):
+    """The decode memo stays on under fault injection and replication
+    (``RemoteAccessor.__init__`` carries the argument). The differential
+    pin: clients read and write through a lossy fabric across a
+    destructive crash and failover; afterwards every page a client's
+    accessor has memoized, re-read through that accessor, is field for
+    field what the routed — authoritative — region's bytes decode to."""
+    cluster = _replicated_cluster(factor=2, num_servers=3, seed=31)
+    dataset = generate_dataset(600, gap=4)
+    index = _build(design, cluster, dataset.pairs(), dataset.key_space)
+    injector = cluster.attach_faults(
+        FaultPlan(
+            seed=5,
+            drop_probability=0.02,
+            delay_probability=0.05,
+            delay_s=30e-6,
+            duplicate_probability=0.02,
+            server_crashes=(ServerCrash(1, at_s=0.0005, down_for_s=0.002),),
+        )
+    )
+    sessions = [index.session(cluster.new_compute_server()) for _ in range(4)]
+
+    def client(cid, session):
+        for i in range(80):
+            key = dataset.key_at((cid + i * 4) % dataset.num_keys)
+            try:
+                yield from session.lookup(key)
+                yield from session.insert(key + 1, cid * 1_000 + i)
+                if i % 5 == 0:
+                    yield from session.delete(key + 1)
+            except RetriesExhaustedError:
+                pass  # typed and bounded: the lossy plan may exhaust a verb
+
+    procs = [cluster.spawn(client(cid, s)) for cid, s in enumerate(sessions)]
+    cluster.sim.run_until_complete(cluster.sim.all_of(procs))
+    assert cluster.replication.stats["failovers"] >= 1
+    cluster.run(until=max(cluster.now, 0.003) + 0.01)
+    injector.quiesce()
+
+    page_size = cluster.config.tree.page_size
+    memo_hits = 0
+    for session in sessions:
+        tree = session._tree if design == "fine-grained" else session._trees[0]
+        memoized = dict(tree.acc._decode_cache)
+        assert memoized  # the memo was on for the whole faulty run
+        for raw_ptr, master in memoized.items():
+            served = cluster.execute(tree.acc.read_node(raw_ptr, True))
+            memo_hits += served is master
+            pointer = RemotePointer.from_raw(raw_ptr)
+            _host, region = cluster.replication.route(pointer.server_id)
+            truth = Node.from_bytes(region.read(pointer.offset, page_size))
+            for field in Node.__slots__:
+                assert getattr(served, field) == getattr(truth, field), (
+                    f"{field} of {raw_ptr:#x}"
+                )
+    assert memo_hits  # ... and served masters, not only fresh decodes
     cluster.replication.assert_replicas_converged()
 
 
