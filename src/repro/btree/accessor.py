@@ -63,10 +63,14 @@ class NodeAccessor(abc.ABC):
         """Fetch and decode the page at *raw_ptr* (may be locked).
 
         With ``shared=True`` the caller promises to treat the result as
-        immutable; accessors that memoize decodes may then return the
-        shared master instead of a private clone. Read-only traversals
-        (lookup, scan) pass True; insert/update/delete descents — which
-        mutate the node they later lock — keep the owned default.
+        immutable, and both cluster accessors — one-sided and
+        server-resident — then return the master of the cluster's decode
+        memo instead of a private clone. That master is shared by every
+        client thread and every RPC worker of the cluster: mutating one in
+        place is cluster-wide corruption, not a per-client one. Read-only
+        traversals (lookup, scan, the hybrid's traversal RPC) pass True;
+        insert/update/delete descents — which mutate the node they later
+        lock — keep the owned default.
         """
 
     @abc.abstractmethod
@@ -134,11 +138,12 @@ class NodeAccessor(abc.ABC):
 
         Remote accessors override this with a parallel implementation
         (selectively signaled READs, Section 4.3) so head-node prefetching
-        actually overlaps round trips.
+        actually overlaps round trips. The one consumer (scan prefetch)
+        only reads the results, so they are fetched ``shared``.
         """
         nodes = []
         for raw_ptr in raw_ptrs:
-            node = yield from self.read_node(raw_ptr)
+            node = yield from self.read_node(raw_ptr, True)
             nodes.append(node)
         return nodes
 

@@ -83,8 +83,18 @@ class BLinkTree:
     def _read_unlocked(
         self, raw_ptr: int, shared: bool = False
     ) -> Generator[Any, Any, Node]:
-        """Fetch the page at *raw_ptr*, spinning while its lock bit is set
-        (the paper's ``readLockOrRestart`` / ``remote_awaitNodeUnlocked``).
+        """Fetch the page at *raw_ptr*; if its lock bit is set, wait it out
+        (the paper's ``readLockOrRestart`` / ``remote_awaitNodeUnlocked``)."""
+        node = yield from self.acc.read_node(raw_ptr, shared)
+        if node.version & 1:
+            node = yield from self._await_unlocked(raw_ptr, node, shared)
+        return node
+
+    def _await_unlocked(
+        self, raw_ptr: int, node: Node, shared: bool
+    ) -> Generator[Any, Any, Node]:
+        """Spin on the page at *raw_ptr*, last read as the locked *node*,
+        until an unlocked image arrives.
 
         If the accessor grants a lock lease, a locked word that stays
         *unchanged* for the whole lease is presumed abandoned (its holder
@@ -93,9 +103,6 @@ class BLinkTree:
         write inside the critical section, an unlock, someone else's
         steal — re-arms the timer.
         """
-        node = yield from self.acc.read_node(raw_ptr, shared)
-        if not node.is_locked:
-            return node
         observed_word = node.version
         observed_since = self.acc.now()
         while True:
@@ -123,39 +130,39 @@ class BLinkTree:
         siblings whenever the key escapes a node's range (concurrent
         splits).
 
+        The one read site is ``_read_unlocked``'s body rather than a call of
+        it — no frame of its own on the resume chain, and only an odd word
+        enters the spin loop (-2.6 % host time, 9 of 10 pairs:
+        docs/performance.md, "One decode per page version").
+
         Each page fetch of the walk becomes a child span of the active
         operation (kind ``descend``/``move_right``, named for the level the
         step *starts* from) so sampled traces show where traversal round
         trips went. With observability off, ``obs`` is None and every
         guard collapses to one attribute test."""
         obs = self.acc.obs
+        step_kind = "descend"
         if node is None:
             raw_ptr = yield from self.root.get()
+        while True:
+            if node is not None:
+                if not node.covers(key) and not is_null(node.right):
+                    raw_ptr = node.right
+                    step_kind = "move_right"
+                elif node.level > level:
+                    raw_ptr = node.find_child(key)
+                    step_kind = "descend"
+                else:
+                    return raw_ptr, node
             if obs is not None:
-                obs.enter_step("descend", "root")
-            node = yield from self._read_unlocked(raw_ptr, shared)
-            if obs is not None:
-                obs.exit_step()
-        while node.level > level:
-            if not node.covers(key) and not is_null(node.right):
-                raw_ptr = node.right
-                step_kind = "move_right"
-            else:
-                raw_ptr = node.find_child(key)
-                step_kind = "descend"
-            if obs is not None:
-                obs.enter_step(step_kind, f"level_{node.level}")
-            node = yield from self._read_unlocked(raw_ptr, shared)
-            if obs is not None:
-                obs.exit_step()
-        while not node.covers(key) and not is_null(node.right):
-            raw_ptr = node.right
-            if obs is not None:
-                obs.enter_step("move_right", f"level_{node.level}")
-            node = yield from self._read_unlocked(raw_ptr, shared)
+                obs.enter_step(
+                    step_kind, "root" if node is None else f"level_{node.level}"
+                )
+            node = yield from self.acc.read_node(raw_ptr, shared)
+            if node.version & 1:
+                node = yield from self._await_unlocked(raw_ptr, node, shared)
             if obs is not None:
                 obs.exit_step()
-        return raw_ptr, node
 
     def _descend_to_level(
         self, key: int, level: int, shared: bool = False
@@ -227,13 +234,13 @@ class BLinkTree:
             if cached is not None and not cached.is_locked:
                 node = cached
             else:
-                node = yield from self._read_unlocked(raw_ptr)
+                node = yield from self._read_unlocked(raw_ptr, True)
 
     def _prefetch_group(
         self, node: Node, high: int, prefetched: Dict[int, Node]
     ) -> Generator[Any, Any, None]:
         """Read *node*'s head node and fetch the upcoming leaves in parallel."""
-        head = yield from self.acc.read_node(node.head)
+        head = yield from self.acc.read_node(node.head, True)
         if not head.is_head:
             return  # the page was recycled; ignore the stale pointer
         wanted = []

@@ -93,7 +93,31 @@ def _emit_local(
     )
 
 
-class LocalAccessor(NodeAccessor):
+class _SharedDecode:
+    """The one decode both accessors do, through the decode memo of the
+    server they run on (``Cluster.decode_memo`` says why a hit is sound)."""
+
+    _decode_cache: Dict[int, Node]
+
+    def _decode_shared(self, raw_ptr: int, data, cache: Optional[dict] = None) -> Node:
+        """Decode *data*, reusing the memoized master if the image's
+        version word is unchanged. The returned node is shared by every
+        client thread and RPC worker of the cluster: callers must treat it
+        as immutable (clone before mutating). *cache* stands in for the
+        memo where an image must stay out of it (a crashed host's reads)."""
+        version = _PEEK_U64(data)[0]
+        if cache is None:
+            cache = self._decode_cache
+        master = cache.get(raw_ptr)
+        if master is not None and master.version == version:
+            return master
+        master = Node.from_bytes(data)
+        if not version & 1:
+            cache[raw_ptr] = master
+        return master
+
+
+class LocalAccessor(_SharedDecode, NodeAccessor):
     """Node access from within a memory server's RPC worker.
 
     Normally the accessed region is the hosting server's own and the
@@ -108,7 +132,7 @@ class LocalAccessor(NodeAccessor):
         self,
         server: MemoryServer,
         region=None,
-        logical_id: int = None,
+        logical_id: Optional[int] = None,
         allocator=None,
     ) -> None:
         self.server = server
@@ -116,6 +140,7 @@ class LocalAccessor(NodeAccessor):
         self.logical_id = logical_id if logical_id is not None else server.server_id
         self.allocator = allocator if allocator is not None else server.allocator
         self.obs = server.obs
+        self._decode_cache = server.decode_memo
         self.page_size = server.config.tree.page_size
         self._node_cost = server.config.cpu.per_node_cost_s
         self._atomic_cost = server.config.cpu.per_node_cost_s / 4
@@ -141,10 +166,18 @@ class LocalAccessor(NodeAccessor):
         view = self.region.read_view(offset, self.page_size)
         if self.server.sanitizer is not None:
             _emit_local(self.server, "read", "LOCAL_READ", self.logical_id, offset, self.page_size)
+        # A destructive crash wipes the host's regions under its workers
+        # (MemoryServer._worker_loop): one parked in the yield above reads
+        # zeros, version word 0 like every bulk-loaded page. So a down
+        # host's reads neither enter the cluster's memo nor come from it.
+        injector = self.server.injector
+        down = injector is not None and injector.server_down(self.server.server_id)
         try:
-            return Node.from_bytes(view)
+            master = self._decode_shared(raw_ptr, view, {} if down else None)
         finally:
             view.release()
+        # As RemoteAccessor: the master for read-only callers, else a clone.
+        return master if shared else master.clone()
 
     def write_node(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
@@ -211,7 +244,7 @@ class LocalAccessor(NodeAccessor):
         return self.server.sim.now
 
 
-class RemoteAccessor(NodeAccessor):
+class RemoteAccessor(_SharedDecode, NodeAccessor):
     """Node access from a compute server through one-sided verbs."""
 
     def __init__(
@@ -245,36 +278,7 @@ class RemoteAccessor(NodeAccessor):
         self._owner_tag_word = ((compute_server.server_id + 1) & 0xFFFF) << _LOCK_TAG_SHIFT
         #: Lock steals performed by this accessor (lease recovery).
         self.lock_steals = 0
-        # Decode memoization: raw_ptr -> master Node of the last unlocked
-        # page image seen there, keyed by the version word embedded in the
-        # image. Purely host-side: the RDMA READ still happens; only the
-        # redundant re-parse of an unchanged image is skipped. Masters are
-        # shared — mutable callers get clones. On under fault injection
-        # and replication too, because (raw_ptr, even version) names one
-        # page content for the whole run: pages are bump-allocated and
-        # never recycled, version words only grow, and odd (locked) words
-        # are never memoized. A backup is byte-converged by synchronous
-        # region mirrors, so a promoted copy serves the same bytes under
-        # the same word; a retried READ replays its first delivery, and an
-        # older image either fails the version compare or equals the
-        # master; a robbed-but-alive lock holder writing under a stolen
-        # word is excluded by the lease assumption RetryConfig warns about.
-        # RemoteCache has shared masters on the same terms all along.
-        self._decode_cache: Dict[int, Node] = {}
-
-    def _decode_shared(self, raw_ptr: int, data) -> Node:
-        """Decode *data*, reusing the cached master if the image's version
-        word is unchanged. The returned node is shared: callers must treat
-        it as immutable (clone before mutating)."""
-        version = _PEEK_U64(data)[0]
-        cache = self._decode_cache
-        master = cache.get(raw_ptr)
-        if master is not None and master.version == version:
-            return master
-        master = Node.from_bytes(data)
-        if not version & 1:
-            cache[raw_ptr] = master
-        return master
+        self._decode_cache = compute_server.decode_memo
 
     def read_node(
         self, raw_ptr: int, shared: bool = False
@@ -293,7 +297,7 @@ class RemoteAccessor(NodeAccessor):
             raw_ptr & _PTR_OFFSET_MASK, self.page_size
         )
         master = self._decode_shared(raw_ptr, data)
-        data = None
+        del data
         yield self._search_cost
         if shared:
             # Read-only traversals take the memoized master as-is.
@@ -316,15 +320,14 @@ class RemoteAccessor(NodeAccessor):
         raw_ptrs = list(raw_ptrs)
         if not self._batching or len(raw_ptrs) < 2:
             pending = [sim.process(self.read_node(raw, True)) for raw in raw_ptrs]
-            nodes = yield sim.all_of(pending)
-            return nodes
+            return (yield sim.all_of(pending))
         by_server: dict = {}
         for slot, raw in enumerate(raw_ptrs):
             pointer = RemotePointer.from_raw(raw)
             by_server.setdefault(pointer.server_id, []).append(
                 (slot, pointer.offset)
             )
-        nodes: List[Node] = [None] * len(raw_ptrs)
+        nodes: List[Any] = [None] * len(raw_ptrs)
         compute = self.compute_server
         page_size = self.page_size
         max_wqes = self._max_wqes
@@ -406,7 +409,7 @@ class RemoteAccessor(NodeAccessor):
         yield from qp(pointer.server_id).write(pointer.offset, data)
         yield from qp(pointer.server_id).fetch_and_add(pointer.offset, 1)
 
-    def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, None]:
+    def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, Any]:
         # Single FAA that increments the version *and* subtracts our owner
         # tag (mod 2**64), restoring a clean even word in one atomic.
         pointer = RemotePointer.from_raw(raw_ptr)

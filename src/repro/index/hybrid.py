@@ -45,7 +45,8 @@ _APP = "hybrid"
 
 def _handle_traverse(server: MemoryServer, msg: rpc.TraverseRequest):
     tree = server.app[_APP, msg.index, msg.partition]
-    _ptr, node = yield from tree._descend_to_level(msg.key, 1)
+    # Read-only (find_child below): the traversal clones nothing.
+    _ptr, node = yield from tree._descend_to_level(msg.key, 1, True)
     response = rpc.PointerResponse(node.find_child(msg.key))
     return response, response.wire_bytes
 
@@ -186,7 +187,7 @@ class _HybridLeafTree(BLinkTree):
 class HybridSession(PartitionedSession):
     """Client-side handle: traversal RPCs + one-sided leaf access — one
     leaf tree per partition, all over one accessor (one allocation
-    round-robin, one decode memo per client thread)."""
+    round-robin per client thread)."""
 
     def __init__(self, index: HybridIndex, compute_server: ComputeServer) -> None:
         super().__init__(index, compute_server)

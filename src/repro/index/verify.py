@@ -255,6 +255,11 @@ def verify_index(
         )
     report = VerifyReport(design=index.design, index_name=index.name)
     reached: Set[int] = set()
+    # The oracle checks *bytes*, so here — and nowhere else — the decode
+    # memo is bypassed: a page rewritten in place under an unchanged version
+    # word must not be served from its memoized decode
+    # (tests/test_replication.py::test_verifier_detects_corruption).
+    compute_server.decode_memo.clear()
 
     def walk_all() -> Generator[Any, Any, None]:
         for label, tree in index.client_trees(compute_server):

@@ -10,8 +10,11 @@ The bump word is an ordinary 8-byte word in registered memory, so *remote*
 clients allocate pages with a one-sided FETCH_AND_ADD on it (this is how the
 fine-grained design implements ``RDMA_ALLOC`` from Listing 4 without
 involving the server CPU). Server-local code allocates through
-:meth:`PageAllocator.allocate`, which also recycles pages freed by the
-epoch garbage collector.
+:meth:`PageAllocator.allocate`, which would also reuse a page returned with
+:meth:`PageAllocator.free` — but nothing under ``src/`` calls ``free`` (the
+epoch garbage collector compacts leaves in place and unlinks none), so a
+page is never handed out twice. ``Cluster.decode_memo`` relies on that: a
+future caller of ``free`` must drop the page's memo entry.
 """
 
 from __future__ import annotations

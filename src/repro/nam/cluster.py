@@ -87,6 +87,34 @@ class Cluster:
                 )
             )
         self.compute_servers: List[ComputeServer] = []
+        #: The decode memo: ``raw_ptr -> master Node`` of the last unlocked
+        #: image decoded there, one dict under every accessor of the cluster
+        #: (``index/accessors.py::_SharedDecode``). Host-side only: the READ
+        #: or CPU slice is paid before it is consulted, a hit charges what a
+        #: miss does. Sound — under faults and replication too — because
+        #: ``(raw_ptr, even version)`` names one page content for this
+        #: cluster's whole run, whoever reads: (1) a page is never handed
+        #: out twice — pages are bump-allocated, ``PageAllocator.free`` has
+        #: no caller under ``src/`` (one that recycles must drop the page's
+        #: entry here), and :class:`DirectPageSink` writes only pages it has
+        #: just allocated; (2) version words only grow, a page is rewritten
+        #: in place only under its lock, and odd (locked) images are never
+        #: memoized; (3) backups are byte-converged by synchronous region
+        #: mirrors, so a promoted copy serves the same bytes under the same
+        #: word, and a retried READ replays its first delivery; (4) the zeros
+        #: of a crashed host's wiped regions — version word 0, the word of
+        #: every bulk-loaded page — never reach the memo: a queue pair
+        #: serves no verb from a down server (co-location with crashes is
+        #: unsupported, docs/replication.md), and an RPC worker that outlives
+        #: its host's crash decodes around the memo
+        #: (``LocalAccessor.read_node``); (5) a robbed-but-alive lock holder
+        #: is excluded by the lease assumption ``RetryConfig`` warns about.
+        #: Per cluster, never module-global: two clusters in one process
+        #: reuse pointers with different bytes. Live servers bypass it in one
+        #: place: ``verify_index`` empties it to check bytes.
+        self.decode_memo: Dict[int, Any] = {}
+        for server in self.memory_servers:
+            server.decode_memo = self.decode_memo
         #: Set by :meth:`attach_faults`; None means a perfectly reliable fabric.
         self.fault_injector = None
         #: :class:`repro.obs.hub.Observability` hub, or None (the default).
@@ -182,6 +210,7 @@ class Cluster:
             self.memory_servers,
             colocated=self.config.colocated,
         )
+        server.decode_memo = self.decode_memo
         self.compute_servers.append(server)
         return server
 

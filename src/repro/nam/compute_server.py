@@ -8,7 +8,7 @@ their RDMA operations through these queue pairs.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from repro.errors import NetworkError
 from repro.nam.machine import PhysicalMachine
@@ -42,6 +42,9 @@ class ComputeServer:
         #: leases are enabled only while one is attached).
         self.fabric = fabric
         self._colocated = colocated
+        #: Decode memo of the remote accessors: the cluster's one shared dict
+        #: (see ``Cluster.decode_memo``), a private one on a hand-built server.
+        self.decode_memo: Dict[int, Any] = {}
         self._qps: Dict[int, QueuePair] = {}
         for server in memory_servers:
             local = colocated and server.machine is machine

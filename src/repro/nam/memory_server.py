@@ -74,7 +74,7 @@ class MemoryServer:
         self._handlers: Dict[Type, Handler] = {}
         #: Set by :meth:`Cluster.attach_faults`; while present, the worker
         #: loop honors crash windows and at-most-once RPC semantics.
-        self.injector = None
+        self.injector: Any = None
         #: Backup replica stores hosted here, keyed by the logical server
         #: id they replicate (``replication_factor > 1`` only).
         self.backup_regions: Dict[int, MemoryRegion] = {}
@@ -83,12 +83,15 @@ class MemoryServer:
         self.replication = None
         #: Optional :class:`repro.analysis.namsan.events.TraceCollector`;
         #: local accessors emit their page/word effects through it.
-        self.sanitizer = None
+        self.sanitizer: Any = None
         #: Optional :class:`repro.obs.hub.Observability` hub (set by the
         #: cluster when observability is enabled). Worker loops and local
         #: accessors emit RPC/lock metrics through it; while None each
         #: emission point is a single attribute test.
         self.obs = None
+        #: Decode memo of the local accessors: the cluster's one shared dict
+        #: (see ``Cluster.decode_memo``), a private one on a hand-built server.
+        self.decode_memo: Dict[int, Any] = {}
         #: Index-design state keyed by (design, index name) — e.g. the
         #: server-local B-link trees the RPC handlers operate on.
         self.app: Dict[Any, Any] = {}

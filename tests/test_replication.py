@@ -39,6 +39,7 @@ from repro.nam.rpc import AckResponse, PointLookupRequest
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.qp import QueuePair
 from repro.workloads import generate_dataset
+from tests.test_decode_memo import assert_memo_is_truth
 
 DESIGNS = ("coarse-grained", "fine-grained", "hybrid")
 
@@ -547,14 +548,16 @@ def test_scheduled_crash_under_workload(design):
     cluster.replication.assert_replicas_converged()
 
 
-@pytest.mark.parametrize("design", ("fine-grained", "hybrid"))
+@pytest.mark.parametrize("design", DESIGNS)
 def test_decode_memo_serves_the_authoritative_bytes_across_a_failover(design):
     """The decode memo stays on under fault injection and replication
-    (``RemoteAccessor.__init__`` carries the argument). The differential
-    pin: clients read and write through a lossy fabric across a
-    destructive crash and failover; afterwards every page a client's
-    accessor has memoized, re-read through that accessor, is field for
-    field what the routed — authoritative — region's bytes decode to."""
+    (``Cluster.decode_memo`` carries the argument). The differential pin:
+    clients read and write through a lossy fabric across a destructive
+    crash and failover; afterwards every page the cluster has memoized,
+    re-read through an accessor, is field for field what the routed —
+    authoritative — region's bytes decode to. The coarse-grained id reads
+    through the promoted host's ``LocalAccessor`` over its adopted region:
+    the server-side memo across a promotion."""
     cluster = _replicated_cluster(factor=2, num_servers=3, seed=31)
     dataset = generate_dataset(600, gap=4)
     index = _build(design, cluster, dataset.pairs(), dataset.key_space)
@@ -587,23 +590,16 @@ def test_decode_memo_serves_the_authoritative_bytes_across_a_failover(design):
     cluster.run(until=max(cluster.now, 0.003) + 0.01)
     injector.quiesce()
 
-    page_size = cluster.config.tree.page_size
-    memo_hits = 0
-    for session in sessions:
-        tree = session._tree if design == "fine-grained" else session._trees[0]
-        memoized = dict(tree.acc._decode_cache)
-        assert memoized  # the memo was on for the whole faulty run
-        for raw_ptr, master in memoized.items():
-            served = cluster.execute(tree.acc.read_node(raw_ptr, True))
-            memo_hits += served is master
-            pointer = RemotePointer.from_raw(raw_ptr)
-            _host, region = cluster.replication.route(pointer.server_id)
-            truth = Node.from_bytes(region.read(pointer.offset, page_size))
-            for field in Node.__slots__:
-                assert getattr(served, field) == getattr(truth, field), (
-                    f"{field} of {raw_ptr:#x}"
-                )
-    assert memo_hits  # ... and served masters, not only fresh decodes
+    assert cluster.decode_memo  # the memo was on for the whole faulty run
+    # Server 1's pages are served from a promoted host's adopted region.
+    assert cluster.replication.primary_host_id(1) != 1
+    def local(server_id):
+        return index.partition_tree(server_id).acc
+
+    served_masters = assert_memo_is_truth(
+        cluster, local if design == "coarse-grained" else None
+    )
+    assert served_masters  # ... not only fresh decodes
     cluster.replication.assert_replicas_converged()
 
 
@@ -650,9 +646,6 @@ def test_verifier_detects_corruption():
     index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
     tree = index.tree_for(cluster.new_compute_server())
     # Swap two keys in a leaf so its entries are no longer sorted.
-    from repro.btree.node import Node
-    from repro.btree.pointers import RemotePointer
-
     raw_ptr, _ = cluster.execute(tree._descend_to_level(dataset.key_at(0), 0))
     pointer = RemotePointer.from_raw(raw_ptr)
     page_size = cluster.config.tree.page_size
