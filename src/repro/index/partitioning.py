@@ -18,6 +18,7 @@ Attribute-value skew (Section 6.1) is modeled with
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 from typing import List, Sequence
 
 from repro.errors import ConfigurationError
@@ -93,8 +94,6 @@ class RangePartitioner(Partitioner):
         return cls(boundaries)
 
     def server_for_key(self, key: int) -> int:
-        from bisect import bisect_right
-
         if key < 0:
             raise ConfigurationError(f"negative key {key}")
         return min(bisect_right(self.boundaries, key) - 1, self.num_servers - 1)

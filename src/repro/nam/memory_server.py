@@ -255,7 +255,6 @@ class MemoryServer:
                 )
             if injector is not None:
                 envelope.qp.rpc_finish(envelope.seq, response, wire_bytes)
-            envelope.complete(response, wire_bytes)
             self.rpcs_handled += 1
             self._busy_time += self.sim.now - started
             obs = self.obs
@@ -272,7 +271,12 @@ class MemoryServer:
                             span, "server_rpc_queue", envelope.enqueued_at, started
                         )
                     obs.stamp_span(span, "server_cpu", started, self.sim.now)
-                    self.sim._active.span = None
+            # Posting the SEND books the response leg here and now: after
+            # the sample rpc_served takes of the TX line, and while the
+            # adopted span is still this worker's, so the leg stamps onto it.
+            envelope.complete(response, wire_bytes)
+            if span is not None:
+                self.sim._active.span = None
 
     # -- utilization reporting ---------------------------------------------------
 

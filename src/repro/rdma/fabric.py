@@ -110,9 +110,10 @@ class Fabric:
             )
         yield rx_done - self.sim.now
 
-    def local_copy(self, payload_bytes: int) -> Generator[Any, Any, None]:
-        """Process: a same-machine memory access (co-located fast path)."""
-        yield (
+    def local_copy_s(self, payload_bytes: int) -> float:
+        """Seconds a same-machine memory access takes (co-located fast
+        path): the caller sleeps them, or schedules a reply that far out."""
+        return (
             self.config.local_access_latency_s
             + payload_bytes / self.config.local_memory_bandwidth_bytes_per_s
         )

@@ -54,7 +54,13 @@ response cache / PSN dedup), and two-sided requests carry sequence numbers
 the server uses to replay — never re-execute — duplicated handlers. The
 two-sided :meth:`~QueuePair.call` has the same two arms behind one shared
 head and tail; with no injector attached neither attempt loop runs and
-behavior is identical to a fault-free build.
+behavior is identical to a fault-free build. Its reply has them too
+(:meth:`~QueuePair._spawn_reply`). Fault-free, posting the response SEND
+books the leg and *schedules* the reply — ``reply.succeed(response,
+delay)``, one heap entry, triggered at once and fired when the leg ends.
+Under an injector the leg is a process that triggers the reply on arrival,
+and must be: the attempt loop asks ``reply.triggered`` after a timeout, and
+a reply still in flight must not read as delivered.
 
 Failover is routing, and it is decided where exhaustion is detected: the
 attempt-loop arm of :meth:`~QueuePair._post` and of
@@ -209,18 +215,6 @@ class QueuePair:
 
     # -- internals -----------------------------------------------------------
 
-    def _request_leg(self, payload_bytes: int) -> Generator[Any, Any, None]:
-        # Returns fabric.transmit's generator directly (no wrapper frame);
-        # callers drive it with ``yield from`` exactly as before.
-        return self.fabric.transmit(self._ltx, self._rrx, payload_bytes)
-
-    def _response_leg(self, payload_bytes: int) -> Generator[Any, Any, None]:
-        return self.fabric.transmit(self._rtx, self._lrx, payload_bytes)
-
-    @property
-    def _actor(self) -> str:
-        return f"c{self.owner.server_id}" if self.owner is not None else "c?"
-
     def _emit(self, wqe: Tuple, result: Any) -> None:
         """Report one landed effect to the attached trace sanitizer — at
         the simulated instant it hits the region, exactly once per WQE on
@@ -230,7 +224,7 @@ class QueuePair:
         kind, name = _SANITIZER_KINDS[verb]
         epoch = result[1] if verb is CAS else result if verb is FETCH_ADD else 0
         self.fabric.sanitizer.emit(
-            self._actor,
+            f"c{self.owner.server_id}" if self.owner is not None else "c?",
             kind,
             name,
             self.logical_id,
@@ -333,7 +327,7 @@ class QueuePair:
         results: Optional[List[Any]] = [] if whole else None
         if local or injector is None:
             if local:
-                yield from fabric.local_copy(sum([wqe[1] for wqe in wqes]))
+                yield fabric.local_copy_s(sum([wqe[1] for wqe in wqes]))
             else:
                 # Both legs book the sender's TX line before the
                 # receiver's RX line and cost one sleep each; with the
@@ -396,7 +390,7 @@ class QueuePair:
                     # A re-posted chain counts again.
                     for wqe in wqes:
                         self._rstats.record(wqe[0], wqe[1])
-                yield from self._request_leg(request_bytes)
+                yield from fabric.transmit(self._ltx, self._rrx, request_bytes)
                 if injector.should_duplicate(lead, server_id):
                     # The NIC discards the duplicate; it only burns RX bandwidth.
                     self._rrx.reserve(request_bytes + self._header_wire)
@@ -438,7 +432,7 @@ class QueuePair:
                     delay = injector.extra_delay(lead, server_id)
                     if delay > 0.0:
                         yield delay
-                    yield from self._response_leg(response_bytes)
+                    yield from fabric.transmit(self._rtx, self._lrx, response_bytes)
                     if not injector.server_down(server_id) and not (
                         injector.should_drop(lead, server_id, followers)
                     ):
@@ -566,9 +560,9 @@ class QueuePair:
         if local or injector is None:
             remote.stats.record(Verb.SEND, request_wire_bytes)
             if local:
-                yield from fabric.local_copy(request_wire_bytes)
+                yield fabric.local_copy_s(request_wire_bytes)
             else:
-                yield from self._request_leg(request_wire_bytes)
+                yield from fabric.transmit(self._ltx, self._rrx, request_wire_bytes)
             remote.submit(
                 RpcEnvelope(
                     self, request, reply, tenant=tenant, span=span,
@@ -586,27 +580,20 @@ class QueuePair:
             last_attempt = retry.max_attempts - 1
             for attempt in range(retry.max_attempts):
                 remote.stats.record(Verb.SEND, request_wire_bytes)
-                yield from self._request_leg(request_wire_bytes)
+                yield from fabric.transmit(self._ltx, self._rrx, request_wire_bytes)
                 if not injector.server_down(server_id) and not (
                     injector.should_drop(Verb.SEND, server_id)
                 ):
                     delay = injector.extra_delay(Verb.SEND, server_id)
                     if delay > 0.0:
                         yield delay
-                    epoch = injector.crash_epoch(server_id)
-                    remote.submit(
-                        RpcEnvelope(
-                            self, request, reply, seq=seq, epoch=epoch,
-                            tenant=tenant, span=span, enqueued_at=sim.now,
-                        )
+                    envelope = RpcEnvelope(
+                        self, request, reply, seq=seq, tenant=tenant, span=span,
+                        epoch=injector.crash_epoch(server_id), enqueued_at=sim.now,
                     )
+                    remote.submit(envelope)
                     if injector.should_duplicate(Verb.SEND, server_id):
-                        remote.submit(
-                            RpcEnvelope(
-                                self, request, reply, seq=seq, epoch=epoch,
-                                tenant=tenant, span=span, enqueued_at=sim.now,
-                            )
-                        )
+                        remote.submit(envelope)  # nobody writes to an envelope
                 wait_start = sim.now
                 yield sim.any_of([reply, sim.timeout(retry.timeout_s)])
                 if not reply.triggered:
@@ -689,29 +676,42 @@ class QueuePair:
     def _spawn_reply(
         self, reply: Event, response: Any, wire_bytes: int, span: Any = None
     ) -> None:
-        def ship() -> Generator[Any, Any, None]:
-            if self.is_local:
-                yield from self.fabric.local_copy(wire_bytes)
+        fabric = self.fabric
+        injector = fabric.injector
+        if self.is_local:
+            reply.succeed(response, fabric.local_copy_s(wire_bytes))  # no line booked
+        elif injector is None:
+            # Scheduled, not spawned: book the response leg as _post books
+            # its legs and queue the reply to fire when the leg ends.
+            now = self.sim.now
+            wire = wire_bytes + self._header_wire
+            obs = fabric.obs
+            if obs is None:
+                arrival = self._rtx.reserve(wire) + self._latency
+                done = self._lrx.reserve(wire, arrival)
             else:
-                injector = self.fabric.injector
-                if injector is not None:
-                    server_id = self.remote.server_id
-                    if injector.server_down(server_id) or injector.should_drop(
-                        Verb.SEND, server_id
-                    ):
-                        return  # the response is lost; the client retries
-                    delay = injector.extra_delay(Verb.SEND, server_id)
-                    if delay > 0.0:
-                        yield delay
-                yield from self._response_leg(wire_bytes)
-            if not reply.triggered:
-                reply.succeed(response)
+                done = stamped_leg(obs, now, self._rtx, self._lrx, wire, self._latency)
+            reply.succeed(response, done - now)
+        else:
+            # Untriggered while in flight: call() asks ``reply.triggered``.
+            def ship() -> Generator[Any, Any, None]:
+                server_id = self.remote.server_id
+                if injector.server_down(server_id) or injector.should_drop(
+                    Verb.SEND, server_id
+                ):
+                    return  # the response is lost; the client retries
+                delay = injector.extra_delay(Verb.SEND, server_id)
+                if delay > 0.0:
+                    yield delay
+                yield from fabric.transmit(self._rtx, self._lrx, wire_bytes)
+                if not reply.triggered:
+                    reply.succeed(response)
 
-        proc = self.sim.process(ship())
-        if span is not None:
-            # Ship on behalf of the issuing op so the response leg's
-            # queueing/flight stamps land on that op's span.
-            proc.span = span
+            proc = self.sim.process(ship())
+            if span is not None:
+                # Ship on behalf of the issuing op so the response leg's
+                # queueing/flight stamps land on that op's span.
+                proc.span = span
 
 
 class VerbBatch:

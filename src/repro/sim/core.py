@@ -6,7 +6,8 @@ virtual time, fires events, and resumes the waiting generators. The kernel is
 deliberately minimal — just what the RDMA fabric and NAM cluster models need:
 
 * :class:`Event` — a one-shot occurrence carrying a value or an exception.
-* :class:`Timeout` — a delay *as an event*: ``any_of([reply, sim.timeout(t)])``.
+* :class:`Timeout` — a delay *as an event*: ``any_of([reply, sim.timeout(t)])``;
+  an event born ``succeed(value, delay)``-ed, the primitive an RPC reply uses.
 * :class:`Process` — wraps a generator; itself an event that fires when the
   generator returns (its value is the generator's return value).
 * :class:`Condition` — ``all_of`` / ``any_of`` composition, used e.g. for
@@ -25,17 +26,15 @@ Determinism: events scheduled for the same instant fire in scheduling order
 (a monotonically increasing sequence number breaks ties), so a seeded run is
 fully reproducible.
 
-Engine speed (docs/performance.md "What a sleep costs"): the queue is one
-binary heap of ``(time, sequence, event, wakes)`` entries; a zero-delay
-trigger (``succeed`` chain, RPC handoff) is pushed at ``now`` like any
-other, and a process starts as a sleep of zero. A sleep — every verb leg,
-CPU charge and think time, nearly all of the 9.04 entries an FG lookup
-queues — is four function calls (``heappush``, ``heappop``, ``_resume``, ``send``)
-where the pooled ``Timeout`` it replaced was fourteen: nambench's
-``fg_point_uniform`` 261.2 -> 164.9 calls/op. Nothing is pooled: an
-``Event`` or ``Condition`` — RPC replies, SRQ hand-offs, fan-out joins —
-is allocated where it is needed and dies with its last reference
-(docs/performance.md "The free-lists went" has the measurement).
+Engine speed (docs/performance.md "What a sleep costs", "What an RPC
+costs"): the queue is one binary heap of ``(time, sequence, event, wakes)``
+entries; a zero-delay trigger (``succeed`` chain, SRQ hand-off) is pushed
+at ``now`` like any other, and a process starts as a sleep of zero. A
+sleep — every verb leg, CPU charge and think time — is four function calls
+(``heappush``, ``heappop``, ``_resume``, ``send``); an RPC reply is one
+entry, ``reply.succeed(response, delay)``, not a process. Nothing is
+pooled: an ``Event`` or ``Condition`` is allocated where it is needed and
+dies with its last reference.
 
 Schedule control: a :class:`Simulator` optionally carries a *scheduler* —
 any object with a ``choose(at, ready)`` method and an optional ``window``
@@ -82,9 +81,9 @@ class Event:
     """A one-shot occurrence inside a :class:`Simulator`.
 
     An event starts *pending*; it is *triggered* by :meth:`succeed` or
-    :meth:`fail`, after which the simulator fires its callbacks at the
-    current virtual time. Processes that ``yield`` a pending event are
-    suspended until it fires.
+    :meth:`fail`, after which the simulator fires its callbacks — at the
+    current virtual time, or ``succeed``'s *delay* later. Processes that
+    ``yield`` an event not yet fired are suspended until it fires.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_is_error", "_defused")
@@ -113,12 +112,15 @@ class Event:
             raise SimulationError("event value accessed before it triggered")
         return self._value
 
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with *value*."""
+    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
+        """Trigger the event successfully with *value*: ``triggered`` at
+        once, fired — waiters resumed — *delay* virtual seconds from now."""
         if self._value is not _PENDING:
             raise SimulationError("event has already been triggered")
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay!r}")
         self._value = value
-        self.sim._queue_fire(self)
+        self.sim._queue_fire(self, delay)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -155,11 +157,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
         super().__init__(sim)
-        self._value = value
-        self.sim._queue_fire(self, delay)
+        self.succeed(value, delay)
 
 
 class Process(Event):

@@ -39,11 +39,11 @@ from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
 # every engine change: (simulator events scheduled, result fingerprint).
 _GOLDENS = {
     ("coarse-grained", True): (
-        25015,
+        21199,
         "e7fcb7a6e3aaf871aac28c3a2a58dfd4f2f35c2aee96816faa3ad487c9b8b85a",
     ),
     ("coarse-grained", False): (
-        25015,
+        21199,
         "e7fcb7a6e3aaf871aac28c3a2a58dfd4f2f35c2aee96816faa3ad487c9b8b85a",
     ),
     ("fine-grained", True): (
@@ -55,11 +55,11 @@ _GOLDENS = {
         "837ff4b895498648934f111d455642134381a87dc44a2faf388bb133997c0453",
     ),
     ("hybrid", True): (
-        11623,
+        10642,
         "74366dbcc1a4349d34a0ca50adb916129924baf48f1fefc399054d19071a8d62",
     ),
     ("hybrid", False): (
-        12018,
+        11358,
         "e8f3b995d6bd91929ab392e422413c082940e260af8ef6201fbfa48e1ff71b55",
     ),
 }

@@ -41,6 +41,18 @@ cluster's, so the eight clients together call ``Node.from_bytes`` once per
 page *image* they touch — on a read-only workload once per page touched
 (283 decodes for 1 200 page reads here; 483 when each client kept a memo
 of its own) — whatever the number of clients. Also an exact count.
+
+The third is PR 23's, the RPC path's: heap entries per coarse-grained point
+lookup, counted from inside the calling process on a quiet cluster. Fault-
+free it is the eight things the model has happen — request leg, SRQ
+hand-off, fixed cost, three node slices, serialisation slice, reply — where
+the reply alone used to be four (a process's start hop, its leg's sleep,
+``reply.succeed`` and a completion fired at nobody: 11 entries, 202.1 ->
+180.1 calls/op on the run above, ``CG_HUB_OFF_CEILING``). With an injector
+attached the reply keeps its process, and has to: ``QueuePair.call`` asks
+``reply.triggered`` after a timeout, and a reply still on the wire must not
+read as delivered — ``test_a_reply_in_flight_at_the_timeout_is_retried``
+fails if that arm is ever moved onto the scheduled form.
 """
 
 from __future__ import annotations
@@ -48,16 +60,22 @@ from __future__ import annotations
 import cProfile
 import pstats
 
-from repro import Cluster, ClusterConfig, FineGrainedIndex
+import pytest
+
+from repro import Cluster, ClusterConfig, FaultPlan
 from repro.config import ObservabilityConfig
+from repro.experiments.common import build_index
+from repro.nam.rpc import AckResponse, PointLookupRequest
 from repro.workloads import WorkloadRunner, generate_dataset, workload_a
 
-#: Calls per operation the hub may add, and the hub-off run may make.
+#: Calls per operation the hub may add, and the hub-off run may make
+#: (fine-grained; coarse-grained, whose every operation is one RPC).
 SURCHARGE_BOUND = 70
 HUB_OFF_CEILING = 155
+CG_HUB_OFF_CEILING = 186
 
 
-def profiled_run(hub: bool):
+def profiled_run(hub: bool, design: str = "fine-grained"):
     """One seeded run; returns its simulated outcome, the number of calls
     made inside ``runner.run``, the run's result, and the decode census
     ``(Node.from_bytes calls, pages in the cluster's decode memo)``."""
@@ -65,7 +83,7 @@ def profiled_run(hub: bool):
         ClusterConfig(seed=7, observability=ObservabilityConfig(enabled=hub))
     )
     dataset = generate_dataset(20_000, gap=8)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = build_index(cluster, design, dataset)
     runner = WorkloadRunner(cluster, dataset)
     profiler = cProfile.Profile()
     result = profiler.runcall(
@@ -106,3 +124,138 @@ def test_hub_on_call_ratio_stays_under_the_bound():
     # Read-only, so every page has one image, and the memo is keyed by page:
     # each is decoded once per cluster, not once per client that reads it.
     assert 0 < decodes == memoized, (decodes, memoized)
+
+
+# -- the RPC path: heap entries per coarse-grained lookup ----------------------
+
+
+def test_coarse_grained_hub_off_calls_stay_under_the_ceiling():
+    _, calls, result, _ = profiled_run(hub=False, design="coarse-grained")
+    assert result.total_ops == 400
+    assert calls / 400 <= CG_HUB_OFF_CEILING, (
+        f"hub-off makes {calls / 400:.1f} calls per coarse-grained "
+        f"operation, ceiling {CG_HUB_OFF_CEILING}"
+    )
+
+
+def entries_per_lookup(colocated: bool = False, hub: bool = False, faults: bool = False):
+    """Heap entries each of four point lookups queues, one per partition of
+    a three-level coarse-grained tree, counted inside the calling process
+    (so its own start hop and completion are not among them)."""
+    cluster = Cluster(
+        ClusterConfig(
+            seed=7,
+            colocated=colocated,
+            observability=ObservabilityConfig(enabled=hub),
+        )
+    )
+    dataset = generate_dataset(20_000, gap=8)
+    index = build_index(cluster, "coarse-grained", dataset)
+    if faults:
+        cluster.attach_faults(FaultPlan())
+    session = index.session(cluster.new_compute_server())
+    sim = cluster.sim
+
+    def probe(ordinal):
+        before = sim.events_scheduled
+        assert (yield from session.lookup(dataset.key_at(ordinal))) == [ordinal]
+        return sim.events_scheduled - before
+
+    return [cluster.execute(probe(ordinal)) for ordinal in (9, 6_000, 12_000, 19_000)]
+
+
+def test_a_fault_free_lookup_by_rpc_queues_eight_entries():
+    # Request leg, SRQ hand-off, fixed cost, three node slices,
+    # serialisation slice, reply: the reply is one entry, hub on or off.
+    assert entries_per_lookup() == [8, 8, 8, 8]
+    assert entries_per_lookup(hub=True) == [8, 8, 8, 8]
+    # Co-located, the two partitions on the client's machine are read in
+    # place — no RPC: the local handle's seven slices — and the other two
+    # are the eight above.
+    assert entries_per_lookup(colocated=True) == [7, 7, 8, 8]
+
+
+def test_under_an_injector_the_reply_keeps_its_process():
+    # The eight, the reply's start hop, leg sleep and completion, and the
+    # attempt loop's timeout and any_of: the attempt-loop arm is untouched.
+    assert entries_per_lookup(faults=True) == [13, 13, 13, 13]
+
+
+def rpc_setup(colocated: bool = False, faults: bool = False):
+    """A cluster whose first memory server reachable by *local* queue pair
+    (or server 0) answers ``PointLookupRequest`` with a counting handler."""
+    cluster = Cluster(ClusterConfig(seed=7, colocated=colocated))
+    compute = cluster.new_compute_server()
+    server = next(
+        server
+        for server in cluster.memory_servers
+        if not colocated or server.machine is compute.machine
+    )
+    runs = []
+
+    def handler(srv, msg):
+        runs.append(cluster.now)
+        yield srv.cpu(1e-6)
+        response = AckResponse()
+        return response, response.wire_bytes
+
+    server.register_handler(PointLookupRequest, handler)
+    if faults:
+        cluster.attach_faults(FaultPlan())
+    return cluster, compute.qp(server.server_id), server, runs
+
+
+@pytest.mark.parametrize("colocated", [False, True], ids=["wire", "co-located"])
+def test_a_fault_free_reply_is_one_entry_triggered_when_posted(colocated):
+    cluster, qp, _server, _runs = rpc_setup(colocated)
+    assert qp.is_local is colocated
+    sim = cluster.sim
+    reply = sim.event()
+    landed = []
+    reply.add_callback(lambda _event: landed.append(sim.now))
+    before = sim.events_scheduled
+    qp._spawn_reply(reply, "pong", 64)
+    assert sim.events_scheduled - before == 1
+    assert reply.triggered and reply.value == "pong" and not landed
+    sim.run()
+    network = cluster.config.network
+    floor = network.local_access_latency_s if colocated else network.one_way_latency_s
+    assert landed == [sim.now] and sim.now > floor
+    # And the whole call: request leg (or local copy), hand-off, fixed
+    # cost, the handler's one slice, serialisation slice, reply.
+    request = PointLookupRequest("idx", 1)
+
+    def probe():
+        before = sim.events_scheduled
+        yield from qp.call(request, request.wire_bytes)
+        return sim.events_scheduled - before
+
+    assert cluster.execute(probe()) == 6
+
+
+def test_under_an_injector_a_reply_on_the_wire_is_not_triggered():
+    cluster, qp, _server, _runs = rpc_setup(faults=True)
+    sim = cluster.sim
+    reply = sim.event()
+    qp._spawn_reply(reply, "pong", 64)
+    sim.run(until=sim.now + 0.5 * cluster.config.network.one_way_latency_s)
+    assert not reply.triggered
+    sim.run()
+    assert reply.triggered and reply.value == "pong"
+
+
+def test_a_reply_in_flight_at_the_timeout_is_retried():
+    # The response leg queues behind 100 us of other traffic on the server's
+    # TX line, so it ends long after ``timeout_s`` (50 us) and the backoff:
+    # the reply must read untriggered at both, the request is re-sent, and
+    # the retransmit is answered from the dedup cache — the handler ran once.
+    cluster, qp, server, runs = rpc_setup(faults=True)
+    port = cluster.config.network.port_bandwidth_bytes_per_s
+    server.port.tx.reserve(int(100e-6 * port))
+    request = PointLookupRequest("idx", 1)
+    started = cluster.now
+    assert cluster.execute(qp.call(request, request.wire_bytes)).ok
+    assert cluster.now - started > 100e-6
+    assert len(runs) == 1
+    stats = cluster.fault_injector.stats
+    assert stats["retries"] == 1 and stats["rpc_replays"] == 1

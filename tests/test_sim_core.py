@@ -224,6 +224,48 @@ def test_event_cannot_trigger_twice():
         event.succeed(2)
 
 
+def test_succeed_with_a_delay_is_triggered_at_once_and_fires_later():
+    # The primitive an RPC reply uses: the value is settled when the SEND is
+    # posted, the waiters are resumed when the response leg ends.
+    sim = Simulator()
+    got = []
+
+    def waiter(tag, seconds):
+        yield seconds
+        value = yield reply
+        got.append((tag, value, sim.now))
+
+    def poster():
+        yield 1.0
+        reply.succeed("pong", 2.0)
+        assert reply.triggered and reply.ok and reply.value == "pong"
+        assert reply.callbacks is not None  # not fired yet
+
+    reply = sim.event()
+    sim.process(poster())
+    sim.process(waiter("before", 0.5))  # waits from before the post
+    sim.process(waiter("at", 3.0))  # reaches its yield at the fire instant
+    sim.process(waiter("after", 4.0))  # the event fired long ago
+    sim.run()
+    assert got == [("before", "pong", 3.0), ("at", "pong", 3.0), ("after", "pong", 4.0)]
+
+
+def test_negative_delay_rejected_by_succeed_and_still_by_timeout():
+    sim = Simulator()
+    event = sim.event()
+    with pytest.raises(SimulationError, match="negative delay"):
+        event.succeed("never", -1e-9)
+    assert not event.triggered  # a refused trigger leaves the event pending
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.timeout(-1e-9)
+    assert sim.events_scheduled == 0
+    event.succeed("once", 1.0)
+    with pytest.raises(SimulationError, match="already been triggered"):
+        event.succeed("twice", 2.0)
+    with pytest.raises(SimulationError, match="already been triggered"):
+        event.succeed("twice")
+
+
 def test_run_until_complete_returns_value():
     sim = Simulator()
 
@@ -350,6 +392,38 @@ def test_sleeps_timeouts_and_succeeds_at_one_instant_fire_by_sequence():
     assert sim.now == 1.0
     # 5 bootstraps + 6 sleeps + 1 timeout + 1 succeed + 5 completions.
     assert sim.events_scheduled == 18
+
+
+def test_a_delayed_succeed_fires_by_the_sequence_it_drew_when_posted():
+    # ``succeed(value, delay)`` draws its sequence number at the call, like a
+    # sleep at its yield: at the instant it lands on, it fires behind a sleep
+    # queued earlier and ahead of one queued later.
+    sim = Simulator()
+    order = []
+    reply = sim.event()
+    reply.add_callback(lambda _event: order.append("reply"))
+
+    def sleeper(tag, seconds):
+        yield seconds
+        order.append(tag)
+
+    def poster():
+        yield 0.25
+        reply.succeed(None, 0.75)
+
+    def late():
+        yield 0.5
+        yield 0.5
+        order.append("later sleep")
+
+    sim.process(sleeper("earlier sleep", 1.0))
+    sim.process(poster())
+    sim.process(late())
+    sim.run()
+    assert order == ["earlier sleep", "reply", "later sleep"]
+    assert sim.now == 1.0
+    # 3 bootstraps + 4 sleeps + 1 delayed succeed + 3 completions.
+    assert sim.events_scheduled == 11
 
 
 def test_zero_second_sleeps_queue_behind_what_the_instant_already_holds():
