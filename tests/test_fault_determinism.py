@@ -9,6 +9,10 @@ failures debuggable: any failing schedule can be replayed exactly.
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
 from repro import (
     AdmissionConfig,
     Cluster,
@@ -20,6 +24,7 @@ from repro import (
     VerbTracer,
 )
 from repro.config import CpuConfig, ObservabilityConfig
+from repro.experiments.common import build_index
 from repro.workloads import (
     ArrivalProcess,
     DegradationConfig,
@@ -28,6 +33,7 @@ from repro.workloads import (
     WorkloadRunner,
     WorkloadSpec,
     generate_dataset,
+    workload_c,
 )
 
 SPEC = WorkloadSpec(
@@ -207,3 +213,63 @@ def test_different_plan_seed_diverges():
         sorted(result.op_counts.items())
     )
     assert other not in first
+
+
+# -- the replay pin: same draws, same order, as constants ----------------------
+
+#: The lossy plan of docs/performance.md "What a possible fault costs".
+LOSSY_PLAN = FaultPlan(
+    seed=11,
+    drop_probability=0.01,
+    delay_probability=0.02,
+    duplicate_probability=0.01,
+)
+
+
+def _lossy_run(design: str, replication_factor: int):
+    """``(injector.stats that moved, the RNG's PCG64 state word, window_s,
+    op_counts, sha256 of every latency sample and error)`` of one seeded
+    workload-C run (95 % point / 5 % insert, 16 clients x 60 ops) under
+    ``LOSSY_PLAN``."""
+    cluster = Cluster(ClusterConfig(seed=5, replication_factor=replication_factor))
+    dataset = generate_dataset(20_000, gap=8)
+    injector = cluster.attach_faults(LOSSY_PLAN)
+    index = build_index(cluster, design, dataset)
+    result = WorkloadRunner(cluster, dataset).run(
+        index, workload_c(), num_clients=16, ops_per_client=60, seed=5
+    )
+    samples = repr((sorted(result.latencies.items()), sorted(result.errors.items())))
+    return (
+        {name: count for name, count in injector.stats.items() if count},
+        injector.rng.bit_generator.state["state"]["state"],
+        result.window_s,
+        dict(result.op_counts),
+        hashlib.sha256(samples.encode()).hexdigest(),
+    )
+
+
+#: Recorded at 395cc0d, before the attempt loop, the delivery or the
+#: injector's predicates were touched. The RNG word moves if one draw is
+#: added, dropped or made in another order; the digest if one operation
+#: finishes one float ulp elsewhere.
+REPLAY_PINS = {
+    ("coarse-grained", 1): (
+        {"drops": 17, "delays": 43, "duplicates": 8, "retries": 17, "rpc_replays": 9},
+        8868634224152107057880467413852121613,
+        0.000773647640779498,
+        {"point": 917, "insert": 43},
+        "862607638b51cc54468d5fa9b416b9d8cc6d70392227573fde4d6ef4bf4ca1b9",
+    ),
+    ("hybrid", 2): (
+        {"drops": 28, "delays": 48, "duplicates": 23, "retries": 28, "rpc_replays": 7},
+        336253410372119853703453171605064004765,
+        0.0012478900818722256,
+        {"point": 917, "insert": 43},
+        "91aef4bb6732a62ac9a164a1eca73c287cc8138c0e63ce4d4e900abf41f3a16e",
+    ),
+}
+
+
+@pytest.mark.parametrize("design, replication_factor", list(REPLAY_PINS))
+def test_a_lossy_run_replays_the_recorded_draws(design, replication_factor):
+    assert _lossy_run(design, replication_factor) == REPLAY_PINS[design, replication_factor]
