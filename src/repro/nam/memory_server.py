@@ -194,7 +194,11 @@ class MemoryServer:
                     # the remembered response, never re-run the handler.
                     yield self.cpu(cpu_config.rpc_fixed_cost_s)
                     injector.stats["rpc_replays"] += 1
+                    # Post as the issuing op (hub on; else both are None),
+                    # so the replayed response's leg stamps onto its span.
+                    self.sim._active.span = envelope.span
                     envelope.complete(*cached)
+                    self.sim._active.span = None
                     continue
                 if not envelope.qp.rpc_begin(envelope.seq):
                     # A duplicate of a request another worker is handling

@@ -25,7 +25,7 @@ State vs timing
     (:meth:`repro.rdma.memory.MemoryRegion.attach_mirror`): the moment a
     primary page mutates, its backups hold the same bytes. The *cost* of
     replication is charged separately: one-sided mutations yield
-    :meth:`mirror_legs` (a fabric transmit from the primary host to each
+    :meth:`mirror_legs` (a fabric leg from the primary host to each
     live backup plus the backup's ack) after the primary effect and before
     the client sees the completion — primary-then-backup ordering, so a
     torn failover can never observe a backup ahead of its primary. RPC
@@ -172,7 +172,7 @@ class ReplicationManager:
         self, logical_id: int, payload_bytes: int
     ) -> Generator[Any, Any, None]:
         """Charge the wire time of mirroring *payload_bytes* of mutation on
-        *logical_id* to each live backup: one transmit from the primary
+        *logical_id* to each live backup: one leg from the primary
         host to the backup plus the backup's zero-payload ack. Runs after
         the primary effect and before the client's completion (synchronous,
         primary-then-backup)."""
@@ -186,8 +186,8 @@ class ReplicationManager:
             dst = self.cluster.memory_servers[copy.host_id].port
             self.stats["mirror_legs"] += 1
             self.stats["mirrored_bytes"] += payload_bytes
-            yield from fabric.transmit(src.tx, dst.rx, payload_bytes + MIRROR_HEADER_BYTES)
-            yield from fabric.transmit(dst.tx, src.rx, 0)
+            yield fabric.leg_s(src.tx, dst.rx, payload_bytes + MIRROR_HEADER_BYTES)
+            yield fabric.leg_s(dst.tx, src.rx, 0)
 
     # -- crash / recovery ----------------------------------------------------
 
@@ -313,9 +313,7 @@ class ReplicationManager:
         # sources would fragment the transfer without changing totals.
         src_id = (host_id - 1) % self.cluster.num_memory_servers
         src = self.cluster.memory_servers[src_id].port
-        yield from self.cluster.fabric.transmit(
-            src.tx, dst.rx, nbytes + MIRROR_HEADER_BYTES
-        )
+        yield self.cluster.fabric.leg_s(src.tx, dst.rx, nbytes + MIRROR_HEADER_BYTES)
 
     def _restore_factor(self, logical_id: int) -> Generator[Any, Any, None]:
         """Background re-replication: after a promotion left *logical_id*
@@ -346,9 +344,7 @@ class ReplicationManager:
         nbytes = int(authority.region.read_u64(ALLOC_WORD_OFFSET)) or len(
             authority.region
         )
-        yield from self.cluster.fabric.transmit(
-            src.tx, dst.rx, nbytes + MIRROR_HEADER_BYTES
-        )
+        yield self.cluster.fabric.leg_s(src.tx, dst.rx, nbytes + MIRROR_HEADER_BYTES)
         if not authority.live or rset.primary is not authority:
             return  # the authority changed under us; a newer task will run
         if injector is not None and injector.server_down(target):

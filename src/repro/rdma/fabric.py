@@ -85,18 +85,16 @@ class Fabric:
     def detach_injector(self) -> None:
         self.injector = None
 
-    def transmit(
-        self,
-        tx: BandwidthChannel,
-        rx: BandwidthChannel,
-        payload_bytes: int,
-    ) -> Generator[Any, Any, None]:
-        """Process: move one message of *payload_bytes* from *tx* to *rx*.
+    def leg_s(
+        self, tx: BandwidthChannel, rx: BandwidthChannel, payload_bytes: int
+    ) -> float:
+        """Book one message of *payload_bytes* from *tx* to *rx*; returns
+        the seconds until it is there, for the caller to sleep or schedule.
 
         The message occupies the sender's TX line, propagates through the
         switch, then occupies the receiver's RX line. Both line bookings
-        happen through channel reservations so the whole transmit costs a
-        single sleep.
+        happen through channel reservations, here and now, so the whole
+        leg costs a single sleep.
         """
         wire = payload_bytes + self.config.header_wire_bytes
         obs = self.obs
@@ -108,7 +106,13 @@ class Fabric:
             rx_done = stamped_leg(
                 obs, self.sim.now, tx, rx, wire, self.config.one_way_latency_s
             )
-        yield rx_done - self.sim.now
+        return rx_done - self.sim.now
+
+    def transmit(
+        self, tx: BandwidthChannel, rx: BandwidthChannel, payload_bytes: int
+    ) -> Generator[Any, Any, None]:
+        """:meth:`leg_s` as a process (what nambench's ledger times)."""
+        yield self.leg_s(tx, rx, payload_bytes)
 
     def local_copy_s(self, payload_bytes: int) -> float:
         """Seconds a same-machine memory access takes (co-located fast

@@ -120,16 +120,21 @@ class FaultPlan:
         if self.delay_s < 0:
             raise ConfigurationError("delay_s must be >= 0")
 
+    def faults_messages(self) -> bool:
+        """True when some message has a probability of being dropped,
+        delayed or duplicated."""
+        return bool(
+            self.drop_probability
+            or self.delay_probability
+            or self.duplicate_probability
+            or any(self.verb_drop.values())
+            or any(self.server_drop.values())
+        )
+
     def is_noop(self) -> bool:
         """True when the plan injects nothing at all."""
-        return (
-            self.drop_probability == 0.0
-            and self.delay_probability == 0.0
-            and self.duplicate_probability == 0.0
-            and not any(self.verb_drop.values())
-            and not any(self.server_drop.values())
-            and not self.server_crashes
-            and not self.compute_crashes
+        return not (
+            self.faults_messages() or self.server_crashes or self.compute_crashes
         )
 
 
@@ -153,7 +158,11 @@ class FaultInjector:
         #: Optional :class:`repro.obs.hub.Observability` hub; crash/restart
         #: events feed its flight recorder. None on uninstrumented runs.
         self.obs = None
-        self._quiesced = False
+        #: No message fault can happen, ever again: nothing in the plan gives
+        #: a message a probability, or :meth:`quiesce` was called. The three
+        #: per-message predicates test it first, so a calm plan costs each
+        #: leg a test, not a walk of the plan.
+        self._calm = not plan.faults_messages()
         self._down: set = set()
         self._crash_epoch: Dict[int, int] = {}
         self._client_procs: Dict[int, List[Process]] = {}
@@ -190,15 +199,13 @@ class FaultInjector:
         its scheduled restart) and lock-lease recovery remains enabled —
         this is the knob a chaos test turns before its verification scan.
         """
-        self._quiesced = True
+        self._calm = True
 
     # -- message-level faults --------------------------------------------------
 
-    def _messages_faulty(self) -> bool:
-        if self._quiesced:
-            return False
+    def _past_horizon(self) -> bool:
         horizon = self.plan.horizon_s
-        return horizon is None or self.sim.now < horizon
+        return horizon is not None and self.sim.now >= horizon
 
     def _drop_probability(self, verb: Verb, server_id: int) -> float:
         plan = self.plan
@@ -206,17 +213,21 @@ class FaultInjector:
             return plan.server_drop[server_id]
         return plan.verb_drop.get(verb, plan.drop_probability)
 
-    def should_drop(self, verb: Verb, server_id: int, followers=()) -> bool:
-        """Decide the fate of one message leg to/from *server_id*.
+    def lost(self, verb: Verb, server_id: int, followers=()) -> bool:
+        """The one verdict on a message leg to/from *server_id*: lost
+        because the server is down, or by the plan's drop draw.
 
         *verb* leads the message; *followers* are the other verbs of a
         doorbell chain riding the same leg. A chain's request (and its
         selectively-signaled response) is one wire message, delivered or
         lost as a unit at the *worst* (highest) drop probability among
         its members — a chain is at least as exposed as its most fragile
-        verb. Either way the decision is one draw from the seeded stream.
+        verb. Either way the decision is at most one draw from the seeded
+        stream, and none at all against a down server.
         """
-        if not self._messages_faulty():
+        if server_id in self._down:
+            return True
+        if self._calm or self._past_horizon():
             return False
         p = self._drop_probability(verb, server_id)
         for follower in followers:
@@ -230,7 +241,7 @@ class FaultInjector:
 
     def extra_delay(self, verb: Verb, server_id: int) -> float:
         """Extra seconds of latency for one (delivered) message, or 0."""
-        if not self._messages_faulty() or self.plan.delay_probability <= 0.0:
+        if self._calm or self.plan.delay_probability <= 0.0 or self._past_horizon():
             return 0.0
         if self.rng.random() < self.plan.delay_probability:
             self.stats["delays"] += 1
@@ -238,7 +249,7 @@ class FaultInjector:
         return 0.0
 
     def should_duplicate(self, verb: Verb, server_id: int) -> bool:
-        if not self._messages_faulty() or self.plan.duplicate_probability <= 0.0:
+        if self._calm or self.plan.duplicate_probability <= 0.0 or self._past_horizon():
             return False
         if self.rng.random() < self.plan.duplicate_probability:
             self.stats["duplicates"] += 1

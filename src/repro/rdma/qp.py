@@ -55,12 +55,12 @@ the server uses to replay — never re-execute — duplicated handlers. The
 two-sided :meth:`~QueuePair.call` has the same two arms behind one shared
 head and tail; with no injector attached neither attempt loop runs and
 behavior is identical to a fault-free build. Its reply has them too
-(:meth:`~QueuePair._spawn_reply`). Fault-free, posting the response SEND
-books the leg and *schedules* the reply — ``reply.succeed(response,
-delay)``, one heap entry, triggered at once and fired when the leg ends.
-Under an injector the leg is a process that triggers the reply on arrival,
-and must be: the attempt loop asks ``reply.triggered`` after a timeout, and
-a reply still in flight must not read as delivered.
+(:meth:`~QueuePair._spawn_reply`): posting the response SEND books the leg
+and, fault-free, *schedules* the reply — ``reply.succeed(response, delay)``,
+triggered at once, fired when the leg ends. Under an injector a carrier
+event triggers it when the leg ends: the attempt loop's bounded wait asks
+``reply.triggered`` at its deadline, and a reply still in flight must not
+read as delivered.
 
 Failover is routing, and it is decided where exhaustion is detected: the
 attempt-loop arm of :meth:`~QueuePair._post` and of
@@ -390,13 +390,11 @@ class QueuePair:
                     # A re-posted chain counts again.
                     for wqe in wqes:
                         self._rstats.record(wqe[0], wqe[1])
-                yield from fabric.transmit(self._ltx, self._rrx, request_bytes)
+                yield fabric.leg_s(self._ltx, self._rrx, request_bytes)
                 if injector.should_duplicate(lead, server_id):
                     # The NIC discards the duplicate; it only burns RX bandwidth.
                     self._rrx.reserve(request_bytes + self._header_wire)
-                if not injector.server_down(server_id) and not (
-                    injector.should_drop(lead, server_id, followers)
-                ):
+                if not injector.lost(lead, server_id, followers):
                     if not landed:
                         # RC duplicate suppression: the effects (and their
                         # primary-then-backup mirror legs) happen on first
@@ -432,10 +430,8 @@ class QueuePair:
                     delay = injector.extra_delay(lead, server_id)
                     if delay > 0.0:
                         yield delay
-                    yield from fabric.transmit(self._rtx, self._lrx, response_bytes)
-                    if not injector.server_down(server_id) and not (
-                        injector.should_drop(lead, server_id, followers)
-                    ):
+                    yield fabric.leg_s(self._rtx, self._lrx, response_bytes)
+                    if not injector.lost(lead, server_id, followers):
                         break
                 # The request or response was lost: wait out the detection
                 # timeout, then back off before re-posting the chain.
@@ -562,7 +558,7 @@ class QueuePair:
             if local:
                 yield fabric.local_copy_s(request_wire_bytes)
             else:
-                yield from fabric.transmit(self._ltx, self._rrx, request_wire_bytes)
+                yield fabric.leg_s(self._ltx, self._rrx, request_wire_bytes)
             remote.submit(
                 RpcEnvelope(
                     self, request, reply, tenant=tenant, span=span,
@@ -580,10 +576,8 @@ class QueuePair:
             last_attempt = retry.max_attempts - 1
             for attempt in range(retry.max_attempts):
                 remote.stats.record(Verb.SEND, request_wire_bytes)
-                yield from fabric.transmit(self._ltx, self._rrx, request_wire_bytes)
-                if not injector.server_down(server_id) and not (
-                    injector.should_drop(Verb.SEND, server_id)
-                ):
+                yield fabric.leg_s(self._ltx, self._rrx, request_wire_bytes)
+                if not injector.lost(Verb.SEND, server_id):
                     delay = injector.extra_delay(Verb.SEND, server_id)
                     if delay > 0.0:
                         yield delay
@@ -595,7 +589,7 @@ class QueuePair:
                     if injector.should_duplicate(Verb.SEND, server_id):
                         remote.submit(envelope)  # nobody writes to an envelope
                 wait_start = sim.now
-                yield sim.any_of([reply, sim.timeout(retry.timeout_s)])
+                yield reply, retry.timeout_s  # None at the deadline
                 if not reply.triggered:
                     if obs is not None:
                         obs.attempt_failed(
@@ -665,7 +659,8 @@ class QueuePair:
         """Remember the handler outcome so retransmits replay, not re-run."""
         self._rpc_inflight.discard(seq)
         self._rpc_cache[seq] = (response, wire_bytes)
-        limit = self.fabric.injector.retry.rpc_dedup_cache_entries
+        # The server's copy: the fabric's injector may be detached by now.
+        limit = self.remote.config.retry.rpc_dedup_cache_entries
         while len(self._rpc_cache) > limit:
             self._rpc_cache.pop(next(iter(self._rpc_cache)))
 
@@ -681,37 +676,30 @@ class QueuePair:
         if self.is_local:
             reply.succeed(response, fabric.local_copy_s(wire_bytes))  # no line booked
         elif injector is None:
-            # Scheduled, not spawned: book the response leg as _post books
-            # its legs and queue the reply to fire when the leg ends.
-            now = self.sim.now
-            wire = wire_bytes + self._header_wire
-            obs = fabric.obs
-            if obs is None:
-                arrival = self._rtx.reserve(wire) + self._latency
-                done = self._lrx.reserve(wire, arrival)
-            else:
-                done = stamped_leg(obs, now, self._rtx, self._lrx, wire, self._latency)
-            reply.succeed(response, done - now)
-        else:
-            # Untriggered while in flight: call() asks ``reply.triggered``.
-            def ship() -> Generator[Any, Any, None]:
-                server_id = self.remote.server_id
-                if injector.server_down(server_id) or injector.should_drop(
-                    Verb.SEND, server_id
-                ):
-                    return  # the response is lost; the client retries
-                delay = injector.extra_delay(Verb.SEND, server_id)
-                if delay > 0.0:
-                    yield delay
-                yield from fabric.transmit(self._rtx, self._lrx, wire_bytes)
+            # Scheduled, not spawned: posting the SEND books the response leg
+            # and queues the reply — triggered now — to fire when it ends.
+            reply.succeed(response, fabric.leg_s(self._rtx, self._lrx, wire_bytes))
+        elif not injector.lost(Verb.SEND, self.remote.server_id):  # else: not sent
+            # Untriggered in flight — call() asks ``reply.triggered`` at its
+            # deadline — so a carrier event delivers when the leg ends,
+            # unless a replay overtook it.
+            def deliver(_carrier: Any = None) -> None:
                 if not reply.triggered:
                     reply.succeed(response)
 
-            proc = self.sim.process(ship())
-            if span is not None:
-                # Ship on behalf of the issuing op so the response leg's
-                # queueing/flight stamps land on that op's span.
-                proc.span = span
+            delay = injector.extra_delay(Verb.SEND, self.remote.server_id)
+            if delay > 0.0:
+                # The delayed minority books its leg after the delay: a
+                # process, which also carries the issuing op's span there.
+                def late() -> Generator[Any, Any, None]:
+                    yield delay
+                    yield fabric.leg_s(self._rtx, self._lrx, wire_bytes)
+                    deliver()
+
+                self.sim.process(late()).span = span
+            else:
+                leg = fabric.leg_s(self._rtx, self._lrx, wire_bytes)
+                self.sim.timeout(leg).callbacks.append(deliver)
 
 
 class VerbBatch:

@@ -6,35 +6,39 @@ virtual time, fires events, and resumes the waiting generators. The kernel is
 deliberately minimal — just what the RDMA fabric and NAM cluster models need:
 
 * :class:`Event` — a one-shot occurrence carrying a value or an exception.
-* :class:`Timeout` — a delay *as an event*: ``any_of([reply, sim.timeout(t)])``;
-  an event born ``succeed(value, delay)``-ed, the primitive an RPC reply uses.
+* :class:`Timeout` — a delay *as an event*, to hang a callback on (the carrier
+  of a reply that may be lost): an event born ``succeed(value, delay)``-ed.
 * :class:`Process` — wraps a generator; itself an event that fires when the
   generator returns (its value is the generator's return value).
-* :class:`Condition` — ``all_of`` / ``any_of`` composition, used e.g. for
-  head-node prefetching where several RDMA READs are issued in parallel.
+* :class:`Condition` — ``all_of`` composition, used e.g. for head-node
+  prefetching where several RDMA READs are issued in parallel.
 * :class:`Simulator` — the event loop and virtual clock.
 
 Process protocol: a generator yields an :class:`Event` and is resumed with
 its value (or has its exception thrown in) once it fires, or yields a plain
 ``float``/``int`` of seconds and *sleeps*: the process itself is queued at
 ``now + seconds`` under the next sequence number and resumed with ``None``
-— no event object, no callback. Anything else (a negative number, ``bool``,
-``None``, a numpy scalar, a bare generator) is thrown back at the offending
-``yield`` as a :class:`SimulationError`, so ``finally`` blocks run there.
+— no event object, no callback. Or both, the *bounded wait* ``yield event,
+seconds``: the process registers on the event and queues one deadline entry;
+whichever comes first resumes it (the event's value, or ``None`` at ``now +
+seconds`` — ask ``event.triggered``) and the other end finds nothing to do.
+Anything else (a negative number, ``bool``, ``None``, a numpy scalar, a bare
+generator, any other tuple) is thrown back at the offending ``yield`` as a
+:class:`SimulationError`, so ``finally`` blocks run there.
 
 Determinism: events scheduled for the same instant fire in scheduling order
 (a monotonically increasing sequence number breaks ties), so a seeded run is
 fully reproducible.
 
 Engine speed (docs/performance.md "What a sleep costs", "What an RPC
-costs"): the queue is one binary heap of ``(time, sequence, event, wakes)``
-entries; a zero-delay trigger (``succeed`` chain, SRQ hand-off) is pushed
-at ``now`` like any other, and a process starts as a sleep of zero. A
-sleep — every verb leg, CPU charge and think time — is four function calls
-(``heappush``, ``heappop``, ``_resume``, ``send``); an RPC reply is one
-entry, ``reply.succeed(response, delay)``, not a process. Nothing is
-pooled: an ``Event`` or ``Condition`` is allocated where it is needed and
-dies with its last reference.
+costs", "What a possible fault costs"): the queue is one binary heap of
+``(time, sequence, event, wakes)`` entries; a zero-delay trigger (``succeed``
+chain, SRQ hand-off) is pushed at ``now`` like any other, and a process
+starts as a sleep of zero. A sleep — every verb leg, CPU charge and think
+time — is four function calls (``heappush``, ``heappop``, ``_resume``,
+``send``); an RPC reply is one entry, ``reply.succeed(response, delay)``, not
+a process; a wait with a deadline is one entry, not a ``Timeout`` and a
+composite. Nothing is pooled.
 
 Schedule control: a :class:`Simulator` optionally carries a *scheduler* —
 any object with a ``choose(at, ready)`` method and an optional ``window``
@@ -151,6 +155,11 @@ class Event:
             self.callbacks.append(callback)
 
 
+def _defuse(event: Event) -> None:
+    if event._is_error:
+        event._defused = True
+
+
 class Timeout(Event):
     """A delay as an event: fires ``delay`` virtual seconds after creation."""
 
@@ -246,54 +255,54 @@ class Process(Event):
                         continue
                     target.callbacks.append(self._resume)
                     return
+                elif cls is tuple and len(target) == 2 and isinstance(target[0], Event):
+                    event, seconds = target
+                    cls = seconds.__class__
+                    if (cls is float or cls is int) and seconds >= 0:
+                        if event.callbacks is None:
+                            fired = event  # already fired: nothing to bound
+                            continue
+                        event.callbacks.append(self._resume)
+                        sim._sequence = seq = sim._sequence + 1
+                        heappush(sim._heap, (sim.now + seconds, seq, self, event))
+                        return
                 # Thrown at the offending yield, so the generator's
                 # ``finally`` blocks run now and the traceback names the line.
                 fired = Event(sim)
                 fired._is_error = True
                 fired._value = SimulationError(
                     f"process yielded {target!r}, which is not an Event or a "
-                    "non-negative float/int of seconds to sleep"
+                    "non-negative float/int of seconds to sleep, nor a pair of them"
                 )
         finally:
             sim._active = previous
 
 
 class Condition(Event):
-    """Composite event over several child events.
+    """Fires once every child event has fired; its value is the list of
+    child values, in the original order. A failing child fails it."""
 
-    With ``wait_all=True`` it fires once every child has fired (value: list
-    of child values, in the original order). With ``wait_all=False`` it
-    fires as soon as any child fires (value: that child's value). A failing
-    child fails the condition.
-    """
+    __slots__ = ("_events", "_remaining")
 
-    __slots__ = ("_events", "_wait_all", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], wait_all: bool) -> None:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
-        self._wait_all = wait_all
         self._remaining = len(self._events)
         if not self._events:
-            self.succeed([] if wait_all else None)
+            self.succeed([])
             return
         on_child = self._on_child
         for event in self._events:
             event.add_callback(on_child)
 
     def _on_child(self, child: Event) -> None:
-        if self._value is not _PENDING:
-            if child._is_error:
-                child._defused = True
-            return
         if child._is_error:
             child._defused = True
-            self.fail(child.value)
+            if self._value is _PENDING:
+                self.fail(child.value)
             return
         self._remaining -= 1
-        if not self._wait_all:
-            self.succeed(child._value)
-        elif self._remaining == 0:
+        if self._remaining == 0 and self._value is _PENDING:
             self.succeed([event.value for event in self._events])
 
 
@@ -317,7 +326,8 @@ class Simulator:
         self.now: float = 0.0
         #: ``(time, sequence, event, wakes)`` entries; the sequence number
         #: makes same-instant events fire in scheduling order. *wakes* marks
-        #: a sleeping :class:`Process` to resume; otherwise *event* fires.
+        #: a sleeping :class:`Process` to resume (True), or is the event a
+        #: bounded wait gives up on at this deadline; False: *event* fires.
         self._heap: List[Any] = []
         self._sequence = 0
         #: What a process whose sleep ended is resumed with: ``None``.
@@ -377,11 +387,7 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> Condition:
         """Event firing once all *events* fired; value is their value list."""
-        return Condition(self, events, wait_all=True)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        """Event firing once any of *events* fired."""
-        return Condition(self, events, wait_all=False)
+        return Condition(self, events)
 
     # -- scheduling & the loop ---------------------------------------------
 
@@ -439,10 +445,16 @@ class Simulator:
                 # passed; it fires late, the clock never runs backwards.
                 if at > self.now:
                     self.now = at
-            if wakes:
+            if wakes is True:
                 event._resume(slept)
-            else:
+            elif wakes is False:
                 event._fire()
+            elif wakes.callbacks is not None:
+                # A bounded wait's deadline, ahead of its event: the event
+                # forgets the process (a late failure is nobody's to handle).
+                waiters = wakes.callbacks
+                waiters[waiters.index(event._resume)] = _defuse
+                event._resume(slept)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock passes *until*.

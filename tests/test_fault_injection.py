@@ -127,6 +127,25 @@ class TestNoopPlan:
                 )
         assert outcomes[0] == outcomes[1]
 
+    def test_detaching_with_an_rpc_in_its_handler_lets_it_finish(self):
+        # The worker dequeued under the injector and finishes without it:
+        # the dedup bookkeeping must not reach for the fabric's (now None).
+        cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=3))
+        dataset = generate_dataset(300, gap=4)
+        index = CoarseGrainedIndex.build(
+            cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        )
+        cluster.attach_faults(FaultPlan())
+        session = index.session(cluster.new_compute_server())
+        lookup = cluster.spawn(session.lookup(dataset.key_at(7)))
+        cluster.sim.run(until=cluster.now + 3e-6)
+        servers = cluster.memory_servers
+        # Delivered (one worker is busy), not answered.
+        assert not lookup.triggered and not any(s.rpcs_handled for s in servers)
+        cluster.detach_faults()
+        assert cluster.sim.run_until_complete(lookup) == [7]
+        assert sum(s.rpcs_handled for s in servers) == 1
+
 
 class TestMessageFaults:
     def test_total_read_drop_raises_typed_error(self):

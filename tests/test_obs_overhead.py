@@ -49,10 +49,18 @@ hand-off, fixed cost, three node slices, serialisation slice, reply — where
 the reply alone used to be four (a process's start hop, its leg's sleep,
 ``reply.succeed`` and a completion fired at nobody: 11 entries, 202.1 ->
 180.1 calls/op on the run above, ``CG_HUB_OFF_CEILING``). With an injector
-attached the reply keeps its process, and has to: ``QueuePair.call`` asks
-``reply.triggered`` after a timeout, and a reply still on the wire must not
+attached it is ten (PR 24; 13 before): the wait for the reply is bounded, one
+deadline entry, and the reply is delivered by a carrier event when its leg
+ends — *untriggered* until then, and it has to be: ``QueuePair.call`` asks
+``reply.triggered`` at the deadline, and a reply still on the wire must not
 read as delivered — ``test_a_reply_in_flight_at_the_timeout_is_retried``
-fails if that arm is ever moved onto the scheduled form.
+fails if that arm is ever moved onto the fault-free arm's scheduled form.
+
+The fourth is PR 24's: what *attaching* a plan that injects nothing costs one
+hybrid lookup (an RPC plus a READ, both through their attempt loops), as
+heap entries and calls per operation with the plan minus without —
+``NOOP_PLAN_ENTRIES`` and ``NOOP_PLAN_CEILING``. A possible fault should
+cost a test, not a process.
 """
 
 from __future__ import annotations
@@ -66,6 +74,8 @@ from repro import Cluster, ClusterConfig, FaultPlan
 from repro.config import ObservabilityConfig
 from repro.experiments.common import build_index
 from repro.nam.rpc import AckResponse, PointLookupRequest
+from repro.obs import attribute_span
+from repro.obs.spans import LEG, VERB
 from repro.workloads import WorkloadRunner, generate_dataset, workload_a
 
 #: Calls per operation the hub may add, and the hub-off run may make
@@ -73,9 +83,14 @@ from repro.workloads import WorkloadRunner, generate_dataset, workload_a
 SURCHARGE_BOUND = 70
 HUB_OFF_CEILING = 155
 CG_HUB_OFF_CEILING = 186
+#: What a no-op ``FaultPlan`` adds to one hybrid point lookup: heap entries
+#: (the carrier and the deadline, exactly; 5 at the parent of PR 24) and
+#: calls (46.0 now, 97.8 at that parent).
+NOOP_PLAN_ENTRIES = 2
+NOOP_PLAN_CEILING = 50
 
 
-def profiled_run(hub: bool, design: str = "fine-grained"):
+def profiled_run(hub: bool, design: str = "fine-grained", faults: bool = False):
     """One seeded run; returns its simulated outcome, the number of calls
     made inside ``runner.run``, the run's result, and the decode census
     ``(Node.from_bytes calls, pages in the cluster's decode memo)``."""
@@ -84,6 +99,8 @@ def profiled_run(hub: bool, design: str = "fine-grained"):
     )
     dataset = generate_dataset(20_000, gap=8)
     index = build_index(cluster, design, dataset)
+    if faults:
+        cluster.attach_faults(FaultPlan())
     runner = WorkloadRunner(cluster, dataset)
     profiler = cProfile.Profile()
     result = profiler.runcall(
@@ -175,16 +192,34 @@ def test_a_fault_free_lookup_by_rpc_queues_eight_entries():
     assert entries_per_lookup(colocated=True) == [7, 7, 8, 8]
 
 
-def test_under_an_injector_the_reply_keeps_its_process():
-    # The eight, the reply's start hop, leg sleep and completion, and the
-    # attempt loop's timeout and any_of: the attempt-loop arm is untouched.
-    assert entries_per_lookup(faults=True) == [13, 13, 13, 13]
+def test_under_an_injector_a_lookup_by_rpc_queues_ten_entries():
+    # Request leg, SRQ hand-off, fixed cost, three node slices, serialisation
+    # slice; the carrier whose firing delivers and the reply it then
+    # triggers; the bounded wait's deadline, which pops 50 us later and
+    # wakes nobody. Ten, not eight: a calm plan still takes the attempt loop.
+    assert entries_per_lookup(faults=True) == [10, 10, 10, 10]
 
 
-def rpc_setup(colocated: bool = False, faults: bool = False):
+def test_a_noop_plan_costs_a_hybrid_lookup_two_entries_and_few_calls():
+    calm_outcome, calm_calls, calm, _ = profiled_run(False, "hybrid", faults=True)
+    bare_outcome, bare_calls, bare, _ = profiled_run(False, "hybrid")
+    assert calm.total_ops == bare.total_ops == 400 and not calm.errors
+    assert calm_outcome[-1] - bare_outcome[-1] == NOOP_PLAN_ENTRIES * 400
+    surcharge = (calm_calls - bare_calls) / 400
+    assert 0 < surcharge <= NOOP_PLAN_CEILING, (
+        f"a no-op plan adds {surcharge:.1f} calls per hybrid lookup, "
+        f"ceiling {NOOP_PLAN_CEILING}"
+    )
+
+
+def rpc_setup(colocated: bool = False, faults: bool = False, hub: bool = False):
     """A cluster whose first memory server reachable by *local* queue pair
     (or server 0) answers ``PointLookupRequest`` with a counting handler."""
-    cluster = Cluster(ClusterConfig(seed=7, colocated=colocated))
+    cluster = Cluster(
+        ClusterConfig(
+            seed=7, colocated=colocated, observability=ObservabilityConfig(enabled=hub)
+        )
+    )
     compute = cluster.new_compute_server()
     server = next(
         server
@@ -259,3 +294,70 @@ def test_a_reply_in_flight_at_the_timeout_is_retried():
     assert len(runs) == 1
     stats = cluster.fault_injector.stats
     assert stats["retries"] == 1 and stats["rpc_replays"] == 1
+
+
+def test_a_replay_that_overtakes_a_delayed_original_completes_the_call_first(monkeypatch):
+    # The first response is held back 200 us — past ``timeout_s`` and the
+    # backoff — so the request is re-sent and answered from the dedup cache;
+    # that replay is not delayed and lands first: the call completes at its
+    # arrival, and the original, arriving later, finds nothing to do. With
+    # the hub on, so that both late legs are seen stamped onto the issuing op:
+    # the replay's by the worker that posts it, the original's by its process.
+    cluster, qp, _server, runs = rpc_setup(faults=True, hub=True)
+    delays = iter([0.0, 200e-6])  # the request's draw, the first response's
+    monkeypatch.setattr(
+        cluster.fault_injector, "extra_delay", lambda verb, server: next(delays, 0.0)
+    )
+    request = PointLookupRequest("idx", 1)
+
+    def op():
+        span = cluster.obs.begin_op("point")
+        response = yield from qp.call(request, request.wire_bytes)
+        cluster.obs.end_op(span)
+        return response, span
+
+    started = cluster.now
+    response, span = cluster.execute(op())
+    assert response.ok
+    assert cluster.config.retry.timeout_s < cluster.now - started < 200e-6
+    stats = cluster.fault_injector.stats
+    assert len(runs) == 1 and stats["retries"] == 1 and stats["rpc_replays"] == 1
+    # Two requests and the replay, then the original as well.
+    assert sum(event[0] == LEG for event in span.events) == 3
+    cluster.sim.run()  # the original lands on a triggered reply and leaves it be
+    assert cluster.now - started > 200e-6
+    assert sum(event[0] == LEG for event in span.events) == 4
+
+
+def test_a_delayed_response_leg_is_stamped_onto_the_op_that_waits_for_it():
+    # Hub on, a plan that delays every other message and drops none: each
+    # lookup is one attempt — a request leg and a response leg in its event
+    # log, the response leg ending when the SEND completes, delayed or not —
+    # and its segments add up to its latency.
+    cluster = Cluster(
+        ClusterConfig(
+            seed=7, observability=ObservabilityConfig(enabled=True, sample_every=1)
+        )
+    )
+    dataset = generate_dataset(20_000, gap=8)
+    index = build_index(cluster, "coarse-grained", dataset)
+    injector = cluster.attach_faults(
+        FaultPlan(seed=3, delay_probability=0.5, delay_s=5e-6)
+    )
+    result = WorkloadRunner(cluster, dataset).run(
+        index, workload_a(), num_clients=4, ops_per_client=25, seed=7
+    )
+    assert result.total_ops == 100 and not result.errors and not result.retries
+    assert injector.stats["delays"] > 20
+    spans = list(cluster.obs.sampled_spans)
+    assert len(spans) == 100
+    for span in spans:
+        legs = [event for event in span.events if event[0] == LEG]
+        [send] = [event for event in span.events if event[0] == VERB]
+        assert len(legs) == 2, "a leg of this op was stamped elsewhere, or nowhere"
+        assert legs[1][5] == send[6]  # the leg ends when the call completes
+        attribution = attribute_span(span)
+        assert sum(attribution.values()) == pytest.approx(
+            span.finished_at - span.started_at, rel=1e-9
+        )
+        assert attribution["network_flight"] + attribution["nic_queue"] > 0.0

@@ -135,23 +135,6 @@ def test_all_of_collects_values_in_order():
     assert sim.now == 3.0
 
 
-def test_any_of_returns_first_completion():
-    sim = Simulator()
-
-    def child(delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    def parent():
-        value = yield sim.any_of([sim.process(child(5, "slow")),
-                                  sim.process(child(1, "fast"))])
-        return value
-
-    p = sim.process(parent())
-    sim.run()
-    assert p.value == "fast"
-
-
 def test_all_of_empty_fires_immediately():
     sim = Simulator()
 
@@ -581,6 +564,10 @@ GARBAGE = {
     "numpy scalar": np.float64(1.0),
     "string": "not an event",
     "bare generator": (never for never in ()),
+    "(event, -1)": (Simulator().event(), -1),
+    "(event, True)": (Simulator().event(), True),
+    "(1.0, 1.0)": (1.0, 1.0),
+    "3-tuple": (Simulator().event(), 1.0, 2.0),
 }
 
 
@@ -616,3 +603,162 @@ def test_a_process_may_catch_the_rejection_and_carry_on():
 
     assert sim.run_until_complete(sim.process(proc())) == "recovered"
     assert sim.now == 1.0
+
+
+# -- the bounded wait: a process yields (event, seconds) -----------------------
+
+
+def bounded_waiter(sim, log, event, seconds):
+    """A process that makes one bounded wait and logs how it came back."""
+
+    def proc():
+        try:
+            value = yield event, seconds
+        except KeyError as exc:
+            value = exc
+        log.append((sim.now, value, event.triggered))
+        return value
+
+    return sim.process(proc())
+
+
+def test_bounded_wait_event_first_gets_its_value_and_the_deadline_wakes_nobody():
+    sim = Simulator()
+    log = []
+    mailbox = sim.event()
+    sim.timeout(1.0).add_callback(lambda _event: mailbox.succeed("mail"))
+
+    def proc():
+        value = yield mailbox, 5.0
+        log.append((sim.now, value))
+        yield 10.0  # asleep, as a plain sleeper, when the deadline entry pops
+        log.append((sim.now, "slept"))
+
+    before = sim.events_scheduled
+    sim.process(proc())
+    sim.run()
+    assert log == [(1.0, "mail"), (11.0, "slept")]
+    # start hop, timeout, succeed, deadline, sleep: the wait itself is one entry.
+    assert sim.events_scheduled - before == 5
+
+
+def test_bounded_wait_deadline_first_gets_none_and_the_event_resumes_nobody():
+    sim = Simulator()
+    log = []
+    mailbox = sim.event()
+    sim.timeout(3.0).add_callback(lambda _event: mailbox.succeed("late mail"))
+
+    def proc():
+        value = yield mailbox, 0.25
+        log.append((sim.now, value, mailbox.triggered))
+        yield 10.0  # the event fires during this sleep and must not cut it short
+        log.append((sim.now, mailbox.value))
+
+    sim.process(proc())
+    sim.run()
+    assert log == [(0.25, None, False), (10.25, "late mail")]
+
+
+def test_bounded_wait_defuses_a_failure_that_arrives_after_the_deadline():
+    sim = Simulator()
+    log = []
+    doomed = sim.event()
+    sim.timeout(2.0).add_callback(lambda _event: doomed.fail(KeyError("late")))
+    waiter = bounded_waiter(sim, log, doomed, 1.0)
+    sim.run()  # does not raise: the failure was this waiter's to ignore
+    assert log == [(1.0, None, False)] and waiter.value is None
+
+
+def test_bounded_wait_on_a_fired_event_resumes_at_once_and_queues_nothing():
+    sim = Simulator()
+    done = sim.timeout(0.0, "early")
+    sim.run()
+    log = []
+    waiter = bounded_waiter(sim, log, done, 5.0)
+    before = sim.events_scheduled
+    sim.run()
+    assert log == [(0.0, "early", True)]
+    assert sim.events_scheduled - before == 1  # the waiter's completion
+    assert sim.now == 0.0  # no deadline entry was left to drain
+
+
+def test_bounded_wait_on_a_triggered_unfired_event_waits_for_the_firing():
+    sim = Simulator()
+    log = []
+    posted = sim.event().succeed("posted", 1.0)
+    bounded_waiter(sim, log, posted, 5.0)
+    sim.run()
+    assert log == [(1.0, "posted", True)]
+
+
+def test_bounded_wait_has_a_failing_event_thrown_in():
+    sim = Simulator()
+    log = []
+    doomed = sim.event()
+    sim.timeout(1.0).add_callback(lambda _event: doomed.fail(KeyError("boom")))
+    bounded_waiter(sim, log, doomed, 5.0)
+    sim.run()
+    [(at, caught, triggered)] = log
+    assert at == 1.0 and isinstance(caught, KeyError) and triggered
+
+
+@pytest.mark.parametrize("event_first", [True, False], ids=["event", "deadline"])
+def test_bounded_wait_event_and_deadline_at_one_instant_go_by_sequence(event_first):
+    sim = Simulator()
+    log = []
+    mailbox = sim.event()
+    if event_first:
+        # Queued before the waiter starts: fires ahead of its deadline entry.
+        mailbox.succeed("mail", 1.0)
+        bounded_waiter(sim, log, mailbox, 1.0)
+    else:
+        bounded_waiter(sim, log, mailbox, 1.0)
+        sim.run(until=0.5)
+        mailbox.succeed("mail", 0.5)
+    sim.run()
+    # Deadline first: the value is already there to read, but was not handed over.
+    assert log == [(1.0, "mail" if event_first else None, True)]
+
+
+def test_a_process_killed_in_a_bounded_wait_swallows_both_ends():
+    sim = Simulator()
+    log = []
+    mailbox = sim.event()
+
+    def victim():
+        try:
+            yield mailbox, 5.0
+            log.append("victim resumed")
+        finally:
+            log.append(("cleanup", sim.now))
+
+    proc = sim.process(victim())
+    sim.run(until=1.0)
+    proc.kill()
+    mailbox.fail(KeyError("aimed at a corpse"))
+    sim.run()
+    assert log == [("cleanup", 1.0)] and proc.value is None
+    assert sim.now == 5.0  # the deadline entry stayed queued and woke nobody
+
+
+def test_successive_bounded_waits_on_one_event_leave_no_stale_wakeup():
+    # The RPC attempt loop's shape: the same reply, a fresh deadline per
+    # attempt. The first wait's callback is still on the event when it fires.
+    sim = Simulator()
+    log = []
+    reply = sim.event()
+    sim.timeout(2.5).add_callback(lambda _event: reply.succeed("pong"))
+
+    def caller():
+        for attempt in range(5):
+            value = yield reply, 1.0
+            log.append((attempt, sim.now, value))
+            if reply.triggered:
+                break
+        other = sim.event()
+        log.append((yield other, 4.0))  # no stale end of the waits above wakes this
+        log.append(sim.now)
+
+    sim.process(caller())
+    sim.run()
+    assert log == [(0, 1.0, None), (1, 2.0, None), (2, 2.5, "pong"), None, 6.5]
