@@ -48,6 +48,8 @@ the dynamic side.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -61,41 +63,19 @@ from repro.analysis.namsan.lockcheck import (
     _State,
     releasing_functions,
 )
+from repro.config import RetryConfig, retry_budget_s
 
 __all__ = ["check_deadlocks", "check_lock_order", "check_lease_config"]
 
 #: Sentinel "acquire line" meaning the lock was held on function entry.
 _ENTRY = -1
 
-#: Mirrors :class:`repro.config.RetryConfig` field defaults (kept in sync
-#: by tests/test_namsan_lint.py::test_n07_lease_defaults_match_config).
-RETRY_FIELD_ORDER = (
-    "max_attempts",
-    "timeout_s",
-    "base_delay_s",
-    "backoff_multiplier",
-    "jitter_fraction",
-    "lock_lease_s",
-)
-RETRY_DEFAULTS = {
-    "max_attempts": 4,
-    "timeout_s": 50e-6,
-    "base_delay_s": 20e-6,
-    "backoff_multiplier": 2.0,
-    "jitter_fraction": 0.25,
-    "lock_lease_s": 5e-3,
-}
-
-
-def retry_budget_s(values: Dict[str, float]) -> float:
-    """Worst-case retry budget for a RetryConfig field mapping — the same
-    formula as :attr:`repro.config.RetryConfig.retry_budget_s`."""
-    max_backoff = (
-        values["base_delay_s"]
-        * values["backoff_multiplier"] ** (values["max_attempts"] - 1)
-        * (1.0 + values["jitter_fraction"])
-    )
-    return values["max_attempts"] * (values["timeout_s"] + max_backoff)
+#: :class:`repro.config.RetryConfig`'s fields and defaults, in declaration
+#: order (the order positional arguments bind in), and the ones the lease
+#: check reads: the budget formula's inputs and the lease.
+_RETRY_FIELDS = {f.name: f.default for f in dataclasses.fields(RetryConfig)}
+_BUDGET_INPUTS = tuple(inspect.signature(retry_budget_s).parameters)
+_LEASE_INPUTS = frozenset(_BUDGET_INPUTS + ("lock_lease_s",))
 
 
 # --------------------------------------------------------------------------- #
@@ -443,22 +423,19 @@ def check_lease_config(tree: ast.Module) -> List[Tuple[int, int, str]]:
     for call in ast.walk(tree):
         if _call_name(call) != "RetryConfig":
             continue
-        values: Dict[str, float] = dict(RETRY_DEFAULTS)
+        values: Dict[str, float] = dict(_RETRY_FIELDS)
         provable = True
         explicit_lease = False
         for position, arg in enumerate(call.args):
-            if position >= len(RETRY_FIELD_ORDER):
-                provable = False
-                break
             number = _literal_number(arg)
-            if number is None:
+            if position >= len(_RETRY_FIELDS) or number is None:
                 provable = False
                 break
-            name = RETRY_FIELD_ORDER[position]
+            name = list(_RETRY_FIELDS)[position]
             values[name] = number
             explicit_lease = explicit_lease or name == "lock_lease_s"
         for keyword in call.keywords:
-            if keyword.arg not in RETRY_DEFAULTS:
+            if keyword.arg not in _LEASE_INPUTS:
                 if keyword.arg is None:  # **kwargs splat: opaque
                     provable = False
                 continue
@@ -470,7 +447,7 @@ def check_lease_config(tree: ast.Module) -> List[Tuple[int, int, str]]:
             explicit_lease = explicit_lease or keyword.arg == "lock_lease_s"
         if not provable:
             continue
-        budget = retry_budget_s(values)
+        budget = retry_budget_s(*(values[name] for name in _BUDGET_INPUTS))
         if values["lock_lease_s"] < 2.0 * budget:
             what = (
                 "lock_lease_s" if explicit_lease else "default lock_lease_s"

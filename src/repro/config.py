@@ -226,15 +226,30 @@ class RetryConfig:
 
     @property
     def retry_budget_s(self) -> float:
-        """Worst-case wall time one verb can spend inside its retry loop:
-        ``max_attempts * (timeout_s + max backoff)``, with the backoff taken
-        at its largest (last-attempt, maximum-jitter) value."""
-        max_backoff = (
-            self.base_delay_s
-            * self.backoff_multiplier ** (self.max_attempts - 1)
-            * (1.0 + self.jitter_fraction)
+        """Worst-case wall time one verb can spend inside its retry loop
+        (:func:`retry_budget_s` of this policy)."""
+        return retry_budget_s(
+            self.max_attempts, self.timeout_s, self.base_delay_s,
+            self.backoff_multiplier, self.jitter_fraction,
         )
-        return self.max_attempts * (self.timeout_s + max_backoff)
+
+
+def retry_budget_s(
+    max_attempts: float,
+    timeout_s: float,
+    base_delay_s: float,
+    backoff_multiplier: float,
+    jitter_fraction: float,
+) -> float:
+    """Worst-case wall time one verb can spend inside its retry loop:
+    ``max_attempts * (timeout_s + max backoff)``, with the backoff taken at
+    its largest (last-attempt, maximum-jitter) value. A function of the
+    :class:`RetryConfig` fields it names, so namsan N07 applies the same
+    formula to a construction's literals without building one."""
+    max_backoff = (
+        base_delay_s * backoff_multiplier ** (max_attempts - 1) * (1.0 + jitter_fraction)
+    )
+    return max_attempts * (timeout_s + max_backoff)
 
 
 @dataclass(frozen=True)
@@ -385,6 +400,8 @@ class ClusterConfig:
             raise ConfigurationError("need at least one memory server")
         if self.memory_servers_per_machine < 1:
             raise ConfigurationError("memory_servers_per_machine must be >= 1")
+        if self.clients_per_compute_server < 1:
+            raise ConfigurationError("clients_per_compute_server must be >= 1")
         if self.num_memory_servers > 128:
             raise ConfigurationError(
                 "remote pointers encode the server id in 7 bits; "

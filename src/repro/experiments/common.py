@@ -3,7 +3,8 @@
 Every measured cell — one (design, workload, client count, placement)
 combination — runs on a *fresh* cluster with a freshly bulk-loaded index,
 exactly as the paper restarts its system between runs. ``run_cell`` is the
-single entry point all figures use; :func:`summarise` reduces its
+single entry point all figures use (``run_open_cell`` its open-loop twin
+for the overload and tail extensions); :func:`summarise` reduces its
 results to :class:`Cell` summaries, which every ``print_figure``
 prints and ``BENCH_paper.json`` holds (:mod:`repro.experiments.paper`).
 """
@@ -17,6 +18,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter  # namsan: allow[N01] — wall-clock engine-speed measurement
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.config import (
     ClusterConfig,
@@ -32,6 +35,7 @@ from repro.workloads import (
     Dataset,
     OpType,
     RunResult,
+    TenantSpec,
     WorkloadRunner,
     WorkloadSpec,
     generate_dataset,
@@ -48,7 +52,9 @@ __all__ = [
     "cells_of",
     "cluster_config",
     "measure_capacity",
+    "pooled_percentile",
     "run_cell",
+    "run_open_cell",
     "format_rate",
     "level",
     "pick",
@@ -152,6 +158,38 @@ def run_cell(
         measure_s=measure_window(scale, spec.selectivity if spec.range_fraction else 0),
         seed=scale.seed,
     )
+
+
+def run_open_cell(
+    config: ClusterConfig,
+    design: str,
+    tenants: Sequence[TenantSpec],
+    scale: ExperimentScale,
+    seed: int,
+    artifacts: Optional[Path],
+    label: str,
+) -> RunResult:
+    """Measure one open-loop cell (:meth:`WorkloadRunner.run_open`) on a
+    fresh cluster built from *config*; with *artifacts*, its observability
+    snapshot is written to ``artifacts/label``."""
+    dataset = generate_dataset(scale.num_keys, scale.gap)
+    cluster = Cluster(config)
+    index = build_index(cluster, design, dataset)
+    result = WorkloadRunner(cluster, dataset).run_open(
+        index, tenants, warmup_s=scale.warmup_s, measure_s=scale.measure_s, seed=seed
+    )
+    if artifacts is not None:
+        write_obs_artifacts(result.observability, artifacts, label)
+    return result
+
+
+def pooled_percentile(result: RunResult, percentile: float) -> float:
+    """*percentile* of every tenant's accepted-operation latencies pooled
+    (0.0 when none completed)."""
+    latencies = [
+        latency for outcome in result.tenants.values() for latency in outcome.latencies
+    ]
+    return float(np.percentile(latencies, percentile)) if latencies else 0.0
 
 
 @dataclass(frozen=True)

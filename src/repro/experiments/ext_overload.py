@@ -23,28 +23,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.config import AdmissionConfig, ClusterConfig, CpuConfig, ObservabilityConfig
 from repro.experiments.common import (
-    build_index,
     cluster_config,
     format_rate,
     measure_capacity,
+    pooled_percentile,
     print_table,
-    write_obs_artifacts,
+    run_open_cell,
 )
 from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
-from repro.nam.cluster import Cluster
-from repro.workloads import (
-    ArrivalProcess,
-    DegradationConfig,
-    OpenLoopRunner,
-    TenantSpec,
-    WorkloadSpec,
-    generate_dataset,
-)
+from repro.workloads import ArrivalProcess, DegradationConfig, TenantSpec, WorkloadSpec
 
 __all__ = [
     "OverloadCell",
@@ -201,27 +191,16 @@ def _measure_cell(
     seed: int,
     artifacts: Optional[Path] = None,
 ) -> OverloadCell:
-    dataset = generate_dataset(scale.num_keys, scale.gap)
-    cluster = Cluster(_cluster_config(policy, capacity, scale, seed))
-    index = build_index(cluster, "coarse-grained", dataset)
-    runner = OpenLoopRunner(cluster, dataset)
     load_multiple = LOADS[load]
-    result = runner.run(
-        index,
+    result = run_open_cell(
+        _cluster_config(policy, capacity, scale, seed),
+        "coarse-grained",
         _tenants(capacity, load_multiple),
-        warmup_s=scale.warmup_s,
-        measure_s=scale.measure_s,
-        seed=seed,
+        scale,
+        seed,
+        artifacts,
+        f"overload-{policy}-{load}",
     )
-    if artifacts is not None:
-        write_obs_artifacts(
-            result.observability, artifacts, f"overload-{policy}-{load}"
-        )
-    all_latencies = [
-        latency
-        for outcome in result.tenants.values()
-        for latency in outcome.latencies
-    ]
     interactive = result.tenants["interactive"]
     flood = result.tenants["flood"]
     return OverloadCell(
@@ -235,9 +214,7 @@ def _measure_cell(
         shed_ops=result.shed_ops,
         errored_ops=result.errored_ops,
         goodput_ops_s=result.goodput,
-        accepted_p99_s=(
-            float(np.percentile(all_latencies, 99)) if all_latencies else 0.0
-        ),
+        accepted_p99_s=pooled_percentile(result, 99),
         interactive_p99_s=(
             interactive.p99_s if interactive.latencies else 0.0
         ),

@@ -30,34 +30,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.config import AdmissionConfig, ClusterConfig, CpuConfig, ObservabilityConfig
 from repro.experiments.common import (
     DESIGNS,
-    build_index,
     cluster_config,
     format_rate,
     measure_capacity,
+    pooled_percentile,
     print_table,
-    write_obs_artifacts,
+    run_open_cell,
 )
 from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
-from repro.nam.cluster import Cluster
 from repro.obs.attribution import (
     SEGMENTS,
     aggregate_attributions,
     attribute_span_dict,
 )
 from repro.obs.export import retained_spans
-from repro.workloads import (
-    ArrivalProcess,
-    OpenLoopRunner,
-    TenantSpec,
-    WorkloadSpec,
-    generate_dataset,
-)
+from repro.workloads import ArrivalProcess, TenantSpec, WorkloadSpec
 
 __all__ = [
     "TailCell",
@@ -221,26 +212,19 @@ def _measure_cell(
     seed: int,
     artifacts: Optional[Path] = None,
 ) -> TailCell:
-    dataset = generate_dataset(scale.num_keys, scale.gap)
-    cluster = Cluster(_cluster_config(capacity, scale, seed))
-    index = build_index(cluster, design, dataset)
-    runner = OpenLoopRunner(cluster, dataset)
-    result = runner.run(
-        index,
+    result = run_open_cell(
+        _cluster_config(capacity, scale, seed),
+        design,
         [_tenant(capacity, skew, phase)],
-        warmup_s=scale.warmup_s,
-        measure_s=scale.measure_s,
-        seed=seed,
+        scale,
+        seed,
+        artifacts,
+        cell_key(design, skew, phase).replace("/", "-"),
     )
     snapshot = result.observability
     summary = _attribution_summary(snapshot)
     flight = snapshot.get("flight", {})
-    latencies = [
-        latency
-        for outcome in result.tenants.values()
-        for latency in outcome.latencies
-    ]
-    cell = TailCell(
+    return TailCell(
         design=design,
         skew=skew,
         phase=phase,
@@ -251,8 +235,8 @@ def _measure_cell(
         rejected_ops=result.rejected_ops,
         errored_ops=result.errored_ops,
         goodput_ops_s=result.goodput,
-        p50_s=float(np.percentile(latencies, 50)) if latencies else 0.0,
-        p99_s=float(np.percentile(latencies, 99)) if latencies else 0.0,
+        p50_s=pooled_percentile(result, 50),
+        p99_s=pooled_percentile(result, 99),
         retained_ops=summary["retained"],
         p50_share=summary["p50_share"],
         p99_share=summary["p99_share"],
@@ -263,9 +247,6 @@ def _measure_cell(
             len(series["points"]) for series in snapshot.get("timeseries", [])
         ),
     )
-    if artifacts is not None:
-        write_obs_artifacts(snapshot, artifacts, cell.key.replace("/", "-"))
-    return cell
 
 
 def run(

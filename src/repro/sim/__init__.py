@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel (events, processes, resources)."""
 
 from repro.sim.core import Condition, Event, Process, Simulator, Timeout
-from repro.sim.resources import BandwidthChannel, Resource, Store
+from repro.sim.resources import BandwidthChannel, Store
 
 __all__ = [
     "Condition",
@@ -10,6 +10,5 @@ __all__ = [
     "Simulator",
     "Timeout",
     "BandwidthChannel",
-    "Resource",
     "Store",
 ]

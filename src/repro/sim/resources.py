@@ -1,11 +1,10 @@
 """Contended resources for the simulation kernel.
 
-Three primitives cover everything the RDMA/NAM models need:
+Two primitives cover everything the RDMA/NAM models need:
 
-* :class:`Resource` — a counted FIFO resource (CPU worker pools). Tracks a
-  busy-time integral so experiments can report utilization.
-* :class:`Store` — an unbounded FIFO message queue with blocking ``get``
-  (shared receive queues, RPC mailboxes).
+* :class:`Store` — a FIFO message queue with blocking ``get`` (shared
+  receive queues, RPC mailboxes). A memory server's CPU worker pool is
+  processes that ``get`` from one.
 * :class:`BandwidthChannel` — a serial transmission line with a fixed
   byte rate and per-message overhead (one direction of one NIC port).
 """
@@ -16,86 +15,9 @@ from collections import deque
 from typing import Any, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.core import Event, ProcessGenerator, Simulator
+from repro.sim.core import Event, Simulator
 
-__all__ = ["Resource", "Store", "BandwidthChannel"]
-
-
-class Resource:
-    """A counted resource granting up to *capacity* concurrent holders, FIFO.
-
-    Usage from a process::
-
-        yield resource.request()
-        try:
-            yield service_time
-        finally:
-            resource.release()
-    """
-
-    def __init__(self, sim: Simulator, capacity: int) -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-        # Busy-time integral for utilization reporting.
-        self._busy_integral = 0.0
-        self._last_change = sim.now
-
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_integral += self.in_use * (now - self._last_change)
-        self._last_change = now
-
-    def request(self) -> Event:
-        """Event that fires once a unit of the resource is granted."""
-        event = Event(self.sim)
-        if self.in_use < self.capacity and not self._waiters:
-            self._account()
-            self.in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return one unit; hands it to the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        if self._waiters:
-            # Ownership transfers directly; in_use stays constant.
-            self._waiters.popleft().succeed()
-        else:
-            self._account()
-            self.in_use -= 1
-
-    def acquire(self, hold_time: float) -> ProcessGenerator:
-        """Convenience process: wait for a unit, hold it *hold_time*, release."""
-        yield self.request()
-        try:
-            yield hold_time
-        finally:
-            self.release()
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests currently waiting for a unit."""
-        return len(self._waiters)
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of capacity in use over ``[since, now]``."""
-        self._account()
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_integral / (elapsed * self.capacity)
-
-    def reset_utilization(self) -> None:
-        """Start the busy-time integral afresh (e.g. after warm-up)."""
-        self._busy_integral = 0.0
-        self._last_change = self.sim.now
+__all__ = ["Store", "BandwidthChannel"]
 
 
 class Store:
@@ -158,9 +80,10 @@ class BandwidthChannel:
 
     Transfers are serialized FIFO: a transfer of ``n`` bytes occupies the
     channel for ``overhead + n / rate`` seconds. The implementation uses a
-    *reservation clock* instead of a queue — each transfer reserves the
-    next free slot on the line and sleeps until its completion time — which
-    is semantically identical for a serial line but costs a single sleep.
+    *reservation clock* instead of a queue — :meth:`reserve` books the
+    next free slot on the line and returns its completion time, which the
+    sender sleeps until — semantically identical for a serial line but a
+    single sleep.
     The channel counts bytes and messages so experiments can report network
     utilization (paper Figure 9).
     """
@@ -200,11 +123,6 @@ class BandwidthChannel:
         self.bytes_total += nbytes
         self.messages_total += 1
         return done
-
-    def transfer(self, nbytes: int) -> ProcessGenerator:
-        """Process: occupy the channel while *nbytes* go over the wire."""
-        done = self.reserve(nbytes)
-        yield done - self.sim.now
 
     @property
     def busy_until(self) -> float:

@@ -19,7 +19,7 @@ from repro.workloads.degradation import (
     RetryBudget,
 )
 from repro.workloads.metrics import OpType, RunResult, TenantOutcome
-from repro.workloads.openloop import ArrivalProcess, OpenLoopRunner, TenantSpec
+from repro.workloads.openloop import ArrivalProcess, TenantSpec
 from repro.workloads.runner import OpDrawer, WorkloadRunner
 from repro.workloads.ycsb import (
     WorkloadSpec,
@@ -44,7 +44,6 @@ __all__ = [
     "RunResult",
     "TenantOutcome",
     "WorkloadRunner",
-    "OpenLoopRunner",
     "OpDrawer",
     "ArrivalProcess",
     "TenantSpec",

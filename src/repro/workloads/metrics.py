@@ -28,8 +28,8 @@ class OpType:
 class TenantOutcome:
     """One tenant's view of an open-loop run's measurement window.
 
-    Produced by :class:`~repro.workloads.openloop.OpenLoopRunner`; keyed
-    by tenant name in :attr:`RunResult.tenants`. "Accepted" means the
+    Produced by :meth:`~repro.workloads.runner.WorkloadRunner.run_open`;
+    keyed by tenant name in :attr:`RunResult.tenants`. "Accepted" means the
     operation completed successfully inside the window; offered arrivals
     that were still in flight at the window edge count in ``offered``
     only.

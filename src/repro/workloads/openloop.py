@@ -1,48 +1,50 @@
 """Open-loop, multi-tenant workload generation (docs/overload.md).
 
-The closed-loop :class:`~repro.workloads.runner.WorkloadRunner` mirrors
-the paper's measurement rig: each client waits for one operation before
-issuing the next, so offered load can never exceed completed load and the
-system can never be pushed past saturation. Real traffic is not so
-polite. This module generates **open-loop** arrivals — operations arrive
-on a schedule that does not care whether earlier ones finished — which is
-the only way to observe queueing collapse, admission control, and
-graceful degradation.
+The closed loop of :meth:`~repro.workloads.runner.WorkloadRunner.run`
+mirrors the paper's measurement rig: each client waits for one operation
+before issuing the next, so offered load can never exceed completed load
+and the system can never be pushed past saturation. Real traffic is not so
+polite. :meth:`~repro.workloads.runner.WorkloadRunner.run_open` generates
+**open-loop** arrivals — operations arrive on a schedule that does not
+care whether earlier ones finished — which is the only way to observe
+queueing collapse, admission control, and graceful degradation. The
+runner owns what both disciplines share; this module holds what only the
+open loop does.
 
 Pieces:
 
-* :class:`ArrivalProcess` — a time-varying arrival-rate curve (Poisson
-  steady state, a multiplicative burst window for flash crowds, an
-  optional diurnal sinusoid). Sampled by Poisson thinning from a seeded
-  generator, so identical seeds give identical arrival timestamps.
+* :class:`ArrivalProcess` — an arrival-rate curve (Poisson steady state
+  and a multiplicative burst window for flash crowds). Sampled by Poisson
+  thinning from a seeded generator, so identical seeds give identical
+  arrival timestamps.
 * :class:`TenantSpec` — one tenant: a name (stamped on every RPC envelope
   for server-side admission), a YCSB op mix, an arrival process, an
   optional p99 SLO target, and an optional client-side
   :class:`~repro.workloads.degradation.DegradationConfig`.
-* :class:`OpenLoopRunner` — drives several tenants against one index and
-  returns a :class:`~repro.workloads.metrics.RunResult` with full
-  offered/accepted/rejected/shed accounting and per-tenant
-  :class:`~repro.workloads.metrics.TenantOutcome` records.
+* :class:`Tenant` — one tenant of a run: its arrival loop, its operations
+  with budgeted application-level retries and the circuit breaker, and
+  the fold of its :class:`~repro.workloads.metrics.TenantOutcome`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import AdmissionRejectedError, ConfigurationError, TimeoutError_
-from repro.index.base import DistributedIndex
-from repro.nam.cluster import Cluster
-from repro.workloads.datagen import Dataset
 from repro.workloads.degradation import CircuitBreaker, DegradationConfig, RetryBudget
 from repro.workloads.metrics import OpType, RunResult, TenantOutcome
-from repro.workloads.runner import OpDrawer
 from repro.workloads.ycsb import WorkloadSpec
 
-__all__ = ["ArrivalProcess", "TenantSpec", "OpenLoopRunner"]
+if TYPE_CHECKING:
+    from repro.workloads.runner import OpDrawer, _Run
+
+__all__ = ["ArrivalProcess", "TenantSpec", "Tenant", "RETRY_BACKOFF_S"]
+
+#: Backoff before an application-level retry, scaled by attempt number.
+RETRY_BACKOFF_S = 100e-6
 
 
 @dataclass(frozen=True)
@@ -54,20 +56,16 @@ class ArrivalProcess:
         rate_ops_per_s
           * (burst_multiplier   if t in [burst_start_s, burst_start_s
                                          + burst_duration_s) else 1)
-          * (1 + diurnal_amplitude * sin(2 * pi * t / diurnal_period_s))
 
-    A flash crowd is a large ``burst_multiplier`` over a short window; a
-    diurnal curve is a small amplitude over a long period. Arrivals are
-    sampled by thinning against :meth:`peak_rate`, the standard technique
-    for non-homogeneous Poisson processes.
+    A flash crowd is a large ``burst_multiplier`` over a short window.
+    Arrivals are sampled by thinning against :meth:`peak_rate`, the
+    standard technique for non-homogeneous Poisson processes.
     """
 
     rate_ops_per_s: float
     burst_multiplier: float = 1.0
     burst_start_s: float = 0.0
     burst_duration_s: float = 0.0
-    diurnal_amplitude: float = 0.0
-    diurnal_period_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rate_ops_per_s <= 0:
@@ -76,12 +74,6 @@ class ArrivalProcess:
             raise ConfigurationError("burst_multiplier must be >= 1.0")
         if self.burst_duration_s < 0:
             raise ConfigurationError("burst_duration_s must be >= 0")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ConfigurationError("diurnal_amplitude must be in [0, 1)")
-        if self.diurnal_amplitude > 0.0 and self.diurnal_period_s <= 0:
-            raise ConfigurationError(
-                "diurnal_period_s must be > 0 when diurnal_amplitude is set"
-            )
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate *t* seconds into the run."""
@@ -91,10 +83,6 @@ class ArrivalProcess:
             and self.burst_start_s <= t < self.burst_start_s + self.burst_duration_s
         ):
             rate *= self.burst_multiplier
-        if self.diurnal_amplitude > 0.0:
-            rate *= 1.0 + self.diurnal_amplitude * math.sin(
-                2.0 * math.pi * t / self.diurnal_period_s
-            )
         return rate
 
     @property
@@ -103,7 +91,7 @@ class ArrivalProcess:
         rate = self.rate_ops_per_s
         if self.burst_duration_s > 0:
             rate *= self.burst_multiplier
-        return rate * (1.0 + self.diurnal_amplitude)
+        return rate
 
 
 @dataclass(frozen=True)
@@ -119,10 +107,9 @@ class TenantSpec:
     #: disables both — every arrival is issued, rejections never retried.
     degradation: Optional[DegradationConfig] = None
     #: Application-level retries allowed per rejected operation (each one
-    #: also needs a retry-budget token when degradation is configured).
+    #: also needs a retry-budget token when degradation is configured),
+    #: the n-th after ``n * RETRY_BACKOFF_S``.
     max_op_retries: int = 1
-    #: Backoff before an application-level retry, scaled by attempt number.
-    retry_backoff_s: float = 100e-6
     #: Index sessions (connection handles) the tenant's arrivals rotate
     #: over. Open-loop ops from one tenant may overlap arbitrarily; the
     #: session count only bounds connection-level state, not concurrency.
@@ -135,233 +122,64 @@ class TenantSpec:
             raise ConfigurationError("slo_p99_s must be > 0 (or None)")
         if self.max_op_retries < 0:
             raise ConfigurationError("max_op_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ConfigurationError("retry_backoff_s must be >= 0")
         if self.sessions < 1:
             raise ConfigurationError("sessions must be >= 1")
 
 
-class _TenantState:
-    """Mutable run state of one tenant (shared by its arrival process and
-    every in-flight operation)."""
+class Tenant:
+    """One tenant of an open-loop run: its arrival loop, its operations
+    and its outcome. *index* is its position in the run, the client id
+    stamped on its spans."""
 
-    def __init__(self, spec: TenantSpec, index: int, now_fn, on_transition) -> None:
+    def __init__(
+        self, spec: TenantSpec, index: int, run: _Run, drawer: OpDrawer,
+        sessions: List[Any],
+    ) -> None:
         self.spec = spec
         self.index = index
-        # (kind, op_type, start, end) event records; kind is one of
-        # "ok" / "rejected" / "shed" / "error:<Name>".
-        self.events: List[Tuple[str, str, float, float]] = []
-        self.offered_times: List[float] = []
-        self.append_seq = 0  # OpDrawer's shared append-insert counter
+        self.run = run
+        self.drawer = drawer
+        self.sessions = sessions
+        for session in sessions:
+            session.tenant = spec.name
+        # Arrival times, of all arrivals and of those shed by the breaker;
+        # end times of rejected operations; (op_type, start, end) of the
+        # rest, in the runner's record format.
+        self.offered: List[float] = []
+        self.shed: List[float] = []
+        self.rejected: List[float] = []
+        self.records: List[Tuple[str, float, float]] = []
+        obs = run.cluster.obs
+        sim = run.cluster.sim
+        if obs is not None and obs.config.derive_slow_from_slo and spec.slo_p99_s:
+            # Slow = over *this tenant's* SLO (keyed by the client id
+            # stamped on its spans).
+            obs.set_client_slow_threshold(index, spec.slo_p99_s)
+
+        def on_transition(state: str) -> None:
+            if obs is not None:
+                obs.breaker_transition(spec.name, state)
+
         if spec.degradation is not None:
             self.budget: Optional[RetryBudget] = RetryBudget(spec.degradation)
             self.breaker: Optional[CircuitBreaker] = CircuitBreaker(
-                spec.degradation, now_fn, on_transition
+                spec.degradation, lambda: sim.now, on_transition
             )
         else:
             self.budget = None
             self.breaker = None
 
-
-class OpenLoopRunner:
-    """Drives multi-tenant open-loop arrivals against one index.
-
-    Offered load is decoupled from completed load: every arrival spawns
-    an independent operation process (round-robin over the tenant's
-    session pool), so a saturated server grows queues — or, with
-    admission control, bounces requests — instead of silently slowing the
-    generator down.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        dataset: Dataset,
-        clients_per_compute_server: Optional[int] = None,
-    ) -> None:
-        self.cluster = cluster
-        self.dataset = dataset
-        self.clients_per_cs = (
-            clients_per_compute_server
-            if clients_per_compute_server is not None
-            else cluster.config.clients_per_compute_server
-        )
-        if self.clients_per_cs < 1:
-            raise ConfigurationError("clients_per_compute_server must be >= 1")
-
-    # ------------------------------------------------------------------ #
-
-    def run(
-        self,
-        index: DistributedIndex,
-        tenants: Sequence[TenantSpec],
-        warmup_s: float = 0.002,
-        measure_s: float = 0.02,
-        seed: int = 1,
-        drain: bool = True,
-    ) -> RunResult:
-        """Run every tenant's arrival process for ``warmup_s + measure_s``.
-
-        Returns a :class:`RunResult` whose op counts/latencies cover
-        operations *completing* inside the measurement window (the same
-        convention as the closed-loop runner), plus open-loop accounting:
-        ``offered_ops``/``rejected_ops``/``shed_ops`` and per-tenant
-        :class:`TenantOutcome` records in :attr:`RunResult.tenants`.
-
-        With ``drain=True`` (default) the run waits for in-flight
-        operations to finish after the window closes — required when a
-        verifier will inspect the index afterwards. ``drain=False``
-        abandons the backlog, which is faster for uncontrolled-overload
-        cells whose backlog is the failure being measured.
-        """
-        if not tenants:
-            raise ConfigurationError("need at least one tenant")
-        names = [tenant.name for tenant in tenants]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate tenant names: {names}")
-        sim = self.cluster.sim
-        obs = self.cluster.obs
-        if obs is not None and obs.config.derive_slow_from_slo:
-            # Slow = over *this tenant's* SLO: per-client thresholds keyed
-            # by tenant index (the client_id stamped on the tenant's spans).
-            for tenant_index, tenant in enumerate(tenants):
-                if tenant.slo_p99_s is not None:
-                    obs.set_client_slow_threshold(tenant_index, tenant.slo_p99_s)
-        start_time = sim.now
-        run = _RunState()
-        states: List[_TenantState] = []
-        op_procs: List[Any] = []
-        compute_server = None
-        session_seq = 0
-        for tenant_index, tenant in enumerate(tenants):
-            def on_transition(state: str, _name=tenant.name) -> None:
-                if obs is not None:
-                    obs.breaker_transition(_name, state)
-
-            tstate = _TenantState(
-                tenant, tenant_index, lambda: sim.now, on_transition
-            )
-            states.append(tstate)
-            sessions = []
-            for _ in range(tenant.sessions):
-                if session_seq % self.clients_per_cs == 0:
-                    compute_server = self.cluster.new_compute_server()
-                session = index.session(compute_server)
-                session.tenant = tenant.name
-                sessions.append(session)
-                session_seq += 1
-            # Streams 1 (arrival clock) and 2 (op draws) per tenant, both
-            # derived from the run seed — identical seeds replay identical
-            # arrival timestamps and op sequences.
-            arrival_rng = np.random.default_rng((seed, 1, tenant_index))
-            draw_rng = np.random.default_rng((seed, 2, tenant_index))
-            drawer = OpDrawer(
-                tenant.workload, self.dataset, draw_rng, tstate,
-                client_id=tenant_index,
-            )
-            self.cluster.spawn(
-                self._arrival_loop(
-                    tstate, sessions, drawer, arrival_rng, run,
-                    start_time, op_procs,
-                )
-            )
-
-        controller = self.cluster.spawn(
-            self._controller(run, warmup_s, measure_s)
-        )
-        counters = sim.run_until_complete(controller)
-        if drain and op_procs:
-            sim.run_until_complete(sim.all_of(op_procs))
-
-        window_end = run.measure_from + measure_s
-        result = RunResult(
-            design=index.design,
-            workload="+".join(
-                f"{t.name}:{t.workload.name}" for t in tenants
-            ),
-            num_clients=sum(t.sessions for t in tenants),
-            window_s=measure_s,
-            network=counters["network"],
-            cpu_utilization=counters["cpu"],
-        )
-        for tstate in states:
-            outcome = TenantOutcome(
-                tenant=tstate.spec.name, slo_p99_s=tstate.spec.slo_p99_s
-            )
-            outcome.offered = sum(
-                1 for t in tstate.offered_times
-                if run.measure_from <= t <= window_end
-            )
-            for kind, op_type, op_start, op_end in tstate.events:
-                if not run.measure_from <= op_end <= window_end:
-                    continue
-                if kind == "ok":
-                    latency = op_end - op_start
-                    outcome.accepted += 1
-                    outcome.latencies.append(latency)
-                    result.op_counts[op_type] = (
-                        result.op_counts.get(op_type, 0) + 1
-                    )
-                    result.latencies.setdefault(op_type, []).append(latency)
-                elif kind == "rejected":
-                    outcome.rejected += 1
-                elif kind == "shed":
-                    outcome.shed += 1
-                else:  # "error:<Name>"
-                    name = kind.partition(":")[2]
-                    outcome.errored += 1
-                    result.errors[name] = result.errors.get(name, 0) + 1
-            result.tenants[tstate.spec.name] = outcome
-            result.offered_ops += outcome.offered
-            result.rejected_ops += outcome.rejected
-            result.shed_ops += outcome.shed
-        if obs is not None:
-            for outcome in result.tenants.values():
-                attainment = outcome.slo_attainment
-                if attainment is not None:
-                    obs.registry.gauge(
-                        "nam_slo_attainment", tenant=outcome.tenant
-                    ).set(attainment)
-            snap = obs.snapshot()
-            result.observability = snap
-            result.retries = int(
-                sum(
-                    metric["value"]
-                    for metric in snap["metrics"]
-                    if metric["name"] == "nam_verb_retries_total"
-                )
-            )
-        return result
-
-    # ------------------------------------------------------------------ #
-
-    def _controller(
-        self, run: "_RunState", warmup_s: float, measure_s: float
-    ) -> Generator[Any, Any, dict]:
-        yield warmup_s
-        baseline = self.cluster.reset_measurement()
-        run.measure_from = self.cluster.now
-        yield measure_s
-        run.stop = True
-        # Snapshot counters exactly at the window edge, before the drain.
-        return self.cluster.measurement_delta(baseline)
-
-    def _arrival_loop(
-        self,
-        tstate: _TenantState,
-        sessions: List[Any],
-        drawer: OpDrawer,
-        rng: np.random.Generator,
-        run: "_RunState",
-        start_time: float,
-        op_procs: List[Any],
+    def arrivals(
+        self, rng: np.random.Generator, start_time: float
     ) -> Generator[Any, Any, None]:
         """Thinned Poisson arrivals: one independent op process each."""
-        sim = self.cluster.sim
-        obs = self.cluster.obs
-        arrivals = tstate.spec.arrivals
+        run = self.run
+        sim = run.cluster.sim
+        obs = run.cluster.obs
+        arrivals = self.spec.arrivals
         peak = arrivals.peak_rate
-        breaker = tstate.breaker
+        breaker = self.breaker
+        sessions = self.sessions
         next_session = 0
         while not run.stop:
             yield float(rng.exponential(1.0 / peak))
@@ -371,36 +189,30 @@ class OpenLoopRunner:
             if float(rng.random()) * peak > arrivals.rate_at(sim.now - start_time):
                 continue
             now = sim.now
-            tstate.offered_times.append(now)
+            self.offered.append(now)
             if breaker is not None and not breaker.allow():
                 # Shed client-side: the breaker is open, don't even send.
-                tstate.events.append(("shed", "", now, now))
+                self.shed.append(now)
                 if obs is not None:
-                    obs.load_shed(tstate.spec.name)
+                    obs.load_shed(self.spec.name)
                 continue
-            op_kind, op = drawer.next_op()
+            op_kind, op = self.drawer.next_op()
             session = sessions[next_session]
             next_session = (next_session + 1) % len(sessions)
-            op_procs.append(
-                sim.process(self._one_op(tstate, session, op_kind, op, now))
-            )
+            run.spawn(session, self._one_op(session, op_kind, op, now))
 
     def _one_op(
-        self,
-        tstate: _TenantState,
-        session: Any,
-        op_kind: str,
-        op: Any,
-        start: float,
+        self, session: Any, op_kind: str, op: Any, start: float
     ) -> Generator[Any, Any, None]:
         """Execute one arrival, with budgeted application-level retries."""
-        sim = self.cluster.sim
-        obs = self.cluster.obs
-        spec = tstate.spec
-        breaker = tstate.breaker
-        budget = tstate.budget
-        span = obs.begin_op("op", tstate.index) if obs is not None else None
+        sim = self.run.cluster.sim
+        obs = self.run.cluster.obs
+        spec = self.spec
+        breaker = self.breaker
+        budget = self.budget
+        span = obs.begin_op("op", self.index) if obs is not None else None
         attempt = 0
+        rejected = False
         while True:
             try:
                 yield from op(session)
@@ -415,54 +227,56 @@ class OpenLoopRunner:
                         # rejections carry no retry storm risk only
                         # because this path is budgeted.
                         attempt += 1
-                        if spec.retry_backoff_s > 0:
-                            backoff_start = sim.now
-                            yield spec.retry_backoff_s * attempt
-                            if obs is not None:
-                                obs.stamp(
-                                    "client_backoff", backoff_start, sim.now
-                                )
+                        backoff_start = sim.now
+                        yield RETRY_BACKOFF_S * attempt
+                        if obs is not None:
+                            obs.stamp("client_backoff", backoff_start, sim.now)
                         continue
                     if obs is not None:
                         obs.retry_budget_exhausted(spec.name)
-                outcome = ("rejected", type(exc).__name__)
-                break
+                op_type = f"{OpType.ERROR}:{type(exc).__name__}"
+                rejected = True
             except TimeoutError_ as exc:
                 # Retry budgets already ran at the verb layer; an op that
                 # spent them is an error, never re-offered load.
                 if breaker is not None:
                     breaker.record(False)
-                outcome = (f"error:{type(exc).__name__}", "")
-                break
+                op_type = f"{OpType.ERROR}:{type(exc).__name__}"
             else:
                 if breaker is not None:
                     breaker.record(True)
                 if budget is not None:
                     budget.on_success()
-                outcome = ("ok", op_kind)
-                break
+                op_type = op_kind
+            break
         now = sim.now
-        if outcome[0] == "ok":
-            tstate.events.append(("ok", op_kind, start, now))
-            final_type = op_kind
-        elif outcome[0] == "rejected":
-            tstate.events.append(("rejected", outcome[1], start, now))
-            final_type = f"{OpType.ERROR}:{outcome[1]}"
+        if rejected:
+            self.rejected.append(now)
         else:
-            name = outcome[0].partition(":")[2]
-            tstate.events.append((outcome[0], "", start, now))
-            final_type = f"{OpType.ERROR}:{name}"
+            self.records.append((op_type, start, now))
         if span is not None:
-            obs.end_op(span, final_type)
-            if outcome[0] != "ok":
+            obs.end_op(span, op_type)
+            if op_type != op_kind:
                 obs.flight_dump("errored-op", span)
             elif spec.slo_p99_s is not None and (now - start) > spec.slo_p99_s:
                 obs.flight_dump("slo-violation", span)
 
-
-class _RunState:
-    """Run-wide flags shared by the controller and every arrival loop."""
-
-    def __init__(self) -> None:
-        self.stop = False
-        self.measure_from: Optional[float] = None
+    def fold(self, result: RunResult) -> None:
+        """Add this tenant's window to *result*: its completed operations
+        through the run's fold, its offered, rejected and shed arrivals
+        beside them, its outcome, and its SLO attainment gauge."""
+        run = self.run
+        outcome = TenantOutcome(tenant=self.spec.name, slo_p99_s=self.spec.slo_p99_s)
+        outcome.offered = run.count_in_window(self.offered)
+        outcome.rejected = run.count_in_window(self.rejected)
+        outcome.shed = run.count_in_window(self.shed)
+        run.fold(result, self.records, outcome)
+        outcome.accepted = len(outcome.latencies)
+        result.tenants[outcome.tenant] = outcome
+        result.offered_ops += outcome.offered
+        result.rejected_ops += outcome.rejected
+        result.shed_ops += outcome.shed
+        obs = run.cluster.obs
+        attainment = outcome.slo_attainment
+        if obs is not None and attainment is not None:
+            obs.registry.gauge("nam_slo_attainment", tenant=outcome.tenant).set(attainment)

@@ -281,7 +281,7 @@ def _closed_loop_fingerprint(config):
     cluster = Cluster(config)
     dataset = generate_dataset(400, gap=4)
     index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
-    runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=6)
+    runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, SPEC, num_clients=6, warmup_s=0.0005, measure_s=0.003, seed=5
     )

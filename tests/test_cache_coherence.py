@@ -265,6 +265,7 @@ def test_cached_chaos_workload_with_replication_failover():
             num_memory_servers=3,
             memory_servers_per_machine=1,
             replication_factor=2,
+            clients_per_compute_server=8,
             seed=43,
             cache=CacheConfig(depth=2),
         )
@@ -289,7 +290,7 @@ def test_cached_chaos_workload_with_replication_failover():
         delete_fraction=0.1,
         selectivity=0.005,
     )
-    runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=8)
+    runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, spec, num_clients=8, warmup_s=0.001, measure_s=0.009, seed=17
     )

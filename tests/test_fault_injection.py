@@ -259,7 +259,9 @@ def test_chaos_workload_never_corrupts_tree(design):
     Operations may fail with typed errors (counted by the runner), but the
     surviving structure must validate and scans must stay sorted.
     """
-    cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=21))
+    cluster = Cluster(
+        ClusterConfig(num_memory_servers=2, clients_per_compute_server=8, seed=21)
+    )
     dataset = generate_dataset(600, gap=4)
     index = _build(design, cluster, dataset.pairs(), dataset.key_space)
     injector = cluster.attach_faults(
@@ -272,7 +274,7 @@ def test_chaos_workload_never_corrupts_tree(design):
             server_crashes=(ServerCrash(1, at_s=0.004, down_for_s=0.002),),
         )
     )
-    runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=8)
+    runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, MIXED, num_clients=8, warmup_s=0.001, measure_s=0.009, seed=17
     )

@@ -159,6 +159,7 @@ def test_hybrid_chaos_workload_with_replication():
             num_memory_servers=3,
             memory_servers_per_machine=1,
             replication_factor=2,
+            clients_per_compute_server=8,
             seed=43,
         )
     )
@@ -176,7 +177,7 @@ def test_hybrid_chaos_workload_with_replication():
             server_crashes=(ServerCrash(1, at_s=0.004, down_for_s=0.002),),
         )
     )
-    runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=8)
+    runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, MIXED, num_clients=8, warmup_s=0.001, measure_s=0.009, seed=17
     )

@@ -11,10 +11,10 @@ acceptance criterion — that the repository's own tree is lint-clean.
 from __future__ import annotations
 
 import os
+import warnings
 
 import pytest
 
-from repro.analysis.namsan import deadlock
 from repro.analysis.namsan.linter import (
     RULE_DESCRIPTIONS,
     RULE_IDS,
@@ -23,7 +23,7 @@ from repro.analysis.namsan.linter import (
     lint_source,
 )
 from repro.config import RetryConfig
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationWarning
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "namsan_fixtures")
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
@@ -227,15 +227,32 @@ def test_n07_lease_needs_literal_arguments():
     assert lint_source(dynamic, path, rules=["N07"]) == []
 
 
-def test_n07_lease_defaults_match_config():
-    """deadlock.RETRY_DEFAULTS mirrors repro.config.RetryConfig — if the
-    runtime defaults move, the static model must move with them."""
-    config = RetryConfig()
-    for name in deadlock.RETRY_FIELD_ORDER:
-        assert deadlock.RETRY_DEFAULTS[name] == getattr(config, name), name
-    # And the budget formula agrees with the runtime's own worst case.
-    budget = deadlock.retry_budget_s(dict(deadlock.RETRY_DEFAULTS))
-    assert budget == pytest.approx(config.retry_budget_s)
+@pytest.mark.parametrize(
+    "args, kwargs, tight",
+    [
+        ((), {"lock_lease_s": 0.0005}, True),
+        ((), {"lock_lease_s": 0.0019}, True),
+        ((), {"lock_lease_s": 0.0021}, False),
+        ((), {"max_attempts": 2, "lock_lease_s": 0.0009}, False),
+        ((), {"max_attempts": 8}, True),
+        ((4, 50e-6, 20e-6, 2.0, 0.25, 0.0019, 128), {}, True),
+    ],
+)
+def test_n07_flags_exactly_the_constructions_the_runtime_warns_on(args, kwargs, tight):
+    """N07 takes RetryConfig's field order, defaults and budget formula
+    from repro.config: a literal construction is a finding exactly when
+    building it raises the runtime's lease warning."""
+    arguments = [repr(arg) for arg in args] + [f"{k}={v!r}" for k, v in kwargs.items()]
+    source = f"def f(RetryConfig):\n    return RetryConfig({', '.join(arguments)})\n"
+    flagged = bool(lint_source(source, "src/repro/nam/x.py", rules=["N07"]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        RetryConfig(*args, **kwargs)
+    warned = any(
+        issubclass(w.category, ConfigurationWarning) and "lock_lease_s" in str(w.message)
+        for w in caught
+    )
+    assert flagged == warned == tight
 
 
 def test_unknown_rule_rejected():

@@ -219,6 +219,10 @@ def test_hybrid_chaos_workload_has_no_races(factor):
             num_memory_servers=3,
             memory_servers_per_machine=1,
             replication_factor=factor,
+            # 2 per compute server spreads 6 clients over 3 compute
+            # servers: multiple writer *actors*, which is what makes the
+            # happens-before check non-trivial.
+            clients_per_compute_server=2,
             seed=43,
         )
     )
@@ -240,10 +244,7 @@ def test_hybrid_chaos_workload_has_no_races(factor):
             server_crashes=crashes,
         )
     )
-    # clients_per_compute_server=2 spreads 6 clients over 3 compute
-    # servers: multiple writer *actors*, which is what makes the
-    # happens-before check non-trivial.
-    runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=2)
+    runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, MIXED, num_clients=6, warmup_s=0.001, measure_s=0.006, seed=17
     )

@@ -31,7 +31,6 @@ from repro.obs.attribution import attribute_intervals
 from repro.rdma.faults import FaultPlan, ServerCrash
 from repro.workloads import (
     ArrivalProcess,
-    OpenLoopRunner,
     TenantSpec,
     WorkloadRunner,
     WorkloadSpec,
@@ -70,7 +69,7 @@ def run_closed(cluster, design, spec=MIX, *, num_keys=400, clients=6,
                measure_s=0.002, seed=29):
     dataset = generate_dataset(num_keys, gap=4)
     index = build_index(cluster, design, dataset)
-    runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=6)
+    runner = WorkloadRunner(cluster, dataset)
     return runner.run(
         index, spec, num_clients=clients, warmup_s=0.0005,
         measure_s=measure_s, seed=seed,
@@ -265,7 +264,7 @@ class TestReconciliationAcrossDesigns:
         )
         dataset = generate_dataset(400, gap=4)
         index = build_index(cluster, "coarse-grained", dataset)
-        runner = OpenLoopRunner(cluster, dataset)
+        runner = WorkloadRunner(cluster, dataset)
         tenant = TenantSpec(
             name="app",
             workload=WorkloadSpec(name="over", point_fraction=1.0),
@@ -273,7 +272,7 @@ class TestReconciliationAcrossDesigns:
             max_op_retries=1,
             sessions=8,
         )
-        result = runner.run(
+        result = runner.run_open(
             index, [tenant], warmup_s=0.0005, measure_s=0.002, seed=31
         )
         assert result.rejected_ops > 0
@@ -338,7 +337,7 @@ class TestFlightRecorder:
         )
         dataset = generate_dataset(400, gap=4)
         index = build_index(cluster, "coarse-grained", dataset)
-        runner = OpenLoopRunner(cluster, dataset)
+        runner = WorkloadRunner(cluster, dataset)
         tenant = TenantSpec(
             name="app",
             workload=WorkloadSpec(name="crash", point_fraction=0.8,
@@ -348,7 +347,7 @@ class TestFlightRecorder:
             max_op_retries=1,
             sessions=8,
         )
-        result = runner.run(
+        result = runner.run_open(
             index, [tenant], warmup_s=0.0005, measure_s=0.004, seed=13
         )
         return cluster, result

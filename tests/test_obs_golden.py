@@ -60,6 +60,7 @@ def hub_outputs(design: str, lossy: bool) -> dict:
     cluster = Cluster(
         ClusterConfig(
             num_memory_servers=4,
+            clients_per_compute_server=2,
             seed=23,
             # Head-node chains + a prefetch window: range scans fan out
             # through read_nodes, which posts READ chains.
@@ -80,7 +81,7 @@ def hub_outputs(design: str, lossy: bool) -> dict:
         cluster.attach_faults(FaultPlan(seed=97, drop_probability=0.2))
     dataset = generate_dataset(600, gap=4)
     index = build_index(cluster, design, dataset)
-    runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=2)
+    runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, LOSSY_MIX if lossy else MIX, num_clients=3, ops_per_client=6, seed=29
     )

@@ -50,7 +50,7 @@ def fresh_cluster(observability=None, seed=23):
 def run_workload(cluster, *, num_keys=400, clients=6, measure_s=0.003, seed=29):
     dataset = generate_dataset(num_keys, gap=4)
     index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
-    runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=6)
+    runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, SPEC, num_clients=clients, warmup_s=0.0005,
         measure_s=measure_s, seed=seed,

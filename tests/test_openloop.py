@@ -1,16 +1,14 @@
 """Open-loop arrivals and client-side graceful degradation.
 
-Covers the arrival-rate curves (burst window, diurnal sinusoid, thinning
-envelope), the retry budget and circuit breaker state machines in
-isolation, and the :class:`~repro.workloads.openloop.OpenLoopRunner`
-end to end — determinism, offered/accepted/rejected/shed accounting,
-SLO attainment, and breaker-driven load shedding under a hostile
-admission policy.
+Covers the arrival-rate curve (burst window, thinning envelope), the
+retry budget and circuit breaker state machines in isolation, and
+:meth:`~repro.workloads.runner.WorkloadRunner.run_open` end to end —
+determinism, offered/accepted/rejected/shed accounting, SLO attainment,
+breaker-driven load shedding under a hostile admission policy, and
+operations on a crashed compute server.
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -19,6 +17,8 @@ from repro import (
     Cluster,
     ClusterConfig,
     CoarseGrainedIndex,
+    ComputeCrash,
+    FaultPlan,
 )
 from repro.config import CpuConfig, ObservabilityConfig
 from repro.errors import ConfigurationError
@@ -26,9 +26,9 @@ from repro.workloads import (
     ArrivalProcess,
     CircuitBreaker,
     DegradationConfig,
-    OpenLoopRunner,
     RetryBudget,
     TenantSpec,
+    WorkloadRunner,
     WorkloadSpec,
     generate_dataset,
 )
@@ -56,40 +56,11 @@ class TestArrivalProcess:
         assert arrivals.rate_at(3.0) == 100.0
         assert arrivals.peak_rate == 500.0
 
-    def test_diurnal_sinusoid(self):
-        arrivals = ArrivalProcess(
-            rate_ops_per_s=100.0, diurnal_amplitude=0.5, diurnal_period_s=4.0
-        )
-        assert arrivals.rate_at(1.0) == pytest.approx(150.0)
-        assert arrivals.rate_at(3.0) == pytest.approx(50.0)
-        assert arrivals.peak_rate == pytest.approx(150.0)
-        # The thinning envelope really does dominate the whole curve.
-        peak = arrivals.peak_rate
-        assert all(
-            arrivals.rate_at(t / 10.0) <= peak + 1e-9 for t in range(100)
-        )
-
-    def test_burst_and_diurnal_compose(self):
-        arrivals = ArrivalProcess(
-            rate_ops_per_s=100.0,
-            burst_multiplier=3.0,
-            burst_start_s=0.0,
-            burst_duration_s=10.0,
-            diurnal_amplitude=0.2,
-            diurnal_period_s=4.0,
-        )
-        expected = 100.0 * 3.0 * (1.0 + 0.2 * math.sin(2 * math.pi / 4.0))
-        assert arrivals.rate_at(1.0) == pytest.approx(expected)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ArrivalProcess(rate_ops_per_s=0.0)
         with pytest.raises(ConfigurationError):
             ArrivalProcess(rate_ops_per_s=1.0, burst_multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            ArrivalProcess(rate_ops_per_s=1.0, diurnal_amplitude=1.0)
-        with pytest.raises(ConfigurationError):
-            ArrivalProcess(rate_ops_per_s=1.0, diurnal_amplitude=0.1)
         with pytest.raises(ConfigurationError):
             TenantSpec(name="", workload=READS,
                        arrivals=ArrivalProcess(rate_ops_per_s=1.0))
@@ -195,7 +166,7 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
 
-def _open_loop_run(seed=3, admission=None, tenants=None, drain=True):
+def _open_loop_run(seed=3, admission=None, tenants=None):
     cluster = Cluster(
         ClusterConfig(
             num_memory_servers=2,
@@ -208,7 +179,6 @@ def _open_loop_run(seed=3, admission=None, tenants=None, drain=True):
     )
     dataset = generate_dataset(2000, gap=4)
     index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
-    runner = OpenLoopRunner(cluster, dataset)
     if tenants is None:
         tenants = [
             TenantSpec(
@@ -232,9 +202,8 @@ def _open_loop_run(seed=3, admission=None, tenants=None, drain=True):
                 sessions=4,
             ),
         ]
-    result = runner.run(
-        index, tenants, warmup_s=0.001, measure_s=0.004, seed=seed,
-        drain=drain,
+    result = WorkloadRunner(cluster, dataset).run_open(
+        index, tenants, warmup_s=0.001, measure_s=0.004, seed=seed
     )
     return cluster, result
 
@@ -257,6 +226,8 @@ def _fingerprint(result):
 
 
 class TestOpenLoopRunner:
+    """The open loop of :class:`WorkloadRunner` (``run_open``) end to end."""
+
     def test_identical_seeds_replay_identically(self):
         _cluster, first = _open_loop_run(seed=3)
         _cluster, second = _open_loop_run(seed=3)
@@ -364,12 +335,36 @@ class TestOpenLoopRunner:
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=1))
         dataset = generate_dataset(500, gap=4)
         index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
-        runner = OpenLoopRunner(cluster, dataset)
+        runner = WorkloadRunner(cluster, dataset)
         tenant = TenantSpec(
             name="dup", workload=READS,
             arrivals=ArrivalProcess(rate_ops_per_s=1000.0),
         )
         with pytest.raises(ConfigurationError):
-            runner.run(index, [tenant, tenant])
+            runner.run_open(index, [tenant, tenant])
         with pytest.raises(ConfigurationError):
-            runner.run(index, [])
+            runner.run_open(index, [])
+
+    def test_a_crashed_compute_server_completes_no_operation(self):
+        """Every arrival is a process on its session's compute server: the
+        crash kills the ones in flight, and an arrival after it is killed
+        at spawn — offered, never completed."""
+        cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=17))
+        dataset = generate_dataset(2000, gap=4)
+        index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
+        injector = cluster.attach_faults(
+            FaultPlan(seed=1, compute_crashes=(ComputeCrash(0, at_s=1e-3),))
+        )
+        tenant = TenantSpec(
+            name="a", workload=READS,
+            arrivals=ArrivalProcess(rate_ops_per_s=200_000.0), sessions=4,
+        )
+        # All four sessions share compute server 0; the window opens 1 ms
+        # after it crashed.
+        result = WorkloadRunner(cluster, dataset).run_open(
+            index, [tenant], warmup_s=2e-3, measure_s=3e-3, seed=1
+        )
+        outcome = result.tenants["a"]
+        assert outcome.offered > 0
+        assert result.total_ops == outcome.accepted == outcome.errored == 0
+        assert injector.stats["killed_processes"] > outcome.offered

@@ -28,8 +28,8 @@ from repro.config import CpuConfig, ObservabilityConfig
 from repro.workloads import (
     ArrivalProcess,
     DegradationConfig,
-    OpenLoopRunner,
     TenantSpec,
+    WorkloadRunner,
     WorkloadSpec,
     generate_dataset,
 )
@@ -93,14 +93,8 @@ def _chaos_run(admission, seed=19):
     dataset = generate_dataset(600, gap=4)
     index = HybridIndex.build(cluster, "idx", dataset.pairs())
     injector = cluster.attach_faults(PLAN)
-    runner = OpenLoopRunner(cluster, dataset)
-    result = runner.run(
-        index,
-        _tenants(),
-        warmup_s=0.001,
-        measure_s=0.004,
-        seed=seed,
-        drain=True,
+    result = WorkloadRunner(cluster, dataset).run_open(
+        index, _tenants(), warmup_s=0.001, measure_s=0.004, seed=seed
     )
     injector.quiesce()
     return cluster, index, injector, result

@@ -1,93 +1,9 @@
-"""Tests for Resource, Store and BandwidthChannel."""
+"""Tests for Store and BandwidthChannel."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import BandwidthChannel, Resource, Simulator, Store
-
-
-class TestResource:
-    def test_grants_up_to_capacity_immediately(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        done = []
-
-        def holder(tag):
-            yield res.request()
-            try:
-                yield sim.timeout(1.0)
-                done.append((tag, sim.now))
-            finally:
-                res.release()
-
-        for tag in range(4):
-            sim.process(holder(tag))
-        sim.run()
-        assert done == [(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0)]
-
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def holder(tag):
-            yield res.request()
-            try:
-                order.append(tag)
-                yield sim.timeout(1.0)
-            finally:
-                res.release()
-
-        for tag in range(5):
-            sim.process(holder(tag))
-        sim.run()
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_release_without_request_raises(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            Resource(Simulator(), capacity=0)
-
-    def test_utilization_tracks_busy_time(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-
-        def holder():
-            yield from res.acquire(1.0)
-
-        sim.process(holder())
-        sim.run()
-        sim.run(until=2.0)
-        # One of two units busy for 1s out of 2s: 25% of capacity.
-        assert res.utilization() == pytest.approx(0.25)
-
-    def test_a_negative_hold_time_still_releases_the_unit(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        held = sim.process(res.acquire(-1.0))
-        with pytest.raises(SimulationError, match="non-negative"):
-            sim.run_until_complete(held)
-        assert res.in_use == 0  # released by the throw at the bad yield
-        sim.run_until_complete(sim.process(res.acquire(2.0)))
-        assert sim.now == 2.0
-
-    def test_queue_length(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-
-        def holder():
-            yield from res.acquire(5.0)
-
-        sim.process(holder())
-        sim.process(holder())
-        sim.process(holder())
-        sim.run(until=1.0)
-        assert res.queue_length == 2
+from repro.sim import BandwidthChannel, Simulator, Store
 
 
 class TestStore:
@@ -148,15 +64,9 @@ class TestStore:
 
 class TestBandwidthChannel:
     def test_transfer_time_is_size_over_rate_plus_overhead(self):
-        sim = Simulator()
-        channel = BandwidthChannel(sim, rate_bytes_per_s=1000.0,
+        channel = BandwidthChannel(Simulator(), rate_bytes_per_s=1000.0,
                                    per_message_overhead_s=0.5)
-
-        def proc():
-            yield from channel.transfer(1000)
-
-        sim.run_until_complete(sim.process(proc()))
-        assert sim.now == pytest.approx(1.5)
+        assert channel.reserve(1000) == pytest.approx(1.5)
 
     def test_transfers_serialize_fifo(self):
         sim = Simulator()
@@ -164,7 +74,7 @@ class TestBandwidthChannel:
         done = []
 
         def proc(tag):
-            yield from channel.transfer(1000)
+            yield channel.reserve(1000) - sim.now
             done.append((tag, sim.now))
 
         for tag in range(3):
@@ -173,14 +83,9 @@ class TestBandwidthChannel:
         assert done == [(0, 1.0), (1, 2.0), (2, 3.0)]
 
     def test_counters(self):
-        sim = Simulator()
-        channel = BandwidthChannel(sim, rate_bytes_per_s=1000.0)
-
-        def proc():
-            yield from channel.transfer(100)
-            yield from channel.transfer(200)
-
-        sim.run_until_complete(sim.process(proc()))
+        channel = BandwidthChannel(Simulator(), rate_bytes_per_s=1000.0)
+        channel.reserve(100)
+        channel.reserve(200)
         assert channel.snapshot() == (300, 2)
 
     def test_reserve_with_earliest_bound(self):
@@ -200,12 +105,7 @@ class TestBandwidthChannel:
     def test_idle_gap_does_not_backlog(self):
         sim = Simulator()
         channel = BandwidthChannel(sim, rate_bytes_per_s=1000.0)
-
-        def proc():
-            yield from channel.transfer(1000)
-            yield sim.timeout(10.0)
-            yield from channel.transfer(1000)
-
-        sim.run_until_complete(sim.process(proc()))
-        # Second transfer starts fresh at t=11, not queued behind history.
-        assert sim.now == pytest.approx(12.0)
+        assert channel.reserve(1000) == pytest.approx(1.0)
+        sim.run(until=11.0)
+        # The second transfer starts fresh at t=11, not queued behind history.
+        assert channel.reserve(1000) == pytest.approx(12.0)

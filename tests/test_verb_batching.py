@@ -431,6 +431,7 @@ class TestBatchFaults:
                 num_memory_servers=3,
                 memory_servers_per_machine=1,
                 replication_factor=2,
+                clients_per_compute_server=4,
                 seed=37,
             )
         )
@@ -449,7 +450,7 @@ class TestBatchFaults:
             insert_fraction=0.1,
             selectivity=0.05,
         )
-        runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=4)
+        runner = WorkloadRunner(cluster, dataset)
         result = runner.run(
             index, spec, num_clients=8, warmup_s=0.001, measure_s=0.005, seed=13
         )
@@ -525,7 +526,10 @@ class TestBatchedUnlockWrite:
         after the page contents — zero happens-before races."""
         cluster = Cluster(
             ClusterConfig(
-                num_memory_servers=3, memory_servers_per_machine=1, seed=29
+                num_memory_servers=3,
+                memory_servers_per_machine=1,
+                clients_per_compute_server=2,
+                seed=29,
             )
         )
         dataset = generate_dataset(600, gap=4)
@@ -547,7 +551,7 @@ class TestBatchedUnlockWrite:
             insert_fraction=0.6,
             selectivity=0.01,
         )
-        runner = WorkloadRunner(cluster, dataset, clients_per_compute_server=2)
+        runner = WorkloadRunner(cluster, dataset)
         result = runner.run(
             index, spec, num_clients=6, warmup_s=0.001, measure_s=0.006, seed=23
         )
