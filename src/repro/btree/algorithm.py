@@ -37,7 +37,7 @@ from repro.btree.node import (
     fanout,
     is_tombstoned,
 )
-from repro.btree.pointers import is_null
+from repro.btree.pointers import NULL_RAW, is_null
 from repro.errors import IndexError_
 
 __all__ = ["BLinkTree"]
@@ -199,6 +199,11 @@ class BLinkTree:
         Walks the leaf chain left to right; with head nodes enabled the walk
         prefetches upcoming leaves in parallel (Section 4.3), falling back
         to serial sibling reads for any leaf a stale head misses.
+
+        A leaf visit is two bisects and one slice of the image's
+        :attr:`Node.live` pairs, which the first scan to read that image
+        builds and every later one — any client, any RPC worker of the
+        cluster, through the decode memo — reuses.
         """
         if high <= low:
             return []
@@ -207,20 +212,15 @@ class BLinkTree:
         prefetched: Dict[int, Node] = {}
         seen_heads = set()
         while True:
-            # Keys are sorted: bisect to the in-range span [start, end)
-            # instead of testing every key against both bounds. An entry at
-            # or past *high* inside the node means the scan is complete.
-            keys = node.keys
-            values = node.values
-            start = bisect_left(keys, low)
-            end = bisect_left(keys, high, start)
+            live_keys, live_pairs = node.live or node.build_live()
+            start = bisect_left(live_keys, low)
+            end = bisect_left(live_keys, high, start)
             if end > start:
-                results += [
-                    pair
-                    for pair in zip(keys[start:end], values[start:end])
-                    if not pair[1] & TOMBSTONE_BIT
-                ]
-            if end < len(keys) or node.high_key >= high or is_null(node.right):
+                results += live_pairs[start:end]
+            # A key at or past *high* inside the node completes the scan. A
+            # tombstoned one is not among the live keys, but it lies below
+            # the high key, so the high-key test ends the scan instead.
+            if end < len(live_keys) or node.high_key >= high or is_null(node.right):
                 return results
             if (
                 self.use_head_nodes
@@ -234,23 +234,33 @@ class BLinkTree:
             if cached is not None and not cached.is_locked:
                 node = cached
             else:
-                node = yield from self._read_unlocked(raw_ptr, True)
+                # _read_unlocked's body, as in _descend_from: no frame of
+                # its own on the resume chain.
+                node = yield from self.acc.read_node(raw_ptr, True)
+                if node.version & 1:
+                    node = yield from self._await_unlocked(raw_ptr, node, True)
 
     def _prefetch_group(
         self, node: Node, high: int, prefetched: Dict[int, Node]
     ) -> Generator[Any, Any, None]:
-        """Read *node*'s head node and fetch the upcoming leaves in parallel."""
+        """Read *node*'s head node and fetch the upcoming leaves in parallel.
+
+        A head's keys are its leaves' first keys in chain order, so sorted:
+        the leaves ahead of the scan and inside the range are one bisected
+        span of them."""
         head = yield from self.acc.read_node(node.head, True)
         if not head.is_head:
             return  # the page was recycled; ignore the stale pointer
+        keys = head.keys
+        start = bisect_left(keys, node.high_key)
+        room = self.prefetch_window
         wanted = []
-        for first_key, leaf_ptr in zip(head.keys, head.values):
-            if first_key < node.high_key or first_key >= high:
-                continue  # behind the scan position, or beyond the range
-            if leaf_ptr in prefetched or is_null(leaf_ptr):
-                continue
+        for leaf_ptr in head.values[start : bisect_left(keys, high, start)]:
+            if leaf_ptr in prefetched or not leaf_ptr or leaf_ptr & NULL_RAW:
+                continue  # already on its way, or a NULL pointer
             wanted.append(leaf_ptr)
-            if len(wanted) >= self.prefetch_window:
+            room -= 1
+            if room <= 0:
                 break
         if not wanted:
             return

@@ -87,10 +87,17 @@ class Node:
     decode it into a :class:`Node`, modify the copy, and write it back
     (exactly the copy-based protocol of Section 4.2). ``version`` holds the
     lock+version word observed when the page was read.
+
+    ``live`` is the range scan's view of the image, ``(live_keys,
+    live_pairs)``: the keys and ``(key, payload)`` pairs of the entries
+    without a tombstone, built by :meth:`build_live` the first time a scan
+    reads this object and kept on it from then on. Only an image nobody
+    mutates may keep it — a decode memo's master — so every constructor,
+    :meth:`from_bytes` and :meth:`clone` start it empty.
     """
 
     __slots__ = ("node_type", "level", "version", "right", "head", "high_key",
-                 "keys", "values")
+                 "keys", "values", "live")
 
     def __init__(
         self,
@@ -111,6 +118,7 @@ class Node:
         self.high_key = high_key
         self.keys = keys if keys is not None else []
         self.values = values if values is not None else []
+        self.live: Optional[Tuple[List[int], List[Tuple[int, int]]]] = None
 
     # -- predicates ----------------------------------------------------------
 
@@ -169,6 +177,7 @@ class Node:
         node.high_key = high_key
         node.keys = list(words[0::2])
         node.values = list(words[1::2])
+        node.live = None
         return node
 
     def to_bytes(self, page_size: int) -> bytearray:
@@ -220,9 +229,27 @@ class Node:
         node.high_key = self.high_key
         node.keys = self.keys[:]
         node.values = self.values[:]
+        node.live = None
         return node
 
     # -- searching -------------------------------------------------------------
+
+    def build_live(self) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """Leaf: build and keep :attr:`live`, the sorted keys and the
+        ``(key, payload)`` pairs of the entries without a tombstone.
+
+        Without a tombstone in the image — the test is ``max`` over the
+        payloads, in C — ``live_keys`` *is* :attr:`keys`, not a copy.
+        """
+        keys = self.keys
+        values = self.values
+        if values and max(values) >> 63:
+            pairs = [pair for pair in zip(keys, values) if not pair[1] & TOMBSTONE_BIT]
+            live = ([key for key, _value in pairs], pairs)
+        else:
+            live = (keys, list(zip(keys, values)))
+        self.live = live
+        return live
 
     def find_child(self, key: int) -> int:
         """Inner node: raw pointer of the child whose range contains *key*.

@@ -48,6 +48,7 @@ from repro.nam.allocator import ALLOC_WORD_OFFSET
 from repro.nam.catalog import RootLocation
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
+from repro.rdma.verbs import Verb
 
 __all__ = ["LocalAccessor", "RemoteAccessor", "LocalRootRef", "RemoteRootRef"]
 
@@ -61,6 +62,8 @@ _LOCK_VERSION_MASK = (1 << _LOCK_TAG_SHIFT) - 1
 #: Low 56 bits of a raw pointer (RemotePointer.from_raw's offset mask),
 #: for the inlined decode on the read_node hot path.
 _PTR_OFFSET_MASK = (1 << 56) - 1
+
+READ = Verb.READ
 
 #: Version-word peek without a slice allocation (unpack_from reads the
 #: first 8 bytes of any buffer directly).
@@ -95,7 +98,11 @@ def _emit_local(
 
 class _SharedDecode:
     """The one decode both accessors do, through the decode memo of the
-    server they run on (``Cluster.decode_memo`` says why a hit is sound)."""
+    server they run on (``Cluster.decode_memo`` says why a hit is sound).
+
+    A master also carries its live pairs (:attr:`Node.live`) once a range
+    scan has read it: one build per page version, shared like the decode,
+    and gone with the master when a new version replaces it."""
 
     _decode_cache: Dict[int, Node]
 
@@ -321,39 +328,50 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         if not self._batching or len(raw_ptrs) < 2:
             pending = [sim.process(self.read_node(raw, True)) for raw in raw_ptrs]
             return (yield sim.all_of(pending))
-        by_server: dict = {}
+        # Slots by home server, the pointer decoded inline as in read_node.
+        by_server: Dict[int, List[int]] = {}
         for slot, raw in enumerate(raw_ptrs):
-            pointer = RemotePointer.from_raw(raw)
-            by_server.setdefault(pointer.server_id, []).append(
-                (slot, pointer.offset)
-            )
+            if raw == 0 or raw & NULL_RAW:
+                raise RemoteAccessError("cannot decode a NULL remote pointer")
+            server_id = (raw >> 56) & 0x7F
+            slots = by_server.get(server_id)
+            if slots is None:
+                by_server[server_id] = [slot]
+            else:
+                slots.append(slot)
         nodes: List[Any] = [None] * len(raw_ptrs)
-        compute = self.compute_server
+        yield sim.all_of(
+            [
+                sim.process(self._read_group(server_id, slots, raw_ptrs, nodes))
+                for server_id, slots in by_server.items()
+            ]
+        )
+        return nodes
+
+    def _read_group(
+        self, server_id: int, slots: List[int], raw_ptrs: List[int], nodes: List[Any]
+    ) -> Generator[Any, Any, None]:
+        """One server's share of :meth:`read_nodes`: its *slots* of
+        *raw_ptrs*, posted as READ chains of up to ``max_batch_wqes`` —
+        :class:`~repro.rdma.qp.VerbBatch`'s chains, handed to the queue
+        pair's executor without staging one — decoded into *nodes*."""
         page_size = self.page_size
         max_wqes = self._max_wqes
-        search_cost = self._search_cost
-        # Prefetched nodes feed read-only scan consumers, so memoized
-        # masters are handed out without cloning (see _decode_shared).
-        decode = self._decode_shared
-
-        def read_group(server_id, members) -> Generator[Any, Any, None]:
-            for start in range(0, len(members), max_wqes):
-                chunk = members[start : start + max_wqes]
-                batch = compute.qp(server_id).batch()
-                batch_read = batch.read
-                for _slot, offset in chunk:
-                    batch_read(offset, page_size)
-                pages = yield from batch.execute()
-                yield search_cost * len(chunk)
-                for (slot, _offset), data in zip(chunk, pages):
-                    nodes[slot] = decode(raw_ptrs[slot], data)
-
-        pending = [
-            sim.process(read_group(server_id, members))
-            for server_id, members in by_server.items()
-        ]
-        yield sim.all_of(pending)
-        return nodes
+        for start in range(0, len(slots), max_wqes):
+            chunk = slots[start : start + max_wqes]
+            count = len(chunk)
+            wqes = [
+                (READ, page_size, raw_ptrs[slot] & _PTR_OFFSET_MASK, False)
+                for slot in chunk
+            ]
+            pages = yield from self.compute_server.qp(server_id)._post(
+                wqes, count, True, True
+            )
+            yield self._search_cost * count
+            # Prefetched nodes feed read-only scan consumers, so memoized
+            # masters are handed out without cloning (see _decode_shared).
+            for slot, data in zip(chunk, pages):
+                nodes[slot] = self._decode_shared(raw_ptrs[slot], data)
 
     def read_version(self, raw_ptr: int) -> Generator[Any, Any, int]:
         """One 8-byte READ of the node's version word (page offset 0).

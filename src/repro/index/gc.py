@@ -19,7 +19,7 @@ by splits regain prefetchability.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.btree.algorithm import BLinkTree
 from repro.btree.node import Node, NodeType, is_tombstoned
@@ -69,7 +69,7 @@ class EpochGarbageCollector:
         """
         removed = 0
         leaves_seen = 0
-        chain: List[Tuple[int, int]] = []  # (first_key_or_fence, raw_ptr)
+        chain: List[Tuple[Optional[int], int]] = []  # (first key or None, raw_ptr)
         raw_ptr, node = yield from self.tree._descend_to_level(0, 0)
         while True:
             leaves_seen += 1
@@ -77,7 +77,7 @@ class EpochGarbageCollector:
                 compacted = yield from self._compact(raw_ptr)
                 removed += compacted
                 node = yield from self.tree._read_unlocked(raw_ptr)
-            chain.append((node.keys[0] if node.keys else 0, raw_ptr))
+            chain.append((node.keys[0] if node.keys else None, raw_ptr))
             if is_null(node.right):
                 break
             raw_ptr = node.right
@@ -115,10 +115,14 @@ class EpochGarbageCollector:
         return 0  # persistently contended: leave it for the next epoch
 
     def _rebuild_heads(
-        self, chain: List[Tuple[int, int]]
+        self, chain: List[Tuple[Optional[int], int]]
     ) -> Generator[Any, Any, None]:
         """Re-create the head-node directory over the current leaf chain and
-        point every leaf at its group's (new) head node."""
+        point every leaf at its group's (new) head node.
+
+        An empty leaf stays in its group but gets no entry in the head: it
+        has no first key to be prefetched by, and without it a head's keys
+        are sorted, which is what the scan's prefetch bisects."""
         acc = self.tree.acc
         groups = [
             chain[start : start + self.head_interval]
@@ -126,11 +130,12 @@ class EpochGarbageCollector:
         ]
         head_ptrs: List[int] = []
         for group in groups:
+            listed = [(key, raw) for key, raw in group if key is not None]
             head = Node(
                 NodeType.HEAD,
                 level=0,
-                keys=[first_key for first_key, _ in group],
-                values=[raw for _, raw in group],
+                keys=[first_key for first_key, _ in listed],
+                values=[raw for _, raw in listed],
             )
             head_ptr = yield from acc.alloc(0)
             head_ptrs.append(head_ptr)

@@ -168,9 +168,13 @@ class _HybridLeafTree(BLinkTree):
         )
         # The leaf may have split since the owner answered, so the
         # move-right step is mandatory (Section 5.2). The first read opens
-        # no span step: the RPC is the traversal.
-        node = yield from self._read_unlocked(response.raw, shared)
-        return (yield from self._descend_from(response.raw, node, key, 0, shared))
+        # no span step: the RPC is the traversal. It is _read_unlocked's
+        # body, as in _descend_from: no frame of its own.
+        raw_ptr = response.raw
+        node = yield from self.acc.read_node(raw_ptr, shared)
+        if node.version & 1:
+            node = yield from self._await_unlocked(raw_ptr, node, shared)
+        return (yield from self._descend_from(raw_ptr, node, key, 0, shared))
 
     def _install_separator(
         self, level: int, sep_key: int, new_child: int, split_child: int

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import abc
 from collections import defaultdict
+from operator import itemgetter
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.btree.algorithm import BLinkTree
@@ -77,11 +78,16 @@ def client_tree(
 
 
 def merge_partials(partials: Iterable[List[Tuple[int, int]]]) -> List[Tuple[int, int]]:
-    """Merge the per-partition results of a scattered range scan by key."""
+    """Merge the per-partition results of a scattered range scan by key.
+
+    The sort is stable and by key alone, so a key's duplicates — which all
+    live in one partition — stay in their leaf order; a plain ``sort()``
+    would reorder them by payload. The key is a C-level ``itemgetter``,
+    not a Python call per pair."""
     merged: List[Tuple[int, int]] = []
     for partial in partials:
         merged.extend(partial)
-    merged.sort(key=lambda pair: pair[0])
+    merged.sort(key=itemgetter(0))
     return merged
 
 
@@ -294,12 +300,18 @@ class PartitionedSession(IndexSession):
         self, low: int, high: int
     ) -> Generator[Any, Any, List[Tuple[int, int]]]:
         """Scan every partition whose share intersects ``[low, high)`` —
-        all of them under hash partitioning — in parallel, and merge."""
+        all of them under hash partitioning — in parallel, and merge. A
+        scan inside one partition is that handle's generator, as it is."""
         server_ids = self.index.partitioner.servers_for_range(low, high)
+        if len(server_ids) == 1:
+            return self._trees[server_ids[0]].range_scan(low, high)
+        return self._scatter(low, high, server_ids)
+
+    def _scatter(
+        self, low: int, high: int, server_ids: List[int]
+    ) -> Generator[Any, Any, List[Tuple[int, int]]]:
         if not server_ids:
             return []
-        if len(server_ids) == 1:
-            return (yield from self._trees[server_ids[0]].range_scan(low, high))
         sim = self.compute_server.sim
         scans = [
             sim.process(self._trees[server_id].range_scan(low, high))

@@ -89,7 +89,9 @@ class Cluster:
         self.compute_servers: List[ComputeServer] = []
         #: The decode memo: ``raw_ptr -> master Node`` of the last unlocked
         #: image decoded there, one dict under every accessor of the cluster
-        #: (``index/accessors.py::_SharedDecode``). Host-side only: the READ
+        #: (``index/accessors.py::_SharedDecode``); a master a range scan has
+        #: read also carries that image's live pairs (``Node.live``), so they
+        #: too are built once per page version. Host-side only: the READ
         #: or CPU slice is paid before it is consulted, a hit charges what a
         #: miss does. Sound — under faults and replication too — because
         #: ``(raw_ptr, even version)`` names one page content for this

@@ -53,6 +53,11 @@ def assert_memo_is_truth(cluster, accessor_for=None) -> int:
         truth = Node.from_bytes(
             _region(cluster, pointer.server_id).read(pointer.offset, page_size)
         )
+        # A scanned master also carries its live pairs: they must be what
+        # the bytes' live pairs are.
+        if served.live is not None:
+            assert served.live == truth.build_live(), f"live pairs of {raw_ptr:#x}"
+        truth.live = served.live
         for field in Node.__slots__:
             assert getattr(served, field) == getattr(truth, field), (
                 f"{field} of {raw_ptr:#x}"

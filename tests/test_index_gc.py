@@ -98,6 +98,50 @@ def test_head_rebuild_restores_prefetchability(fg_setup):
     assert len(got) == dataset.num_keys + 300
 
 
+def test_rebuilt_heads_list_no_empty_leaf_and_prefetch_the_rest(fg_setup):
+    """Two leaves at positions 2 and 3 of the second head group are deleted
+    whole and compacted empty. The rebuilt head lists the group's other
+    leaves, first keys sorted — what the scan's prefetch bisects — and a
+    full scan prefetches, per group, every non-empty leaf after the one it
+    entered the group by, and nothing else."""
+    cluster, dataset, index, compute = fg_setup
+    session = index.session(compute)
+    for ordinal in range(420, 504):  # leaves 10 and 11, 42 pairs each
+        assert cluster.execute(session.delete(dataset.key_at(ordinal)))
+    tree = index.tree_for(compute)
+    gc = EpochGarbageCollector(cluster.sim, tree, rebuild_heads=True, head_interval=8)
+    cluster.execute(gc.sweep())
+
+    chain, raw_ptr = [], cluster.execute(tree._find_leaf(0, True))[0]
+    while True:
+        leaf = cluster.execute(tree.acc.read_node(raw_ptr, True))
+        chain.append((raw_ptr, leaf))
+        if leaf.right & (1 << 63):
+            break
+        raw_ptr = leaf.right
+    empty = {ptr for ptr, leaf in chain if not leaf.keys}
+    assert len(empty) == 2
+    groups = [chain[start : start + 8] for start in range(0, len(chain), 8)]
+    for group in groups:
+        head = cluster.execute(tree.acc.read_node(group[0][1].head, True))
+        assert head.values == [ptr for ptr, leaf in group if leaf.keys]
+        assert head.keys == sorted(set(head.keys))
+
+    wanted = []
+    read_nodes = session._tree.acc.read_nodes
+
+    def spy(raw_ptrs):
+        wanted.append(list(raw_ptrs))
+        return read_nodes(raw_ptrs)
+
+    session._tree.acc.read_nodes = spy
+    got = cluster.execute(session.range_scan(0, dataset.key_space))
+    assert len(got) == dataset.num_keys - 84
+    assert wanted == [
+        [ptr for ptr, leaf in group[1:] if leaf.keys] for group in groups if len(group) > 1
+    ]
+
+
 def test_gc_on_in_memory_tree():
     """The collector is storage-agnostic: works over the in-memory accessor
     when driven manually (no simulator clock needed for a single sweep)."""
