@@ -13,7 +13,7 @@ Subcommands:
   run the gated experiments (all of them by default) at the scale their
   committed ``BENCH_*.json`` was recorded at and judge each run against
   that file (:mod:`repro.experiments.gate`); exit 1 unless every verdict
-  is ``same`` or ``better``.
+  is ``same``.
 
 Every experiment is declared once, in :data:`EXPERIMENTS` — the table
 drives ``list``, ``run``, ``chart``, ``gate`` and the ``--help`` epilog,
@@ -86,8 +86,6 @@ _TABLE = [
                "ext_overload", bench="BENCH_overload.json"),
     Experiment("tail", "Extension: critical-path tail-latency attribution",
                "ext_tail_attribution", bench="BENCH_tail.json"),
-    Experiment("engine", "Extension: engine wall-clock speed (host-side)",
-               "ext_engine", bench="BENCH_engine.json"),
 ]
 
 EXPERIMENTS = {entry.key: entry for entry in _TABLE}

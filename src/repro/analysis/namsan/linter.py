@@ -3,10 +3,11 @@
 Scoping mirrors the architecture, not a config file:
 
 * **N01** (determinism) applies to the simulated system itself —
-  ``repro/{sim,nam,rdma,index,btree,workloads}``. Experiment drivers and
-  reporting may read wall clocks; the machinery that produces results
-  (including the open-loop arrival sampling in ``repro/workloads``) may
-  not.
+  ``repro/{sim,nam,rdma,index,btree,workloads}`` — and to the gated
+  experiments (``repro/experiments``), whose every recorded field is
+  judged to the digit. Reporting may read wall clocks; the machinery that
+  produces results (including the open-loop arrival sampling in
+  ``repro/workloads``) may not.
 * **N02** (lock pairing) applies wherever ``try_lock`` is called.
 * **N03** (region access) applies to ``repro/{index,btree}`` except the
   accessor layer itself (``index/accessors.py``), which exists to be the
@@ -60,7 +61,7 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
 }
 assert set(RULE_DESCRIPTIONS) == set(RULE_IDS)
 
-_N01_PACKAGES = ("sim", "nam", "rdma", "index", "btree", "workloads")
+_N01_PACKAGES = ("sim", "nam", "rdma", "index", "btree", "workloads", "experiments")
 _N03_PACKAGES = ("index", "btree")
 _N06_PACKAGES = ("obs",)
 _N07_PACKAGES = ("index", "nam", "btree")

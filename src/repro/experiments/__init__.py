@@ -12,8 +12,8 @@ A figure module also holds the shapes EXPERIMENTS.md reports for it as
 ``CLAIMS``; :mod:`repro.experiments.paper` runs all of them once and
 ``python -m repro gate paper`` judges that run — cells to the digit, every
 claim by name — against ``BENCH_paper.json``. The extensions with a
-committed ``BENCH_*.json`` of their own publish ``CLAIMS`` and
-``WALL_FIELDS`` the same way (:mod:`repro.experiments.gate`).
+committed ``BENCH_*.json`` of their own publish ``CLAIMS`` the same way
+(:mod:`repro.experiments.gate`).
 """
 
 from repro.experiments.scale import DEFAULT, SMALL, ExperimentScale

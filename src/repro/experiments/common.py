@@ -11,23 +11,15 @@ prints and ``BENCH_paper.json`` holds (:mod:`repro.experiments.paper`).
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from time import perf_counter  # namsan: allow[N01] — wall-clock engine-speed measurement
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import (
-    ClusterConfig,
-    CpuConfig,
-    NetworkConfig,
-    ObservabilityConfig,
-    TreeConfig,
-)
+from repro.config import ClusterConfig, CpuConfig
 from repro.errors import ConfigurationError
 from repro.index import CoarseGrainedIndex, FineGrainedIndex, HybridIndex
 from repro.nam.cluster import Cluster
@@ -46,7 +38,6 @@ from repro.experiments.scale import ExperimentScale, measure_window
 __all__ = [
     "DESIGNS",
     "Cell",
-    "TimedCell",
     "build_index",
     "cache_hit_rate",
     "cells_of",
@@ -61,7 +52,6 @@ __all__ = [
     "print_panels",
     "ratio",
     "summarise",
-    "timed_pair",
     "write_obs_artifacts",
 ]
 
@@ -312,92 +302,6 @@ def measure_capacity(
         replace(scale, seed=seed),
         cpu=CpuConfig(cores_per_server=cores_per_server),
     ).throughput
-
-
-@dataclass
-class TimedCell:
-    """One (design, batching, observability) cell of a message-rate-bound grid."""
-
-    design: str
-    batched: bool
-    obs: bool
-    #: Operations/second of simulated time (deterministic given a seed).
-    sim_ops_per_s: float
-    #: Simulator events the run scheduled (deterministic given a seed).
-    sim_steps: int
-    #: Wall-clock seconds of ``runner.run``, one entry per paired rep.
-    wall_s: List[float]
-
-    @property
-    def wall_steps_per_s(self) -> float:
-        """Simulator events per wall-clock second, on the fastest rep."""
-        return self.sim_steps / min(self.wall_s)
-
-
-#: Small pages and wide head groups: scans touch many leaves and the
-#: prefetch fan-out is deep. (A head node holds one entry per leaf of its
-#: group, so the interval must stay below the page fanout:
-#: (512 - 40) // 16 = 29.)
-_MESSAGE_RATE_TREE = TreeConfig(page_size=512, head_node_interval=24, prefetch_window=24)
-
-
-def timed_pair(
-    design: str,
-    obs: bool,
-    scale: ExperimentScale,
-    seed: int,
-    spec: WorkloadSpec,
-    num_clients: int,
-    reps: int,
-    **window: Any,
-) -> Tuple[TimedCell, TimedCell]:
-    """Time *design*'s (batched, unbatched) cells on the message-rate-bound
-    cluster the batching and engine experiments share.
-
-    The per-message NIC cost (``message_overhead_s=1e-6``) dominates, so
-    collapsing N messages into one is worth almost N simulated, and
-    host-side per-event work is the largest share of wall time. Each rep
-    runs *spec* on a fresh cluster; *window* is ``runner.run``'s
-    ``warmup_s``/``measure_s`` or ``ops_per_client``. Only ``runner.run``
-    is on the clock: the bulk load schedules no events, and the garbage
-    collector is parked so a collection of build garbage cannot land in
-    the window. Wall time on shared hosts moves in phases, so the pair's
-    order alternates per rep and slow phases bias neither mode.
-    """
-    cells = {
-        batched: TimedCell(design, batched, obs, 0.0, 0, []) for batched in (True, False)
-    }
-    for rep in range(reps):
-        for batched in (True, False) if rep % 2 == 0 else (False, True):
-            dataset = generate_dataset(scale.num_keys, scale.gap)
-            cluster = Cluster(
-                cluster_config(
-                    scale,
-                    seed,
-                    network=NetworkConfig(
-                        message_overhead_s=1.0e-6, doorbell_batching=batched
-                    ),
-                    tree=_MESSAGE_RATE_TREE,
-                    observability=ObservabilityConfig(enabled=obs),
-                )
-            )
-            index = build_index(cluster, design, dataset)
-            runner = WorkloadRunner(cluster, dataset)
-            gc.collect()
-            gc.disable()
-            try:
-                started = perf_counter()
-                result = runner.run(
-                    index, spec, num_clients=num_clients, seed=seed, **window
-                )
-                wall_s = perf_counter() - started
-            finally:
-                gc.enable()
-            cell = cells[batched]
-            cell.sim_ops_per_s = result.throughput
-            cell.sim_steps = cluster.sim.events_scheduled
-            cell.wall_s.append(wall_s)
-    return cells[True], cells[False]
 
 
 def write_obs_artifacts(

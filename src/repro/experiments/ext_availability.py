@@ -48,13 +48,10 @@ __all__ = [
     "run",
     "print_figure",
     "CLAIMS",
-    "WALL_FIELDS",
     "DEFAULT_SCALE",
 ]
 
 DEFAULT_SCALE = SMALL
-
-WALL_FIELDS: Tuple[str, ...] = ()
 
 
 @dataclass

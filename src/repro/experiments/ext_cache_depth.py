@@ -44,7 +44,6 @@ __all__ = [
     "print_figure",
     "speedup",
     "CLAIMS",
-    "WALL_FIELDS",
     "DEFAULT_SCALE",
 ]
 
@@ -59,8 +58,6 @@ DEFAULT_SCALE = ExperimentScale(
     warmup_s=0.001,
     measure_s=0.004,
 )
-
-WALL_FIELDS: Tuple[str, ...] = ()
 
 
 @dataclass

@@ -44,7 +44,6 @@ __all__ = [
     "print_figure",
     "p99_ratio",
     "CLAIMS",
-    "WALL_FIELDS",
     "DEFAULT_SCALE",
 ]
 
@@ -76,8 +75,6 @@ DEFAULT_SCALE = ExperimentScale(
     warmup_s=0.001,
     measure_s=0.004,
 )
-
-WALL_FIELDS: Tuple[str, ...] = ()
 
 
 @dataclass

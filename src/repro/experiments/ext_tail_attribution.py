@@ -57,7 +57,6 @@ __all__ = [
     "run",
     "print_figure",
     "CLAIMS",
-    "WALL_FIELDS",
     "DEFAULT_SCALE",
 ]
 
@@ -83,8 +82,6 @@ DEFAULT_SCALE = ExperimentScale(
     warmup_s=0.001,
     measure_s=0.004,
 )
-
-WALL_FIELDS: Tuple[str, ...] = ()
 
 
 @dataclass

@@ -37,12 +37,9 @@ from repro.experiments import (
 from repro.experiments.common import Cell, cells_of, summarise
 from repro.experiments.scale import SMALL, ExperimentScale
 
-__all__ = ["run", "print_figure", "CLAIMS", "WALL_FIELDS", "DEFAULT_SCALE", "GRIDS"]
+__all__ = ["run", "print_figure", "CLAIMS", "DEFAULT_SCALE", "GRIDS"]
 
 DEFAULT_SCALE = SMALL
-
-#: Everything here is simulated: deterministic per seed, compared exactly.
-WALL_FIELDS = ()
 
 #: ``(grid, its modules, what its gate grid changes of DEFAULT_SCALE,
 #: load)``. The first module runs the grid; each prints its view of it and

@@ -1,15 +1,16 @@
 """Differential goldens for the engine fast paths (docs/performance.md).
 
-The wall-clock optimizations behind ``repro.experiments.ext_engine`` —
-zero-copy region views, decode memoization, shared (no-clone) read-only
-traversals, hoisted queue-pair constants — must never change *what* the
-simulator computes, only how fast the host executes it. These tests pin
-that contract:
+The host-side fast paths — zero-copy region views, decode memoization,
+shared (no-clone) read-only traversals, hoisted queue-pair constants —
+must never change *what* the simulator computes, only how fast the host
+executes it. These tests pin that contract:
 
 * a golden fingerprint per (design, batching) cell: exact event count and
   a hash over every op count, latency sample, network counter, and error
   tally. Any optimization that perturbs a single scheduled event or one
-  latency in the twelfth decimal fails loudly;
+  latency in the twelfth decimal fails loudly. The same cell with the
+  observability hub on must hit the same golden: the hub never schedules
+  an event;
 * unit guards on the individual fast paths (decode-cache invalidation,
   shared-master immutability, event-free channel reservations).
 
@@ -89,7 +90,7 @@ def _fingerprint(result) -> str:
     return digest.hexdigest()
 
 
-def _run_cell(design: str, batched: bool):
+def _run_cell(design: str, batched: bool, obs: bool = False):
     dataset = generate_dataset(3000, 8)
     config = ClusterConfig(
         num_memory_servers=4,
@@ -99,7 +100,7 @@ def _run_cell(design: str, batched: bool):
         ),
         tree=TreeConfig(page_size=512, head_node_interval=24, prefetch_window=24),
         seed=7,
-        observability=ObservabilityConfig(),
+        observability=ObservabilityConfig(enabled=obs),
     )
     cluster = Cluster(config)
     index = build_index(cluster, design, dataset)
@@ -110,11 +111,14 @@ def _run_cell(design: str, batched: bool):
     return cluster, result
 
 
-@pytest.mark.parametrize("design,batched", sorted(_GOLDENS))
-def test_golden_fingerprint(design, batched):
+@pytest.mark.parametrize("design,batched,obs", [
+    pytest.param(design, batched, obs, id=f"{design}-{batched}" + ("-obs" if obs else ""))
+    for obs in (False, True) for design, batched in sorted(_GOLDENS)
+])
+def test_golden_fingerprint(design, batched, obs):
     """The optimized engine schedules the exact golden event count and
-    reproduces every measured sample bit-for-bit."""
-    cluster, result = _run_cell(design, batched)
+    reproduces every measured sample bit-for-bit, hub on or off."""
+    cluster, result = _run_cell(design, batched, obs)
     steps, fingerprint = _GOLDENS[(design, batched)]
     assert cluster.sim.events_scheduled == steps
     assert _fingerprint(result) == fingerprint

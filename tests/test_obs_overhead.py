@@ -5,8 +5,8 @@ The same seeded fine-grained point workload runs hub-off and hub-on under
 calls (Python + C) the hub adds inside ``runner.run`` must stay under
 ``SURCHARGE_BOUND`` per operation. A call count repeats to the last digit
 on any host, so this is the tight gate on "cheap enough to leave on"
-(ROADMAP north star 4); the gate's wall-clock band
-(``repro.experiments.gate.HOST_BAND``) only catches gross slowdowns.
+(ROADMAP north star 4). Host time itself is measured by nambench
+(``fg_point_uniform_traced`` against its hub-off twin).
 
 The surcharge is gated as a difference, not as the hub-on / hub-off ratio
 it used to be: a cheaper kernel shrinks the denominator and fails a ratio
