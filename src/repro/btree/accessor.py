@@ -58,19 +58,21 @@ class NodeAccessor(abc.ABC):
 
     @abc.abstractmethod
     def read_node(
-        self, raw_ptr: int, shared: bool = False
+        self, raw_ptr: int, _ignored: bool = False
     ) -> Generator[Any, Any, Node]:
         """Fetch and decode the page at *raw_ptr* (may be locked).
 
-        With ``shared=True`` the caller promises to treat the result as
-        immutable, and both cluster accessors — one-sided and
-        server-resident — then return the master of the cluster's decode
-        memo instead of a private clone. That master is shared by every
-        client thread and every RPC worker of the cluster: mutating one in
-        place is cluster-wide corruption, not a per-client one. Read-only
-        traversals (lookup, scan, the hybrid's traversal RPC) pass True;
-        insert/update/delete descents — which mutate the node they later
-        lock — keep the owned default.
+        Every caller gets the master of the cluster's decode memo, one
+        object shared by every client thread and every RPC worker of the
+        cluster: mutating it in place is cluster-wide corruption, not a
+        per-client one. A writer changes a :meth:`Node.clone`, made once
+        its lock CAS has succeeded, and ``unlock_write`` publishes that
+        clone as the master of the version it creates.
+
+        The second argument is ignored, and no caller under ``src/``
+        passes it. It remains because ``benchmarks/nambench/ledger.py``
+        still passes ``True`` positionally, from when read-only callers
+        asked for the master and the rest got clones.
         """
 
     @abc.abstractmethod
@@ -91,7 +93,10 @@ class NodeAccessor(abc.ABC):
 
         Implementations write the page with the locked version in word 0
         and then FETCH_AND_ADD(1) the lock word (Listing 4's
-        ``remote_writeUnlock``).
+        ``remote_writeUnlock``). *node* is the writer's own clone; the
+        cluster accessors keep it as the decode memo's master of the new
+        version when the FAA proves the page holds it, so the caller must
+        not change it afterwards.
         """
 
     @abc.abstractmethod
@@ -138,12 +143,11 @@ class NodeAccessor(abc.ABC):
 
         Remote accessors override this with a parallel implementation
         (selectively signaled READs, Section 4.3) so head-node prefetching
-        actually overlaps round trips. The one consumer (scan prefetch)
-        only reads the results, so they are fetched ``shared``.
+        actually overlaps round trips.
         """
         nodes = []
         for raw_ptr in raw_ptrs:
-            node = yield from self.read_node(raw_ptr, True)
+            node = yield from self.read_node(raw_ptr)
             nodes.append(node)
         return nodes
 

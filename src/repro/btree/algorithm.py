@@ -80,18 +80,20 @@ class BLinkTree:
     # navigation helpers                                                  #
     # ------------------------------------------------------------------ #
 
-    def _read_unlocked(
-        self, raw_ptr: int, shared: bool = False
-    ) -> Generator[Any, Any, Node]:
+    def _read_unlocked(self, raw_ptr: int) -> Generator[Any, Any, Node]:
         """Fetch the page at *raw_ptr*; if its lock bit is set, wait it out
-        (the paper's ``readLockOrRestart`` / ``remote_awaitNodeUnlocked``)."""
-        node = yield from self.acc.read_node(raw_ptr, shared)
+        (the paper's ``readLockOrRestart`` / ``remote_awaitNodeUnlocked``).
+
+        Like every read here, the node is the decode memo's master, one
+        object for the whole cluster (:meth:`NodeAccessor.read_node`): a
+        writer clones it once its lock CAS has succeeded, never before."""
+        node = yield from self.acc.read_node(raw_ptr)
         if node.version & 1:
-            node = yield from self._await_unlocked(raw_ptr, node, shared)
+            node = yield from self._await_unlocked(raw_ptr, node)
         return node
 
     def _await_unlocked(
-        self, raw_ptr: int, node: Node, shared: bool
+        self, raw_ptr: int, node: Node
     ) -> Generator[Any, Any, Node]:
         """Spin on the page at *raw_ptr*, last read as the locked *node*,
         until an unlocked image arrives.
@@ -107,7 +109,7 @@ class BLinkTree:
         observed_since = self.acc.now()
         while True:
             yield from self.acc.spin_pause()
-            node = yield from self.acc.read_node(raw_ptr, shared)
+            node = yield from self.acc.read_node(raw_ptr)
             if not node.is_locked:
                 return node
             if node.version != observed_word:
@@ -122,8 +124,7 @@ class BLinkTree:
                 observed_since = self.acc.now()
 
     def _descend_from(
-        self, raw_ptr: int, node: Optional[Node], key: int, level: int,
-        shared: bool = False,
+        self, raw_ptr: int, node: Optional[Node], key: int, level: int
     ) -> Generator[Any, Any, Tuple[int, Node]]:
         """Walk down from *node* (at *raw_ptr*; the root, read here, when
         None) to the node at *level* covering *key*, moving right through
@@ -158,26 +159,24 @@ class BLinkTree:
                 obs.enter_step(
                     step_kind, "root" if node is None else f"level_{node.level}"
                 )
-            node = yield from self.acc.read_node(raw_ptr, shared)
+            node = yield from self.acc.read_node(raw_ptr)
             if node.version & 1:
-                node = yield from self._await_unlocked(raw_ptr, node, shared)
+                node = yield from self._await_unlocked(raw_ptr, node)
             if obs is not None:
                 obs.exit_step()
 
     def _descend_to_level(
-        self, key: int, level: int, shared: bool = False
+        self, key: int, level: int
     ) -> Generator[Any, Any, Tuple[int, Node]]:
         """Descend from the root; no frame of its own on the yield chain."""
-        return self._descend_from(0, None, key, level, shared)
+        return self._descend_from(0, None, key, level)
 
-    def _find_leaf(
-        self, key: int, shared: bool = False
-    ) -> Generator[Any, Any, Tuple[int, Node]]:
+    def _find_leaf(self, key: int) -> Generator[Any, Any, Tuple[int, Node]]:
         """``(raw_ptr, node)`` of the leaf covering *key* — the step every
         operation below starts from, and the one a design overrides when
         it reaches its leaves another way (the hybrid's traversal RPC,
         Section 5.2). Here: the root descent."""
-        return self._descend_from(0, None, key, 0, shared)
+        return self._descend_from(0, None, key, 0)
 
     # ------------------------------------------------------------------ #
     # reads                                                               #
@@ -188,7 +187,7 @@ class BLinkTree:
 
         Non-unique keys are supported; an empty list means "not found".
         """
-        _ptr, leaf = yield from self._find_leaf(key, True)
+        _ptr, leaf = yield from self._find_leaf(key)
         return leaf.leaf_matches(key)
 
     def range_scan(
@@ -207,7 +206,7 @@ class BLinkTree:
         """
         if high <= low:
             return []
-        raw_ptr, node = yield from self._find_leaf(low, True)
+        raw_ptr, node = yield from self._find_leaf(low)
         results: List[Tuple[int, int]] = []
         prefetched: Dict[int, Node] = {}
         seen_heads = set()
@@ -236,9 +235,9 @@ class BLinkTree:
             else:
                 # _read_unlocked's body, as in _descend_from: no frame of
                 # its own on the resume chain.
-                node = yield from self.acc.read_node(raw_ptr, True)
+                node = yield from self.acc.read_node(raw_ptr)
                 if node.version & 1:
-                    node = yield from self._await_unlocked(raw_ptr, node, True)
+                    node = yield from self._await_unlocked(raw_ptr, node)
 
     def _prefetch_group(
         self, node: Node, high: int, prefetched: Dict[int, Node]
@@ -248,7 +247,7 @@ class BLinkTree:
         A head's keys are its leaves' first keys in chain order, so sorted:
         the leaves ahead of the scan and inside the range are one bisected
         span of them."""
-        head = yield from self.acc.read_node(node.head, True)
+        head = yield from self.acc.read_node(node.head)
         if not head.is_head:
             return  # the page was recycled; ignore the stale pointer
         keys = head.keys
@@ -285,11 +284,14 @@ class BLinkTree:
             if not locked:
                 yield from self.acc.spin_pause()
                 continue
-            # The CAS succeeded on the version we read, so our copy is the
-            # current page content and its range information is trustworthy.
+            # The CAS succeeded on the version we read, so the node we read
+            # is the current page content and its range information is
+            # trustworthy.
             if not node.covers(key) and not is_null(node.right):
                 yield from self.acc.unlock_nochange(raw_ptr)
                 continue
+            # What we read is the memo's master: change a private copy.
+            node = node.clone()
             if node.count < self.max_entries:
                 node.insert_entry(key, value)
                 yield from self.acc.unlock_write(raw_ptr, node)
@@ -395,6 +397,7 @@ class BLinkTree:
             if not node.covers(sep_key) and not is_null(node.right):
                 yield from self.acc.unlock_nochange(raw_ptr)
                 continue
+            node = node.clone()
             if node.count < self.max_entries:
                 node.insert_entry(sep_key, new_child)
                 yield from self.acc.unlock_write(raw_ptr, node)
@@ -470,6 +473,7 @@ class BLinkTree:
                 continue
             # The CAS succeeded on the version we read: *target* still
             # names the entry in the current page content.
+            node = node.clone()
             node.values[target] = (
                 node.values[target] | TOMBSTONE_BIT if value is None else value
             )

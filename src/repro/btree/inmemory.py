@@ -64,7 +64,7 @@ class InMemoryAccessor(NodeAccessor):
     # -- NodeAccessor interface ------------------------------------------------
 
     def read_node(
-        self, raw_ptr: int, shared: bool = False
+        self, raw_ptr: int, _ignored: bool = False
     ) -> Generator[Any, Any, Node]:
         return Node.from_bytes(bytes(self._page(raw_ptr)))
         yield  # pragma: no cover - unreachable; makes this a generator

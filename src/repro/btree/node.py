@@ -215,10 +215,10 @@ class Node:
     def clone(self) -> "Node":
         """An independent mutable copy sharing no list state.
 
-        The decode cache (:mod:`repro.index.caching`) keeps one master
-        decode per unchanged page image and hands callers clones: the
-        index designs mutate fetched nodes after locking them, so the
-        master must never escape.
+        Every read hands out the decode memo's master, which nobody may
+        mutate. A writer clones it once its lock CAS has succeeded and
+        changes the clone; the unlock then makes that clone the master of
+        the version it writes.
         """
         node = Node.__new__(Node)
         node.node_type = self.node_type

@@ -42,7 +42,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.btree.accessor import NodeAccessor, RootRef
 from repro.btree.node import Node
-from repro.btree.pointers import NULL_RAW, RemotePointer, encode_pointer
+from repro.btree.pointers import NULL_RAW, encode_pointer
 from repro.errors import CatalogError, RemoteAccessError
 from repro.nam.allocator import ALLOC_WORD_OFFSET
 from repro.nam.catalog import RootLocation
@@ -59,8 +59,9 @@ __all__ = ["LocalAccessor", "RemoteAccessor", "LocalRootRef", "RemoteRootRef"]
 _LOCK_TAG_SHIFT = 48
 _LOCK_VERSION_MASK = (1 << _LOCK_TAG_SHIFT) - 1
 
-#: Low 56 bits of a raw pointer (RemotePointer.from_raw's offset mask),
-#: for the inlined decode on the read_node hot path.
+#: Low 56 bits of a raw pointer (RemotePointer.from_raw's offset mask).
+#: Every verb decodes its pointer inline, ``(raw >> 56) & 0x7F`` and
+#: ``raw & _PTR_OFFSET_MASK`` after the NULL test, with no tuple.
 _PTR_OFFSET_MASK = (1 << 56) - 1
 
 READ = Verb.READ
@@ -100,6 +101,12 @@ class _SharedDecode:
     """The one decode both accessors do, through the decode memo of the
     server they run on (``Cluster.decode_memo`` says why a hit is sound).
 
+    The memo has two writers. A read that misses decodes the image and
+    stores it as the master of its version. An ``unlock_write`` whose FAA
+    returns the very word it wrote proves the page now holds exactly the
+    writer's node, one version up, and stores that node as the master of
+    the new version: nobody decodes what a writer wrote.
+
     A master also carries its live pairs (:attr:`Node.live`) once a range
     scan has read it: one build per page version, shared like the decode,
     and gone with the master when a new version replaces it."""
@@ -110,8 +117,9 @@ class _SharedDecode:
         """Decode *data*, reusing the memoized master if the image's
         version word is unchanged. The returned node is shared by every
         client thread and RPC worker of the cluster: callers must treat it
-        as immutable (clone before mutating). *cache* stands in for the
-        memo where an image must stay out of it (a crashed host's reads)."""
+        as immutable (a writer clones it after its lock CAS). *cache*
+        stands in for the memo where an image must stay out of it (a
+        crashed host's reads)."""
         version = _PEEK_U64(data)[0]
         if cache is None:
             cache = self._decode_cache
@@ -154,16 +162,18 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         self._spin_slice = server.config.cpu.spin_wait_slice_s
 
     def _offset(self, raw_ptr: int) -> int:
-        pointer = RemotePointer.from_raw(raw_ptr)
-        if pointer.server_id != self.logical_id:
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
+        server_id = (raw_ptr >> 56) & 0x7F
+        if server_id != self.logical_id:
             raise RemoteAccessError(
                 f"local accessor for logical server {self.logical_id} asked to "
-                f"touch a node on server {pointer.server_id}"
+                f"touch a node on server {server_id}"
             )
-        return pointer.offset
+        return raw_ptr & _PTR_OFFSET_MASK
 
     def read_node(
-        self, raw_ptr: int, shared: bool = False
+        self, raw_ptr: int, _ignored: bool = False
     ) -> Generator[Any, Any, Node]:
         offset = self._offset(raw_ptr)
         yield self.server.cpu(self._node_cost)
@@ -183,8 +193,7 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
             master = self._decode_shared(raw_ptr, view, {} if down else None)
         finally:
             view.release()
-        # As RemoteAccessor: the master for read-only callers, else a clone.
-        return master if shared else master.clone()
+        return master
 
     def write_node(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
@@ -223,6 +232,15 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         old = self.region.fetch_and_add(offset, 1)
         if self.server.sanitizer is not None:
             _emit_local(self.server, "atomic", "LOCAL_FAA", self.logical_id, offset, 8, old)
+        # The page holds *node* at ``old + 1``: publish it as that
+        # version's master, unless this host is down (``Cluster.decode_memo``
+        # says why a wiped region's write must stay out).
+        injector = self.server.injector
+        if old == node.version and (
+            injector is None or not injector.server_down(self.server.server_id)
+        ):
+            node.version = old + 1
+            self._decode_cache[raw_ptr] = node
 
     def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
@@ -288,10 +306,8 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         self._decode_cache = compute_server.decode_memo
 
     def read_node(
-        self, raw_ptr: int, shared: bool = False
+        self, raw_ptr: int, _ignored: bool = False
     ) -> Generator[Any, Any, Node]:
-        # The pointer decode is inlined (RemotePointer.from_raw without the
-        # tuple).
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
             raise RemoteAccessError("cannot decode a NULL remote pointer")
         # Zero-copy fetch: the view aliases the live region, so it is
@@ -306,12 +322,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         master = self._decode_shared(raw_ptr, data)
         del data
         yield self._search_cost
-        if shared:
-            # Read-only traversals take the memoized master as-is.
-            return master
-        # Mutating callers (insert/update/delete descents) get a private
-        # clone of the memoized decode.
-        return master.clone()
+        return master
 
     def read_nodes(self, raw_ptrs) -> Generator[Any, Any, List[Node]]:
         """Fetch several nodes at once (head-node prefetch fan-out).
@@ -326,7 +337,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         sim = self.compute_server.sim
         raw_ptrs = list(raw_ptrs)
         if not self._batching or len(raw_ptrs) < 2:
-            pending = [sim.process(self.read_node(raw, True)) for raw in raw_ptrs]
+            pending = [sim.process(self.read_node(raw)) for raw in raw_ptrs]
             return (yield sim.all_of(pending))
         # Slots by home server, the pointer decoded inline as in read_node.
         by_server: Dict[int, List[int]] = {}
@@ -368,8 +379,6 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
                 wqes, count, True, True
             )
             yield self._search_cost * count
-            # Prefetched nodes feed read-only scan consumers, so memoized
-            # masters are handed out without cloning (see _decode_shared).
             for slot, data in zip(chunk, pages):
                 nodes[slot] = self._decode_shared(raw_ptrs[slot], data)
 
@@ -382,23 +391,30 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         page content, while any mismatch — including an odd, locked word —
         means the image must be refetched.
         """
-        pointer = RemotePointer.from_raw(raw_ptr)
-        data = yield from self.compute_server.qp(pointer.server_id).read(
-            pointer.offset, 8
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
+        data = yield from self.compute_server.qp((raw_ptr >> 56) & 0x7F).read(
+            raw_ptr & _PTR_OFFSET_MASK, 8
         )
         return int.from_bytes(data, "little")
 
     def write_node(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
-        pointer = RemotePointer.from_raw(raw_ptr)
-        return self.compute_server.qp(pointer.server_id).write(
-            pointer.offset, node.to_bytes(self.page_size)
+        # A fresh page at version 0 (split sibling, new root, GC head): the
+        # memo learns it from its first reader, as from a bulk load.
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
+        return self.compute_server.qp((raw_ptr >> 56) & 0x7F).write(
+            raw_ptr & _PTR_OFFSET_MASK, node.to_bytes(self.page_size)
         )
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
-        pointer = RemotePointer.from_raw(raw_ptr)
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
         swapped, _old = yield from self.compute_server.qp(
-            pointer.server_id
-        ).compare_and_swap(pointer.offset, version, version | 1 | self._owner_tag_word)
+            (raw_ptr >> 56) & 0x7F
+        ).compare_and_swap(
+            raw_ptr & _PTR_OFFSET_MASK, version, version | 1 | self._owner_tag_word
+        )
         obs = self.obs
         if obs is not None:
             if swapped:
@@ -411,7 +427,10 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         # The page image is written with a tag-free locked version, so the
         # subsequent FAA(+1) both clears our owner tag (the word was just
         # overwritten) and releases the lock.
-        pointer = RemotePointer.from_raw(raw_ptr)
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
+        server_id = (raw_ptr >> 56) & 0x7F
+        offset = raw_ptr & _PTR_OFFSET_MASK
         node.version |= 1
         data = node.to_bytes(self.page_size)
         qp = self.compute_server.qp
@@ -420,19 +439,27 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
             # a single chain. RC in-order execution applies the write
             # before the version bump, so the unlock is still a release
             # store — and the two round trips collapse into one.
-            yield from qp(pointer.server_id).write_faa_chain(pointer.offset, data)
-            return
-        # The queue pair is resolved per verb: a failover between the two
-        # re-routes the FAA to the promoted copy the WRITE was mirrored to.
-        yield from qp(pointer.server_id).write(pointer.offset, data)
-        yield from qp(pointer.server_id).fetch_and_add(pointer.offset, 1)
+            old = yield from qp(server_id).write_faa_chain(offset, data)
+        else:
+            # The queue pair is resolved per verb: a failover between the
+            # two re-routes the FAA to the promoted copy the WRITE was
+            # mirrored to.
+            yield from qp(server_id).write(offset, data)
+            old = yield from qp(server_id).fetch_and_add(offset, 1)
+        # The FAA found the word our WRITE left (mirrors are synchronous, so
+        # on a promoted copy too): the page holds *node* at ``old + 1``,
+        # and it becomes that version's master.
+        if old == node.version:
+            node.version = old + 1
+            self._decode_cache[raw_ptr] = node
 
     def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, Any]:
         # Single FAA that increments the version *and* subtracts our owner
         # tag (mod 2**64), restoring a clean even word in one atomic.
-        pointer = RemotePointer.from_raw(raw_ptr)
-        return self.compute_server.qp(pointer.server_id).fetch_and_add(
-            pointer.offset, 1 - self._owner_tag_word
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
+        return self.compute_server.qp((raw_ptr >> 56) & 0x7F).fetch_and_add(
+            raw_ptr & _PTR_OFFSET_MASK, 1 - self._owner_tag_word
         )
 
     def alloc(self, level: int) -> Generator[Any, Any, int]:
@@ -477,11 +504,12 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         # with the version advanced past the dead holder's locked version
         # (clear the owner tag and lock bit, then +2), so optimistic readers
         # that captured the pre-crash version correctly restart.
-        pointer = RemotePointer.from_raw(raw_ptr)
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
         stolen_word = ((observed_word & _LOCK_VERSION_MASK) & ~1) + 2
         swapped, _old = yield from self.compute_server.qp(
-            pointer.server_id
-        ).compare_and_swap(pointer.offset, observed_word, stolen_word)
+            (raw_ptr >> 56) & 0x7F
+        ).compare_and_swap(raw_ptr & _PTR_OFFSET_MASK, observed_word, stolen_word)
         if swapped:
             self.lock_steals += 1
             injector = self.compute_server.fabric.injector

@@ -74,12 +74,11 @@ class RemoteCache:
         self.depth = depth
         #: Highest node level this client has seen (root-level estimate).
         self.top_level = 0
-        #: raw_ptr -> [version, epoch, master] where ``master`` is
-        #: the shared decoded Node of the page image — the serialization
-        #: cache of docs/performance.md: serves clone the master, the
-        #: bytes are never kept. The master lives and dies with its entry,
-        #: so every coherence action (reject / invalidate / eviction) that
-        #: drops the image drops the decode with it.
+        #: raw_ptr -> [version, epoch, master] where ``master`` is the
+        #: decode memo's master of the page image it was filled from —
+        #: served as-is, like every read; the bytes are never kept. The
+        #: entry lives and dies with the image, so every coherence action
+        #: (reject / invalidate / eviction) drops the node with it.
         self._entries: "OrderedDict[int, list]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -127,10 +126,9 @@ class RemoteCache:
         return entry[0], entry[1] >= epoch, entry[2]
 
     def store(self, raw_ptr: int, node: Node, epoch: int) -> None:
-        # The master decode is cloned off the caller's node: the caller
-        # keeps (and may mutate) its own copy, the cache keeps an
-        # immutable one.
-        self._entries[raw_ptr] = [node.version, epoch, node.clone()]
+        # *node* is a master nobody mutates (writers clone after their
+        # lock CAS), so the cache keeps it rather than a copy.
+        self._entries[raw_ptr] = [node.version, epoch, node]
         self._entries.move_to_end(raw_ptr)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -211,7 +209,7 @@ class CachingRemoteAccessor(RemoteAccessor):
     # -- accessor overrides ---------------------------------------------------
 
     def read_node(
-        self, raw_ptr: int, shared: bool = False
+        self, raw_ptr: int, _ignored: bool = False
     ) -> Generator[Any, Any, Node]:
         obs = self.obs
         epoch = self._epoch()
@@ -234,18 +232,15 @@ class CachingRemoteAccessor(RemoteAccessor):
                 if obs is not None:
                     obs.cache_hit()
                 self._served_versions[raw_ptr] = version
-                # Only the local search cost; no page round trip. Serve a
-                # clone of the entry's master decode — identical to
-                # re-parsing the page image, without the parse.
+                # Only the local search cost; no page round trip. Serve
+                # the entry's master as-is, like every read.
                 yield self._search_cost
-                if shared:
-                    return master
-                return master.clone()
+                return master
         self.cache.misses += 1
         if obs is not None:
             obs.cache_miss()
         self._served_versions.pop(raw_ptr, None)
-        node = yield from super().read_node(raw_ptr, shared)
+        node = yield from super().read_node(raw_ptr)
         self.cache.observe(node.level)
         if self.cache.cacheable(node):
             self.cache.store(raw_ptr, node, epoch)

@@ -108,6 +108,8 @@ class EpochGarbageCollector:
             if not removed:
                 yield from self.tree.acc.unlock_nochange(raw_ptr)
                 return 0
+            # What we read is the decode memo's master: change a copy.
+            node = node.clone()
             node.keys = [key for key, _ in keep]
             node.values = [value for _, value in keep]
             yield from self.tree.acc.unlock_write(raw_ptr, node)
@@ -157,6 +159,7 @@ class EpochGarbageCollector:
             if not locked:
                 yield from self.tree.acc.spin_pause()
                 continue
+            node = node.clone()
             node.head = head_ptr
             yield from self.tree.acc.unlock_write(raw_ptr, node)
             return

@@ -45,8 +45,7 @@ _APP = "hybrid"
 
 def _handle_traverse(server: MemoryServer, msg: rpc.TraverseRequest):
     tree = server.app[_APP, msg.index, msg.partition]
-    # Read-only (find_child below): the traversal clones nothing.
-    _ptr, node = yield from tree._descend_to_level(msg.key, 1, True)
+    _ptr, node = yield from tree._descend_to_level(msg.key, 1)
     response = rpc.PointerResponse(node.find_child(msg.key))
     return response, response.wire_bytes
 
@@ -159,9 +158,7 @@ class _HybridLeafTree(BLinkTree):
         self._index = index.name
         self._partition = partition
 
-    def _find_leaf(
-        self, key: int, shared: bool = False
-    ) -> Generator[Any, Any, Tuple[int, Node]]:
+    def _find_leaf(self, key: int) -> Generator[Any, Any, Tuple[int, Node]]:
         partition = self._partition
         response = yield from self._call(
             partition, rpc.TraverseRequest(self._index, key, partition=partition)
@@ -171,10 +168,10 @@ class _HybridLeafTree(BLinkTree):
         # no span step: the RPC is the traversal. It is _read_unlocked's
         # body, as in _descend_from: no frame of its own.
         raw_ptr = response.raw
-        node = yield from self.acc.read_node(raw_ptr, shared)
+        node = yield from self.acc.read_node(raw_ptr)
         if node.version & 1:
-            node = yield from self._await_unlocked(raw_ptr, node, shared)
-        return (yield from self._descend_from(raw_ptr, node, key, 0, shared))
+            node = yield from self._await_unlocked(raw_ptr, node)
+        return (yield from self._descend_from(raw_ptr, node, key, 0))
 
     def _install_separator(
         self, level: int, sep_key: int, new_child: int, split_child: int

@@ -13,7 +13,11 @@ byte-equality guarantee:
   lease-stolen during the walk (and reported) rather than wedging it;
 * no orphaned pages: every allocated page is reachable from a root,
   a head-node chain, or a free list (advisory by default, see below);
-* replica convergence: every live backup byte-identical to its primary.
+* replica convergence: every live backup byte-identical to its primary;
+* the decode memo: every master whose version is its page's current word
+  is what those bytes decode to, live pairs included. Readers and writers
+  both fill the memo (``Cluster.decode_memo``), so this is the oracle for
+  a writer that published a node its page does not hold.
 
 The walk runs as a simulation process and therefore composes with a still
 -running workload (it sees a consistent B-link structure at every step, as
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Set
 
-from repro.btree.node import MAX_KEY, is_tombstoned
+from repro.btree.node import MAX_KEY, Node, is_tombstoned
 from repro.btree.pointers import RemotePointer, is_null
 from repro.errors import ReproError
 from repro.nam.allocator import ALLOC_WORD_OFFSET
@@ -191,6 +195,29 @@ def _walk_tree(
     report.stranded_locks += getattr(tree.acc, "lock_steals", 0) - steals_before
 
 
+#: The decoded fields a memo master must share with its page's bytes.
+_NODE_FIELDS = tuple(name for name in Node.__slots__ if name != "live")
+
+
+def _check_memo(cluster, report: VerifyReport) -> None:
+    """Report every memo master whose version equals its page's current
+    word but whose fields — or, once a scan built them, live pairs — are
+    not what those bytes decode to. An older master is no violation: its
+    next read refuses it by version."""
+    for raw_ptr, master in cluster.decode_memo.items():
+        pointer = RemotePointer.from_raw(raw_ptr)
+        data = cluster.page_image(pointer.server_id, pointer.offset)
+        if data is None or int.from_bytes(data[:8], "little") != master.version:
+            continue
+        truth = Node.from_bytes(data)
+        if any(getattr(master, name) != getattr(truth, name) for name in _NODE_FIELDS) or (
+            master.live is not None and master.live != truth.build_live()
+        ):
+            report.violations.append(
+                f"stale memo master at {raw_ptr:#x} (version {master.version})"
+            )
+
+
 def _orphan_accounting(
     cluster, index, reached: Set[int], report: VerifyReport, strict: bool
 ) -> None:
@@ -255,6 +282,7 @@ def verify_index(
         )
     report = VerifyReport(design=index.design, index_name=index.name)
     reached: Set[int] = set()
+    _check_memo(cluster, report)
     # The oracle checks *bytes*, so here — and nowhere else — the decode
     # memo is bypassed: a page rewritten in place under an unchanged version
     # word must not be served from its memoized decode

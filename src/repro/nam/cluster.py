@@ -20,7 +20,7 @@ servers take the local-memory fast path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,12 +88,14 @@ class Cluster:
             )
         self.compute_servers: List[ComputeServer] = []
         #: The decode memo: ``raw_ptr -> master Node`` of the last unlocked
-        #: image decoded there, one dict under every accessor of the cluster
-        #: (``index/accessors.py::_SharedDecode``); a master a range scan has
-        #: read also carries that image's live pairs (``Node.live``), so they
-        #: too are built once per page version. Host-side only: the READ
-        #: or CPU slice is paid before it is consulted, a hit charges what a
-        #: miss does. Sound — under faults and replication too — because
+        #: image decoded or written there, one dict under every accessor of
+        #: the cluster (``index/accessors.py::_SharedDecode``). Every read
+        #: returns the master; a writer clones it after its lock CAS. A
+        #: master a range scan has read also carries that image's live pairs
+        #: (``Node.live``), so they too are built once per page version.
+        #: Host-side only: the READ or CPU slice is paid before it is
+        #: consulted, a hit charges what a miss does. Sound — under faults
+        #: and replication too — because
         #: ``(raw_ptr, even version)`` names one page content for this
         #: cluster's whole run, whoever reads: (1) a page is never handed
         #: out twice — pages are bump-allocated, ``PageAllocator.free`` has
@@ -111,9 +113,18 @@ class Cluster:
         #: its host's crash decodes around the memo
         #: (``LocalAccessor.read_node``); (5) a robbed-but-alive lock holder
         #: is excluded by the lease assumption ``RetryConfig`` warns about.
-        #: Per cluster, never module-global: two clusters in one process
-        #: reuse pointers with different bytes. Live servers bypass it in one
-        #: place: ``verify_index`` empties it to check bytes.
+        #: Writers publish by the same premises: an ``unlock_write`` whose
+        #: FAA returns the word it wrote (odd, ``node.version``) knows the
+        #: page holds exactly its node at ``old + 1`` — only the lock holder
+        #: writes (2, 5), an RC chain applies its WRITE before its FAA, and
+        #: mirrors are synchronous (3) — and stores that node as the master
+        #: of ``old + 1``. Not a down host's RPC worker: it wrote into a
+        #: wiped region, and the promoted copy may yet steal the lock back
+        #: to the old image under that same version. ``write_node`` (fresh
+        #: pages at version 0) publishes nothing, by (4). Per cluster, never
+        #: module-global: two clusters in one process reuse pointers with
+        #: different bytes. Live servers bypass it in one place:
+        #: ``verify_index`` checks it against the bytes, then empties it.
         self.decode_memo: Dict[int, Any] = {}
         for server in self.memory_servers:
             server.decode_memo = self.decode_memo
@@ -244,6 +255,22 @@ class Cluster:
         sanitizer's model.
         """
         self.memory_server(server_id).region.write_u64(offset, raw)
+
+    def page_image(self, server_id: int, offset: int) -> Optional[bytes]:
+        """The page at *offset* of logical server *server_id*, copied from
+        its authoritative region (after a failover, the promoted copy's),
+        or None while that region's host is down. No simulated traffic:
+        the read-side counterpart of :meth:`write_control_word`, for
+        oracles that audit the accessors' product from outside."""
+        if self.replication is not None:
+            host, region = self.replication.route(server_id)
+        else:
+            host = self.memory_server(server_id)
+            region = host.region
+        injector = self.fault_injector
+        if injector is not None and injector.server_down(host.server_id):
+            return None
+        return region.read(offset, self.config.tree.page_size)
 
     # -- running --------------------------------------------------------------
 

@@ -3,11 +3,13 @@ under both accessors (``Cluster.decode_memo`` carries the argument).
 
 What that has to mean, each as a test: every client thread and RPC worker
 of a cluster gets the *same* master and sees a writer's next version;
-mutating callers get clones on the server-resident path as on the
-one-sided one; two clusters in one process never see each other's pages;
-after contention the memo still says what the bytes say; a crashed host's
-wiped region never reaches it; and the one bypass — ``verify_index``
-empties it — is necessary for server-resident pages too.
+every accessor hands every caller the master; a writer's unlock makes the
+writer's own node the master of the version it wrote, and a failed lock
+CAS changes nothing; two clusters in one process never see each other's
+pages; after contention the memo still says what the bytes say; a crashed
+host's wiped region never reaches it, by a read or by a write; and the one
+bypass — ``verify_index`` empties it — is necessary for server-resident
+pages too.
 """
 
 from __future__ import annotations
@@ -18,22 +20,18 @@ from repro import (
     Cluster,
     ClusterConfig,
     CoarseGrainedIndex,
+    EpochGarbageCollector,
     FaultPlan,
     FineGrainedIndex,
+    NetworkConfig,
     verify_index,
 )
 from repro.btree.node import Node
 from repro.btree.pointers import RemotePointer
 from repro.experiments.common import DESIGNS, build_index
 from repro.index.accessors import LocalAccessor, RemoteAccessor
+from repro.index.caching import CachingRemoteAccessor
 from repro.workloads import generate_dataset
-
-
-def _region(cluster, server_id):
-    """The authoritative region of logical server *server_id*."""
-    if cluster.replication is not None:
-        return cluster.replication.route(server_id)[1]
-    return cluster.memory_server(server_id).region
 
 
 def assert_memo_is_truth(cluster, accessor_for=None) -> int:
@@ -43,16 +41,13 @@ def assert_memo_is_truth(cluster, accessor_for=None) -> int:
     version and decoded afresh. *accessor_for* maps a logical server id to
     the accessor to read its pages with; by default one ``RemoteAccessor``."""
     remote = RemoteAccessor(cluster.compute_servers[0], cluster.config)
-    page_size = cluster.config.tree.page_size
     hits = 0
     for raw_ptr, master in list(cluster.decode_memo.items()):
         pointer = RemotePointer.from_raw(raw_ptr)
         accessor = accessor_for(pointer.server_id) if accessor_for else remote
-        served = cluster.execute(accessor.read_node(raw_ptr, True))
+        served = cluster.execute(accessor.read_node(raw_ptr))
         hits += served is master
-        truth = Node.from_bytes(
-            _region(cluster, pointer.server_id).read(pointer.offset, page_size)
-        )
+        truth = Node.from_bytes(cluster.page_image(pointer.server_id, pointer.offset))
         # A scanned master also carries its live pairs: they must be what
         # the bytes' live pairs are.
         if served.live is not None:
@@ -82,38 +77,147 @@ def test_two_compute_servers_share_one_master_and_see_the_next_version(
     acc_a, acc_b = session_a._tree.acc, session_b._tree.acc
     assert acc_a is not acc_b
     key = dataset.key_at(100)
-    ptr, seen_by_a = cluster.execute(session_a._tree._find_leaf(key, True))
+    ptr, seen_by_a = cluster.execute(session_a._tree._find_leaf(key))
     # B has never read this page; A's decode is the one it gets.
-    assert cluster.execute(acc_b.read_node(ptr, True)) is seen_by_a
+    assert cluster.execute(acc_b.read_node(ptr)) is seen_by_a
 
     cluster.execute(session_a.insert(key + 1, 77))
-    seen_by_b = cluster.execute(acc_b.read_node(ptr, True))
+    seen_by_b = cluster.execute(acc_b.read_node(ptr))
     assert seen_by_b is not seen_by_a
     assert seen_by_b.version == seen_by_a.version + 2
     assert key + 1 in seen_by_b.keys and key + 1 not in seen_by_a.keys
     assert cluster.execute(session_b.lookup(key + 1)) == [77]
     # ... and the new image is again one object for both.
-    assert cluster.execute(acc_a.read_node(ptr, True)) is seen_by_b
+    assert cluster.execute(acc_a.read_node(ptr)) is seen_by_b
 
 
-def test_local_accessor_clones_for_mutating_callers(cluster, dataset):
+def test_every_accessor_hands_every_caller_the_master(cluster, dataset):
+    """Server-resident, one-sided and caching accessors alike: a read is the
+    memo's master, whether or not the caller passes the ignored second
+    argument, and a cache hit is that same object."""
     index = CoarseGrainedIndex.build(
         cluster, "idx", dataset.pairs(), key_space=dataset.key_space
     )
     tree = index.partition_tree(0)
-    assert isinstance(tree.acc, LocalAccessor)
     ptr = cluster.execute(tree.root.get())
-    master = cluster.execute(tree.acc.read_node(ptr, True))
-    assert cluster.execute(tree.acc.read_node(ptr, True)) is master
+    compute = cluster.new_compute_server()
+    accessors = [
+        tree.acc,
+        RemoteAccessor(compute, cluster.config),
+        CachingRemoteAccessor(index, compute, depth=2, capacity=64),
+    ]
+    assert isinstance(tree.acc, LocalAccessor)
+    master = cluster.execute(tree.acc.read_node(ptr))
+    assert master.is_inner and cluster.decode_memo[ptr] is master
+    for accessor in accessors:
+        for _lap in range(2):  # the caching accessor's second lap is a hit
+            assert cluster.execute(accessor.read_node(ptr)) is master
+            assert cluster.execute(accessor.read_node(ptr, True)) is master
+    assert accessors[2].hits >= 1
     assert cluster.decode_memo[ptr] is master
 
-    owned = cluster.execute(tree.acc.read_node(ptr))
-    assert owned is not master and owned.keys == master.keys
-    before = (list(master.keys), list(master.values), master.version)
-    owned.insert_entry(owned.keys[-1] + 1, 99)
-    owned.version |= 1
-    assert (master.keys, master.values, master.version) == before
-    assert cluster.execute(tree.acc.read_node(ptr, True)) is master
+
+def _published(monkeypatch):
+    """Record every ``(raw_ptr, node)`` an ``unlock_write`` is handed."""
+    log = []
+    for cls in (LocalAccessor, RemoteAccessor):
+        real = cls.unlock_write
+
+        def spy(self, raw_ptr, node, real=real):
+            log.append((raw_ptr, node))
+            return real(self, raw_ptr, node)
+
+        monkeypatch.setattr(cls, "unlock_write", spy)
+    return log
+
+
+def assert_writers_are_masters(cluster, log) -> None:
+    """Each page's last writer's node *is* its memo master, at the even
+    version the routed region's word holds."""
+    assert log
+    for raw_ptr, node in dict(log).items():
+        pointer = RemotePointer.from_raw(raw_ptr)
+        word = int.from_bytes(
+            cluster.page_image(pointer.server_id, pointer.offset)[:8], "little"
+        )
+        assert cluster.decode_memo.get(raw_ptr) is node, f"master of {raw_ptr:#x}"
+        assert node.version == word and not word & 1
+
+
+_WRITES = ("insert", "update", "delete", "separator", "gc")
+
+
+@pytest.mark.parametrize("batched", (True, False), ids=("batched", "unbatched"))
+@pytest.mark.parametrize(
+    "design, write",
+    [("fine-grained", write) for write in _WRITES]
+    + [("coarse-grained", "separator"), ("hybrid", "separator")],
+)
+def test_a_writers_node_becomes_the_master_of_its_version(
+    design, write, batched, monkeypatch
+):
+    """After an insert, update, delete, separator install (fine-grained
+    one-sided, coarse-grained in the RPC worker, the hybrid's owner-side
+    install) and a GC compaction, the memo entry of each written page is the
+    node its writer handed to ``unlock_write`` — nobody decoded it."""
+    cluster = Cluster(
+        ClusterConfig(
+            num_memory_servers=2,
+            seed=23,
+            network=NetworkConfig(doorbell_batching=batched),
+        )
+    )
+    dataset = generate_dataset(2_000, gap=8)
+    index = build_index(cluster, design, dataset)
+    session = index.session(cluster.new_compute_server())
+    key = dataset.key_at(500)
+    log = _published(monkeypatch)
+    if write == "insert":
+        cluster.execute(session.insert(key + 1, 7))
+    elif write == "update":
+        assert cluster.execute(session.update(key, 7))
+    elif write == "delete":
+        assert cluster.execute(session.delete(key))
+    elif write == "separator":
+        # Seven new keys after each of a dozen loaded ones: the leaf splits
+        # and the separator goes into the level above.
+        for ordinal in range(500, 512):
+            for offset in range(1, 8):
+                cluster.execute(session.insert(dataset.key_at(ordinal) + offset, 9))
+        assert any(node.level == 1 for _ptr, node in log)
+    else:
+        for ordinal in range(500, 520):
+            assert cluster.execute(session.delete(dataset.key_at(ordinal)))
+        del log[:]
+        collector = EpochGarbageCollector(
+            cluster.sim,
+            index.tree_for(cluster.new_compute_server()),
+            rebuild_heads=True,
+        )
+        assert cluster.execute(collector.sweep())["removed"] == 20
+    assert_writers_are_masters(cluster, log)
+
+    def local(server_id):
+        return index.partition_tree(server_id).acc
+
+    assert assert_memo_is_truth(cluster, None if design == "fine-grained" else local)
+    assert cluster.execute(session.lookup(dataset.key_at(499))) == [499]
+
+
+@pytest.mark.parametrize("design", ("fine-grained", "coarse-grained"))
+def test_a_failed_lock_cas_leaves_the_master_untouched(design, cluster, dataset):
+    index = build_index(cluster, design, dataset)
+    key = dataset.key_at(300)
+    if design == "fine-grained":
+        tree = index.tree_for(cluster.new_compute_server())
+    else:
+        tree = index.partition_tree(index.partitioner.server_for_key(key))
+    ptr, master = cluster.execute(tree._find_leaf(key))
+    before = (list(master.keys), list(master.values), master.version, master.high_key)
+    assert not cluster.execute(tree.acc.try_lock(ptr, master.version + 2))
+    assert cluster.decode_memo[ptr] is master
+    assert (master.keys, master.values, master.version, master.high_key) == before
+    assert cluster.execute(tree._find_leaf(key)) == (ptr, master)
 
 
 def test_two_clusters_in_one_process_read_their_own_pages():
@@ -131,7 +235,7 @@ def test_two_clusters_in_one_process_read_their_own_pages():
         for ordinal in range(0, dataset.num_keys, 37):
             assert cluster.execute(session.lookup(dataset.key_at(ordinal))) == [ordinal]
         leaves.append(
-            cluster.execute(session._tree._find_leaf(dataset.key_at(999), True))
+            cluster.execute(session._tree._find_leaf(dataset.key_at(999)))
         )
     (ptr_a, leaf_a), (ptr_b, leaf_b) = leaves
     assert ptr_a == ptr_b
@@ -198,11 +302,11 @@ def test_a_wiped_image_never_enters_the_memo():
         key for key, _value in dataset.pairs()
         if index.partitioner.server_for_key(key) == victim
     )
-    _ptr, parent = cluster.execute(tree._descend_to_level(key, 1, True))
+    _ptr, parent = cluster.execute(tree._descend_to_level(key, 1))
     leaf_ptr = parent.find_child(key)
     assert leaf_ptr not in cluster.decode_memo
 
-    parked = cluster.spawn(tree.acc.read_node(leaf_ptr, True))
+    parked = cluster.spawn(tree.acc.read_node(leaf_ptr))
     cluster.run(until=cluster.now + tree.acc._node_cost / 2)
     assert not parked.triggered
     injector.crash_memory_server(victim)
@@ -213,16 +317,103 @@ def test_a_wiped_image_never_enters_the_memo():
     cluster.replication.promote(victim)
     promoted = index.partition_tree(victim)
     assert promoted.acc.server is not tree.acc.server
-    leaf = cluster.execute(promoted.acc.read_node(leaf_ptr, True))
+    leaf = cluster.execute(promoted.acc.read_node(leaf_ptr))
     assert leaf.version == 0 and key in leaf.keys
-    assert cluster.execute(remote.read_node(leaf_ptr, True)) is leaf
+    assert cluster.execute(remote.read_node(leaf_ptr)) is leaf
     assert assert_memo_is_truth(
         cluster, lambda server_id: index.partition_tree(server_id).acc
     )
     # Nor is a down host's read *served* from the memo: its handler sees
     # what it saw before the memo was the cluster's.
-    again = cluster.execute(tree.acc.read_node(leaf_ptr, True))
+    again = cluster.execute(tree.acc.read_node(leaf_ptr))
     assert again is not leaf and again.count == 0
+
+
+def test_a_write_into_a_wiped_region_never_enters_the_memo():
+    """The writer's side of the test above. An RPC worker parked in
+    ``unlock_write``'s CPU slice when its host crashes writes its image into
+    the wiped region and gets its own word back from the FAA. Published,
+    that node would be the master of the next version — which the promoted
+    copy, still locked at the old image, reaches by a lock steal."""
+    cluster = Cluster(
+        ClusterConfig(
+            num_memory_servers=3,
+            memory_servers_per_machine=1,
+            replication_factor=2,
+            seed=31,
+        )
+    )
+    dataset = generate_dataset(600, gap=4)
+    index = CoarseGrainedIndex.build(
+        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+    )
+    injector = cluster.attach_faults(FaultPlan())
+    remote = RemoteAccessor(cluster.new_compute_server(), cluster.config)
+    victim = 1
+    tree = index.partition_tree(victim)
+    key = next(
+        key for key, _value in dataset.pairs()
+        if index.partitioner.server_for_key(key) == victim
+    )
+    leaf_ptr, old = cluster.execute(tree._find_leaf(key))
+    assert cluster.execute(tree.acc.try_lock(leaf_ptr, old.version))
+    node = old.clone()
+    node.insert_entry(key + 1, 77)
+
+    parked = cluster.spawn(tree.acc.unlock_write(leaf_ptr, node))
+    cluster.run(until=cluster.now + tree.acc._node_cost / 2)
+    assert not parked.triggered
+    injector.crash_memory_server(victim)
+    cluster.sim.run_until_complete(parked)
+
+    cluster.replication.promote(victim)
+    assert cluster.execute(remote.try_steal_lock(leaf_ptr, old.version | 1))
+    leaf = cluster.execute(remote.read_node(leaf_ptr))
+    # The promoted copy's image under the stolen word, not the dead write.
+    assert leaf.version == old.version + 2
+    assert key + 1 not in leaf.keys and leaf.keys == old.keys
+    assert leaf is not node and node.version == old.version | 1
+    assert assert_memo_is_truth(
+        cluster, lambda server_id: index.partition_tree(server_id).acc
+    )
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_verifier_reports_a_master_that_is_not_its_pages_bytes(design):
+    """The verifier checks the memo before it empties it: a master at its
+    page's current version must be what the bytes decode to, live pairs
+    included. A master altered in place — what a writer publishing a node
+    its page does not hold would leave — is a violation; one whose
+    version is behind the word is not, its next read refuses it."""
+    cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=17))
+    dataset = generate_dataset(1_500, gap=4)
+    index = build_index(cluster, design, dataset)
+    session = index.session(cluster.new_compute_server())
+    assert len(cluster.execute(session.range_scan(0, dataset.key_at(100)))) == 100
+    report = verify_index(cluster, index)
+    assert report.ok, report.violations
+
+    assert len(cluster.execute(session.range_scan(0, dataset.key_at(100)))) == 100
+    leaves = [
+        (raw_ptr, master) for raw_ptr, master in cluster.decode_memo.items()
+        if master.is_leaf and master.live is not None
+    ]
+    assert len(leaves) >= 2
+    (keys_ptr, keyed), (live_ptr, lived) = leaves[:2]
+    keyed.keys[0] += 1
+    live_keys, live_pairs = lived.live
+    lived.live = (live_keys, live_pairs[1:] + live_pairs[:1])
+    report = verify_index(cluster, index)
+    assert sorted(v for v in report.violations if v.startswith("stale memo")) == sorted(
+        f"stale memo master at {raw_ptr:#x} (version {master.version})"
+        for raw_ptr, master in ((keys_ptr, keyed), (live_ptr, lived))
+    )
+
+    cluster.execute(session.lookup(dataset.key_at(100)))
+    master = next(m for m in cluster.decode_memo.values() if m.is_leaf)
+    master.keys.reverse()
+    master.version += 2
+    assert verify_index(cluster, index).ok
 
 
 @pytest.mark.parametrize("design", ("coarse-grained", "hybrid"))
@@ -248,7 +439,7 @@ def test_verifier_sees_a_server_resident_page_rewritten_under_its_version(design
     node.keys[0], node.keys[1] = node.keys[1], node.keys[0]
     region.write(pointer.offset, node.to_bytes(page_size))
 
-    assert cluster.execute(tree.acc.read_node(root_ptr, True)) is master
+    assert cluster.execute(tree.acc.read_node(root_ptr)) is master
     report = verify_index(cluster, index)
     assert not report.ok
     assert any("sorted" in violation for violation in report.violations)

@@ -184,10 +184,12 @@ class TestDecodeCache:
         assert via_view.version == via_bytes.version == 8
 
 
-def test_shared_read_returns_master_and_clone_is_private(cluster, compute):
-    """``read_node(shared=True)`` hands back the memoized master (no
-    clone); the default path clones, so mutating callers cannot corrupt
-    the cache that read-only traversals share."""
+def test_read_node_returns_the_master_and_ignores_its_second_argument(
+    cluster, compute
+):
+    """Every ``read_node`` hands back the memoized master (no clone), with
+    or without the second argument, which no caller under ``src/`` passes
+    any more. A writer's clone is its own: changing it leaves the master."""
     acc = RemoteAccessor(compute, cluster.config)
     node = Node(NodeType.LEAF, level=0, version=2, keys=[5], values=[50])
     page = node.to_bytes(cluster.config.tree.page_size)
@@ -196,16 +198,14 @@ def test_shared_read_returns_master_and_clone_is_private(cluster, compute):
         compute.qp((ptr >> 56) & 0x7F).write(ptr & ((1 << 56) - 1), page)
     )
 
-    shared_one = cluster.execute(acc.read_node(ptr, shared=True))
-    shared_two = cluster.execute(acc.read_node(ptr, shared=True))
-    owned = cluster.execute(acc.read_node(ptr))
-    assert shared_two is shared_one
-    assert owned is not shared_one
-    assert owned.keys == shared_one.keys == [5]
-    # A mutation of the private clone must not leak into the shared master.
-    owned.keys.append(6)
-    assert shared_one.keys == [5]
-    assert cluster.execute(acc.read_node(ptr, shared=True)).keys == [5]
+    master = cluster.execute(acc.read_node(ptr))
+    assert cluster.execute(acc.read_node(ptr, True)) is master
+    assert cluster.execute(acc.read_node(ptr, False)) is master
+    assert cluster.decode_memo[ptr] is master
+    private = master.clone()
+    private.keys.append(6)
+    assert master.keys == [5]
+    assert cluster.execute(acc.read_node(ptr)) is master
 
 
 def test_channel_reserve_schedules_no_events():

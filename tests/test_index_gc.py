@@ -112,9 +112,9 @@ def test_rebuilt_heads_list_no_empty_leaf_and_prefetch_the_rest(fg_setup):
     gc = EpochGarbageCollector(cluster.sim, tree, rebuild_heads=True, head_interval=8)
     cluster.execute(gc.sweep())
 
-    chain, raw_ptr = [], cluster.execute(tree._find_leaf(0, True))[0]
+    chain, raw_ptr = [], cluster.execute(tree._find_leaf(0))[0]
     while True:
-        leaf = cluster.execute(tree.acc.read_node(raw_ptr, True))
+        leaf = cluster.execute(tree.acc.read_node(raw_ptr))
         chain.append((raw_ptr, leaf))
         if leaf.right & (1 << 63):
             break
@@ -123,7 +123,7 @@ def test_rebuilt_heads_list_no_empty_leaf_and_prefetch_the_rest(fg_setup):
     assert len(empty) == 2
     groups = [chain[start : start + 8] for start in range(0, len(chain), 8)]
     for group in groups:
-        head = cluster.execute(tree.acc.read_node(group[0][1].head, True))
+        head = cluster.execute(tree.acc.read_node(group[0][1].head))
         assert head.values == [ptr for ptr, leaf in group if leaf.keys]
         assert head.keys == sorted(set(head.keys))
 

@@ -226,10 +226,10 @@ class TestStalePointers:
         # Directly drive the move-right step through the stale pointer: it
         # must reach the correct (post-split) leaf.
         # Keys must stay inside partition 0: leaf chains are per-partition.
-        stale = cluster.execute(handle._read_unlocked(stale_ptr, True))
+        stale = cluster.execute(handle._read_unlocked(stale_ptr))
         assert not stale.covers(200)
         _ptr, leaf = cluster.execute(
-            handle._descend_from(stale_ptr, stale, 200, 0, True)
+            handle._descend_from(stale_ptr, stale, 200, 0)
         )
         assert leaf.leaf_matches(200) == [50]
         # ... and the handle's operations, their traversal answered with it.

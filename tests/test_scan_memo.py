@@ -141,9 +141,9 @@ class _CountingAccessor(InMemoryAccessor):
         super().__init__(page_size)
         self.reads = []
 
-    def read_node(self, raw_ptr, shared=False):
+    def read_node(self, raw_ptr, _ignored=False):
         self.reads.append(raw_ptr)
-        return super().read_node(raw_ptr, shared)
+        return super().read_node(raw_ptr)
 
 
 def test_a_leaf_whose_entries_past_the_range_are_all_tombstoned_ends_the_scan():
@@ -151,7 +151,7 @@ def test_a_leaf_whose_entries_past_the_range_are_all_tombstoned_ends_the_scan():
     tree = BLinkTree(accessor, InMemoryRootRef(accessor))
     for key in range(200):
         drive(tree.insert(key, key))
-    _ptr, leaf = drive(tree._find_leaf(100, True))
+    _ptr, leaf = drive(tree._find_leaf(100))
     keys = list(leaf.keys)
     half = len(keys) // 2
     assert half >= 2 and leaf.high_key < 200
