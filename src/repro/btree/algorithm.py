@@ -42,6 +42,9 @@ from repro.errors import IndexError_
 
 __all__ = ["BLinkTree"]
 
+HEAD = NodeType.HEAD
+LEAF = NodeType.LEAF
+
 
 class BLinkTree:
     """B-link tree operations over an abstract node accessor.
@@ -202,11 +205,19 @@ class BLinkTree:
         A leaf visit is two bisects and one slice of the image's
         :attr:`Node.live` pairs, which the first scan to read that image
         builds and every later one — any client, any RPC worker of the
-        cluster, through the decode memo — reuses.
+        cluster, through the decode memo — reuses. The prefetch is inline,
+        not a frame of its own: the first leaf of a new head reads the
+        head, bisects the window of its leaves ahead of the scan and inside
+        the range (a head's keys are its leaves' first keys in chain order,
+        so sorted) and hands it to one :meth:`NodeAccessor.read_nodes`.
+        Pointers, lock bits and page types are tested as words
+        (``not ptr or ptr & NULL_RAW``, ``version & 1``, ``node_type``).
         """
         if high <= low:
             return []
         raw_ptr, node = yield from self._find_leaf(low)
+        acc = self.acc
+        use_head_nodes = self.use_head_nodes
         results: List[Tuple[int, int]] = []
         prefetched: Dict[int, Node] = {}
         seen_heads = set()
@@ -219,54 +230,50 @@ class BLinkTree:
             # A key at or past *high* inside the node completes the scan. A
             # tombstoned one is not among the live keys, but it lies below
             # the high key, so the high-key test ends the scan instead.
-            if end < len(live_keys) or node.high_key >= high or is_null(node.right):
-                return results
-            if (
-                self.use_head_nodes
-                and not is_null(node.head)
-                and node.head not in seen_heads
-            ):
-                seen_heads.add(node.head)
-                yield from self._prefetch_group(node, high, prefetched)
             raw_ptr = node.right
+            if (
+                end < len(live_keys)
+                or node.high_key >= high
+                or not raw_ptr
+                or raw_ptr & NULL_RAW
+            ):
+                return results
+            head_ptr = node.head
+            if (
+                use_head_nodes
+                and head_ptr
+                and not head_ptr & NULL_RAW
+                and head_ptr not in seen_heads
+            ):
+                seen_heads.add(head_ptr)
+                head = yield from acc.read_node(head_ptr)
+                # A recycled page is not a head: ignore the stale pointer.
+                if head.node_type == HEAD:
+                    keys = head.keys
+                    first = bisect_left(keys, node.high_key)
+                    room = self.prefetch_window
+                    wanted = []
+                    for leaf_ptr in head.values[first : bisect_left(keys, high, first)]:
+                        if leaf_ptr in prefetched or not leaf_ptr or leaf_ptr & NULL_RAW:
+                            continue  # already on its way, or a NULL pointer
+                        wanted.append(leaf_ptr)
+                        room -= 1
+                        if room <= 0:
+                            break
+                    if wanted:
+                        leaves = yield from acc.read_nodes(wanted)
+                        for leaf_ptr, leaf in zip(wanted, leaves):
+                            if leaf.node_type == LEAF:
+                                prefetched[leaf_ptr] = leaf
             cached = prefetched.pop(raw_ptr, None)
-            if cached is not None and not cached.is_locked:
+            if cached is not None and not cached.version & 1:
                 node = cached
             else:
                 # _read_unlocked's body, as in _descend_from: no frame of
                 # its own on the resume chain.
-                node = yield from self.acc.read_node(raw_ptr)
+                node = yield from acc.read_node(raw_ptr)
                 if node.version & 1:
                     node = yield from self._await_unlocked(raw_ptr, node)
-
-    def _prefetch_group(
-        self, node: Node, high: int, prefetched: Dict[int, Node]
-    ) -> Generator[Any, Any, None]:
-        """Read *node*'s head node and fetch the upcoming leaves in parallel.
-
-        A head's keys are its leaves' first keys in chain order, so sorted:
-        the leaves ahead of the scan and inside the range are one bisected
-        span of them."""
-        head = yield from self.acc.read_node(node.head)
-        if not head.is_head:
-            return  # the page was recycled; ignore the stale pointer
-        keys = head.keys
-        start = bisect_left(keys, node.high_key)
-        room = self.prefetch_window
-        wanted = []
-        for leaf_ptr in head.values[start : bisect_left(keys, high, start)]:
-            if leaf_ptr in prefetched or not leaf_ptr or leaf_ptr & NULL_RAW:
-                continue  # already on its way, or a NULL pointer
-            wanted.append(leaf_ptr)
-            room -= 1
-            if room <= 0:
-                break
-        if not wanted:
-            return
-        nodes = yield from self.acc.read_nodes(wanted)
-        for leaf_ptr, leaf in zip(wanted, nodes):
-            if leaf.is_leaf:
-                prefetched[leaf_ptr] = leaf
 
     # ------------------------------------------------------------------ #
     # writes                                                              #

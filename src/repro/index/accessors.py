@@ -49,6 +49,7 @@ from repro.nam.catalog import RootLocation
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
 from repro.rdma.verbs import Verb
+from repro.sim import Condition, Process
 
 __all__ = ["LocalAccessor", "RemoteAccessor", "LocalRootRef", "RemoteRootRef"]
 
@@ -157,9 +158,11 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         self.obs = server.obs
         self._decode_cache = server.decode_memo
         self.page_size = server.config.tree.page_size
-        self._node_cost = server.config.cpu.per_node_cost_s
-        self._atomic_cost = server.config.cpu.per_node_cost_s / 4
-        self._spin_slice = server.config.cpu.spin_wait_slice_s
+        # The QPI-adjusted seconds each kind of step yields, fixed per host.
+        cpu = server.config.cpu
+        self._node_cpu = server.cpu(cpu.per_node_cost_s)
+        self._atomic_cpu = server.cpu(cpu.per_node_cost_s / 4)
+        self._spin_cpu = server.cpu(cpu.spin_wait_slice_s)
 
     def _offset(self, raw_ptr: int) -> int:
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
@@ -176,7 +179,7 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         self, raw_ptr: int, _ignored: bool = False
     ) -> Generator[Any, Any, Node]:
         offset = self._offset(raw_ptr)
-        yield self.server.cpu(self._node_cost)
+        yield self._node_cpu
         # Zero-copy: decode straight out of the region through a read-only
         # view, consumed before the next simulation yield (holding it longer
         # would block region growth — see MemoryRegion.read_view).
@@ -197,7 +200,7 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
 
     def write_node(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
-        yield self.server.cpu(self._node_cost)
+        yield self._node_cpu
         self.region.write(offset, node.to_bytes(self.page_size))
         if self.server.sanitizer is not None:
             _emit_local(
@@ -206,7 +209,7 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
         offset = self._offset(raw_ptr)
-        yield self.server.cpu(self._atomic_cost)
+        yield self._atomic_cpu
         swapped, old = self.region.compare_and_swap(
             offset, version, version | 1
         )
@@ -223,7 +226,7 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
     def unlock_write(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
         node.version |= 1
-        yield self.server.cpu(self._node_cost)
+        yield self._node_cpu
         self.region.write(offset, node.to_bytes(self.page_size))
         if self.server.sanitizer is not None:
             _emit_local(
@@ -244,13 +247,13 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
 
     def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
-        yield self.server.cpu(self._atomic_cost)
+        yield self._atomic_cpu
         old = self.region.fetch_and_add(offset, 1)
         if self.server.sanitizer is not None:
             _emit_local(self.server, "atomic", "LOCAL_FAA", self.logical_id, offset, 8, old)
 
     def alloc(self, level: int) -> Generator[Any, Any, int]:
-        yield self.server.cpu(self._atomic_cost)
+        yield self._atomic_cpu
         offset = self.allocator.allocate()
         return encode_pointer(self.logical_id, offset)
 
@@ -258,11 +261,11 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         # The worker burns its core while spinning — deliberately.
         obs = self.obs
         if obs is None:
-            yield self.server.cpu(self._spin_slice)
+            yield self._spin_cpu
             return
         obs.lock_spin_round()
         started = self.server.sim.now
-        yield self.server.cpu(self._spin_slice)
+        yield self._spin_cpu
         obs.stamp("lock_wait", started, self.server.sim.now)
 
     def now(self) -> float:
@@ -315,9 +318,11 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         # which a concurrent writer could change the page — and
         # dropped. The decode input is exactly the bytes a copying
         # READ would have returned (and under fault injection it is
-        # that copy, unless the queue pair is co-located).
-        data = yield from self.compute_server.qp((raw_ptr >> 56) & 0x7F).read_view(
-            raw_ptr & _PTR_OFFSET_MASK, self.page_size
+        # that copy, unless the queue pair is co-located). The READ goes
+        # to the executor as QueuePair.read_view would post it, minus
+        # that wrapper's call.
+        data = yield from self.compute_server.qp((raw_ptr >> 56) & 0x7F)._post(
+            ((READ, self.page_size, raw_ptr & _PTR_OFFSET_MASK, True),), 1, False, False
         )
         master = self._decode_shared(raw_ptr, data)
         del data
@@ -325,20 +330,26 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         return master
 
     def read_nodes(self, raw_ptrs) -> Generator[Any, Any, List[Node]]:
-        """Fetch several nodes at once (head-node prefetch fan-out).
+        """Fetch several nodes at once (the head-node prefetch fan-out of
+        :meth:`BLinkTree.range_scan`).
 
         With doorbell batching the pointers are grouped by home server and
-        each group is posted as chains of up to ``max_batch_wqes`` READs —
-        one doorbell and one request/response message pair per chain,
-        instead of one per node. Groups on different servers still overlap
-        in time. Without batching each node is its own parallel READ (the
-        seed behavior). Results come back in ``raw_ptrs`` order either way.
+        each group is one process (:meth:`_read_group`) posting chains of
+        up to ``max_batch_wqes`` borrowed READs — one doorbell and one
+        request/response message pair per chain, instead of one per node.
+        Groups on different servers still overlap in time. Without
+        batching each node is its own :meth:`read_node` process (the seed
+        behavior). Either way one ``all_of`` joins the processes, and the
+        results come back in ``raw_ptrs`` order.
         """
         sim = self.compute_server.sim
         raw_ptrs = list(raw_ptrs)
-        if not self._batching or len(raw_ptrs) < 2:
-            pending = [sim.process(self.read_node(raw)) for raw in raw_ptrs]
-            return (yield sim.all_of(pending))
+        count = len(raw_ptrs)
+        # The kernel's classes, not Simulator.process / all_of: one wrapper
+        # call less per process and per join.
+        if not self._batching or count < 2:
+            pending = [Process(sim, self.read_node(raw)) for raw in raw_ptrs]
+            return (yield Condition(sim, pending))
         # Slots by home server, the pointer decoded inline as in read_node.
         by_server: Dict[int, List[int]] = {}
         for slot, raw in enumerate(raw_ptrs):
@@ -350,12 +361,13 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
                 by_server[server_id] = [slot]
             else:
                 slots.append(slot)
-        nodes: List[Any] = [None] * len(raw_ptrs)
-        yield sim.all_of(
+        nodes: List[Any] = [None] * count
+        yield Condition(
+            sim,
             [
-                sim.process(self._read_group(server_id, slots, raw_ptrs, nodes))
+                Process(sim, self._read_group(server_id, slots, raw_ptrs, nodes))
                 for server_id, slots in by_server.items()
-            ]
+            ],
         )
         return nodes
 
@@ -365,22 +377,30 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         """One server's share of :meth:`read_nodes`: its *slots* of
         *raw_ptrs*, posted as READ chains of up to ``max_batch_wqes`` —
         :class:`~repro.rdma.qp.VerbBatch`'s chains, handed to the queue
-        pair's executor without staging one — decoded into *nodes*."""
+        pair's executor without staging one — decoded into *nodes*.
+
+        The READs borrow, as :meth:`read_node`'s does: every page is a
+        zero-copy view, decoded at the chain's completion and dropped
+        before the search-cost sleep, so no view outlives the instant it
+        was read at (a held one would block the region's growth)."""
         page_size = self.page_size
         max_wqes = self._max_wqes
         for start in range(0, len(slots), max_wqes):
             chunk = slots[start : start + max_wqes]
             count = len(chunk)
-            wqes = [
-                (READ, page_size, raw_ptrs[slot] & _PTR_OFFSET_MASK, False)
-                for slot in chunk
-            ]
             pages = yield from self.compute_server.qp(server_id)._post(
-                wqes, count, True, True
+                [
+                    (READ, page_size, raw_ptrs[slot] & _PTR_OFFSET_MASK, True)
+                    for slot in chunk
+                ],
+                count,
+                True,
+                True,
             )
-            yield self._search_cost * count
             for slot, data in zip(chunk, pages):
                 nodes[slot] = self._decode_shared(raw_ptrs[slot], data)
+            del pages, data
+            yield self._search_cost * count
 
     def read_version(self, raw_ptr: int) -> Generator[Any, Any, int]:
         """One 8-byte READ of the node's version word (page offset 0).

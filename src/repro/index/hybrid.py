@@ -171,6 +171,8 @@ class _HybridLeafTree(BLinkTree):
         node = yield from self.acc.read_node(raw_ptr)
         if node.version & 1:
             node = yield from self._await_unlocked(raw_ptr, node)
+        if key < node.high_key and not node.level:
+            return raw_ptr, node  # where _descend_from would take no step
         return (yield from self._descend_from(raw_ptr, node, key, 0))
 
     def _install_separator(

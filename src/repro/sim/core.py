@@ -31,14 +31,15 @@ Determinism: events scheduled for the same instant fire in scheduling order
 fully reproducible.
 
 Engine speed (docs/performance.md "What a sleep costs", "What an RPC
-costs", "What a possible fault costs"): the queue is one binary heap of
-``(time, sequence, event, wakes)`` entries; a zero-delay trigger (``succeed``
-chain, SRQ hand-off) is pushed at ``now`` like any other, and a process
-starts as a sleep of zero. A sleep — every verb leg, CPU charge and think
-time — is four function calls (``heappush``, ``heappop``, ``_resume``,
-``send``); an RPC reply is one entry, ``reply.succeed(response, delay)``, not
-a process; a wait with a deadline is one entry, not a ``Timeout`` and a
-composite. Nothing is pooled.
+costs", "What a possible fault costs", "What a scan costs per leaf"): the
+queue is one binary heap of ``(time, sequence, event, wakes)`` entries; a
+zero-delay trigger (``succeed`` chain, SRQ hand-off) is pushed at ``now``,
+a process starts as a sleep of zero and, returning, pushes its own firing.
+A sleep — every verb leg, CPU charge and think time — is four function
+calls (``heappush``, ``heappop``, ``_resume``, ``send``); an RPC reply is
+one entry, ``reply.succeed(response, delay)``, not a process; a wait with a
+deadline is one entry, not a ``Timeout`` and a composite; ``all_of`` hangs
+on its children with no call per child. Nothing is pooled.
 
 Schedule control: a :class:`Simulator` optionally carries a *scheduler* —
 any object with a ``choose(at, ready)`` method and an optional ``window``
@@ -236,7 +237,10 @@ class Process(Event):
                     else:
                         target = generator.send(fired._value)
                 except StopIteration as stop:
-                    self.succeed(stop.value)
+                    # succeed()'s push, inline: the process fires at now.
+                    self._value = stop.value
+                    sim._sequence = seq = sim._sequence + 1
+                    heappush(sim._heap, (sim.now, seq, self, False))
                     return
                 except BaseException as exc:  # model code raised
                     self.fail(exc)
@@ -286,24 +290,27 @@ class Condition(Event):
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if not self._events:
+        self._events = events = list(events)
+        self._remaining = len(events)
+        if not events:
             self.succeed([])
             return
         on_child = self._on_child
-        for event in self._events:
-            event.add_callback(on_child)
+        for event in events:  # add_callback, inline: a fired child counts now
+            if event.callbacks is None:
+                on_child(event)
+            else:
+                event.callbacks.append(on_child)
 
     def _on_child(self, child: Event) -> None:
         if child._is_error:
             child._defused = True
             if self._value is _PENDING:
-                self.fail(child.value)
+                self.fail(child._value)
             return
         self._remaining -= 1
-        if self._remaining == 0 and self._value is _PENDING:
-            self.succeed([event.value for event in self._events])
+        if not self._remaining and self._value is _PENDING:
+            self.succeed([event._value for event in self._events])
 
 
 class Simulator:
@@ -347,24 +354,16 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total entries queued so far, events and sleeps — the work counter.
-
-        Dividing it by the wall-clock seconds a run took gives the
-        engine's events/s rate, the metric the batching benchmark uses to
-        detect host-side (non-simulated-time) regressions.
-        """
+        """Total entries queued so far, events and sleeps — the work counter."""
         return self._sequence
 
     @property
     def scheduler(self) -> Optional[Any]:
-        """Optional tie-breaking policy: an object with
-        ``choose(at: float, ready: List[(at, seq, Event, wakes)]) -> int``,
-        consulted whenever >= 2 events are ready within its ``window`` of
-        the earliest one. ``ready`` is sorted by sequence number; index 0
-        reproduces the default order. May be attached/detached at any
-        point between events (the explorer attaches it only around the
-        concurrent phase of a scenario); the ``window`` attribute is
-        sampled at attach time. None = plain deterministic heap order.
+        """The optional tie-breaking policy of the module docstring's
+        "Schedule control", ``choose(at, ready) -> int`` over the ready
+        ``(at, seq, Event, wakes)`` entries in sequence order. It may be
+        attached or detached between events (the explorer does so around a
+        scenario's concurrent phase). None = plain deterministic heap order.
         """
         return self._scheduler
 

@@ -9,7 +9,8 @@ CAS changes nothing; two clusters in one process never see each other's
 pages; after contention the memo still says what the bytes say; a crashed
 host's wiped region never reaches it, by a read or by a write; and the one
 bypass — ``verify_index`` empties it — is necessary for server-resident
-pages too.
+pages too. And a prefetch group decodes its borrowed pages before it
+sleeps, so no view of a region outlives the instant it was read at.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.btree.pointers import RemotePointer
 from repro.experiments.common import DESIGNS, build_index
 from repro.index.accessors import LocalAccessor, RemoteAccessor
 from repro.index.caching import CachingRemoteAccessor
+from repro.rdma.verbs import Verb
 from repro.workloads import generate_dataset
 
 
@@ -307,7 +309,7 @@ def test_a_wiped_image_never_enters_the_memo():
     assert leaf_ptr not in cluster.decode_memo
 
     parked = cluster.spawn(tree.acc.read_node(leaf_ptr))
-    cluster.run(until=cluster.now + tree.acc._node_cost / 2)
+    cluster.run(until=cluster.now + tree.acc._node_cpu / 2)
     assert not parked.triggered
     injector.crash_memory_server(victim)
     wiped = cluster.sim.run_until_complete(parked)
@@ -361,7 +363,7 @@ def test_a_write_into_a_wiped_region_never_enters_the_memo():
     node.insert_entry(key + 1, 77)
 
     parked = cluster.spawn(tree.acc.unlock_write(leaf_ptr, node))
-    cluster.run(until=cluster.now + tree.acc._node_cost / 2)
+    cluster.run(until=cluster.now + tree.acc._node_cpu / 2)
     assert not parked.triggered
     injector.crash_memory_server(victim)
     cluster.sim.run_until_complete(parked)
@@ -443,3 +445,42 @@ def test_verifier_sees_a_server_resident_page_rewritten_under_its_version(design
     report = verify_index(cluster, index)
     assert not report.ok
     assert any("sorted" in violation for violation in report.violations)
+
+
+def test_a_prefetch_group_holds_no_view_across_its_search_cost(monkeypatch):
+    """A prefetch group's READs borrow views of the live region, so it
+    decodes its pages at the chain's completion and drops every view before
+    its search-cost sleep. Here each chained READ's completion spawns a
+    process that grows that region during the sleep: with a view held
+    across it, the growth raises ``BufferError``."""
+    cluster = Cluster(ClusterConfig(seed=5))
+    dataset = generate_dataset(2_000, gap=8)
+    index = build_index(cluster, "fine-grained", dataset)
+    compute = cluster.new_compute_server()
+    session = index.session(compute)
+    grown = []
+
+    def grow(region):
+        region.write(len(region), bytes(8))  # past the end: one more chunk
+        grown.append(len(region))
+        yield 0.0
+
+    def growing(qp):
+        post = qp._post
+
+        def wrapped(wqes, n, chained, whole):
+            result = yield from post(wqes, n, chained, whole)
+            if chained and wqes[0][0] is Verb.READ:
+                # Queued at this instant, so it runs while the group that
+                # posted the chain sleeps its search cost.
+                cluster.spawn(grow(qp.region))
+            return result
+
+        return wrapped
+
+    for server_id in range(cluster.num_memory_servers):
+        qp = compute.qp(server_id)
+        monkeypatch.setattr(qp, "_post", growing(qp))
+    pairs = cluster.execute(session.range_scan(dataset.key_at(0), dataset.key_at(1_500)))
+    assert pairs == [(dataset.key_at(i), i) for i in range(1_500)]
+    assert grown

@@ -762,3 +762,92 @@ def test_successive_bounded_waits_on_one_event_leave_no_stale_wakeup():
     sim.process(caller())
     sim.run()
     assert log == [(0, 1.0, None), (1, 2.0, None), (2, 2.5, "pong"), None, 6.5]
+
+
+def test_a_returning_process_fires_behind_what_its_instant_already_holds():
+    # A process pushes its own completion when its generator returns: the
+    # sequence number it draws then orders its joins behind every entry
+    # already queued for that instant, and ahead of those queued later.
+    sim = Simulator()
+    order = []
+
+    def note(tag):
+        return lambda _event: order.append(tag)
+
+    def child():
+        yield 1.0
+        order.append("returned")
+        return "value"
+
+    def waiter():
+        value = yield proc
+        order.append(("waiter", value))
+
+    proc = sim.process(child())
+    proc.add_callback(note("joined"))
+    sim.timeout(1.0).add_callback(note("early"))
+
+    def late(_event):
+        order.append("late")
+        # Queued at 1.0 after the child returned, so behind its firing.
+        sim.timeout(0.0).add_callback(note("after"))
+
+    # Queued at 0.5 for 1.0: before the child returns, so ahead of it.
+    sim.timeout(0.5).add_callback(lambda _event: sim.timeout(0.5).add_callback(late))
+    sim.process(waiter())
+    sim.run()
+    assert order == ["early", "returned", "late", "joined", ("waiter", "value"), "after"]
+    assert proc.value == "value" and sim.now == 1.0
+
+
+def test_all_of_over_fired_triggered_and_pending_children_fires_once_in_order():
+    sim = Simulator()
+    fired = sim.event()
+    fired.succeed("fired")
+    sim.run()
+    assert fired.callbacks is None  # fired, not only triggered
+    triggered = sim.event()
+    triggered.succeed("triggered", 1.0)
+    pending = sim.event()
+    sim.timeout(2.0).add_callback(lambda _event: pending.succeed("pending"))
+    join = sim.all_of([triggered, fired, pending, fired])
+    only_fired = sim.all_of([fired])
+    hits = []
+    join.add_callback(lambda event: hits.append(("join", sim.now, event.value)))
+    only_fired.add_callback(lambda event: hits.append(("only", sim.now, event.value)))
+    sim.run()
+    assert hits == [
+        ("only", 0.0, ["fired"]),
+        ("join", 2.0, ["triggered", "fired", "pending", "fired"]),
+    ]
+
+
+def test_a_child_failing_after_a_sibling_completed_fails_the_join_once():
+    sim = Simulator()
+
+    def ok():
+        yield 1.0
+        return "ok"
+
+    def bad(delay, tag):
+        yield delay
+        raise KeyError(tag)
+
+    join = sim.all_of(
+        [sim.process(ok()), sim.process(bad(2.0, "first")), sim.process(bad(3.0, "second"))]
+    )
+    fired = []
+    join.add_callback(lambda event: fired.append((sim.now, event.value)))
+    caught = []
+
+    def waiter():
+        try:
+            yield join
+        except KeyError as exc:
+            caught.append((sim.now, exc.args[0]))
+
+    sim.process(waiter())
+    sim.run()  # the second failure is the join's to swallow: nothing raises
+    assert caught == [(2.0, "first")]
+    assert len(fired) == 1 and fired[0][0] == 2.0
+    assert isinstance(fired[0][1], KeyError) and sim.now == 3.0
