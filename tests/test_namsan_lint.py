@@ -10,11 +10,14 @@ acceptance criterion — that the repository's own tree is lint-clean.
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import os
 import warnings
 
 import pytest
 
+from repro.analysis.namsan import check_deadlocks
 from repro.analysis.namsan.linter import (
     RULE_DESCRIPTIONS,
     RULE_IDS,
@@ -265,6 +268,99 @@ def test_unknown_rule_rejected():
 def test_unparseable_source_rejected():
     with pytest.raises(AnalysisError):
         lint_source("def f(:\n", "src/repro/nam/x.py")
+
+
+#: What the lock rules report over the N02/N07 fixtures and their mutants:
+#: the count and the sha256 of the ``m<line>:``-prefixed findings.
+PINNED_LOCK_FINDINGS = 77
+PINNED_LOCK_SHA256 = "3df32e8290658c6ccfe6dd66beb10663ba7f5febfdd44ab02215c6831b9bb84c"
+_MUTATED_TOKENS = ("unlock_", "try_lock", "return", "break", "continue", "raise")
+
+
+def _mutants(source):
+    """The source itself (line 0), then every single-statement mutant: one
+    line naming a lock call or a jump, not ending in ``:``, becomes ``pass``."""
+    yield 0, source
+    lines = source.splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        if line.rstrip().endswith(":") or not any(t in line for t in _MUTATED_TOKENS):
+            continue
+        indent = line[: len(line) - len(line.lstrip())]
+        yield index + 1, "".join(lines[:index] + [indent + "pass\n"] + lines[index + 1 :])
+
+
+def test_lock_findings_are_pinned():
+    """N02 and N07 report exactly what they reported when this pin was
+    taken, over the lock fixtures and every single-statement mutant."""
+    found = []
+    for name in ("n02_bad.py", "n02_good.py", "n07_bad.py", "n07_good.py"):
+        with open(_fixture(name), encoding="utf-8") as handle:
+            source = handle.read()
+        for line, mutant in _mutants(source):
+            try:
+                violations = lint_source(
+                    mutant, f"src/repro/index/{name}", rules=["N02", "N07"]
+                )
+            except AnalysisError:
+                continue
+            found += [f"m{line}:{v}" for v in violations]
+    assert len(found) == PINNED_LOCK_FINDINGS
+    digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
+    assert digest == PINNED_LOCK_SHA256, "\n".join(found)
+
+
+def _lock_order(edges):
+    """check_deadlocks over one module holding lock ``s`` while taking
+    ``d`` for every edge ``(s, d)``, one function per edge."""
+    source = "".join(
+        f"def take_{index}(acc):\n"
+        f"    held = yield from acc.try_lock({src}, 0)\n"
+        f"    if held:\n"
+        f"        yield from acc.try_lock({dst}, 0)\n"
+        for index, (src, dst) in enumerate(edges)
+    )
+    return [
+        (line, message.split("; this edge: ")[0].split("cycle ")[1])
+        for _path, line, _col, message in check_deadlocks([("m.py", ast.parse(source))])
+    ]
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        # A three-class cycle plus an edge leaving it: the leaving edge is
+        # not reported, the cycle lists all three classes, sorted.
+        (
+            [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")],
+            [
+                (4, "'a' -> 'b' -> 'c' -> 'a'"),
+                (8, "'a' -> 'b' -> 'c' -> 'a'"),
+                (12, "'a' -> 'b' -> 'c' -> 'a'"),
+            ],
+        ),
+        # A self-loop on a class that is also in a larger cycle.
+        (
+            [("x", "y"), ("y", "x"), ("x", "x")],
+            [
+                (4, "'x' -> 'y' -> 'x'"),
+                (8, "'x' -> 'y' -> 'x'"),
+                (12, "'x' -> 'x'"),
+            ],
+        ),
+        # Two disjoint two-cycles, each with its own members.
+        (
+            [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")],
+            [
+                (4, "'a' -> 'b' -> 'a'"),
+                (8, "'a' -> 'b' -> 'a'"),
+                (12, "'c' -> 'd' -> 'c'"),
+                (16, "'c' -> 'd' -> 'c'"),
+            ],
+        ),
+    ],
+)
+def test_lock_order_cycle_shapes(edges, expected):
+    assert _lock_order(edges) == expected
 
 
 def test_repository_tree_is_lint_clean():
