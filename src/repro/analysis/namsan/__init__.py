@@ -6,9 +6,10 @@ Three engines keep the simulated RDMA fabric honest:
   N01-N07 over the source tree with pure ``ast`` analysis — seeded
   determinism, lock acquire/release pairing, accessor-only region
   access, the closed error taxonomy, no swallowed fault errors, sim-time
-  observability stamps, and (N07, interprocedural — see
-  :mod:`repro.analysis.namsan.deadlock`) freedom from cross-function
-  lock-order cycles plus lease/retry-budget consistency;
+  observability stamps, and (N07, interprocedural) freedom from
+  cross-function lock-order cycles plus lease/retry-budget consistency.
+  N02 and N07 are one analysis, :mod:`repro.analysis.namsan.locks`: one
+  walk per function feeds both;
 
 * the **sanitizer** (:mod:`repro.analysis.namsan.sanitizer`) replays a
   trace of remote-memory access events through a vector-clock
@@ -29,7 +30,6 @@ See ``docs/namsan.md`` for the rule catalog, the race-detector model,
 and the explorer's budgets and scenarios.
 """
 
-from repro.analysis.namsan.deadlock import check_deadlocks
 from repro.analysis.namsan.events import AccessEvent, TraceCollector
 from repro.analysis.namsan.explore import (
     SCENARIOS,
@@ -46,6 +46,7 @@ from repro.analysis.namsan.linter import (
     lint_paths,
     lint_source,
 )
+from repro.analysis.namsan.locks import check_deadlocks
 from repro.analysis.namsan.sanitizer import RaceDetector, RaceReport, detect_races
 
 __all__ = [

@@ -12,9 +12,9 @@ mutate a guard out and *require* the explorer to rediscover the race).
 With ``--github``, findings are also printed as GitHub Actions workflow
 commands (``::error file=...``) so CI runs annotate the diff.
 
-The lint help text is derived from :data:`RULE_DESCRIPTIONS`, which is
-asserted against :data:`RULE_IDS` at import — adding a rule without
-updating both is an immediate failure, not a silently stale ``--help``.
+The lint help text is derived from :data:`RULE_DESCRIPTIONS`, which the
+linter builds from the same rule table as :data:`RULE_IDS` — a rule
+cannot be added without its description, so ``--help`` cannot go stale.
 """
 
 from __future__ import annotations

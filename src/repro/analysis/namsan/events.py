@@ -67,13 +67,6 @@ class AccessEvent:
     def end(self) -> int:
         return self.offset + self.length
 
-    def overlaps(self, other: "AccessEvent") -> bool:
-        return (
-            self.server == other.server
-            and self.offset < other.end
-            and other.offset < self.end
-        )
-
     def describe(self) -> str:
         where = f"server {self.server} [{self.offset:#x}, {self.end:#x})"
         tail = f" {self.label}" if self.label else ""

@@ -45,7 +45,7 @@ atomics exempt because they *are* the synchronization vocabulary.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["VectorClock", "SyncState"]
 
@@ -55,11 +55,8 @@ class VectorClock:
 
     __slots__ = ("_clock",)
 
-    def __init__(self, clock: Optional[Dict[str, int]] = None) -> None:
-        self._clock = dict(clock) if clock else {}
-
-    def get(self, actor: str) -> int:
-        return self._clock.get(actor, 0)
+    def __init__(self) -> None:
+        self._clock: Dict[str, int] = {}
 
     def tick(self, actor: str) -> int:
         """Advance *actor*'s own component; returns the new value."""
@@ -73,9 +70,6 @@ class VectorClock:
         for actor, value in other._clock.items():
             if value > mine.get(actor, 0):
                 mine[actor] = value
-
-    def copy(self) -> "VectorClock":
-        return VectorClock(self._clock)
 
     def dominates(self, actor: str, clock_value: int) -> bool:
         """True if an event stamped (*actor*, *clock_value*) happens-before

@@ -33,11 +33,10 @@ import ast
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.namsan.deadlock import check_deadlocks
-from repro.analysis.namsan.lockcheck import check_lock_pairing
-from repro.analysis.namsan.rules import RULES
+from repro.analysis.namsan.locks import check_deadlocks, check_lock_pairing
+from repro.analysis.namsan.rules import RULES, Finding
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -49,17 +48,19 @@ __all__ = [
     "RULE_DESCRIPTIONS",
 ]
 
-RULE_IDS = ("N01", "N02", "N03", "N04", "N05", "N06", "N07")
-
-#: rule id -> one-line description; the CLI ``--rules`` help is derived
-#: from this mapping so it cannot drift from :data:`RULE_IDS` (N02 and
-#: N07 live outside ``rules.RULES`` — they are not per-file line checks).
-RULE_DESCRIPTIONS: Dict[str, str] = {
-    **{rule: description for rule, (_checker, description) in RULES.items()},
-    "N02": "remote locks release on every control-flow path",
-    "N07": "no cross-function lock-order cycles; lease covers retry budget",
+#: rule id -> (per-module checker ``(tree, lines) -> [(line, col, message)]``,
+#: one-line description). N07's checker is ``None``: its unit of analysis
+#: is the module *set*, which :func:`_lint` hands to ``check_deadlocks``.
+_RULES: Dict[
+    str, Tuple[Optional[Callable[[ast.Module, List[str]], List[Finding]]], str]
+] = {
+    **RULES,
+    "N02": (check_lock_pairing, "remote locks release on every control-flow path"),
+    "N07": (None, "no cross-function lock-order cycles; lease covers retry budget"),
 }
-assert set(RULE_DESCRIPTIONS) == set(RULE_IDS)
+RULE_IDS = tuple(sorted(_RULES))
+#: rule id -> description; the CLI ``--rules`` help is derived from it.
+RULE_DESCRIPTIONS: Dict[str, str] = {rule: _RULES[rule][1] for rule in RULE_IDS}
 
 _N01_PACKAGES = ("sim", "nam", "rdma", "index", "btree", "workloads", "experiments")
 _N03_PACKAGES = ("index", "btree")
@@ -152,13 +153,9 @@ def _statement_spans(tree: ast.Module) -> Dict[int, Tuple[int, int]]:
 
 
 def _suppressed(
-    lines: List[str],
-    violation: Violation,
-    spans: Optional[Dict[int, Tuple[int, int]]] = None,
+    lines: List[str], spans: Dict[int, Tuple[int, int]], violation: Violation
 ) -> bool:
-    first = last = violation.line
-    if spans is not None and violation.line in spans:
-        first, last = spans[violation.line]
+    first, last = spans.get(violation.line, (violation.line, violation.line))
     for line in range(first, last + 1):
         if not 1 <= line <= len(lines):
             continue
@@ -171,13 +168,6 @@ def _suppressed(
     return False
 
 
-def _validate_rules(rules: Optional[Sequence[str]]) -> None:
-    if rules is not None:
-        unknown = [rule for rule in rules if rule not in RULE_IDS]
-        if unknown:
-            raise AnalysisError(f"unknown lint rule(s): {', '.join(unknown)}")
-
-
 def _parse(source: str, path: str) -> ast.Module:
     try:
         return ast.parse(source, filename=path)
@@ -185,50 +175,31 @@ def _parse(source: str, path: str) -> ast.Module:
         raise AnalysisError(f"{path}: cannot parse: {exc}") from None
 
 
-def _per_file_violations(
-    tree: ast.Module,
-    lines: List[str],
-    path: str,
-    selected: Sequence[str],
+def _lint(
+    sources: Iterable[Tuple[str, str]],
+    rules: Optional[Sequence[str]],
 ) -> List[Violation]:
-    """All single-file rule findings for one parsed module (everything
-    except N07, whose unit of analysis is the module *set*), suppressions
-    applied."""
-    spans = _statement_spans(tree)
-    violations: List[Violation] = []
-    for rule in selected:
-        if rule == "N07":
-            continue
-        if rule == "N02":
-            found = [(line, 0, message) for line, message in check_lock_pairing(tree)]
-        else:
-            checker, _description = RULES[rule]
-            found = checker(tree, lines)
-        for line, col, message in found:
-            violation = Violation(rule, path, line, col, message)
-            if not _suppressed(lines, violation, spans):
-                violations.append(violation)
-    return violations
-
-
-def _deadlock_violations(
-    modules: Sequence[Tuple[str, ast.Module, List[str]]],
-) -> List[Violation]:
-    """Run N07 once over the whole ``(path, tree, lines)`` set."""
-    if not modules:
-        return []
-    findings = check_deadlocks([(path, tree) for path, tree, _lines in modules])
-    by_path = {path: (tree, lines) for path, tree, lines in modules}
-    spans_cache: Dict[str, Dict[int, Tuple[int, int]]] = {}
-    violations: List[Violation] = []
-    for path, line, col, message in findings:
-        violation = Violation("N07", path, line, col, message)
-        tree, lines = by_path[path]
-        if path not in spans_cache:
-            spans_cache[path] = _statement_spans(tree)
-        if not _suppressed(lines, violation, spans_cache[path]):
-            violations.append(violation)
-    return violations
+    """Lint ``(path, source)`` pairs: the per-module rules file by file,
+    then N07 once over the modules in its scope, suppressions applied to
+    both."""
+    unknown = [rule for rule in rules or () if rule not in _RULES]
+    if unknown:
+        raise AnalysisError(f"unknown lint rule(s): {', '.join(unknown)}")
+    modules: Dict[str, Tuple[List[str], Dict[int, Tuple[int, int]]]] = {}
+    found: List[Violation] = []
+    in_scope: List[Tuple[str, ast.Module]] = []
+    for path, source in sources:
+        tree = _parse(source, path)
+        lines = source.splitlines()
+        modules[path] = (lines, _statement_spans(tree))
+        for rule in _rules_for(path, rules):
+            checker = _RULES[rule][0]
+            if checker is None:
+                in_scope.append((path, tree))
+            else:
+                found += [Violation(rule, path, *f) for f in checker(tree, lines)]
+    found += [Violation("N07", *f) for f in check_deadlocks(in_scope)]
+    return [v for v in found if not _suppressed(*modules[v.path], v)]
 
 
 def lint_source(
@@ -240,13 +211,7 @@ def lint_source(
     in the report. *rules* restricts to a subset of rule ids (validated).
     N07 runs over this single module (cross-file pairs need
     :func:`lint_paths`)."""
-    _validate_rules(rules)
-    tree = _parse(source, path)
-    lines = source.splitlines()
-    selected = _rules_for(path, rules)
-    violations = _per_file_violations(tree, lines, path, selected)
-    if "N07" in selected:
-        violations.extend(_deadlock_violations([(path, tree, lines)]))
+    violations = _lint([(path, source)], rules)
     violations.sort(key=lambda v: (v.line, v.col, v.rule))
     return violations
 
@@ -286,23 +251,12 @@ def lint_paths(
 
     Per-file rules run file by file; N07 runs once over all in-scope
     modules together, so lock-order cycles spanning files are visible."""
-    _validate_rules(rules)
     filenames: List[str] = []
     for path in paths:
         if os.path.isdir(path):
             filenames.extend(_python_files(path))
         else:
             filenames.append(path)
-    violations: List[Violation] = []
-    deadlock_modules: List[Tuple[str, ast.Module, List[str]]] = []
-    for filename in filenames:
-        source = _read(filename)
-        tree = _parse(source, filename)
-        lines = source.splitlines()
-        selected = _rules_for(filename, rules)
-        violations.extend(_per_file_violations(tree, lines, filename, selected))
-        if "N07" in selected:
-            deadlock_modules.append((filename, tree, lines))
-    violations.extend(_deadlock_violations(deadlock_modules))
+    violations = _lint(((name, _read(name)) for name in filenames), rules)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return violations

@@ -1,4 +1,4 @@
-"""namsan lint rules N01 and N03-N06 (N02 lives in ``lockcheck``).
+"""namsan lint rules N01 and N03-N06 (N02 and N07 live in ``locks``).
 
 Each rule is a function ``(tree, lines) -> [(line, col, message)]`` over a
 parsed module; the driver in :mod:`repro.analysis.namsan.linter` decides

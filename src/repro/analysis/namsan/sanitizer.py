@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.analysis.namsan.events import (
     KIND_ATOMIC,
@@ -225,9 +225,8 @@ class RaceDetector:
 def detect_races(
     events: Iterable[AccessEvent],
     report_read_races: bool = False,
-    detector: Optional[RaceDetector] = None,
 ) -> List[RaceReport]:
     """Run the detector over *events* and return the race reports."""
-    detector = detector or RaceDetector(report_read_races=report_read_races)
+    detector = RaceDetector(report_read_races=report_read_races)
     detector.feed_all(events)
     return detector.races
