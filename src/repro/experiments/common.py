@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.config import ClusterConfig, CpuConfig
 from repro.errors import ConfigurationError
-from repro.index import CoarseGrainedIndex, FineGrainedIndex, HybridIndex
+from repro.index import DESIGNS, FineGrainedIndex
 from repro.nam.cluster import Cluster
 from repro.workloads import (
     Dataset,
@@ -54,12 +54,6 @@ __all__ = [
     "summarise",
     "write_obs_artifacts",
 ]
-
-DESIGNS = {
-    "coarse-grained": CoarseGrainedIndex,
-    "fine-grained": FineGrainedIndex,
-    "hybrid": HybridIndex,
-}
 
 
 def cluster_config(

@@ -25,7 +25,15 @@ from repro.index.partitioning import (
     RoundRobinPartitioner,
 )
 
+#: Design name -> index class, as experiments and histories name them.
+DESIGNS = {
+    "coarse-grained": CoarseGrainedIndex,
+    "fine-grained": FineGrainedIndex,
+    "hybrid": HybridIndex,
+}
+
 __all__ = [
+    "DESIGNS",
     "LocalAccessor",
     "LocalRootRef",
     "RemoteAccessor",

@@ -18,6 +18,7 @@ from repro.workloads.degradation import (
     DegradationConfig,
     RetryBudget,
 )
+from repro.workloads.history import History, Op, Scenario, run_scenario
 from repro.workloads.metrics import OpType, RunResult, TenantOutcome
 from repro.workloads.openloop import ArrivalProcess, TenantSpec
 from repro.workloads.runner import OpDrawer, WorkloadRunner
@@ -45,6 +46,10 @@ __all__ = [
     "TenantOutcome",
     "WorkloadRunner",
     "OpDrawer",
+    "History",
+    "Op",
+    "Scenario",
+    "run_scenario",
     "ArrivalProcess",
     "TenantSpec",
     "DegradationConfig",

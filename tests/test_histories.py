@@ -1,0 +1,216 @@
+"""Seeded contended histories, pinned as hashes: one table of
+:class:`~repro.workloads.history.Scenario` rows.
+
+The engine goldens hash latencies and operation counts, not results or
+page bytes, so a write that stored the wrong image (an entry lost in a
+split, a tombstone on the wrong duplicate, a head pointer dropped by a
+compaction) or a scan that built the wrong pairs (a tombstone kept, a
+duplicate reordered, a leaf skipped or read twice) passes all of them.
+Every row runs eight seeded clients, each on its own compute server, on a
+three-level tree of 8 000 keys. *Write* rows mix lookups, inserts
+(duplicates of loaded keys among them), updates and deletes, half inside
+one hot window of a few leaves so that lock attempts fail and splits race.
+They cover every write path: fine-grained with doorbell batching on and
+off, with a depth-2 client cache and with its garbage collector compacting
+leaves and rebuilding head nodes; coarse-grained and hybrid under range
+and hash partitioning; and the hybrid at replication factor 2 under a
+no-op fault plan. *Scan* rows mix scans of one to a dozen leaves with
+inserts and deletes: fine-grained under its collector, and coarse-grained
+and hybrid under range and hash partitioning (under hash a scan is a
+scatter over all four partitions and a merge).
+
+Hashed are every result in *issue* order (a scan row's scans alone), one
+full scan of the quiet cluster and, for a write row, every memory server's
+region bytes. Every row also checks its history: the quiet scan holds the
+loaded keys plus the inserts minus the deletes that found an entry, and
+the sim times are well formed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from repro import CacheConfig, FaultPlan, NetworkConfig, RetriesExhaustedError
+from repro.workloads import Scenario, run_scenario
+
+NUM_KEYS = 8_000
+#: Ordinals of the write rows' hot window (~7 leaves).
+HOT = range(3_000, 3_400)
+#: Scan widths in key units: within one leaf, two or three leaves, about a
+#: dozen (the head-node prefetch's case).
+WIDTHS = (64, 800, 4_000)
+
+
+def writes(client, dataset):
+    """A write row's client: 250 operations."""
+    rng = random.Random(2_000 + client)
+    for i in range(250):
+        ordinal = rng.choice(HOT) if rng.random() < 0.5 else rng.randrange(NUM_KEYS)
+        key = dataset.key_at(ordinal)
+        draw = rng.random()
+        tag = client * 1_000 + i
+        if draw < 0.25:
+            yield "lookup", (key,)
+        elif draw < 0.4:
+            # A duplicate of a loaded key: it lands after the original.
+            yield "insert", (key, 100_000 + tag)
+        elif draw < 0.6:
+            yield "insert", (key + 1 + rng.randrange(7), 200_000 + tag)
+        elif draw < 0.8:
+            yield "update", (key, 300_000 + tag)
+        else:
+            yield "delete", (key,)
+
+
+def scans(client, dataset):
+    """A scan row's client: 300 operations, about half of them scans."""
+    rng = random.Random(1_000 + client)
+    for i in range(300):
+        draw = rng.random()
+        tag = client * 1_000 + i
+        if draw < 0.5:
+            low = rng.randrange(dataset.key_space)
+            yield "range_scan", (low, low + rng.choice(WIDTHS))
+        elif draw < 0.65:
+            yield "insert", (dataset.key_at(rng.randrange(NUM_KEYS)), 100_000 + tag)
+        elif draw < 0.8:
+            yield "insert", (rng.randrange(dataset.key_space), 200_000 + tag)
+        else:
+            yield "delete", (dataset.key_at(rng.randrange(NUM_KEYS)),)
+
+
+def lookups(client, dataset):
+    """The typed-error row's client: 40 lookups."""
+    rng = random.Random(client)
+    for _ in range(40):
+        yield "lookup", (dataset.key_at(rng.randrange(NUM_KEYS)),)
+
+
+def row(design, ops, partitioning="range", extras=(), faults=None, **config):
+    return Scenario(design, ops, partitioning, {"seed": 11, **config}, faults, extras)
+
+
+#: ``(pin, case) -> (scenario, sha256 of the results in issue order,
+#: sha256 of the memory servers' regions)``. The fine-grained write rows
+#: were recorded with a height probe on a compute server of its own, which
+#: shifts every client's server id; hence their ``"probe"``.
+TABLE = {
+    ("write", "fine-grained/batched"): (
+        row("fine-grained", writes, extras=("probe",)),
+        "cc5afe2072e423452daf4758b796cbb0155d59ad80f0fdaa4f227d68d0aba03b",
+        "39966c345a8d41c5b1cb16e2f64decd0a2a38ebf8ad3875c73d87b9b6852e5ab"),
+    ("write", "fine-grained/unbatched"): (
+        row("fine-grained", writes, extras=("probe",),
+            network=NetworkConfig(doorbell_batching=False)),
+        "4535a0bfa5c334b8e909aef6edd9ded04149c5620a005d4721fc6845c1c0717c",
+        "dded0f9bc987046fda7a930f399522c9c2cf04fc59f8700f2838dfcdfd3de27a"),
+    ("write", "fine-grained/cached"): (
+        row("fine-grained", writes, extras=("probe",), cache=CacheConfig(depth=2)),
+        "8f06fadcb940224078b64655041f4a45c868a4f98a5c2743e5dcb180d266e36c",
+        "c3623cd784a955bcba0a1c5774935c112f7e5b1f1e5c760a7dcae7a37daaeed5"),
+    ("write", "fine-grained/gc"): (
+        row("fine-grained", writes, extras=("probe", "gc")),
+        "dca4db3ad2f8677fe532096e3322209c5c7dc419ef8de0bd74ab078d8d2bee43",
+        "89ced64ba8682ba57ae632719474a3eebf4d6855417b18f142f13bcd778f3575"),
+    ("write", "coarse-grained/range"): (
+        row("coarse-grained", writes),
+        "6cff31cd9d9439cefdb7c1ef1bd1c817659fb7d4d85b7a83009eff4e10a619a7",
+        "6ef8dfe1cb13ad703b0821826470a83d2d5953f0ad8fe5972f6c8cb0579976de"),
+    ("write", "coarse-grained/hash"): (
+        row("coarse-grained", writes, "hash"),
+        "db3ae9907398db983c6df460d812b56eeeaaac16f06991bed40ed9a1cf655eb7",
+        "f7c5eedf1eb2a05c7ba8e2bdf26d39d0b5106e45620b6175c30a0446b600be96"),
+    ("write", "hybrid/range"): (
+        row("hybrid", writes),
+        "6e769388e57be2bba3ed483d49703576ad32ecfac14be25db9307c41783c0d6f",
+        "e4386f4dc5dc315b370a2045b305b9204ebbfcd96ba36fb6247c1a8dc0fce1f3"),
+    ("write", "hybrid/hash"): (
+        row("hybrid", writes, "hash"),
+        "26d7ddb60a10b886059b172e3550a901549787b90eb7aeaf1e22bbb3ce22a8f9",
+        "99d8269e742eb2131d78c42753b4e393446345788abeb16d0a21c58dbb89e29f"),
+    ("write", "hybrid/replicated"): (
+        row("hybrid", writes, faults=FaultPlan(), replication_factor=2),
+        "73ee572bc4f173112e366615ac01275cffd20525d9edf7587ebb869153bb6cbb",
+        "900722922c4c12dffaabb1c6035cb95f15dc10c1cfee0a37b72179f0097f5bdb"),
+    ("scan", "fine-grained"): (
+        row("fine-grained", scans, extras=("gc",)),
+        "422d9dc503011e9dad87ba2eee97ea855e122763096cb4c255a04542ba7460a0", None),
+    ("scan", "coarse-grained/range"): (
+        row("coarse-grained", scans),
+        "1d0035d5a568b893f3cff287f8e7332cb8260fc1682115145b281b8640c08878", None),
+    ("scan", "coarse-grained/hash"): (
+        row("coarse-grained", scans, "hash"),
+        "032896cf774217c5509cb67db223e87b6405a0e5f18f8834e7c86156733efa6b", None),
+    ("scan", "hybrid/range"): (
+        row("hybrid", scans),
+        "a1e5322de704dda57902524d5c27f976a96b085e664c54369ba23d3c98ff78a2", None),
+    ("scan", "hybrid/hash"): (
+        row("hybrid", scans, "hash"),
+        "049c440ca4b08b5d9c2b405952e5233687a70138b9437cbe831d3e00971b4673", None),
+}
+
+#: The quiet full scan of every write row (8 270 pairs after 2 000
+#: operations) and of every scan row (8 248 pairs after 1 169 scans and the
+#: inserts and deletes between them).
+WRITE_FULL_SCAN = "38f18eae4c139063186d9fa0859311c062a97e29cc00458c5d70182172fc68ec"
+SCAN_FULL_SCAN = "51e1aa432981562fa57264962682eb19ab90e9ad6528dfe5597681eb74941301"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _checked(scenario):
+    """Run *scenario* and check what every history must satisfy."""
+    history = run_scenario(scenario)
+    ops = history.ops
+    inserts = sum(op.method == "insert" for op in ops)
+    deletes = sum(op.method == "delete" and op.result is True for op in ops)
+    assert len(history.full_scan) == scenario.num_keys + inserts - deletes
+    assert all(a.invoked_at <= b.invoked_at for a, b in zip(ops, ops[1:]))
+    responded = {}
+    for op in ops:
+        assert op.invoked_at <= op.responded_at
+        assert op.invoked_at >= responded.get(op.client, op.invoked_at)
+        responded[op.client] = op.responded_at
+    if "probe" in scenario.extras:
+        assert history.observed["height"] == 3
+    if "gc" in scenario.extras:
+        assert history.observed["sweeps"] > 0 and history.observed["entries_removed"] > 0
+    return history
+
+
+@pytest.mark.parametrize("case", [case for pin, case in TABLE if pin == "write"])
+def test_every_write_leaves_the_recorded_bytes(case):
+    scenario, results, regions = TABLE["write", case]
+    history = _checked(scenario)
+    assert (
+        _digest([(op.result,) for op in history.ops]),
+        _digest(history.full_scan),
+        _digest(history.regions),
+        len(history.ops),
+        len(history.full_scan),
+    ) == (results, WRITE_FULL_SCAN, regions, 2_000, 8_270)
+
+
+@pytest.mark.parametrize("case", [case for pin, case in TABLE if pin == "scan"])
+def test_every_scan_returns_the_recorded_pairs(case):
+    scenario, results, _ = TABLE["scan", case]
+    history = _checked(scenario)
+    scanned = [op.result for op in history.ops if op.method == "range_scan"]
+    assert (
+        _digest(scanned), _digest(history.full_scan), len(scanned), len(history.full_scan)
+    ) == (results, SCAN_FULL_SCAN, 1_169, 8_248)
+
+
+def test_a_typed_error_ends_the_operation_not_the_client():
+    history = _checked(Scenario(
+        "coarse-grained", lookups, config={"seed": 3},
+        faults=FaultPlan(seed=5, drop_probability=0.2), clients=2,
+    ))
+    failed = [op for op in history.ops if isinstance(op.result, RetriesExhaustedError)]
+    assert failed and all(op.responded_at is not None for op in failed)
+    assert len(history.ops) == 80 and len(history.full_scan) == NUM_KEYS
