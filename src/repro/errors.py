@@ -21,7 +21,6 @@ __all__ = [
     "ConfigurationError",
     "ConfigurationWarning",
     "AnalysisError",
-    "ValidationError",
 ]
 
 
@@ -112,11 +111,6 @@ class ConfigurationError(ReproError):
 class AnalysisError(ReproError):
     """A namsan analysis input was unusable (unparseable source file,
     malformed trace record, unknown rule name)."""
-
-
-class ValidationError(ReproError):
-    """An exported artifact failed validation (malformed Prometheus text,
-    JSON snapshot, or Chrome trace document)."""
 
 
 class ConfigurationWarning(UserWarning):

@@ -218,9 +218,9 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         obs = self.obs
         if obs is not None:
             if swapped:
-                obs.lock_acquired()
+                obs.lock_acquired.inc()
             else:
-                obs.lock_contended()
+                obs.lock_contended.inc()
         return swapped
 
     def unlock_write(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
@@ -263,7 +263,7 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         if obs is None:
             yield self._spin_cpu
             return
-        obs.lock_spin_round()
+        obs.lock_spin_round.inc()
         started = self.server.sim.now
         yield self._spin_cpu
         obs.stamp("lock_wait", started, self.server.sim.now)
@@ -438,9 +438,9 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         obs = self.obs
         if obs is not None:
             if swapped:
-                obs.lock_acquired()
+                obs.lock_acquired.inc()
             else:
-                obs.lock_contended()
+                obs.lock_contended.inc()
         return swapped
 
     def unlock_write(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
@@ -499,7 +499,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         if obs is None:
             yield self._spin_slice
             return
-        obs.lock_spin_round()
+        obs.lock_spin_round.inc()
         sim = self.compute_server.sim
         started = sim.now
         yield self._spin_slice
@@ -536,7 +536,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
             if injector is not None:
                 injector.record_steal()
             if self.obs is not None:
-                self.obs.lock_stolen()
+                self.obs.lock_stolen.inc()
         return swapped
 
 

@@ -204,7 +204,7 @@ class CachingRemoteAccessor(RemoteAccessor):
     def invalidate(self, raw_ptr: int) -> None:
         self._served_versions.pop(raw_ptr, None)
         if self.cache.invalidate(raw_ptr) and self.obs is not None:
-            self.obs.cache_invalidated()
+            self.obs.cache_invalidated.inc()
 
     # -- accessor overrides ---------------------------------------------------
 
@@ -230,7 +230,7 @@ class CachingRemoteAccessor(RemoteAccessor):
             if fresh:
                 self.cache.hits += 1
                 if obs is not None:
-                    obs.cache_hit()
+                    obs.cache_hit.inc()
                 self._served_versions[raw_ptr] = version
                 # Only the local search cost; no page round trip. Serve
                 # the entry's master as-is, like every read.
@@ -238,7 +238,7 @@ class CachingRemoteAccessor(RemoteAccessor):
                 return master
         self.cache.misses += 1
         if obs is not None:
-            obs.cache_miss()
+            obs.cache_miss.inc()
         self._served_versions.pop(raw_ptr, None)
         node = yield from super().read_node(raw_ptr)
         self.cache.observe(node.level)
@@ -260,7 +260,7 @@ class CachingRemoteAccessor(RemoteAccessor):
                 self.cache.reject(raw_ptr)
                 if obs is not None:
                     obs.cache_revalidated(False)
-                    obs.lock_contended()
+                    obs.lock_contended.inc()
                 return False
             self.cache.confirm(raw_ptr, self._epoch())
             if obs is not None:

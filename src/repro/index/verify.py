@@ -309,7 +309,7 @@ def verify_index(
     if report.violations and cluster.obs is not None:
         # Structural damage found: freeze the flight recorder so the
         # recent ops/faults leading up to it survive for forensics.
-        cluster.obs.flight_dump(
+        cluster.obs.flight.dump(
             "verifier-failure", detail=list(report.violations[:8])
         )
     return report

@@ -1,29 +1,25 @@
 """Command-line profiling harness: ``python -m repro.obs``.
 
-Three subcommands::
+Two subcommands::
 
     python -m repro.obs run --out-dir out/       # profile one smoke cell
-    python -m repro.obs validate out/            # re-parse the artifacts
     python -m repro.obs report out/snapshot.json # attributed breakdowns
 
 ``run`` executes one Figure 7/8-class workload cell on a fresh cluster
-with observability enabled and writes three artifacts into ``--out-dir``:
+with observability enabled and writes two artifacts into ``--out-dir``:
 
-* ``metrics.prom`` — Prometheus text exposition of every instrument;
 * ``snapshot.json`` — the full JSON snapshot (metrics + span trees +
   time series + flight-recorder bundles);
 * ``trace.json`` — Chrome trace-event JSON of the retained span trees
   and time-series counter tracks (``chrome://tracing`` or Perfetto).
-
-``validate`` round-trips all three files through the strict parsers in
-:mod:`repro.obs.export` and exits non-zero if any fails — CI's obs-smoke
-job is exactly ``run`` followed by ``validate``.
 
 ``report`` reads a snapshot (or a single flight-recorder bundle) and
 renders the top-K slowest retained operations as a critical-path
 attribution table (:mod:`repro.obs.attribution`), followed by a
 p50-vs-p99 diff: where a *typical* op spends its time versus where the
 *tail* ops spend theirs. ``--json`` emits the same data machine-readably.
+It exits non-zero when the document cannot be read or holds no retained
+operation — CI's obs-smoke job is ``run`` followed by ``report``.
 
 Every subcommand is declared once, in :data:`COMMANDS` — the table drives
 argument registration, dispatch, and ``--help``, so a new verb registers
@@ -39,20 +35,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping
 
-from repro.errors import ReproError
 from repro.obs.attribution import SEGMENTS, aggregate_attributions, attribute_span_dict
 from repro.obs.config import ObservabilityConfig
-from repro.obs.export import (
-    chrome_trace,
-    prometheus_text,
-    retained_spans,
-    to_json,
-    validate_chrome_trace,
-    validate_json_snapshot,
-    validate_prometheus_text,
-)
+from repro.obs.export import chrome_trace, retained_spans
 
-PROM_FILE = "metrics.prom"
 SNAPSHOT_FILE = "snapshot.json"
 TRACE_FILE = "trace.json"
 
@@ -85,8 +71,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     snapshot = result.observability
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / PROM_FILE).write_text(prometheus_text(snapshot))
-    (out_dir / SNAPSHOT_FILE).write_text(to_json(snapshot, indent=2))
+    (out_dir / SNAPSHOT_FILE).write_text(json.dumps(snapshot, indent=2, sort_keys=True))
     (out_dir / TRACE_FILE).write_text(
         json.dumps(chrome_trace(snapshot), sort_keys=True)
     )
@@ -101,31 +86,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{len(snapshot['slow_spans'])} slow "
         f"(of {snapshot['ops_observed']} operations)"
     )
-    print(f"wrote {PROM_FILE}, {SNAPSHOT_FILE}, {TRACE_FILE} to {out_dir}/")
+    print(f"wrote {SNAPSHOT_FILE}, {TRACE_FILE} to {out_dir}/")
     return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    def snapshot_summary(text: str) -> str:
-        snapshot = validate_json_snapshot(text)
-        return (
-            f"{len(snapshot['metrics'])} metrics, "
-            f"{len(snapshot['sampled_spans'])} sampled spans"
-        )
-
-    checks = (
-        (PROM_FILE, lambda text: f"{validate_prometheus_text(text)} samples"),
-        (SNAPSHOT_FILE, snapshot_summary),
-        (TRACE_FILE, lambda text: f"{validate_chrome_trace(text)} events"),
-    )
-    failures = 0
-    for name, check in checks:
-        try:
-            print(f"{name}: OK ({check((Path(args.out_dir) / name).read_text())})")
-        except (OSError, ReproError) as exc:
-            print(f"{name}: FAIL ({exc})")
-            failures += 1
-    return 1 if failures else 0
 
 
 # -- report ---------------------------------------------------------------------
@@ -274,7 +236,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         _print_report(data)
-    return 0
+    return 0 if data["retained_ops"] else 1
 
 
 # -- command table --------------------------------------------------------------
@@ -308,10 +270,6 @@ def _configure_run(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _configure_validate(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("out_dir", help="directory written by `run`")
-
-
 def _configure_report(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "path",
@@ -328,8 +286,6 @@ def _configure_report(parser: argparse.ArgumentParser) -> None:
 
 _TABLE = [
     Command("run", "profile one smoke workload cell", _configure_run, _cmd_run),
-    Command("validate", "re-parse a run's artifacts", _configure_validate,
-            _cmd_validate),
     Command("report", "attributed latency breakdown of a snapshot or bundle",
             _configure_report, _cmd_report),
 ]

@@ -50,7 +50,6 @@ __all__ = [
     "SEGMENT_PRIORITY",
     "leg_segments",
     "attribute_intervals",
-    "attribute_span",
     "attribute_span_dict",
     "aggregate_attributions",
 ]
@@ -161,12 +160,6 @@ def attribute_intervals(
         largest = max(out, key=lambda label: out[label])
         out[largest] += residual
     return out
-
-
-def attribute_span(span: Any) -> Dict[str, float]:
-    """Attribution of one retained :class:`~repro.obs.spans.OpSpan` tree:
-    :func:`attribute_span_dict` of its rendering."""
-    return attribute_span_dict(span.as_dict())
 
 
 def _iter_span_dicts(span: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:

@@ -35,7 +35,8 @@ class ObservabilityConfig:
     ``slow_op_threshold_s`` additionally
     captures the complete span tree of any operation whose end-to-end
     latency exceeds the threshold, regardless of sampling — the
-    tail-latency forensics hook. Both retention lists are bounded.
+    tail-latency forensics hook. Both retention lists are bounded (see
+    ``MAX_SAMPLED_SPANS`` / ``MAX_SLOW_SPANS`` in :mod:`repro.obs.hub`).
     """
 
     enabled: bool = False
@@ -43,13 +44,9 @@ class ObservabilityConfig:
     sample_every: int = 64
     #: Auto-capture the span tree of any op slower than this; None disables.
     slow_op_threshold_s: Optional[float] = 1e-3
-    #: Retention bounds for the two span lists (oldest evicted first).
-    max_sampled_spans: int = 256
-    max_slow_spans: int = 64
     #: Histogram shape: per-metric log buckets spanning
-    #: [bucket_floor, bucket_floor * bucket_base**bucket_count).
-    bucket_floor: float = 1e-7
-    bucket_base: float = 2.0
+    #: [BUCKET_FLOOR, BUCKET_FLOOR * BUCKET_BASE**bucket_count) — the two
+    #: constants live in :mod:`repro.obs.metrics`.
     bucket_count: int = 40
     #: Sim-time cadence of per-server time-series sampling (seconds).
     #: None (the default) disables the sampler entirely; sampling is lazy
@@ -60,9 +57,6 @@ class ObservabilityConfig:
     #: Flight recorder: entries kept per recent-activity ring (per-client
     #: ops, per-server admission verdicts, faults, verbs).
     flight_ring: int = 64
-    #: Dump bundles retained in memory; further triggers are counted in
-    #: ``dumps_suppressed`` instead of stored.
-    max_flight_dumps: int = 8
     #: Derive per-tenant slow-op thresholds from ``TenantSpec.slo_p99_s``
     #: in open-loop runs (slow = over that tenant's SLO). Off by default:
     #: the static ``slow_op_threshold_s`` alone decides, byte-identically
@@ -72,14 +66,8 @@ class ObservabilityConfig:
     def __post_init__(self) -> None:
         if self.sample_every < 1:
             raise ConfigurationError("sample_every must be >= 1")
-        if self.max_sampled_spans < 1 or self.max_slow_spans < 1:
-            raise ConfigurationError("span retention bounds must be >= 1")
         if self.slow_op_threshold_s is not None and self.slow_op_threshold_s <= 0:
             raise ConfigurationError("slow_op_threshold_s must be > 0 or None")
-        if self.bucket_floor <= 0:
-            raise ConfigurationError("bucket_floor must be > 0")
-        if self.bucket_base <= 1.0:
-            raise ConfigurationError("bucket_base must be > 1")
         if not 1 <= self.bucket_count <= 128:
             raise ConfigurationError("bucket_count must be in [1, 128]")
         if self.timeseries_cadence_s is not None and self.timeseries_cadence_s <= 0:
@@ -88,5 +76,3 @@ class ObservabilityConfig:
             raise ConfigurationError("timeseries_points must be >= 1")
         if self.flight_ring < 1:
             raise ConfigurationError("flight_ring must be >= 1")
-        if self.max_flight_dumps < 0:
-            raise ConfigurationError("max_flight_dumps must be >= 0")

@@ -15,7 +15,7 @@ On a trigger — an errored op, a verifier failure, a tenant SLO violation
 the triggering op's span tree, materialised from its log there and then,
 with its critical-path attribution (:mod:`repro.obs.attribution`), plus
 every ring's contents. Bundles are
-kept in memory on the hub (bounded by ``max_flight_dumps``; overflow is
+kept in memory on the hub (bounded by ``MAX_FLIGHT_DUMPS``; overflow is
 counted, not stored) and exported inside the observability snapshot under
 ``"flight"`` — harnesses write them to disk, the recorder itself never
 touches files or wall clocks. ``python -m repro.obs report`` renders a
@@ -31,14 +31,17 @@ from repro.obs.attribution import attribute_span_dict
 
 __all__ = ["FlightRecorder"]
 
+#: Dump bundles retained per run; further triggers are counted in
+#: ``dumps_suppressed`` instead of stored.
+MAX_FLIGHT_DUMPS = 8
+
 
 class FlightRecorder:
     """Bounded recent-activity rings and trigger-driven dump bundles."""
 
-    def __init__(self, sim: Any, ring: int, max_dumps: int) -> None:
+    def __init__(self, sim: Any, ring: int) -> None:
         self._sim = sim
         self._ring = ring
-        self._max_dumps = max_dumps
         #: client_id -> ring of recently finished root records (log-backed).
         self._client_ops: Dict[Any, deque] = {}
         #: server_id -> ring of (t, verdict) admission decisions, where
@@ -86,7 +89,7 @@ class FlightRecorder:
     ) -> Optional[Dict[str, Any]]:
         """Freeze the rings into a self-contained bundle (or count it away
         when the dump budget is spent). Returns the bundle, or None."""
-        if len(self.dumps) >= self._max_dumps:
+        if len(self.dumps) >= MAX_FLIGHT_DUMPS:
             self.dumps_suppressed += 1
             return None
         bundle: Dict[str, Any] = {

@@ -40,9 +40,12 @@ from repro.obs.config import ObservabilityConfig
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.spans import ENTER, EXIT, LEG, STAMP, VERB, OpSpan
-from repro.obs.timeseries import TimeSeriesRegistry
 
 __all__ = ["Observability"]
+
+#: Retention bounds for the two span lists (oldest evicted first).
+MAX_SAMPLED_SPANS = 256
+MAX_SLOW_SPANS = 64
 
 
 class Observability:
@@ -55,46 +58,50 @@ class Observability:
         #: Operations kept by sampling (every Nth operation, op 1 included).
         #: Like the flight ring these hold root records with their logs;
         #: the trees are built when a snapshot (or anyone) reads them.
-        self.sampled_spans: deque = deque(maxlen=self.config.max_sampled_spans)
+        self.sampled_spans: deque = deque(maxlen=MAX_SAMPLED_SPANS)
         #: Operations kept because they exceeded ``slow_op_threshold_s``.
-        self.slow_spans: deque = deque(maxlen=self.config.max_slow_spans)
+        self.slow_spans: deque = deque(maxlen=MAX_SLOW_SPANS)
         #: Callables ``reader(event, root)`` handed every completed verb's
         #: log tuple and the root record of its operation (None outside
         #: one), after the flight ring. Empty unless somebody is reading.
         self.verb_readers: List[Callable[[tuple, Optional[OpSpan]], None]] = []
-        self._op_seq = 0
+        #: Operations begun so far; the last one's op id.
+        self.ops_observed = 0
         #: Step ids: unique per hub, so unique within any operation's log.
         self._step_seq = 0
         # Pre-resolved instrument handles so hot-path emission is a dict
         # lookup plus attribute bumps, never label sorting. Verb handles
         # are keyed by the ``Verb`` member as posted and carry its name.
+        # The unlabelled ones are public: call sites ``.inc()`` them (the
+        # doorbell batch histogram ``.observe(wqes)``) directly.
         reg = self.registry
         self._verb_handles: Dict[
             Tuple[Any, int], Tuple[str, Counter, Counter, Histogram]
         ] = {}
         self._rpc_handles: Dict[int, Tuple[Counter, Histogram, Histogram]] = {}
         self._op_handles: Dict[str, Tuple[Counter, Histogram]] = {}
-        self._batch_wqes = reg.histogram("nam_batch_wqes")
-        self._lock_acquired = reg.counter("nam_lock_acquisitions_total")
-        self._lock_contended = reg.counter("nam_lock_contended_total")
-        self._lock_spins = reg.counter("nam_lock_spin_rounds_total")
-        self._lock_steals = reg.counter("nam_lock_steals_total")
-        self._cache_hits = reg.counter("nam_cache_hits_total")
-        self._cache_misses = reg.counter("nam_cache_misses_total")
+        self.batch_executed = reg.histogram("nam_batch_wqes")
+        self.lock_acquired = reg.counter("nam_lock_acquisitions_total")
+        self.lock_contended = reg.counter("nam_lock_contended_total")
+        self.lock_spin_round = reg.counter("nam_lock_spin_rounds_total")
+        self.lock_stolen = reg.counter("nam_lock_steals_total")
+        self.cache_hit = reg.counter("nam_cache_hits_total")
+        self.cache_miss = reg.counter("nam_cache_misses_total")
         self._cache_revalidations = reg.counter("nam_cache_revalidations_total")
         self._cache_revalidation_misses = reg.counter(
             "nam_cache_revalidation_misses_total"
         )
-        self._cache_invalidations = reg.counter("nam_cache_invalidations_total")
+        self.cache_invalidated = reg.counter("nam_cache_invalidations_total")
         self._gc_sweeps = reg.counter("nam_gc_sweeps_total")
         self._gc_leaves = reg.counter("nam_gc_leaves_scanned_total")
         self._gc_removed = reg.counter("nam_gc_entries_removed_total")
         #: Counters of the rare events (timeouts, admission verdicts,
         #: client-side degradation), created on first use: see _counter.
         self._handles: Dict[tuple, Counter] = {}
-        # Per-server time series (docs/observability.md): sampled lazily on
-        # a sim-time cadence from the hooks above, never event-scheduled.
-        self.timeseries = TimeSeriesRegistry(sim, self.config.timeseries_points)
+        # Per-server time series (docs/observability.md): ``(name, server)``
+        # -> ring of ``(t, value)`` points, sampled lazily on a sim-time
+        # cadence from the hooks above, never event-scheduled.
+        self.timeseries: Dict[Tuple[str, str], deque] = {}
         self._ts_cadence = self.config.timeseries_cadence_s
         self._ts_next = 0.0
         self._ts_last_t: Optional[float] = None
@@ -102,9 +109,7 @@ class Observability:
         self._ts_ops: Dict[int, int] = {}
         self._cluster: Any = None
         # Flight recorder: always-on bounded rings + trigger-driven dumps.
-        self.flight = FlightRecorder(
-            sim, self.config.flight_ring, self.config.max_flight_dumps
-        )
+        self.flight = FlightRecorder(sim, self.config.flight_ring)
         # Per-client slow-op thresholds (seconds), derived from tenant SLOs
         # by the open-loop runner when ``derive_slow_from_slo`` is set.
         # Empty by default, in which case end_op's retention decision is
@@ -118,11 +123,6 @@ class Observability:
         process = self.sim._active
         frame = process.span if process is not None else None
         return frame[0] if frame is not None else None
-
-    def current_op_id(self) -> Optional[int]:
-        """Op id of the operation the executing process works for."""
-        span = self.active_span()
-        return span.op_id if span is not None else None
 
     # -- critical-path stamps (consumed by repro.obs.attribution) --------------
 
@@ -170,9 +170,9 @@ class Observability:
     def begin_op(self, op_type: str, client_id: Optional[int] = None) -> OpSpan:
         """Open the root record of one index operation, with an empty event
         log, and make it the frame of the calling process."""
-        self._op_seq += 1
+        self.ops_observed += 1
         span = OpSpan(
-            self._op_seq, "op", op_type, self.sim.now, client_id=client_id, events=[]
+            self.ops_observed, "op", op_type, self.sim.now, client_id=client_id, events=[]
         )
         process = self.sim._active
         if process is not None:
@@ -290,10 +290,6 @@ class Observability:
         if self._ts_cadence is not None:
             self.maybe_sample()
 
-    def batch_executed(self, server_id: int, wqes: int) -> None:
-        """A doorbell batch was posted with *wqes* chained entries."""
-        self._batch_wqes.observe(wqes)
-
     def attempt_failed(self, verb: Any, server_id: int, retried: bool) -> None:
         """A verb/RPC attempt timed out; ``retried`` says whether another
         attempt follows (False = the retry budget is spent)."""
@@ -323,37 +319,12 @@ class Observability:
         if self._ts_cadence is not None:
             self.maybe_sample()
 
-    def lock_acquired(self) -> None:
-        self._lock_acquired.inc()
-
-    def lock_contended(self) -> None:
-        """A try_lock CAS lost the race (caller restarts or spins)."""
-        self._lock_contended.inc()
-
-    def lock_spin_round(self) -> None:
-        """One spin-pause while waiting out somebody else's lock."""
-        self._lock_spins.inc()
-
-    def lock_stolen(self) -> None:
-        """A lease-expired lock word was CAS-stolen (crash recovery)."""
-        self._lock_steals.inc()
-
-    def cache_hit(self) -> None:
-        self._cache_hits.inc()
-
-    def cache_miss(self) -> None:
-        self._cache_misses.inc()
-
     def cache_revalidated(self, fresh: bool) -> None:
         """A cached image's version word was re-read (1-verb READ);
         ``fresh`` says whether the image survived."""
         self._cache_revalidations.inc()
         if not fresh:
             self._cache_revalidation_misses.inc()
-
-    def cache_invalidated(self) -> None:
-        """A cached image was dropped (write path or failed CAS)."""
-        self._cache_invalidations.inc()
 
     def gc_sweep(self, leaves_seen: int, entries_removed: int) -> None:
         self._gc_sweeps.inc()
@@ -417,11 +388,18 @@ class Observability:
         self._sample_all(now)
         self._ts_next = (math.floor(now / cadence) + 1.0) * cadence
 
+    def _record(self, name: str, server: int, value: float) -> None:
+        key = (name, str(server))
+        points = self.timeseries.get(key)
+        if points is None:
+            points = self.timeseries[key] = deque(maxlen=self.config.timeseries_points)
+        points.append((self.sim.now, value))
+
     def _sample_all(self, now: float) -> None:
         cluster = self._cluster
         if cluster is None:
             return
-        ts = self.timeseries
+        record = self._record
         elapsed = None
         if self._ts_last_t is not None and now > self._ts_last_t:
             elapsed = now - self._ts_last_t
@@ -429,41 +407,22 @@ class Observability:
             sid = server.server_id
             port = server.port
             # busy_until is clamped to now: the backlogs are never negative.
-            ts.record("nic_tx_backlog_seconds", port.tx.busy_until - now, server=sid)
-            ts.record("nic_rx_backlog_seconds", port.rx.busy_until - now, server=sid)
-            ts.record("rpc_queue_len", float(server.rpc_backlog), server=sid)
+            record("nic_tx_backlog_seconds", sid, port.tx.busy_until - now)
+            record("nic_rx_backlog_seconds", sid, port.rx.busy_until - now)
+            record("rpc_queue_len", sid, float(server.rpc_backlog))
             busy = server._busy_time
             if elapsed is not None:
                 prev_busy = self._ts_busy.get(sid, busy)
                 cores = server.config.cpu.cores_per_server
                 occupancy = (busy - prev_busy) / (elapsed * cores)
-                ts.record(
-                    "worker_occupancy", min(1.0, max(0.0, occupancy)), server=sid
-                )
+                record("worker_occupancy", sid, min(1.0, max(0.0, occupancy)))
             self._ts_busy[sid] = busy
             ops = sum(server.stats.ops.values())
             prev_ops = self._ts_ops.get(sid)
             if prev_ops is not None:
-                ts.record("server_heat_ops", float(ops - prev_ops), server=sid)
+                record("server_heat_ops", sid, float(ops - prev_ops))
             self._ts_ops[sid] = ops
         self._ts_last_t = now
-
-    # -- flight recorder ----------------------------------------------------------
-
-    def fault_event(self, kind: str, server_id: int) -> None:
-        """A fault was injected (crash/restart/kill) — feed the flight ring."""
-        self.flight.record_fault(kind, server_id)
-
-    def flight_dump(
-        self,
-        trigger: str,
-        span: Optional[OpSpan] = None,
-        detail: Optional[Any] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """Freeze the flight-recorder rings into a bundle (see
-        :mod:`repro.obs.flight`). Returns the bundle, or None when the
-        per-run dump budget is spent."""
-        return self.flight.dump(trigger, span=span, detail=detail)
 
     # -- pull collector --------------------------------------------------------
 
@@ -516,17 +475,13 @@ class Observability:
 
     # -- snapshot ---------------------------------------------------------------
 
-    @property
-    def ops_observed(self) -> int:
-        return self._op_seq
-
     def snapshot(self) -> Dict[str, object]:
         """Run the pull collector, then render everything JSON-ready."""
         self._collect()
         base = self.registry.snapshot()
         return {
             "sim_time": base["sim_time"],
-            "ops_observed": self._op_seq,
+            "ops_observed": self.ops_observed,
             "config": {
                 "sample_every": self.config.sample_every,
                 "slow_op_threshold_s": self.config.slow_op_threshold_s,
@@ -536,6 +491,13 @@ class Observability:
             "metrics": base["metrics"],
             "sampled_spans": [span.as_dict() for span in self.sampled_spans],
             "slow_spans": [span.as_dict() for span in self.slow_spans],
-            "timeseries": self.timeseries.snapshot(),
+            "timeseries": [
+                {
+                    "name": name,
+                    "labels": {"server": server},
+                    "points": [[t, value] for t, value in points],
+                }
+                for (name, server), points in sorted(self.timeseries.items())
+            ],
             "flight": self.flight.snapshot(),
         }

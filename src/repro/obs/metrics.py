@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.config import ObservabilityConfig
@@ -26,6 +26,11 @@ from repro.obs.config import ObservabilityConfig
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 LabelPairs = Tuple[Tuple[str, str], ...]
+
+#: Upper edge of a registry histogram's first bucket (100 ns) and the
+#: ratio between consecutive edges; the count is ``bucket_count``.
+BUCKET_FLOOR = 1e-7
+BUCKET_BASE = 2.0
 
 
 class Counter:
@@ -88,10 +93,6 @@ class Gauge:
         self.value = value
         self.updated_at = self._sim.now
 
-    def add(self, amount: float) -> None:
-        self.value += amount
-        self.updated_at = self._sim.now
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "type": "gauge",
@@ -105,14 +106,14 @@ class Gauge:
 class Histogram:
     """Log-bucketed histogram for long-tailed quantities (latencies).
 
-    Bucket ``i`` is upper-inclusive, as Prometheus' cumulative ``le``
-    series needs: it covers ``(floor * base**(i-1), floor * base**i]``,
-    bucket 0 takes everything up to and including ``floor``, and
-    observations past the last edge land in the overflow bucket — the
-    bucket hit is ``bisect_left(bucket_edges(), value)``. With the default config
-    (floor 100 ns, base 2, 40 buckets) the range spans 100 ns to ~30 h
-    of simulated time at ~2x resolution — plenty for verb latencies
-    through whole-experiment durations.
+    Bucket ``i`` is upper-inclusive: it covers ``(floor * base**(i-1),
+    floor * base**i]``, bucket 0 takes everything up to ``floor``, and
+    values past the last edge land in the overflow bucket ``"+Inf"`` —
+    the snapshot's format, which the obs goldens pin. The bucket hit is
+    ``bisect_left(bucket_edges(), value)``. A registry histogram (floor
+    100 ns, base 2, 40 buckets by default) spans 100 ns to ~30 h of
+    simulated time at ~2x resolution — plenty for verb latencies through
+    whole-experiment durations.
     """
 
     __slots__ = (
@@ -179,7 +180,8 @@ class Histogram:
         edges = self.bucket_edges()
         for index, bucket in enumerate(self.buckets):
             seen += bucket
-            if seen >= rank:
+            # Empty buckets hold no quantile (at q=0 every one meets rank 0).
+            if bucket and seen >= rank:
                 edge = edges[index]
                 return self.max if math.isinf(edge) else min(edge, self.max)
         return self.max
@@ -215,7 +217,7 @@ class Histogram:
             "p999": summary["p999"],
             "buckets": list(self.buckets),
             # The overflow bucket's edge is "+Inf" (a string: JSON has no
-            # Infinity, and Prometheus spells it this way anyway).
+            # Infinity).
             "bucket_edges": [
                 edge if math.isfinite(edge) else "+Inf"
                 for edge in self.bucket_edges()
@@ -236,7 +238,7 @@ class MetricsRegistry:
     def __init__(self, sim: Any, config: Optional[ObservabilityConfig] = None):
         self._sim = sim
         self._config = config if config is not None else ObservabilityConfig(enabled=True)
-        self._instruments: Dict[Tuple[str, LabelPairs], object] = {}
+        self._instruments: Dict[Tuple[str, LabelPairs], Any] = {}
 
     @staticmethod
     def _label_pairs(labels: Dict[str, object]) -> LabelPairs:
@@ -258,19 +260,15 @@ class MetricsRegistry:
         return self._intern(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: object) -> Histogram:
-        cfg = self._config
         return self._intern(
-            Histogram, name, labels, cfg.bucket_floor, cfg.bucket_base, cfg.bucket_count
+            Histogram, name, labels, BUCKET_FLOOR, BUCKET_BASE, self._config.bucket_count
         )
 
-    def instruments(self) -> Iterable[object]:
-        """All instruments in deterministic (name, labels) order."""
-        for key in sorted(self._instruments):
-            yield self._instruments[key]
-
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready snapshot of every instrument, stamped with sim time."""
+        """JSON-ready snapshot of every instrument in deterministic
+        (name, labels) order, stamped with sim time."""
+        instruments = self._instruments
         return {
             "sim_time": self._sim.now,
-            "metrics": [inst.as_dict() for inst in self.instruments()],  # type: ignore[attr-defined]
+            "metrics": [instruments[key].as_dict() for key in sorted(instruments)],
         }

@@ -60,7 +60,6 @@ class OpSpan:
         "client_id",
         "started_at",
         "finished_at",
-        "parent",
         "events",
         "_replayed",
         "_children",
@@ -75,7 +74,6 @@ class OpSpan:
         name: str,
         started_at: float,
         client_id: Optional[int] = None,
-        parent: Optional["OpSpan"] = None,
         events: Optional[list] = None,
     ) -> None:
         self.op_id = op_id
@@ -84,7 +82,6 @@ class OpSpan:
         self.client_id = client_id
         self.started_at = started_at
         self.finished_at: Optional[float] = None
-        self.parent = parent
         #: The operation's event log (hub-made roots only; None on child
         #: spans and on trees built by hand).
         self.events = events
@@ -117,10 +114,7 @@ class OpSpan:
 
     def child(self, kind: str, name: str, started_at: float) -> "OpSpan":
         """Open a child span (inherits op_id and client_id)."""
-        span = OpSpan(
-            self.op_id, kind, name, started_at,
-            client_id=self.client_id, parent=self,
-        )
+        span = OpSpan(self.op_id, kind, name, started_at, client_id=self.client_id)
         self.children.append(span)
         return span
 

@@ -282,7 +282,7 @@ class FaultInjector:
         self._crash_epoch[server_id] = self.crash_epoch(server_id) + 1
         self.stats["server_crashes"] += 1
         if self.obs is not None:
-            self.obs.fault_event("server_crash", server_id)
+            self.obs.flight.record_fault("server_crash", server_id)
         replication = getattr(self._cluster, "replication", None)
         if replication is not None:
             # Destructive crash: wipe every copy hosted here and stop
@@ -305,7 +305,7 @@ class FaultInjector:
             self._down.discard(server_id)
             self.stats["server_restarts"] += 1
             if self.obs is not None:
-                self.obs.fault_event("server_restart", server_id)
+                self.obs.flight.record_fault("server_restart", server_id)
 
     def _server_crash_schedule(self, crash: ServerCrash) -> Generator[Any, Any, None]:
         if crash.at_s > self.sim.now:
@@ -335,7 +335,7 @@ class FaultInjector:
         self._killed_compute.add(compute_server_id)
         self.stats["compute_crashes"] += 1
         if self.obs is not None:
-            self.obs.fault_event("compute_crash", compute_server_id)
+            self.obs.flight.record_fault("compute_crash", compute_server_id)
         for process in self._client_procs.get(compute_server_id, ()):
             if not process.triggered:
                 process.kill()

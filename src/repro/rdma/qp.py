@@ -296,7 +296,7 @@ class QueuePair:
         batch_id = None
         if chained and obs is not None:
             if not local:
-                obs.batch_executed(self.remote.server_id, n)
+                obs.batch_executed.observe(n)
             batch_id = fabric.next_batch_id()
         started_at = sim.now
         # Count the chain and size its two messages (integer byte sums; the

@@ -257,9 +257,9 @@ class Tenant:
         if span is not None:
             obs.end_op(span, op_type)
             if op_type != op_kind:
-                obs.flight_dump("errored-op", span)
+                obs.flight.dump("errored-op", span)
             elif spec.slo_p99_s is not None and (now - start) > spec.slo_p99_s:
-                obs.flight_dump("slo-violation", span)
+                obs.flight.dump("slo-violation", span)
 
     def fold(self, result: RunResult) -> None:
         """Add this tenant's window to *result*: its completed operations

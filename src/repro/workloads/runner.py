@@ -398,5 +398,5 @@ class WorkloadRunner:
             if span is not None:
                 obs.end_op(span, op_type)
                 if op_type.startswith(OpType.ERROR):
-                    obs.flight_dump("errored-op", span)
+                    obs.flight.dump("errored-op", span)
             state.records.append((op_type, start, sim.now))

@@ -26,7 +26,7 @@ import pytest
 from repro import Cluster, ClusterConfig
 from repro.config import AdmissionConfig, CpuConfig, ObservabilityConfig
 from repro.experiments.common import build_index
-from repro.obs import SEGMENTS, attribute_span, attribute_span_dict
+from repro.obs import SEGMENTS, attribute_span_dict
 from repro.obs.attribution import attribute_intervals
 from repro.rdma.faults import FaultPlan, ServerCrash
 from repro.workloads import (
@@ -175,7 +175,7 @@ class TestReconciliationAcrossDesigns:
         for span in spans:
             assert span.finished_at is not None
             assert_reconciles(
-                attribute_span(span), span.finished_at - span.started_at
+                attribute_span_dict(span.as_dict()), span.finished_at - span.started_at
             )
 
     def test_rpc_designs_attribute_server_time(self):
@@ -185,7 +185,7 @@ class TestReconciliationAcrossDesigns:
         run_closed(cluster, "coarse-grained")
         total = {label: 0.0 for label in SEGMENTS}
         for span in retained_spans(cluster):
-            for label, seconds in attribute_span(span).items():
+            for label, seconds in attribute_span_dict(span.as_dict()).items():
                 total[label] += seconds
         assert total["server_cpu"] > 0.0
         assert total["network_flight"] > 0.0
@@ -197,7 +197,7 @@ class TestReconciliationAcrossDesigns:
         run_closed(cluster, "fine-grained")
         total = {label: 0.0 for label in SEGMENTS}
         for span in retained_spans(cluster):
-            for label, seconds in attribute_span(span).items():
+            for label, seconds in attribute_span_dict(span.as_dict()).items():
                 total[label] += seconds
         assert total["network_flight"] > 0.0
         assert total["server_cpu"] == 0.0
@@ -230,7 +230,7 @@ class TestReconciliationAcrossDesigns:
         ), "expected at least one batched verb in the retained spans"
         for span in spans:
             assert_reconciles(
-                attribute_span(span), span.finished_at - span.started_at
+                attribute_span_dict(span.as_dict()), span.finished_at - span.started_at
             )
 
     def test_faulted_retries_attribute_client_backoff(self):
@@ -243,7 +243,7 @@ class TestReconciliationAcrossDesigns:
         assert result.retries > 0
         backoff = 0.0
         for span in retained_spans(cluster):
-            attribution = attribute_span(span)
+            attribution = attribute_span_dict(span.as_dict())
             assert_reconciles(
                 attribution, span.finished_at - span.started_at
             )
@@ -278,7 +278,7 @@ class TestReconciliationAcrossDesigns:
         assert result.rejected_ops > 0
         rejected_time = 0.0
         for span in retained_spans(cluster):
-            attribution = attribute_span(span)
+            attribution = attribute_span_dict(span.as_dict())
             assert_reconciles(
                 attribution,
                 (span.finished_at or span.started_at) - span.started_at,
@@ -322,7 +322,6 @@ class TestFlightRecorder:
                 sample_every=4,
                 timeseries_cadence_s=0.0005,
                 flight_ring=32,
-                max_flight_dumps=8,
             ),
             replication_factor=2,
             cpu=CpuConfig(cores_per_server=2),
@@ -393,9 +392,12 @@ class TestFlightRecorder:
         assert bundle["trigger"] in out
         assert "server_crash" in out
 
-    def test_disabled_by_budget_zero(self):
-        cluster = fresh_cluster(obs_config(max_flight_dumps=0))
-        cluster.obs.flight_dump("errored-op", None)
+    def test_disabled_by_budget_zero(self, monkeypatch):
+        from repro.obs import flight
+
+        monkeypatch.setattr(flight, "MAX_FLIGHT_DUMPS", 0)
+        cluster = fresh_cluster(obs_config())
+        cluster.obs.flight.dump("errored-op", None)
         snap = cluster.obs.snapshot()
         assert snap["flight"]["dumps"] == []
         assert snap["flight"]["dumps_suppressed"] == 1

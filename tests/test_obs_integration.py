@@ -6,9 +6,9 @@ These are the PR's acceptance tests:
 * a sampled span tree's remote-only verb count reconciles *exactly* with
   the compute NIC's work-queue-entry counter (every non-local verb posts
   one WQE; local fast-path verbs post none);
-* a smoke-class workload run with observability on emits a valid
-  Prometheus exposition, JSON snapshot and span trees, and the pull
-  collectors mirror the real NIC counters verbatim;
+* a smoke-class workload run with observability on emits a snapshot
+  with span trees, and the pull collectors mirror the real NIC counters
+  verbatim;
 * an observability-enabled run produces byte-identical *simulated*
   results to a disabled run (the hub never schedules events);
 * a disabled cluster executes zero metric/span code (monkeypatched
@@ -17,10 +17,12 @@ These are the PR's acceptance tests:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import Cluster, ClusterConfig, FaultPlan, FineGrainedIndex
-from repro.obs import ObservabilityConfig, prometheus_text, validate_prometheus_text
+from repro.obs import ObservabilityConfig, chrome_trace
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
 
 SPEC = WorkloadSpec(
@@ -128,7 +130,6 @@ class TestWorkloadRun:
         assert snap is not None
         assert len(snap["sampled_spans"]) >= 1
         assert snap["ops_observed"] >= result.total_ops
-        assert validate_prometheus_text(prometheus_text(snap)) > 0
 
     def test_pull_collectors_mirror_nic_counters_exactly(self):
         cluster = fresh_cluster(obs_config())
@@ -215,7 +216,6 @@ class TestZeroPerturbation:
                 timeseries_cadence_s=0.0004,
                 timeseries_points=32,
                 flight_ring=16,
-                max_flight_dumps=4,
                 derive_slow_from_slo=True,
             )
         )
@@ -236,7 +236,7 @@ class TestZeroPerturbation:
     def test_disabled_cluster_reaches_no_metric_code(self, monkeypatch):
         """The `is None` fast path is total: with observability off, not a
         single instrument or span method may execute."""
-        from repro.obs import attribution, flight, hub, metrics, spans, timeseries
+        from repro.obs import attribution, flight, hub, metrics, spans
         from repro.rdma import fabric, qp
 
         def boom(*_args, **_kwargs):
@@ -252,7 +252,7 @@ class TestZeroPerturbation:
         monkeypatch.setattr(hub.Observability, "stamp", boom)
         monkeypatch.setattr(hub.Observability, "stamp_leg", boom)
         monkeypatch.setattr(hub.Observability, "maybe_sample", boom)
-        monkeypatch.setattr(timeseries.TimeSeries, "record", boom)
+        monkeypatch.setattr(hub.Observability, "_record", boom)
         monkeypatch.setattr(flight.FlightRecorder, "record_op", boom)
         monkeypatch.setattr(flight.FlightRecorder, "record_verb", boom)
         monkeypatch.setattr(flight.FlightRecorder, "record_fault", boom)
@@ -276,7 +276,7 @@ class TestZeroPerturbation:
 
 
 class TestCli:
-    def test_run_then_validate_round_trip(self, tmp_path, capsys):
+    def test_run_writes_the_snapshot_and_its_trace(self, tmp_path):
         from repro.obs.__main__ import main
 
         out = tmp_path / "obs-out"
@@ -284,27 +284,18 @@ class TestCli:
             "run", "--out-dir", str(out), "--clients", "4",
             "--sample-every", "8",
         ]) == 0
-        for name in ("metrics.prom", "snapshot.json", "trace.json"):
-            assert (out / name).exists()
-        assert main(["validate", str(out)]) == 0
-        assert "OK" in capsys.readouterr().out
+        assert sorted(path.name for path in out.iterdir()) == [
+            "snapshot.json", "trace.json",
+        ]
+        snapshot = json.loads((out / "snapshot.json").read_text())
+        assert snapshot["sampled_spans"]
+        assert json.loads((out / "trace.json").read_text()) == chrome_trace(snapshot)
 
-    def test_validate_empty_dir_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{}", "not json"])
+    def test_report_fails_without_a_retained_operation(self, tmp_path, text):
         from repro.obs.__main__ import main
 
-        assert main(["validate", str(tmp_path)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_validate_rejects_corrupt_artifact(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
-
-        out = tmp_path / "obs-out"
-        assert main([
-            "run", "--out-dir", str(out), "--clients", "4",
-        ]) == 0
-        (out / "snapshot.json").write_text("{}")
-        capsys.readouterr()
-        assert main(["validate", str(out)]) == 1
-        report = capsys.readouterr().out
-        assert "snapshot.json: FAIL" in report
-        assert "metrics.prom: OK" in report
+        path = tmp_path / "snapshot.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 1
+        assert main(["report", str(tmp_path)]) == 1

@@ -1,8 +1,8 @@
-"""Unit tests for the observability primitives and exporters.
+"""Unit tests for the observability primitives and the trace exporter.
 
 Covers the instrument types (counter / gauge / log-bucketed histogram),
-registry interning and snapshots, configuration validation, and the three
-export formats with their strict re-parsers.
+registry interning and snapshots, configuration validation, and the
+Chrome trace-event rendering of a snapshot.
 """
 
 from __future__ import annotations
@@ -15,20 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ValidationError
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ObservabilityConfig,
-    chrome_trace,
-    prometheus_text,
-    to_json,
-    validate_chrome_trace,
-    validate_json_snapshot,
-    validate_prometheus_text,
-)
+from repro.errors import ConfigurationError
+from repro.obs import ObservabilityConfig, chrome_trace
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class FakeClock:
@@ -57,12 +46,12 @@ class TestConfig:
         "kwargs",
         [
             {"sample_every": 0},
-            {"max_sampled_spans": 0},
-            {"max_slow_spans": 0},
+            {"timeseries_cadence_s": 0.0},
+            {"timeseries_points": 0},
             {"slow_op_threshold_s": 0.0},
             {"slow_op_threshold_s": -1.0},
-            {"bucket_floor": 0.0},
-            {"bucket_base": 1.0},
+            {"timeseries_cadence_s": -1.0},
+            {"flight_ring": 0},
             {"bucket_count": 0},
             {"bucket_count": 1000},
         ],
@@ -99,11 +88,13 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_add(self, clock):
+    def test_set_overwrites_and_stamps(self, clock):
         gauge = Gauge("g", (), clock)
         gauge.set(7)
-        gauge.add(-3)
+        clock.now = 1.5
+        gauge.set(4)
         assert gauge.value == 4
+        assert gauge.updated_at == 1.5
 
 
 class TestHistogram:
@@ -122,8 +113,8 @@ class TestHistogram:
         assert hist.count == 4
 
     def test_a_value_on_an_edge_counts_under_that_edge(self, clock):
-        """Prometheus' cumulative ``le="<edge>"`` series includes
-        observations equal to the edge: buckets are upper-inclusive."""
+        """Buckets are upper-inclusive: an observation equal to an edge
+        counts under that edge."""
         hist = self.make(clock)
         edges = hist.bucket_edges()
         for edge in edges[:-1]:
@@ -159,6 +150,16 @@ class TestHistogram:
         assert hist.mean == pytest.approx(3.75e-6)
         assert hist.quantile(0.0) <= hist.quantile(0.5) <= hist.quantile(1.0)
         assert hist.quantile(1.0) <= hist.max
+
+    def test_quantile_zero_skips_leading_empty_buckets(self, clock):
+        """q=0 answers from the first non-empty bucket, never from an empty
+        bucket below the smallest observation."""
+        hist = Histogram("h", (), clock, 1e-7, 2.0, 40)
+        hist.observe(5e-6)
+        hist.observe(7e-6)
+        assert hist.min <= hist.quantile(0.0) <= hist.quantile(0.5)
+        # (3.2us, 6.4us] holds the minimum: its upper edge is the answer.
+        assert hist.quantile(0.0) == pytest.approx(6.4e-6)
 
     def test_quantile_bounds_checked(self, clock):
         with pytest.raises(ValueError):
@@ -289,80 +290,6 @@ def _sample_snapshot(clock):
 
 
 class TestExporters:
-    def test_prometheus_round_trip(self, clock):
-        text = prometheus_text(_sample_snapshot(clock))
-        assert "# TYPE nam_verbs_total counter" in text
-        assert 'le="+Inf"' in text
-        samples = validate_prometheus_text(text)
-        assert samples > 0
-
-    def test_prometheus_buckets_cumulative(self, clock):
-        text = prometheus_text(_sample_snapshot(clock))
-        counts = [
-            int(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("nam_verb_latency_seconds_bucket")
-        ]
-        assert counts == sorted(counts)
-        assert counts[-1] == 3
-
-    def test_prometheus_label_order_is_canonical(self, clock):
-        """Identical metrics rendered from differently-ordered label dicts
-        produce byte-identical expositions (labels sort by key)."""
-        base = _sample_snapshot(clock)
-        shuffled = json.loads(to_json(base))
-        for metric in shuffled["metrics"]:
-            metric["labels"] = dict(
-                sorted(metric["labels"].items(), reverse=True)
-            )
-        assert prometheus_text(base) == prometheus_text(shuffled)
-
-    def test_prometheus_renders_deterministically(self, clock):
-        snap = _sample_snapshot(clock)
-        assert prometheus_text(snap) == prometheus_text(snap)
-
-    def test_prometheus_escapes_label_values(self, clock):
-        snap = _sample_snapshot(clock)
-        snap["metrics"].append(
-            {
-                "type": "counter",
-                "name": "nam_escape_probe_total",
-                "labels": {"path": 'a\\b"c\nd'},
-                "value": 1,
-                "updated_at": 0.0,
-            }
-        )
-        text = prometheus_text(snap)
-        assert '\\\\b' in text and '\\"c' in text and "\\nd" in text
-        # The raw newline never leaks into the exposition line.
-        line = next(
-            ln for ln in text.splitlines() if "escape_probe" in ln and "#" not in ln
-        )
-        assert "\n" not in line
-        assert validate_prometheus_text(text) > 0
-
-    def test_prometheus_exports_latest_timeseries_point(self, clock):
-        snap = _sample_snapshot(clock)
-        snap["timeseries"] = [
-            {
-                "name": "rpc_queue_len",
-                "labels": {"server": "0"},
-                "points": [[0.001, 2.0], [0.002, 5.0]],
-            },
-            {
-                "name": "rpc_queue_len",
-                "labels": {"server": "1"},
-                "points": [[0.002, 1.0]],
-            },
-            {"name": "empty_series", "labels": {"server": "0"}, "points": []},
-        ]
-        text = prometheus_text(snap)
-        assert 'rpc_queue_len{server="0"} 5' in text
-        assert 'rpc_queue_len{server="1"} 1' in text
-        assert text.count("# TYPE rpc_queue_len gauge") == 1
-        assert "empty_series" not in text
-        assert validate_prometheus_text(text) > 0
-
     def test_chrome_trace_emits_timeseries_counter_events(self, clock):
         snap = _sample_snapshot(clock)
         snap["timeseries"] = [
@@ -377,14 +304,14 @@ class TestExporters:
         assert len(counters) == 2
         assert all(e["pid"] == 1 for e in counters)
         assert [e["args"]["value"] for e in counters] == [2.0, 3.0]
-        assert validate_chrome_trace(json.dumps(document)) == 5
+        assert len(document["traceEvents"]) == 5
 
     def test_json_round_trip(self, clock):
+        """The snapshot dict is the JSON format: it survives a strict JSON
+        round trip unchanged (lists, not tuples; "+Inf", not Infinity)."""
         snap = _sample_snapshot(clock)
-        parsed = validate_json_snapshot(to_json(snap))
-        assert parsed["sim_time"] == snap["sim_time"]
-        # Deterministic serialization: same dict, same bytes.
-        assert to_json(snap) == to_json(json.loads(to_json(snap)))
+        text = json.dumps(snap, allow_nan=False, sort_keys=True)
+        assert json.loads(text) == snap
 
     def test_chrome_trace_round_trip(self, clock):
         document = chrome_trace(_sample_snapshot(clock))
@@ -393,54 +320,10 @@ class TestExporters:
         assert len(events) == 3
         assert all(event["ph"] == "X" for event in events)
         assert {event["tid"] for event in events} == {1}
-        assert validate_chrome_trace(json.dumps(document)) == 3
+        assert json.loads(json.dumps(document)) == document
 
     def test_chrome_trace_dedups_sampled_and_slow(self, clock):
         snap = _sample_snapshot(clock)
         snap["slow_spans"] = snap["sampled_spans"]  # same op in both lists
         document = chrome_trace(snap)
         assert len(document["traceEvents"]) == 3
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "garbage\n",
-            "# TYPE x counter\nx nope\n",
-            "x{a=\"1\"} 4\n",  # sample without a TYPE declaration
-        ],
-    )
-    def test_prometheus_validator_rejects(self, text):
-        with pytest.raises(ValidationError):
-            validate_prometheus_text(text)
-
-    def test_prometheus_validator_rejects_non_cumulative_buckets(self):
-        text = (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\n'
-            'h_bucket{le="+Inf"} 3\n'
-            "h_sum 1\nh_count 5\n"
-        )
-        with pytest.raises(ValidationError):
-            validate_prometheus_text(text)
-
-    @pytest.mark.parametrize(
-        "text",
-        ["not json", "{}", '{"sim_time": 1, "metrics": {}}'],
-    )
-    def test_json_validator_rejects(self, text):
-        with pytest.raises(ValidationError):
-            validate_json_snapshot(text)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "not json",
-            "{}",
-            '{"traceEvents": [{"name": "x"}]}',
-            '{"traceEvents": [{"name": "x", "ph": "X", "ts": 0, "pid": 0, "tid": 1}]}',
-        ],
-    )
-    def test_chrome_validator_rejects(self, text):
-        with pytest.raises(ValidationError):
-            validate_chrome_trace(text)

@@ -74,7 +74,7 @@ from repro import Cluster, ClusterConfig, FaultPlan
 from repro.config import ObservabilityConfig
 from repro.experiments.common import build_index
 from repro.nam.rpc import AckResponse, PointLookupRequest
-from repro.obs import attribute_span
+from repro.obs import attribute_span_dict
 from repro.obs.spans import LEG, VERB
 from repro.workloads import WorkloadRunner, generate_dataset, workload_a
 
@@ -356,7 +356,7 @@ def test_a_delayed_response_leg_is_stamped_onto_the_op_that_waits_for_it():
         [send] = [event for event in span.events if event[0] == VERB]
         assert len(legs) == 2, "a leg of this op was stamped elsewhere, or nowhere"
         assert legs[1][5] == send[6]  # the leg ends when the call completes
-        attribution = attribute_span(span)
+        attribution = attribute_span_dict(span.as_dict())
         assert sum(attribution.values()) == pytest.approx(
             span.finished_at - span.started_at, rel=1e-9
         )

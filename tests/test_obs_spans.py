@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import Observability, ObservabilityConfig, OpSpan, VerbEvent
+from repro.obs import Observability, ObservabilityConfig
+from repro.obs.hub import MAX_SAMPLED_SPANS
+from repro.obs.spans import OpSpan, VerbEvent
 from repro.sim.core import Simulator
 
 
@@ -26,7 +28,6 @@ class TestOpSpan:
         child = root.child("descend", "level_2", 1.5)
         assert child.op_id == 7
         assert child.client_id == 3
-        assert child.parent is root
         assert root.children == [child]
 
     def test_finish_cascades_to_open_children(self):
@@ -94,7 +95,6 @@ class TestHubLifecycle:
         def op():
             span = obs.begin_op("op", client_id=5)
             seen["active"] = obs.active_span()
-            seen["op_id"] = obs.current_op_id()
             yield sim.timeout(1e-6)
             obs.end_op(span, "point")
             seen["after"] = obs.active_span()
@@ -102,7 +102,7 @@ class TestHubLifecycle:
 
         sim.run_until_complete(sim.process(op()))
         assert seen["active"] is seen["span"]
-        assert seen["op_id"] == 1
+        assert seen["span"].op_id == 1
         assert seen["after"] is None
         assert seen["span"].name == "point"  # placeholder renamed at end
         assert seen["span"].client_id == 5
@@ -229,7 +229,6 @@ class TestHubLifecycle:
         sim = Simulator()
         obs = make_obs(sim)
         assert obs.active_span() is None
-        assert obs.current_op_id() is None
 
 
 class TestRetention:
@@ -251,9 +250,11 @@ class TestRetention:
 
     def test_sampled_deque_is_bounded(self):
         sim = Simulator()
-        obs = make_obs(sim, sample_every=1, max_sampled_spans=3)
-        self._run_ops(obs, sim, 8)
-        assert [span.op_id for span in obs.sampled_spans] == [6, 7, 8]
+        obs = make_obs(sim, sample_every=1)
+        self._run_ops(obs, sim, MAX_SAMPLED_SPANS + 3)
+        assert [span.op_id for span in obs.sampled_spans] == list(
+            range(4, MAX_SAMPLED_SPANS + 4)
+        )
 
     def test_slow_op_hook(self):
         sim = Simulator()
