@@ -142,9 +142,12 @@ class BLinkTree:
         Each page fetch of the walk becomes a child span of the active
         operation (kind ``descend``/``move_right``, named for the level the
         step *starts* from) so sampled traces show where traversal round
-        trips went. With observability off, ``obs`` is None and every
-        guard collapses to one attribute test."""
+        trips went. A step ends at the instant the next begins, so the hub
+        is told once per level — enter, then hand-offs — and once at the
+        end. With observability off, ``obs`` is None and every guard
+        collapses to one attribute test per level."""
         obs = self.acc.obs
+        stepping = None  # the hub, once a step of this walk is open
         step_kind = "descend"
         if node is None:
             raw_ptr = yield from self.root.get()
@@ -157,16 +160,19 @@ class BLinkTree:
                     raw_ptr = node.find_child(key)
                     step_kind = "descend"
                 else:
+                    if stepping is not None:
+                        stepping.exit_step()
                     return raw_ptr, node
             if obs is not None:
-                obs.enter_step(
-                    step_kind, "root" if node is None else f"level_{node.level}"
-                )
+                name = "root" if node is None else f"level_{node.level}"
+                if stepping is None:
+                    obs.enter_step(step_kind, name)
+                    stepping = obs
+                else:
+                    stepping.next_step(step_kind, name)
             node = yield from self.acc.read_node(raw_ptr)
             if node.version & 1:
                 node = yield from self._await_unlocked(raw_ptr, node)
-            if obs is not None:
-                obs.exit_step()
 
     def _descend_to_level(
         self, key: int, level: int

@@ -5,7 +5,7 @@ traversal design wins depends on *where* an operation's time goes — NIC
 queueing, wire flight, server queue wait, server CPU, lock spinning. While
 observability is enabled, the fabric logs ``(label, start, end)`` stamps
 and the five raw timestamps of every wire leg onto the operation they
-belong to (see ``Observability.stamp`` / ``stamp_leg``), and every
+belong to (see ``Observability.stamp`` / ``fabric.stamped_leg``), and every
 completed verb leaves a :class:`~repro.obs.spans.VerbEvent` window. When
 a log is materialised :func:`leg_segments` splits each leg into queueing
 and flight; this module then turns the intervals into a **closed

@@ -24,7 +24,7 @@ bundle as an attributed breakdown table.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Dict, List, Optional
 
 from repro.obs.attribution import attribute_span_dict
@@ -43,38 +43,23 @@ class FlightRecorder:
         self._sim = sim
         self._ring = ring
         #: client_id -> ring of recently finished root records (log-backed).
-        self._client_ops: Dict[Any, deque] = {}
+        #: It and ``verbs`` are appended in place by the hub's per-event paths.
+        self.client_ops: Dict[Any, deque] = defaultdict(lambda: deque(maxlen=ring))
         #: server_id -> ring of (t, verdict) admission decisions, where
         #: verdict is "accepted" or the rejection reason.
-        self._admission: Dict[int, deque] = {}
+        self._admission: Dict[int, deque] = defaultdict(lambda: deque(maxlen=ring))
         #: Cluster-wide ring of (t, kind, server_id) fault events.
         self._faults: deque = deque(maxlen=ring)
         #: Cluster-wide ring of recently completed verbs (VERB log tuples).
-        self._verbs: deque = deque(maxlen=ring)
+        self.verbs: deque = deque(maxlen=ring)
         #: Frozen dump bundles, oldest first (bounded; overflow counted).
         self.dumps: List[Dict[str, Any]] = []
         self.dumps_suppressed = 0
 
     # -- ring feeds (called from hub hooks; bounded, allocation-light) --------
 
-    def record_op(self, span: Any) -> None:
-        try:
-            ring = self._client_ops[span.client_id]
-        except KeyError:
-            ring = self._client_ops[span.client_id] = deque(maxlen=self._ring)
-        ring.append(span)
-
-    def record_verb(self, event: tuple) -> None:
-        """*event* is the ``(VERB, step, verb, server_id, payload_bytes,
-        started_at, finished_at, ...)`` tuple the hub logged."""
-        self._verbs.append(event)
-
     def record_admission(self, server_id: int, verdict: str) -> None:
-        ring = self._admission.get(server_id)
-        if ring is None:
-            ring = deque(maxlen=self._ring)
-            self._admission[server_id] = ring
-        ring.append((self._sim.now, verdict))
+        self._admission[server_id].append((self._sim.now, verdict))
 
     def record_fault(self, kind: str, server_id: int) -> None:
         self._faults.append((self._sim.now, kind, server_id))
@@ -113,7 +98,7 @@ class FlightRecorder:
                 for op in ring
             ]
             for client_id, ring in sorted(
-                self._client_ops.items(), key=lambda item: str(item[0])
+                self.client_ops.items(), key=lambda item: str(item[0])
             )
         }
         bundle["admission"] = {
@@ -133,7 +118,7 @@ class FlightRecorder:
                 "finished_at": finished_at,
             }
             for _, _, verb, server_id, payload_bytes, started_at, finished_at, *_
-            in self._verbs
+            in self.verbs
         ]
         self.dumps.append(bundle)
         return bundle

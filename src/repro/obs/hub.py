@@ -17,8 +17,8 @@ record of its operation (whose ``events`` list is the operation's log, see
 none) and the frame to return to when that step exits. Frames are
 inherited at spawn, so parallel partition scans and prefetch fan-out
 sub-processes log into their operation, each under its own open step.
-Every emit point appends one tuple to ``frame[0].events``; nothing walks
-parent links and no identifiers are threaded through the verb APIs.
+Each emit point (``fabric.stamped_leg`` too) appends to ``frame[0].events``;
+nothing walks parent links and no identifiers ride the verb APIs.
 
 Metrics are a hybrid of push and pull: latency-shaped quantities
 (per-verb latency, RPC service time, batch sizes) are pushed at the
@@ -33,13 +33,14 @@ an enabled run's simulated results are identical to a disabled run's.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.config import ObservabilityConfig
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.obs.spans import ENTER, EXIT, LEG, STAMP, VERB, OpSpan
+from repro.obs.spans import ENTER, EXIT, STAMP, VERB, OpSpan
 
 __all__ = ["Observability"]
 
@@ -110,6 +111,8 @@ class Observability:
         self._cluster: Any = None
         # Flight recorder: always-on bounded rings + trigger-driven dumps.
         self.flight = FlightRecorder(sim, self.config.flight_ring)
+        self._verb_ring = self.flight.verbs
+        self._op_rings = self.flight.client_ops
         # Per-client slow-op thresholds (seconds), derived from tenant SLOs
         # by the open-loop runner when ``derive_slow_from_slo`` is set.
         # Empty by default, in which case end_op's retention decision is
@@ -146,24 +149,6 @@ class Observability:
         and CPU time onto the client's op."""
         if finished_at > started_at:
             span[0].events.append((STAMP, label, started_at, finished_at))
-
-    def stamp_leg(
-        self,
-        started_at: float,
-        tx_start: float,
-        arrival: float,
-        rx_start: float,
-        finished_at: float,
-    ) -> None:
-        """Log one wire leg of the active operation as its five raw
-        timestamps; :func:`~repro.obs.attribution.leg_segments` splits them
-        into ``nic_queue`` and ``network_flight`` when the log is read."""
-        process = self.sim._active
-        frame = process.span if process is not None else None
-        if frame is not None:
-            frame[0].events.append(
-                (LEG, started_at, tx_start, arrival, rx_start, finished_at)
-            )
 
     # -- operation lifecycle (called by the workload runner) -------------------
 
@@ -206,7 +191,14 @@ class Observability:
         duration = now - span.started_at
         count.value += 1.0
         count.updated_at = now
-        latency.observe(duration)
+        latency.buckets[bisect_left(latency.edges, duration)] += 1
+        latency.count += 1
+        latency.total += duration
+        if duration < latency.min:
+            latency.min = duration
+        if duration > latency.max:
+            latency.max = duration
+        latency.updated_at = now
         if (span.op_id - 1) % self.config.sample_every == 0:
             self.sampled_spans.append(span)
         threshold = self.config.slow_op_threshold_s
@@ -214,7 +206,7 @@ class Observability:
             threshold = self._client_slow.get(span.client_id, threshold)
         if threshold is not None and duration > threshold:
             self.slow_spans.append(span)
-        self.flight.record_op(span)
+        self._op_rings[span.client_id].append(span)
         if self._ts_cadence is not None:
             self.maybe_sample()
 
@@ -246,6 +238,21 @@ class Observability:
         frame[0].events.append((EXIT, frame[1], self.sim.now))
         process.span = frame[2]
 
+    def next_step(self, kind: str, name: str) -> None:
+        """The step hand-off: :meth:`exit_step` then :meth:`enter_step` at
+        the same instant — the same two tuples, one call (a descent's level
+        steps end where the next begins)."""
+        process = self.sim._active
+        frame = process.span if process is not None else None
+        if frame is None or frame[2] is None:
+            return
+        now = self.sim.now
+        self._step_seq = step = self._step_seq + 1
+        frame[0].events.extend(
+            ((EXIT, frame[1], now), (ENTER, step, frame[2][1], kind, name, now))
+        )
+        process.span = (frame[0], step, frame[2])
+
     # -- hot-path events (push) -------------------------------------------------
 
     def verb_completed(
@@ -274,8 +281,15 @@ class Observability:
         name, count, nbytes, latency = handles
         count.value += 1.0
         nbytes.value += payload_bytes
-        count.updated_at = nbytes.updated_at = self.sim.now
-        latency.observe(finished_at - started_at)
+        count.updated_at = nbytes.updated_at = latency.updated_at = self.sim.now
+        duration = finished_at - started_at
+        latency.buckets[bisect_left(latency.edges, duration)] += 1
+        latency.count += 1
+        latency.total += duration
+        if duration < latency.min:
+            latency.min = duration
+        if duration > latency.max:
+            latency.max = duration
         process = self.sim._active
         frame = process.span if process is not None else None
         event = (
@@ -284,7 +298,7 @@ class Observability:
         )
         if frame is not None:
             frame[0].events.append(event)
-        self.flight.record_verb(event)
+        self._verb_ring.append(event)
         for reader in self.verb_readers:
             reader(event, frame[0] if frame is not None else None)
         if self._ts_cadence is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.config import NetworkConfig
+from repro.obs.spans import LEG
 from repro.sim import Simulator
 from repro.sim.resources import BandwidthChannel
 
@@ -28,10 +29,14 @@ def stamped_leg(
     latency: float,
 ) -> float:
     """The hub-on branch of every wire leg: the two bookings of the hub-off
-    branch beside each call site, in the same order, plus one
-    ``obs.stamp_leg``. When a line starts on the message is its reservation
-    clock just before the booking (an attribute read: it moves nothing),
-    clamped to when the message can be there. Returns the completion time."""
+    branch beside each call site, in the same order, then the leg's
+    ``(LEG, now, tx_start, arrival, rx_start, done)`` tuple appended to the
+    log of the operation the running process works for (none outside one);
+    :func:`~repro.obs.attribution.leg_segments` splits it into
+    ``nic_queue`` and ``network_flight`` when the log is read. When a line
+    starts on the message is its reservation clock just before the booking
+    (an attribute read: it moves nothing), clamped to when the message can
+    be there. Returns the completion time."""
     tx_start = tx.available_at
     if tx_start < now:
         tx_start = now
@@ -40,7 +45,10 @@ def stamped_leg(
     if rx_start < arrival:
         rx_start = arrival
     done = rx.reserve(wire, arrival)
-    obs.stamp_leg(now, tx_start, arrival, rx_start, done)
+    process = obs.sim._active
+    frame = process.span if process is not None else None
+    if frame is not None:
+        frame[0].events.append((LEG, now, tx_start, arrival, rx_start, done))
     return done
 
 

@@ -397,6 +397,6 @@ class WorkloadRunner:
                 op_type = f"{OpType.ERROR}:{type(exc).__name__}"
             if span is not None:
                 obs.end_op(span, op_type)
-                if op_type.startswith(OpType.ERROR):
+                if op_type != op_kind:
                     obs.flight.dump("errored-op", span)
             state.records.append((op_type, start, sim.now))

@@ -250,19 +250,19 @@ class TestZeroPerturbation:
         monkeypatch.setattr(hub.Observability, "begin_op", boom)
         # The v2 surfaces are equally unreachable when disabled.
         monkeypatch.setattr(hub.Observability, "stamp", boom)
-        monkeypatch.setattr(hub.Observability, "stamp_leg", boom)
         monkeypatch.setattr(hub.Observability, "maybe_sample", boom)
         monkeypatch.setattr(hub.Observability, "_record", boom)
-        monkeypatch.setattr(flight.FlightRecorder, "record_op", boom)
-        monkeypatch.setattr(flight.FlightRecorder, "record_verb", boom)
         monkeypatch.setattr(flight.FlightRecorder, "record_fault", boom)
         monkeypatch.setattr(flight.FlightRecorder, "dump", boom)
-        # The flat event log's emit points: the one leg helper (both names
-        # it is called through), every hub method that appends a tuple, and
-        # the functions that turn a log into a tree.
+        # The flat event log's emit points: the leg helper, which appends
+        # its tuple itself (both names it is called through), every hub
+        # method that appends one — the step hand-off included — and the
+        # functions that turn a log into a tree. The flight rings fed in
+        # place have no method left to patch: only end_op and
+        # verb_completed reach them.
         monkeypatch.setattr(fabric, "stamped_leg", boom)
         monkeypatch.setattr(qp, "stamped_leg", boom)
-        for name in ("stamp_span", "enter_step", "exit_step",
+        for name in ("stamp_span", "enter_step", "next_step", "exit_step",
                      "verb_completed", "end_op", "active_span"):
             monkeypatch.setattr(hub.Observability, name, boom)
         monkeypatch.setattr(spans, "materialise", boom)
