@@ -7,9 +7,10 @@ byte-identical to an uninstrumented build):
 
 * :mod:`repro.obs.metrics` — counters, gauges, and log-bucketed
   histograms in a :class:`MetricsRegistry` stamped with simulated time;
-* :mod:`repro.obs.spans` — :class:`OpSpan` trees recording the anatomy
-  of individual operations (operation → traversal steps → verbs),
-  whose verb tuples :class:`~repro.rdma.tracing.VerbTracer` reads too
+* :mod:`repro.obs.spans` — :class:`OpSpan`, one operation's record and
+  flat event log, whose ``as_dict()`` renders the operation's anatomy
+  (operation → traversal steps → verbs) as a JSON span tree; the log's
+  verb tuples are what :class:`~repro.rdma.tracing.VerbTracer` reads too
   (a ``TraceRecord`` is one of them plus its operation's ``op_id``);
 * :mod:`repro.obs.hub` — :class:`Observability`, the cluster-wide hub
   that owns the registry, samples span trees (every Nth op), captures

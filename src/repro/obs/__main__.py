@@ -270,13 +270,21 @@ def _configure_run(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an int of at least 1 (a ValueError makes it exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _configure_report(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "path",
         help="snapshot.json, a flight-recorder bundle, or a `run` out-dir",
     )
     parser.add_argument(
-        "--top-k", type=int, default=10,
+        "--top-k", type=positive_int, default=10,
         help="slowest ops to break down (default 10)",
     )
     parser.add_argument(

@@ -6,10 +6,10 @@ queueing, wire flight, server queue wait, server CPU, lock spinning. While
 observability is enabled, the fabric logs ``(label, start, end)`` stamps
 and the five raw timestamps of every wire leg onto the operation they
 belong to (see ``Observability.stamp`` / ``fabric.stamped_leg``), and every
-completed verb leaves a :class:`~repro.obs.spans.VerbEvent` window. When
-a log is materialised :func:`leg_segments` splits each leg into queueing
-and flight; this module then turns the intervals into a **closed
-decomposition**: a mapping from the
+completed verb leaves a VERB window in the same log. When
+:meth:`~repro.obs.spans.OpSpan.as_dict` renders a log, :func:`leg_segments`
+splits each leg into queueing and flight; this module then turns the
+span dict's intervals into a **closed decomposition**: a mapping from the
 segment taxonomy below to seconds, whose values sum to the span's
 duration — exactly, for every sampled op (the reconciliation invariant
 ``tests/test_obs_attribution.py`` pins).
@@ -37,7 +37,7 @@ highest-priority covering label:
 * ``client_think`` — the residual: time the op spent in client-side
   compute between verbs (page decode, binary search, session logic).
 
-Attribution is a pure post-processing pass over retained span trees —
+Attribution is a pure post-processing pass over rendered span dicts —
 it allocates nothing on the hot path and never runs when disabled.
 """
 

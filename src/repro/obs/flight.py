@@ -12,7 +12,7 @@ appends per event and never grow.
 
 On a trigger — an errored op, a verifier failure, a tenant SLO violation
 — :meth:`dump` freezes the rings into a **self-contained JSON bundle**:
-the triggering op's span tree, materialised from its log there and then,
+the triggering op's span tree, rendered from its log there and then,
 with its critical-path attribution (:mod:`repro.obs.attribution`), plus
 every ring's contents. Bundles are
 kept in memory on the hub (bounded by ``MAX_FLIGHT_DUMPS``; overflow is
@@ -42,7 +42,7 @@ class FlightRecorder:
     def __init__(self, sim: Any, ring: int) -> None:
         self._sim = sim
         self._ring = ring
-        #: client_id -> ring of recently finished root records (log-backed).
+        #: client_id -> ring of recently finished operation records.
         #: It and ``verbs`` are appended in place by the hub's per-event paths.
         self.client_ops: Dict[Any, deque] = defaultdict(lambda: deque(maxlen=ring))
         #: server_id -> ring of (t, verdict) admission decisions, where

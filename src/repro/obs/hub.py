@@ -57,13 +57,13 @@ class Observability:
         self.config = config if config is not None else ObservabilityConfig(enabled=True)
         self.registry = MetricsRegistry(sim, self.config)
         #: Operations kept by sampling (every Nth operation, op 1 included).
-        #: Like the flight ring these hold root records with their logs;
-        #: the trees are built when a snapshot (or anyone) reads them.
+        #: Like the flight ring these hold operation records with their
+        #: logs; a snapshot renders each one's tree with ``as_dict()``.
         self.sampled_spans: deque = deque(maxlen=MAX_SAMPLED_SPANS)
         #: Operations kept because they exceeded ``slow_op_threshold_s``.
         self.slow_spans: deque = deque(maxlen=MAX_SLOW_SPANS)
         #: Callables ``reader(event, root)`` handed every completed verb's
-        #: log tuple and the root record of its operation (None outside
+        #: log tuple and the record of its operation (None outside
         #: one), after the flight ring. Empty unless somebody is reading.
         self.verb_readers: List[Callable[[tuple, Optional[OpSpan]], None]] = []
         #: Operations begun so far; the last one's op id.
@@ -119,14 +119,6 @@ class Observability:
         # byte-identical to the static-threshold-only build.
         self._client_slow: Dict[Any, float] = {}
 
-    # -- correlation ---------------------------------------------------------
-
-    def active_span(self) -> Optional[OpSpan]:
-        """The root record of the operation the executing process works for."""
-        process = self.sim._active
-        frame = process.span if process is not None else None
-        return frame[0] if frame is not None else None
-
     # -- critical-path stamps (consumed by repro.obs.attribution) --------------
 
     def stamp(self, label: str, started_at: float, finished_at: float) -> None:
@@ -153,12 +145,10 @@ class Observability:
     # -- operation lifecycle (called by the workload runner) -------------------
 
     def begin_op(self, op_type: str, client_id: Optional[int] = None) -> OpSpan:
-        """Open the root record of one index operation, with an empty event
+        """Open the record of one index operation, with an empty event
         log, and make it the frame of the calling process."""
         self.ops_observed += 1
-        span = OpSpan(
-            self.ops_observed, "op", op_type, self.sim.now, client_id=client_id, events=[]
-        )
+        span = OpSpan(self.ops_observed, op_type, self.sim.now, client_id)
         process = self.sim._active
         if process is not None:
             process.span = (span, 0, None)

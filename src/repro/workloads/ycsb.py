@@ -53,8 +53,13 @@ class WorkloadSpec:
     insert_pattern: str = "uniform"
 
     def __post_init__(self) -> None:
-        total = (self.point_fraction + self.range_fraction
-                 + self.insert_fraction + self.delete_fraction)
+        fractions = (self.point_fraction, self.range_fraction,
+                     self.insert_fraction, self.delete_fraction)
+        if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
+            raise ConfigurationError(
+                f"operation fractions must each be in [0, 1], got {fractions}"
+            )
+        total = sum(fractions)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(
                 f"operation fractions must sum to 1.0, got {total}"

@@ -36,6 +36,7 @@ from repro.workloads import (
     WorkloadSpec,
     generate_dataset,
 )
+from tests.test_obs_spans import nodes
 
 DESIGNS = ("coarse-grained", "fine-grained", "hybrid")
 
@@ -222,15 +223,16 @@ class TestReconciliationAcrossDesigns:
         )
         run_closed(cluster, "fine-grained", scans)
         spans = retained_spans(cluster)
+        trees = [span.as_dict() for span in spans]
         assert any(
-            event.batch_id is not None
-            for span in spans
-            for node in span.iter_spans()
-            for event in node.verbs
+            event["batch_id"] is not None
+            for tree in trees
+            for node in nodes(tree)
+            for event in node["verbs"]
         ), "expected at least one batched verb in the retained spans"
-        for span in spans:
+        for tree in trees:
             assert_reconciles(
-                attribute_span_dict(span.as_dict()), span.finished_at - span.started_at
+                attribute_span_dict(tree), tree["finished_at"] - tree["started_at"]
             )
 
     def test_faulted_retries_attribute_client_backoff(self):

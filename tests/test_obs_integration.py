@@ -24,6 +24,7 @@ import pytest
 from repro import Cluster, ClusterConfig, FaultPlan, FineGrainedIndex
 from repro.obs import ObservabilityConfig, chrome_trace
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
+from tests.test_obs_spans import count_verbs, nodes
 
 SPEC = WorkloadSpec(
     name="obs-mix",
@@ -91,14 +92,15 @@ class TestSpanReconciliation:
             span, result = self._traced(cluster, gen, name)
             delta = compute.port.wqes_posted - before
             assert delta > 0
-            assert span.total_verbs(remote_only=True) == delta
+            tree = span.as_dict()
+            assert sum(count_verbs(tree, remote_only=True).values()) == delta
             if expect is not None:
                 assert result == expect
             # The tree has structure, not just a flat root.
-            assert any(s.kind in ("descend", "move_right")
-                       for s in span.iter_spans())
+            assert any(node["kind"] in ("descend", "move_right")
+                       for node in nodes(tree))
             # Every span in the tree carries the root's op id.
-            assert {s.op_id for s in span.iter_spans()} == {span.op_id}
+            assert {node["op_id"] for node in nodes(tree)} == {span.op_id}
 
     def test_colocated_local_verbs_post_no_wqes(self):
         """On a colocated cluster the local fast path skips the NIC, and
@@ -116,10 +118,12 @@ class TestSpanReconciliation:
         before = compute.port.wqes_posted
         span, _ = self._traced(cluster, session.lookup(dataset.key_at(10)), "point")
         delta = compute.port.wqes_posted - before
-        assert span.total_verbs(remote_only=True) == delta
+        tree = span.as_dict()
+        remote = sum(count_verbs(tree, remote_only=True).values())
+        assert remote == delta
         # The local fast path was actually exercised somewhere in the op,
         # or the colocation stub is broken.
-        assert span.total_verbs() >= span.total_verbs(remote_only=True)
+        assert sum(count_verbs(tree).values()) >= remote
 
 
 class TestWorkloadRun:
@@ -257,15 +261,15 @@ class TestZeroPerturbation:
         # The flat event log's emit points: the leg helper, which appends
         # its tuple itself (both names it is called through), every hub
         # method that appends one — the step hand-off included — and the
-        # functions that turn a log into a tree. The flight rings fed in
+        # functions that render a log as a tree. The flight rings fed in
         # place have no method left to patch: only end_op and
         # verb_completed reach them.
         monkeypatch.setattr(fabric, "stamped_leg", boom)
         monkeypatch.setattr(qp, "stamped_leg", boom)
         for name in ("stamp_span", "enter_step", "next_step", "exit_step",
-                     "verb_completed", "end_op", "active_span"):
+                     "verb_completed", "end_op"):
             monkeypatch.setattr(hub.Observability, name, boom)
-        monkeypatch.setattr(spans, "materialise", boom)
+        monkeypatch.setattr(spans.OpSpan, "as_dict", boom)
         monkeypatch.setattr(attribution, "leg_segments", boom)
         cluster = fresh_cluster()
         assert cluster.obs is None
@@ -299,3 +303,20 @@ class TestCli:
         path.write_text(text)
         assert main(["report", str(path)]) == 1
         assert main(["report", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_report_rejects_a_top_k_below_one(self, tmp_path, top_k):
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["report", str(tmp_path), "--top-k", top_k])
+        assert exit_.value.code == 2
+
+    def test_run_rejects_a_point_fraction_above_one(self, tmp_path):
+        from repro.errors import ConfigurationError
+        from repro.obs.__main__ import main
+
+        out = tmp_path / "obs-out"
+        with pytest.raises(ConfigurationError):
+            main(["run", "--out-dir", str(out), "--point-fraction", "1.5"])
+        assert not out.exists()

@@ -15,6 +15,7 @@ from repro.config import ObservabilityConfig
 from repro.rdma.tracing import VerbTracer
 from repro.rdma.verbs import Verb
 from repro.workloads import WorkloadRunner, generate_dataset, workload_d
+from tests.test_obs_spans import nodes
 
 
 @pytest.fixture
@@ -169,13 +170,13 @@ def test_records_carry_the_operation_id_of_the_cluster_hub():
     assert records and {r.verb for r in records} > {Verb.READ}  # inserts too
     # Every verb of a runner-issued operation names that operation, and
     # the operation's own log holds the same verb.
-    spans = {span.op_id: span for span in cluster.obs.sampled_spans}
-    assert len(spans) == result.total_ops == 40
+    trees = {span.op_id: span.as_dict() for span in cluster.obs.sampled_spans}
+    assert len(trees) == result.total_ops == 40
     for record in records:
         logged = [
-            (Verb(event.verb), *event[1:])
-            for span in spans[record.op_id].iter_spans()
-            for event in span.verbs
+            (Verb(event["verb"]), *list(event.values())[1:])
+            for node in nodes(trees[record.op_id])
+            for event in node["verbs"]
         ]
         assert record[:7] in logged
     # The hub-less twin sees the same wire anatomy, outside any operation.

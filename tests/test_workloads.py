@@ -90,6 +90,14 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             WorkloadSpec(name="bad", point_fraction=0.5)
 
+    @pytest.mark.parametrize("fractions", [(1.5, -0.5), (-0.25, 1.25)])
+    def test_each_fraction_must_lie_in_the_unit_interval(self, fractions):
+        from repro.workloads import WorkloadSpec
+
+        point, insert = fractions
+        with pytest.raises(ConfigurationError, match=r"each be in \[0, 1\]"):
+            WorkloadSpec(name="bad", point_fraction=point, insert_fraction=insert)
+
     def test_insert_pattern_validated(self):
         from repro.workloads import WorkloadSpec
 
