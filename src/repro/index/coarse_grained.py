@@ -20,9 +20,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from repro.index.partitioned import PartitionedIndex, PartitionedSession, client_tree
-from repro.nam import rpc
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
+from repro.nam.rpc import RPC_HEADER_BYTES, TreeCall
 
 __all__ = ["CoarseGrainedIndex", "CoarseGrainedSession"]
 
@@ -33,38 +33,30 @@ _APP = "coarse-grained"
 # server-side RPC handlers                                                     #
 # --------------------------------------------------------------------------- #
 
-def _handle_point_lookup(server: MemoryServer, msg: rpc.PointLookupRequest):
-    values = yield from server.app[_APP, msg.index, msg.partition].lookup(msg.key)
-    response = rpc.ValueResponse(tuple(values))
-    return response, response.wire_bytes
+def _handle_lookup(server: MemoryServer, call: TreeCall):
+    values = yield from server.app[_APP, call.index, call.partition].lookup(*call.args)
+    return values, RPC_HEADER_BYTES + 8 * len(values)
 
 
-def _handle_range_scan(server: MemoryServer, msg: rpc.RangeScanRequest):
-    pairs = yield from server.app[_APP, msg.index, msg.partition].range_scan(
-        msg.low, msg.high
-    )
-    response = rpc.PairsResponse(tuple(pairs))
-    return response, response.wire_bytes
+def _handle_range_scan(server: MemoryServer, call: TreeCall):
+    tree = server.app[_APP, call.index, call.partition]
+    pairs = yield from tree.range_scan(*call.args)
+    return pairs, RPC_HEADER_BYTES + 16 * len(pairs)
 
 
-def _handle_insert(server: MemoryServer, msg: rpc.InsertRequest):
-    yield from server.app[_APP, msg.index, msg.partition].insert(msg.key, msg.value)
-    response = rpc.AckResponse()
-    return response, response.wire_bytes
+def _handle_insert(server: MemoryServer, call: TreeCall):
+    yield from server.app[_APP, call.index, call.partition].insert(*call.args)
+    return None, RPC_HEADER_BYTES
 
 
-def _handle_update(server: MemoryServer, msg: rpc.UpdateRequest):
-    found = yield from server.app[_APP, msg.index, msg.partition].update(
-        msg.key, msg.value
-    )
-    response = rpc.AckResponse(ok=found)
-    return response, response.wire_bytes
+def _handle_update(server: MemoryServer, call: TreeCall):
+    found = yield from server.app[_APP, call.index, call.partition].update(*call.args)
+    return found, RPC_HEADER_BYTES
 
 
-def _handle_delete(server: MemoryServer, msg: rpc.DeleteRequest):
-    found = yield from server.app[_APP, msg.index, msg.partition].delete(msg.key)
-    response = rpc.AckResponse(ok=found)
-    return response, response.wire_bytes
+def _handle_delete(server: MemoryServer, call: TreeCall):
+    found = yield from server.app[_APP, call.index, call.partition].delete(*call.args)
+    return found, RPC_HEADER_BYTES
 
 
 # --------------------------------------------------------------------------- #
@@ -76,11 +68,11 @@ class CoarseGrainedIndex(PartitionedIndex):
 
     design = _APP
     handlers = {
-        rpc.PointLookupRequest: _handle_point_lookup,
-        rpc.RangeScanRequest: _handle_range_scan,
-        rpc.InsertRequest: _handle_insert,
-        rpc.UpdateRequest: _handle_update,
-        rpc.DeleteRequest: _handle_delete,
+        "lookup": _handle_lookup,
+        "range_scan": _handle_range_scan,
+        "insert": _handle_insert,
+        "update": _handle_update,
+        "delete": _handle_delete,
     }
 
     def _placement(self, **_options: Any) -> Callable[[int], Dict[str, Any]]:
@@ -104,48 +96,29 @@ class CoarseGrainedIndex(PartitionedIndex):
 
 class _RpcTree:
     """One partition's tree as its owner serves it: each of the five
-    operations is one RPC to that partition."""
+    operations is one tree call to that partition, answered by the
+    handler's result."""
 
     def __init__(self, session: "CoarseGrainedSession", partition: int) -> None:
         self._call = session._call
-        self._index = session.index.name
         self._partition = partition
 
     def lookup(self, key: int) -> Generator[Any, Any, List[int]]:
-        partition = self._partition
-        response = yield from self._call(
-            partition, rpc.PointLookupRequest(self._index, key, partition=partition)
-        )
-        return list(response.values)
+        return self._call(self._partition, "lookup", key)
 
     def range_scan(
         self, low: int, high: int
     ) -> Generator[Any, Any, List[Tuple[int, int]]]:
-        partition = self._partition
-        response = yield from self._call(
-            partition, rpc.RangeScanRequest(self._index, low, high, partition=partition)
-        )
-        return list(response.pairs)
+        return self._call(self._partition, "range_scan", low, high)
 
     def insert(self, key: int, value: int) -> Generator[Any, Any, None]:
-        partition = self._partition
-        yield from self._call(
-            partition, rpc.InsertRequest(self._index, key, value, partition=partition)
-        )
+        return self._call(self._partition, "insert", key, value)
 
     def update(self, key: int, value: int) -> Generator[Any, Any, bool]:
-        partition = self._partition
-        response = yield from self._call(
-            partition, rpc.UpdateRequest(self._index, key, value, partition=partition)
-        )
-        return response.ok
+        return self._call(self._partition, "update", key, value)
 
     def delete(self, key: int) -> Generator[Any, Any, bool]:
-        partition = self._partition
-        response = yield from self._call(
-            partition, rpc.DeleteRequest(self._index, key, partition=partition)
-        )
-        return response.ok
+        return self._call(self._partition, "delete", key)
 
 
 class CoarseGrainedSession(PartitionedSession):

@@ -10,9 +10,9 @@ round-robin across **all** servers — and accessed with one-sided verbs:
   head-node prefetching for scans);
 * inserts: traversal RPC, then the one-sided leaf protocol of Section 4;
   if the leaf splits, the client installs the new leaf itself (one-sided
-  alloc + WRITE) and ships the separator to the partition owner with an
-  ``InstallSeparator`` RPC, which the owner applies to its inner levels
-  (Section 5.2);
+  alloc + WRITE) and ships the separator to the partition owner in an
+  ``install_separator`` tree call, which the owner applies to its inner
+  levels (Section 5.2);
 * deletes: traversal RPC + one-sided tombstoning.
 
 This combines the low traversal latency of RPCs with the aggregated leaf
@@ -30,9 +30,9 @@ from repro.btree.algorithm import BLinkTree
 from repro.btree.node import Node
 from repro.index.accessors import RemoteAccessor, RemoteRootRef
 from repro.index.partitioned import PartitionedIndex, PartitionedSession, client_tree
-from repro.nam import rpc
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
+from repro.nam.rpc import RPC_HEADER_BYTES, TreeCall
 
 __all__ = ["HybridIndex", "HybridSession"]
 
@@ -43,20 +43,17 @@ _APP = "hybrid"
 # server-side RPC handlers (inner levels only)                                 #
 # --------------------------------------------------------------------------- #
 
-def _handle_traverse(server: MemoryServer, msg: rpc.TraverseRequest):
-    tree = server.app[_APP, msg.index, msg.partition]
-    _ptr, node = yield from tree._descend_to_level(msg.key, 1)
-    response = rpc.PointerResponse(node.find_child(msg.key))
-    return response, response.wire_bytes
+def _handle_traverse(server: MemoryServer, call: TreeCall):
+    (key,) = call.args
+    tree = server.app[_APP, call.index, call.partition]
+    _ptr, node = yield from tree._descend_to_level(key, 1)
+    return node.find_child(key), RPC_HEADER_BYTES + 8
 
 
-def _handle_install_separator(server: MemoryServer, msg: rpc.InstallSeparatorRequest):
-    tree = server.app[_APP, msg.index, msg.partition]
-    yield from tree._install_separator(
-        1, msg.separator, msg.new_child, msg.split_child
-    )
-    response = rpc.AckResponse()
-    return response, response.wire_bytes
+def _handle_install_separator(server: MemoryServer, call: TreeCall):
+    tree = server.app[_APP, call.index, call.partition]
+    yield from tree._install_separator(1, *call.args)
+    return None, RPC_HEADER_BYTES
 
 
 # --------------------------------------------------------------------------- #
@@ -68,8 +65,8 @@ class HybridIndex(PartitionedIndex):
 
     design = _APP
     handlers = {
-        rpc.TraverseRequest: _handle_traverse,
-        rpc.InstallSeparatorRequest: _handle_install_separator,
+        "traverse": _handle_traverse,
+        "install_separator": _handle_install_separator,
     }
     # The partition owner applies every inner-level SMO of its partition, so
     # it is the one publishing structure epochs for the client-side caches
@@ -155,19 +152,14 @@ class _HybridLeafTree(BLinkTree):
             prefetch_window=index.cluster.config.tree.prefetch_window,
         )
         self._call = session._call
-        self._index = index.name
         self._partition = partition
 
     def _find_leaf(self, key: int) -> Generator[Any, Any, Tuple[int, Node]]:
-        partition = self._partition
-        response = yield from self._call(
-            partition, rpc.TraverseRequest(self._index, key, partition=partition)
-        )
+        raw_ptr = yield from self._call(self._partition, "traverse", key)
         # The leaf may have split since the owner answered, so the
         # move-right step is mandatory (Section 5.2). The first read opens
         # no span step: the RPC is the traversal. It is _read_unlocked's
         # body, as in _descend_from: no frame of its own.
-        raw_ptr = response.raw
         node = yield from self.acc.read_node(raw_ptr)
         if node.version & 1:
             node = yield from self._await_unlocked(raw_ptr, node)
@@ -178,12 +170,8 @@ class _HybridLeafTree(BLinkTree):
     def _install_separator(
         self, level: int, sep_key: int, new_child: int, split_child: int
     ) -> Generator[Any, Any, None]:
-        partition = self._partition
         return self._call(
-            partition,
-            rpc.InstallSeparatorRequest(
-                self._index, sep_key, new_child, split_child, partition=partition
-            ),
+            self._partition, "install_separator", sep_key, new_child, split_child
         )
 
 

@@ -47,6 +47,7 @@ from repro.nam.catalog import IndexDescriptor, RootLocation
 from repro.nam.cluster import Cluster
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import Handler, MemoryServer
+from repro.nam.rpc import TreeCall
 from repro.rdma.memory import MemoryRegion
 
 __all__ = ["PartitionedIndex", "PartitionedSession", "client_tree", "merge_partials"]
@@ -103,8 +104,8 @@ class PartitionedIndex(DistributedIndex):
     partition it targets.
     """
 
-    #: RPC request type -> handler, registered on every host of a partition.
-    handlers: Dict[type, Handler]
+    #: Tree-call op name -> handler, registered on every host of a partition.
+    handlers: Dict[str, Handler]
     #: Whether leaves carry head nodes (coarse-grained trees never do).
     use_head_nodes = False
     #: ``BLinkTree.on_structure_change`` of every partition tree.
@@ -217,8 +218,8 @@ class PartitionedIndex(DistributedIndex):
         )
         tree.on_structure_change = self.on_structure_change
         host.app[self.design, self.name, logical_id] = tree
-        for request_type, handler in self.handlers.items():
-            host.register_handler(request_type, handler)
+        for op, handler in self.handlers.items():
+            host.register_handler(op, handler)
 
     def partition_tree(self, server_id: int) -> BLinkTree:
         """The server-resident tree of one partition (tests/validation).
@@ -276,10 +277,12 @@ class PartitionedSession(IndexSession):
         for server in index.cluster.memory_servers:
             server.connected_qps += 1
 
-    def _call(self, server_id: int, request: Any) -> Generator[Any, Any, Any]:
-        """RPC to the host of partition *server_id*, tenant-stamped."""
-        return self.compute_server.qp(server_id).call(
-            request, request.wire_bytes, tenant=self.tenant
+    def _call(self, partition: int, op: str, *args: int) -> Generator[Any, Any, Any]:
+        """The tree call *op* on *partition*, sent to its host tenant-stamped;
+        returns the handler's plain result."""
+        call = TreeCall(op, self.index.name, partition, args)
+        return self.compute_server.qp(partition).call(
+            call, call.wire_bytes, tenant=self.tenant
         )
 
     # Point operations hand out the owning handle's generator as it is: a

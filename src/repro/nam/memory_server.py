@@ -6,22 +6,24 @@ one per core — that serve two-sided requests (Section 3.2). One-sided verbs
 bypass the workers entirely and only consume NIC/memory bandwidth, which is
 precisely the asymmetry the paper studies.
 
-Handlers are registered per request type by the index designs; a handler is
-a generator ``handler(server, payload) -> (response, response_wire_bytes)``
-that charges its CPU time through :meth:`MemoryServer.cpu` /
-:meth:`cpu_bytes`.
+Handlers are registered per operation name by the index designs; a handler
+is a generator ``handler(server, call) -> (result, result_wire_bytes)`` over
+a :class:`~repro.nam.rpc.TreeCall` that charges its CPU time through
+:meth:`MemoryServer.cpu` / :meth:`cpu_bytes`, and its plain result is what
+the client's call returns. A request that is not a ``TreeCall`` is
+dispatched by its type.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Generator, Hashable, Optional, Tuple
 
 from repro.config import ClusterConfig
 from repro.errors import NetworkError
 from repro.nam.admission import SHARED_POOL, AdmissionController
 from repro.nam.allocator import PageAllocator
 from repro.nam.machine import PhysicalMachine
-from repro.nam.rpc import MUTATING_REQUESTS
+from repro.nam.rpc import MUTATING_OPS, TreeCall
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import NicPort
 from repro.rdma.qp import RpcEnvelope
@@ -71,7 +73,7 @@ class MemoryServer:
         self.stats = VerbStats()
         #: Memory accesses from the second socket cross QPI (Section 6.1).
         self.qpi_factor = config.cpu.qpi_penalty if crosses_qpi else 1.0
-        self._handlers: Dict[Type, Handler] = {}
+        self._handlers: Dict[Hashable, Handler] = {}
         #: Set by :meth:`Cluster.attach_faults`; while present, the worker
         #: loop honors crash windows and at-most-once RPC semantics.
         self.injector: Any = None
@@ -145,10 +147,10 @@ class MemoryServer:
             backlog += len(queue)
         return backlog
 
-    def register_handler(self, request_type: Type, handler: Handler) -> None:
-        """Install *handler* for requests of *request_type* and make sure the
-        worker pool is running."""
-        self._handlers[request_type] = handler
+    def register_handler(self, op: Hashable, handler: Handler) -> None:
+        """Install *handler* for the tree calls named *op* (or for requests
+        of type *op*) and make sure the worker pool is running."""
+        self._handlers[op] = handler
         if not self._workers_started:
             self._workers_started = True
             cores = self.config.cpu.cores_per_server
@@ -220,14 +222,15 @@ class MemoryServer:
                     cpu_config.receive_queue_poll_cost_s * self.connected_qps
                 )
             yield self.cpu(fixed_cost)
-            handler = self._handlers.get(type(envelope.payload))
+            payload = envelope.payload
+            op = payload.op if payload.__class__ is TreeCall else payload.__class__
+            handler = self._handlers.get(op)
             if handler is None:
                 raise NetworkError(
-                    f"memory server {self.server_id} has no handler for "
-                    f"{type(envelope.payload).__name__}"
+                    f"memory server {self.server_id} has no handler for {op!r}"
                 )
             try:
-                response, wire_bytes = yield from handler(self, envelope.payload)
+                response, wire_bytes = yield from handler(self, payload)
             except Exception:
                 if injector is not None and (
                     injector.server_down(self.server_id)
@@ -243,19 +246,14 @@ class MemoryServer:
                 raise
             yield self.cpu_bytes(wire_bytes)
             replication = self.replication
-            if replication is not None and isinstance(
-                envelope.payload, MUTATING_REQUESTS
-            ):
+            if replication is not None and op in MUTATING_OPS:
                 # Mirror-before-ack: the handler's page mutations are
                 # already byte-converged on the backups (synchronous
                 # region mirrors); here the worker charges the wire legs
                 # of shipping the dirtied page before acknowledging, so a
                 # client never holds an ack a failover could lose.
-                logical = getattr(envelope.payload, "partition", -1)
-                if logical < 0:
-                    logical = self.server_id
                 yield from replication.mirror_legs(
-                    logical, self.config.tree.page_size
+                    payload.partition, self.config.tree.page_size
                 )
             if injector is not None:
                 envelope.qp.rpc_finish(envelope.seq, response, wire_bytes)

@@ -1,191 +1,42 @@
-"""RPC message vocabulary for the two-sided designs.
+"""The one RPC message of the two-sided designs.
 
 The coarse-grained design ships whole operations to the data (Section 3.2);
 the hybrid design ships only inner-level traversals and separator
-installations (Section 5.2). Messages are plain dataclasses; their
-``wire_bytes`` reflect the sizes a real implementation would serialize
-(8-byte keys/values/pointers plus a small header) and drive both network
-and CPU-copy cost accounting. Every request names the logical
-``partition`` it targets — a promoted host serves partitions besides its
-own — and the index designs always set it; left unset (-1), a custom
-handler serves the server the request arrives at.
+installations (Section 5.2). Either way the network needs one thing from
+the message — its size — so there is one request, :class:`TreeCall`: an
+operation name, the index, the logical partition it targets (a promoted
+host serves partitions besides its own) and the operation's 8-byte keys,
+values or pointers. It is sized ``RPC_HEADER_BYTES + 8 * len(args)``.
+
+A handler answers with a plain value — a list of payloads, a list of
+pairs, a bool, a pointer or None — and that value's wire size
+(``RPC_HEADER_BYTES`` plus 8 bytes per payload or pointer, 16 per pair);
+the value is what the client's call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-__all__ = [
-    "RPC_HEADER_BYTES",
-    "PointLookupRequest",
-    "RangeScanRequest",
-    "InsertRequest",
-    "UpdateRequest",
-    "DeleteRequest",
-    "TraverseRequest",
-    "InstallSeparatorRequest",
-    "ValueResponse",
-    "PairsResponse",
-    "AckResponse",
-    "PointerResponse",
-    "ThrottledResponse",
-    "MUTATING_REQUESTS",
-]
+__all__ = ["RPC_HEADER_BYTES", "TreeCall", "ThrottledResponse", "MUTATING_OPS"]
 
 RPC_HEADER_BYTES = 24
 
 
-@dataclass(frozen=True)
-class PointLookupRequest:
-    """Workload A point query, executed entirely on the memory server."""
+class TreeCall(NamedTuple):
+    """One tree operation on one partition, as a memory server receives it."""
 
+    #: The handler's name: ``lookup``, ``range_scan``, ``insert``,
+    #: ``update``, ``delete``, ``traverse`` or ``install_separator``.
+    op: str
     index: str
-    key: int
-
-    #: Logical partition this request targets (module docstring).
-    partition: int = -1
+    partition: int
+    args: Tuple[int, ...]
 
     @property
     def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 8
-
-
-@dataclass(frozen=True)
-class RangeScanRequest:
-    """Workload B range query ``[low, high)`` over one server's partition."""
-
-    index: str
-    low: int
-    high: int
-
-    #: Logical partition this request targets (module docstring).
-    partition: int = -1
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 16
-
-
-@dataclass(frozen=True)
-class InsertRequest:
-    index: str
-    key: int
-    value: int
-
-    #: Logical partition this request targets (module docstring).
-    partition: int = -1
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 16
-
-
-@dataclass(frozen=True)
-class UpdateRequest:
-    """Replace the first live payload under ``key`` (in-place write)."""
-
-    index: str
-    key: int
-    value: int
-
-    #: Logical partition this request targets (module docstring).
-    partition: int = -1
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 16
-
-
-@dataclass(frozen=True)
-class DeleteRequest:
-    index: str
-    key: int
-
-    #: Logical partition this request targets (module docstring).
-    partition: int = -1
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 8
-
-
-@dataclass(frozen=True)
-class TraverseRequest:
-    """Hybrid design: traverse the server-resident inner levels and return a
-    remote pointer to the leaf covering *key* (Section 5.2)."""
-
-    index: str
-    key: int
-
-    #: Logical partition this request targets (module docstring).
-    partition: int = -1
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 8
-
-
-@dataclass(frozen=True)
-class InstallSeparatorRequest:
-    """Hybrid design: after a client-side leaf split, install the separator
-    into the server-resident inner levels."""
-
-    index: str
-    separator: int
-    new_child: int
-    split_child: int
-
-    #: Logical partition this request targets (module docstring).
-    partition: int = -1
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 24
-
-
-@dataclass(frozen=True)
-class ValueResponse:
-    """Payloads matching a point lookup (non-unique keys: possibly several)."""
-
-    values: Tuple[int, ...]
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 8 * len(self.values)
-
-
-@dataclass(frozen=True)
-class PairsResponse:
-    """Qualifying (key, payload) pairs of a range scan."""
-
-    pairs: Tuple[Tuple[int, int], ...]
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 16 * len(self.pairs)
-
-
-@dataclass(frozen=True)
-class AckResponse:
-    """Completion acknowledgement (inserts, deletes, separator installs)."""
-
-    ok: bool = True
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES
-
-
-@dataclass(frozen=True)
-class PointerResponse:
-    """A raw remote pointer (hybrid traversals)."""
-
-    raw: int
-
-    @property
-    def wire_bytes(self) -> int:
-        return RPC_HEADER_BYTES + 8
+        return RPC_HEADER_BYTES + 8 * len(self.args)
 
 
 @dataclass(frozen=True)
@@ -210,11 +61,6 @@ class ThrottledResponse:
         return RPC_HEADER_BYTES
 
 
-#: Request types whose handlers mutate index pages; under replication the
+#: Operations whose handlers mutate index pages; under replication the
 #: worker loop charges mirror legs for these before acknowledging.
-MUTATING_REQUESTS = (
-    InsertRequest,
-    UpdateRequest,
-    DeleteRequest,
-    InstallSeparatorRequest,
-)
+MUTATING_OPS = frozenset({"insert", "update", "delete", "install_separator"})

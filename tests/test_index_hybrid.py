@@ -5,7 +5,7 @@ import pytest
 from repro import Cluster, ClusterConfig, HybridIndex, TreeConfig, verify_index
 from repro.btree.pointers import RemotePointer
 from repro.index.partitioning import HashPartitioner, RoundRobinPartitioner
-from repro.nam import rpc
+from repro.nam.rpc import TreeCall
 from repro.rdma.verbs import Verb
 from repro.workloads import skewed_partitioner
 
@@ -135,8 +135,8 @@ def test_verifier_reports_a_separator_installed_in_the_wrong_partition(
         index.gc_tree(compute, 1)._descend_to_level(low + 9, 0)
     )
     assert verify_index(cluster, index).ok
-    request = rpc.InstallSeparatorRequest(
-        index.name, low + 9, foreign_leaf, own_leaf, partition=1
+    request = TreeCall(
+        "install_separator", index.name, 1, (low + 9, foreign_leaf, own_leaf)
     )
     cluster.execute(compute.qp(1).call(request, request.wire_bytes))
     report = verify_index(cluster, index)

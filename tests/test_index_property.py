@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro import Cluster, ClusterConfig, FineGrainedIndex, HybridIndex
 from repro.errors import TimeoutError_
-from repro.nam import rpc
 from repro.rdma.faults import FaultPlan
 from repro.workloads import generate_dataset
 
@@ -209,10 +208,10 @@ class TestStalePointers:
         owner would say now; every other request still goes out."""
         real_call = handle._call
 
-        def call(partition, request):
-            if isinstance(request, rpc.TraverseRequest):
-                return rpc.PointerResponse(stale_ptr)
-            return (yield from real_call(partition, request))
+        def call(partition, op, *args):
+            if op == "traverse":
+                return stale_ptr
+            return (yield from real_call(partition, op, *args))
 
         handle._call = call
 

@@ -130,18 +130,17 @@ class TestMeasurement:
         assert delta["network"][1] == (0, 0)  # untouched server
 
     def test_cpu_utilization_reported(self, cluster, compute):
-        from repro.nam.rpc import AckResponse, PointLookupRequest
+        from repro.nam.rpc import RPC_HEADER_BYTES, TreeCall
 
         server = cluster.memory_server(0)
 
-        def handler(srv, msg):
+        def handler(srv, call):
             yield srv.cpu(50e-6)
-            response = AckResponse()
-            return response, response.wire_bytes
+            return None, RPC_HEADER_BYTES
 
-        server.register_handler(PointLookupRequest, handler)
+        server.register_handler("lookup", handler)
         baseline = cluster.reset_measurement()
-        request = PointLookupRequest("i", 1)
+        request = TreeCall("lookup", "i", 0, (1,))
         cluster.execute(compute.qp(0).call(request, request.wire_bytes))
         delta = cluster.measurement_delta(baseline)
         assert delta["cpu"][0] > 0

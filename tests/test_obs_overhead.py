@@ -82,7 +82,7 @@ import pytest
 from repro import Cluster, ClusterConfig, FaultPlan
 from repro.config import ObservabilityConfig
 from repro.experiments.common import build_index
-from repro.nam.rpc import AckResponse, PointLookupRequest
+from repro.nam.rpc import RPC_HEADER_BYTES, TreeCall
 from repro.obs import attribute_span_dict
 from repro.obs.spans import LEG, VERB
 from repro.workloads import WorkloadRunner, generate_dataset, workload_a
@@ -223,7 +223,7 @@ def test_a_noop_plan_costs_a_hybrid_lookup_two_entries_and_few_calls():
 
 def rpc_setup(colocated: bool = False, faults: bool = False, hub: bool = False):
     """A cluster whose first memory server reachable by *local* queue pair
-    (or server 0) answers ``PointLookupRequest`` with a counting handler."""
+    (or server 0) answers ``lookup`` tree calls with a counting handler."""
     cluster = Cluster(
         ClusterConfig(
             seed=7, colocated=colocated, observability=ObservabilityConfig(enabled=hub)
@@ -237,13 +237,12 @@ def rpc_setup(colocated: bool = False, faults: bool = False, hub: bool = False):
     )
     runs = []
 
-    def handler(srv, msg):
+    def handler(srv, call):
         runs.append(cluster.now)
         yield srv.cpu(1e-6)
-        response = AckResponse()
-        return response, response.wire_bytes
+        return True, RPC_HEADER_BYTES
 
-    server.register_handler(PointLookupRequest, handler)
+    server.register_handler("lookup", handler)
     if faults:
         cluster.attach_faults(FaultPlan())
     return cluster, compute.qp(server.server_id), server, runs
@@ -267,7 +266,7 @@ def test_a_fault_free_reply_is_one_entry_triggered_when_posted(colocated):
     assert landed == [sim.now] and sim.now > floor
     # And the whole call: request leg (or local copy), hand-off, fixed
     # cost, the handler's one slice, serialisation slice, reply.
-    request = PointLookupRequest("idx", 1)
+    request = TreeCall("lookup", "idx", 0, (1,))
 
     def probe():
         before = sim.events_scheduled
@@ -296,9 +295,9 @@ def test_a_reply_in_flight_at_the_timeout_is_retried():
     cluster, qp, server, runs = rpc_setup(faults=True)
     port = cluster.config.network.port_bandwidth_bytes_per_s
     server.port.tx.reserve(int(100e-6 * port))
-    request = PointLookupRequest("idx", 1)
+    request = TreeCall("lookup", "idx", 0, (1,))
     started = cluster.now
-    assert cluster.execute(qp.call(request, request.wire_bytes)).ok
+    assert cluster.execute(qp.call(request, request.wire_bytes)) is True
     assert cluster.now - started > 100e-6
     assert len(runs) == 1
     stats = cluster.fault_injector.stats
@@ -317,7 +316,7 @@ def test_a_replay_that_overtakes_a_delayed_original_completes_the_call_first(mon
     monkeypatch.setattr(
         cluster.fault_injector, "extra_delay", lambda verb, server: next(delays, 0.0)
     )
-    request = PointLookupRequest("idx", 1)
+    request = TreeCall("lookup", "idx", 0, (1,))
 
     def op():
         span = cluster.obs.begin_op("point")
@@ -327,7 +326,7 @@ def test_a_replay_that_overtakes_a_delayed_original_completes_the_call_first(mon
 
     started = cluster.now
     response, span = cluster.execute(op())
-    assert response.ok
+    assert response is True
     assert cluster.config.retry.timeout_s < cluster.now - started < 200e-6
     stats = cluster.fault_injector.stats
     assert len(runs) == 1 and stats["retries"] == 1 and stats["rpc_replays"] == 1

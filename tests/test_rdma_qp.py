@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Cluster
-from repro.nam.rpc import AckResponse, PointLookupRequest
+from repro.nam.rpc import RPC_HEADER_BYTES, TreeCall
 from repro.rdma.verbs import Verb
 
 
@@ -73,15 +73,14 @@ def test_rpc_roundtrip(wired):
     cluster, compute = wired
     server = cluster.memory_server(0)
 
-    def handler(srv, msg):
+    def handler(srv, call):
         yield srv.cpu(1e-6)
-        response = AckResponse(ok=(msg.key == 42))
-        return response, response.wire_bytes
+        return call.args == (42,), RPC_HEADER_BYTES
 
-    server.register_handler(PointLookupRequest, handler)
-    request = PointLookupRequest("idx", 42)
+    server.register_handler("lookup", handler)
+    request = TreeCall("lookup", "idx", 0, (42,))
     response = cluster.execute(compute.qp(0).call(request, request.wire_bytes))
-    assert response.ok is True
+    assert response is True
 
 
 def test_rpc_workers_limit_concurrency(wired):
@@ -91,13 +90,12 @@ def test_rpc_workers_limit_concurrency(wired):
     cores = cluster.config.cpu.cores_per_server
     service = 10e-6
 
-    def handler(srv, msg):
+    def handler(srv, call):
         yield srv.cpu(service)
-        response = AckResponse()
-        return response, response.wire_bytes
+        return None, RPC_HEADER_BYTES
 
-    server.register_handler(PointLookupRequest, handler)
-    request = PointLookupRequest("idx", 1)
+    server.register_handler("lookup", handler)
+    request = TreeCall("lookup", "idx", 0, (1,))
 
     def caller():
         yield from compute.qp(0).call(request, request.wire_bytes)
@@ -129,17 +127,16 @@ def test_local_fast_path_skips_nic(small_config):
     assert local_elapsed < 2 * cluster.config.network.one_way_latency_s
 
 
-def test_unknown_rpc_type_raises(wired):
+def test_unknown_rpc_op_raises(wired):
     cluster, compute = wired
     server = cluster.memory_server(0)
 
-    def handler(srv, msg):
-        response = AckResponse()
-        return response, response.wire_bytes
+    def handler(srv, call):
+        return None, RPC_HEADER_BYTES
         yield  # pragma: no cover
 
-    server.register_handler(AckResponse, handler)  # wrong type on purpose
-    request = PointLookupRequest("idx", 1)
+    server.register_handler("insert", handler)  # wrong op on purpose
+    request = TreeCall("lookup", "idx", 0, (1,))
     from repro.errors import NetworkError
 
     with pytest.raises(NetworkError, match="no handler"):

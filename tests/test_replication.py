@@ -35,7 +35,7 @@ from repro.btree.node import Node
 from repro.btree.pointers import RemotePointer
 from repro.errors import ConfigurationError, RetriesExhaustedError
 from repro.nam.allocator import PageAllocator
-from repro.nam.rpc import AckResponse, PointLookupRequest
+from repro.nam.rpc import RPC_HEADER_BYTES, TreeCall
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.qp import QueuePair
 from repro.workloads import generate_dataset
@@ -407,17 +407,16 @@ def test_exhausted_verb_fails_over_in_the_executor(verb):
     handled = {host.server_id: 0 for host in cluster.memory_servers}
     if verb == "call":
 
-        def handler(srv, msg):
+        def handler(srv, call):
             handled[srv.server_id] += 1
             yield srv.cpu(1e-6)
-            response = AckResponse(ok=True)
-            return response, response.wire_bytes
+            return True, RPC_HEADER_BYTES
 
         for host in cluster.memory_servers:
-            host.register_handler(PointLookupRequest, handler)
-        request = PointLookupRequest("idx", 42)
+            host.register_handler("lookup", handler)
+        request = TreeCall("lookup", "idx", 1, (42,))
         result = cluster.execute(qp.call(request, request.wire_bytes))
-        assert result.ok is True
+        assert result is True
         assert handled == {0: 0, 1: 0, 2: 1}
     else:
         post, landed = _VERB_CASES[verb]
