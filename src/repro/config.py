@@ -132,6 +132,8 @@ class TreeConfig:
             raise ConfigurationError("bulk_fill must be in [0.1, 1.0]")
         if self.head_node_interval < 0:
             raise ConfigurationError("head_node_interval must be >= 0")
+        if self.prefetch_window < 1:
+            raise ConfigurationError("prefetch_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -406,6 +408,10 @@ class ClusterConfig:
             raise ConfigurationError(
                 "remote pointers encode the server id in 7 bits; "
                 "at most 128 memory servers are supported"
+            )
+        if self.region_initial_bytes > self.region_max_bytes:
+            raise ConfigurationError(
+                "region_initial_bytes must not exceed region_max_bytes"
             )
         if self.replication_factor < 1:
             raise ConfigurationError("replication_factor must be >= 1")

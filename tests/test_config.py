@@ -50,6 +50,11 @@ def test_tree_validation():
         TreeConfig(bulk_fill=0.01)
     with pytest.raises(ConfigurationError):
         TreeConfig(head_node_interval=-1)
+    # A window below one used to be accepted and silently prefetch one leaf.
+    for window in (0, -3):
+        with pytest.raises(ConfigurationError, match="prefetch_window"):
+            TreeConfig(prefetch_window=window)
+    assert TreeConfig(prefetch_window=1).prefetch_window == 1
 
 
 def test_cluster_validation():
@@ -59,6 +64,11 @@ def test_cluster_validation():
         ClusterConfig(memory_servers_per_machine=0)
     with pytest.raises(ConfigurationError):
         ClusterConfig(num_memory_servers=129)  # 7-bit server ids
+    # Inverted region sizes used to surface only as Cluster's RemoteAccessError.
+    with pytest.raises(ConfigurationError, match="region_initial_bytes"):
+        ClusterConfig(region_initial_bytes=1 << 16, region_max_bytes=1 << 15)
+    equal = ClusterConfig(region_initial_bytes=1 << 15, region_max_bytes=1 << 15)
+    assert equal.region_initial_bytes == equal.region_max_bytes
 
 
 def test_network_batching_validation():
