@@ -96,8 +96,8 @@ class Observability:
         self._gc_sweeps = reg.counter("nam_gc_sweeps_total")
         self._gc_leaves = reg.counter("nam_gc_leaves_scanned_total")
         self._gc_removed = reg.counter("nam_gc_entries_removed_total")
-        #: Counters of the rare events (timeouts, admission verdicts,
-        #: client-side degradation), created on first use: see _counter.
+        #: Counters of the rare events (timeouts, admission verdicts),
+        #: created on first use: see _counter.
         self._handles: Dict[tuple, Counter] = {}
         # Per-server time series (docs/observability.md): ``(name, server)``
         # -> ring of ``(t, value)`` points, sampled lazily on a sim-time
@@ -361,20 +361,6 @@ class Observability:
         self.flight.record_admission(server_id, reason)
         if self._ts_cadence is not None:
             self.maybe_sample()
-
-    def load_shed(self, tenant: Optional[str]) -> None:
-        """A client shed an operation before issuing it (open breaker)."""
-        self._counter("nam_load_shed_total", tenant=str(tenant)).inc()
-
-    def breaker_transition(self, tenant: Optional[str], state: str) -> None:
-        """A client circuit breaker changed state (open/half-open/closed)."""
-        self._counter(
-            "nam_breaker_transitions_total", tenant=str(tenant), state=state
-        ).inc()
-
-    def retry_budget_exhausted(self, tenant: Optional[str]) -> None:
-        """A client skipped an application-level retry: budget empty."""
-        self._counter("nam_retry_budget_exhausted_total", tenant=str(tenant)).inc()
 
     # -- time series (lazy sampler) ----------------------------------------------
 

@@ -46,7 +46,6 @@ _CSV_FIELDS = [
     "offered_ops",
     "accepted_ops",
     "rejected_ops",
-    "shed_ops",
     "slo_attainment",
 ]
 
@@ -84,7 +83,6 @@ def _row(key, result: RunResult) -> Dict[str, object]:
         "offered_ops": result.offered_ops,
         "accepted_ops": result.accepted_ops,
         "rejected_ops": result.rejected_ops,
-        "shed_ops": result.shed_ops,
         "slo_attainment": (
             "" if result.slo_attainment is None else result.slo_attainment
         ),

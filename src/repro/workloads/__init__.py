@@ -13,11 +13,6 @@ from repro.workloads.distributions import (
     ZipfianChooser,
     make_chooser,
 )
-from repro.workloads.degradation import (
-    CircuitBreaker,
-    DegradationConfig,
-    RetryBudget,
-)
 from repro.workloads.history import History, Op, Scenario, run_scenario
 from repro.workloads.metrics import OpType, RunResult, TenantOutcome
 from repro.workloads.openloop import ArrivalProcess, TenantSpec
@@ -52,9 +47,6 @@ __all__ = [
     "run_scenario",
     "ArrivalProcess",
     "TenantSpec",
-    "DegradationConfig",
-    "RetryBudget",
-    "CircuitBreaker",
     "WorkloadSpec",
     "workload_a",
     "workload_b",

@@ -43,8 +43,6 @@ class TenantOutcome:
     accepted: int = 0
     #: Operations the servers bounced (admission control / rate limit).
     rejected: int = 0
-    #: Arrivals shed client-side before issuing (open circuit breaker).
-    shed: int = 0
     #: Operations that surfaced a typed fault (timeouts, failovers).
     errored: int = 0
     #: Latencies (seconds) of the accepted operations.
@@ -108,11 +106,9 @@ class RunResult:
     #: Open-loop accounting (docs/overload.md). All zero/empty for
     #: closed-loop runs, where offered load equals completed load by
     #: construction. ``offered_ops`` counts generator arrivals inside the
-    #: window; ``rejected_ops`` server-side admission bounces;
-    #: ``shed_ops`` arrivals dropped client-side by an open breaker.
+    #: window; ``rejected_ops`` server-side admission bounces.
     offered_ops: int = 0
     rejected_ops: int = 0
-    shed_ops: int = 0
     #: Per-tenant outcomes of an open-loop run, keyed by tenant name.
     tenants: Dict[str, TenantOutcome] = field(default_factory=dict)
 

@@ -271,7 +271,7 @@ class WorkloadRunner:
         admission control, bounces requests — instead of slowing the
         generator down. Op counts, latencies and errors cover operations
         *completing* inside the window, as in :meth:`run`; the result adds
-        ``offered_ops``/``rejected_ops``/``shed_ops`` and one
+        ``offered_ops``/``rejected_ops`` and one
         :class:`TenantOutcome` per tenant in :attr:`RunResult.tenants`.
         Operations the servers bounce count as rejected, not as errors.
         """

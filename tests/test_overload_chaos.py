@@ -27,7 +27,6 @@ from repro import (
 from repro.config import CpuConfig, ObservabilityConfig
 from repro.workloads import (
     ArrivalProcess,
-    DegradationConfig,
     TenantSpec,
     WorkloadRunner,
     WorkloadSpec,
@@ -63,7 +62,6 @@ def _tenants(flood_multiplier=15.0):
             workload=WorkloadSpec(name="reads", point_fraction=1.0),
             arrivals=ArrivalProcess(rate_ops_per_s=40_000.0),
             slo_p99_s=INTERACTIVE_SLO_S,
-            degradation=DegradationConfig(),
             max_op_retries=2,
             sessions=8,
         ),
@@ -140,9 +138,8 @@ class TestFlashCrowdChaos:
     def test_uncontrolled_crowd_degrades_the_interactive_tenant(self):
         # The negative control: same crowd, same faults, no admission.
         # Without bulkheads the flood's queueing delay exhausts the
-        # interactive tenant's verb retries (timeouts) and trips its
-        # circuit breaker — most arrivals end up shed or errored instead
-        # of served. The SLO is violated through starvation, not through
+        # interactive tenant's verb retries (timeouts) — most arrivals end
+        # up errored instead of served. The SLO is violated through starvation, not through
         # the (survivor-biased) latency of the few ops that got through.
         cluster, index, injector, result = _chaos_run(AdmissionConfig())
         assert injector.stats["server_crashes"] == 1
@@ -151,7 +148,6 @@ class TestFlashCrowdChaos:
         interactive = result.tenants["interactive"]
         assert interactive.accepted < 0.5 * interactive.offered, interactive
         assert interactive.errored > 0
-        assert interactive.shed > 0  # breaker opened mid-crowd
         # Nothing was rejected — the damage is pure queueing delay.
         assert result.rejected_ops == 0
 
@@ -162,8 +158,7 @@ class TestFlashCrowdChaos:
             for name, outcome in sorted(result.tenants.items()):
                 lines.append(
                     f"{name}: off={outcome.offered} acc={outcome.accepted} "
-                    f"rej={outcome.rejected} shed={outcome.shed} "
-                    f"err={outcome.errored} "
+                    f"rej={outcome.rejected} err={outcome.errored} "
                     + ",".join(f"{lat:.12e}" for lat in outcome.latencies)
                 )
             return "\n".join(lines)

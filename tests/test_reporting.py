@@ -77,14 +77,12 @@ class TestCsv:
         result = make_result(throughput_ops=80)
         result.offered_ops = 200
         result.rejected_ops = 90
-        result.shed_ops = 30
         result.tenants["t"] = TenantOutcome(
             tenant="t",
             slo_p99_s=2e-6,
             offered=200,
             accepted=80,
             rejected=90,
-            shed=30,
             latencies=[1e-6, 3e-6],
         )
         path = tmp_path / "overload.csv"
@@ -95,18 +93,17 @@ class TestCsv:
         assert int(row["offered_ops"]) == result.offered_ops == 200
         assert int(row["accepted_ops"]) == result.accepted_ops == 80
         assert int(row["rejected_ops"]) == result.rejected_ops == 90
-        assert int(row["shed_ops"]) == result.shed_ops == 30
         assert float(row["slo_attainment"]) == result.slo_attainment == 0.5
 
     def test_closed_loop_rows_export_accepted_equals_total(self):
-        # Closed-loop runs never reject or shed; accepted aliases total
+        # Closed-loop runs never reject; accepted aliases total
         # and the SLO column stays an empty cell, not a fake 1.0.
         row = list(
             csv.DictReader(io.StringIO(results_to_csv({"k": make_result()})))
         )[0]
         assert row["accepted_ops"] == row["total_ops"]
         assert row["offered_ops"] == "0"
-        assert row["rejected_ops"] == "0" and row["shed_ops"] == "0"
+        assert row["rejected_ops"] == "0"
         assert row["slo_attainment"] == ""
 
 
