@@ -26,12 +26,11 @@ partition, or a leaf tree whose way to the leaf is a traversal RPC.
 from __future__ import annotations
 
 import abc
-from collections import defaultdict
 from operator import itemgetter
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.btree.algorithm import BLinkTree
-from repro.btree.bulk import bulk_load
+from repro.btree.bulk import bulk_load, key_columns
 from repro.errors import ConfigurationError
 from repro.index.accessors import (
     LocalAccessor,
@@ -134,23 +133,26 @@ class PartitionedIndex(DistributedIndex):
     ) -> "PartitionedIndex":
         """Partition *pairs* and bulk-load one tree per memory server.
 
-        Without an explicit *partitioner*, keys are range-partitioned
-        uniformly over ``[0, key_space)`` (*key_space* defaults to
-        ``max key + 1``). Other *options* go to the design's
+        *pairs* are transposed into key and value columns and checked once
+        (:func:`~repro.btree.bulk.key_columns`) before any page is
+        allocated; :meth:`Partitioner.split` then cuts the columns into
+        each server's share — one slice per server under range
+        partitioning. Without an explicit *partitioner*, keys are
+        range-partitioned uniformly over ``[0, key_space)`` (*key_space*
+        defaults to ``max key + 1``). Other *options* go to the design's
         :meth:`_placement`.
         """
         num_servers = cluster.num_memory_servers
+        keys, values = key_columns(pairs)
         if partitioner is None:
             if key_space is None:
-                key_space = (pairs[-1][0] + 1) if pairs else num_servers
+                key_space = keys[-1] + 1 if keys else num_servers
             partitioner = RangePartitioner.uniform(key_space, num_servers)
         if partitioner.num_servers != num_servers:
             raise ConfigurationError(
                 "partitioner server count does not match the cluster"
             )
-        buckets: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-        for key, value in pairs:
-            buckets[partitioner.server_for_key(key)].append((key, value))
+        shares = partitioner.split(keys, values)
 
         index = cls(cluster, name, partitioner, {})
         placement = index._placement(**options)
@@ -160,7 +162,7 @@ class PartitionedIndex(DistributedIndex):
             server_id = server.server_id
             root_location = cluster.alloc_control_word(server_id)
             result = bulk_load(
-                buckets.get(server_id, []),
+                *shares[server_id],
                 sink,
                 place_inner=lambda level, i, owner=server_id: owner,
                 fill=fill,

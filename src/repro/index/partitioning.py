@@ -18,8 +18,9 @@ Attribute-value skew (Section 6.1) is modeled with
 from __future__ import annotations
 
 import abc
-from bisect import bisect_right
-from typing import List, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -47,6 +48,22 @@ class Partitioner(abc.ABC):
     @abc.abstractmethod
     def servers_for_range(self, low: int, high: int) -> List[int]:
         """All servers that may store keys in ``[low, high)``."""
+
+    def split(
+        self, keys: List[int], values: List[int]
+    ) -> List[Tuple[List[int], List[int]]]:
+        """Split the key and value columns of sorted pairs into each
+        server's share, in server order, each share still sorted.
+
+        One :meth:`server_for_key` pass over the keys; each server's share
+        is then gathered by ``compress`` in C.
+        """
+        owners = list(map(self.server_for_key, keys))
+        shares: List[Tuple[List[int], List[int]]] = []
+        for server in range(self.num_servers):
+            mine = [owner == server for owner in owners]
+            shares.append((list(compress(keys, mine)), list(compress(values, mine))))
+        return shares
 
 
 class RangePartitioner(Partitioner):
@@ -85,7 +102,8 @@ class RangePartitioner(Partitioner):
         """
         if abs(sum(fractions) - 1.0) > 1e-6:
             raise ConfigurationError("fractions must sum to 1.0")
-        boundaries, cumulative = [], 0.0
+        boundaries: List[int] = []
+        cumulative = 0.0
         for fraction in fractions:
             boundaries.append(int(cumulative * key_space))
             cumulative += fraction
@@ -104,6 +122,15 @@ class RangePartitioner(Partitioner):
         first = self.server_for_key(low)
         last = self.server_for_key(high - 1)
         return list(range(first, last + 1))
+
+    def split(
+        self, keys: List[int], values: List[int]
+    ) -> List[Tuple[List[int], List[int]]]:
+        """Each server's share is one slice of the columns: a bisect of the
+        sorted, non-negative *keys* per boundary, no per-key work."""
+        cuts = [0] + [bisect_left(keys, bound) for bound in self.boundaries[1:]]
+        cuts.append(len(keys))
+        return [(keys[a:b], values[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def partition_bounds(self, server_id: int, key_space: int) -> tuple:
         """``[low, high)`` key bounds of *server_id*'s partition."""

@@ -43,8 +43,9 @@ class Dataset:
         return index * self.gap
 
     def pairs(self) -> List[Tuple[int, int]]:
-        """The sorted (key, payload) pairs to bulk-load."""
-        return [(i * self.gap, i) for i in range(self.num_keys)]
+        """The sorted (key, payload) pairs to bulk-load: a ``zip`` of the
+        key and the ordinal ``range``, built in C."""
+        return list(zip(range(0, self.key_space, self.gap), range(self.num_keys)))
 
 
 def generate_dataset(num_keys: int, gap: int = 8) -> Dataset:
@@ -56,7 +57,9 @@ def generate_dataset(num_keys: int, gap: int = 8) -> Dataset:
     return Dataset(num_keys=num_keys, gap=gap)
 
 
-def skew_fractions(num_servers: int, hot: float = 0.80, ratio: float = 0.45):
+def skew_fractions(
+    num_servers: int, hot: float = 0.80, ratio: float = 0.45
+) -> Tuple[float, ...]:
     """Per-server data fractions modeling attribute-value skew.
 
     For 4 servers this returns the paper's 80/12/5/3 split; for other

@@ -9,6 +9,8 @@ from repro.errors import (
     IndexError_,
     RemoteAccessError,
 )
+from repro.experiments.common import DESIGNS
+from repro.index.partitioning import HashPartitioner
 from repro.workloads import generate_dataset
 
 
@@ -55,6 +57,39 @@ def test_duplicate_index_name_rejected(cluster, pairs):
 def test_unsorted_bulk_load_rejected(cluster):
     with pytest.raises(IndexError_, match="sorted"):
         FineGrainedIndex.build(cluster, "idx", [(5, 1), (1, 2)])
+
+
+#: Pairs ``insert`` would refuse. 800 and 8 fall in different partitions
+#: under both uniform range partitioning of ``[0, 1000)`` and
+#: ``HashPartitioner(4)``, so each partition's share of the unsorted input
+#: is sorted on its own.
+UNLOADABLE = {
+    "tombstoned-payload": [(8, (1 << 63) | 5)],
+    "max-key": [(8, 1), ((1 << 64) - 1, 2)],
+    "negative-key": [(-8, 1), (8, 2)],
+    "negative-payload": [(8, -1)],
+    "key-of-2**64": [(8, 1), (1 << 64, 2)],
+    "payload-of-2**64": [(8, 1 << 64)],
+    "unsorted": [(800, 1), (8, 2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLOADABLE))
+@pytest.mark.parametrize("partitioning", ["range", "hash"])
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_bulk_load_rejects_what_insert_rejects(design, partitioning, case):
+    """A build refuses input ``insert`` would refuse with IndexError_, and
+    before it has allocated a page anywhere."""
+    cluster = Cluster(ClusterConfig(seed=1))
+    allocated = [server.allocator.pages_allocated for server in cluster.memory_servers]
+    partitioner = HashPartitioner(4) if partitioning == "hash" else None
+    with pytest.raises(IndexError_):
+        DESIGNS[design].build(
+            cluster, "idx", UNLOADABLE[case], partitioner=partitioner, key_space=1000
+        )
+    assert [server.allocator.pages_allocated for server in cluster.memory_servers] == (
+        allocated
+    )
 
 
 def test_reserved_max_key_rejected_end_to_end(cluster, pairs):
