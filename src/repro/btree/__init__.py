@@ -2,7 +2,7 @@
 
 from repro.btree.accessor import NodeAccessor, RootRef
 from repro.btree.algorithm import BLinkTree
-from repro.btree.bulk import BulkLoadResult, bulk_load
+from repro.btree.bulk import BulkLoadResult, bulk_load, key_columns
 from repro.btree.node import (
     HEADER_BYTES,
     MAX_KEY,
@@ -21,6 +21,7 @@ __all__ = [
     "BLinkTree",
     "BulkLoadResult",
     "bulk_load",
+    "key_columns",
     "HEADER_BYTES",
     "MAX_KEY",
     "TOMBSTONE_BIT",

@@ -85,7 +85,10 @@ class DistributedIndex(abc.ABC):
         pairs: Sequence[Tuple[int, int]],
         **options: Any,
     ) -> "DistributedIndex":
-        """Bulk-load *pairs* (sorted by key) and register the index."""
+        """Bulk-load *pairs* (sorted by key) and register the index.
+
+        Input that ``insert`` would refuse raises
+        :class:`~repro.errors.IndexError_` before any page is allocated."""
 
     @abc.abstractmethod
     def session(self, compute_server: ComputeServer) -> IndexSession:
