@@ -18,6 +18,7 @@ from repro import (
     HybridIndex,
 )
 from repro.rdma.tracing import VerbTracer
+from repro.workloads import generate_dataset
 
 NUM_KEYS = 20_000
 
@@ -32,16 +33,15 @@ def trace(title, cluster, operation):
 
 
 def main() -> None:
-    pairs = [(key * 8, key) for key in range(NUM_KEYS)]
-    key_space = NUM_KEYS * 8
+    dataset = generate_dataset(NUM_KEYS)  # keys 0, 8, 16, ...; payload = ordinal
 
     for design_cls in (CoarseGrainedIndex, FineGrainedIndex, HybridIndex):
         cluster = Cluster(ClusterConfig(num_memory_servers=4))
         if design_cls is FineGrainedIndex:
-            index = design_cls.build(cluster, "anatomy", pairs)
+            index = design_cls.build(cluster, "anatomy", *dataset.columns())
         else:
             index = design_cls.build(
-                cluster, "anatomy", pairs, key_space=key_space
+                cluster, "anatomy", *dataset.columns(), key_space=dataset.key_space
             )
         session = index.session(cluster.new_compute_server())
         # Warm the session (root-pointer fetch happens once, like a real

@@ -15,6 +15,7 @@ from repro import (
     FineGrainedIndex,
     HybridIndex,
 )
+from repro.workloads import generate_dataset
 
 
 def timed(cluster, operation):
@@ -25,9 +26,8 @@ def timed(cluster, operation):
 
 
 def main() -> None:
-    num_keys = 50_000
-    pairs = [(key * 8, key) for key in range(num_keys)]
-    key_space = num_keys * 8
+    # Keys 0, 8, 16, ... with the ordinal as payload.
+    dataset = generate_dataset(50_000)
 
     for design_cls in (CoarseGrainedIndex, FineGrainedIndex, HybridIndex):
         # A fresh simulated cluster per design: 4 memory servers, 2 machines.
@@ -35,10 +35,10 @@ def main() -> None:
         compute = cluster.new_compute_server()
 
         if design_cls is FineGrainedIndex:
-            index = design_cls.build(cluster, "orders", pairs)
+            index = design_cls.build(cluster, "orders", *dataset.columns())
         else:
             index = design_cls.build(
-                cluster, "orders", pairs, key_space=key_space
+                cluster, "orders", *dataset.columns(), key_space=dataset.key_space
             )
         session = index.session(compute)
 

@@ -18,6 +18,7 @@ Run with: ``python examples/secondary_index_orders.py``
 import numpy as np
 
 from repro import Cluster, ClusterConfig, HybridIndex
+from repro.btree import key_columns
 
 NUM_CUSTOMERS = 5_000
 ORDERS_PER_CUSTOMER = 4
@@ -35,7 +36,7 @@ def main() -> None:
 
     cluster = Cluster(ClusterConfig(num_memory_servers=4))
     index = HybridIndex.build(
-        cluster, "orders_by_customer", pairs, key_space=NUM_CUSTOMERS
+        cluster, "orders_by_customer", *key_columns(pairs), key_space=NUM_CUSTOMERS
     )
     compute = cluster.new_compute_server()
     front_desk = index.session(compute)

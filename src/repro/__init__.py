@@ -12,10 +12,11 @@ Quickstart::
 
     cluster = Cluster(ClusterConfig(num_memory_servers=4))
     compute = cluster.new_compute_server()
-    pairs = [(key, key) for key in range(10_000)]
-    index = FineGrainedIndex.build(cluster, "demo", pairs)
+    keys = list(range(10_000))
+    values = [key * 10 for key in keys]
+    index = FineGrainedIndex.build(cluster, "demo", keys, values)
     session = index.session(compute)
-    assert cluster.execute(session.lookup(1234)) == [1234]
+    assert cluster.execute(session.lookup(1234)) == [12340]
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.

@@ -254,7 +254,7 @@ class _LockStealScenario(_Scenario):
             )
         )
         dataset = generate_dataset(120, gap=4)
-        index = FineGrainedIndex.build(cluster, "explore", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "explore", *dataset.columns())
         key = dataset.key_at(11)
         tree = index.tree_for(cluster.new_compute_server())
         raw_ptr, _leaf = cluster.execute(tree._descend_to_level(key, 0))
@@ -306,7 +306,7 @@ class _SplitUnderInsertScenario(_Scenario):
     def _execute(self, scheduler, collector, mutate_guard):
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=7))
         dataset = generate_dataset(120, gap=4)
-        index = FineGrainedIndex.build(cluster, "explore", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "explore", *dataset.columns())
 
         # Distinct new keys between existing ones, all landing in the same
         # few leaves so splits collide (gap=4 leaves offsets 1-3 free).
@@ -363,7 +363,7 @@ class _LockBypassScenario(_Scenario):
     def _execute(self, scheduler, collector, mutate_guard):
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=23))
         dataset = generate_dataset(120, gap=4)
-        index = FineGrainedIndex.build(cluster, "explore", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "explore", *dataset.columns())
         key = dataset.key_at(29)
         tree = index.tree_for(cluster.new_compute_server())
         raw_ptr, _leaf = cluster.execute(tree._descend_to_level(key, 0))

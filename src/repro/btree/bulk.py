@@ -17,22 +17,22 @@ differ:
 The loader also installs head nodes every ``head_interval`` leaves
 (Section 4.3) and links each leaf to its group's head node.
 
-Input arrives as key and value columns, transposed from the pairs and
-checked once by :func:`key_columns` before any page is allocated, so a
-bulk load accepts exactly what ``insert`` accepts.
+Input arrives as key and value columns — a dataset's own, or
+:func:`key_columns`' transpose of pairs — and a build checks them once
+with :func:`check_columns` before any page is allocated, so a bulk load
+accepts exactly what ``insert`` accepts.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter, le
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.btree.node import MAX_KEY, TOMBSTONE_BIT, Node, NodeType, fanout
 from repro.btree.pointers import NULL_RAW, encode_pointer
 from repro.errors import IndexError_
 
-__all__ = ["PageSink", "BulkLoadResult", "bulk_load", "key_columns"]
+__all__ = ["PageSink", "BulkLoadResult", "bulk_load", "check_columns", "key_columns"]
 
 
 class PageSink(Protocol):
@@ -62,21 +62,35 @@ class BulkLoadResult:
         self.pages_per_server[server_id] = self.pages_per_server.get(server_id, 0) + 1
 
 
-def key_columns(pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
-    """Transpose *pairs* into a key column and a value column, and check
-    them: the one check a bulk load makes, before any page is allocated.
+def key_columns(pairs: Iterable[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    """Transpose *pairs* into a key column and a value column, for callers
+    that hold pairs, and check them (:func:`check_columns`), so a caller
+    that feeds :func:`bulk_load` directly is checked too. *pairs* is read
+    once, so a one-shot iterable works."""
+    rows = list(pairs)
+    keys = list(map(itemgetter(0), rows))
+    values = list(map(itemgetter(1), rows))
+    check_columns(keys, values)
+    return keys, values
 
-    Keys must be sorted (duplicates allowed) and in ``[0, MAX_KEY)`` —
-    ``MAX_KEY`` is the rightmost high key, never a stored key — and
-    payloads in ``[0, 2**63)``: bit 63 is the tombstone bit. That is what
-    ``insert`` accepts. The order check is one linear pass in C and the
-    range checks then look at the ends of the key column and at the
-    payloads' minimum and maximum. Raises :class:`IndexError_`.
+
+def check_columns(keys: List[int], values: List[int]) -> None:
+    """The one check a bulk load makes, before any page is allocated: the
+    columns have equal lengths, keys are sorted (duplicates allowed) and in
+    ``[0, MAX_KEY)`` — ``MAX_KEY`` is the rightmost high key, never a
+    stored key — and payloads in ``[0, 2**63)``: bit 63 is the tombstone
+    bit. That is what ``insert`` accepts. The order check is one sort in
+    C, linear on sorted input, and the range checks then look at the ends
+    of the key column and at the payloads' minimum and maximum. Raises
+    :class:`IndexError_`.
     """
-    keys = list(map(itemgetter(0), pairs))
-    values = list(map(itemgetter(1), pairs))
+    if len(keys) != len(values):
+        raise IndexError_(
+            f"bulk load needs equal key and value columns: got {len(keys)} keys "
+            f"and {len(values)} values"
+        )
     if keys:
-        if not all(map(le, keys, islice(keys, 1, None))):
+        if keys != sorted(keys):
             raise IndexError_("bulk load requires key-sorted input")
         if keys[0] < 0 or keys[-1] >= MAX_KEY:
             raise IndexError_(
@@ -86,7 +100,6 @@ def key_columns(pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], List[int]]
             raise IndexError_(
                 "bulk-loaded payloads must lie in [0, 2**63) (bit 63 is the tombstone bit)"
             )
-    return keys, values
 
 
 def _chunk_runs(
@@ -124,7 +137,7 @@ def bulk_load(
     min_height: int = 1,
 ) -> BulkLoadResult:
     """Build a tree from the key and value columns of sorted pairs, as
-    :func:`key_columns` returns and checks them, and return its root pointer.
+    :func:`check_columns` accepts them, and return its root pointer.
 
     ``place_leaf(i)`` / ``place_inner(level, i)`` / ``place_head(i)`` map the
     i-th page of a level to a memory-server id. Empty columns produce a

@@ -104,12 +104,12 @@ def build_index(
     if design not in DESIGNS:
         raise ConfigurationError(f"unknown design {design!r}")
     cls = DESIGNS[design]
-    pairs = dataset.pairs()
+    columns = dataset.columns()
     if cls is FineGrainedIndex:
-        return cls.build(cluster, "ycsb", pairs)
+        return cls.build(cluster, "ycsb", *columns)
     partitioner = skewed_partitioner(dataset, cluster.num_memory_servers) if skewed else None
     return cls.build(
-        cluster, "ycsb", pairs, partitioner=partitioner, key_space=dataset.key_space
+        cluster, "ycsb", *columns, partitioner=partitioner, key_space=dataset.key_space
     )
 
 

@@ -39,7 +39,7 @@ def run(
         for page_size in PAGE_SIZES:
             dataset = generate_dataset(scale.num_keys, scale.gap)
             cluster = Cluster(cluster_config(scale, tree=TreeConfig(page_size=page_size)))
-            index = FineGrainedIndex.build(cluster, "psize", dataset.pairs())
+            index = FineGrainedIndex.build(cluster, "psize", *dataset.columns())
             height = cluster.execute(index.tree_for(cluster.new_compute_server()).height())
             result = WorkloadRunner(cluster, dataset).run(
                 index,

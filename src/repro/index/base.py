@@ -24,7 +24,7 @@ Operations (all generators; drive with ``yield from`` inside a process or
 from __future__ import annotations
 
 import abc
-from typing import Any, Generator, List, Sequence, Tuple
+from typing import Any, Generator, List, Tuple
 
 from repro.btree.algorithm import BLinkTree
 from repro.nam.cluster import Cluster
@@ -82,13 +82,17 @@ class DistributedIndex(abc.ABC):
         cls,
         cluster: Cluster,
         name: str,
-        pairs: Sequence[Tuple[int, int]],
+        keys: List[int],
+        values: List[int],
         **options: Any,
     ) -> "DistributedIndex":
-        """Bulk-load *pairs* (sorted by key) and register the index.
+        """Bulk-load the *keys* and *values* columns of sorted pairs and
+        register the index.
 
-        Input that ``insert`` would refuse raises
-        :class:`~repro.errors.IndexError_` before any page is allocated."""
+        Columns ``insert`` would refuse — unsorted keys, a key outside
+        ``[0, MAX_KEY)``, a payload with the tombstone bit, or unequal
+        lengths — raise :class:`~repro.errors.IndexError_` before any
+        page is allocated."""
 
     @abc.abstractmethod
     def session(self, compute_server: ComputeServer) -> IndexSession:

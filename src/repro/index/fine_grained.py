@@ -29,10 +29,10 @@ state exists to re-install, so no promotion hooks are needed here.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 from repro.btree.algorithm import BLinkTree
-from repro.btree.bulk import bulk_load, key_columns
+from repro.btree.bulk import bulk_load, check_columns
 from repro.index.base import DistributedIndex, IndexSession
 from repro.index.partitioned import client_tree
 from repro.nam.catalog import IndexDescriptor, RootLocation
@@ -63,15 +63,17 @@ class FineGrainedIndex(DistributedIndex):
         cls,
         cluster: Cluster,
         name: str,
-        pairs: Sequence[Tuple[int, int]],
+        keys: List[int],
+        values: List[int],
         home_server: int = 0,
         head_interval: Optional[int] = None,
         **_options: Any,
     ) -> "FineGrainedIndex":
-        """Bulk-load *pairs* round-robin across all memory servers.
+        """Bulk-load the *keys* and *values* columns of sorted pairs
+        round-robin across all memory servers.
 
-        *pairs* are transposed into key and value columns and checked once
-        (:func:`~repro.btree.bulk.key_columns`) before the root pointer
+        The columns are checked once
+        (:func:`~repro.btree.bulk.check_columns`) before the root pointer
         word or any page is allocated.
 
         The root pointer word lives on *home_server* (its location is the
@@ -82,7 +84,7 @@ class FineGrainedIndex(DistributedIndex):
         if head_interval is None:
             head_interval = config.tree.head_node_interval
         num_servers = cluster.num_memory_servers
-        keys, values = key_columns(pairs)
+        check_columns(keys, values)
         root_location = cluster.alloc_control_word(home_server)
         result = bulk_load(
             keys,
@@ -131,7 +133,7 @@ class FineGrainedIndex(DistributedIndex):
         self,
         compute_server: ComputeServer,
         epoch_s: float = 0.05,
-        rebuild_heads: bool = None,
+        rebuild_heads: Optional[bool] = None,
     ):
         """Launch the global epoch garbage collector (Section 4.2).
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import abc
 from operator import itemgetter
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.btree.algorithm import BLinkTree
-from repro.btree.bulk import bulk_load, key_columns
+from repro.btree.bulk import bulk_load, check_columns
 from repro.errors import ConfigurationError
 from repro.index.accessors import (
     LocalAccessor,
@@ -126,16 +126,18 @@ class PartitionedIndex(DistributedIndex):
         cls,
         cluster: Cluster,
         name: str,
-        pairs: Sequence[Tuple[int, int]],
+        keys: List[int],
+        values: List[int],
         partitioner: Optional[Partitioner] = None,
         key_space: Optional[int] = None,
         **options: Any,
     ) -> "PartitionedIndex":
-        """Partition *pairs* and bulk-load one tree per memory server.
+        """Partition the *keys* and *values* columns of sorted pairs and
+        bulk-load one tree per memory server.
 
-        *pairs* are transposed into key and value columns and checked once
-        (:func:`~repro.btree.bulk.key_columns`) before any page is
-        allocated; :meth:`Partitioner.split` then cuts the columns into
+        The columns are checked once
+        (:func:`~repro.btree.bulk.check_columns`) before any control word
+        or page is allocated; :meth:`Partitioner.split` then cuts them into
         each server's share — one slice per server under range
         partitioning. Without an explicit *partitioner*, keys are
         range-partitioned uniformly over ``[0, key_space)`` (*key_space*
@@ -143,7 +145,7 @@ class PartitionedIndex(DistributedIndex):
         :meth:`_placement`.
         """
         num_servers = cluster.num_memory_servers
-        keys, values = key_columns(pairs)
+        check_columns(keys, values)
         if partitioner is None:
             if key_space is None:
                 key_space = keys[-1] + 1 if keys else num_servers

@@ -11,8 +11,8 @@ byte-equality guarantee:
   of the level above on the chain;
 * version words even (unlocked) — a lock stranded by a crashed client is
   lease-stolen during the walk (and reported) rather than wedging it;
-* no orphaned pages: every allocated page is reachable from a root,
-  a head-node chain, or a free list (advisory by default, see below);
+* no orphaned pages: every allocated page is reachable from a root
+  or a head-node chain (advisory by default, see below);
 * replica convergence: every live backup byte-identical to its primary;
 * the decode memo: every master whose version is its page's current word
   is what those bytes decode to, live pairs included. Readers and writers
@@ -59,7 +59,7 @@ class VerifyReport:
     tombstones: int = 0
     #: Locks found stranded (and lease-stolen) during the walk.
     stranded_locks: int = 0
-    #: Allocated pages not reached from any root/head/free list
+    #: Allocated pages not reached from any root or head-node chain
     #: (-1 when the accounting was skipped — multiple indexes share the
     #: cluster, so unreached pages cannot be attributed).
     unreachable_pages: int = -1
@@ -244,7 +244,6 @@ def _orphan_accounting(
             _host, region = replication.route(logical)
         else:
             region = server.region
-            accounted |= set(server.allocator._free)
         # Reading the allocator's high-water word straight off the region is
         # the point of the orphan scan (it audits the accessors' product
         # from outside), so the accessor-only rule is waived here.

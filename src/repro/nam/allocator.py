@@ -10,16 +10,14 @@ The bump word is an ordinary 8-byte word in registered memory, so *remote*
 clients allocate pages with a one-sided FETCH_AND_ADD on it (this is how the
 fine-grained design implements ``RDMA_ALLOC`` from Listing 4 without
 involving the server CPU). Server-local code allocates through
-:meth:`PageAllocator.allocate`, which would also reuse a page returned with
-:meth:`PageAllocator.free` — but nothing under ``src/`` calls ``free`` (the
-epoch garbage collector compacts leaves in place and unlinks none), so a
-page is never handed out twice. ``Cluster.decode_memo`` relies on that: a
-future caller of ``free`` must drop the page's memo entry.
+:meth:`PageAllocator.allocate` with a local FETCH_AND_ADD on the same word.
+Pages are never returned (the epoch garbage collector compacts leaves in
+place and unlinks none), so a page is never handed out twice.
+``Cluster.decode_memo`` relies on that: a page that could be reused would
+need its memo entry dropped first.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 from repro.errors import AllocationError
 from repro.rdma.memory import MemoryRegion
@@ -31,12 +29,11 @@ ALLOC_WORD_OFFSET = 0
 
 
 class PageAllocator:
-    """Bump allocator (with a local free list) over a memory region."""
+    """Bump allocator over a memory region."""
 
     def __init__(self, region: MemoryRegion, page_size: int) -> None:
         self.region = region
         self.page_size = page_size
-        self._free: List[int] = []
         # The first page holds the control words; pages start after it.
         region.write_u64(ALLOC_WORD_OFFSET, page_size)
 
@@ -46,12 +43,10 @@ class PageAllocator:
         promoted backup replica. Unlike ``__init__`` it must not reset the
         bump word (that would let new allocations overwrite live pages);
         the replicated bump word keeps allocating where the dead primary
-        left off. The free list starts empty: pages the old primary had
-        freed are leaked rather than risked (GC will re-find them)."""
+        left off."""
         allocator = cls.__new__(cls)
         allocator.region = region
         allocator.page_size = page_size
-        allocator._free = []
         if region.read_u64(ALLOC_WORD_OFFSET) < page_size:
             # A never-initialized store (nothing was ever replicated into
             # it); fall back to a fresh layout.
@@ -60,8 +55,6 @@ class PageAllocator:
 
     def allocate(self) -> int:
         """Reserve one page locally; returns its byte offset."""
-        if self._free:
-            return self._free.pop()
         offset = self.region.fetch_and_add(ALLOC_WORD_OFFSET, self.page_size)
         if offset + self.page_size > self.region.max_bytes:
             raise AllocationError(
@@ -69,17 +62,7 @@ class PageAllocator:
             )
         return offset
 
-    def free(self, offset: int) -> None:
-        """Return a page to the local free list (GC reclamation)."""
-        if offset < self.page_size or offset % self.page_size:
-            raise AllocationError(f"cannot free non-page offset {offset}")
-        self._free.append(offset)
-
     @property
     def pages_allocated(self) -> int:
         """Pages handed out so far (including remotely bump-allocated ones)."""
         return self.region.read_u64(ALLOC_WORD_OFFSET) // self.page_size - 1
-
-    @property
-    def free_pages(self) -> int:
-        return len(self._free)

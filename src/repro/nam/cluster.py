@@ -6,9 +6,9 @@
 
     cluster = Cluster(ClusterConfig(num_memory_servers=4))
     cs = cluster.new_compute_server()
-    index = FineGrainedIndex.build(cluster, "idx", pairs)
+    index = FineGrainedIndex.build(cluster, "idx", keys, values)  # sorted columns
     session = index.session(cs)
-    values = cluster.execute(session.lookup(42))
+    payloads = cluster.execute(session.lookup(42))
 
 Memory servers are placed ``memory_servers_per_machine`` per physical
 machine, each on its own NIC port; servers beyond the first on a machine
@@ -98,8 +98,8 @@ class Cluster:
         #: and replication too — because
         #: ``(raw_ptr, even version)`` names one page content for this
         #: cluster's whole run, whoever reads: (1) a page is never handed
-        #: out twice — pages are bump-allocated, ``PageAllocator.free`` has
-        #: no caller under ``src/`` (one that recycles must drop the page's
+        #: out twice — pages are bump-allocated and never returned (an
+        #: allocator that recycled pages would have to drop the page's
         #: entry here), and :class:`DirectPageSink` writes only pages it has
         #: just allocated; (2) version words only grow, a page is rewritten
         #: in place only under its lock, and odd (locked) images are never

@@ -212,8 +212,6 @@ class ReplicationManager:
                     rset.primary.region.detach_mirror(copy.region)
                 copy.region.wipe()
                 self.stats["wiped_copies"] += 1
-        # The host's local free list described pages of the wiped region.
-        self.cluster.memory_servers[host_id].allocator._free.clear()
 
     def promote(self, logical_id: int) -> None:
         """Promote the first live backup (in placement order) of

@@ -42,8 +42,14 @@ class Dataset:
         """The index-th loaded key."""
         return index * self.gap
 
+    def columns(self) -> Tuple[List[int], List[int]]:
+        """The key column and the payload column to bulk-load, each a list
+        of its ``range`` built in C: what every ``build`` takes, with no
+        tuple per key."""
+        return list(range(0, self.key_space, self.gap)), list(range(self.num_keys))
+
     def pairs(self) -> List[Tuple[int, int]]:
-        """The sorted (key, payload) pairs to bulk-load: a ``zip`` of the
+        """The loaded (key, payload) pairs, sorted by key: a ``zip`` of the
         key and the ordinal ``range``, built in C."""
         return list(zip(range(0, self.key_space, self.gap), range(self.num_keys)))
 

@@ -86,7 +86,7 @@ def run_scenario(scenario: Scenario) -> History:
         options["key_space"] = dataset.key_space
         if scenario.partitioning == "hash":
             options["partitioner"] = HashPartitioner(cluster.num_memory_servers)
-    index = cls.build(cluster, "history", dataset.pairs(), **options)
+    index = cls.build(cluster, "history", *dataset.columns(), **options)
     observed: Dict[str, int] = {}
     if "probe" in scenario.extras:
         tree = index.tree_for(cluster.new_compute_server())

@@ -142,7 +142,7 @@ def _admission_cluster(**admission_kwargs):
 
 def _index_and_session(cluster, tenant=None):
     dataset = generate_dataset(400, gap=4)
-    index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = CoarseGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     session.tenant = tenant
     return dataset, index, session
@@ -280,7 +280,7 @@ class TestBulkheads:
 def _closed_loop_fingerprint(config):
     cluster = Cluster(config)
     dataset = generate_dataset(400, gap=4)
-    index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = CoarseGrainedIndex.build(cluster, "idx", *dataset.columns())
     runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, SPEC, num_clients=6, warmup_s=0.0005, measure_s=0.003, seed=5

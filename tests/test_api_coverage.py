@@ -53,18 +53,10 @@ def test_cluster_network_snapshot_shape(cluster, compute):
     assert all(isinstance(v, tuple) and len(v) == 2 for v in snapshot.values())
 
 
-def test_allocator_free_pages_counter(cluster):
-    allocator = cluster.memory_server(0).allocator
-    offset = allocator.allocate()
-    assert allocator.free_pages == 0
-    allocator.free(offset)
-    assert allocator.free_pages == 1
-
-
 def test_hybrid_gc_tree_and_start_gc(dataset):
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=6))
     index = HybridIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     compute = cluster.new_compute_server()
     session = index.session(compute)

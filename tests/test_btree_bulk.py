@@ -191,6 +191,22 @@ class TestHeadNodes:
         )
 
 
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_one_shot_pairs_leave_the_bytes_of_their_list(design):
+    """``key_columns`` reads its input once, so a generator of pairs builds
+    exactly what the list of the same pairs builds."""
+
+    def regions(pairs):
+        cluster = Cluster(ClusterConfig(seed=7))
+        DESIGNS[design].build(cluster, "idx", *key_columns(pairs), key_space=800)
+        return [bytes(server.region.read(0, len(server.region)))
+                for server in cluster.memory_servers]
+
+    assert regions((k * 8, k) for k in range(100)) == regions(
+        [(k * 8, k) for k in range(100)]
+    )
+
+
 # ---- what a build leaves in the cluster, pinned byte for byte -------------
 
 #: Keys on a gap of 8 below 8 000, minus those that hash to server 3, in a
@@ -224,7 +240,7 @@ def build_digest(design, partitioning, heads, dataset, **config):
         "hash": HashPartitioner(num_servers),
     }[partitioning]
     index = DESIGNS[design].build(
-        cluster, "pinned", pairs, partitioner=partitioner, key_space=key_space,
+        cluster, "pinned", *key_columns(pairs), partitioner=partitioner, key_space=key_space,
         head_interval=HEAD_INTERVALS[heads],
     )
     roots = getattr(index, "roots", None) or {0: index.root_location}
@@ -432,9 +448,9 @@ def test_build_leaves_the_recorded_bytes(case):
 
 
 #: Ceiling on cProfile calls per loaded key of a 20 000-key ``build_index``,
-#: ``dataset.pairs()`` included: 0.786 / 0.855 / 0.907 now, when a build's
-#: Python work is per page; 4.98 / 1.07 / 5.13 when it partitioned, checked
-#: and sliced pair by pair. Calls are summed over the profiler's raw entries
+#: ``dataset.columns()`` and the column check included: 0.786 / 0.855 /
+#: 0.907 now, when a build's Python work is per page; 4.98 / 1.07 / 5.13
+#: when it partitioned, checked and sliced pair by pair. Calls are summed over the profiler's raw entries
 #: (``pstats`` would merge the two lambdas on one line of a placement), with
 #: the cyclic collector off, so no finalizer or ``gc`` callback an earlier
 #: test left behind lands in the profile; they repeat to the last digit

@@ -70,10 +70,10 @@ def _build(design: str, depth: int, dataset, seed: int = 5):
         )
     )
     if design == "fine-grained":
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     else:
         index = HybridIndex.build(
-            cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+            cluster, "idx", *dataset.columns(), key_space=dataset.key_space
         )
     return cluster, index
 
@@ -176,7 +176,7 @@ def test_cached_index_matches_sorted_multimap(ops, depth):
         )
     )
     dataset = generate_dataset(40, gap=4)
-    index = FineGrainedIndex.build(cluster, "prop", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "prop", *dataset.columns())
     reader = index.session(cluster.new_compute_server())
     writer = index.session(cluster.new_compute_server())
 
@@ -231,7 +231,7 @@ def test_split_bursts_never_serve_stale_reads(burst_at, probe, depth):
         )
     )
     dataset = generate_dataset(40, gap=4)
-    index = FineGrainedIndex.build(cluster, "prop", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "prop", *dataset.columns())
     session = index.session(cluster.new_compute_server())
 
     # Warm the cache across the key space.
@@ -271,7 +271,7 @@ def test_cached_chaos_workload_with_replication_failover():
         )
     )
     dataset = generate_dataset(600, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     injector = cluster.attach_faults(
         FaultPlan(
             seed=13,

@@ -73,7 +73,7 @@ def test_every_server_of_a_cluster_holds_the_clusters_memo(cluster, compute):
 def test_two_compute_servers_share_one_master_and_see_the_next_version(
     cluster, dataset
 ):
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session_a = index.session(cluster.new_compute_server())
     session_b = index.session(cluster.new_compute_server())
     acc_a, acc_b = session_a._tree.acc, session_b._tree.acc
@@ -98,7 +98,7 @@ def test_every_accessor_hands_every_caller_the_master(cluster, dataset):
     memo's master, whether or not the caller passes the ignored second
     argument, and a cache hit is that same object."""
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     tree = index.partition_tree(0)
     ptr = cluster.execute(tree.root.get())
@@ -229,7 +229,7 @@ def test_two_clusters_in_one_process_read_their_own_pages():
     for gap in (8, 4):
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=3))
         dataset = generate_dataset(1_000, gap=gap)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         session = index.session(cluster.new_compute_server())
         worlds.append((cluster, dataset, session))
     leaves = []
@@ -294,7 +294,7 @@ def test_a_wiped_image_never_enters_the_memo():
     )
     dataset = generate_dataset(600, gap=4)
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     injector = cluster.attach_faults(FaultPlan())
     remote = RemoteAccessor(cluster.new_compute_server(), cluster.config)
@@ -347,7 +347,7 @@ def test_a_write_into_a_wiped_region_never_enters_the_memo():
     )
     dataset = generate_dataset(600, gap=4)
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     injector = cluster.attach_faults(FaultPlan())
     remote = RemoteAccessor(cluster.new_compute_server(), cluster.config)

@@ -27,10 +27,10 @@ def _distributed_rigs():
     for cls in (CoarseGrainedIndex, FineGrainedIndex, HybridIndex):
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=2))
         if cls is FineGrainedIndex:
-            index = cls.build(cluster, "d", dataset.pairs())
+            index = cls.build(cluster, "d", *dataset.columns())
         else:
             index = cls.build(
-                cluster, "d", dataset.pairs(), key_space=dataset.key_space
+                cluster, "d", *dataset.columns(), key_space=dataset.key_space
             )
         rigs.append((cluster, index.session(cluster.new_compute_server())))
     return dataset, rigs

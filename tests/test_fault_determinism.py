@@ -60,7 +60,7 @@ def _chaos_run():
         ClusterConfig(num_memory_servers=2, clients_per_compute_server=6, seed=23)
     )
     dataset = generate_dataset(400, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     injector = cluster.attach_faults(PLAN)
     runner = WorkloadRunner(cluster, dataset)
     with VerbTracer(cluster) as tracer:
@@ -135,7 +135,7 @@ def _open_loop_chaos_run():
         )
     )
     dataset = generate_dataset(400, gap=4)
-    index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = CoarseGrainedIndex.build(cluster, "idx", *dataset.columns())
     injector = cluster.attach_faults(OPEN_LOOP_PLAN)
     tenants = [
         TenantSpec(
@@ -280,7 +280,7 @@ def test_different_plan_seed_diverges():
         ClusterConfig(num_memory_servers=2, clients_per_compute_server=6, seed=23)
     )
     dataset = generate_dataset(400, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     plan = FaultPlan(
         seed=PLAN.seed + 1,
         drop_probability=PLAN.drop_probability,

@@ -30,6 +30,7 @@ from repro import (
     TimeoutError_,
     verify_index,
 )
+from repro.btree import key_columns
 from repro.errors import ConfigurationError
 from repro.rdma.verbs import Verb
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
@@ -46,10 +47,10 @@ MIXED = WorkloadSpec(
 
 def _build(design, cluster, pairs, key_space):
     if design == "coarse-grained":
-        return CoarseGrainedIndex.build(cluster, "idx", pairs, key_space=key_space)
+        return CoarseGrainedIndex.build(cluster, "idx", *key_columns(pairs), key_space=key_space)
     if design == "fine-grained":
-        return FineGrainedIndex.build(cluster, "idx", pairs)
-    return HybridIndex.build(cluster, "idx", pairs, key_space=key_space)
+        return FineGrainedIndex.build(cluster, "idx", *key_columns(pairs))
+    return HybridIndex.build(cluster, "idx", *key_columns(pairs), key_space=key_space)
 
 
 def _validate_all(design, cluster, index):
@@ -108,7 +109,7 @@ class TestNoopPlan:
         for attach in (False, True):
             cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=3))
             dataset = generate_dataset(300, gap=4)
-            index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+            index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
             if attach:
                 injector = cluster.attach_faults(FaultPlan())
             session = index.session(cluster.new_compute_server())
@@ -133,7 +134,7 @@ class TestNoopPlan:
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=3))
         dataset = generate_dataset(300, gap=4)
         index = CoarseGrainedIndex.build(
-            cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+            cluster, "idx", *dataset.columns(), key_space=dataset.key_space
         )
         cluster.attach_faults(FaultPlan())
         session = index.session(cluster.new_compute_server())
@@ -151,7 +152,7 @@ class TestMessageFaults:
     def test_total_read_drop_raises_typed_error(self):
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=5))
         dataset = generate_dataset(200, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan(verb_drop={Verb.READ: 1.0}))
         session = index.session(cluster.new_compute_server())
         with pytest.raises(RetriesExhaustedError):
@@ -166,7 +167,7 @@ class TestMessageFaults:
         # zero makes a READ-dropping plan harmless.
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=5))
         dataset = generate_dataset(200, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         cluster.attach_faults(
             FaultPlan(verb_drop={Verb.READ: 1.0}, server_drop={0: 0.0, 1: 0.0})
         )
@@ -191,7 +192,7 @@ class TestMessageFaults:
     def test_delays_slow_but_do_not_break(self):
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=7))
         dataset = generate_dataset(200, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         session = index.session(cluster.new_compute_server())
         t0 = cluster.now
         cluster.execute(session.lookup(dataset.key_at(9)))
@@ -308,7 +309,7 @@ def test_acceptance_drop_crash_scan_matches_oracle():
     """
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=31))
     dataset = generate_dataset(1_000, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     injector = cluster.attach_faults(
         FaultPlan(
             seed=42,
@@ -398,7 +399,7 @@ def test_retry_knobs_come_from_config():
         ClusterConfig(num_memory_servers=2, seed=9, retry=retry)
     )
     dataset = generate_dataset(200, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     injector = cluster.attach_faults(FaultPlan(drop_probability=1.0))
     session = index.session(cluster.new_compute_server())
     with pytest.raises(RetriesExhaustedError):

@@ -83,7 +83,7 @@ def test_hybrid_leaf_lock_steal():
     cluster = _hybrid_cluster()
     dataset = generate_dataset(500, gap=4)
     index = HybridIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     injector = cluster.attach_faults(FaultPlan())
     key = dataset.key_at(13)
@@ -118,7 +118,7 @@ def test_hybrid_stranded_lock_survives_failover():
     cluster = _hybrid_cluster(factor=2, num_servers=3)
     dataset = generate_dataset(600, gap=4)
     index = HybridIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     injector = cluster.attach_faults(FaultPlan())
     key = dataset.key_at(41)
@@ -165,7 +165,7 @@ def test_hybrid_chaos_workload_with_replication():
     )
     dataset = generate_dataset(600, gap=4)
     index = HybridIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     injector = cluster.attach_faults(
         FaultPlan(

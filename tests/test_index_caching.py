@@ -9,7 +9,7 @@ from repro.rdma.verbs import Verb
 @pytest.fixture
 def fg(dataset):
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=21))
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     return cluster, dataset, index
 
 
@@ -130,7 +130,7 @@ def test_capacity_zero_disables_cleanly(fg):
             cache=CacheConfig(depth=2, capacity=0),
         )
     )
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     for i in (0, 5, 5, 77, 77):
         assert cluster.execute(session.lookup(dataset.key_at(i))) == [i]
@@ -148,8 +148,8 @@ def test_epoch_bump_invalidates_only_the_affected_index(dataset):
     cluster = Cluster(
         ClusterConfig(num_memory_servers=4, seed=21, cache=CacheConfig(depth=3))
     )
-    left = FineGrainedIndex.build(cluster, "left", dataset.pairs())
-    right = FineGrainedIndex.build(cluster, "right", dataset.pairs())
+    left = FineGrainedIndex.build(cluster, "left", *dataset.columns())
+    right = FineGrainedIndex.build(cluster, "right", *dataset.columns())
     reader_left = left.session(cluster.new_compute_server())
     reader_right = right.session(cluster.new_compute_server())
     for i in range(0, 2000, 40):  # warm both caches
@@ -186,7 +186,7 @@ def test_counters_reconcile_with_verb_counts(dataset):
             observability=ObservabilityConfig(enabled=True),
         )
     )
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     # One warm-up lookup so the root-pointer word is resolved (a READ
     # outside the node-cache path) before the ledger window opens.

@@ -11,7 +11,7 @@ from repro.workloads import skewed_partitioner
 
 def test_pages_stay_on_partition_owner(cluster, dataset):
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     # Each server's tree validates locally: all pointers are local.
     total = 0
@@ -24,7 +24,7 @@ def test_pages_stay_on_partition_owner(cluster, dataset):
 def test_partition_sizes_follow_skew_fractions(cluster, dataset):
     partitioner = skewed_partitioner(dataset, 4)
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), partitioner=partitioner
+        cluster, "idx", *dataset.columns(), partitioner=partitioner
     )
     sizes = [
         cluster.execute(index.local_tree(server_id).validate())["entries"]
@@ -38,7 +38,7 @@ def test_hash_partitioned_point_and_range_queries(cluster, dataset):
     index = CoarseGrainedIndex.build(
         cluster,
         "idx",
-        dataset.pairs(),
+        *dataset.columns(),
         partitioner=HashPartitioner(4),
     )
     session = index.session(cluster.new_compute_server())
@@ -50,7 +50,7 @@ def test_hash_partitioned_point_and_range_queries(cluster, dataset):
 
 def test_hash_range_queries_touch_every_server(cluster, dataset):
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), partitioner=HashPartitioner(4)
+        cluster, "idx", *dataset.columns(), partitioner=HashPartitioner(4)
     )
     session = index.session(cluster.new_compute_server())
     before = [server.rpcs_handled for server in cluster.memory_servers]
@@ -61,7 +61,7 @@ def test_hash_range_queries_touch_every_server(cluster, dataset):
 
 def test_range_partitioned_queries_touch_only_owners(cluster, dataset):
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     session = index.session(cluster.new_compute_server())
     before = [server.rpcs_handled for server in cluster.memory_servers]
@@ -76,7 +76,7 @@ def test_partitioner_server_count_must_match(cluster, dataset):
         CoarseGrainedIndex.build(
             cluster,
             "idx",
-            dataset.pairs(),
+            *dataset.columns(),
             partitioner=RangePartitioner.uniform(dataset.key_space, 2),
         )
 
@@ -86,7 +86,7 @@ def test_all_operations_are_rpcs(cluster, dataset):
     from repro.rdma.verbs import Verb
 
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     session = index.session(cluster.new_compute_server())
     cluster.execute(session.lookup(dataset.key_at(5)))
@@ -102,7 +102,7 @@ def test_all_operations_are_rpcs(cluster, dataset):
 def test_colocated_sessions_bypass_rpc_for_local_partitions(dataset):
     cluster = Cluster(ClusterConfig(num_memory_servers=4, colocated=True))
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     compute = cluster.new_compute_server()  # lands on machine 0 (servers 0, 1)
     session = index.session(compute)
@@ -126,7 +126,7 @@ def test_colocated_sessions_bypass_rpc_for_local_partitions(dataset):
 def test_colocated_insert_keeps_pages_on_owner(dataset):
     cluster = Cluster(ClusterConfig(num_memory_servers=4, colocated=True))
     index = CoarseGrainedIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     session = index.session(cluster.new_compute_server())
     # Enough local inserts to force splits; validation would fail if a page

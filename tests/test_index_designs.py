@@ -18,9 +18,9 @@ DESIGN_CLASSES = [CoarseGrainedIndex, FineGrainedIndex, HybridIndex]
 
 def build(cls, cluster, dataset, name="idx", **kwargs):
     if cls is FineGrainedIndex:
-        return cls.build(cluster, name, dataset.pairs(), **kwargs)
+        return cls.build(cluster, name, *dataset.columns(), **kwargs)
     return cls.build(
-        cluster, name, dataset.pairs(), key_space=dataset.key_space, **kwargs
+        cluster, name, *dataset.columns(), key_space=dataset.key_space, **kwargs
     )
 
 

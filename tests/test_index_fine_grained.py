@@ -1,11 +1,12 @@
 """Design-specific tests for the fine-grained (one-sided) index."""
 
 from repro import Cluster, ClusterConfig, FineGrainedIndex
+from repro.btree import key_columns
 from repro.rdma.verbs import Verb
 
 
 def test_pages_spread_across_all_servers(cluster, pairs):
-    FineGrainedIndex.build(cluster, "idx", pairs)
+    FineGrainedIndex.build(cluster, "idx", *key_columns(pairs))
     allocated = [
         server.allocator.pages_allocated for server in cluster.memory_servers
     ]
@@ -15,7 +16,7 @@ def test_pages_spread_across_all_servers(cluster, pairs):
 
 def test_no_rpcs_ever_issued(cluster, dataset):
     """The fine-grained design never involves the memory-server CPUs."""
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     cluster.execute(session.lookup(dataset.key_at(10)))
     cluster.execute(session.insert(dataset.key_at(10) + 1, 5))
@@ -27,7 +28,7 @@ def test_no_rpcs_ever_issued(cluster, dataset):
 
 
 def test_lookup_uses_one_sided_reads(cluster, dataset):
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     reads_before = sum(s.stats.ops[Verb.READ] for s in cluster.memory_servers)
     cluster.execute(session.lookup(dataset.key_at(42)))
@@ -38,7 +39,7 @@ def test_lookup_uses_one_sided_reads(cluster, dataset):
 
 
 def test_root_pointer_cached_after_first_use(cluster, dataset):
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     cluster.execute(session.lookup(dataset.key_at(1)))
     reads_first = sum(s.stats.ops[Verb.READ] for s in cluster.memory_servers)
@@ -49,7 +50,7 @@ def test_root_pointer_cached_after_first_use(cluster, dataset):
 
 
 def test_insert_uses_remote_lock_protocol(cluster, dataset):
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     cas_before = sum(s.stats.ops[Verb.CAS] for s in cluster.memory_servers)
     faa_before = sum(s.stats.ops[Verb.FETCH_ADD] for s in cluster.memory_servers)
@@ -61,7 +62,7 @@ def test_insert_uses_remote_lock_protocol(cluster, dataset):
 
 
 def test_remote_allocation_spreads_round_robin(cluster, dataset):
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     before = [server.allocator.pages_allocated for server in cluster.memory_servers]
     # Insert enough entries at one spot to split several leaves.
@@ -77,7 +78,7 @@ def test_root_split_updates_remote_root_word(dataset):
     """Grow a tiny tree until the root splits; new sessions must see it."""
     config = ClusterConfig(num_memory_servers=2, seed=1)
     cluster = Cluster(config)
-    index = FineGrainedIndex.build(cluster, "idx", [(0, 0)])
+    index = FineGrainedIndex.build(cluster, "idx", *key_columns([(0, 0)]))
     session = index.session(cluster.new_compute_server())
     for i in range(1, 200):
         cluster.execute(session.insert(i * 2, i))
@@ -92,7 +93,7 @@ def test_root_split_updates_remote_root_word(dataset):
 def test_stale_cached_root_still_reaches_all_keys(dataset):
     """B-link move-right makes pre-split roots safe to traverse from."""
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=1))
-    index = FineGrainedIndex.build(cluster, "idx", [(0, 0)])
+    index = FineGrainedIndex.build(cluster, "idx", *key_columns([(0, 0)]))
     old_session = index.session(cluster.new_compute_server())
     cluster.execute(old_session.lookup(0))  # caches the pre-growth root
     writer = index.session(cluster.new_compute_server())
@@ -107,7 +108,7 @@ def test_head_nodes_prefetch_reduces_scan_latency(dataset):
     for heads in (0, 8):
         cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=2))
         index = FineGrainedIndex.build(
-            cluster, "idx", dataset.pairs(), head_interval=heads
+            cluster, "idx", *dataset.columns(), head_interval=heads
         )
         session = index.session(cluster.new_compute_server())
         start = cluster.now
@@ -118,5 +119,5 @@ def test_head_nodes_prefetch_reduces_scan_latency(dataset):
 
 
 def test_disabling_head_nodes_removes_head_pages(cluster, pairs):
-    index = FineGrainedIndex.build(cluster, "idx", pairs, head_interval=0)
+    index = FineGrainedIndex.build(cluster, "idx", *key_columns(pairs), head_interval=0)
     assert index.use_head_nodes is False

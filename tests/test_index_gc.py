@@ -10,7 +10,7 @@ from repro.btree.inmemory import InMemoryAccessor, InMemoryRootRef, drive
 @pytest.fixture
 def fg_setup(dataset):
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=9))
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     compute = cluster.new_compute_server()
     return cluster, dataset, index, compute
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Cluster, ClusterConfig, HybridIndex, TreeConfig, verify_index
+from repro.btree import key_columns
 from repro.btree.pointers import RemotePointer
 from repro.index.partitioning import HashPartitioner, RoundRobinPartitioner
 from repro.nam.rpc import TreeCall
@@ -12,7 +13,7 @@ from repro.workloads import skewed_partitioner
 
 def build(cluster, dataset, **kwargs):
     return HybridIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space, **kwargs
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space, **kwargs
     )
 
 
@@ -104,7 +105,7 @@ def test_duplicate_run_split_keeps_its_separator_in_its_partition(
         ClusterConfig(num_memory_servers=4, seed=11, tree=TreeConfig(page_size=256))
     )
     loaded = [(k, k) for k in range(0, 20000, 7) if not 951 <= k <= gap_high]
-    index = HybridIndex.build(cluster, "idx", loaded, partitioner=partitioner)
+    index = HybridIndex.build(cluster, "idx", *key_columns(loaded), partitioner=partitioner)
     session = index.session(cluster.new_compute_server())
     for i in range(13):
         cluster.execute(session.insert(1001, 5000 + i))

@@ -115,7 +115,7 @@ class TestRoundRobinPartitioner:
         index = CoarseGrainedIndex.build(
             cluster,
             "rr",
-            dataset.pairs(),
+            *dataset.columns(),
             partitioner=RoundRobinPartitioner(4, stride=64),
         )
         session = index.session(cluster.new_compute_server())

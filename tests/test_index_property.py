@@ -29,10 +29,10 @@ def test_distributed_index_matches_sorted_multimap(ops, design):
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=1))
     dataset = generate_dataset(40, gap=4)
     if design == "fine-grained":
-        index = FineGrainedIndex.build(cluster, "prop", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "prop", *dataset.columns())
     else:
         index = HybridIndex.build(
-            cluster, "prop", dataset.pairs(), key_space=dataset.key_space
+            cluster, "prop", *dataset.columns(), key_space=dataset.key_space
         )
     session = index.session(cluster.new_compute_server())
 
@@ -94,7 +94,7 @@ def test_index_under_faults_matches_uncertainty_oracle(ops, plan_seed):
     """
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=2))
     dataset = generate_dataset(40, gap=4)
-    index = FineGrainedIndex.build(cluster, "prop", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "prop", *dataset.columns())
     injector = cluster.attach_faults(
         FaultPlan(
             seed=plan_seed,
@@ -197,7 +197,7 @@ class TestStalePointers:
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=4))
         dataset = generate_dataset(200, gap=4)
         index = HybridIndex.build(
-            cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+            cluster, "idx", *dataset.columns(), key_space=dataset.key_space
         )
         session = index.session(cluster.new_compute_server())
         return cluster, dataset, index, session
@@ -253,7 +253,7 @@ def test_concurrent_mixed_ops_preserve_invariants():
     """A heavier randomized concurrency run, validated structurally."""
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=8))
     dataset = generate_dataset(1_000, gap=8)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     compute = cluster.new_compute_server()
 
     def client(cid):

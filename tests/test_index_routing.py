@@ -39,7 +39,7 @@ class _Spy:
 def rig(request, dataset):
     design, colocated = RIGS[request.param]
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=3, colocated=colocated))
-    index = design.build(cluster, "idx", dataset.pairs(), key_space=dataset.key_space)
+    index = design.build(cluster, "idx", *dataset.columns(), key_space=dataset.key_space)
     session = index.session(cluster.new_compute_server())
     log = []
     for partition, handle in session._trees.items():
@@ -89,7 +89,7 @@ def test_hybrid_handle_talks_to_its_own_partition_only(cluster, dataset):
     of leaf splits — belong to other partitions than the leaf they sit
     in; the handle must not care."""
     index = HybridIndex.build(
-        cluster, "idx", dataset.pairs(), partitioner=HashPartitioner(4)
+        cluster, "idx", *dataset.columns(), partitioner=HashPartitioner(4)
     )
     session = index.session(cluster.new_compute_server())
     sent = {partition: [] for partition in session._trees}

@@ -43,7 +43,7 @@ def rig():
         )
     )
     dataset = generate_dataset(400, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     injector = cluster.attach_faults(FaultPlan())
     return cluster, dataset, index, injector
 

@@ -9,6 +9,7 @@ from repro import (
     FineGrainedIndex,
     HybridIndex,
 )
+from repro.btree import key_columns
 from repro.workloads import generate_dataset
 
 
@@ -21,8 +22,8 @@ def rig():
 
 def test_two_indexes_of_same_design_are_isolated(rig):
     cluster, compute = rig
-    a = CoarseGrainedIndex.build(cluster, "a", [(1, 10), (2, 20)], key_space=100)
-    b = CoarseGrainedIndex.build(cluster, "b", [(1, 99)], key_space=100)
+    a = CoarseGrainedIndex.build(cluster, "a", *key_columns([(1, 10), (2, 20)]), key_space=100)
+    b = CoarseGrainedIndex.build(cluster, "b", *key_columns([(1, 99)]), key_space=100)
     sa, sb = a.session(compute), b.session(compute)
     assert cluster.execute(sa.lookup(1)) == [10]
     assert cluster.execute(sb.lookup(1)) == [99]
@@ -34,11 +35,11 @@ def test_mixed_designs_share_the_cluster(rig):
     cluster, compute = rig
     dataset = generate_dataset(500, gap=4)
     cg = CoarseGrainedIndex.build(
-        cluster, "cg", dataset.pairs(), key_space=dataset.key_space
+        cluster, "cg", *dataset.columns(), key_space=dataset.key_space
     )
-    fg = FineGrainedIndex.build(cluster, "fg", dataset.pairs())
+    fg = FineGrainedIndex.build(cluster, "fg", *dataset.columns())
     hy = HybridIndex.build(
-        cluster, "hy", dataset.pairs(), key_space=dataset.key_space
+        cluster, "hy", *dataset.columns(), key_space=dataset.key_space
     )
     sessions = [idx.session(compute) for idx in (cg, fg, hy)]
     for session in sessions:
@@ -55,9 +56,9 @@ def test_concurrent_traffic_across_indexes(rig):
     cluster, compute = rig
     dataset = generate_dataset(300, gap=4)
     cg = CoarseGrainedIndex.build(
-        cluster, "cg", dataset.pairs(), key_space=dataset.key_space
+        cluster, "cg", *dataset.columns(), key_space=dataset.key_space
     )
-    fg = FineGrainedIndex.build(cluster, "fg", dataset.pairs())
+    fg = FineGrainedIndex.build(cluster, "fg", *dataset.columns())
 
     def worker(index, offset):
         session = index.session(compute)

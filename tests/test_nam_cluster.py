@@ -54,19 +54,6 @@ class TestAllocator:
         assert all(offset % page_size == 0 for offset in offsets)
         assert all(offset >= page_size for offset in offsets)  # page 0 reserved
 
-    def test_free_list_recycles(self, cluster):
-        allocator = cluster.memory_server(0).allocator
-        offset = allocator.allocate()
-        allocator.free(offset)
-        assert allocator.allocate() == offset
-
-    def test_free_rejects_bad_offsets(self, cluster):
-        allocator = cluster.memory_server(0).allocator
-        with pytest.raises(AllocationError):
-            allocator.free(0)  # control page
-        with pytest.raises(AllocationError):
-            allocator.free(1234)  # unaligned
-
     def test_exhaustion_raises(self):
         config = ClusterConfig(
             region_initial_bytes=4096, region_max_bytes=8192

@@ -55,7 +55,7 @@ def _rpcs(cluster, operation):
 def _session(design):
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=5))
     dataset = generate_dataset(400, gap=4)
-    index = design.build(cluster, "idx", dataset.pairs(), key_space=dataset.key_space)
+    index = design.build(cluster, "idx", *dataset.columns(), key_space=dataset.key_space)
     session = index.session(cluster.new_compute_server())
     for value in (1001, 1002):
         cluster.execute(session.insert(THREE, value))

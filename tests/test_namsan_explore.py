@@ -63,7 +63,7 @@ def _trace_workload(scheduler):
     """A small two-client insert race, traced; returns (events, end time)."""
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=5))
     dataset = generate_dataset(40, gap=2)
-    index = FineGrainedIndex.build(cluster, "hook", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "hook", *dataset.columns())
     collector = TraceCollector().attach(cluster)
     cluster.sim.scheduler = scheduler
     try:

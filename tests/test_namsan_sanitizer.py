@@ -228,7 +228,7 @@ def test_hybrid_chaos_workload_has_no_races(factor):
     )
     dataset = generate_dataset(600, gap=4)
     index = HybridIndex.build(
-        cluster, "idx", dataset.pairs(), key_space=dataset.key_space
+        cluster, "idx", *dataset.columns(), key_space=dataset.key_space
     )
     collector = _collect(cluster)
     crashes = (
@@ -273,7 +273,7 @@ def test_lock_steal_recovery_has_no_races():
         )
     )
     dataset = generate_dataset(400, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     collector = _collect(cluster)
     injector = cluster.attach_faults(FaultPlan())
     key = dataset.key_at(11)
@@ -323,7 +323,7 @@ def test_lock_bypass_write_is_reported_as_race():
     and the sanitizer must fail it, naming both verb events."""
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=23))
     dataset = generate_dataset(400, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     key = dataset.key_at(29)
     tree = index.tree_for(cluster.new_compute_server())
     raw_ptr, _leaf = cluster.execute(tree._descend_to_level(key, 0))
@@ -370,7 +370,7 @@ def test_clean_run_of_same_scenario_has_no_races():
     lock protocol produces a race-free trace."""
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=23))
     dataset = generate_dataset(400, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     collector = _collect(cluster)
     key = dataset.key_at(29)
     first = cluster.new_compute_server()

@@ -52,7 +52,7 @@ def fresh_cluster(observability=None, seed=23):
 
 def run_workload(cluster, *, num_keys=400, clients=6, measure_s=0.003, seed=29):
     dataset = generate_dataset(num_keys, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     runner = WorkloadRunner(cluster, dataset)
     result = runner.run(
         index, SPEC, num_clients=clients, warmup_s=0.0005,
@@ -79,7 +79,7 @@ class TestSpanReconciliation:
         WQE on the issuing compute server's NIC, and vice versa."""
         cluster = fresh_cluster(obs_config(sample_every=1))
         dataset = generate_dataset(300, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         compute = cluster.new_compute_server()
         session = index.session(compute)
 
@@ -112,7 +112,7 @@ class TestSpanReconciliation:
             )
         )
         dataset = generate_dataset(300, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         compute = cluster.new_compute_server()
         session = index.session(compute)
         before = compute.port.wqes_posted

@@ -87,7 +87,7 @@ def _open_loop_run(seed=3, admission=None, tenants=None):
         )
     )
     dataset = generate_dataset(2000, gap=4)
-    index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = CoarseGrainedIndex.build(cluster, "idx", *dataset.columns())
     if tenants is None:
         tenants = [
             TenantSpec(
@@ -202,7 +202,7 @@ class TestOpenLoopRunner:
     def test_duplicate_tenant_names_rejected(self):
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=1))
         dataset = generate_dataset(500, gap=4)
-        index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = CoarseGrainedIndex.build(cluster, "idx", *dataset.columns())
         runner = WorkloadRunner(cluster, dataset)
         tenant = TenantSpec(
             name="dup", workload=READS,
@@ -219,7 +219,7 @@ class TestOpenLoopRunner:
         at spawn — offered, never completed."""
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=17))
         dataset = generate_dataset(2000, gap=4)
-        index = CoarseGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = CoarseGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(
             FaultPlan(seed=1, compute_crashes=(ComputeCrash(0, at_s=1e-3),))
         )

@@ -89,7 +89,7 @@ def _chaos_run(admission, seed=19):
         )
     )
     dataset = generate_dataset(600, gap=4)
-    index = HybridIndex.build(cluster, "idx", dataset.pairs())
+    index = HybridIndex.build(cluster, "idx", *dataset.columns())
     injector = cluster.attach_faults(PLAN)
     result = WorkloadRunner(cluster, dataset).run_open(
         index, _tenants(), warmup_s=0.001, measure_s=0.004, seed=seed

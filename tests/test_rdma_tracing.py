@@ -24,10 +24,10 @@ def rigs(dataset):
     for cls in (CoarseGrainedIndex, FineGrainedIndex, HybridIndex):
         cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=17))
         if cls is FineGrainedIndex:
-            index = cls.build(cluster, "t", dataset.pairs())
+            index = cls.build(cluster, "t", *dataset.columns())
         else:
             index = cls.build(
-                cluster, "t", dataset.pairs(), key_space=dataset.key_space
+                cluster, "t", *dataset.columns(), key_space=dataset.key_space
             )
         session = index.session(cluster.new_compute_server())
         cluster.execute(session.lookup(0))  # warm root pointer
@@ -84,7 +84,7 @@ def test_fg_insert_shows_the_lock_protocol(rigs, dataset):
 
 def test_prefetching_scan_overlaps_reads(dataset):
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=17))
-    index = FineGrainedIndex.build(cluster, "t", dataset.pairs(), head_interval=4)
+    index = FineGrainedIndex.build(cluster, "t", *dataset.columns(), head_interval=4)
     session = index.session(cluster.new_compute_server())
     cluster.execute(session.lookup(0))
     with VerbTracer(cluster) as tracer:
@@ -154,7 +154,7 @@ def _runner_trace(hub: bool, traced: bool = True):
         )
     )
     dataset = generate_dataset(2_000, gap=8)
-    index = FineGrainedIndex.build(cluster, "t", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "t", *dataset.columns())
     runner = WorkloadRunner(cluster, dataset)
     tracer = VerbTracer(cluster)
     with tracer if traced else contextlib.nullcontext():

@@ -31,6 +31,7 @@ from repro import (
     ServerCrash,
     verify_index,
 )
+from repro.btree import key_columns
 from repro.btree.node import Node
 from repro.btree.pointers import RemotePointer
 from repro.errors import ConfigurationError, RetriesExhaustedError
@@ -46,10 +47,10 @@ DESIGNS = ("coarse-grained", "fine-grained", "hybrid")
 
 def _build(design, cluster, pairs, key_space):
     if design == "coarse-grained":
-        return CoarseGrainedIndex.build(cluster, "idx", pairs, key_space=key_space)
+        return CoarseGrainedIndex.build(cluster, "idx", *key_columns(pairs), key_space=key_space)
     if design == "fine-grained":
-        return FineGrainedIndex.build(cluster, "idx", pairs)
-    return HybridIndex.build(cluster, "idx", pairs, key_space=key_space)
+        return FineGrainedIndex.build(cluster, "idx", *key_columns(pairs))
+    return HybridIndex.build(cluster, "idx", *key_columns(pairs), key_space=key_space)
 
 
 def _replicated_cluster(factor=2, num_servers=3, seed=23):
@@ -121,7 +122,7 @@ class TestPlacementAndMirroring:
     def test_mutations_stay_converged_and_charge_mirror_legs(self):
         cluster = _replicated_cluster()
         dataset = generate_dataset(500, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         session = index.session(cluster.new_compute_server())
         before = cluster.replication.stats["mirror_legs"]
         for i in range(50):
@@ -133,7 +134,7 @@ class TestPlacementAndMirroring:
     def test_divergence_detected(self):
         cluster = _replicated_cluster()
         dataset = generate_dataset(300, gap=4)
-        FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         replication = cluster.replication
         backup = replication.replica_set(0)[1]
         original = backup.region.read(64, 1)
@@ -169,7 +170,7 @@ class TestCrashSemantics:
     def test_replicated_crash_is_destructive(self):
         cluster = _replicated_cluster()
         dataset = generate_dataset(400, gap=4)
-        FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan())
         victim = cluster.memory_server(1)
         assert any(victim.region.read(0, 4096))
@@ -189,7 +190,7 @@ class TestCrashSemantics:
             ClusterConfig(num_memory_servers=2, memory_servers_per_machine=1, seed=23)
         )
         dataset = generate_dataset(400, gap=4)
-        FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan())
         victim = cluster.memory_server(1)
         snapshot = victim.region.read(0, len(victim.region))
@@ -201,7 +202,7 @@ class TestCrashSemantics:
     def test_restart_resyncs_from_survivors(self):
         cluster = _replicated_cluster()
         dataset = generate_dataset(400, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan())
         injector.crash_memory_server(1)
         # Mutate while the host is down so the resync has fresh state.
@@ -219,7 +220,7 @@ class TestFailover:
     def test_promote_reroutes_and_bumps_epoch(self):
         cluster = _replicated_cluster()
         dataset = generate_dataset(400, gap=4)
-        FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan())
         replication = cluster.replication
         epoch = replication.epoch
@@ -238,7 +239,7 @@ class TestFailover:
     def test_client_driven_failover(self):
         cluster = _replicated_cluster()
         dataset = generate_dataset(600, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan())
         session = index.session(cluster.new_compute_server())
         injector.crash_memory_server(1)
@@ -252,7 +253,7 @@ class TestFailover:
     def test_failover_error_when_no_replica_left(self):
         cluster = _replicated_cluster(factor=2, num_servers=2)
         dataset = generate_dataset(300, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan())
         injector.crash_memory_server(0)
         injector.crash_memory_server(1)
@@ -263,7 +264,7 @@ class TestFailover:
     def test_re_replication_restores_factor(self):
         cluster = _replicated_cluster(factor=2, num_servers=4)
         dataset = generate_dataset(400, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan())
         injector.crash_memory_server(1)
         session = index.session(cluster.new_compute_server())
@@ -613,7 +614,7 @@ def test_factor_one_is_simulation_identical_to_baseline():
             config = config.with_(replication_factor=factor)
         cluster = Cluster(config)
         dataset = generate_dataset(500, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         session = index.session(cluster.new_compute_server())
         trace = []
         for i in range(60):
@@ -642,7 +643,7 @@ def test_verifier_passes_on_healthy_index(design):
 def test_verifier_detects_corruption():
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=17))
     dataset = generate_dataset(700, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     tree = index.tree_for(cluster.new_compute_server())
     # Swap two keys in a leaf so its entries are no longer sorted.
     raw_ptr, _ = cluster.execute(tree._descend_to_level(dataset.key_at(0), 0))

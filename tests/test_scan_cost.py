@@ -108,7 +108,7 @@ def scan_setup(design: str, config=None, partitioner=None):
         index = DESIGNS[design].build(
             cluster,
             "ycsb",
-            dataset.pairs(),
+            *dataset.columns(),
             partitioner=partitioner(cluster.num_memory_servers),
             key_space=dataset.key_space,
         )

@@ -183,7 +183,7 @@ def test_duplicates_come_back_in_insertion_order(case):
         options["key_space"] = dataset.key_space
         if partitioning == "hash":
             options["partitioner"] = HashPartitioner(cluster.num_memory_servers)
-    index = DESIGNS[design].build(cluster, "dups", dataset.pairs(), **options)
+    index = DESIGNS[design].build(cluster, "dups", *dataset.columns(), **options)
     session = index.session(cluster.new_compute_server())
     key = dataset.key_at(700)
     for value in (5, 3, 9, 1):

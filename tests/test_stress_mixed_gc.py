@@ -27,7 +27,7 @@ def test_mixed_ops_with_concurrent_gc(cls):
     dataset = generate_dataset(2_000, gap=8)
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=99))
     kwargs = {} if cls is FineGrainedIndex else {"key_space": dataset.key_space}
-    index = cls.build(cluster, "stress", dataset.pairs(), **kwargs)
+    index = cls.build(cluster, "stress", *dataset.columns(), **kwargs)
     compute = cluster.new_compute_server()
     if cls is FineGrainedIndex:
         collectors = [index.start_gc(compute, epoch_s=0.002)]

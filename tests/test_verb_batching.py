@@ -436,7 +436,7 @@ class TestBatchFaults:
             )
         )
         dataset = generate_dataset(600, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(
             FaultPlan(
                 seed=11,
@@ -533,7 +533,7 @@ class TestBatchedUnlockWrite:
             )
         )
         dataset = generate_dataset(600, gap=4)
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         collector = TraceCollector().attach(cluster)
         injector = cluster.attach_faults(
             FaultPlan(
@@ -604,7 +604,7 @@ def test_index_results_identical_batched_vs_unbatched():
                 network=NetworkConfig(doorbell_batching=batched),
             )
         )
-        index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         session = index.session(cluster.new_compute_server())
         out = []
         for i in (0, 37, 555, 1_199):

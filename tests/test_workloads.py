@@ -31,6 +31,13 @@ class TestDataset:
         assert pairs[-1] == (792, 99)
         assert len(pairs) == 100
 
+    @pytest.mark.parametrize("num_keys", [1, 20_000])
+    def test_columns_are_the_transpose_of_pairs(self, num_keys):
+        ds = generate_dataset(num_keys)
+        keys, values = ds.columns()
+        assert list(zip(keys, values)) == ds.pairs()
+        assert (type(keys), type(values)) == (list, list)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             generate_dataset(0)
@@ -110,7 +117,7 @@ class TestRunner:
     def rig(self):
         ds = generate_dataset(2000)
         cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=2))
-        index = FineGrainedIndex.build(cluster, "idx", ds.pairs())
+        index = FineGrainedIndex.build(cluster, "idx", *ds.columns())
         return cluster, ds, index
 
     def test_point_workload_counts_and_latencies(self, rig):
@@ -209,7 +216,7 @@ class TestRunner:
         def once():
             ds = generate_dataset(1000)
             cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=5))
-            index = FineGrainedIndex.build(cluster, "idx", ds.pairs())
+            index = FineGrainedIndex.build(cluster, "idx", *ds.columns())
             runner = WorkloadRunner(cluster, ds)
             result = runner.run(index, workload_c(), num_clients=8,
                                 warmup_s=0.0005, measure_s=0.002, seed=99)
