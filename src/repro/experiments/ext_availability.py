@@ -41,7 +41,7 @@ from repro.experiments.scale import SMALL, ExperimentScale
 from repro.index.verify import verify_index
 from repro.nam.cluster import Cluster
 from repro.rdma.faults import FaultPlan, ServerCrash
-from repro.workloads import WorkloadRunner, generate_dataset, workload_d
+from repro.workloads import Op, WorkloadRunner, generate_dataset, workload_d
 
 __all__ = [
     "AvailabilityCell",
@@ -93,14 +93,13 @@ RECOVERY_FRACTION = 0.6
 _BUCKETS = 24
 
 
-def _bucket_throughput(
-    records: List[Tuple[str, float, float]], start: float, end: float
-) -> List[Tuple[float, float]]:
-    """``(bucket_start, ops/s)`` for completions in ``[start, end)``."""
+def _bucket_throughput(ops: List[Op], start: float, end: float) -> List[Tuple[float, float]]:
+    """``(bucket_start, ops/s)`` for successful completions in ``[start, end)``."""
     width = (end - start) / _BUCKETS
     counts = [0] * _BUCKETS
-    for op_type, _op_start, op_end in records:
-        if op_type.startswith("error") or not start <= op_end < end:
+    for op in ops:
+        op_end = op.responded_at
+        if op_end is None or isinstance(op.result, Exception) or not start <= op_end < end:
             continue
         counts[min(_BUCKETS - 1, int((op_end - start) / width))] += 1
     return [(start + i * width, counts[i] / width) for i in range(_BUCKETS)]

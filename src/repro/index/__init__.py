@@ -1,5 +1,7 @@
 """The three distributed index designs plus shared machinery."""
 
+from typing import Dict, Type
+
 from repro.index.accessors import (
     LocalAccessor,
     LocalRootRef,
@@ -26,7 +28,7 @@ from repro.index.partitioning import (
 )
 
 #: Design name -> index class, as experiments and histories name them.
-DESIGNS = {
+DESIGNS: Dict[str, Type[DistributedIndex]] = {
     "coarse-grained": CoarseGrainedIndex,
     "fine-grained": FineGrainedIndex,
     "hybrid": HybridIndex,

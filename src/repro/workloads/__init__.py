@@ -13,10 +13,10 @@ from repro.workloads.distributions import (
     ZipfianChooser,
     make_chooser,
 )
-from repro.workloads.history import History, Op, Scenario, run_scenario
-from repro.workloads.metrics import OpType, RunResult, TenantOutcome
+from repro.workloads.history import History, Scenario, run_scenario
+from repro.workloads.metrics import OP_TYPES, Op, OpType, RunResult, TenantOutcome
 from repro.workloads.openloop import ArrivalProcess, TenantSpec
-from repro.workloads.runner import OpDrawer, WorkloadRunner
+from repro.workloads.runner import WorkloadRunner, draw_ops
 from repro.workloads.ycsb import (
     WorkloadSpec,
     workload_a,
@@ -36,13 +36,14 @@ __all__ = [
     "UniformChooser",
     "ZipfianChooser",
     "make_chooser",
+    "OP_TYPES",
+    "Op",
     "OpType",
     "RunResult",
     "TenantOutcome",
     "WorkloadRunner",
-    "OpDrawer",
+    "draw_ops",
     "History",
-    "Op",
     "Scenario",
     "run_scenario",
     "ArrivalProcess",

@@ -1,31 +1,34 @@
 """Seeded contended histories: run a :class:`Scenario`, get a :class:`History`.
 
-Each client runs its own seeded operation stream on a session of its own
-compute server, spawned at the workload runner's spawn site. Every operation
-is recorded in issue order with its sim invoke and response times and its
-result, or the typed error it raised (one that
-:class:`~repro.workloads.runner.WorkloadRunner` survives; the client goes on).
-Then faults stop and the quiet cluster is scanned and its regions hashed. The
-streams own their RNGs: a history is a function of its scenario alone.
+Each client issues its own seeded ``(method, args)`` stream on a session of
+its own compute server, through the workload runner's spawn site and closed
+loop, which records every operation in issue order as an
+:class:`~repro.workloads.metrics.Op`: its sim invoke and response times and
+its result, or the typed error it raised (the client goes on). Then faults
+stop and the quiet cluster is scanned and its regions hashed. The streams
+own their RNGs: a history is a function of its scenario alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, cast,
+)
 
 from repro.config import ClusterConfig
-from repro.errors import AdmissionRejectedError, ConfigurationError, TimeoutError_
+from repro.errors import ConfigurationError
 from repro.index import DESIGNS, EpochGarbageCollector, FineGrainedIndex, HashPartitioner
 from repro.nam.cluster import Cluster
 from repro.workloads.datagen import Dataset, generate_dataset
+from repro.workloads.metrics import Op
 from repro.workloads.runner import _Run
 
 if TYPE_CHECKING:
     from repro.rdma.faults import FaultPlan
 
-__all__ = ["History", "Op", "Scenario", "run_scenario"]
+__all__ = ["History", "Scenario", "run_scenario"]
 
 #: A client's operation stream, called as ``ops(client, dataset)``: the
 #: ``(session method, args)`` pairs it issues, in order.
@@ -51,18 +54,6 @@ class Scenario:
 
 
 @dataclass
-class Op:
-    """One operation: its client and call, its sim times, its result or typed error."""
-
-    client: int
-    method: str
-    args: Tuple[Any, ...]
-    invoked_at: float
-    responded_at: Optional[float] = None
-    result: Any = None
-
-
-@dataclass
 class History:
     """What a scenario did: every operation in issue order, the quiet full
     scan, the sha256 of every memory server's region, and what the extras
@@ -75,33 +66,39 @@ class History:
 
 
 def run_scenario(scenario: Scenario) -> History:
-    """Run *scenario* on a fresh cluster and return its :class:`History`."""
-    if scenario.partitioning not in ("range", "hash"):
-        raise ConfigurationError(f"unknown partitioning {scenario.partitioning!r}")
+    """Run *scenario* on a fresh cluster and return its :class:`History`.
+
+    A partitioning or extra the design does not have raises
+    :class:`~repro.errors.ConfigurationError` before the cluster is built."""
+    cls = DESIGNS[scenario.design]
+    fine_grained = cls is FineGrainedIndex
+    if scenario.partitioning not in (("range",) if fine_grained else ("range", "hash")):
+        raise ConfigurationError(f"{scenario.design} has no {scenario.partitioning!r} partitioning")
+    if not set(scenario.extras) <= ({"gc", "probe"} if fine_grained else set()):
+        raise ConfigurationError(f"{scenario.design} has no extras {scenario.extras}")
     cluster = Cluster(ClusterConfig(**scenario.config, clients_per_compute_server=1))
     dataset = generate_dataset(scenario.num_keys)
-    cls = DESIGNS[scenario.design]
     options: Dict[str, Any] = {}
-    if cls is not FineGrainedIndex:
+    if not fine_grained:
         options["key_space"] = dataset.key_space
         if scenario.partitioning == "hash":
             options["partitioner"] = HashPartitioner(cluster.num_memory_servers)
     index = cls.build(cluster, "history", *dataset.columns(), **options)
+    fine = cast(FineGrainedIndex, index)  # the checks above leave extras to it
     observed: Dict[str, int] = {}
     if "probe" in scenario.extras:
-        tree = index.tree_for(cluster.new_compute_server())
+        tree = fine.tree_for(cluster.new_compute_server())
         observed["height"] = cluster.execute(tree.height())
     if scenario.faults is not None:
         cluster.attach_faults(scenario.faults)
     if "gc" in scenario.extras:
-        tree = index.tree_for(cluster.new_compute_server())
+        tree = fine.tree_for(cluster.new_compute_server())
         collector = EpochGarbageCollector(cluster.sim, tree, epoch_s=0.0001, rebuild_heads=True)
         sweeper = collector.start()
-    run = _Run(cluster, index)
     ops: List[Op] = []
+    run = _Run(cluster, index, ops)
     for client, session in enumerate(run.sessions(scenario.clients)):
-        stream = scenario.ops(client, dataset)
-        run.spawn(session, _client(cluster, client, session, stream, ops))
+        run.spawn(session, run.client_loop(client, session, scenario.ops(client, dataset)))
     cluster.sim.run_until_complete(cluster.sim.all_of(run.procs))
     if "gc" in scenario.extras:
         collector.stopped = True
@@ -117,14 +114,3 @@ def run_scenario(scenario: Scenario) -> History:
     ]
     return History(ops, full_scan, regions, observed)
 
-
-def _client(cluster: Cluster, client: int, session: Any, stream: Iterable, ops: List[Op]):
-    """Issue *stream* on *session*, appending each op to *ops* as it is invoked."""
-    for method, args in stream:
-        op = Op(client, method, args, cluster.sim.now)
-        ops.append(op)
-        try:
-            op.result = yield from getattr(session, method)(*args)
-        except (TimeoutError_, AdmissionRejectedError) as exc:
-            op.result = exc
-        op.responded_at = cluster.sim.now

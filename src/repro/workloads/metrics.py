@@ -1,4 +1,5 @@
-"""Result containers and summary statistics for workload runs."""
+"""Operation types and records, result containers and summary statistics
+for workload runs. An operation is a ``(session method, args)`` pair."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["OpType", "RunResult", "TenantOutcome"]
+__all__ = ["OP_TYPES", "Op", "OpType", "RunResult", "TenantOutcome"]
 
 
 class OpType:
@@ -17,11 +18,36 @@ class OpType:
     RANGE = "range"
     INSERT = "insert"
     DELETE = "delete"
+    UPDATE = "update"
     #: Operation that surfaced a typed fault (timeout / retries exhausted).
     #: Deliberately not part of ``ALL``: errored operations count in
     #: :attr:`RunResult.errors`, never in throughput or latency figures.
     ERROR = "error"
-    ALL = (POINT, RANGE, INSERT, DELETE)
+    ALL = (POINT, RANGE, INSERT, DELETE, UPDATE)
+
+
+#: The :class:`OpType` each session method counts under. ``update`` is
+#: issued only by :class:`~repro.workloads.history.Scenario` streams.
+OP_TYPES: Dict[str, str] = {
+    "lookup": OpType.POINT,
+    "range_scan": OpType.RANGE,
+    "insert": OpType.INSERT,
+    "delete": OpType.DELETE,
+    "update": OpType.UPDATE,
+}
+
+
+@dataclass
+class Op:
+    """One operation: its client and call, its sim times, its result or typed
+    error. ``responded_at`` stays None if a compute-server crash kills it."""
+
+    client: int
+    method: str
+    args: Tuple[Any, ...]
+    invoked_at: float
+    responded_at: Optional[float] = None
+    result: Any = None
 
 
 @dataclass
@@ -90,11 +116,11 @@ class RunResult:
     #: Typed-fault counts (``{"TimeoutError_": n, ...}``) for operations
     #: that failed inside the window. Empty unless faults were injected.
     errors: Dict[str, int] = field(default_factory=dict)
-    #: Raw per-operation ``(op_type, start_s, end_s)`` records for the
-    #: whole run (not just the window). Populated only when the runner is
-    #: asked for them (``keep_records=True``) — availability experiments
-    #: use these to plot throughput dips and recovery times around crashes.
-    raw_records: List[Tuple[str, float, float]] = field(default_factory=list)
+    #: Every operation of the whole run (not just the window) as an
+    #: :class:`Op`, in issue order. Populated only when the runner is asked
+    #: for them (``keep_records=True``) — availability experiments use
+    #: these to plot throughput dips and recovery times around crashes.
+    raw_records: List[Op] = field(default_factory=list)
     #: Total verb/RPC retry attempts recorded by the observability
     #: registry over the whole run. Stays 0 when observability is off
     #: (the registry is the only place retries are counted per verb).

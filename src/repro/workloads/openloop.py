@@ -7,8 +7,10 @@ and the system can never be pushed past saturation. Real traffic is not so
 polite. :meth:`~repro.workloads.runner.WorkloadRunner.run_open` generates
 **open-loop** arrivals — operations arrive on a schedule that does not
 care whether earlier ones finished — which is the only way to observe
-queueing collapse and admission control. The runner owns what both disciplines share; this module holds what only the
-open loop does.
+queueing collapse and admission control. The runner owns what both
+disciplines share, the ``(session method, args)`` stream of
+:func:`~repro.workloads.runner.draw_ops` among it; this module holds what
+only the open loop does.
 
 Pieces:
 
@@ -19,25 +21,26 @@ Pieces:
 * :class:`TenantSpec` — one tenant: a name (stamped on every RPC envelope
   for server-side admission), a YCSB op mix, an arrival process, an
   optional p99 SLO target and a count of application-level retries.
-* :class:`Tenant` — one tenant of a run: its arrival loop, its operations
-  with their application-level retries after a linear backoff, and the
-  fold of its :class:`~repro.workloads.metrics.TenantOutcome`.
+* :class:`Tenant` — one tenant of a run: its arrival loop, which draws an
+  operation per arrival, its operations with their application-level
+  retries after a linear backoff, and the fold of its
+  :class:`~repro.workloads.metrics.TenantOutcome`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import AdmissionRejectedError, ConfigurationError, TimeoutError_
-from repro.workloads.metrics import OpType, RunResult, TenantOutcome
+from repro.workloads.metrics import OP_TYPES, OpType, RunResult, TenantOutcome
 from repro.workloads.ycsb import WorkloadSpec
 
 if TYPE_CHECKING:
-    from repro.workloads.runner import OpDrawer, _Run
+    from repro.workloads.runner import _Run
 
 __all__ = ["ArrivalProcess", "TenantSpec", "Tenant", "RETRY_BACKOFF_S"]
 
@@ -131,13 +134,13 @@ class Tenant:
     stamped on its spans."""
 
     def __init__(
-        self, spec: TenantSpec, index: int, run: _Run, drawer: OpDrawer,
-        sessions: List[Any],
+        self, spec: TenantSpec, index: int, run: _Run,
+        stream: Iterator[Tuple[str, Tuple[Any, ...]]], sessions: List[Any],
     ) -> None:
         self.spec = spec
         self.index = index
         self.run = run
-        self.drawer = drawer
+        self.stream = stream
         self.sessions = sessions
         for session in sessions:
             session.tenant = spec.name
@@ -171,15 +174,16 @@ class Tenant:
                 continue
             now = sim.now
             self.offered.append(now)
-            op_kind, op = self.drawer.next_op()
+            method, args = next(self.stream)
             session = sessions[next_session]
             next_session = (next_session + 1) % len(sessions)
-            run.spawn(session, self._one_op(session, op_kind, op, now))
+            run.spawn(session, self._one_op(session, method, args, now))
 
     def _one_op(
-        self, session: Any, op_kind: str, op: Any, start: float
+        self, session: Any, method: str, args: Tuple[Any, ...], start: float
     ) -> Generator[Any, Any, None]:
         """Execute one arrival, with its application-level retries."""
+        op_kind = OP_TYPES[method]
         sim = self.run.cluster.sim
         obs = self.run.cluster.obs
         spec = self.spec
@@ -188,7 +192,7 @@ class Tenant:
         rejected = False
         while True:
             try:
-                yield from op(session)
+                yield from getattr(session, method)(*args)
             except AdmissionRejectedError as exc:
                 if attempt < spec.max_op_retries:
                     # Deterministic linear backoff before re-offering.

@@ -1,18 +1,20 @@
 """Workload execution: closed-loop clients (Section 6.1's measurement
 setup) and open-loop arrivals.
 
-Clients mirror the paper's: each client thread runs a closed loop (it
-waits for one operation to finish before issuing the next) drawing
-operations from a :class:`~repro.workloads.ycsb.WorkloadSpec`. Clients are
-grouped onto compute servers (``ClusterConfig.clients_per_compute_server``,
-40 by default, like the paper's testbed); each client owns one index
-session.
+Clients mirror the paper's: each client runs a closed loop (it waits for
+one operation to finish before issuing the next) over a stream of
+``(session method, args)`` operations, drawn by :func:`draw_ops` or issued
+by a :class:`~repro.workloads.history.Scenario`, and may keep each as an
+:class:`~repro.workloads.metrics.Op`. Clients are grouped onto compute
+servers (``ClusterConfig.clients_per_compute_server``, 40 by default, like
+the paper's testbed); each client owns one index session.
 
 :meth:`WorkloadRunner.run_open` is the second arrival discipline:
 operations arrive on each tenant's schedule whether or not earlier ones
 finished (:mod:`repro.workloads.openloop`, docs/overload.md). Both
-disciplines share one run state, one warm-up/measure controller, one
-spawn site and one fold of records into the :class:`RunResult`.
+disciplines share one operation stream, one run state, one warm-up/measure
+controller, one spawn site and one fold of records into the
+:class:`RunResult`.
 
 A run has a warm-up phase and a measurement window. Throughput counts
 operations *completing* inside the window; network/CPU counters are
@@ -21,7 +23,9 @@ snapshotted at the window edges.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, List, Optional, Sequence, Tuple
+import math
+from itertools import islice
+from typing import Any, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,26 +34,32 @@ from repro.index.base import DistributedIndex
 from repro.nam.cluster import Cluster
 from repro.workloads.datagen import Dataset
 from repro.workloads.distributions import make_chooser
-from repro.workloads.metrics import OpType, RunResult, TenantOutcome
+from repro.workloads.metrics import OP_TYPES, Op, OpType, RunResult, TenantOutcome
 from repro.workloads.openloop import Tenant, TenantSpec
 from repro.workloads.ycsb import WorkloadSpec
 
-__all__ = ["WorkloadRunner", "OpDrawer"]
+__all__ = ["WorkloadRunner", "draw_ops"]
 
 
 class _Run:
-    """One run's shared state and its spawn site: the controller's stop
-    flag and window, the per-operation records, the append-insert counter,
-    and every session and process the run starts."""
+    """One run's shared state, its spawn site and its closed loop: the
+    controller's stop flag and window, the per-operation records, the
+    kept :class:`Op` history, the append-insert counter, and every session
+    and process the run starts."""
 
-    def __init__(self, cluster: Cluster, index: DistributedIndex) -> None:
+    def __init__(
+        self, cluster: Cluster, index: DistributedIndex, ops: Optional[List[Op]] = None
+    ) -> None:
         self.cluster = cluster
         self.index = index
         self.stop = False
-        self.measure_from: Optional[float] = None
-        self.window_end: Optional[float] = None
+        # The measurement window, empty until the run opens it.
+        self.measure_from = math.inf
+        self.window_end = -math.inf
         # (op_type, start, end) triples, appended by clients.
         self.records: List[Tuple[str, float, float]] = []
+        # The closed loop's operations in issue order, when the run keeps them.
+        self.ops = ops
         # Shared sequence for "append" inserts (YCSB-style key counter).
         self.append_seq = 0
         # Every process the spawn site started; the run drains them.
@@ -78,6 +88,44 @@ class _Run:
         if injector is not None:
             injector.register_client(session.compute_server.server_id, proc)
         self.procs.append(proc)
+
+    def client_loop(
+        self, client: int, session: Any, stream: Iterable[Tuple[str, Tuple[Any, ...]]]
+    ) -> Generator[Any, Any, None]:
+        """Issue *stream*'s ``(method, args)`` operations on *session*, each
+        after the last one finished, until the stream ends or the run stops."""
+        sim = self.cluster.sim
+        obs = self.cluster.obs
+        op = None
+        for method, args in stream:
+            if self.stop:
+                return
+            op_kind = OP_TYPES[method]
+            start = sim.now
+            if self.ops is not None:
+                op = Op(client, method, args, start)
+                self.ops.append(op)
+            # The span is opened under a placeholder and named at end_op:
+            # the op may come back as a typed error.
+            span = obs.begin_op("op", client) if obs is not None else None
+            try:
+                result = yield from getattr(session, method)(*args)
+                op_type = op_kind
+            except (TimeoutError_, AdmissionRejectedError) as exc:
+                # A fault may exhaust the op's retry budget, or admission
+                # control bounce it: the client records the typed failure and
+                # goes on, as an application that handles the error would.
+                result = exc
+                op_type = f"{OpType.ERROR}:{type(exc).__name__}"
+            if span is not None:
+                obs.end_op(span, op_type)
+                if op_type != op_kind:
+                    obs.flight.dump("errored-op", span)
+            end = sim.now
+            self.records.append((op_type, start, end))
+            if op is not None:
+                op.result = result
+                op.responded_at = end
 
     def count_in_window(self, times: Iterable[float]) -> int:
         """How many of *times* fall inside the measurement window."""
@@ -111,64 +159,39 @@ class _Run:
         )
 
 
-class OpDrawer:
-    """Draws one client's operation stream from a :class:`WorkloadSpec`.
-
-    All randomness (the op-mix draw, key choices, uniform insert keys) is
-    consumed at :meth:`next_op` time, in a fixed order, so the closed and
-    open loops produce identical per-client draw sequences for identical
-    seeds. ``next_op`` returns ``(op_type, op)`` where *op* is a
-    ``session -> generator`` thunk; executing it later (even concurrently
-    with other in-flight ops) touches no more RNG state.
-
-    *append_state* is any object with an ``append_seq`` attribute shared
-    by every client of the run — the YCSB-style monotone key counter for
-    ``insert_pattern="append"`` workloads.
-    """
-
-    def __init__(
-        self,
-        spec: WorkloadSpec,
-        dataset: Dataset,
-        rng: np.random.Generator,
-        append_state: Any,
-        client_id: int,
-    ) -> None:
-        self.spec = spec
-        self.dataset = dataset
-        self.rng = rng
-        self.append_state = append_state
-        self.client_id = client_id
-        self.chooser = make_chooser(
-            spec.distribution, dataset.num_keys, rng, spec.zipf_theta
-        )
-        self.range_span = max(1, int(spec.selectivity * dataset.key_space))
-        self.insert_seq = 0
-
-    def next_op(self) -> Tuple[str, Any]:
-        spec = self.spec
-        dataset = self.dataset
-        rng = self.rng
+def draw_ops(
+    spec: WorkloadSpec,
+    dataset: Dataset,
+    rng: np.random.Generator,
+    append_state: Any,
+    client_id: int,
+) -> Iterator[Tuple[str, Tuple[int, ...]]]:
+    """Yield one client's ``(session method, args)`` operations drawn from
+    *spec*. Every random draw (op mix, key, uniform insert key) is made as
+    its operation is drawn, in a fixed order, so both loops draw identical
+    per-client sequences for identical seeds. *append_state*'s
+    ``append_seq`` is the run's shared YCSB-style key counter for
+    ``insert_pattern="append"``."""
+    chooser = make_chooser(spec.distribution, dataset.num_keys, rng, spec.zipf_theta)
+    range_span = max(1, int(spec.selectivity * dataset.key_space))
+    insert_seq = 0
+    while True:
         draw = rng.random()
         if draw < spec.point_fraction:
-            key = dataset.key_at(self.chooser.next_index())
-            return OpType.POINT, lambda session: session.lookup(key)
-        if draw < spec.point_fraction + spec.range_fraction:
-            low = dataset.key_at(self.chooser.next_index())
-            high = low + self.range_span
-            return OpType.RANGE, lambda session: session.range_scan(low, high)
-        if draw < (spec.point_fraction + spec.range_fraction
-                   + spec.delete_fraction):
-            key = dataset.key_at(self.chooser.next_index())
-            return OpType.DELETE, lambda session: session.delete(key)
-        if spec.insert_pattern == "append":
-            key = dataset.key_space + self.append_state.append_seq
-            self.append_state.append_seq += 1
+            yield "lookup", (dataset.key_at(chooser.next_index()),)
+        elif draw < spec.point_fraction + spec.range_fraction:
+            low = dataset.key_at(chooser.next_index())
+            yield "range_scan", (low, low + range_span)
+        elif draw < spec.point_fraction + spec.range_fraction + spec.delete_fraction:
+            yield "delete", (dataset.key_at(chooser.next_index()),)
         else:
-            key = int(rng.integers(0, dataset.key_space))
-        value = self.client_id * 1_000_000 + self.insert_seq
-        self.insert_seq += 1
-        return OpType.INSERT, lambda session: session.insert(key, value)
+            if spec.insert_pattern == "append":
+                key = dataset.key_space + append_state.append_seq
+                append_state.append_seq += 1
+            else:
+                key = int(rng.integers(0, dataset.key_space))
+            yield "insert", (key, client_id * 1_000_000 + insert_seq)
+            insert_seq += 1
 
 
 class WorkloadRunner:
@@ -202,10 +225,10 @@ class WorkloadRunner:
         cluster can be reused across runs (counters are windowed), but each
         run adds the compute servers it needs.
 
-        With ``keep_records=True`` the result also carries the raw
-        ``(op_type, start, end)`` triples of *every* operation (including
-        warm-up and drain) in :attr:`RunResult.raw_records` — availability
-        experiments slice them into time buckets around a crash.
+        With ``keep_records=True`` the result also carries *every*
+        operation (including warm-up and drain) as an :class:`Op`, in issue
+        order, in :attr:`RunResult.raw_records` — availability experiments
+        slice them into time buckets around a crash.
 
         ``ops_per_client`` switches from the timed window to a *fixed
         work* run: every client executes exactly that many operations and
@@ -222,17 +245,16 @@ class WorkloadRunner:
         num_clients = sum(count for _spec, count in populations)
         if num_clients < 1:
             raise ConfigurationError("need at least one client")
-        run = _Run(self.cluster, index)
+        if ops_per_client is not None and ops_per_client < 1:
+            raise ConfigurationError("ops_per_client must be >= 1")
+        run = _Run(self.cluster, index, [] if keep_records else None)
         client_id = 0
         for client_spec, count in populations:
             for session in run.sessions(count):
                 rng = np.random.default_rng((seed, client_id))
+                stream = draw_ops(client_spec, self.dataset, rng, run, client_id)
                 run.spawn(
-                    session,
-                    self._client_loop(
-                        client_id, session, client_spec, rng, run,
-                        max_ops=ops_per_client,
-                    ),
+                    session, run.client_loop(client_id, session, islice(stream, ops_per_client))
                 )
                 client_id += 1
         workload = "+".join(spec_.name for spec_, _count in populations)
@@ -250,8 +272,8 @@ class WorkloadRunner:
             window_s = measure_s
         result = self._result(run, workload, num_clients, window_s, counters)
         run.fold(result, run.records)
-        if keep_records:
-            result.raw_records = list(run.records)
+        if run.ops is not None:
+            result.raw_records = run.ops
         return self._observe(result)
 
     def run_open(
@@ -287,11 +309,11 @@ class WorkloadRunner:
             # Streams 1 (arrival clock) and 2 (op draws) per tenant, both
             # derived from the run seed — identical seeds replay identical
             # arrival timestamps and op sequences.
-            drawer = OpDrawer(
+            stream = draw_ops(
                 spec.workload, self.dataset,
                 np.random.default_rng((seed, 2, tenant_index)), run, tenant_index,
             )
-            tenant = Tenant(spec, tenant_index, run, drawer, run.sessions(spec.sessions))
+            tenant = Tenant(spec, tenant_index, run, stream, run.sessions(spec.sessions))
             running.append(tenant)
             self.cluster.spawn(
                 tenant.arrivals(np.random.default_rng((seed, 1, tenant_index)), start_time)
@@ -360,43 +382,3 @@ class WorkloadRunner:
                 )
             )
         return result
-
-    def _client_loop(
-        self,
-        client_id: int,
-        session,
-        spec: WorkloadSpec,
-        rng: np.random.Generator,
-        state: _Run,
-        max_ops: Optional[int] = None,
-    ) -> Generator[Any, Any, None]:
-        drawer = OpDrawer(spec, self.dataset, rng, state, client_id)
-        sim = self.cluster.sim
-        obs = self.cluster.obs
-        remaining = max_ops
-        while not state.stop:
-            if remaining is not None:
-                if remaining == 0:
-                    return
-                remaining -= 1
-            op_kind, op = drawer.next_op()
-            start = sim.now
-            # The op's final classification is only known after the fact
-            # (it may come back as a typed error), so the span is opened
-            # under a placeholder and renamed at end_op.
-            span = obs.begin_op("op", client_id) if obs is not None else None
-            try:
-                yield from op(session)
-                op_type = op_kind
-            except (TimeoutError_, AdmissionRejectedError) as exc:
-                # Under injected faults an operation may exhaust its retry
-                # budget; under admission control the server may bounce it.
-                # The client records the typed failure and moves on — the
-                # closed loop survives, mirroring an application that
-                # handles the error and continues.
-                op_type = f"{OpType.ERROR}:{type(exc).__name__}"
-            if span is not None:
-                obs.end_op(span, op_type)
-                if op_type != op_kind:
-                    obs.flight.dump("errored-op", span)
-            state.records.append((op_type, start, sim.now))

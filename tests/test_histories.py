@@ -33,8 +33,24 @@ import random
 
 import pytest
 
-from repro import CacheConfig, FaultPlan, NetworkConfig, RetriesExhaustedError
-from repro.workloads import Scenario, run_scenario
+from repro import (
+    CacheConfig,
+    Cluster,
+    ClusterConfig,
+    FaultPlan,
+    FineGrainedIndex,
+    NetworkConfig,
+    RetriesExhaustedError,
+)
+from repro.errors import ConfigurationError
+from repro.workloads import (
+    OP_TYPES,
+    Scenario,
+    WorkloadRunner,
+    WorkloadSpec,
+    generate_dataset,
+    run_scenario,
+)
 
 NUM_KEYS = 8_000
 #: Ordinals of the write rows' hot window (~7 leaves).
@@ -163,6 +179,16 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+def _check_order(ops):
+    """Invoke times never decrease, and each client's ops are sequential."""
+    assert all(a.invoked_at <= b.invoked_at for a, b in zip(ops, ops[1:]))
+    responded = {}
+    for op in ops:
+        assert op.invoked_at <= op.responded_at
+        assert op.invoked_at >= responded.get(op.client, op.invoked_at)
+        responded[op.client] = op.responded_at
+
+
 def _checked(scenario):
     """Run *scenario* and check what every history must satisfy."""
     history = run_scenario(scenario)
@@ -170,12 +196,7 @@ def _checked(scenario):
     inserts = sum(op.method == "insert" for op in ops)
     deletes = sum(op.method == "delete" and op.result is True for op in ops)
     assert len(history.full_scan) == scenario.num_keys + inserts - deletes
-    assert all(a.invoked_at <= b.invoked_at for a, b in zip(ops, ops[1:]))
-    responded = {}
-    for op in ops:
-        assert op.invoked_at <= op.responded_at
-        assert op.invoked_at >= responded.get(op.client, op.invoked_at)
-        responded[op.client] = op.responded_at
+    _check_order(ops)
     if "probe" in scenario.extras:
         assert history.observed["height"] == 3
     if "gc" in scenario.extras:
@@ -214,3 +235,39 @@ def test_a_typed_error_ends_the_operation_not_the_client():
     failed = [op for op in history.ops if isinstance(op.result, RetriesExhaustedError)]
     assert failed and all(op.responded_at is not None for op in failed)
     assert len(history.ops) == 80 and len(history.full_scan) == NUM_KEYS
+
+
+@pytest.mark.parametrize("design, partitioning, extras", [
+    ("fine-grained", "hash", ()),
+    ("fine-grained", "range", ("gcc",)),
+    ("coarse-grained", "range", ("gc",)),
+    ("hybrid", "range", ("probe",)),
+])
+def test_a_scenario_the_design_cannot_run_is_refused(monkeypatch, design, partitioning, extras):
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("a cluster was built")
+
+    monkeypatch.setattr("repro.workloads.history.Cluster", no_cluster)
+    with pytest.raises(ConfigurationError):
+        run_scenario(Scenario(design, lookups, partitioning, extras=extras))
+
+
+def test_a_kept_run_history_agrees_with_its_fold():
+    """The runner's kept ``Op``s are the history its window was folded from."""
+    dataset = generate_dataset(2_000)
+    cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=3))
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
+    cluster.attach_faults(FaultPlan(seed=4, drop_probability=0.2))
+    spec = WorkloadSpec(name="mix", point_fraction=0.5, insert_fraction=0.3, delete_fraction=0.2)
+    measure_from = cluster.now + 0.0005
+    result = WorkloadRunner(cluster, dataset).run(
+        index, spec, num_clients=6, warmup_s=0.0005, measure_s=0.002, keep_records=True
+    )
+    ops = result.raw_records
+    _check_order(ops)
+    assert {op.method for op in ops} <= set(OP_TYPES)
+    window = [op for op in ops if measure_from <= op.responded_at <= measure_from + 0.002]
+    errored = sum(isinstance(op.result, Exception) for op in window)
+    assert errored == sum(result.errors.values()) > 0
+    assert len(window) - errored == sum(result.op_counts.values())
+    assert {"insert", "delete"} <= {op.method for op in window}

@@ -212,6 +212,14 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             runner.run(index)
 
+    @pytest.mark.parametrize("ops_per_client", [0, -1])
+    def test_fixed_work_needs_an_operation_per_client(self, rig, ops_per_client):
+        cluster, ds, index = rig
+        with pytest.raises(ConfigurationError, match="ops_per_client"):
+            WorkloadRunner(cluster, ds).run(
+                index, workload_a(), num_clients=2, ops_per_client=ops_per_client
+            )
+
     def test_deterministic_given_seed(self):
         def once():
             ds = generate_dataset(1000)
