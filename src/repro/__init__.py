@@ -53,6 +53,7 @@ from repro.index import (
     RemoteCache,
     VerifyReport,
     cached_session,
+    check_tree,
     verify_index,
 )
 from repro.nam import Cluster, ComputeServer, MemoryServer
@@ -94,6 +95,7 @@ __all__ = [
     "RemoteCache",
     "cached_session",
     "VerifyReport",
+    "check_tree",
     "verify_index",
     "Cluster",
     "ComputeServer",

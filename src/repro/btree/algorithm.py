@@ -503,7 +503,7 @@ class BLinkTree:
         return None
 
     # ------------------------------------------------------------------ #
-    # introspection (testing / validation)                                #
+    # introspection (testing)                                             #
     # ------------------------------------------------------------------ #
 
     def height(self) -> Generator[Any, Any, int]:
@@ -511,62 +511,3 @@ class BLinkTree:
         raw_ptr = yield from self.root.refresh()
         node = yield from self._read_unlocked(raw_ptr)
         return node.level + 1
-
-    def validate(self, min_level: int = 0) -> Generator[Any, Any, Dict[str, int]]:
-        """Check structural invariants on a quiescent tree.
-
-        Verifies, level by level: sorted keys, keys within fences, sibling
-        chains ordered with the rightmost high key at MAX_KEY, and parent
-        separators matching child fences. Raises :class:`IndexError_` on
-        violation; returns summary statistics otherwise.
-
-        ``min_level`` stops the walk early — the hybrid design's inner
-        trees validate with ``min_level=1`` because their level-0 children
-        live on other servers.
-        """
-        root_ptr = yield from self.root.refresh()
-        root = yield from self._read_unlocked(root_ptr)
-        stats = {"height": root.level + 1, "nodes": 0, "leaves": 0, "entries": 0,
-                 "tombstones": 0}
-        leftmost = root_ptr
-        for level in range(root.level, min_level - 1, -1):
-            node = yield from self._read_unlocked(leftmost)
-            if node.level != level:
-                raise IndexError_(
-                    f"expected level {level} at {leftmost:#x}, found {node.level}"
-                )
-            next_leftmost = node.values[0] if node.is_inner and node.count else None
-            previous_high = 0
-            while True:
-                stats["nodes"] += 1
-                if node.keys != sorted(node.keys):
-                    raise IndexError_(f"unsorted keys in node at level {level}")
-                if node.keys and node.keys[0] < previous_high:
-                    raise IndexError_(
-                        f"key below low fence at level {level}: "
-                        f"{node.keys[0]} < {previous_high}"
-                    )
-                if any(k >= node.high_key for k in node.keys):
-                    raise IndexError_(f"key >= high fence at level {level}")
-                if node.is_leaf:
-                    stats["leaves"] += 1
-                    stats["entries"] += sum(
-                        0 if is_tombstoned(v) else 1 for v in node.values
-                    )
-                    stats["tombstones"] += sum(
-                        1 if is_tombstoned(v) else 0 for v in node.values
-                    )
-                previous_high = node.high_key
-                if is_null(node.right):
-                    break
-                node = yield from self._read_unlocked(node.right)
-            if previous_high != MAX_KEY:
-                raise IndexError_(
-                    f"rightmost node at level {level} has high key "
-                    f"{previous_high}, expected MAX_KEY"
-                )
-            if level > 0:
-                if next_leftmost is None:
-                    raise IndexError_(f"inner node at level {level} has no children")
-                leftmost = next_leftmost
-        return stats

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.config import AdmissionConfig, ClusterConfig, CpuConfig, ObservabilityConfig
 from repro.experiments.common import (
@@ -44,8 +44,9 @@ from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
 from repro.obs.attribution import (
     SEGMENTS,
-    aggregate_attributions,
     attribute_span_dict,
+    span_duration,
+    typical_vs_tail,
 )
 from repro.obs.export import retained_spans
 from repro.workloads import ArrivalProcess, TenantSpec, WorkloadSpec
@@ -180,24 +181,15 @@ def _tenant(capacity: float, skew: str, phase: str) -> TenantSpec:
 
 def _attribution_summary(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
     """Typical-vs-tail attribution shares over a snapshot's retained spans."""
-    attributed: List[Tuple[float, Dict[str, float]]] = []
-    for span in retained_spans(snapshot):
-        finished = span["finished_at"]
-        if finished is None:
-            finished = span["started_at"]
-        attributed.append(
-            (finished - span["started_at"], attribute_span_dict(span))
-        )
-    attributed.sort(key=lambda item: item[0])
-    if not attributed:
+    spans = retained_spans(snapshot)
+    diff = typical_vs_tail(
+        (span_duration(span), attribute_span_dict(span)) for span in spans
+    )
+    if not diff:
         return {"retained": 0, "p50_share": {}, "p99_share": {}, "top": ""}
-    typical = attributed[: max(1, len(attributed) // 2)]
-    tail = attributed[-max(1, len(attributed) // 100):]
-    p50 = aggregate_attributions(attr for _d, attr in typical)
-    p99 = aggregate_attributions(attr for _d, attr in tail)
-    top = max(SEGMENTS, key=lambda label: p99[label])
-    return {"retained": len(attributed), "p50_share": p50,
-            "p99_share": p99, "top": top}
+    p99 = diff["p99_share"]
+    return {"retained": len(spans), "p50_share": diff["p50_share"],
+            "p99_share": p99, "top": max(SEGMENTS, key=lambda label: p99[label])}
 
 
 def _measure_cell(

@@ -19,7 +19,7 @@ from repro.index.coarse_grained import CoarseGrainedIndex, CoarseGrainedSession
 from repro.index.fine_grained import FineGrainedIndex, FineGrainedSession
 from repro.index.gc import EpochGarbageCollector
 from repro.index.hybrid import HybridIndex, HybridSession
-from repro.index.verify import VerifyReport, verify_index
+from repro.index.verify import VerifyReport, check_tree, verify_index
 from repro.index.partitioning import (
     HashPartitioner,
     Partitioner,
@@ -58,5 +58,6 @@ __all__ = [
     "RangePartitioner",
     "RoundRobinPartitioner",
     "VerifyReport",
+    "check_tree",
     "verify_index",
 ]

@@ -1,53 +1,53 @@
 """Online tree-integrity verifier (the chaos-test oracle).
 
-:func:`verify_index` walks a distributed index *through the simulated
-fabric* — the same one-sided READs a client would issue — and checks every
-B-link invariant the designs rely on, plus the replication layer's
-byte-equality guarantee:
+:func:`check_tree` walks one B-link tree level by level and checks every
+structural invariant the designs rely on:
 
 * per level: keys sorted, inside the node's ``[low fence, high key)``
-  range, sibling chain strictly ordered with the rightmost high key at
-  ``MAX_KEY``, every node at its expected level, and every child pointer
-  of the level above on the chain;
+  range, sibling chain strictly ordered (no cycle) with the rightmost high
+  key at ``MAX_KEY``, every node at its expected level, and every child
+  pointer of the level above on the chain; every leaf head pointer names
+  a head node;
 * version words even (unlocked) — a lock stranded by a crashed client is
-  lease-stolen during the walk (and reported) rather than wedging it;
-* no orphaned pages: every allocated page is reachable from a root
-  or a head-node chain (advisory by default, see below);
+  lease-stolen during the walk (and reported) rather than wedging it.
+
+It is a generator returning a :class:`VerifyReport`: ``cluster.execute``
+runs it over a client tree handle, :func:`~repro.btree.inmemory.drive`
+over an in-memory tree. :func:`verify_index` runs it over every tree of
+an index *through the simulated fabric* — the same one-sided READs a
+client issues, so it composes with a still-running workload — and adds:
+
 * replica convergence: every live backup byte-identical to its primary;
 * the decode memo: every master whose version is its page's current word
-  is what those bytes decode to, live pairs included. Readers and writers
-  both fill the memo (``Cluster.decode_memo``), so this is the oracle for
-  a writer that published a node its page does not hold.
+  is what those bytes decode to, live pairs included — the oracle for a
+  writer that published a node its page does not hold;
+* orphan accounting: allocated pages reached from no root or head-node
+  chain, counted in ``report.unreachable_pages`` and never a violation,
+  since a root split legitimately abandons its old control word. It is
+  skipped when the catalog holds other indexes, whose pages look like
+  leaks.
 
-The walk runs as a simulation process and therefore composes with a still
--running workload (it sees a consistent B-link structure at every step, as
-any reader does); chaos tests run it after :meth:`FaultInjector.quiesce`
-so retries are not themselves faulted.
-
-Orphan accounting is *advisory* (reported, not a violation) unless
-``strict_orphans=True``: legitimately unreachable pages exist — a root
-split abandons its old control word, the epoch GC parks pages on free
-lists, and a promoted allocator deliberately leaks the dead primary's free
-list. It is also skipped entirely when the catalog holds other indexes
-(their pages are indistinguishable from leaks).
+Chaos tests run it after :meth:`FaultInjector.quiesce` so retries are not
+themselves faulted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Set
+from typing import Any, Dict, Generator, List, Optional, Set
 
+from repro.btree.algorithm import BLinkTree
 from repro.btree.node import MAX_KEY, Node, is_tombstoned
 from repro.btree.pointers import RemotePointer, is_null
 from repro.errors import ReproError
 from repro.nam.allocator import ALLOC_WORD_OFFSET
 
-__all__ = ["VerifyReport", "verify_index"]
+__all__ = ["VerifyReport", "check_tree", "verify_index"]
 
 
 @dataclass
 class VerifyReport:
-    """Outcome of one :func:`verify_index` run."""
+    """Outcome of one :func:`check_tree` or :func:`verify_index` run."""
 
     design: str
     index_name: str
@@ -86,22 +86,31 @@ class VerifyReport:
         )
 
 
-def _walk_tree(
-    tree, report: VerifyReport, reached: Set[int], label: str
-) -> Generator[Any, Any, None]:
-    """Level-by-level sibling-chain walk of one B-link tree, appending any
-    invariant violation to *report* (never raising mid-walk)."""
+def check_tree(
+    tree: BLinkTree,
+    label: str = "tree",
+    report: Optional[VerifyReport] = None,
+    seen: Optional[Set[int]] = None,
+) -> Generator[Any, Any, VerifyReport]:
+    """Walk one B-link tree; returns *report* (a new one by default) with
+    each violation appended under *label*, never raising mid-walk.
+    :func:`verify_index` passes one report and one *seen* set (the pages
+    walked so far) for all of an index's trees, so a page that two trees
+    reach is reported too."""
+    if report is None:
+        report = VerifyReport(design="b-link", index_name=label)
+    if seen is None:
+        seen = set()
     bad = report.violations
     steals_before = getattr(tree.acc, "lock_steals", 0)
     try:
         root_ptr = yield from tree.root.refresh()
     except ReproError as exc:  # pragma: no cover - diagnostic path
         bad.append(f"{label}: root pointer unreadable: {exc!r}")
-        return
+        return report
     root = yield from tree._read_unlocked(root_ptr)
     report.trees += 1
     leftmost = root_ptr
-    seen_pointers: Set[int] = set()
     head_pointers: Set[int] = set()
     # Child pointers of the level above: each must lie on the sibling
     # chain walked next. (A half-split sibling is on the chain before its
@@ -116,18 +125,17 @@ def _walk_tree(
                 f"{label}: expected level {level} at {leftmost:#x}, "
                 f"found {node.level}"
             )
-            return
+            return report
         next_leftmost = node.values[0] if node.is_inner and node.count else None
         previous_high = 0
         raw_ptr = leftmost
         chain: Set[int] = set()
         children: Set[int] = set()
         while True:
-            if raw_ptr in seen_pointers:
+            if raw_ptr in seen:
                 bad.append(f"{label}: sibling cycle through {raw_ptr:#x}")
-                return
-            seen_pointers.add(raw_ptr)
-            reached.add(raw_ptr)
+                return report
+            seen.add(raw_ptr)
             chain.add(raw_ptr)
             if node.is_inner:
                 children.update(node.values)
@@ -163,7 +171,7 @@ def _walk_tree(
                     f"{label}: level {node.level} node in level-{level} "
                     f"sibling chain at {raw_ptr:#x}"
                 )
-                return
+                return report
         if previous_high != MAX_KEY:
             bad.append(
                 f"{label}: rightmost node at level {level} has high key "
@@ -178,21 +186,21 @@ def _walk_tree(
         if level > 0:
             if next_leftmost is None:
                 bad.append(f"{label}: inner node at level {level} has no children")
-                return
+                return report
             leftmost = next_leftmost
     # Head-node chains hang off leaves; read each once so the pages are
     # checked (type + lock state) and counted reachable.
     for head_ptr in head_pointers:
-        if head_ptr in seen_pointers:
+        if head_ptr in seen:
             continue
-        seen_pointers.add(head_ptr)
-        reached.add(head_ptr)
+        seen.add(head_ptr)
         node = yield from tree._read_unlocked(head_ptr)
         report.nodes += 1
         report.head_nodes += 1
         if not node.is_head:
             bad.append(f"{label}: leaf head pointer {head_ptr:#x} is not a head node")
     report.stranded_locks += getattr(tree.acc, "lock_steals", 0) - steals_before
+    return report
 
 
 #: The decoded fields a memo master must share with its page's bytes.
@@ -219,7 +227,7 @@ def _check_memo(cluster, report: VerifyReport) -> None:
 
 
 def _orphan_accounting(
-    cluster, index, reached: Set[int], report: VerifyReport, strict: bool
+    cluster, index, reached: Set[int], report: VerifyReport
 ) -> None:
     if tuple(cluster.catalog.names()) != (index.name,):
         return  # other indexes own pages we cannot attribute
@@ -252,33 +260,20 @@ def _orphan_accounting(
             if offset not in accounted:
                 unreachable += 1
     report.unreachable_pages = unreachable
-    if strict and unreachable:
-        report.violations.append(
-            f"{unreachable} allocated pages unreachable from any root"
-        )
 
 
-def verify_index(
-    cluster,
-    index,
-    compute_server=None,
-    check_replicas: bool = True,
-    strict_orphans: bool = False,
-) -> VerifyReport:
+def verify_index(cluster, index) -> VerifyReport:
     """Verify *index*'s structural and replication invariants.
 
-    Drives a client-side walk through the simulator (see module
-    docstring) and returns a :class:`VerifyReport`; ``report.ok`` is the
-    one-line oracle chaos tests assert. The walk issues real simulated
-    traffic, so run it after the workload (or after
-    :meth:`FaultInjector.quiesce` under chaos) to keep measurements clean.
+    Runs :func:`check_tree` over each of the index's client trees through
+    the simulator (see module docstring) and returns one
+    :class:`VerifyReport`; ``report.ok`` is the one-line oracle chaos
+    tests assert. The walk issues real simulated traffic, so run it after
+    the workload (or after :meth:`FaultInjector.quiesce` under chaos) to
+    keep measurements clean.
     """
-    if compute_server is None:
-        compute_server = (
-            cluster.compute_servers[0]
-            if cluster.compute_servers
-            else cluster.new_compute_server()
-        )
+    servers = cluster.compute_servers
+    compute_server = servers[0] if servers else cluster.new_compute_server()
     report = VerifyReport(design=index.design, index_name=index.name)
     reached: Set[int] = set()
     _check_memo(cluster, report)
@@ -290,19 +285,16 @@ def verify_index(
 
     def walk_all() -> Generator[Any, Any, None]:
         for label, tree in index.client_trees(compute_server):
-            yield from _walk_tree(tree, report, reached, label)
+            yield from check_tree(tree, label, report, reached)
 
     cluster.execute(walk_all())
-    _orphan_accounting(cluster, index, reached, report, strict_orphans)
-    if check_replicas and cluster.replication is not None:
+    _orphan_accounting(cluster, index, reached, report)
+    if cluster.replication is not None:
         for server in cluster.memory_servers:
             divergences = cluster.replication.replica_divergences(server.server_id)
-            live = [
-                copy
-                for copy in cluster.replication.replica_set(server.server_id)
-                if copy.live
-            ]
-            report.replicas_checked += max(0, len(live) - 1)
+            copies = cluster.replication.replica_set(server.server_id)
+            live = sum(1 for copy in copies if copy.live)
+            report.replicas_checked += max(0, live - 1)
             for message in divergences:
                 report.violations.append(f"replica divergence: {message}")
     if report.violations and cluster.obs is not None:

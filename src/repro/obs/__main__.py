@@ -35,7 +35,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping
 
-from repro.obs.attribution import SEGMENTS, aggregate_attributions, attribute_span_dict
+from repro.obs.attribution import (
+    SEGMENTS,
+    attribute_span_dict,
+    span_duration,
+    typical_vs_tail,
+)
 from repro.obs.config import ObservabilityConfig
 from repro.obs.export import chrome_trace, retained_spans
 
@@ -93,47 +98,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # -- report ---------------------------------------------------------------------
 
 
-def _span_duration(span: Mapping[str, Any]) -> float:
-    finished = span["finished_at"]
-    if finished is None:
-        finished = span["started_at"]
-    return finished - span["started_at"]
-
-
 def report_data(snapshot: Mapping[str, Any], top_k: int) -> Dict[str, Any]:
     """The ``report`` verb's payload: top-K slowest ops with attribution,
     plus the typical-vs-tail (p50 vs p99) aggregate share diff."""
-    spans = retained_spans(snapshot)
-    rows = sorted(
-        (
-            {
-                "op_id": span["op_id"],
-                "name": span["name"],
-                "client_id": span["client_id"],
-                "duration_s": _span_duration(span),
-                "attribution": attribute_span_dict(span),
-            }
-            for span in spans
-        ),
-        key=lambda row: row["duration_s"],
-        reverse=True,
-    )
-    diff: Dict[str, Any] = {}
-    if rows:
-        # "p50" = the fastest half (a typical op); "p99" = the slowest
-        # 1% of retained ops, at least one — the tail being diagnosed.
-        by_speed = list(reversed(rows))
-        typical = by_speed[: max(1, len(rows) // 2)]
-        tail = rows[: max(1, len(rows) // 100)]
-        p50 = aggregate_attributions(row["attribution"] for row in typical)
-        p99 = aggregate_attributions(row["attribution"] for row in tail)
-        diff = {
-            "p50_share": p50,
-            "p99_share": p99,
-            "delta": {label: p99[label] - p50[label] for label in SEGMENTS},
-            "typical_ops": len(typical),
-            "tail_ops": len(tail),
+    rows = [
+        {
+            "op_id": span["op_id"],
+            "name": span["name"],
+            "client_id": span["client_id"],
+            "duration_s": span_duration(span),
+            "attribution": attribute_span_dict(span),
         }
+        for span in retained_spans(snapshot)
+    ]
+    diff = typical_vs_tail((row["duration_s"], row["attribution"]) for row in rows)
+    rows.sort(key=lambda row: row["duration_s"], reverse=True)
     return {
         "kind": "obs-report",
         "retained_ops": len(rows),
@@ -194,7 +173,7 @@ def _print_flight_bundle(bundle: Mapping[str, Any], top_k: int) -> None:
             "op_id": op["op_id"],
             "name": op["name"],
             "client_id": op["client_id"],
-            "duration_s": _span_duration(op),
+            "duration_s": span_duration(op),
             "attribution": bundle.get("attribution") or attribute_span_dict(op),
         }
         print("\ntriggering op (all times in us):")

@@ -52,6 +52,8 @@ __all__ = [
     "attribute_intervals",
     "attribute_span_dict",
     "aggregate_attributions",
+    "span_duration",
+    "typical_vs_tail",
 ]
 
 #: The closed taxonomy, in attribution-priority order (highest first).
@@ -168,6 +170,17 @@ def _iter_span_dicts(span: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:
         yield from _iter_span_dicts(child)
 
 
+def _span_end(span: Mapping[str, Any]) -> float:
+    """When a span dict finished (where it started, while unfinished)."""
+    finished = span["finished_at"]
+    return span["started_at"] if finished is None else finished
+
+
+def span_duration(span: Mapping[str, Any]) -> float:
+    """A span dict's wall time in seconds (zero while unfinished)."""
+    return _span_end(span) - span["started_at"]
+
+
 def attribute_span_dict(span: Mapping[str, Any]) -> Dict[str, float]:
     """Attribution of one span dict (the shape :meth:`OpSpan.as_dict`
     exports — what snapshots and flight bundles carry).
@@ -177,9 +190,7 @@ def attribute_span_dict(span: Mapping[str, Any]) -> Dict[str, float]:
     base cover.
     """
     started = span["started_at"]
-    finished = span["finished_at"]
-    if finished is None:
-        finished = started
+    finished = _span_end(span)
     intervals = [
         (label, float(start), float(end))
         for label, start, end in span.get("segments", ())
@@ -213,3 +224,26 @@ def aggregate_attributions(
     if count == 0:
         return totals
     return {label: totals[label] / count for label in SEGMENTS}
+
+
+def typical_vs_tail(
+    attributed: Iterable[Tuple[float, Mapping[str, float]]],
+) -> Dict[str, Any]:
+    """Shares of the typical ops (the fastest half) against the tail's
+    (the slowest 1 %), each at least one op, over ``(duration,
+    attribution)`` pairs in a stable ascending sort by duration: ``{}``
+    for no ops, else both shares, their ``delta`` and both op counts."""
+    ordered = sorted(attributed, key=lambda item: item[0])
+    if not ordered:
+        return {}
+    typical = ordered[: max(1, len(ordered) // 2)]
+    tail = ordered[-max(1, len(ordered) // 100):]
+    p50 = aggregate_attributions(attribution for _d, attribution in typical)
+    p99 = aggregate_attributions(attribution for _d, attribution in tail)
+    return {
+        "p50_share": p50,
+        "p99_share": p99,
+        "delta": {label: p99[label] - p50[label] for label in SEGMENTS},
+        "typical_ops": len(typical),
+        "tail_ops": len(tail),
+    }

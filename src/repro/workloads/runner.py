@@ -194,6 +194,14 @@ def draw_ops(
             insert_seq += 1
 
 
+def _check_window(warmup_s: float, measure_s: float) -> None:
+    """Refuse a timed window that cannot be measured."""
+    if not measure_s > 0:
+        raise ConfigurationError(f"measure_s must be > 0, got {measure_s}")
+    if not warmup_s >= 0:
+        raise ConfigurationError(f"warmup_s must be >= 0, got {warmup_s}")
+
+
 class WorkloadRunner:
     """Drives one workload against one index on a cluster."""
 
@@ -245,7 +253,9 @@ class WorkloadRunner:
         num_clients = sum(count for _spec, count in populations)
         if num_clients < 1:
             raise ConfigurationError("need at least one client")
-        if ops_per_client is not None and ops_per_client < 1:
+        if ops_per_client is None:
+            _check_window(warmup_s, measure_s)
+        elif ops_per_client < 1:
             raise ConfigurationError("ops_per_client must be >= 1")
         run = _Run(self.cluster, index, [] if keep_records else None)
         client_id = 0
@@ -302,6 +312,7 @@ class WorkloadRunner:
         names = [tenant.name for tenant in tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate tenant names: {names}")
+        _check_window(warmup_s, measure_s)
         run = _Run(self.cluster, index)
         start_time = self.cluster.now
         running = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Cluster, ClusterConfig, HybridIndex
+from repro import Cluster, ClusterConfig, HybridIndex, check_tree
 from repro.rdma.verbs import Verb, VerbStats
 from repro.sim import BandwidthChannel, Simulator
 
@@ -63,17 +63,21 @@ def test_hybrid_gc_tree_and_start_gc(dataset):
     for i in range(100):
         cluster.execute(session.delete(dataset.key_at(i)))
     # gc_tree gives a one-sided handle over one partition; the partition
-    # validates end-to-end (inner levels read one-sided by the GC thread).
+    # passes the walk end to end (inner levels read one-sided, as the GC
+    # thread reads them).
     tree = index.gc_tree(compute, 0)
-    stats = cluster.execute(tree.validate())
-    assert stats["tombstones"] == 100  # keys 0..99 live in partition 0
+    report = cluster.execute(check_tree(tree))
+    assert report.ok, report.violations
+    assert report.tombstones == 100  # keys 0..99 live in partition 0
     collectors = index.start_gc(compute, epoch_s=0.0005)
     cluster.run(until=cluster.now + 0.002)
     for collector in collectors:
         collector.stopped = True
     removed = sum(collector.entries_removed for collector in collectors)
     assert removed == 100
-    assert cluster.execute(tree.validate())["tombstones"] == 0
+    report = cluster.execute(check_tree(tree))
+    assert report.ok, report.violations
+    assert report.tombstones == 0
     assert cluster.execute(session.lookup(dataset.key_at(150))) == [150]
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BLinkTree, MAX_KEY
+from repro import check_tree
+from repro.btree import BLinkTree, MAX_KEY, is_null
 from repro.btree.inmemory import InMemoryAccessor, InMemoryRootRef, drive
 from repro.errors import IndexError_
 
@@ -58,15 +59,17 @@ class TestSplitsAndGrowth:
         assert drive(tree.height()) >= 3
         for key in (0, 1, 250, 499):
             assert drive(tree.lookup(key)) == [key * 10]
-        stats = drive(tree.validate())
-        assert stats["entries"] == n
+        report = drive(check_tree(tree))
+        assert report.ok, report.violations
+        assert report.entries == n
 
     def test_reverse_order_inserts(self):
         tree, _ = make_tree(page_size=256)
         for key in reversed(range(300)):
             drive(tree.insert(key, key))
-        stats = drive(tree.validate())
-        assert stats["entries"] == 300
+        report = drive(check_tree(tree))
+        assert report.ok, report.violations
+        assert report.entries == 300
         assert drive(tree.lookup(0)) == [0]
         assert drive(tree.lookup(299)) == [299]
 
@@ -78,7 +81,9 @@ class TestSplitsAndGrowth:
         random.Random(5).shuffle(keys)
         for key in keys:
             drive(tree.insert(key, key + 1))
-        assert drive(tree.validate())["entries"] == 400
+        report = drive(check_tree(tree))
+        assert report.ok, report.violations
+        assert report.entries == 400
         scan = drive(tree.range_scan(0, 400))
         assert scan == [(key, key + 1) for key in range(400)]
 
@@ -101,7 +106,8 @@ class TestSplitsAndGrowth:
         assert drive(tree.lookup(10)) == [1]
         assert drive(tree.lookup(90)) == [2]
         assert len(drive(tree.lookup(50))) == capacity
-        drive(tree.validate())
+        report = drive(check_tree(tree))
+        assert report.ok, report.violations
 
 
 class TestRangeScan:
@@ -157,25 +163,92 @@ class TestDelete:
         assert drive(tree.lookup(5)) == [51]
 
 
+#: One corruption per check of the walk, and the violation it must report.
+_CORRUPTIONS = [
+    ("unsorted", "unsorted keys at level 0"),
+    ("past high key", "key >= high fence at level 0"),
+    ("below low fence", "key below low fence at level 0"),
+    ("wrong level", "level 1 node in level-0 sibling chain"),
+    ("short rightmost", "rightmost node at level 0 has high key"),
+    ("cycle", "sibling cycle through"),
+    ("child off the chain", "is not on the level-0 sibling chain"),
+    ("head is a leaf", "is not a head node"),
+]
+
+
 class TestValidate:
     def test_validate_reports_structure(self):
         tree, _ = make_tree(page_size=256)
         for key in range(200):
             drive(tree.insert(key, key))
-        stats = drive(tree.validate())
-        assert stats["entries"] == 200
-        assert stats["leaves"] > 1
-        assert stats["height"] >= 2
-        assert stats["nodes"] >= stats["leaves"]
+        report = drive(check_tree(tree))
+        assert report.ok, report.violations
+        assert report.entries == 200
+        assert report.leaves > 1
+        assert drive(tree.height()) >= 2
+        assert report.nodes >= report.leaves
 
     def test_validate_counts_tombstones(self):
         tree, _ = make_tree()
         for key in range(10):
             drive(tree.insert(key, key))
         drive(tree.delete(3))
-        stats = drive(tree.validate())
-        assert stats["tombstones"] == 1
-        assert stats["entries"] == 9
+        report = drive(check_tree(tree))
+        assert report.ok, report.violations
+        assert report.tombstones == 1
+        assert report.entries == 9
+
+    @pytest.mark.parametrize(
+        "case, violation", _CORRUPTIONS, ids=[case for case, _ in _CORRUPTIONS]
+    )
+    def test_walk_reports_each_violation(self, case, violation):
+        tree, acc = make_tree(page_size=256)
+        for key in range(40):
+            drive(tree.insert(key, key))
+        assert drive(check_tree(tree)).ok
+
+        def read(raw_ptr):
+            return drive(acc.read_node(raw_ptr))
+
+        def copy_of(raw_ptr):
+            copy = drive(acc.alloc(0))
+            drive(acc.write_node(copy, read(raw_ptr)))
+            return copy
+
+        root_ptr = drive(tree.root.get())
+        assert read(root_ptr).level == 1
+        leaves = [read(root_ptr).values[0]]
+        while not is_null(read(leaves[-1]).right):
+            leaves.append(read(leaves[-1]).right)
+        assert len(leaves) >= 3
+        # case -> (page to corrupt, field, its new value from the old node)
+        edits = {
+            "unsorted": (leaves[1], "keys", lambda node: node.keys[::-1]),
+            "past high key": (
+                leaves[1], "keys", lambda node: node.keys[:-1] + [node.high_key]
+            ),
+            "below low fence": (
+                leaves[1], "keys",
+                lambda node: [read(leaves[0]).high_key - 1] + node.keys[1:],
+            ),
+            "wrong level": (leaves[1], "level", lambda node: 1),
+            "short rightmost": (
+                leaves[-1], "high_key", lambda node: node.keys[-1] + 1
+            ),
+            "cycle": (leaves[-1], "right", lambda node: leaves[0]),
+            "child off the chain": (
+                root_ptr, "values",
+                lambda node: [node.values[0], copy_of(leaves[1])] + node.values[2:],
+            ),
+            "head is a leaf": (leaves[1], "head", lambda node: copy_of(leaves[2])),
+        }
+        page, name, value = edits[case]
+        node = read(page)
+        setattr(node, name, value(node))
+        drive(acc.write_node(page, node))
+        report = drive(check_tree(tree))
+        assert len(report.violations) == 1, report.violations
+        assert violation in report.violations[0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -209,4 +282,5 @@ def test_model_based_property(ops):
         (key, payload) for key, payloads in model.items() for payload in payloads
     )
     assert drive(tree.range_scan(0, 100)) == expected
-    drive(tree.validate())
+    report = drive(check_tree(tree))
+    assert report.ok, report.violations

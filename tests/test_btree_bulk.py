@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from repro import Cluster, ClusterConfig
+from repro import Cluster, ClusterConfig, check_tree
 from repro.btree import BLinkTree, bulk_load, is_null, key_columns
 from repro.btree.inmemory import InMemoryAccessor, InMemoryRootRef, drive
 from repro.btree.pointers import encode_pointer
@@ -85,9 +85,10 @@ def test_loaded_tree_is_valid_and_complete():
     pairs = [(k * 2, k) for k in range(1000)]
     result, sink = load(pairs)
     tree = tree_over(result, sink)
-    stats = drive(tree.validate())
-    assert stats["entries"] == 1000
-    assert stats["leaves"] == result.num_leaves
+    report = drive(check_tree(tree))
+    assert report.ok, report.violations
+    assert report.entries == 1000
+    assert report.leaves == result.num_leaves
     assert drive(tree.range_scan(0, 2000)) == pairs
     for key, value in pairs[::97]:
         assert drive(tree.lookup(key)) == [value]
@@ -119,7 +120,8 @@ def test_duplicate_runs_never_straddle_leaves():
     tree = tree_over(result, sink)
     for key in (0, 17, 50, 99):
         assert len(drive(tree.lookup(key))) == 6
-    drive(tree.validate())
+    report = drive(check_tree(tree))
+    assert report.ok, report.violations
 
 
 def test_oversized_duplicate_run_rejected():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Cluster, ClusterConfig, CoarseGrainedIndex, FineGrainedIndex
+from repro import Cluster, ClusterConfig, CoarseGrainedIndex, FineGrainedIndex, check_tree
 from repro.btree import key_columns
 from repro.errors import (
     AllocationError,
@@ -124,4 +124,5 @@ def test_index_survives_failed_operation(cluster, dataset):
     cluster.execute(session.insert(7, 42))
     assert cluster.execute(session.lookup(7)) == [42]
     tree = index.tree_for(cluster.new_compute_server())
-    cluster.execute(tree.validate())
+    report = cluster.execute(check_tree(tree))
+    assert report.ok, report.violations

@@ -28,6 +28,7 @@ from repro import (
     RetryConfig,
     ServerCrash,
     TimeoutError_,
+    check_tree,
     verify_index,
 )
 from repro.btree import key_columns
@@ -53,8 +54,8 @@ def _build(design, cluster, pairs, key_space):
     return HybridIndex.build(cluster, "idx", *key_columns(pairs), key_space=key_space)
 
 
-def _validate_all(design, cluster, index):
-    """Run the structural validator over every tree of the index."""
+def _check_all_trees(design, cluster, index):
+    """Check every tree of the index; returns their live entry count."""
     compute = cluster.new_compute_server()
     if design == "fine-grained":
         trees = [index.tree_for(compute)]
@@ -69,8 +70,9 @@ def _validate_all(design, cluster, index):
         ]
     total = 0
     for tree in trees:
-        stats = cluster.execute(tree.validate())
-        total += stats["entries"]
+        report = cluster.execute(check_tree(tree))
+        assert report.ok, report.violations
+        total += report.entries
     return total
 
 
@@ -291,7 +293,7 @@ def test_chaos_workload_never_corrupts_tree(design):
     scan = cluster.execute(session.range_scan(0, dataset.key_space * 2))
     keys = [key for key, _value in scan]
     assert keys == sorted(keys)
-    assert _validate_all(design, cluster, index) > 0
+    assert _check_all_trees(design, cluster, index) > 0
     report = verify_index(cluster, index)
     assert report.ok, report.violations
 
@@ -381,10 +383,11 @@ def test_acceptance_drop_crash_scan_matches_oracle():
         (key, value) for key, values in oracle.items() for value in values
     }
     assert set(scan) == expected
-    stats = cluster.execute(
-        index.tree_for(cluster.new_compute_server()).validate()
+    report = cluster.execute(
+        check_tree(index.tree_for(cluster.new_compute_server()))
     )
-    assert stats["entries"] >= len(oracle)
+    assert report.ok, report.violations
+    assert report.entries >= len(oracle)
     report = verify_index(cluster, index)
     assert report.ok, report.violations
     assert report.entries >= len(oracle)

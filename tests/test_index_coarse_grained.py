@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Cluster, ClusterConfig, CoarseGrainedIndex
+from repro import Cluster, ClusterConfig, CoarseGrainedIndex, check_tree
 from repro.btree.algorithm import BLinkTree
 from repro.errors import ConfigurationError
 from repro.index.partitioning import HashPartitioner, RangePartitioner
@@ -16,8 +16,9 @@ def test_pages_stay_on_partition_owner(cluster, dataset):
     # Each server's tree validates locally: all pointers are local.
     total = 0
     for server_id in range(4):
-        stats = cluster.execute(index.local_tree(server_id).validate())
-        total += stats["entries"]
+        report = cluster.execute(check_tree(index.local_tree(server_id)))
+        assert report.ok, report.violations
+        total += report.entries
     assert total == dataset.num_keys
 
 
@@ -26,10 +27,12 @@ def test_partition_sizes_follow_skew_fractions(cluster, dataset):
     index = CoarseGrainedIndex.build(
         cluster, "idx", *dataset.columns(), partitioner=partitioner
     )
-    sizes = [
-        cluster.execute(index.local_tree(server_id).validate())["entries"]
+    reports = [
+        cluster.execute(check_tree(index.local_tree(server_id)))
         for server_id in range(4)
     ]
+    assert all(report.ok for report in reports)
+    sizes = [report.entries for report in reports]
     assert sizes[0] == pytest.approx(0.80 * dataset.num_keys, rel=0.02)
     assert sizes[3] == pytest.approx(0.03 * dataset.num_keys, rel=0.2)
 
@@ -133,5 +136,6 @@ def test_colocated_insert_keeps_pages_on_owner(dataset):
     # landed on a foreign server (local trees assert same-server pointers).
     for i in range(200):
         cluster.execute(session.insert(dataset.key_at(20) + 1 + (i % 7), i))
-    stats = cluster.execute(index.local_tree(0).validate())
-    assert stats["entries"] == dataset.num_keys // 4 + 200
+    report = cluster.execute(check_tree(index.local_tree(0)))
+    assert report.ok, report.violations
+    assert report.entries == dataset.num_keys // 4 + 200

@@ -8,6 +8,7 @@ from repro import (
     CoarseGrainedIndex,
     FineGrainedIndex,
     HybridIndex,
+    check_tree,
     verify_index,
 )
 from repro.btree.node import MAX_KEY
@@ -231,8 +232,9 @@ class TestClientTrees:
         handles = index.client_trees(cluster.new_compute_server())
         labels = [label for label, _tree in handles]
         assert len(set(labels)) == len(labels) == self.VERIFIED[index.design][0]
-        entries = [cluster.execute(tree.validate())["entries"] for _, tree in handles]
-        assert sum(entries) == dataset.num_keys
+        reports = [cluster.execute(check_tree(tree, label)) for label, tree in handles]
+        assert [r.violations for r in reports] == [[] for _ in handles]
+        assert sum(report.entries for report in reports) == dataset.num_keys
 
     def test_verifier_counts_are_pinned(self, setup):
         cluster, _dataset, index, _session = setup

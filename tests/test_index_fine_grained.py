@@ -1,6 +1,6 @@
 """Design-specific tests for the fine-grained (one-sided) index."""
 
-from repro import Cluster, ClusterConfig, FineGrainedIndex
+from repro import Cluster, ClusterConfig, FineGrainedIndex, check_tree
 from repro.btree import key_columns
 from repro.rdma.verbs import Verb
 
@@ -84,9 +84,10 @@ def test_root_split_updates_remote_root_word(dataset):
         cluster.execute(session.insert(i * 2, i))
     fresh = index.session(cluster.new_compute_server())
     tree = index.tree_for(cluster.new_compute_server())
-    stats = cluster.execute(tree.validate())
-    assert stats["entries"] == 200
-    assert stats["height"] >= 2
+    report = cluster.execute(check_tree(tree))
+    assert report.ok, report.violations
+    assert report.entries == 200
+    assert cluster.execute(tree.height()) >= 2
     assert cluster.execute(fresh.lookup(100)) == [50]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Cluster, ClusterConfig, EpochGarbageCollector, FineGrainedIndex
+from repro import Cluster, ClusterConfig, EpochGarbageCollector, FineGrainedIndex, check_tree
 from repro.btree import BLinkTree
 from repro.btree.inmemory import InMemoryAccessor, InMemoryRootRef, drive
 
@@ -21,14 +21,16 @@ def test_sweep_removes_tombstones(fg_setup):
     for i in range(0, 200, 2):
         cluster.execute(session.delete(dataset.key_at(i)))
     tree = index.tree_for(compute)
-    before = cluster.execute(tree.validate())
-    assert before["tombstones"] == 100
+    before = cluster.execute(check_tree(tree))
+    assert before.ok, before.violations
+    assert before.tombstones == 100
     gc = EpochGarbageCollector(cluster.sim, index.tree_for(compute))
     stats = cluster.execute(gc.sweep())
     assert stats["removed"] == 100
-    after = cluster.execute(tree.validate())
-    assert after["tombstones"] == 0
-    assert after["entries"] == before["entries"]
+    after = cluster.execute(check_tree(tree))
+    assert after.ok, after.violations
+    assert after.tombstones == 0
+    assert after.entries == before.entries
 
 
 def test_deleted_keys_stay_deleted_after_sweep(fg_setup):
@@ -76,7 +78,8 @@ def test_sweep_with_concurrent_writers(fg_setup):
     cluster.execute(gc.sweep())
     got = cluster.execute(session.range_scan(0, dataset.key_space))
     assert len(got) == dataset.num_keys  # 100 deleted, 100 inserted
-    cluster.execute(index.tree_for(compute).validate())
+    report = cluster.execute(check_tree(index.tree_for(compute)))
+    assert report.ok, report.violations
 
 
 def test_head_rebuild_restores_prefetchability(fg_setup):
@@ -156,4 +159,6 @@ def test_gc_on_in_memory_tree():
     gc = EpochGarbageCollector(Simulator(), tree)
     stats = drive(gc.sweep())
     assert stats["removed"] == 34
-    assert drive(tree.validate())["tombstones"] == 0
+    report = drive(check_tree(tree))
+    assert report.ok, report.violations
+    assert report.tombstones == 0

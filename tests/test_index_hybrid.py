@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Cluster, ClusterConfig, HybridIndex, TreeConfig, verify_index
+from repro import Cluster, ClusterConfig, HybridIndex, TreeConfig, check_tree, verify_index
 from repro.btree import key_columns
 from repro.btree.pointers import RemotePointer
 from repro.index.partitioning import HashPartitioner, RoundRobinPartitioner
@@ -60,11 +60,12 @@ def test_leaf_split_installs_separator_via_rpc(cluster, dataset):
     fresh = index.session(cluster.new_compute_server())
     got = cluster.execute(fresh.range_scan(target, target + 8))
     assert len(got) == 151
-    # The owner's inner tree grew (validated down to level 1 only — the
-    # leaves live on other servers).
-    inner = index.inner_tree(0)
-    stats = cluster.execute(inner.validate(min_level=1))
-    assert stats["height"] >= 2
+    # The owner's inner tree grew. The one-sided handle walks it down
+    # through the seam to the leaves, which live on other servers.
+    tree = index.gc_tree(cluster.new_compute_server(), 0)
+    report = cluster.execute(check_tree(tree))
+    assert report.ok, report.violations
+    assert cluster.execute(tree.height()) >= 2
 
 
 def test_cross_partition_scan_with_heads(cluster, dataset):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Cluster, ClusterConfig, FineGrainedIndex, HybridIndex
+from repro import Cluster, ClusterConfig, FineGrainedIndex, HybridIndex, check_tree
 from repro.errors import TimeoutError_
 from repro.rdma.faults import FaultPlan
 from repro.workloads import generate_dataset
@@ -183,9 +183,10 @@ def test_index_under_faults_matches_uncertainty_oracle(ops, plan_seed):
     for k in set(certain) | set(by_key):
         k_lo, k_hi = bounds(k)
         assert k_lo <= by_key.get(k, set()) <= k_hi
-    cluster.execute(
-        index.tree_for(cluster.new_compute_server()).validate()
+    report = cluster.execute(
+        check_tree(index.tree_for(cluster.new_compute_server()))
     )
+    assert report.ok, report.violations
 
 
 class TestStalePointers:
@@ -275,6 +276,8 @@ def test_concurrent_mixed_ops_preserve_invariants():
 
     procs = [cluster.spawn(client(cid)) for cid in range(24)]
     cluster.sim.run_until_complete(cluster.sim.all_of(procs))
-    stats = cluster.execute(index.tree_for(compute).validate())
-    assert stats["entries"] > dataset.num_keys / 2
-    assert stats["height"] >= 2
+    tree = index.tree_for(compute)
+    report = cluster.execute(check_tree(tree))
+    assert report.ok, report.violations
+    assert report.entries > dataset.num_keys / 2
+    assert cluster.execute(tree.height()) >= 2

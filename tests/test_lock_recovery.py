@@ -18,6 +18,7 @@ from repro import (
     FaultPlan,
     FineGrainedIndex,
     RetryConfig,
+    check_tree,
     verify_index,
 )
 from repro.btree.pointers import RemotePointer
@@ -128,10 +129,11 @@ def test_survivor_steals_lock_and_completes_insert(rig):
     values = cluster.execute(index.session(survivor).lookup(key))
     assert 222 in values
     assert set(values) <= {111, 222, 11}
-    stats = cluster.execute(
-        index.tree_for(cluster.new_compute_server()).validate()
+    report = cluster.execute(
+        check_tree(index.tree_for(cluster.new_compute_server()))
     )
-    assert stats["entries"] >= 400
+    assert report.ok, report.violations
+    assert report.entries >= 400
     report = verify_index(cluster, index)
     assert report.ok, report.violations
 
@@ -185,10 +187,11 @@ def test_scheduled_compute_crash_during_workload(rig):
     injector.kill_compute_server(victims_cs.server_id)
     cluster.sim.run_until_complete(cluster.sim.all_of(survivor_procs))
 
-    stats = cluster.execute(
-        index.tree_for(cluster.new_compute_server()).validate()
+    report = cluster.execute(
+        check_tree(index.tree_for(cluster.new_compute_server()))
     )
-    assert stats["entries"] >= 400 + 4 * 150
+    assert report.ok, report.violations
+    assert report.entries >= 400 + 4 * 150
     assert injector.stats["killed_processes"] == 2
     # The online verifier agrees — and lease-steals any lock the killed
     # clients left behind along the way.

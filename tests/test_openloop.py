@@ -213,6 +213,25 @@ class TestOpenLoopRunner:
         with pytest.raises(ConfigurationError):
             runner.run_open(index, [])
 
+    @pytest.mark.parametrize(
+        "warmup_s, measure_s, name",
+        [(0.0005, 0.0, "measure_s"), (0.0005, -0.002, "measure_s"),
+         (-0.0005, 0.002, "warmup_s")],
+    )
+    def test_timed_window_must_be_measurable(self, warmup_s, measure_s, name):
+        cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=1))
+        dataset = generate_dataset(500, gap=4)
+        index = CoarseGrainedIndex.build(cluster, "idx", *dataset.columns())
+        tenant = TenantSpec(
+            name="a", workload=READS,
+            arrivals=ArrivalProcess(rate_ops_per_s=1000.0),
+        )
+        with pytest.raises(ConfigurationError, match=name):
+            WorkloadRunner(cluster, dataset).run_open(
+                index, [tenant], warmup_s=warmup_s, measure_s=measure_s
+            )
+        assert not cluster.compute_servers  # refused before any client spawned
+
     def test_a_crashed_compute_server_completes_no_operation(self):
         """Every arrival is a process on its session's compute server: the
         crash kills the ones in flight, and an arrival after it is killed

@@ -15,6 +15,7 @@ from repro import (
     CoarseGrainedIndex,
     FineGrainedIndex,
     HybridIndex,
+    check_tree,
 )
 from repro.workloads import generate_dataset
 
@@ -69,17 +70,11 @@ def test_mixed_ops_with_concurrent_gc(cls):
     assert len(got) == expected
 
     if cls is FineGrainedIndex:
-        stats = cluster.execute(index.tree_for(compute).validate())
-        assert stats["entries"] == expected
+        trees = [index.tree_for(compute)]
     elif cls is CoarseGrainedIndex:
-        total = sum(
-            cluster.execute(index.local_tree(s).validate())["entries"]
-            for s in range(4)
-        )
-        assert total == expected
+        trees = [index.local_tree(s) for s in range(4)]
     else:
-        total = sum(
-            cluster.execute(index.gc_tree(compute, s).validate())["entries"]
-            for s in range(4)
-        )
-        assert total == expected
+        trees = [index.gc_tree(compute, s) for s in range(4)]
+    reports = [cluster.execute(check_tree(tree)) for tree in trees]
+    assert [report.violations for report in reports] == [[] for _ in trees]
+    assert sum(report.entries for report in reports) == expected

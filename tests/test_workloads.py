@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro import Cluster, ClusterConfig, FineGrainedIndex
+from repro import Cluster, ClusterConfig, FineGrainedIndex, check_tree
 from repro.errors import ConfigurationError
 from repro.workloads import (
     OpType,
@@ -196,8 +196,8 @@ class TestRunner:
         assert result.op_counts.get(OpType.POINT, 0) > 0
         # GC swept at least once during the run and the tree stayed sound.
         assert gc.sweeps >= 1
-        tree = index.tree_for(compute)
-        cluster.execute(tree.validate())
+        report = cluster.execute(check_tree(index.tree_for(compute)))
+        assert report.ok, report.violations
 
     def test_workload_e_fractions(self):
         from repro.workloads import workload_e
@@ -219,6 +219,20 @@ class TestRunner:
             WorkloadRunner(cluster, ds).run(
                 index, workload_a(), num_clients=2, ops_per_client=ops_per_client
             )
+
+    @pytest.mark.parametrize(
+        "warmup_s, measure_s, name",
+        [(0.0005, 0.0, "measure_s"), (0.0005, -0.002, "measure_s"),
+         (-0.0005, 0.002, "warmup_s")],
+    )
+    def test_timed_run_needs_a_measurable_window(self, rig, warmup_s, measure_s, name):
+        cluster, ds, index = rig
+        with pytest.raises(ConfigurationError, match=name):
+            WorkloadRunner(cluster, ds).run(
+                index, workload_a(), num_clients=2,
+                warmup_s=warmup_s, measure_s=measure_s,
+            )
+        assert not cluster.compute_servers  # refused before any client spawned
 
     def test_deterministic_given_seed(self):
         def once():
