@@ -50,9 +50,7 @@ from repro.index import (
     HybridIndex,
     IndexSession,
     RangePartitioner,
-    RemoteCache,
     VerifyReport,
-    cached_session,
     check_tree,
     verify_index,
 )
@@ -92,8 +90,6 @@ __all__ = [
     "HybridIndex",
     "IndexSession",
     "RangePartitioner",
-    "RemoteCache",
-    "cached_session",
     "VerifyReport",
     "check_tree",
     "verify_index",

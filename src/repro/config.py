@@ -275,14 +275,10 @@ class CacheConfig:
 
     #: Top tree levels cached per client (0 disables the cache).
     depth: int = 0
-    #: LRU capacity in pages, per client session.
-    capacity: int = 4096
 
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ConfigurationError("cache depth must be >= 0")
-        if self.capacity < 0:
-            raise ConfigurationError("cache capacity must be >= 0")
 
 
 @dataclass(frozen=True)

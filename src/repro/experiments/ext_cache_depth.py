@@ -1,9 +1,9 @@
 """Extension: coherent cache-depth sweep — what caching upper levels buys.
 
 Appendix A.4 sketches client-side caching of upper tree levels; the
-coherent :class:`repro.index.caching.RemoteCache` turns it into a real
-design axis: **cache depth** (how many of the top tree levels each client
-caches) against request **skew** and **write ratio**. This grid sweeps
+coherent :class:`repro.index.caching.CachingRemoteAccessor` turns it into
+a real design axis: **cache depth** (how many of the top tree levels each
+client caches) against request **skew** and **write ratio**. This grid sweeps
 all three on the fine-grained design using the config-driven wiring
 (``CacheConfig.depth``) with the observability hub attached, so every
 reported hit/revalidation/invalidation figure comes from the namscope

@@ -9,12 +9,7 @@ from repro.index.accessors import (
     RemoteRootRef,
 )
 from repro.index.base import DistributedIndex, IndexSession
-from repro.index.caching import (
-    CachingRemoteAccessor,
-    RemoteCache,
-    attach_cache,
-    cached_session,
-)
+from repro.index.caching import CachingRemoteAccessor
 from repro.index.coarse_grained import CoarseGrainedIndex, CoarseGrainedSession
 from repro.index.fine_grained import FineGrainedIndex, FineGrainedSession
 from repro.index.gc import EpochGarbageCollector
@@ -43,9 +38,6 @@ __all__ = [
     "DistributedIndex",
     "IndexSession",
     "CachingRemoteAccessor",
-    "RemoteCache",
-    "attach_cache",
-    "cached_session",
     "CoarseGrainedIndex",
     "CoarseGrainedSession",
     "FineGrainedIndex",

@@ -34,6 +34,7 @@ from typing import Any, Generator, List, Optional, Tuple
 from repro.btree.algorithm import BLinkTree
 from repro.btree.bulk import bulk_load, check_columns
 from repro.index.base import DistributedIndex, IndexSession
+from repro.index.caching import CachingRemoteAccessor
 from repro.index.partitioned import client_tree
 from repro.nam.catalog import IndexDescriptor, RootLocation
 from repro.nam.cluster import Cluster
@@ -111,12 +112,7 @@ class FineGrainedIndex(DistributedIndex):
         return index
 
     def session(self, compute_server: ComputeServer) -> "FineGrainedSession":
-        session = FineGrainedSession(self, compute_server)
-        if self.cluster.config.cache.depth > 0:
-            from repro.index.caching import attach_cache
-
-            attach_cache([session._tree], self, compute_server)
-        return session
+        return FineGrainedSession(self, compute_server)
 
     def tree_for(self, compute_server: ComputeServer) -> BLinkTree:
         """A raw client-side tree handle (used by tests and the global GC)."""
@@ -164,6 +160,10 @@ class FineGrainedSession(IndexSession):
         self.index = index
         self.compute_server = compute_server
         self._tree = index.tree_for(compute_server)
+        # The one switch of the client-side node cache (docs/caching.md).
+        depth = index.cluster.config.cache.depth
+        if depth > 0:
+            self._tree.acc = CachingRemoteAccessor(index, compute_server, depth)
 
     # The tree's generators are handed out as they are: a forwarding
     # ``yield from`` frame would be re-entered on every resume.

@@ -19,6 +19,11 @@ This combines the low traversal latency of RPCs with the aggregated leaf
 bandwidth of all servers — which is why the hybrid is the paper's most
 robust design (Section 6.1). Both halves live in
 :mod:`repro.index.partitioned`; this module is the seam between them.
+
+Hybrid sessions leave :class:`~repro.config.CacheConfig` unread, as
+coarse-grained ones do: a client reads only leaves one-sided, and leaves
+are never cached, while the partition owners serve the upper levels from
+their own memory (docs/caching.md).
 """
 
 from __future__ import annotations
@@ -69,8 +74,7 @@ class HybridIndex(PartitionedIndex):
         "install_separator": _handle_install_separator,
     }
     # The partition owner applies every inner-level SMO of its partition, so
-    # it is the one publishing structure epochs for the client-side caches
-    # (see docs/caching.md).
+    # it is the one publishing the index's structure epochs.
     on_structure_change = PartitionedIndex._structure_changed
 
     def _placement(
@@ -96,17 +100,7 @@ class HybridIndex(PartitionedIndex):
         return lambda owner: keywords
 
     def session(self, compute_server: ComputeServer) -> "HybridSession":
-        session = HybridSession(self, compute_server)
-        if self.cluster.config.cache.depth > 0:
-            # Uniform wiring with FG: the leaf accessor gains the cache
-            # counters and write-validation plumbing. It caches nothing in
-            # practice — hybrid clients only ever read leaves one-sided,
-            # and the cached upper levels live server-side (the CG-style
-            # partition trees *are* the cache for those levels).
-            from repro.index.caching import attach_cache
-
-            attach_cache(session._trees.values(), self, compute_server)
-        return session
+        return HybridSession(self, compute_server)
 
     inner_tree = PartitionedIndex.partition_tree
 

@@ -38,7 +38,7 @@ Attach a plan with :meth:`repro.nam.cluster.Cluster.attach_faults`::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Generator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -90,9 +90,9 @@ class FaultPlan:
     apply per message (request and response legs draw independently).
     ``verb_drop`` overrides the drop probability for specific verbs and
     ``server_drop`` for specific destination servers; precedence is
-    server > verb > global. Message faults stop at ``horizon_s`` (crash
-    schedules run regardless), which lets a chaos run end with a clean
-    verification phase. The default plan is a no-op.
+    server > verb > global. :meth:`FaultInjector.quiesce` stops message
+    faults (crash schedules run regardless), which lets a chaos run end
+    with a clean verification phase. The default plan is a no-op.
     """
 
     seed: int = 0
@@ -105,8 +105,6 @@ class FaultPlan:
     server_drop: Mapping[int, float] = field(default_factory=dict)
     server_crashes: Tuple[ServerCrash, ...] = ()
     compute_crashes: Tuple[ComputeCrash, ...] = ()
-    #: Simulated time after which message-level faults cease (None = never).
-    horizon_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("drop_probability", "delay_probability",
@@ -203,10 +201,6 @@ class FaultInjector:
 
     # -- message-level faults --------------------------------------------------
 
-    def _past_horizon(self) -> bool:
-        horizon = self.plan.horizon_s
-        return horizon is not None and self.sim.now >= horizon
-
     def _drop_probability(self, verb: Verb, server_id: int) -> float:
         plan = self.plan
         if server_id in plan.server_drop:
@@ -227,7 +221,7 @@ class FaultInjector:
         """
         if server_id in self._down:
             return True
-        if self._calm or self._past_horizon():
+        if self._calm:
             return False
         p = self._drop_probability(verb, server_id)
         for follower in followers:
@@ -241,7 +235,7 @@ class FaultInjector:
 
     def extra_delay(self, verb: Verb, server_id: int) -> float:
         """Extra seconds of latency for one (delivered) message, or 0."""
-        if self._calm or self.plan.delay_probability <= 0.0 or self._past_horizon():
+        if self._calm or self.plan.delay_probability <= 0.0:
             return 0.0
         if self.rng.random() < self.plan.delay_probability:
             self.stats["delays"] += 1
@@ -249,7 +243,7 @@ class FaultInjector:
         return 0.0
 
     def should_duplicate(self, verb: Verb, server_id: int) -> bool:
-        if self._calm or self.plan.duplicate_probability <= 0.0 or self._past_horizon():
+        if self._calm or self.plan.duplicate_probability <= 0.0:
             return False
         if self.rng.random() < self.plan.duplicate_probability:
             self.stats["duplicates"] += 1

@@ -1,12 +1,15 @@
 """Coherence proofs for the client-side index cache (docs/caching.md).
 
-Three layers of evidence that the coherent :class:`repro.index.caching.
-RemoteCache` never changes what an operation observes:
+Three layers of evidence that the coherent
+:class:`repro.index.caching.CachingRemoteAccessor` never changes what an
+operation observes:
 
-* a **differential oracle** — scripted op sequences through the cached
-  stack (fine-grained and hybrid, every cache depth) must produce
-  outcomes byte-identical to the uncached run, with the structural
-  verifier clean afterwards;
+* a **differential oracle** — scripted op sequences through every
+  design at every cache depth must produce outcomes byte-identical to
+  the uncached run, with the structural verifier clean afterwards;
+  coarse-grained and hybrid sessions leave the cache configuration
+  unread, so for them depth builds no caching accessor and counts no
+  cache event;
 * **property tests** — randomized (hypothesis) insert/split workloads
   where a cached reader races a writer; every read must match a sorted
   multimap model, i.e. no stale leaf read ever returns a deleted or
@@ -31,11 +34,12 @@ from repro import (
     ClusterConfig,
     FaultPlan,
     FineGrainedIndex,
-    HybridIndex,
     ServerCrash,
     verify_index,
 )
+from repro.index import DESIGNS
 from repro.index.caching import CachingRemoteAccessor
+from repro.obs import ObservabilityConfig
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
 
 pytestmark = pytest.mark.filterwarnings(
@@ -43,6 +47,13 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 DEPTHS = (0, 1, 2, 3)
+
+#: The hub's cache counters: the cache's one ledger.
+CACHE_COUNTERS = tuple(
+    f"nam_cache_{name}_total"
+    for name in ("hits", "misses", "revalidations", "revalidation_misses",
+                 "invalidations")
+)
 
 
 def _script(seed: int, key_space: int, n_ops: int = 160):
@@ -67,15 +78,17 @@ def _build(design: str, depth: int, dataset, seed: int = 5):
             num_memory_servers=2,
             seed=seed,
             cache=CacheConfig(depth=depth),
+            observability=ObservabilityConfig(enabled=True),
         )
     )
-    if design == "fine-grained":
-        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
-    else:
-        index = HybridIndex.build(
-            cluster, "idx", *dataset.columns(), key_space=dataset.key_space
-        )
+    options = {} if design == "fine-grained" else {"key_space": dataset.key_space}
+    index = DESIGNS[design].build(cluster, "idx", *dataset.columns(), **options)
     return cluster, index
+
+
+def _cache_counters(cluster):
+    registry = cluster.obs.registry
+    return {name: registry.counter(name).value for name in CACHE_COUNTERS}
 
 
 def _replay(cluster, session, ops):
@@ -101,14 +114,16 @@ def _replay(cluster, session, ops):
     return outcomes
 
 
-@pytest.mark.parametrize("design", ["fine-grained", "hybrid"])
+@pytest.mark.parametrize("design", ["fine-grained", "hybrid", "coarse-grained"])
 def test_differential_oracle_across_depths(design):
     """Every cache depth observes exactly what the uncached run observes.
 
     The insert weight is high enough that the script splits leaves and
     installs separators (bumping the structure epoch), so cached inner
     images really do go stale mid-script and must be revalidated — not
-    merely never re-read.
+    merely never re-read. Coarse-grained and hybrid sessions leave
+    ``CacheConfig`` unread: at every depth they build no caching accessor
+    and count no cache event.
     """
     dataset = generate_dataset(300, gap=4)
     ops = _script(seed=97, key_space=dataset.key_space)
@@ -123,11 +138,17 @@ def test_differential_oracle_across_depths(design):
             assert outcomes == baseline, f"{design} depth={depth} diverged"
         report = verify_index(cluster, index)
         assert report.ok, report.violations
-        if design == "fine-grained" and depth > 0:
+        counters = _cache_counters(cluster)
+        if design != "fine-grained":
+            assert not any(
+                isinstance(getattr(handle, "acc", None), CachingRemoteAccessor)
+                for handle in session._trees.values()
+            )
+            assert set(counters.values()) == {0}
+        elif depth > 0:
             # The run must actually have exercised the cache.
-            accessor = session._tree.acc
-            assert isinstance(accessor, CachingRemoteAccessor)
-            assert accessor.hits > 0
+            assert isinstance(session._tree.acc, CachingRemoteAccessor)
+            assert counters["nam_cache_hits_total"] > 0
 
 
 def test_differential_oracle_two_sessions_fine_grained():

@@ -2,13 +2,29 @@
 
 import pytest
 
-from repro import Cluster, ClusterConfig, FineGrainedIndex, cached_session
+from repro import CacheConfig, Cluster, ClusterConfig, FineGrainedIndex, TreeConfig
+from repro.index.caching import CachingRemoteAccessor
+from repro.obs import ObservabilityConfig
 from repro.rdma.verbs import Verb
+
+
+def cached_cluster():
+    """Four memory servers, every fine-grained session caching the top
+    three levels, and the hub on: its ``nam_cache_*`` counters are the
+    cache's ledger."""
+    return Cluster(
+        ClusterConfig(
+            num_memory_servers=4,
+            seed=21,
+            cache=CacheConfig(depth=3),
+            observability=ObservabilityConfig(enabled=True),
+        )
+    )
 
 
 @pytest.fixture
 def fg(dataset):
-    cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=21))
+    cluster = cached_cluster()
     index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     return cluster, dataset, index
 
@@ -17,27 +33,32 @@ def total_reads(cluster):
     return sum(server.stats.ops[Verb.READ] for server in cluster.memory_servers)
 
 
+def counter(cluster, name):
+    return cluster.obs.registry.counter(f"nam_cache_{name}_total").value
+
+
 def test_cached_lookups_are_correct(fg):
     cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), depth=3)
+    session = index.session(cluster.new_compute_server())
+    assert isinstance(session._tree.acc, CachingRemoteAccessor)
     for i in (0, 5, 77, 1999):
         assert cluster.execute(session.lookup(dataset.key_at(i))) == [i]
 
 
 def test_repeat_lookups_save_reads(fg):
     cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), depth=3)
+    session = index.session(cluster.new_compute_server())
     cluster.execute(session.lookup(dataset.key_at(100)))
     warm = total_reads(cluster)
     cluster.execute(session.lookup(dataset.key_at(100)))
     # Only the leaf READ goes to the network; inner levels come from cache.
     assert total_reads(cluster) - warm == 1
-    assert session._tree.acc.hits > 0
+    assert counter(cluster, "hits") > 0
 
 
 def test_leaves_never_cached(fg):
     cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), depth=3)
+    session = index.session(cluster.new_compute_server())
     writer = index.session(cluster.new_compute_server())
     key = dataset.key_at(42)
     assert cluster.execute(session.lookup(key)) == [42]
@@ -45,14 +66,15 @@ def test_leaves_never_cached(fg):
     # The cached session sees the new value immediately: leaf reads are
     # always fresh.
     assert sorted(cluster.execute(session.lookup(key))) == [42, 4242]
+    assert all(entry[2].is_inner for entry in session._tree.acc.entries.values())
 
 
 def test_writes_invalidate_cached_pages(fg):
     cluster, dataset, index = fg
-    session = cached_session(index, cluster.new_compute_server(), depth=3)
+    session = index.session(cluster.new_compute_server())
     accessor = session._tree.acc
     cluster.execute(session.lookup(dataset.key_at(7)))
-    assert len(accessor._cache) > 0
+    assert len(accessor.entries) > 0
     # Insert through the same session: pages it locks get invalidated.
     cluster.execute(session.insert(dataset.key_at(7) + 1, 1))
     assert cluster.execute(session.lookup(dataset.key_at(7) + 1)) == [1]
@@ -60,18 +82,18 @@ def test_writes_invalidate_cached_pages(fg):
 
 def test_capacity_bounds_cache(fg):
     cluster, dataset, index = fg
-    session = cached_session(
-        index, cluster.new_compute_server(), capacity=2, depth=3
-    )
+    compute = cluster.new_compute_server()
+    session = index.session(compute)
+    session._tree.acc = CachingRemoteAccessor(index, compute, depth=3, capacity=2)
     for i in range(0, 2000, 97):
         cluster.execute(session.lookup(dataset.key_at(i)))
-    assert len(session._tree.acc._cache) <= 2
+    assert len(session._tree.acc.entries) == 2
 
 
-def test_cached_session_survives_concurrent_splits(fg):
+def test_cached_reader_survives_concurrent_splits(fg):
     """Stale cached inner nodes are routed around via move-right."""
     cluster, dataset, index = fg
-    reader = cached_session(index, cluster.new_compute_server(), depth=3)
+    reader = index.session(cluster.new_compute_server())
     writer = index.session(cluster.new_compute_server())
     # Warm the cache.
     for i in range(0, 2000, 40):
@@ -85,69 +107,36 @@ def test_cached_session_survives_concurrent_splits(fg):
         reader.range_scan(dataset.key_at(1000), dataset.key_at(1001))
     )
     assert len(got) == 251
-    assert reader._tree.acc.hit_rate > 0
+    assert counter(cluster, "hits") > 0
 
 
 # -- coherent-cache mechanics (docs/caching.md) -----------------------------
 
 
-class _FakeNode:
-    """Just enough of a Node for RemoteCache bookkeeping."""
-
-    def __init__(self, level=2, version=2):
-        self.level = level
-        self.version = version
-
-    def clone(self):
-        return _FakeNode(self.level, self.version)
-
-
-def test_lru_eviction_order():
-    from repro.index.caching import RemoteCache
-
-    cache = RemoteCache(capacity=3, depth=3)
-    for ptr in (1, 2, 3):
-        cache.store(ptr, _FakeNode(), epoch=0)
-    # Touch 1 so 2 becomes the least recently used entry.
-    assert cache.lookup(1, epoch=0) is not None
-    cache.store(4, _FakeNode(), epoch=0)
-    assert cache.lookup(2, epoch=0) is None
-    assert all(
-        cache.lookup(ptr, epoch=0) is not None for ptr in (1, 3, 4)
-    )
-    assert cache.evictions == 1
-    assert len(cache) == 3
-
-
-def test_capacity_zero_disables_cleanly(fg):
-    from repro import CacheConfig, Cluster, ClusterConfig, FineGrainedIndex
-
-    _cluster, dataset, _index = fg
+def test_lru_eviction_order(dataset):
+    """At 256-byte pages the root has three inner children: four inner
+    pages through a three-page cache evict the least recently used."""
     cluster = Cluster(
-        ClusterConfig(
-            num_memory_servers=4,
-            seed=21,
-            cache=CacheConfig(depth=2, capacity=0),
-        )
+        ClusterConfig(num_memory_servers=4, seed=21, tree=TreeConfig(page_size=256))
     )
     index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
-    session = index.session(cluster.new_compute_server())
-    for i in (0, 5, 5, 77, 77):
-        assert cluster.execute(session.lookup(dataset.key_at(i))) == [i]
-    accessor = session._tree.acc
-    assert len(accessor.cache) == 0
-    assert accessor.hits == 0
-    assert accessor.misses > 0
+    compute = cluster.new_compute_server()
+    accessor = CachingRemoteAccessor(index, compute, depth=3, capacity=3)
+    root = cluster.execute(index.tree_for(compute).root.get())
+    first, second, third = cluster.execute(accessor.read_node(root)).values
+    for child in (first, second):
+        assert cluster.execute(accessor.read_node(child)).is_inner
+    assert list(accessor.entries) == [root, first, second]
+    # Touch the root so *first* becomes the least recently used entry.
+    cluster.execute(accessor.read_node(root))
+    cluster.execute(accessor.read_node(third))
+    assert list(accessor.entries) == [second, root, third]
 
 
 def test_epoch_bump_invalidates_only_the_affected_index(dataset):
     """Splitting index "left" must not cost index "right" a single
     revalidation: structure epochs are per-descriptor, not global."""
-    from repro import CacheConfig, Cluster, ClusterConfig, FineGrainedIndex
-
-    cluster = Cluster(
-        ClusterConfig(num_memory_servers=4, seed=21, cache=CacheConfig(depth=3))
-    )
+    cluster = cached_cluster()
     left = FineGrainedIndex.build(cluster, "left", *dataset.columns())
     right = FineGrainedIndex.build(cluster, "right", *dataset.columns())
     reader_left = left.session(cluster.new_compute_server())
@@ -163,50 +152,39 @@ def test_epoch_bump_invalidates_only_the_affected_index(dataset):
     assert cluster.catalog.structure_epoch("left") > epoch_before
     assert cluster.catalog.structure_epoch("right") == 0
 
+    # Only "left" has moved its epoch, so every revalidation is its reader's.
+    revalidations = counter(cluster, "revalidations")
+    hits = counter(cluster, "hits")
+    for i in range(0, 2000, 40):
+        cluster.execute(reader_right.lookup(dataset.key_at(i)))
+    assert counter(cluster, "revalidations") == revalidations
+    assert counter(cluster, "hits") > hits
     for i in range(0, 2000, 40):
         cluster.execute(reader_left.lookup(dataset.key_at(i)))
-        cluster.execute(reader_right.lookup(dataset.key_at(i)))
-    assert reader_left._tree.acc.cache.revalidations > 0
-    assert reader_right._tree.acc.cache.revalidations == 0
-    assert reader_right._tree.acc.hits > 0
+    assert counter(cluster, "revalidations") > revalidations
 
 
 def test_counters_reconcile_with_verb_counts(dataset):
     """Read-only invariant: every cache miss is exactly one remote READ,
-    every hit is zero — so the QP verb ledger must equal the miss count.
-    The namscope registry must agree with the cache's own counters."""
-    from repro import CacheConfig, Cluster, ClusterConfig, FineGrainedIndex
-    from repro.obs import ObservabilityConfig
-
-    cluster = Cluster(
-        ClusterConfig(
-            num_memory_servers=4,
-            seed=21,
-            cache=CacheConfig(depth=3),
-            observability=ObservabilityConfig(enabled=True),
-        )
-    )
+    every hit is zero — so the QP verb ledger must equal the miss count
+    the namscope registry keeps."""
+    cluster = cached_cluster()
     index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     # One warm-up lookup so the root-pointer word is resolved (a READ
     # outside the node-cache path) before the ledger window opens.
     cluster.execute(session.lookup(dataset.key_at(0)))
-    accessor = session._tree.acc
     baseline = total_reads(cluster)
-    misses_before = accessor.misses
+    misses_before = counter(cluster, "misses")
     for i in range(0, 2000, 17):
         cluster.execute(session.lookup(dataset.key_at(i)))
     read_delta = total_reads(cluster) - baseline
 
-    assert accessor.misses > 0 and accessor.hits > 0
-    assert accessor.cache.revalidations == 0  # no SMOs ran
-    assert read_delta == accessor.misses - misses_before
-
-    registry = cluster.obs.registry
-    assert registry.counter("nam_cache_hits_total").value == accessor.hits
-    assert registry.counter("nam_cache_misses_total").value == accessor.misses
-    assert registry.counter("nam_cache_revalidations_total").value == 0
-    assert registry.counter("nam_cache_invalidations_total").value == 0
+    assert counter(cluster, "misses") > misses_before
+    assert counter(cluster, "hits") > 0
+    assert read_delta == counter(cluster, "misses") - misses_before
+    assert counter(cluster, "revalidations") == 0  # no SMOs ran
+    assert counter(cluster, "invalidations") == 0
 
 
 def test_stale_lock_path_invalidates_and_recovers(fg):
@@ -215,14 +193,13 @@ def test_stale_lock_path_invalidates_and_recovers(fg):
     and let the retry lock successfully on fresh bytes — otherwise every
     retry would re-read the same stale page and re-fail forever."""
     cluster, dataset, index = fg
-    compute = cluster.new_compute_server()
-    session = cached_session(index, compute, depth=3)
+    session = index.session(cluster.new_compute_server())
     accessor = session._tree.acc
     root_raw = cluster.execute(session._tree.root.get())
 
     cluster.execute(accessor.read_node(root_raw))  # miss: fills the cache
     node = cluster.execute(accessor.read_node(root_raw))  # hit: cache-served
-    assert accessor.hits == 1
+    assert counter(cluster, "hits") == 1
     stale_version = node.version
 
     # A concurrent writer bumps the page's version without any SMO (so
@@ -234,8 +211,8 @@ def test_stale_lock_path_invalidates_and_recovers(fg):
 
     # The stale-served lock attempt fails and evicts the stale image.
     assert not cluster.execute(accessor.try_lock(root_raw, stale_version))
-    assert accessor.cache.revalidation_failures == 1
-    assert root_raw not in accessor._cache
+    assert counter(cluster, "revalidation_misses") == 1
+    assert root_raw not in accessor.entries
 
     # Retry refetches fresh bytes and the lock now succeeds.
     current = cluster.execute(accessor.read_node(root_raw))

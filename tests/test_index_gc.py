@@ -5,6 +5,7 @@ import pytest
 from repro import Cluster, ClusterConfig, EpochGarbageCollector, FineGrainedIndex, check_tree
 from repro.btree import BLinkTree
 from repro.btree.inmemory import InMemoryAccessor, InMemoryRootRef, drive
+from repro.obs import ObservabilityConfig
 
 
 @pytest.fixture
@@ -31,6 +32,34 @@ def test_sweep_removes_tombstones(fg_setup):
     assert after.ok, after.violations
     assert after.tombstones == 0
     assert after.entries == before.entries
+
+
+def test_sweeps_feed_the_hub_counters(dataset):
+    """With the hub on, every sweep's returned statistics land in the
+    ``nam_gc_*`` counters, and the sweep counter matches the collector's."""
+    cluster = Cluster(
+        ClusterConfig(
+            num_memory_servers=4,
+            seed=9,
+            observability=ObservabilityConfig(enabled=True),
+        )
+    )
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
+    compute = cluster.new_compute_server()
+    session = index.session(compute)
+    for i in range(0, 60, 3):
+        cluster.execute(session.delete(dataset.key_at(i)))
+    collector = EpochGarbageCollector(cluster.sim, index.tree_for(compute))
+    stats = [cluster.execute(collector.sweep()) for _ in range(2)]
+    assert [s["removed"] for s in stats] == [20, 0]
+    registry = cluster.obs.registry
+    assert registry.counter("nam_gc_sweeps_total").value == collector.sweeps == 2
+    assert registry.counter("nam_gc_leaves_scanned_total").value == sum(
+        s["leaves"] for s in stats
+    )
+    assert registry.counter("nam_gc_entries_removed_total").value == sum(
+        s["removed"] for s in stats
+    )
 
 
 def test_deleted_keys_stay_deleted_after_sweep(fg_setup):
