@@ -34,7 +34,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
-from repro.workloads import ArrivalProcess, TenantSpec, WorkloadSpec
+from repro.workloads import TenantSpec, WorkloadSpec
 
 __all__ = [
     "OverloadCell",
@@ -56,8 +56,8 @@ POLICIES: Tuple[str, ...] = ("none", "admission")
 #: above it).
 INTERACTIVE_SLO_P99_S = 100e-6
 #: Tenant rates as fractions of capacity: interactive offers a constant
-#: quarter of capacity; flood's base rate is scaled by the load level's
-#: burst multiplier.
+#: quarter of capacity; flood offers the rest of the load level, and at
+#: least its base fraction.
 INTERACTIVE_FRACTION = 0.25
 FLOOD_FRACTION = 0.35
 #: Admission policy: flood's aggregate token-bucket allowance (fraction
@@ -124,7 +124,6 @@ def _cluster_config(
             enabled=True,
             max_queue_depth=8,
             tenant_rate_ops={"flood": per_server},
-            tenant_burst_ops=32.0,
             bulkhead_workers={"flood": 1},
         )
     return cluster_config(
@@ -138,26 +137,16 @@ def _cluster_config(
 
 def _tenants(capacity: float, load_multiple: float) -> List[TenantSpec]:
     interactive_rate = INTERACTIVE_FRACTION * capacity
-    flood_rate = FLOOD_FRACTION * capacity
-    flood_multiplier = max(
-        1.0, (load_multiple * capacity - interactive_rate) / flood_rate
+    # Above the base fraction the flood is a flash crowd sustained for the
+    # whole run, the regime where open vs closed loop actually differ.
+    flood_rate = max(
+        FLOOD_FRACTION * capacity, load_multiple * capacity - interactive_rate
     )
-    if flood_multiplier > 1.0:
-        # The burst window covers the whole run: a sustained flash crowd,
-        # the regime where open vs closed loop actually differ.
-        flood_arrivals = ArrivalProcess(
-            rate_ops_per_s=flood_rate,
-            burst_multiplier=flood_multiplier,
-            burst_start_s=0.0,
-            burst_duration_s=1.0,
-        )
-    else:
-        flood_arrivals = ArrivalProcess(rate_ops_per_s=flood_rate)
     return [
         TenantSpec(
             name="interactive",
             workload=WorkloadSpec(name="reads", point_fraction=1.0),
-            arrivals=ArrivalProcess(rate_ops_per_s=interactive_rate),
+            rate_ops_per_s=interactive_rate,
             slo_p99_s=INTERACTIVE_SLO_P99_S,
             max_op_retries=2,
             sessions=16,
@@ -168,7 +157,7 @@ def _tenants(capacity: float, load_multiple: float) -> List[TenantSpec]:
             workload=WorkloadSpec(
                 name="mixed", point_fraction=0.95, insert_fraction=0.05
             ),
-            arrivals=flood_arrivals,
+            rate_ops_per_s=flood_rate,
             # The flash crowd does not retry: the server-side policy
             # alone must contain it.
             max_op_retries=0,

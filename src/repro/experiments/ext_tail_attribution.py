@@ -49,7 +49,7 @@ from repro.obs.attribution import (
     typical_vs_tail,
 )
 from repro.obs.export import retained_spans
-from repro.workloads import ArrivalProcess, TenantSpec, WorkloadSpec
+from repro.workloads import TenantSpec, WorkloadSpec
 
 __all__ = [
     "TailCell",
@@ -64,8 +64,7 @@ __all__ = [
 #: Request-key distributions (WorkloadSpec.distribution values).
 SKEWS: Dict[str, str] = {"uniform": "uniform", "zipf": "scrambled_zipfian"}
 #: Offered load as a multiple of measured closed-loop capacity. The flash
-#: phase offers the steady base rate times a burst multiplier that covers
-#: the whole window — a sustained flash crowd.
+#: phase offers its rate for the whole window — a sustained flash crowd.
 PHASES: Dict[str, float] = {"steady": 0.6, "flash": 3.0}
 
 #: Single tenant: its p99 SLO (drives derive_slow_from_slo thresholds and
@@ -140,7 +139,6 @@ def _cluster_config(
             enabled=True,
             max_queue_depth=16,
             tenant_rate_ops={"app": per_server},
-            tenant_burst_ops=32.0,
         ),
         observability=ObservabilityConfig(
             enabled=True,
@@ -152,17 +150,6 @@ def _cluster_config(
 
 
 def _tenant(capacity: float, skew: str, phase: str) -> TenantSpec:
-    base_rate = PHASES["steady"] * capacity
-    multiplier = PHASES[phase] / PHASES["steady"]
-    if multiplier > 1.0:
-        arrivals = ArrivalProcess(
-            rate_ops_per_s=base_rate,
-            burst_multiplier=multiplier,
-            burst_start_s=0.0,
-            burst_duration_s=1.0,
-        )
-    else:
-        arrivals = ArrivalProcess(rate_ops_per_s=base_rate)
     return TenantSpec(
         name="app",
         # 5% inserts keep lock traffic (and the lock_wait segment) alive.
@@ -172,7 +159,7 @@ def _tenant(capacity: float, skew: str, phase: str) -> TenantSpec:
             insert_fraction=0.05,
             distribution=SKEWS[skew],
         ),
-        arrivals=arrivals,
+        rate_ops_per_s=PHASES[phase] * capacity,
         slo_p99_s=SLO_P99_S,
         max_op_retries=1,
         sessions=16,

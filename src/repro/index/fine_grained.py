@@ -67,7 +67,6 @@ class FineGrainedIndex(DistributedIndex):
         keys: List[int],
         values: List[int],
         home_server: int = 0,
-        head_interval: Optional[int] = None,
         **_options: Any,
     ) -> "FineGrainedIndex":
         """Bulk-load the *keys* and *values* columns of sorted pairs
@@ -78,12 +77,11 @@ class FineGrainedIndex(DistributedIndex):
         word or any page is allocated.
 
         The root pointer word lives on *home_server* (its location is the
-        catalog entry compute servers start from). *head_interval*
-        overrides ``TreeConfig.head_node_interval``; 0 disables head nodes.
+        catalog entry compute servers start from). Head nodes go in every
+        ``TreeConfig.head_node_interval`` leaves; 0 disables them.
         """
         config = cluster.config
-        if head_interval is None:
-            head_interval = config.tree.head_node_interval
+        head_interval = config.tree.head_node_interval
         num_servers = cluster.num_memory_servers
         check_columns(keys, values)
         root_location = cluster.alloc_control_word(home_server)

@@ -29,7 +29,7 @@ their own memory (docs/caching.md).
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Tuple
 
 from repro.btree.algorithm import BLinkTree
 from repro.btree.node import Node
@@ -77,15 +77,12 @@ class HybridIndex(PartitionedIndex):
     # it is the one publishing the index's structure epochs.
     on_structure_change = PartitionedIndex._structure_changed
 
-    def _placement(
-        self, head_interval: Optional[int] = None, **_options: Any
-    ) -> Callable[[int], Dict[str, Any]]:
+    def _placement(self, **_options: Any) -> Callable[[int], Dict[str, Any]]:
         """Leaves and head nodes round-robin across all servers, under at
-        least one inner level. *head_interval* overrides
-        ``TreeConfig.head_node_interval``; 0 disables head nodes."""
+        least one inner level. Head nodes go in every
+        ``TreeConfig.head_node_interval`` leaves; 0 disables them."""
         num_servers = self.cluster.num_memory_servers
-        if head_interval is None:
-            head_interval = self.cluster.config.tree.head_node_interval
+        head_interval = self.cluster.config.tree.head_node_interval
         self.use_head_nodes = head_interval > 0
         # One global counter so leaves of *all* partitions interleave evenly
         # across servers (the property that defeats attribute-value skew).

@@ -30,10 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.rdma.qp import RpcEnvelope
     from repro.sim.resources import Store
 
-__all__ = ["TokenBucket", "AdmissionController", "SHARED_POOL"]
+__all__ = ["TokenBucket", "AdmissionController", "SHARED_POOL", "TENANT_BURST_OPS"]
 
 #: Queue key for tenants without a dedicated bulkhead.
 SHARED_POOL = "shared"
+#: Token-bucket burst capacity (tokens), shared by all rate-limited tenants.
+TENANT_BURST_OPS = 32.0
 
 
 class TokenBucket:
@@ -83,9 +85,7 @@ class AdmissionController:
         if config.tenant_rate_ops:
             now = server.sim.now
             for tenant, rate in config.tenant_rate_ops.items():
-                self._buckets[tenant] = TokenBucket(
-                    rate, config.tenant_burst_ops, now
-                )
+                self._buckets[tenant] = TokenBucket(rate, TENANT_BURST_OPS, now)
         #: Rejections by reason, for tests and pull collectors.
         self.rejected: Dict[str, int] = {"rate-limit": 0, "queue-full": 0}
         self.admitted = 0

@@ -17,6 +17,7 @@ time, never virtual time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,12 +67,12 @@ class ObservabilityConfig:
     def __post_init__(self) -> None:
         if self.sample_every < 1:
             raise ConfigurationError("sample_every must be >= 1")
-        if self.slow_op_threshold_s is not None and self.slow_op_threshold_s <= 0:
-            raise ConfigurationError("slow_op_threshold_s must be > 0 or None")
+        for name in ("slow_op_threshold_s", "timeseries_cadence_s"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0, or None")
         if not 1 <= self.bucket_count <= 128:
             raise ConfigurationError("bucket_count must be in [1, 128]")
-        if self.timeseries_cadence_s is not None and self.timeseries_cadence_s <= 0:
-            raise ConfigurationError("timeseries_cadence_s must be > 0 or None")
         if self.timeseries_points < 1:
             raise ConfigurationError("timeseries_points must be >= 1")
         if self.flight_ring < 1:

@@ -15,7 +15,7 @@ from repro.workloads.distributions import (
 )
 from repro.workloads.history import History, Scenario, run_scenario
 from repro.workloads.metrics import OP_TYPES, Op, OpType, RunResult, TenantOutcome
-from repro.workloads.openloop import ArrivalProcess, TenantSpec
+from repro.workloads.openloop import TenantSpec
 from repro.workloads.runner import WorkloadRunner, draw_ops
 from repro.workloads.ycsb import (
     WorkloadSpec,
@@ -46,7 +46,6 @@ __all__ = [
     "History",
     "Scenario",
     "run_scenario",
-    "ArrivalProcess",
     "TenantSpec",
     "WorkloadSpec",
     "workload_a",

@@ -14,15 +14,13 @@ only the open loop does.
 
 Pieces:
 
-* :class:`ArrivalProcess` — an arrival-rate curve (Poisson steady state
-  and a multiplicative burst window for flash crowds). Sampled by Poisson
-  thinning from a seeded generator, so identical seeds give identical
-  arrival timestamps.
 * :class:`TenantSpec` — one tenant: a name (stamped on every RPC envelope
-  for server-side admission), a YCSB op mix, an arrival process, an
+  for server-side admission), a YCSB op mix, a Poisson arrival rate, an
   optional p99 SLO target and a count of application-level retries.
-* :class:`Tenant` — one tenant of a run: its arrival loop, which draws an
-  operation per arrival, its operations with their application-level
+* :class:`Tenant` — one tenant of a run: its arrival loop, which draws
+  exponential inter-arrival gaps from a seeded generator (identical seeds
+  give identical arrival timestamps) and an operation per arrival, its
+  operations with their application-level
   retries after a linear backoff, and the fold of its
   :class:`~repro.workloads.metrics.TenantOutcome`.
 """
@@ -42,62 +40,10 @@ from repro.workloads.ycsb import WorkloadSpec
 if TYPE_CHECKING:
     from repro.workloads.runner import _Run
 
-__all__ = ["ArrivalProcess", "TenantSpec", "Tenant", "RETRY_BACKOFF_S"]
+__all__ = ["TenantSpec", "Tenant", "RETRY_BACKOFF_S"]
 
 #: Backoff before an application-level retry, scaled by attempt number.
 RETRY_BACKOFF_S = 100e-6
-
-
-@dataclass(frozen=True)
-class ArrivalProcess:
-    """A non-homogeneous Poisson arrival-rate curve, relative to run start.
-
-    The instantaneous rate at time *t* (seconds since the run began) is::
-
-        rate_ops_per_s
-          * (burst_multiplier   if t in [burst_start_s, burst_start_s
-                                         + burst_duration_s) else 1)
-
-    A flash crowd is a large ``burst_multiplier`` over a short window.
-    Arrivals are sampled by thinning against :meth:`peak_rate`, the
-    standard technique for non-homogeneous Poisson processes.
-    """
-
-    rate_ops_per_s: float
-    burst_multiplier: float = 1.0
-    burst_start_s: float = 0.0
-    burst_duration_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "rate_ops_per_s", "burst_multiplier", "burst_start_s", "burst_duration_s"
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
-        if self.rate_ops_per_s <= 0:
-            raise ConfigurationError("rate_ops_per_s must be > 0")
-        if self.burst_multiplier < 1.0:
-            raise ConfigurationError("burst_multiplier must be >= 1.0")
-        if self.burst_duration_s < 0:
-            raise ConfigurationError("burst_duration_s must be >= 0")
-
-    def rate_at(self, t: float) -> float:
-        """Instantaneous arrival rate *t* seconds into the run."""
-        rate = self.rate_ops_per_s
-        if (
-            self.burst_duration_s > 0
-            and self.burst_start_s <= t < self.burst_start_s + self.burst_duration_s
-        ):
-            rate *= self.burst_multiplier
-        return rate
-
-    @property
-    def peak_rate(self) -> float:
-        """Upper bound on :meth:`rate_at` — the thinning envelope."""
-        rate = self.rate_ops_per_s
-        if self.burst_duration_s > 0:
-            rate *= self.burst_multiplier
-        return rate
 
 
 @dataclass(frozen=True)
@@ -106,7 +52,9 @@ class TenantSpec:
 
     name: str
     workload: WorkloadSpec
-    arrivals: ArrivalProcess
+    #: Poisson arrival rate for the whole run. A flash crowd is a tenant
+    #: at a higher rate.
+    rate_ops_per_s: float
     #: p99 latency target (seconds); None = no SLO contract.
     slo_p99_s: Optional[float] = None
     #: Application-level retries allowed per rejected operation, the
@@ -120,6 +68,10 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant name must be non-empty")
+        # An infinite rate made run_open spin forever, a NaN one failed
+        # deep inside the simulator.
+        if not 0 < self.rate_ops_per_s < math.inf:
+            raise ConfigurationError("rate_ops_per_s must be finite and > 0")
         if self.slo_p99_s is not None and not 0 < self.slo_p99_s < math.inf:
             raise ConfigurationError("slo_p99_s must be finite and > 0 (or None)")
         if self.max_op_retries < 0:
@@ -155,23 +107,17 @@ class Tenant:
             # stamped on its spans).
             obs.set_client_slow_threshold(index, spec.slo_p99_s)
 
-    def arrivals(
-        self, rng: np.random.Generator, start_time: float
-    ) -> Generator[Any, Any, None]:
-        """Thinned Poisson arrivals: one independent op process each."""
+    def arrivals(self, rng: np.random.Generator) -> Generator[Any, Any, None]:
+        """Poisson arrivals: one independent op process each."""
         run = self.run
         sim = run.cluster.sim
-        arrivals = self.spec.arrivals
-        peak = arrivals.peak_rate
+        gap = 1.0 / self.spec.rate_ops_per_s
         sessions = self.sessions
         next_session = 0
         while not run.stop:
-            yield float(rng.exponential(1.0 / peak))
+            yield float(rng.exponential(gap))
             if run.stop:
                 break
-            # Thinning: keep the candidate with probability rate/peak.
-            if float(rng.random()) * peak > arrivals.rate_at(sim.now - start_time):
-                continue
             now = sim.now
             self.offered.append(now)
             method, args = next(self.stream)

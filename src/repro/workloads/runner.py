@@ -314,7 +314,6 @@ class WorkloadRunner:
             raise ConfigurationError(f"duplicate tenant names: {names}")
         _check_window(warmup_s, measure_s)
         run = _Run(self.cluster, index)
-        start_time = self.cluster.now
         running = []
         for tenant_index, spec in enumerate(tenants):
             # Streams 1 (arrival clock) and 2 (op draws) per tenant, both
@@ -326,9 +325,7 @@ class WorkloadRunner:
             )
             tenant = Tenant(spec, tenant_index, run, stream, run.sessions(spec.sessions))
             running.append(tenant)
-            self.cluster.spawn(
-                tenant.arrivals(np.random.default_rng((seed, 1, tenant_index)), start_time)
-            )
+            self.cluster.spawn(tenant.arrivals(np.random.default_rng((seed, 1, tenant_index))))
         counters = self._measure(run, warmup_s, measure_s)
         result = self._result(
             run,

@@ -23,7 +23,12 @@ from repro import (
 )
 from repro.config import CpuConfig, ObservabilityConfig
 from repro.errors import ConfigurationError, SimulationError
-from repro.nam.admission import SHARED_POOL, AdmissionController, TokenBucket
+from repro.nam.admission import (
+    SHARED_POOL,
+    TENANT_BURST_OPS,
+    AdmissionController,
+    TokenBucket,
+)
 from repro.sim import Simulator, Store
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
 
@@ -117,10 +122,9 @@ class TestAdmissionConfigValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ConfigurationError):
             AdmissionConfig(max_queue_depth=0)
-        with pytest.raises(ConfigurationError):
-            AdmissionConfig(tenant_rate_ops={"t": 0.0})
-        with pytest.raises(ConfigurationError):
-            AdmissionConfig(tenant_burst_ops=0.0)
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="tenant_rate_ops"):
+                AdmissionConfig(tenant_rate_ops={"t": bad})
         with pytest.raises(ConfigurationError):
             AdmissionConfig(bulkhead_workers={"t": 0})
 
@@ -150,14 +154,13 @@ def _index_and_session(cluster, tenant=None):
 
 class TestRateLimit:
     def test_flood_tenant_gets_throttled_error(self):
-        cluster = _admission_cluster(
-            tenant_rate_ops={"flood": 1.0}, tenant_burst_ops=1.0
-        )
+        cluster = _admission_cluster(tenant_rate_ops={"flood": 1.0})
         dataset, _index, session = _index_and_session(cluster, tenant="flood")
         key = dataset.key_at(0)
-        assert cluster.execute(session.lookup(key)) is not None
-        # The single burst token is gone and 1 op/s refills nothing in
-        # simulated microseconds: the very next call bounces.
+        for _ in range(int(TENANT_BURST_OPS)):
+            assert cluster.execute(session.lookup(key)) is not None
+        # The burst is spent and 1 op/s refills nothing in simulated
+        # microseconds: the very next call bounces.
         with pytest.raises(ThrottledError):
             cluster.execute(session.lookup(key))
         rejected = sum(
@@ -167,12 +170,11 @@ class TestRateLimit:
         assert rejected == 1
 
     def test_anonymous_sessions_are_never_rate_limited(self):
-        cluster = _admission_cluster(
-            tenant_rate_ops={"flood": 1.0}, tenant_burst_ops=1.0
-        )
+        cluster = _admission_cluster(tenant_rate_ops={"flood": 1.0})
         dataset, _index, session = _index_and_session(cluster, tenant=None)
         key = dataset.key_at(0)
-        for _ in range(5):
+        # Past the burst a limited tenant would have.
+        for _ in range(int(TENANT_BURST_OPS) + 5):
             assert cluster.execute(session.lookup(key)) is not None
 
     def test_throttled_is_an_admission_rejection(self):

@@ -10,6 +10,7 @@ from repro import Cluster, ClusterConfig, check_tree
 from repro.btree import BLinkTree, bulk_load, is_null, key_columns
 from repro.btree.inmemory import InMemoryAccessor, InMemoryRootRef, drive
 from repro.btree.pointers import encode_pointer
+from repro.config import TreeConfig
 from repro.errors import IndexError_
 from repro.experiments.common import DESIGNS, build_index
 from repro.index.partitioning import HashPartitioner, RangePartitioner, mix64
@@ -226,7 +227,7 @@ BUILD_DATASETS = {
     "empty-partition": ([(key, i) for i, key in enumerate(_SPARSE_KEYS)], 16_000),
 }
 PARTITIONINGS = ("range", "skewed", "hash")
-HEAD_INTERVALS = {"default": None, "none": 0}
+HEAD_INTERVALS = {"default": TreeConfig().head_node_interval, "none": 0}
 
 
 def build_digest(design, partitioning, heads, dataset, **config):
@@ -234,7 +235,8 @@ def build_digest(design, partitioning, heads, dataset, **config):
     server's region and its backup regions, each region's allocator word
     and the index's root/control words."""
     pairs, key_space = BUILD_DATASETS[dataset]
-    cluster = Cluster(ClusterConfig(seed=7, **config))
+    tree = TreeConfig(head_node_interval=HEAD_INTERVALS[heads])
+    cluster = Cluster(ClusterConfig(seed=7, tree=tree, **config))
     num_servers = cluster.num_memory_servers
     partitioner = {
         "range": None,
@@ -242,8 +244,7 @@ def build_digest(design, partitioning, heads, dataset, **config):
         "hash": HashPartitioner(num_servers),
     }[partitioning]
     index = DESIGNS[design].build(
-        cluster, "pinned", *key_columns(pairs), partitioner=partitioner, key_space=key_space,
-        head_interval=HEAD_INTERVALS[heads],
+        cluster, "pinned", *key_columns(pairs), partitioner=partitioner, key_space=key_space
     )
     roots = getattr(index, "roots", None) or {0: index.root_location}
     regions = []

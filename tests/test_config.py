@@ -1,13 +1,17 @@
 """Tests for configuration validation."""
 
+import dataclasses
+import math
 import warnings
 
 import pytest
 
 from repro.config import (
+    AdmissionConfig,
     ClusterConfig,
     CpuConfig,
     NetworkConfig,
+    ObservabilityConfig,
     RetryConfig,
     TreeConfig,
 )
@@ -102,3 +106,36 @@ def test_num_machines():
                          memory_servers_per_machine=1).num_machines == 4
     assert ClusterConfig(num_memory_servers=3,
                          memory_servers_per_machine=2).num_machines == 2
+
+
+def _float_fields(cls):
+    return [field.name for field in dataclasses.fields(cls) if field.type == "float"]
+
+
+#: Every float field of the timing configs, each NaN, infinite and
+#: negative. Such values used to build; a run then reported finite
+#: throughput (a NaN latency) or died mid-run yielding a bad delay.
+BAD_TIMING = [
+    (cls, name, bad)
+    for cls in (NetworkConfig, CpuConfig, RetryConfig)
+    for name in _float_fields(cls)
+    for bad in (math.nan, math.inf, -1e-6)
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, bad", BAD_TIMING,
+    ids=[f"{cls.__name__}.{name}={bad}" for cls, name, bad in BAD_TIMING],
+)
+def test_non_finite_or_negative_timing_is_refused(cls, name, bad):
+    with pytest.raises(ConfigurationError, match=name):
+        cls(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_non_finite_rates_and_durations_are_refused(bad):
+    with pytest.raises(ConfigurationError, match="tenant_rate_ops"):
+        AdmissionConfig(tenant_rate_ops={"t": bad})
+    for name in ("slow_op_threshold_s", "timeseries_cadence_s"):
+        with pytest.raises(ConfigurationError, match=name):
+            ObservabilityConfig(**{name: bad})

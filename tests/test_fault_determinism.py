@@ -27,7 +27,6 @@ from repro.config import CpuConfig, ObservabilityConfig
 from repro.experiments.common import build_index
 from repro.workloads import (
     OP_TYPES,
-    ArrivalProcess,
     TenantSpec,
     WorkloadRunner,
     WorkloadSpec,
@@ -131,7 +130,6 @@ def _open_loop_chaos_run():
                 enabled=True,
                 max_queue_depth=8,
                 tenant_rate_ops={"greedy": 20_000.0},
-                tenant_burst_ops=4.0,
             ),
             observability=ObservabilityConfig(enabled=True),
         )
@@ -143,7 +141,7 @@ def _open_loop_chaos_run():
         TenantSpec(
             name="greedy",
             workload=WorkloadSpec(name="reads", point_fraction=1.0),
-            arrivals=ArrivalProcess(rate_ops_per_s=400_000.0),
+            rate_ops_per_s=400_000.0,
             max_op_retries=2,
             sessions=8,
         ),
@@ -186,7 +184,7 @@ def _overload_shaped_run():
     """A tiny ``ext_overload`` flash-crowd cell, serialized to a string:
     admission on (the flood tenant rate-limited and bulkheaded), an
     interactive tenant with an SLO and two retries, and a flood tenant
-    that never retries, in a burst that covers the run."""
+    that never retries, at a flash-crowd rate for the whole run."""
     cluster = Cluster(
         ClusterConfig(
             num_memory_servers=2,
@@ -196,7 +194,6 @@ def _overload_shaped_run():
                 enabled=True,
                 max_queue_depth=8,
                 tenant_rate_ops={"flood": 40_000.0},
-                tenant_burst_ops=32.0,
                 bulkhead_workers={"flood": 1},
             ),
             observability=ObservabilityConfig(enabled=True),
@@ -208,7 +205,7 @@ def _overload_shaped_run():
         TenantSpec(
             name="interactive",
             workload=WorkloadSpec(name="reads", point_fraction=1.0),
-            arrivals=ArrivalProcess(rate_ops_per_s=50_000.0),
+            rate_ops_per_s=50_000.0,
             slo_p99_s=100e-6,
             max_op_retries=2,
             sessions=6,
@@ -218,12 +215,7 @@ def _overload_shaped_run():
             workload=WorkloadSpec(
                 name="mixed", point_fraction=0.95, insert_fraction=0.05
             ),
-            arrivals=ArrivalProcess(
-                rate_ops_per_s=70_000.0,
-                burst_multiplier=4.0,
-                burst_start_s=0.0,
-                burst_duration_s=1.0,
-            ),
+            rate_ops_per_s=280_000.0,
             max_op_retries=0,
             sessions=10,
         ),
@@ -253,17 +245,15 @@ def _overload_shaped_run():
     return "\n".join(lines)
 
 
-#: sha256 of the open-loop fingerprints. ``overload`` was recorded at
-#: 41d990e with the open loop as it was then (its own runner class);
-#: ``chaos-undegraded`` at 3c31621. A refactor of the harness that moved
-#: one arrival, draw, outcome or float changes them; both recorded runs
-#: are far from degenerate (chaos-undegraded: 414 drops, 1 418
-#: rejections, 8 errors, 423 verb retries; overload: 389 flood
-#: rejections, 252 accepted). Both print ``shed=0``: they were recorded
-#: when a tenant could shed arrivals client-side, which none does now.
+#: sha256 of the open-loop fingerprints. A refactor of the harness that
+#: moves one arrival, draw, outcome or float changes them; both runs are
+#: far from degenerate (chaos-undegraded: 407 drops, 1 397 rejections, 8
+#: errors, 417 verb retries; overload: 409 flood rejections, 273
+#: accepted). Both print ``shed=0``: they were first recorded when a
+#: tenant could shed arrivals client-side, which none does now.
 OPEN_LOOP_PINS = {
-    "chaos-undegraded": "f87092048e6803aad9902e3bde72a628c8734e7ec32e4db80127cb23eedd6fb0",
-    "overload": "1afaa5c187b2fb983e15d8bbfb302922fea870915e4c09d421f4c33de8ff33ec",
+    "chaos-undegraded": "e5be714d59ab2402dfc6a7cb23107924eafc267429cf6926a23f43c67f61e9fd",
+    "overload": "b64224c3a5630e366b6233fbb0e871816886d3562b9d3df00d58922060bd9974",
 }
 
 

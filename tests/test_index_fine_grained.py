@@ -2,6 +2,7 @@
 
 from repro import Cluster, ClusterConfig, FineGrainedIndex, check_tree
 from repro.btree import key_columns
+from repro.config import TreeConfig
 from repro.rdma.verbs import Verb
 
 
@@ -107,10 +108,12 @@ def test_stale_cached_root_still_reaches_all_keys(dataset):
 def test_head_nodes_prefetch_reduces_scan_latency(dataset):
     results = {}
     for heads in (0, 8):
-        cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=2))
-        index = FineGrainedIndex.build(
-            cluster, "idx", *dataset.columns(), head_interval=heads
+        cluster = Cluster(
+            ClusterConfig(
+                num_memory_servers=4, seed=2, tree=TreeConfig(head_node_interval=heads)
+            )
         )
+        index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         session = index.session(cluster.new_compute_server())
         start = cluster.now
         got = cluster.execute(session.range_scan(0, dataset.key_space))
@@ -119,6 +122,7 @@ def test_head_nodes_prefetch_reduces_scan_latency(dataset):
     assert results[8][0] < results[0][0]  # prefetching is faster
 
 
-def test_disabling_head_nodes_removes_head_pages(cluster, pairs):
-    index = FineGrainedIndex.build(cluster, "idx", *key_columns(pairs), head_interval=0)
+def test_disabling_head_nodes_removes_head_pages(small_config, pairs):
+    cluster = Cluster(small_config.with_(tree=TreeConfig(head_node_interval=0)))
+    index = FineGrainedIndex.build(cluster, "idx", *key_columns(pairs))
     assert index.use_head_nodes is False

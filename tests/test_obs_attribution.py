@@ -30,7 +30,6 @@ from repro.obs import SEGMENTS, attribute_span_dict
 from repro.obs.attribution import attribute_intervals
 from repro.rdma.faults import FaultPlan, ServerCrash
 from repro.workloads import (
-    ArrivalProcess,
     TenantSpec,
     WorkloadRunner,
     WorkloadSpec,
@@ -259,8 +258,9 @@ class TestReconciliationAcrossDesigns:
             obs_config(),
             admission=AdmissionConfig(
                 enabled=True,
+                # About 250 RPCs per server in the run against a
+                # 32-token burst plus 25 refilled tokens.
                 tenant_rate_ops={"app": 10_000.0},
-                tenant_burst_ops=4.0,
             ),
             cpu=CpuConfig(cores_per_server=2),
         )
@@ -270,7 +270,7 @@ class TestReconciliationAcrossDesigns:
         tenant = TenantSpec(
             name="app",
             workload=WorkloadSpec(name="over", point_fraction=1.0),
-            arrivals=ArrivalProcess(rate_ops_per_s=200_000.0),
+            rate_ops_per_s=200_000.0,
             max_op_retries=1,
             sessions=8,
         )
@@ -343,7 +343,7 @@ class TestFlightRecorder:
             name="app",
             workload=WorkloadSpec(name="crash", point_fraction=0.8,
                                   insert_fraction=0.2),
-            arrivals=ArrivalProcess(rate_ops_per_s=150_000.0),
+            rate_ops_per_s=150_000.0,
             slo_p99_s=100e-6,
             max_op_retries=1,
             sessions=8,

@@ -1,7 +1,7 @@
 """Open-loop arrivals.
 
-Covers the arrival-rate curve (burst window, thinning envelope) and
-:meth:`~repro.workloads.runner.WorkloadRunner.run_open` end to end —
+Covers the tenant's Poisson rate (validation, and that a run offers it)
+and :meth:`~repro.workloads.runner.WorkloadRunner.run_open` end to end —
 determinism, offered/accepted/rejected accounting, SLO attainment,
 per-tenant rejections under an admission policy, and operations on a
 crashed compute server.
@@ -24,7 +24,6 @@ from repro import (
 from repro.config import CpuConfig, ObservabilityConfig
 from repro.errors import ConfigurationError
 from repro.workloads import (
-    ArrivalProcess,
     TenantSpec,
     WorkloadRunner,
     WorkloadSpec,
@@ -34,48 +33,36 @@ from repro.workloads import (
 READS = WorkloadSpec(name="reads", point_fraction=1.0)
 
 
-class TestArrivalProcess:
-    def test_steady_rate_everywhere(self):
-        arrivals = ArrivalProcess(rate_ops_per_s=1000.0)
-        assert arrivals.rate_at(0.0) == 1000.0
-        assert arrivals.rate_at(123.4) == 1000.0
-        assert arrivals.peak_rate == 1000.0
-
-    def test_burst_window_is_half_open(self):
-        arrivals = ArrivalProcess(
-            rate_ops_per_s=100.0,
-            burst_multiplier=5.0,
-            burst_start_s=1.0,
-            burst_duration_s=2.0,
-        )
-        assert arrivals.rate_at(0.999) == 100.0
-        assert arrivals.rate_at(1.0) == 500.0
-        assert arrivals.rate_at(2.999) == 500.0
-        assert arrivals.rate_at(3.0) == 100.0
-        assert arrivals.peak_rate == 500.0
-
+class TestTenantRate:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ArrivalProcess(rate_ops_per_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ArrivalProcess(rate_ops_per_s=1.0, burst_multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            TenantSpec(name="", workload=READS,
-                       arrivals=ArrivalProcess(rate_ops_per_s=1.0))
+            TenantSpec(name="", workload=READS, rate_ops_per_s=1.0)
         # Non-finite values: an infinite rate made run_open spin forever,
         # a NaN one failed deep inside the simulator.
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="rate_ops_per_s"):
+                TenantSpec(name="t", workload=READS, rate_ops_per_s=bad)
         for bad in (math.inf, -math.inf, math.nan):
-            for field in ("rate_ops_per_s", "burst_multiplier",
-                          "burst_start_s", "burst_duration_s"):
-                kwargs = {"rate_ops_per_s": 1.0, field: bad}
-                with pytest.raises(ConfigurationError):
-                    ArrivalProcess(**kwargs)
             with pytest.raises(ConfigurationError):
                 TenantSpec(name="t", workload=READS, slo_p99_s=bad,
-                           arrivals=ArrivalProcess(rate_ops_per_s=1.0))
+                           rate_ops_per_s=1.0)
+
+    @pytest.mark.parametrize("rate", [50_000.0, 200_000.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_a_tenant_offers_its_rate(self, rate, seed):
+        """Arrivals in the window are Poisson with mean rate * window: the
+        count lies within four standard deviations of it."""
+        measure_s = 0.004
+        tenants = [
+            TenantSpec(name="a", workload=READS, rate_ops_per_s=rate, sessions=4)
+        ]
+        _cluster, result = _open_loop_run(seed=seed, tenants=tenants, measure_s=measure_s)
+        mean = rate * measure_s
+        assert abs(result.tenants["a"].offered - mean) <= 4 * math.sqrt(mean)
+        assert result.offered_ops == result.tenants["a"].offered
 
 
-def _open_loop_run(seed=3, admission=None, tenants=None):
+def _open_loop_run(seed=3, admission=None, tenants=None, measure_s=0.004):
     cluster = Cluster(
         ClusterConfig(
             num_memory_servers=2,
@@ -93,7 +80,7 @@ def _open_loop_run(seed=3, admission=None, tenants=None):
             TenantSpec(
                 name="a",
                 workload=READS,
-                arrivals=ArrivalProcess(rate_ops_per_s=120_000.0),
+                rate_ops_per_s=120_000.0,
                 slo_p99_s=200e-6,
                 sessions=4,
             ),
@@ -102,17 +89,12 @@ def _open_loop_run(seed=3, admission=None, tenants=None):
                 workload=WorkloadSpec(
                     name="mixed", point_fraction=0.9, insert_fraction=0.1
                 ),
-                arrivals=ArrivalProcess(
-                    rate_ops_per_s=60_000.0,
-                    burst_multiplier=4.0,
-                    burst_start_s=0.002,
-                    burst_duration_s=0.002,
-                ),
+                rate_ops_per_s=120_000.0,
                 sessions=4,
             ),
         ]
     result = WorkloadRunner(cluster, dataset).run_open(
-        index, tenants, warmup_s=0.001, measure_s=0.004, seed=seed
+        index, tenants, warmup_s=0.001, measure_s=measure_s, seed=seed
     )
     return cluster, result
 
@@ -159,8 +141,6 @@ class TestOpenLoopRunner:
         assert a.slo_attainment is not None
         assert result.slo_attainment == a.slo_attainment
         assert result.tenants["b"].slo_attainment is None
-        # The burst tenant offered more than its base rate alone would.
-        assert result.tenants["b"].offered > 0
         assert result.accepted_ops == result.total_ops
         assert result.goodput == result.throughput
 
@@ -171,7 +151,7 @@ class TestOpenLoopRunner:
                 workload=READS,
                 # Far past the 2x2-core service capacity: the generator
                 # must not slow down just because server queues grow.
-                arrivals=ArrivalProcess(rate_ops_per_s=4_000_000.0),
+                rate_ops_per_s=4_000_000.0,
                 sessions=8,
             )
         ]
@@ -182,8 +162,9 @@ class TestOpenLoopRunner:
         admission = AdmissionConfig(
             enabled=True,
             max_queue_depth=8,
+            # b sends about 300 RPCs to each server in the window, far
+            # past the 32-token burst plus 50 refilled tokens.
             tenant_rate_ops={"b": 10_000.0},
-            tenant_burst_ops=1.0,
         )
         _cluster, result = _open_loop_run(admission=admission)
         assert result.tenants["b"].rejected > 0
@@ -206,7 +187,7 @@ class TestOpenLoopRunner:
         runner = WorkloadRunner(cluster, dataset)
         tenant = TenantSpec(
             name="dup", workload=READS,
-            arrivals=ArrivalProcess(rate_ops_per_s=1000.0),
+            rate_ops_per_s=1000.0,
         )
         with pytest.raises(ConfigurationError):
             runner.run_open(index, [tenant, tenant])
@@ -224,7 +205,7 @@ class TestOpenLoopRunner:
         index = CoarseGrainedIndex.build(cluster, "idx", *dataset.columns())
         tenant = TenantSpec(
             name="a", workload=READS,
-            arrivals=ArrivalProcess(rate_ops_per_s=1000.0),
+            rate_ops_per_s=1000.0,
         )
         with pytest.raises(ConfigurationError, match=name):
             WorkloadRunner(cluster, dataset).run_open(
@@ -244,7 +225,7 @@ class TestOpenLoopRunner:
         )
         tenant = TenantSpec(
             name="a", workload=READS,
-            arrivals=ArrivalProcess(rate_ops_per_s=200_000.0), sessions=4,
+            rate_ops_per_s=200_000.0, sessions=4,
         )
         # All four sessions share compute server 0; the window opens 1 ms
         # after it crashed.

@@ -26,7 +26,6 @@ from repro import (
 )
 from repro.config import CpuConfig, ObservabilityConfig
 from repro.workloads import (
-    ArrivalProcess,
     TenantSpec,
     WorkloadRunner,
     WorkloadSpec,
@@ -49,18 +48,12 @@ PLAN = FaultPlan(
 INTERACTIVE_SLO_S = 500e-6
 
 
-def _tenants(flood_multiplier=15.0):
-    flood_arrivals = ArrivalProcess(
-        rate_ops_per_s=100_000.0,
-        burst_multiplier=flood_multiplier,
-        burst_start_s=0.0,
-        burst_duration_s=1.0,
-    )
+def _tenants():
     return [
         TenantSpec(
             name="interactive",
             workload=WorkloadSpec(name="reads", point_fraction=1.0),
-            arrivals=ArrivalProcess(rate_ops_per_s=40_000.0),
+            rate_ops_per_s=40_000.0,
             slo_p99_s=INTERACTIVE_SLO_S,
             max_op_retries=2,
             sessions=8,
@@ -70,7 +63,7 @@ def _tenants(flood_multiplier=15.0):
             workload=WorkloadSpec(
                 name="mixed", point_fraction=0.9, insert_fraction=0.1
             ),
-            arrivals=flood_arrivals,
+            rate_ops_per_s=1_500_000.0,
             sessions=16,
         ),
     ]
@@ -102,7 +95,6 @@ ADMISSION = AdmissionConfig(
     enabled=True,
     max_queue_depth=8,
     tenant_rate_ops={"flood": 30_000.0},
-    tenant_burst_ops=8.0,
     bulkhead_workers={"flood": 1},
 )
 

@@ -11,7 +11,7 @@ from repro import (
     FineGrainedIndex,
     HybridIndex,
 )
-from repro.config import ObservabilityConfig
+from repro.config import ObservabilityConfig, TreeConfig
 from repro.rdma.tracing import VerbTracer
 from repro.rdma.verbs import Verb
 from repro.workloads import WorkloadRunner, generate_dataset, workload_d
@@ -83,8 +83,10 @@ def test_fg_insert_shows_the_lock_protocol(rigs, dataset):
 
 
 def test_prefetching_scan_overlaps_reads(dataset):
-    cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=17))
-    index = FineGrainedIndex.build(cluster, "t", *dataset.columns(), head_interval=4)
+    cluster = Cluster(
+        ClusterConfig(num_memory_servers=4, seed=17, tree=TreeConfig(head_node_interval=4))
+    )
+    index = FineGrainedIndex.build(cluster, "t", *dataset.columns())
     session = index.session(cluster.new_compute_server())
     cluster.execute(session.lookup(0))
     with VerbTracer(cluster) as tracer:
