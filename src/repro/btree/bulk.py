@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
-from repro.btree.node import MAX_KEY, TOMBSTONE_BIT, Node, NodeType, fanout
+from repro.btree.node import MAX_KEY, TOMBSTONE_BIT, Node, NodeType, encode_leaves, fanout
 from repro.btree.pointers import NULL_RAW, encode_pointer
 from repro.errors import IndexError_
 
@@ -36,15 +36,20 @@ __all__ = ["PageSink", "BulkLoadResult", "bulk_load", "check_columns", "key_colu
 
 
 class PageSink(Protocol):
-    """Direct (non-simulated) page storage used at load time."""
+    """Direct (non-simulated) page storage used at load time.
+
+    The loader reserves and writes a *run* — consecutive pages of one
+    server — at a time: each level's share of each server is one run.
+    """
 
     page_size: int
 
-    def alloc_page(self, server_id: int) -> int:
-        """Reserve a page on *server_id*; returns its byte offset."""
+    def alloc_run(self, server_id: int, pages: int) -> int:
+        """Reserve *pages* consecutive pages on *server_id* with one
+        allocation; returns the first page's byte offset."""
 
-    def write_page(self, server_id: int, offset: int, data: bytes) -> None:
-        """Store a page image."""
+    def write_run(self, server_id: int, offset: int, data: bytes) -> None:
+        """Store the image of a run of whole pages at *offset*."""
 
 
 class BulkLoadResult:
@@ -57,9 +62,6 @@ class BulkLoadResult:
         self.num_heads = 0
         self.height = 0
         self.pages_per_server: Dict[int, int] = {}
-
-    def _count_page(self, server_id: int) -> None:
-        self.pages_per_server[server_id] = self.pages_per_server.get(server_id, 0) + 1
 
 
 def key_columns(pairs: Iterable[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
@@ -125,6 +127,10 @@ def _chunk_runs(
     return chunks
 
 
+#: A level's runs: ``server -> (run offset, level positions of its pages)``.
+_Runs = Dict[int, Tuple[int, List[int]]]
+
+
 def bulk_load(
     keys: List[int],
     values: List[int],
@@ -141,12 +147,17 @@ def bulk_load(
 
     ``place_leaf(i)`` / ``place_inner(level, i)`` / ``place_head(i)`` map the
     i-th page of a level to a memory-server id. Empty columns produce a
-    single empty leaf. The work is per page, not per pair: a level's pages
-    are placed and allocated first, so every right pointer and high key is
-    known, then each node is built from one slice of each column, encoded
-    and written, and dropped. The resulting tree always spans the full key
-    domain ``[0, MAX_KEY)`` — partition bounds are enforced by routing,
-    not by fences — so the runtime algorithms' move-right invariants hold.
+    single empty leaf. The work is per level and server, not per pair: a
+    level's pages are placed, then each server's share of the level is
+    reserved as one run (one allocation), so every right pointer and high
+    key is known; the level is encoded — the leaves vectorised over the
+    columns (:func:`~repro.btree.node.encode_leaves`), head and inner
+    nodes one by one — and each server's run is written as one image. A
+    server's pages of a level keep the level's order, so every page lands
+    where a page-at-a-time load would put it. The resulting tree always
+    spans the full key domain ``[0, MAX_KEY)`` — partition bounds are
+    enforced by routing, not by fences — so the runtime algorithms'
+    move-right invariants hold.
     """
     result = BulkLoadResult()
     page_size = sink.page_size
@@ -155,73 +166,98 @@ def bulk_load(
     if place_head is None:
         place_head = place_leaf
 
-    def alloc(server: int) -> Tuple[int, int, int]:
-        """Reserve a page on *server*: ``(server, offset, raw pointer)``."""
-        offset = sink.alloc_page(server)
-        result._count_page(server)
-        return server, offset, encode_pointer(server, offset)
+    def reserve(servers: List[int]) -> Tuple[List[int], _Runs]:
+        """Reserve a level whose i-th page goes on ``servers[i]``: one run
+        per server. Returns each page's raw pointer, in level order, and
+        ``server -> (run offset, the level positions of its pages)``."""
+        members: Dict[int, List[int]] = {}
+        for position, server in enumerate(servers):
+            members.setdefault(server, []).append(position)
+        raws = [NULL_RAW] * len(servers)
+        runs: _Runs = {}
+        for server, positions in members.items():
+            offset = sink.alloc_run(server, len(positions))
+            first = encode_pointer(server, offset)
+            for rank, position in enumerate(positions):
+                raws[position] = first + rank * page_size
+            runs[server] = (offset, positions)
+            result.pages_per_server[server] = (
+                result.pages_per_server.get(server, 0) + len(positions)
+            )
+        return raws, runs
 
-    def write(place: Tuple[int, int, int], node: Node) -> None:
-        sink.write_page(place[0], place[1], node.to_bytes(page_size))
+    def write(runs: _Runs, image: Callable[[List[int]], bytes]) -> None:
+        """Write each server's run: *image* of its level positions."""
+        for server, (offset, positions) in runs.items():
+            sink.write_run(server, offset, image(positions))
 
-    def rights(places: List[Tuple[int, int, int]]) -> List[int]:
+    def write_nodes(runs: _Runs, nodes: List[Node]) -> None:
+        write(runs, lambda positions: b"".join(
+            [nodes[position].to_bytes(page_size) for position in positions]))
+
+    def rights(raws: List[int]) -> List[int]:
         """Each node's right pointer: its right sibling's page, NULL for the
         last. (Its high key is that sibling's lower fence, ``MAX_KEY`` for
         the last.)"""
-        return [raw for _server, _offset, raw in places[1:]] + [NULL_RAW]
+        return raws[1:] + [NULL_RAW]
 
     # ---- leaf level --------------------------------------------------------
     chunks = _chunk_runs(keys, per_node, capacity) if keys else [(0, 0)]
-    leaves = [alloc(place_leaf(i)) for i in range(len(chunks))]
-    leaf_ptrs = [raw for _server, _offset, raw in leaves]
+    leaf_ptrs, leaf_runs = reserve([place_leaf(i) for i in range(len(chunks))])
     # A child's lower fence in its parent: its first key, 0 for the leftmost.
     fences = [0] + [keys[start] for start, _end in chunks[1:]]
-    result.num_leaves = len(leaves)
+    result.num_leaves = len(chunks)
 
     # ---- head nodes (Section 4.3) -------------------------------------------
-    leaf_heads = [NULL_RAW] * len(leaves)
-    if head_interval and len(leaves) > 1:
-        starts = range(0, len(leaves), head_interval)
-        heads = [alloc(place_head(group)) for group in range(len(starts))]
-        for place, right, start in zip(heads, rights(heads), starts):
+    leaf_heads = [NULL_RAW] * len(chunks)
+    if head_interval and len(chunks) > 1:
+        starts = range(0, len(chunks), head_interval)
+        head_ptrs, head_runs = reserve([place_head(group) for group in range(len(starts))])
+        heads: List[Node] = []
+        for raw, right, start in zip(head_ptrs, rights(head_ptrs), starts):
             group = slice(start, start + head_interval)
             firsts = [keys[first] for first, _end in chunks[group]]
-            write(place, Node(NodeType.HEAD, 0, right=right, keys=firsts,
+            heads.append(Node(NodeType.HEAD, 0, right=right, keys=firsts,
                               values=leaf_ptrs[group]))
-            leaf_heads[group] = [place[2]] * len(firsts)
+            leaf_heads[group] = [raw] * len(firsts)
+        write_nodes(head_runs, heads)
         result.num_heads = len(heads)
 
-    for place, right, high_key, head, (start, end) in zip(
-        leaves, rights(leaves), fences[1:] + [MAX_KEY], leaf_heads, chunks
-    ):
-        write(place, Node(NodeType.LEAF, 0, right=right, head=head, high_key=high_key,
-                          keys=keys[start:end], values=values[start:end]))
+    pages = encode_leaves(
+        page_size, keys, values, [start for start, _end in chunks] + [len(keys)],
+        rights(leaf_ptrs), leaf_heads, fences[1:] + [MAX_KEY],
+    )
+    write(leaf_runs, lambda positions: pages[positions].tobytes())
 
     # ---- inner levels --------------------------------------------------------
     level = 1
     child_ptrs = leaf_ptrs
     while len(child_ptrs) > 1:
         starts = range(0, len(child_ptrs), per_node)
-        inner = [alloc(place_inner(level, i)) for i in range(len(starts))]
+        inner_ptrs, inner_runs = reserve(
+            [place_inner(level, i) for i in range(len(starts))]
+        )
         inner_fences = [fences[start] for start in starts]
-        for place, right, high_key, start in zip(
-            inner, rights(inner), inner_fences[1:] + [MAX_KEY], starts
-        ):
-            group = slice(start, start + per_node)
-            write(place, Node(NodeType.INNER, level, right=right, high_key=high_key,
-                              keys=fences[group], values=child_ptrs[group]))
-        result.num_inner += len(inner)
-        child_ptrs = [raw for _server, _offset, raw in inner]
+        write_nodes(inner_runs, [
+            Node(NodeType.INNER, level, right=right, high_key=high_key,
+                 keys=fences[start:start + per_node],
+                 values=child_ptrs[start:start + per_node])
+            for right, high_key, start in zip(
+                rights(inner_ptrs), inner_fences[1:] + [MAX_KEY], starts
+            )
+        ])
+        result.num_inner += len(inner_ptrs)
+        child_ptrs = inner_ptrs
         fences = inner_fences
         level += 1
 
     # The hybrid design keeps all inner levels server-resident and needs at
     # least one inner node above the leaves even for tiny partitions.
     while level < min_height:
-        place = alloc(place_inner(level, 0))
-        write(place, Node(NodeType.INNER, level, keys=[0], values=[child_ptrs[0]]))
+        root_ptrs, root_runs = reserve([place_inner(level, 0)])
+        write_nodes(root_runs, [Node(NodeType.INNER, level, keys=[0], values=child_ptrs[:1])])
         result.num_inner += 1
-        child_ptrs = [place[2]]
+        child_ptrs = root_ptrs
         level += 1
 
     result.root_raw = child_ptrs[0]

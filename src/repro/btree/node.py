@@ -29,7 +29,9 @@ from __future__ import annotations
 import array
 import struct
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import IndexError_
 from repro.btree.pointers import NULL_RAW
@@ -40,6 +42,7 @@ __all__ = [
     "TOMBSTONE_BIT",
     "NodeType",
     "Node",
+    "encode_leaves",
     "fanout",
     "strip_tombstone",
     "is_tombstoned",
@@ -337,3 +340,42 @@ class Node:
             f"Node({kind}, level={self.level}, count={self.count}, "
             f"high={self.high_key:#x}, v={self.version})"
         )
+
+
+def encode_leaves(
+    page_size: int,
+    keys: Sequence[int],
+    values: Sequence[int],
+    bounds: Sequence[int],
+    rights: Sequence[int],
+    heads: Sequence[int],
+    high_keys: Sequence[int],
+) -> np.ndarray:
+    """Encode a level of fresh leaves at once: leaf *i* holds the entries
+    ``keys[bounds[i]:bounds[i + 1]]`` / ``values[...]`` and the *i*-th
+    right pointer, head pointer and high key, at version 0.
+
+    Returns a ``(leaves, page_size)`` ``uint8`` array whose row *i* is
+    byte for byte what :meth:`Node.to_bytes` makes of that leaf, built
+    vectorised over the key and value columns instead of node by node —
+    the bulk loader's leaf level. ``bounds`` starts at 0, ends at
+    ``len(keys)`` and never puts more than :func:`fanout` entries in a
+    leaf.
+    """
+    leaves = len(bounds) - 1
+    bound = np.asarray(bounds, dtype=np.int64)
+    counts = np.diff(bound)
+    pages = np.zeros((leaves, page_size), dtype=np.uint8)
+    words = pages[:, : page_size // 8 * 8].view(np.uint64)
+    words[:, 1] = (counts << 16) | NodeType.LEAF
+    words[:, 2] = np.asarray(rights, dtype=np.uint64)
+    words[:, 3] = np.asarray(heads, dtype=np.uint64)
+    words[:, 4] = np.asarray(high_keys, dtype=np.uint64)
+    if len(keys):
+        # Entry j of the column lands in its leaf's row at word
+        # 5 + 2 * (j - first entry of that leaf): keys even, values odd.
+        row = np.repeat(np.arange(leaves), counts)
+        slot = HEADER_BYTES // 8 + 2 * (np.arange(len(keys)) - bound[:-1][row])
+        words[row, slot] = np.asarray(keys, dtype=np.uint64)
+        words[row, slot + 1] = np.asarray(values, dtype=np.uint64)
+    return pages

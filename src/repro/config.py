@@ -385,7 +385,8 @@ class ClusterConfig:
     memory_servers_per_machine: int = 2
     clients_per_compute_server: int = 40
     #: Initial/maximum registered region size per memory server. Regions
-    #: grow on demand up to the maximum.
+    #: grow on demand up to the maximum, and back with memory only the
+    #: bytes an access has reached (``repro.rdma.memory``).
     region_initial_bytes: int = 1 << 21
     region_max_bytes: int = 1 << 28
     #: Co-locate compute servers with memory servers on the same physical

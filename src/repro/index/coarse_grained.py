@@ -75,7 +75,7 @@ class CoarseGrainedIndex(PartitionedIndex):
         "delete": _handle_delete,
     }
 
-    def _placement(self, **_options: Any) -> Callable[[int], Dict[str, Any]]:
+    def _placement(self) -> Callable[[int], Dict[str, Any]]:
         """Leaves stay with the rest of their partition's tree, on its owner."""
         return lambda owner: {"place_leaf": lambda i: owner}
 

@@ -36,6 +36,7 @@ from repro.btree.bulk import bulk_load, check_columns
 from repro.index.base import DistributedIndex, IndexSession
 from repro.index.caching import CachingRemoteAccessor
 from repro.index.partitioned import client_tree
+from repro.index.partitioning import Partitioner
 from repro.nam.catalog import IndexDescriptor, RootLocation
 from repro.nam.cluster import Cluster
 from repro.nam.compute_server import ComputeServer
@@ -67,10 +68,15 @@ class FineGrainedIndex(DistributedIndex):
         keys: List[int],
         values: List[int],
         home_server: int = 0,
-        **_options: Any,
+        partitioner: Optional[Partitioner] = None,
+        key_space: Optional[int] = None,
     ) -> "FineGrainedIndex":
         """Bulk-load the *keys* and *values* columns of sorted pairs
         round-robin across all memory servers.
+
+        *partitioner* and *key_space* are accepted and ignored — one tree
+        spans every server — so one call builds any design; any other
+        keyword raises ``TypeError``.
 
         The columns are checked once
         (:func:`~repro.btree.bulk.check_columns`) before the root pointer

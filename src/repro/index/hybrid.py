@@ -77,7 +77,7 @@ class HybridIndex(PartitionedIndex):
     # it is the one publishing the index's structure epochs.
     on_structure_change = PartitionedIndex._structure_changed
 
-    def _placement(self, **_options: Any) -> Callable[[int], Dict[str, Any]]:
+    def _placement(self) -> Callable[[int], Dict[str, Any]]:
         """Leaves and head nodes round-robin across all servers, under at
         least one inner level. Head nodes go in every
         ``TreeConfig.head_node_interval`` leaves; 0 disables them."""

@@ -130,7 +130,6 @@ class PartitionedIndex(DistributedIndex):
         values: List[int],
         partitioner: Optional[Partitioner] = None,
         key_space: Optional[int] = None,
-        **options: Any,
     ) -> "PartitionedIndex":
         """Partition the *keys* and *values* columns of sorted pairs and
         bulk-load one tree per memory server.
@@ -141,8 +140,8 @@ class PartitionedIndex(DistributedIndex):
         each server's share — one slice per server under range
         partitioning. Without an explicit *partitioner*, keys are
         range-partitioned uniformly over ``[0, key_space)`` (*key_space*
-        defaults to ``max key + 1``). Other *options* go to the design's
-        :meth:`_placement`.
+        defaults to ``max key + 1``). The design's :meth:`_placement` says
+        where the leaves go; any other keyword raises ``TypeError``.
         """
         num_servers = cluster.num_memory_servers
         check_columns(keys, values)
@@ -157,7 +156,7 @@ class PartitionedIndex(DistributedIndex):
         shares = partitioner.split(keys, values)
 
         index = cls(cluster, name, partitioner, {})
-        placement = index._placement(**options)
+        placement = index._placement()
         sink = cluster.direct_sink()
         fill = cluster.config.tree.bulk_fill
         for server in cluster.memory_servers:
@@ -189,10 +188,10 @@ class PartitionedIndex(DistributedIndex):
         return index
 
     @abc.abstractmethod
-    def _placement(self, **options: Any) -> Callable[[int], Dict[str, Any]]:
+    def _placement(self) -> Callable[[int], Dict[str, Any]]:
         """Where the design's leaves go (inner pages are always on the
-        partition owner): called once per build with the build options the
-        mechanism does not know, returns ``owner -> bulk_load keywords``."""
+        partition owner): called once per build, returns
+        ``owner -> bulk_load keywords``."""
 
     def _install(
         self,

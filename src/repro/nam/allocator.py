@@ -62,6 +62,21 @@ class PageAllocator:
             )
         return offset
 
+    def allocate_run(self, pages: int) -> int:
+        """Reserve *pages* consecutive pages with one local FETCH_AND_ADD;
+        returns the first page's byte offset. The bulk loader reserves a
+        level's share of one server this way: the pages and their order
+        are those *pages* calls of :meth:`allocate` would hand out.
+        :meth:`allocate` does not delegate here: every server-local split
+        takes it, and would pay for the extra call."""
+        run_bytes = pages * self.page_size
+        offset = self.region.fetch_and_add(ALLOC_WORD_OFFSET, run_bytes)
+        if offset + run_bytes > self.region.max_bytes:
+            raise AllocationError(
+                f"memory server region exhausted at offset {offset}"
+            )
+        return offset
+
     @property
     def pages_allocated(self) -> int:
         """Pages handed out so far (including remotely bump-allocated ones)."""

@@ -38,16 +38,18 @@ __all__ = ["Cluster", "DirectPageSink"]
 
 
 class DirectPageSink:
-    """Construction-time page storage for bulk loads (no simulated traffic)."""
+    """Construction-time page storage for bulk loads (no simulated traffic):
+    a run of pages is one allocator FAA and one region write (mirrored
+    like any other)."""
 
     def __init__(self, cluster: "Cluster") -> None:
         self._cluster = cluster
         self.page_size = cluster.config.tree.page_size
 
-    def alloc_page(self, server_id: int) -> int:
-        return self._cluster.memory_servers[server_id].allocator.allocate()
+    def alloc_run(self, server_id: int, pages: int) -> int:
+        return self._cluster.memory_servers[server_id].allocator.allocate_run(pages)
 
-    def write_page(self, server_id: int, offset: int, data: bytes) -> None:
+    def write_run(self, server_id: int, offset: int, data: bytes) -> None:
         self._cluster.memory_servers[server_id].region.write(offset, data)
 
 

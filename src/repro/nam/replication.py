@@ -62,6 +62,14 @@ __all__ = ["ReplicaCopy", "ReplicationManager"]
 MIRROR_HEADER_BYTES = 24
 
 
+def _allocated(region: MemoryRegion) -> int:
+    """The bytes of *region* a state copy ships: up to its allocation
+    word's high-water mark (every page and control word lies below it;
+    the rest reads as zeros), or the whole region if that word was never
+    set."""
+    return int(region.read_u64(ALLOC_WORD_OFFSET)) or len(region)
+
+
 class ReplicaCopy:
     """One physical copy of a logical server's state."""
 
@@ -279,9 +287,9 @@ class ReplicationManager:
                     source = live[0] if live else None
                 if source is None:
                     continue
-                data = source.region.read(0, len(source.region))
+                nbytes = _allocated(source.region)
                 copy.region.wipe()
-                copy.region.write(0, data)
+                copy.region.write(0, source.region.read(0, nbytes))
                 copy.live = True
                 authority = rset.primary
                 if copy is authority:
@@ -292,10 +300,9 @@ class ReplicationManager:
                             copy.region.attach_mirror(other.region)
                 else:
                     authority.region.attach_mirror(copy.region)
-                high_water = source.region.read_u64(ALLOC_WORD_OFFSET)
-                restored += int(high_water) or len(data)
+                restored += nbytes
                 self.stats["resynced_copies"] += 1
-                self.stats["resynced_bytes"] += int(high_water) or len(data)
+                self.stats["resynced_bytes"] += nbytes
         return restored
 
     def background_resync(
@@ -339,16 +346,14 @@ class ReplicationManager:
         config = self.cluster.config
         src = self.cluster.memory_servers[authority.host_id].port
         dst = self.cluster.memory_servers[target].port
-        nbytes = int(authority.region.read_u64(ALLOC_WORD_OFFSET)) or len(
-            authority.region
-        )
+        nbytes = _allocated(authority.region)
         yield self.cluster.fabric.leg_s(src.tx, dst.rx, nbytes + MIRROR_HEADER_BYTES)
         if not authority.live or rset.primary is not authority:
             return  # the authority changed under us; a newer task will run
         if injector is not None and injector.server_down(target):
             return
         store = MemoryRegion(config.region_initial_bytes, config.region_max_bytes)
-        store.write(0, authority.region.read(0, len(authority.region)))
+        store.write(0, authority.region.read(0, _allocated(authority.region)))
         authority.region.attach_mirror(store)
         self.cluster.memory_servers[target].backup_regions[logical_id] = store
         rset.copies.append(ReplicaCopy(target, store))

@@ -7,8 +7,17 @@ verbs (compare-and-swap, fetch-and-add) operate. Index pages really are
 serialized into these buffers, so transfer sizes and atomic semantics are
 exact, not estimated.
 
-Regions grow on demand (in fixed chunks) up to a configured maximum, which
-keeps small experiments cheap while allowing large bulk loads.
+A region has two lengths. Its *logical* length, ``len(region)``, starts
+at the configured initial size and grows on demand in whole 1 MiB chunks
+up to a configured maximum; every offset below it is addressable. Its
+*materialised* length is how much of that is backed by a ``bytearray``:
+the buffer is allocated only as far as an access has reached (doubling
+from 64 KiB, never past the logical length), and every byte beyond it
+reads as zero. A cluster's regions are sized for the largest bulk load
+but hold a few hundred kilobytes of pages, so nobody pays to zero-fill
+the rest. Any access past the materialised end — a read, a write or an
+atomic — extends the buffer, which is why a live :meth:`read_view` makes
+such an access raise ``BufferError`` (see :meth:`MemoryRegion.read_view`).
 
 Replication support: a region may have *mirror* regions attached
 (:meth:`MemoryRegion.attach_mirror`). Every mutation — WRITE and the
@@ -25,34 +34,43 @@ the unreplicated build.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import RemoteAccessError
 
 __all__ = ["MemoryRegion"]
 
 _U64 = struct.Struct("<Q")
-_GROW_CHUNK = 1 << 20  # 1 MiB
+_GROW_CHUNK = 1 << 20  # 1 MiB: the step of the logical length
+_FIRST_MATERIALISED = 1 << 16  # 64 KiB: the first buffer; it doubles from there
 
 
 class MemoryRegion:
-    """A growable, bounds-checked byte buffer with 8-byte atomics."""
+    """A growable, bounds-checked byte buffer with 8-byte atomics.
+
+    ``len(region)`` is the logical length: *initial_bytes*, then whole
+    1 MiB chunks as accesses reach past it, up to *max_bytes*. Only the
+    prefix an access has touched is materialised (``_buf``); the rest
+    reads as zeros, through :meth:`read`, :meth:`read_view`,
+    :meth:`read_u64` and the atomics alike, which materialise it first.
+    """
 
     def __init__(self, initial_bytes: int, max_bytes: int) -> None:
         if initial_bytes < 0 or max_bytes < initial_bytes:
             raise RemoteAccessError(
                 f"invalid region sizing: initial={initial_bytes}, max={max_bytes}"
             )
-        self._buf = bytearray(initial_bytes)
+        self._size = initial_bytes
+        self._buf = bytearray()
         self.max_bytes = max_bytes
-        self._mirrors: list = []
+        self._mirrors: List["MemoryRegion"] = []
         # Lazily-built read-only master view of ``_buf``; every
         # :meth:`read_view` is a slice of it (one allocation instead of
-        # three). Released before any growth — see :meth:`_ensure`.
-        self._view: memoryview = None
+        # three). Dropped before the buffer grows — see :meth:`_ensure`.
+        self._view: Optional[memoryview] = None
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._size
 
     # -- replication mirrors -------------------------------------------------
 
@@ -70,30 +88,46 @@ class MemoryRegion:
 
     def wipe(self) -> None:
         """Zero the buffer in place (a destructive crash). Mirror links are
-        managed by the caller; the buffer keeps its current length."""
+        managed by the caller; the region keeps its logical length."""
         self._buf[:] = bytes(len(self._buf))
 
     def _ensure(self, end: int) -> None:
-        if end <= len(self._buf):
+        materialised = len(self._buf)
+        if end <= materialised:
             return
-        if end > self.max_bytes:
-            raise RemoteAccessError(
-                f"access at {end} exceeds region maximum of {self.max_bytes} bytes"
-            )
-        # Grow in whole chunks so repeated appends stay amortized O(1).
-        # The master view must be released first: a bytearray cannot be
-        # resized while any export is alive. Caller-held slices still
-        # block growth (the read_view hazard contract is unchanged).
-        if self._view is not None:
-            self._view.release()
-            self._view = None
-        target = min(self.max_bytes, max(end, len(self._buf) + _GROW_CHUNK))
-        self._buf.extend(bytes(target - len(self._buf)))
+        size = self._size
+        if end > size:
+            if end > self.max_bytes:
+                raise RemoteAccessError(
+                    f"access at {end} exceeds region maximum of {self.max_bytes} bytes"
+                )
+            # The logical length grows in whole chunks, so one access far
+            # past the end leaves the length that page-by-page appends would.
+            size += (end - size + _GROW_CHUNK - 1) // _GROW_CHUNK * _GROW_CHUNK
+            if size > self.max_bytes:
+                size = self.max_bytes
+        # Materialise up to *end*, at least doubling the buffer so repeated
+        # appends stay amortized O(1), never past the logical length. No
+        # builtin is called from here on, so a write past the materialised
+        # end makes the calls any other write makes (nambench counts them).
+        # The master view is dropped first, since a bytearray cannot be
+        # resized while any export is alive; caller-held slices still block
+        # the resize (the read_view hazard).
+        target = materialised * 2
+        if target < _FIRST_MATERIALISED:
+            target = _FIRST_MATERIALISED
+        if target < end:
+            target = end
+        if target > size:
+            target = size
+        self._view = None
+        self._buf += bytes(target - materialised)
+        self._size = size
 
     # -- bulk access ---------------------------------------------------------
 
     def read(self, offset: int, length: int) -> bytes:
-        """Copy *length* bytes starting at *offset* (zero-filled if never written)."""
+        """Copy *length* bytes starting at *offset* (zeros if never written)."""
         if offset < 0 or length < 0:
             raise RemoteAccessError(f"bad read at offset={offset}, length={length}")
         end = offset + length
@@ -110,10 +144,12 @@ class MemoryRegion:
         """A zero-copy read-only view of *length* bytes at *offset*.
 
         Hazard: while any view is alive the underlying bytearray cannot
-        grow, so a write past the current end raises ``BufferError``. Views
-        are therefore for *immediate* consumption on the co-located fast
-        path (parse a page, drop the view) — never hold one across a
-        simulation yield or stash it in a cache. See docs/performance.md.
+        grow, so any access past the *materialised* end — a write, a read
+        or an atomic, inside the logical length or beyond it — raises
+        ``BufferError``. Views are therefore for *immediate* consumption on
+        the co-located fast path (parse a page, drop the view) — never hold
+        one across a simulation yield or stash it in a cache. See
+        docs/performance.md.
         """
         if offset < 0 or length < 0:
             raise RemoteAccessError(f"bad read at offset={offset}, length={length}")

@@ -20,20 +20,25 @@ from repro.workloads.datagen import skew_fractions
 
 
 class DictSink:
-    """Multi-server page sink over plain dicts."""
+    """Multi-server page sink over plain dicts: it hands out runs like a
+    region's bump word and splits each run image back into its pages, so
+    the traversal tests below read single pages."""
 
     def __init__(self, page_size=256, num_servers=4):
         self.page_size = page_size
         self.pages = {}
         self._next = {sid: page_size for sid in range(num_servers)}
 
-    def alloc_page(self, server_id):
+    def alloc_run(self, server_id, pages):
         offset = self._next[server_id]
-        self._next[server_id] += self.page_size
+        self._next[server_id] += pages * self.page_size
         return offset
 
-    def write_page(self, server_id, offset, data):
-        self.pages[encode_pointer(server_id, offset)] = data
+    def write_run(self, server_id, offset, data):
+        assert len(data) % self.page_size == 0
+        for start in range(0, len(data), self.page_size):
+            page = data[start:start + self.page_size]
+            self.pages[encode_pointer(server_id, offset + start)] = page
 
 
 class SinkAccessor(InMemoryAccessor):
@@ -208,6 +213,17 @@ def test_one_shot_pairs_leave_the_bytes_of_their_list(design):
     assert regions((k * 8, k) for k in range(100)) == regions(
         [(k * 8, k) for k in range(100)]
     )
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_build_refuses_a_keyword_it_does_not_take(design):
+    """``head_interval`` is no build keyword (``TreeConfig`` sets the head
+    interval); a build must refuse it, not build with the default."""
+    cluster = Cluster(ClusterConfig(seed=7))
+    with pytest.raises(TypeError, match="head_interval"):
+        DESIGNS[design].build(
+            cluster, "idx", *key_columns([(8, 1)]), key_space=800, head_interval=0
+        )
 
 
 # ---- what a build leaves in the cluster, pinned byte for byte -------------
@@ -451,17 +467,19 @@ def test_build_leaves_the_recorded_bytes(case):
 
 
 #: Ceiling on cProfile calls per loaded key of a 20 000-key ``build_index``,
-#: ``dataset.columns()`` and the column check included: 0.786 / 0.855 /
-#: 0.907 now, when a build's Python work is per page; 4.98 / 1.07 / 5.13
-#: when it partitioned, checked and sliced pair by pair. Calls are summed over the profiler's raw entries
-#: (``pstats`` would merge the two lambdas on one line of a placement), with
-#: the cyclic collector off, so no finalizer or ``gc`` callback an earlier
-#: test left behind lands in the profile; they repeat to the last digit
-#: from run to run (counted on CPython 3.11).
+#: ``dataset.columns()`` and the column check included: 0.168 / 0.186 /
+#: 0.268 now, when a level is one allocation and one write per server and
+#: the leaves are encoded vectorised; 0.786 / 0.855 / 0.907 when a build
+#: allocated, encoded and wrote page by page; 4.98 / 1.07 / 5.13 when it
+#: partitioned, checked and sliced pair by pair. Calls are summed over the
+#: profiler's raw entries (``pstats`` would merge the two lambdas on one
+#: line of a placement), with the cyclic collector off, so no finalizer or
+#: ``gc`` callback an earlier test left behind lands in the profile; they
+#: repeat to the last digit from run to run (counted on CPython 3.11).
 CALLS_PER_KEY = {
-    "coarse-grained": 0.79,
-    "fine-grained": 0.86,
-    "hybrid": 0.91,
+    "coarse-grained": 0.17,
+    "fine-grained": 0.19,
+    "hybrid": 0.27,
 }
 
 

@@ -64,6 +64,21 @@ class TestAllocator:
             for _ in range(100):
                 allocator.allocate()
 
+    def test_a_run_is_the_pages_single_allocations_hand_out(self):
+        page_size = ClusterConfig().tree.page_size
+        singles = Cluster(ClusterConfig()).memory_server(0).allocator
+        runs = Cluster(ClusterConfig()).memory_server(0).allocator
+        expected = [singles.allocate() for _ in range(7)]
+        first = runs.allocate_run(5)
+        assert [first + i * page_size for i in range(5)] == expected[:5]
+        assert runs.allocate_run(2) == expected[5]
+        assert runs.pages_allocated == singles.pages_allocated == 7
+
+    def test_run_exhaustion_raises(self):
+        cluster = Cluster(ClusterConfig(region_initial_bytes=4096, region_max_bytes=8192))
+        with pytest.raises(AllocationError):
+            cluster.memory_server(0).allocator.allocate_run(8)
+
     def test_remote_faa_allocation_matches_local(self, cluster, compute):
         """One-sided bump allocation hands out the same page stream."""
         from repro.nam.allocator import ALLOC_WORD_OFFSET

@@ -50,6 +50,62 @@ def test_u64_wraps_at_64_bits():
     assert region.read_u64(0) == 5
 
 
+class TestLazyRegion:
+    """The logical length is the configured size; bytes are materialised
+    only as far as an access reaches, and the rest read as zeros."""
+
+    def test_fresh_region_has_its_initial_length(self):
+        region = MemoryRegion(1 << 21, 1 << 28)
+        assert len(region) == 1 << 21
+        assert len(region._buf) == 0
+
+    def test_untouched_bytes_read_as_zeros(self):
+        region = MemoryRegion(1 << 21, 1 << 22)
+        region.write(8, b"x")
+        deep = (1 << 21) - 64
+        assert region.read(deep, 64) == bytes(64)
+        assert bytes(region.read_view(deep - 64, 64)) == bytes(64)
+        assert region.read_u64(deep - 256) == 0
+        assert region.compare_and_swap(deep - 512, 1, 2) == (False, 0)
+        assert region.fetch_and_add(deep - 768, 5) == 0
+        assert region.read_u64(deep - 768) == 5
+        assert region.read(8, 1) == b"x"
+        assert len(region) == 1 << 21
+
+    def test_access_materialises_no_further_than_needed(self):
+        region = MemoryRegion(1 << 21, 1 << 22)
+        region.write_u64(0, 1)
+        assert len(region._buf) == 1 << 16
+        region.write(200_000, b"page")
+        assert len(region._buf) == 200_004
+        region.read(0, len(region))
+        assert len(region._buf) == len(region) == 1 << 21
+
+    def test_logical_length_grows_in_whole_chunks(self):
+        region = MemoryRegion(1 << 21, 1 << 24)
+        region.write((1 << 21) + (3 << 20), b"far")
+        assert len(region) == (1 << 21) + (4 << 20)
+        assert region.read((1 << 21) + (3 << 20), 3) == b"far"
+
+    def test_wipe_zeros_and_keeps_length(self):
+        region = MemoryRegion(1 << 21, 1 << 22)
+        region.write(4096, b"data")
+        region.wipe()
+        assert len(region) == 1 << 21
+        assert region.read(4096, 4) == bytes(4)
+
+    def test_live_view_blocks_materialising_inside_the_logical_length(self):
+        region = MemoryRegion(1 << 21, 1 << 22)
+        view = region.read_view(0, 16)
+        with pytest.raises(BufferError):
+            region.write(1 << 20, b"grow")
+        assert len(region) == 1 << 21
+        view.release()
+        region.write(1 << 20, b"grow")
+        assert region.read(1 << 20, 4) == b"grow"
+        assert len(region) == 1 << 21
+
+
 class TestReadView:
     """The zero-copy view path behind the engine's fast READ."""
 
