@@ -13,6 +13,7 @@ from repro.workloads.distributions import (
     ZipfianChooser,
     make_chooser,
 )
+from repro.workloads.checker import check_history
 from repro.workloads.history import History, Scenario, run_scenario
 from repro.workloads.metrics import OP_TYPES, Op, OpType, RunResult, TenantOutcome
 from repro.workloads.openloop import TenantSpec
@@ -46,6 +47,7 @@ __all__ = [
     "History",
     "Scenario",
     "run_scenario",
+    "check_history",
     "TenantSpec",
     "WorkloadSpec",
     "workload_a",

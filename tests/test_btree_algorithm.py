@@ -8,6 +8,8 @@ from repro import check_tree
 from repro.btree import BLinkTree, MAX_KEY, is_null
 from repro.btree.inmemory import InMemoryAccessor, InMemoryRootRef, drive
 from repro.errors import IndexError_
+from repro.workloads import check_history
+from tests.test_checker import issued
 
 
 def make_tree(page_size=256):
@@ -264,23 +266,16 @@ class TestValidate:
 def test_model_based_property(ops):
     """The tree behaves like a sorted multimap with tombstone deletes."""
     tree, _ = make_tree(page_size=256)
-    model = {}  # key -> list of payloads
+    history = []
     seq = 0
     for op, key in ops:
         if op == "insert":
-            drive(tree.insert(key, seq))
-            model.setdefault(key, []).append(seq)
+            issued(history, drive, tree, op, key, seq)
             seq += 1
-        elif op == "delete":
-            found = drive(tree.delete(key))
-            assert found == bool(model.get(key))
-            if model.get(key):
-                model[key].pop(0)
         else:
-            assert sorted(drive(tree.lookup(key))) == sorted(model.get(key, []))
-    expected = sorted(
-        (key, payload) for key, payloads in model.items() for payload in payloads
-    )
-    assert drive(tree.range_scan(0, 100)) == expected
+            issued(history, drive, tree, op, key)
+    scan = drive(tree.range_scan(0, 100))
+    assert scan == sorted(scan)  # payloads count up: duplicates in insertion order
+    assert check_history(history, [], scan) == []
     report = drive(check_tree(tree))
     assert report.ok, report.violations

@@ -11,9 +11,9 @@ operation observes:
   unread, so for them depth builds no caching accessor and counts no
   cache event;
 * **property tests** — randomized (hypothesis) insert/split workloads
-  where a cached reader races a writer; every read must match a sorted
-  multimap model, i.e. no stale leaf read ever returns a deleted or
-  superseded value;
+  where a cached reader races a writer; the history must be linearizable
+  against the checker's sorted multimap, i.e. no stale leaf read ever
+  returns a deleted or superseded value;
 * a **chaos test** — a mixed workload with message faults, a destructive
   server crash and replication failover on top of the cache, verified
   structurally and for replica convergence (also exercised under
@@ -40,7 +40,8 @@ from repro import (
 from repro.index import DESIGNS
 from repro.index.caching import CachingRemoteAccessor
 from repro.obs import ObservabilityConfig
-from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
+from repro.workloads import WorkloadRunner, WorkloadSpec, check_history, generate_dataset
+from tests.test_checker import issued, session_calls
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.errors.ConfigurationWarning"
@@ -201,37 +202,11 @@ def test_cached_index_matches_sorted_multimap(ops, depth):
     reader = index.session(cluster.new_compute_server())
     writer = index.session(cluster.new_compute_server())
 
-    model = {key: [ordinal] for key, ordinal in dataset.pairs()}
-    seq = 1000
-    for op, key in ops:
-        if op == "insert":
-            cluster.execute(writer.insert(key, seq))
-            model.setdefault(key, []).append(seq)
-            seq += 1
-        elif op == "update":
-            found = cluster.execute(writer.update(key, seq))
-            assert found == bool(model.get(key))
-            if model.get(key):
-                model[key][0] = seq
-            seq += 1
-        elif op == "delete":
-            found = cluster.execute(writer.delete(key))
-            assert found == bool(model.get(key))
-            if model.get(key):
-                model[key].pop(0)
-        elif op == "lookup":
-            got = sorted(cluster.execute(reader.lookup(key)))
-            assert got == sorted(model.get(key, []))
-        else:
-            low, high = sorted((key, key + 40))
-            got = cluster.execute(reader.range_scan(low, high))
-            expected = sorted(
-                (k, payload)
-                for k, payloads in model.items()
-                if low <= k < high
-                for payload in payloads
-            )
-            assert sorted(got) == expected
+    history = []
+    for call in session_calls(ops):
+        session = reader if call[0] in ("lookup", "range_scan") else writer
+        issued(history, cluster.execute, session, *call)
+    assert check_history(history, dataset.pairs()) == []
     report = verify_index(cluster, index)
     assert report.ok, report.violations
 

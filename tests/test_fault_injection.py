@@ -34,7 +34,7 @@ from repro import (
 from repro.btree import key_columns
 from repro.errors import ConfigurationError
 from repro.rdma.verbs import Verb
-from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
+from repro.workloads import Op, WorkloadRunner, WorkloadSpec, check_history, generate_dataset
 
 MIXED = WorkloadSpec(
     name="chaos-mix",
@@ -299,15 +299,15 @@ def test_chaos_workload_never_corrupts_tree(design):
 
 
 def test_acceptance_drop_crash_scan_matches_oracle():
-    """The headline chaos scenario from the issue: 5% message drop plus a
-    memory-server crash/restart mid-workload on the fine-grained index.
+    """The headline chaos scenario: 5% message drop plus a memory-server
+    crash/restart mid-workload on the fine-grained index.
 
     Clients retry failed operations until success. Inserts use unique keys
-    and values; updates are partitioned per client so the final value per
-    key is deterministic; there are no deletes. After quiescing the
-    injector, a full scan must match the oracle exactly (as a set — a
-    retried insert whose first attempt silently succeeded may legitimately
-    appear twice in the multimap).
+    and values; updates are partitioned per client; there are no deletes.
+    Every attempt is one operation of the history, so an attempt that timed
+    out took effect zero or one times (a retried insert whose first attempt
+    silently succeeded may appear twice in the multimap). After quiescing
+    the injector, the history and a full scan must be linearizable.
     """
     cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=31))
     dataset = generate_dataset(1_000, gap=4)
@@ -320,7 +320,7 @@ def test_acceptance_drop_crash_scan_matches_oracle():
         )
     )
 
-    oracle = {key: {value} for key, value in dataset.pairs()}
+    history = []
     num_clients = 8
     ops_per_client = 260
     progress = []
@@ -328,41 +328,33 @@ def test_acceptance_drop_crash_scan_matches_oracle():
     def client(cid):
         session = index.session(cluster.new_compute_server())
 
-        def persist(op_factory):
-            # Retry the whole operation until one attempt completes. The
-            # transport applies effects at most once per attempt, and
-            # re-applying these particular ops is harmless (unique-key
-            # inserts dedup in the final set compare; updates are
-            # idempotent), so retry-until-success is sound.
+        def persist(method, *args):
+            # Retry the whole operation until one attempt completes.
             while True:
+                op = Op(cid, method, args, cluster.now)
+                history.append(op)
                 try:
-                    return (yield from op_factory())
-                except TimeoutError_:
-                    pass
+                    op.result = yield from getattr(session, method)(*args)
+                except TimeoutError_ as exc:
+                    op.result = exc
+                op.responded_at = cluster.now
+                if not isinstance(op.result, TimeoutError_):
+                    return
 
         for i in range(ops_per_client):
             kind = i % 3
             if kind == 0:
                 key = dataset.key_space + cid * 100_000 + i
-                value = cid * 1_000_000 + i
-                yield from persist(lambda: session.insert(key, value))
-                oracle[key] = {value}
+                yield from persist("insert", key, cid * 1_000_000 + i)
             elif kind == 1:
                 # Each client updates only its own disjoint slice of the
-                # original keys, so the final value per key is the client's
-                # last update — deterministic despite concurrency.
+                # original keys.
                 slice_size = dataset.num_keys // num_clients
                 key = dataset.key_at(cid * slice_size + (i % slice_size))
-                value = cid * 1_000_000 + 500_000 + i
-                found = yield from persist(lambda: session.update(key, value))
-                assert found
-                oracle[key] = {value}
+                yield from persist("update", key, cid * 1_000_000 + 500_000 + i)
             else:
                 key = dataset.key_at((cid * 37 + i) % dataset.num_keys)
-                got = yield from persist(lambda: session.lookup(key))
-                # The key is never deleted, so a lookup must find a value
-                # (which one depends on racing updates by other clients).
-                assert got
+                yield from persist("lookup", key)
             progress.append(cluster.now)
 
     procs = [cluster.spawn(client(cid)) for cid in range(num_clients)]
@@ -379,18 +371,16 @@ def test_acceptance_drop_crash_scan_matches_oracle():
     scan = cluster.execute(
         verifier.range_scan(0, dataset.key_space + num_clients * 100_000 + 1)
     )
-    expected = {
-        (key, value) for key, values in oracle.items() for value in values
-    }
-    assert set(scan) == expected
+    assert check_history(history, dataset.pairs(), scan) == []
+    keys = len({key for key, _ in scan})
     report = cluster.execute(
         check_tree(index.tree_for(cluster.new_compute_server()))
     )
     assert report.ok, report.violations
-    assert report.entries >= len(oracle)
+    assert report.entries >= keys
     report = verify_index(cluster, index)
     assert report.ok, report.violations
-    assert report.entries >= len(oracle)
+    assert report.entries >= keys
 
 
 def test_retry_knobs_come_from_config():

@@ -21,9 +21,11 @@ scatter over all four partitions and a merge).
 
 Hashed are every result in *issue* order (a scan row's scans alone), one
 full scan of the quiet cluster and, for a write row, every memory server's
-region bytes. Every row also checks its history: the quiet scan holds the
-loaded keys plus the inserts minus the deletes that found an entry, and
-the sim times are well formed.
+region bytes. Every row also checks its history: it must be linearizable
+(``check_history``) from the loaded pairs, with the quiet scan as a read
+of every key after the last operation, and the sim times must be well
+formed. So does the typed-error row, whose failed lookups may have read
+anything, and a kept ``WorkloadRunner.run`` history under message loss.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from repro.workloads import (
     Scenario,
     WorkloadRunner,
     WorkloadSpec,
+    check_history,
     generate_dataset,
     run_scenario,
 )
@@ -192,11 +195,9 @@ def _check_order(ops):
 def _checked(scenario):
     """Run *scenario* and check what every history must satisfy."""
     history = run_scenario(scenario)
-    ops = history.ops
-    inserts = sum(op.method == "insert" for op in ops)
-    deletes = sum(op.method == "delete" and op.result is True for op in ops)
-    assert len(history.full_scan) == scenario.num_keys + inserts - deletes
-    _check_order(ops)
+    dataset = generate_dataset(scenario.num_keys)
+    assert check_history(history.ops, dataset.pairs(), history.full_scan) == []
+    _check_order(history.ops)
     if "probe" in scenario.extras:
         assert history.observed["height"] == 3
     if "gc" in scenario.extras:
@@ -253,7 +254,8 @@ def test_a_scenario_the_design_cannot_run_is_refused(monkeypatch, design, partit
 
 
 def test_a_kept_run_history_agrees_with_its_fold():
-    """The runner's kept ``Op``s are the history its window was folded from."""
+    """The runner's kept ``Op``s are the history its window was folded from,
+    and they are linearizable, the errored ones taking effect or not."""
     dataset = generate_dataset(2_000)
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=3))
     index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
@@ -265,6 +267,7 @@ def test_a_kept_run_history_agrees_with_its_fold():
     )
     ops = result.raw_records
     _check_order(ops)
+    assert check_history(ops, dataset.pairs()) == []
     assert {op.method for op in ops} <= set(OP_TYPES)
     window = [op for op in ops if measure_from <= op.responded_at <= measure_from + 0.002]
     errored = sum(isinstance(op.result, Exception) for op in window)

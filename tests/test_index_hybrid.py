@@ -8,7 +8,8 @@ from repro.btree.pointers import RemotePointer
 from repro.index.partitioning import HashPartitioner, RoundRobinPartitioner
 from repro.nam.rpc import TreeCall
 from repro.rdma.verbs import Verb
-from repro.workloads import skewed_partitioner
+from repro.workloads import check_history, skewed_partitioner
+from tests.test_checker import issued
 
 
 def build(cluster, dataset, **kwargs):
@@ -108,15 +109,15 @@ def test_duplicate_run_split_keeps_its_separator_in_its_partition(
     loaded = [(k, k) for k in range(0, 20000, 7) if not 951 <= k <= gap_high]
     index = HybridIndex.build(cluster, "idx", *key_columns(loaded), partitioner=partitioner)
     session = index.session(cluster.new_compute_server())
+    history = []
     for i in range(13):
-        cluster.execute(session.insert(1001, 5000 + i))
-    cluster.execute(session.insert(probe, 777))
+        issued(history, cluster.execute, session, "insert", 1001, 5000 + i)
+    issued(history, cluster.execute, session, "insert", probe, 777)
 
     fresh = index.session(cluster.new_compute_server())
-    lost = [k for k, v in loaded if cluster.execute(fresh.lookup(k)) != [v]]
-    assert lost == []
-    assert cluster.execute(fresh.lookup(probe)) == [777]
-    assert sorted(cluster.execute(fresh.lookup(1001))) == [5000 + i for i in range(13)]
+    for key in [k for k, _ in loaded] + [probe, 1001]:
+        issued(history, cluster.execute, fresh, "lookup", key)
+    assert check_history(history, loaded) == []
     report = verify_index(cluster, index)
     assert report.ok, report.violations
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro import Cluster, ClusterConfig, FineGrainedIndex, HybridIndex, check_tree
 from repro.errors import TimeoutError_
 from repro.rdma.faults import FaultPlan
-from repro.workloads import generate_dataset
+from repro.workloads import check_history, generate_dataset
+from tests.test_checker import issued, session_calls
 
 
 @settings(max_examples=15, deadline=None)
@@ -24,8 +25,9 @@ from repro.workloads import generate_dataset
 )
 def test_distributed_index_matches_sorted_multimap(ops, design):
     """Random op sequences through the full RDMA stack behave like a
-    sorted multimap (same model as the in-memory algorithm test, but
-    exercising QPs, RPC handlers, allocators and remote pointers)."""
+    sorted multimap (the checker's model, as in the in-memory algorithm
+    test, but exercising QPs, RPC handlers, allocators and remote
+    pointers)."""
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=1))
     dataset = generate_dataset(40, gap=4)
     if design == "fine-grained":
@@ -36,37 +38,10 @@ def test_distributed_index_matches_sorted_multimap(ops, design):
         )
     session = index.session(cluster.new_compute_server())
 
-    model = {key: [ordinal] for key, ordinal in dataset.pairs()}
-    seq = 1000
-    for op, key in ops:
-        if op == "insert":
-            cluster.execute(session.insert(key, seq))
-            model.setdefault(key, []).append(seq)
-            seq += 1
-        elif op == "update":
-            found = cluster.execute(session.update(key, seq))
-            assert found == bool(model.get(key))
-            if model.get(key):
-                model[key][0] = seq
-            seq += 1
-        elif op == "delete":
-            found = cluster.execute(session.delete(key))
-            assert found == bool(model.get(key))
-            if model.get(key):
-                model[key].pop(0)
-        elif op == "lookup":
-            got = sorted(cluster.execute(session.lookup(key)))
-            assert got == sorted(model.get(key, []))
-        else:
-            low, high = sorted((key, key + 40))
-            got = cluster.execute(session.range_scan(low, high))
-            expected = sorted(
-                (k, payload)
-                for k, payloads in model.items()
-                if low <= k < high
-                for payload in payloads
-            )
-            assert sorted(got) == expected
+    history = []
+    for call in session_calls(ops):
+        issued(history, cluster.execute, session, *call)
+    assert check_history(history, dataset.pairs()) == []
 
 
 @settings(max_examples=10, deadline=None)
@@ -80,17 +55,14 @@ def test_distributed_index_matches_sorted_multimap(ops, design):
     ),
     plan_seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_index_under_faults_matches_uncertainty_oracle(ops, plan_seed):
-    """Random op sequences with injected message faults, against an oracle
-    that tracks *uncertainty*.
+def test_index_under_faults_is_linearizable(ops, plan_seed):
+    """Random op sequences with injected message faults are linearizable.
 
     A faulted operation raises a typed error with its outcome unknown —
     the transport applies effects at most once, so each attempted op was
-    applied zero or one times. The oracle therefore keeps, per key, the
-    set of values ``certain``ly present and the set of values that ``may``
-    be present; every observed state must lie between the two bounds, and
-    any op touching a key under uncertainty widens its bounds instead of
-    asserting exactly.
+    applied zero or one times, which is how the checker takes an op that
+    ended in a typed error. The quiet full scan afterwards is checked as a
+    read of every key.
     """
     cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=2))
     dataset = generate_dataset(40, gap=4)
@@ -105,84 +77,18 @@ def test_index_under_faults_matches_uncertainty_oracle(ops, plan_seed):
     )
     session = index.session(cluster.new_compute_server())
 
-    certain = {key: {value} for key, value in dataset.pairs()}
-    maybe = {key: set() for key, value in dataset.pairs()}
-
-    def bounds(key):
-        lo = certain.get(key, set())
-        return lo, lo | maybe.get(key, set())
-
-    seq = 1000
-    for op, key in ops:
-        lo, hi = bounds(key)
+    history = []
+    for call in session_calls(ops):
         try:
-            if op == "insert":
-                cluster.execute(session.insert(key, seq))
-                certain.setdefault(key, set()).add(seq)
-                maybe.setdefault(key, set())
-            elif op == "update":
-                found = cluster.execute(session.update(key, seq))
-                # `found` is only fully determined when the key's presence
-                # is certain either way.
-                if lo:
-                    assert found
-                elif not hi:
-                    assert not found
-                if found:
-                    # One value (which one is unknowable under faults)
-                    # became seq; everything else is now only "maybe".
-                    maybe[key] = (lo | maybe.get(key, set())) - {seq}
-                    certain[key] = {seq}
-            elif op == "delete":
-                found = cluster.execute(session.delete(key))
-                if lo:
-                    assert found
-                elif not hi:
-                    assert not found
-                if found:
-                    # One unknowable value was removed.
-                    maybe[key] = lo | maybe.get(key, set())
-                    certain[key] = set()
-            elif op == "lookup":
-                got = set(cluster.execute(session.lookup(key)))
-                assert lo <= got <= hi
-            else:
-                low, high = sorted((key, key + 40))
-                got = cluster.execute(session.range_scan(low, high))
-                by_key = {}
-                for k, v in got:
-                    by_key.setdefault(k, set()).add(v)
-                for k in set(certain) | set(by_key):
-                    if low <= k < high:
-                        k_lo, k_hi = bounds(k)
-                        assert k_lo <= by_key.get(k, set()) <= k_hi
-        except TimeoutError_:
-            # Outcome unknown: the op was applied zero or one times.
-            # Widen the touched key's bounds accordingly.
-            if op == "insert":
-                maybe.setdefault(key, set()).add(seq)
-                certain.setdefault(key, set())
-            elif op == "update":
-                if hi:
-                    maybe[key] = lo | maybe[key] | {seq}
-                    certain[key] = set()
-            elif op == "delete":
-                if hi and key in certain:
-                    maybe[key] |= certain[key]
-                    certain[key] = set()
-        if op in ("insert", "update"):
-            seq += 1
+            issued(history, cluster.execute, session, *call)
+        except TimeoutError_ as exc:
+            history[-1].result = exc
 
-    # Quiesce and verify the final state lies within the oracle's bounds,
-    # then check structural invariants survived the chaos.
+    # Quiesce, check the history against the quiet scan, then check that
+    # the structural invariants survived the chaos.
     injector.quiesce()
     scan = cluster.execute(session.range_scan(0, dataset.key_space + 200))
-    by_key = {}
-    for k, v in scan:
-        by_key.setdefault(k, set()).add(v)
-    for k in set(certain) | set(by_key):
-        k_lo, k_hi = bounds(k)
-        assert k_lo <= by_key.get(k, set()) <= k_hi
+    assert check_history(history, dataset.pairs(), scan) == []
     report = cluster.execute(
         check_tree(index.tree_for(cluster.new_compute_server()))
     )
