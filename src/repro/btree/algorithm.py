@@ -208,14 +208,16 @@ class BLinkTree:
         prefetches upcoming leaves in parallel (Section 4.3), falling back
         to serial sibling reads for any leaf a stale head misses.
 
-        A leaf visit is two bisects and one slice of the image's
-        :attr:`Node.live` pairs, which the first scan to read that image
-        builds and every later one — any client, any RPC worker of the
-        cluster, through the decode memo — reuses. The prefetch is inline,
-        not a frame of its own: the first leaf of a new head reads the
-        head, bisects the window of its leaves ahead of the scan and inside
-        the range (a head's keys are its leaves' first keys in chain order,
-        so sorted) and hands it to one :meth:`NodeAccessor.read_nodes`.
+        A leaf visit takes the image's :attr:`Node.live` pairs, which the
+        first scan to read that image builds and every later one — any
+        client, any RPC worker of the cluster, through the decode memo —
+        reuses: whole when its first and last live keys lie in the range,
+        else (the scan's first and last leaves) as a slice between two
+        bisects. The prefetch is inline, not a frame of its own: the first
+        leaf of a new head reads the head, bisects the window of its leaves
+        ahead of the scan and inside the range (a head's keys are its
+        leaves' first keys in chain order, so sorted) and hands it to one
+        :meth:`NodeAccessor.read_nodes`.
         Pointers, lock bits and page types are tested as words
         (``not ptr or ptr & NULL_RAW``, ``version & 1``, ``node_type``).
         """
@@ -229,20 +231,22 @@ class BLinkTree:
         seen_heads = set()
         while True:
             live_keys, live_pairs = node.live or node.build_live()
-            start = bisect_left(live_keys, low)
-            end = bisect_left(live_keys, high, start)
-            if end > start:
-                results += live_pairs[start:end]
-            # A key at or past *high* inside the node completes the scan. A
-            # tombstoned one is not among the live keys, but it lies below
-            # the high key, so the high-key test ends the scan instead.
+            if live_keys and live_keys[0] >= low and live_keys[-1] < high:
+                # Inside the range: the whole leaf, with no bisect.
+                results += live_pairs
+            else:
+                start = bisect_left(live_keys, low)
+                end = bisect_left(live_keys, high, start)
+                if end > start:
+                    results += live_pairs[start:end]
+                # A key at or past *high* inside the node completes the
+                # scan. A tombstoned one is not among the live keys, but it
+                # lies below the high key, so the high-key test ends the
+                # scan instead.
+                if end < len(live_keys):
+                    return results
             raw_ptr = node.right
-            if (
-                end < len(live_keys)
-                or node.high_key >= high
-                or not raw_ptr
-                or raw_ptr & NULL_RAW
-            ):
+            if node.high_key >= high or not raw_ptr or raw_ptr & NULL_RAW:
                 return results
             head_ptr = node.head
             if (
@@ -257,15 +261,12 @@ class BLinkTree:
                 if head.node_type == HEAD:
                     keys = head.keys
                     first = bisect_left(keys, node.high_key)
-                    room = self.prefetch_window
-                    wanted = []
-                    for leaf_ptr in head.values[first : bisect_left(keys, high, first)]:
-                        if leaf_ptr in prefetched or not leaf_ptr or leaf_ptr & NULL_RAW:
-                            continue  # already on its way, or a NULL pointer
-                        wanted.append(leaf_ptr)
-                        room -= 1
-                        if room <= 0:
-                            break
+                    # Not NULL and not already on its way, up to the window.
+                    wanted = [
+                        leaf_ptr
+                        for leaf_ptr in head.values[first : bisect_left(keys, high, first)]
+                        if leaf_ptr and not leaf_ptr & NULL_RAW and leaf_ptr not in prefetched
+                    ][: self.prefetch_window]
                     if wanted:
                         leaves = yield from acc.read_nodes(wanted)
                         for leaf_ptr, leaf in zip(wanted, leaves):

@@ -385,9 +385,12 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         was read at (a held one would block the region's growth)."""
         page_size = self.page_size
         max_wqes = self._max_wqes
-        for start in range(0, len(slots), max_wqes):
+        total = len(slots)
+        for start in range(0, total, max_wqes):
             chunk = slots[start : start + max_wqes]
-            count = len(chunk)
+            count = total - start
+            if count > max_wqes:
+                count = max_wqes
             pages = yield from self.compute_server.qp(server_id)._post(
                 [
                     (READ, page_size, raw_ptrs[slot] & _PTR_OFFSET_MASK, True)

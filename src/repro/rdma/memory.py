@@ -62,6 +62,9 @@ class MemoryRegion:
             )
         self._size = initial_bytes
         self._buf = bytearray()
+        # The materialised length, ``len(self._buf)``, kept as an int so the
+        # access path tests it without a call; only :meth:`_ensure` grows it.
+        self._end = 0
         self.max_bytes = max_bytes
         self._mirrors: List["MemoryRegion"] = []
         # Lazily-built read-only master view of ``_buf``; every
@@ -89,10 +92,10 @@ class MemoryRegion:
     def wipe(self) -> None:
         """Zero the buffer in place (a destructive crash). Mirror links are
         managed by the caller; the region keeps its logical length."""
-        self._buf[:] = bytes(len(self._buf))
+        self._buf[:] = bytes(self._end)
 
     def _ensure(self, end: int) -> None:
-        materialised = len(self._buf)
+        materialised = self._end
         if end <= materialised:
             return
         size = self._size
@@ -122,6 +125,7 @@ class MemoryRegion:
             target = size
         self._view = None
         self._buf += bytes(target - materialised)
+        self._end = target
         self._size = size
 
     # -- bulk access ---------------------------------------------------------
@@ -131,7 +135,7 @@ class MemoryRegion:
         if offset < 0 or length < 0:
             raise RemoteAccessError(f"bad read at offset={offset}, length={length}")
         end = offset + length
-        if end > len(self._buf):
+        if end > self._end:
             self._ensure(end)
         # Slice through the master view: one copy into the result instead
         # of bytearray-slice-then-bytes (two).
@@ -154,7 +158,7 @@ class MemoryRegion:
         if offset < 0 or length < 0:
             raise RemoteAccessError(f"bad read at offset={offset}, length={length}")
         end = offset + length
-        if end > len(self._buf):
+        if end > self._end:
             self._ensure(end)
         view = self._view
         if view is None:

@@ -17,7 +17,10 @@ and hash partitioning; and the hybrid at replication factor 2 under a
 no-op fault plan. *Scan* rows mix scans of one to a dozen leaves with
 inserts and deletes: fine-grained under its collector, and coarse-grained
 and hybrid under range and hash partitioning (under hash a scan is a
-scatter over all four partitions and a merge).
+scatter over all four partitions and a merge). The *run* row grows runs of
+one key until each fills a small hybrid leaf alone, then inserts just above
+them beside scans, so full leaves of one key split at the made-up separator
+``run_key + 1``, which the hash partitioner mostly sends elsewhere.
 
 Hashed are every result in *issue* order (a scan row's scans alone), one
 full scan of the quiet cluster and, for a write row, every memory server's
@@ -43,7 +46,9 @@ from repro import (
     FineGrainedIndex,
     NetworkConfig,
     RetriesExhaustedError,
+    TreeConfig,
 )
+from repro.btree.algorithm import BLinkTree
 from repro.errors import ConfigurationError
 from repro.workloads import (
     OP_TYPES,
@@ -99,6 +104,27 @@ def scans(client, dataset):
             yield "insert", (rng.randrange(dataset.key_space), 200_000 + tag)
         else:
             yield "delete", (dataset.key_at(rng.randrange(NUM_KEYS)),)
+
+
+def runs(client, dataset):
+    """The run row's client: three duplicates of each of its hot keys, then
+    one insert just above each, with scans and lookups beside them. Four
+    clients share a hot key, so its run reaches 13 entries, a 256-byte
+    page, and the insert above splits that full leaf of one key."""
+    rng = random.Random(3_000 + client)
+    hot = [dataset.key_at(ordinal) for ordinal in range(10, dataset.num_keys, 40)]
+    mine = hot[client % 2 :: 2]
+    tag = iter(range(client * 1_000, (client + 1) * 1_000))
+    inserts = [("insert", (key, 100_000 + next(tag))) for key in mine * 3]
+    rng.shuffle(inserts)
+    inserts += [("insert", (key + 1 + rng.randrange(7), 200_000 + next(tag))) for key in mine]
+    for insert in inserts:
+        yield insert
+        if rng.random() < 0.5:
+            low = rng.choice(hot) - rng.randrange(40)
+            yield "range_scan", (low, low + rng.choice((16, 64, 400)))
+        if rng.random() < 0.3:
+            yield "lookup", (dataset.key_at(rng.randrange(dataset.num_keys)),)
 
 
 def lookups(client, dataset):
@@ -169,6 +195,11 @@ TABLE = {
     ("scan", "hybrid/hash"): (
         row("hybrid", scans, "hash"),
         "049c440ca4b08b5d9c2b405952e5233687a70138b9437cbe831d3e00971b4673", None),
+    ("run", "hybrid/hash"): (
+        Scenario("hybrid", runs, "hash", {"seed": 11, "tree": TreeConfig(page_size=256)},
+                 num_keys=2_000),
+        "52777f2460f58cfb2d0e972a64e6ded57377846bf03aea62ca137362f8629e45",
+        "87b27a164813f8f8580339dfbdfcff1a8ab2d122d5e1b70afd4141775acd2190"),
 }
 
 #: The quiet full scan of every write row (8 270 pairs after 2 000
@@ -226,6 +257,32 @@ def test_every_scan_returns_the_recorded_pairs(case):
     assert (
         _digest(scanned), _digest(history.full_scan), len(scanned), len(history.full_scan)
     ) == (results, SCAN_FULL_SCAN, 1_169, 8_248)
+
+
+def test_a_run_of_one_key_splits_at_its_made_up_separator(monkeypatch):
+    """Each split of a full leaf of one key (the sibling takes
+    ``run_key + 1`` onwards) sends that separator to the partition the leaf
+    was reached through, whatever the key hashes to; a separator installed
+    in another partition's inner level reroutes that partition's scans and
+    lookups, and the history stops being linearizable."""
+    run_splits = []
+    split = BLinkTree._split_for_insert
+
+    def counted(node, key):
+        if not node.level and node.keys[0] == node.keys[-1] != key:
+            run_splits.append(key)
+        return split(node, key)
+
+    monkeypatch.setattr(BLinkTree, "_split_for_insert", staticmethod(counted))
+    scenario, results, regions = TABLE["run", "hybrid/hash"]
+    history = _checked(scenario)
+    assert (
+        _digest([(op.result,) for op in history.ops]),
+        _digest(history.regions),
+        len(history.ops),
+        len(history.full_scan),
+        len(run_splits),
+    ) == (results, regions, 1_441, 2_800, 31)
 
 
 def test_a_typed_error_ends_the_operation_not_the_client():

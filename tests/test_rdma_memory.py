@@ -94,6 +94,36 @@ class TestLazyRegion:
         assert len(region) == 1 << 21
         assert region.read(4096, 4) == bytes(4)
 
+    def test_reads_at_the_materialised_end_return_every_byte(self):
+        """The access path tests the materialised end as a kept int: a read
+        ending on it or one byte past it returns exactly *length* bytes
+        after every growth step, after a wipe and on a mirror the primary
+        grew. A stale end would cut ``view[offset:end]`` short, silently."""
+        region = MemoryRegion(1 << 21, 1 << 23)
+        mirror = MemoryRegion(1 << 21, 1 << 23)
+        region.attach_mirror(mirror)
+
+        def check(target):
+            end = len(target._buf)
+            for length in (1, 8, 1024):
+                for stop in (end, end + 1):
+                    data = target.read(stop - length, length)
+                    view = target.read_view(stop - length, length)
+                    assert len(data) == view.nbytes == length
+                    assert bytes(view) == data
+                    view.release()
+            assert len(target._buf) >= end + 1
+
+        for offset in (0, 70_000, 300_000, (1 << 21) + 5, (5 << 20) + 3):
+            region.write(offset, b"grow")
+            for target in (region, mirror):
+                check(target)
+                assert target.read(offset, 4) == b"grow"
+        region.wipe()
+        check(region)
+        assert region.read((5 << 20) + 3, 4) == bytes(4)
+        assert mirror.read((5 << 20) + 3, 4) == b"grow"
+
     def test_live_view_blocks_materialising_inside_the_logical_length(self):
         region = MemoryRegion(1 << 21, 1 << 22)
         view = region.read_view(0, 16)

@@ -49,6 +49,23 @@ coarse-grained  22.00 -> 20.00   2.2 -> 2.2
 fine-grained    48.92 -> 41.39   10.6 -> 9.1
 hybrid          48.92 -> 41.39   10.8 -> 9.6
 ==============  ===============  ====================================
+
+Before and after a leaf the range holds whole was taken whole (no bisect,
+no ``len``; only a scan's first and last leaves bisect), the prefetch
+window became one list comprehension, ``MemoryRegion`` kept its
+materialised length as an int and ``_read_group`` took ``len`` once per
+group (every heap entry above and in :data:`FAN_OUT_ENTRIES` unchanged).
+Each host time is the lowest of five alternating runs, each run's slope
+taken between best-of-15 scans; they move by less than their run-to-run
+spread.
+
+==============  ===============  ====================================
+design          calls per leaf   host us per leaf (2-core Xeon, 3.11)
+==============  ===============  ====================================
+coarse-grained  20.00 -> 16.00   1.7 -> 1.6
+fine-grained    41.39 -> 35.99   8.2 -> 8.1
+hybrid          41.39 -> 35.99   8.2 -> 7.9
+==============  ===============  ====================================
 """
 
 from __future__ import annotations
@@ -76,11 +93,11 @@ ENTRIES = {
     "fine-grained": (9, 45, 352),
     "hybrid": (10, 46, 353),
 }
-#: Ceiling on cProfile calls per leaf scanned (20.00 / 41.39 / 41.39 now).
+#: Ceiling on cProfile calls per leaf scanned (16.00 / 35.99 / 35.99 now).
 CALLS_PER_LEAF = {
-    "coarse-grained": 21,
-    "fine-grained": 42,
-    "hybrid": 42,
+    "coarse-grained": 17,
+    "fine-grained": 37,
+    "hybrid": 37,
 }
 
 

@@ -7,8 +7,9 @@ a test: nothing a writer could mutate carries a built memo; a write makes a
 new image, so a key tombstoned after a scan is gone from the next one, in
 every design and through the client cache; compaction leaves scans equal to
 the sequential model; a scan still ends at a leaf whose keys past the range
-are all tombstoned; and a key's duplicates come back in insertion order,
-across partitions too.
+are all tombstoned; a leaf the range holds whole is taken whole and only
+the scan's end leaves are cut, wherever the bounds fall; and a key's
+duplicates come back in insertion order, across partitions too.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from repro import Cluster, ClusterConfig, EpochGarbageCollector, FineGrainedInde
 from repro.btree.algorithm import BLinkTree
 from repro.btree.inmemory import InMemoryAccessor, InMemoryRootRef, drive
 from repro.btree.node import TOMBSTONE_BIT, Node, NodeType
-from repro.config import CacheConfig
+from repro.config import CacheConfig, TreeConfig
 from repro.experiments.common import DESIGNS, build_index
 from repro.index.partitioned import merge_partials
 from repro.index.partitioning import HashPartitioner
-from repro.workloads import generate_dataset
+from repro.workloads import Op, check_history, generate_dataset
 
 
 def test_no_constructor_carries_a_built_memo():
@@ -164,6 +165,85 @@ def test_a_leaf_whose_entries_past_the_range_are_all_tombstoned_ends_the_scan():
         (key, key) for key in keys[:half]
     ]
     assert leaf.right not in accessor.reads
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_inside_leaves_are_taken_whole_and_the_end_leaves_cut(design):
+    """A leaf whose live keys all lie in the range is taken whole; the
+    first and last leaves of a scan are cut by bisection. Scans put their
+    bounds on a leaf's first key, mid-leaf, on a tombstoned first or last
+    slot, across a leaf with every entry tombstoned and on both sides of a
+    run of duplicates grown against a leaf boundary until its leaf split;
+    the history, checked against the loaded pairs, must be linearizable."""
+    cluster = Cluster(ClusterConfig(seed=5, tree=TreeConfig(page_size=512)))
+    dataset = generate_dataset(1_000, gap=8)
+    index = build_index(cluster, design, dataset)
+    session = index.session(cluster.new_compute_server())
+    ops = []
+
+    def call(method, *args):
+        invoked_at = cluster.now
+        result = cluster.execute(getattr(session, method)(*args))
+        ops.append(Op(0, method, args, invoked_at, cluster.now, result))
+        return result
+
+    call("range_scan", 0, dataset.key_space)
+    # The loaded leaves' keys in key order (20 pairs each; the partitioned
+    # designs start a leaf at each partition's first key).
+    leaves = sorted(
+        list(node.keys)
+        for node in cluster.decode_memo.values()
+        if node.node_type == NodeType.LEAF and node.keys
+    )
+    assert sum(map(len, leaves)) == dataset.num_keys
+
+    def first(i):
+        return leaves[i][0]
+
+    def mid(i):
+        return leaves[i][len(leaves[i]) // 2]
+
+    ranges = [
+        (first(10), first(13)),  # on first keys: three leaves whole
+        (first(10), mid(13)),  # whole leaves, then a cut last leaf
+        (mid(10), first(13)),  # a cut first leaf, then whole leaves
+        (mid(10), mid(13)),
+        (mid(10) + 1, mid(10) + 3),  # inside one leaf
+        (leaves[11][1], leaves[11][-1]),  # one leaf without its ends
+        (first(11), leaves[11][-1] + 1),  # exactly one leaf
+    ]
+    # Tombstone leaf 16's first and last slots and all of leaf 18.
+    for key in (leaves[16][0], leaves[16][-1], *leaves[18]):
+        assert call("delete", key)
+    ranges += [
+        (first(16), leaves[16][-1]),  # on both tombstoned slots
+        (leaves[16][1], leaves[16][-1]),  # on the first live slot
+        (first(16), leaves[16][-1] + 1),
+        (mid(15), first(16) + 1),  # ends just past a tombstoned first slot
+        (leaves[16][-1], mid(17)),  # starts on a tombstoned last slot
+        (mid(17), mid(19)),  # across the leaf with every entry tombstoned
+        (first(18), first(19)),  # exactly the tombstoned leaf
+        (first(17), first(20)),
+    ]
+    # Duplicates of leaf 22's last key until the leaf splits: the run sits
+    # against a leaf boundary, and scans start, end and pass on it.
+    run_key = leaves[22][-1]
+    for payload in range(24):
+        call("insert", run_key, 50_000 + payload)
+    ranges += [
+        (run_key, run_key + 1),
+        (run_key - 1, run_key),
+        (mid(22), run_key + 1),
+        (run_key, mid(23)),
+        (first(21), first(24)),
+    ]
+    for low, high in ranges:
+        call("range_scan", low, high)
+    final = call("range_scan", 0, dataset.key_space)
+    assert [value for key, value in final if key == run_key][1:] == list(
+        range(50_000, 50_024)
+    )
+    assert check_history(ops, dataset.pairs(), final) == []
 
 
 @pytest.mark.parametrize(
