@@ -127,12 +127,21 @@ class BLinkTree:
                 observed_since = self.acc.now()
 
     def _descend_from(
-        self, raw_ptr: int, node: Optional[Node], key: int, level: int
-    ) -> Generator[Any, Any, Tuple[int, Node]]:
+        self,
+        raw_ptr: int,
+        node: Optional[Node],
+        key: int,
+        level: int,
+        reply: Optional[Callable[[Node, int], Any]] = None,
+    ) -> Generator[Any, Any, Any]:
         """Walk down from *node* (at *raw_ptr*; the root, read here, when
         None) to the node at *level* covering *key*, moving right through
         siblings whenever the key escapes a node's range (concurrent
-        splits).
+        splits). Returns ``(raw_ptr, node)`` for the node it stops at, or
+        ``reply(node, key)`` when *reply* is given: a caller that only
+        reads the answer off that node (a point lookup, a server's
+        handler) hands over how, and returns this generator instead of
+        wrapping it in a frame of its own that every resume re-enters.
 
         The one read site is ``_read_unlocked``'s body rather than a call of
         it — no frame of its own on the resume chain, and only an odd word
@@ -162,7 +171,9 @@ class BLinkTree:
                 else:
                     if stepping is not None:
                         stepping.exit_step()
-                    return raw_ptr, node
+                    if reply is None:
+                        return raw_ptr, node
+                    return reply(node, key)
             if obs is not None:
                 name = "root" if node is None else f"level_{node.level}"
                 if stepping is None:
@@ -180,12 +191,15 @@ class BLinkTree:
         """Descend from the root; no frame of its own on the yield chain."""
         return self._descend_from(0, None, key, level)
 
-    def _find_leaf(self, key: int) -> Generator[Any, Any, Tuple[int, Node]]:
-        """``(raw_ptr, node)`` of the leaf covering *key* — the step every
-        operation below starts from, and the one a design overrides when
-        it reaches its leaves another way (the hybrid's traversal RPC,
-        Section 5.2). Here: the root descent."""
-        return self._descend_from(0, None, key, 0)
+    def _find_leaf(
+        self, key: int, reply: Optional[Callable[[Node, int], Any]] = None
+    ) -> Generator[Any, Any, Any]:
+        """``(raw_ptr, node)`` of the leaf covering *key* — or, given
+        *reply*, ``reply(node, key)`` — the step every operation below
+        starts from, and the one a design overrides when it reaches its
+        leaves another way (the hybrid's traversal RPC, Section 5.2).
+        Here: the root descent."""
+        return self._descend_from(0, None, key, 0, reply)
 
     # ------------------------------------------------------------------ #
     # reads                                                               #
@@ -195,9 +209,11 @@ class BLinkTree:
         """Point query: all live payloads stored under *key*.
 
         Non-unique keys are supported; an empty list means "not found".
+        A plain method: the descent itself answers with the leaf's
+        matches, so no frame of this method sits on the resume chain of
+        the lookup's reads.
         """
-        _ptr, leaf = yield from self._find_leaf(key)
-        return leaf.leaf_matches(key)
+        return self._find_leaf(key, Node.leaf_matches)
 
     def range_scan(
         self, low: int, high: int

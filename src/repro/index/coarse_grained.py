@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
+from repro.btree.node import Node
 from repro.index.partitioned import PartitionedIndex, PartitionedSession, client_tree
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
@@ -33,9 +34,17 @@ _APP = "coarse-grained"
 # server-side RPC handlers                                                     #
 # --------------------------------------------------------------------------- #
 
-def _handle_lookup(server: MemoryServer, call: TreeCall):
-    values = yield from server.app[_APP, call.index, call.partition].lookup(*call.args)
+def _lookup_reply(node: Node, key: int) -> Tuple[List[int], int]:
+    values = node.leaf_matches(key)
     return values, RPC_HEADER_BYTES + 8 * len(values)
+
+
+def _handle_lookup(server: MemoryServer, call: TreeCall):
+    """The live payloads under the key. The leaf descent answers them
+    itself, so the worker resumes the descent directly, with no frame of
+    this handler on its chain."""
+    (key,) = call.args
+    return server.app[_APP, call.index, call.partition]._find_leaf(key, _lookup_reply)
 
 
 def _handle_range_scan(server: MemoryServer, call: TreeCall):

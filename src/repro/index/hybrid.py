@@ -29,7 +29,7 @@ their own memory (docs/caching.md).
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Callable, Dict, Generator, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.btree.algorithm import BLinkTree
 from repro.btree.node import Node
@@ -48,11 +48,17 @@ _APP = "hybrid"
 # server-side RPC handlers (inner levels only)                                 #
 # --------------------------------------------------------------------------- #
 
+def _traverse_reply(node: Node, key: int) -> Tuple[int, int]:
+    return node.find_child(key), RPC_HEADER_BYTES + 8
+
+
 def _handle_traverse(server: MemoryServer, call: TreeCall):
+    """The leaf pointer under the key (one pointer on the wire). The
+    descent to level 1 answers it itself, so the worker resumes the
+    descent directly, with no frame of this handler on its chain."""
     (key,) = call.args
     tree = server.app[_APP, call.index, call.partition]
-    _ptr, node = yield from tree._descend_to_level(key, 1)
-    return node.find_child(key), RPC_HEADER_BYTES + 8
+    return tree._descend_from(0, None, key, 1, _traverse_reply)
 
 
 def _handle_install_separator(server: MemoryServer, call: TreeCall):
@@ -145,7 +151,11 @@ class _HybridLeafTree(BLinkTree):
         self._call = session._call
         self._partition = partition
 
-    def _find_leaf(self, key: int) -> Generator[Any, Any, Tuple[int, Node]]:
+    def _find_leaf(
+        self, key: int, reply: Optional[Callable[[Node, int], Any]] = None
+    ) -> Generator[Any, Any, Any]:
+        """The traversal RPC, then the leaf read: ``(raw_ptr, node)``, or
+        ``reply(node, key)`` given *reply*, on both ways out."""
         raw_ptr = yield from self._call(self._partition, "traverse", key)
         # The leaf may have split since the owner answered, so the
         # move-right step is mandatory (Section 5.2). The first read opens
@@ -155,8 +165,11 @@ class _HybridLeafTree(BLinkTree):
         if node.version & 1:
             node = yield from self._await_unlocked(raw_ptr, node)
         if key < node.high_key and not node.level:
-            return raw_ptr, node  # where _descend_from would take no step
-        return (yield from self._descend_from(raw_ptr, node, key, 0))
+            # Where _descend_from would take no step.
+            if reply is None:
+                return raw_ptr, node
+            return reply(node, key)
+        return (yield from self._descend_from(raw_ptr, node, key, 0, reply))
 
     def _install_separator(
         self, level: int, sep_key: int, new_child: int, split_child: int
