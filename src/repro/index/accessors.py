@@ -165,6 +165,8 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         self._spin_cpu = server.cpu(cpu.spin_wait_slice_s)
 
     def _offset(self, raw_ptr: int) -> int:
+        """The region offset *raw_ptr* names, after checking it is a node
+        of this accessor's logical server (raises otherwise)."""
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
             raise RemoteAccessError("cannot decode a NULL remote pointer")
         server_id = (raw_ptr >> 56) & 0x7F
@@ -178,7 +180,10 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
     def read_node(
         self, raw_ptr: int, _ignored: bool = False
     ) -> Generator[Any, Any, Node]:
-        offset = self._offset(raw_ptr)
+        # _offset's checks, inline on the read path; it raises on a failure.
+        if raw_ptr == 0 or raw_ptr & NULL_RAW or (raw_ptr >> 56) & 0x7F != self.logical_id:
+            self._offset(raw_ptr)
+        offset = raw_ptr & _PTR_OFFSET_MASK
         yield self._node_cpu
         # Zero-copy: decode straight out of the region through a read-only
         # view, consumed before the next simulation yield (holding it longer
@@ -191,7 +196,7 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         # zeros, version word 0 like every bulk-loaded page. So a down
         # host's reads neither enter the cluster's memo nor come from it.
         injector = self.server.injector
-        down = injector is not None and injector.server_down(self.server.server_id)
+        down = injector is not None and self.server.server_id in injector.down
         try:
             master = self._decode_shared(raw_ptr, view, {} if down else None)
         finally:
@@ -240,7 +245,7 @@ class LocalAccessor(_SharedDecode, NodeAccessor):
         # says why a wiped region's write must stay out).
         injector = self.server.injector
         if old == node.version and (
-            injector is None or not injector.server_down(self.server.server_id)
+            injector is None or self.server.server_id not in injector.down
         ):
             node.version = old + 1
             self._decode_cache[raw_ptr] = node

@@ -270,7 +270,7 @@ class Cluster:
             host = self.memory_server(server_id)
             region = host.region
         injector = self.fault_injector
-        if injector is not None and injector.server_down(host.server_id):
+        if injector is not None and host.server_id in injector.down:
             return None
         return region.read(offset, self.config.tree.page_size)
 

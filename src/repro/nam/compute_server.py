@@ -75,7 +75,7 @@ class ComputeServer:
                 f"memory server {server_id}"
             ) from None
         replication = self.fabric.replication
-        if replication is not None and qp.route_epoch != replication.epoch:
+        if replication is not None and qp.route_epoch != replication.catalog.epoch:
             host, region = replication.route(server_id)
             if host is not qp.remote or region is not qp.region:
                 local = self._colocated and host.machine is self.machine
@@ -90,7 +90,7 @@ class ComputeServer:
                     owner=self,
                 )
                 self._qps[server_id] = qp
-            qp.route_epoch = replication.epoch
+            qp.route_epoch = replication.catalog.epoch
         return qp
 
     @property

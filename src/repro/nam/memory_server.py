@@ -184,8 +184,8 @@ class MemoryServer:
             envelope: RpcEnvelope = yield queue.get()
             injector = self.injector
             if injector is not None:
-                if injector.server_down(self.server_id) or (
-                    envelope.epoch != injector.crash_epoch(self.server_id)
+                if self.server_id in injector.down or (
+                    envelope.epoch != injector.crash_epochs[self.server_id]
                 ):
                     # The server is down, or this request was queued before
                     # a crash that wiped the SRQ: it is simply lost.
@@ -233,8 +233,8 @@ class MemoryServer:
                 response, wire_bytes = yield from handler(self, payload)
             except Exception:
                 if injector is not None and (
-                    injector.server_down(self.server_id)
-                    or envelope.epoch != injector.crash_epoch(self.server_id)
+                    self.server_id in injector.down
+                    or envelope.epoch != injector.crash_epochs[self.server_id]
                 ):
                     # The server crashed under this worker mid-handler: with
                     # destructive crashes (replication) the region was wiped

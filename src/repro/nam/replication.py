@@ -118,6 +118,10 @@ class ReplicationManager:
 
     def __init__(self, cluster: Any, factor: int) -> None:
         self.cluster = cluster
+        #: Holds the directory epoch (Section 4.2's catalog service is what
+        #: compute servers consult to re-route): readers take
+        #: ``catalog.epoch`` in place, :meth:`promote` advances it.
+        self.catalog = cluster.catalog
         self.factor = factor
         self.stats: Dict[str, int] = {
             "failovers": 0,
@@ -146,12 +150,6 @@ class ReplicationManager:
             self._sets[logical] = _ReplicaSet(logical, copies)
 
     # -- directory -----------------------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        """The directory epoch (lives on the catalog — Section 4.2's
-        catalog service is what compute servers consult to re-route)."""
-        return self.cluster.catalog.epoch
 
     def primary_host_id(self, logical_id: int) -> int:
         """The physical host currently serving *logical_id*."""
@@ -234,7 +232,7 @@ class ReplicationManager:
             for i, copy in enumerate(rset.copies)
             if copy.live
             and i != rset.primary_index
-            and (injector is None or not injector.server_down(copy.host_id))
+            and (injector is None or copy.host_id not in injector.down)
         ]
         if not candidates:
             raise FailoverError(
@@ -249,7 +247,7 @@ class ReplicationManager:
         for copy in rset.copies:
             if copy is not new_primary and copy.live:
                 new_primary.region.attach_mirror(copy.region)
-        self.cluster.catalog.epoch += 1
+        self.catalog.epoch += 1
         self.stats["failovers"] += 1
         new_host = self.cluster.memory_servers[new_primary.host_id]
         for hook in self._promotion_hooks:
@@ -261,11 +259,11 @@ class ReplicationManager:
         should do. Returns True to retry (the route changed — either
         someone else already failed over, or we just promoted a backup)
         and False to give up (the timeout was not a dead primary)."""
-        if self.epoch != observed_epoch:
+        if self.catalog.epoch != observed_epoch:
             return True
         rset = self._sets[logical_id]
         injector = self.cluster.fault_injector
-        if injector is not None and injector.server_down(rset.primary.host_id):
+        if injector is not None and rset.primary.host_id in injector.down:
             self.promote(logical_id)
             return True
         return False
@@ -336,7 +334,7 @@ class ReplicationManager:
             host_id = (logical_id + k) % num
             if host_id in member_hosts:
                 continue
-            if injector is not None and injector.server_down(host_id):
+            if injector is not None and host_id in injector.down:
                 continue
             target = host_id
             break
@@ -350,7 +348,7 @@ class ReplicationManager:
         yield self.cluster.fabric.leg_s(src.tx, dst.rx, nbytes + MIRROR_HEADER_BYTES)
         if not authority.live or rset.primary is not authority:
             return  # the authority changed under us; a newer task will run
-        if injector is not None and injector.server_down(target):
+        if injector is not None and target in injector.down:
             return
         store = MemoryRegion(config.region_initial_bytes, config.region_max_bytes)
         store.write(0, authority.region.read(0, _allocated(authority.region)))

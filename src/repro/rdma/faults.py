@@ -37,8 +37,9 @@ Attach a plan with :meth:`repro.nam.cluster.Cluster.attach_faults`::
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Mapping, Tuple
+from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -157,12 +158,16 @@ class FaultInjector:
         #: events feed its flight recorder. None on uninstrumented runs.
         self.obs = None
         #: No message fault can happen, ever again: nothing in the plan gives
-        #: a message a probability, or :meth:`quiesce` was called. The three
-        #: per-message predicates test it first, so a calm plan costs each
-        #: leg a test, not a walk of the plan.
+        #: a message a probability, or :meth:`quiesce` was called. Every
+        #: per-message verdict tests it first, so a calm plan costs each
+        #: message one call, not a walk of the plan.
         self._calm = not plan.faults_messages()
-        self._down: set = set()
-        self._crash_epoch: Dict[int, int] = {}
+        #: Memory servers that are down now. Read in place (``sid in
+        #: injector.down``): a test, not a call.
+        self.down: set = set()
+        #: Bumped on every crash of a server (0 until its first); SRQ
+        #: entries stamped with an older epoch are lost.
+        self.crash_epochs: Dict[int, int] = defaultdict(int)
         self._client_procs: Dict[int, List[Process]] = {}
         self._killed_compute: set = set()
         #: Event counters (drops include responses; steals are counted by
@@ -207,9 +212,32 @@ class FaultInjector:
             return plan.server_drop[server_id]
         return plan.verb_drop.get(verb, plan.drop_probability)
 
+    def request_verdict(
+        self, verb: Verb, server_id: int, followers=()
+    ) -> Tuple[bool, bool]:
+        """``(duplicated, lost)`` for a one-sided chain's request leg: the
+        duplicate draw, then the drop draw (:meth:`lost`), in one call."""
+        if self._calm:
+            return False, server_id in self.down
+        return self.should_duplicate(verb, server_id), self.lost(verb, server_id, followers)
+
+    def send_verdict(self, verb: Verb, server_id: int) -> Optional[float]:
+        """The verdict on one SEND message, at the instant it arrives (a
+        request) or is posted (a response): None when it is lost (the drop
+        draw, :meth:`lost`), else the extra seconds it is delayed (the delay
+        draw, :meth:`extra_delay`, made only for a delivered message)."""
+        if server_id in self.down:
+            return None
+        if self._calm:
+            return 0.0
+        if self.lost(verb, server_id):
+            return None
+        return self.extra_delay(verb, server_id)
+
     def lost(self, verb: Verb, server_id: int, followers=()) -> bool:
-        """The one verdict on a message leg to/from *server_id*: lost
-        because the server is down, or by the plan's drop draw.
+        """Whether a message leg to/from *server_id* is lost: because the
+        server is down, or by the plan's drop draw. The verdicts above ask
+        it under a noisy plan; on its own it decides ``_post``'s response leg.
 
         *verb* leads the message; *followers* are the other verbs of a
         doorbell chain riding the same leg. A chain's request (and its
@@ -219,7 +247,7 @@ class FaultInjector:
         verb. Either way the decision is at most one draw from the seeded
         stream, and none at all against a down server.
         """
-        if server_id in self._down:
+        if server_id in self.down:
             return True
         if self._calm:
             return False
@@ -261,19 +289,12 @@ class FaultInjector:
 
     # -- memory-server crash state ---------------------------------------------
 
-    def server_down(self, server_id: int) -> bool:
-        return server_id in self._down
-
-    def crash_epoch(self, server_id: int) -> int:
-        """Bumped on every crash; SRQ entries from older epochs are lost."""
-        return self._crash_epoch.get(server_id, 0)
-
     def crash_memory_server(self, server_id: int) -> None:
         """Take a memory server down now (manual counterpart of the plan)."""
-        if server_id in self._down:
+        if server_id in self.down:
             return
-        self._down.add(server_id)
-        self._crash_epoch[server_id] = self.crash_epoch(server_id) + 1
+        self.down.add(server_id)
+        self.crash_epochs[server_id] += 1
         self.stats["server_crashes"] += 1
         if self.obs is not None:
             self.obs.flight.record_fault("server_crash", server_id)
@@ -284,7 +305,7 @@ class FaultInjector:
             replication.on_crash(server_id)
 
     def restart_memory_server(self, server_id: int) -> None:
-        if server_id in self._down:
+        if server_id in self.down:
             replication = getattr(self._cluster, "replication", None)
             if replication is not None:
                 # Restore this host's copies from the surviving replicas
@@ -296,7 +317,7 @@ class FaultInjector:
                     self.sim.process(
                         replication.background_resync(server_id, nbytes)
                     )
-            self._down.discard(server_id)
+            self.down.discard(server_id)
             self.stats["server_restarts"] += 1
             if self.obs is not None:
                 self.obs.flight.record_fault("server_restart", server_id)

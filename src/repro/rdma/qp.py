@@ -53,14 +53,11 @@ post (retries replay the first outcome, mirroring the NIC's atomic
 response cache / PSN dedup), and two-sided requests carry sequence numbers
 the server uses to replay — never re-execute — duplicated handlers. The
 two-sided :meth:`~QueuePair.call` has the same two arms behind one shared
-head and tail; with no injector attached neither attempt loop runs and
-behavior is identical to a fault-free build. Its reply has them too
-(:meth:`~QueuePair._spawn_reply`): posting the response SEND books the leg
-and, fault-free, *schedules* the reply — ``reply.succeed(response, delay)``,
-triggered at once, fired when the leg ends. Under an injector a carrier
-event triggers it when the leg ends: the attempt loop's bounded wait asks
-``reply.triggered`` at its deadline, and a reply still in flight must not
-read as delivered.
+head and tail, and so has its reply (:meth:`~QueuePair._spawn_reply`):
+fault-free, posting the response SEND *schedules* it, triggered at once;
+under an injector a carrier event triggers it when the leg ends, since the
+attempt loop reads ``reply.triggered`` as "arrived". A message asks the
+injector for one verdict wherever its draws are adjacent (docs/faults.md).
 
 Failover is routing, and it is decided where exhaustion is detected: the
 attempt-loop arm of :meth:`~QueuePair._post` and of
@@ -268,10 +265,9 @@ class QueuePair:
         *chained* reports the chain to the hub, which names it with a
         fabric batch id shared by its verb records (drawn only while a hub
         listens); a single verb passes False. *whole* returns every
-        entry's result in posting order;
-        otherwise only the last — the one signaled — entry's result comes
-        back, bare. *n* is passed in because ``len()`` is a call the
-        profiler counts.
+        entry's result in posting order; otherwise only the last — the one
+        signaled — entry's result comes back, bare. *n* is passed in
+        because ``len()`` is a call the profiler counts.
 
         Stages, in order: doorbell, stats and leg sizing, request leg,
         atomic surcharge, response leg, effects with their replication
@@ -279,9 +275,8 @@ class QueuePair:
         under an injector the attempt loop lands them once, when the
         request is first delivered, and retries only re-learn the outcome.
         The chain's two wire legs live or die as a unit (one drop draw per
-        leg, at the most fault-prone member's probability). Either way
-        the mirror legs are charged before the client's completion, so
-        the hub hears of the chain after them.
+        leg, at its most fault-prone member's). Either way the mirror legs
+        are charged before the completion: the hub hears of them first.
         """
         if not n:
             return []
@@ -379,7 +374,7 @@ class QueuePair:
                     results.append(result)
         else:
             retry = injector.retry
-            route_epoch = replication.epoch if replication is not None else 0
+            route_epoch = replication.catalog.epoch if replication is not None else 0
             server_id = self.remote.server_id
             lead = wqes[0][0]
             followers = [wqe[0] for wqe in wqes[1:]] if n > 1 else ()
@@ -391,10 +386,11 @@ class QueuePair:
                     for wqe in wqes:
                         self._rstats.record(wqe[0], wqe[1])
                 yield fabric.leg_s(self._ltx, self._rrx, request_bytes)
-                if injector.should_duplicate(lead, server_id):
+                duplicated, lost = injector.request_verdict(lead, server_id, followers)
+                if duplicated:
                     # The NIC discards the duplicate; it only burns RX bandwidth.
                     self._rrx.reserve(request_bytes + self._header_wire)
-                if not injector.lost(lead, server_id, followers):
+                if not lost:
                     if not landed:
                         # RC duplicate suppression: the effects (and their
                         # primary-then-backup mirror legs) happen on first
@@ -569,7 +565,7 @@ class QueuePair:
         else:
             retry = injector.retry
             replication = fabric.replication
-            route_epoch = replication.epoch if replication is not None else 0
+            route_epoch = replication.catalog.epoch if replication is not None else 0
             server_id = remote.server_id
             seq = self._next_seq
             self._next_seq += 1
@@ -577,36 +573,35 @@ class QueuePair:
             for attempt in range(retry.max_attempts):
                 remote.stats.record(Verb.SEND, request_wire_bytes)
                 yield fabric.leg_s(self._ltx, self._rrx, request_wire_bytes)
-                if not injector.lost(Verb.SEND, server_id):
-                    delay = injector.extra_delay(Verb.SEND, server_id)
+                delay = injector.send_verdict(Verb.SEND, server_id)
+                if delay is not None:
                     if delay > 0.0:
                         yield delay
+                    # Epoch and duplicate draw after the delay, which a crash may fall in.
                     envelope = RpcEnvelope(
                         self, request, reply, seq=seq, tenant=tenant, span=span,
-                        epoch=injector.crash_epoch(server_id), enqueued_at=sim.now,
+                        epoch=injector.crash_epochs[server_id], enqueued_at=sim.now,
                     )
                     remote.submit(envelope)
                     if injector.should_duplicate(Verb.SEND, server_id):
                         remote.submit(envelope)  # nobody writes to an envelope
                 wait_start = sim.now
                 yield reply, retry.timeout_s  # None at the deadline
-                if not reply.triggered:
-                    if obs is not None:
-                        obs.attempt_failed(
-                            Verb.SEND, server_id, retried=attempt < last_attempt
-                        )
-                    if attempt < last_attempt:
-                        yield injector.backoff_delay(attempt)
-                    if obs is not None and not reply.triggered:
-                        # The timed-out detection window plus the backoff are
-                        # client-side retry delay (a reply landing mid-backoff
-                        # keeps its server-stamped segments instead).
-                        obs.stamp("client_backoff", wait_start, sim.now)
                 if reply.triggered:
                     break
-            self._rpc_cache.pop(seq, None)
-            self._rpc_admitted.discard(seq)
-            if not reply.triggered:
+                if obs is not None:
+                    obs.attempt_failed(Verb.SEND, server_id, retried=attempt < last_attempt)
+                if attempt < last_attempt:
+                    yield injector.backoff_delay(attempt)
+                    if reply.triggered:
+                        break  # landed mid-backoff: keeps its server-stamped segments
+                if obs is not None:
+                    # The timed-out detection window plus the backoff are
+                    # client-side retry delay.
+                    obs.stamp("client_backoff", wait_start, sim.now)
+            else:
+                self._rpc_cache.pop(seq, None)
+                self._rpc_admitted.discard(seq)
                 self._rpc_inflight.discard(seq)
                 rerouted = self._rerouted(route_epoch)
                 if rerouted is not None:
@@ -617,6 +612,8 @@ class QueuePair:
                     f"rpc to memory server {server_id} gave up after "
                     f"{retry.max_attempts} attempts"
                 )
+            self._rpc_cache.pop(seq, None)
+            self._rpc_admitted.discard(seq)
             response = reply.value
         if obs is not None:
             obs.verb_completed(
@@ -679,7 +676,10 @@ class QueuePair:
             # Scheduled, not spawned: posting the SEND books the response leg
             # and queues the reply — triggered now — to fire when it ends.
             reply.succeed(response, fabric.leg_s(self._rtx, self._lrx, wire_bytes))
-        elif not injector.lost(Verb.SEND, self.remote.server_id):  # else: not sent
+        else:
+            delay = injector.send_verdict(Verb.SEND, self.remote.server_id)
+            if delay is None:
+                return  # lost: not sent
             # Untriggered in flight — call() asks ``reply.triggered`` at its
             # deadline — so a carrier event delivers when the leg ends,
             # unless a replay overtook it.
@@ -687,7 +687,6 @@ class QueuePair:
                 if not reply.triggered:
                     reply.succeed(response)
 
-            delay = injector.extra_delay(Verb.SEND, self.remote.server_id)
             if delay > 0.0:
                 # The delayed minority books its leg after the delay: a
                 # process, which also carries the issuing op's span there.
@@ -698,8 +697,9 @@ class QueuePair:
 
                 self.sim.process(late()).span = span
             else:
+                # A plain event fired after the leg: sim.timeout(leg)'s one entry.
                 leg = fabric.leg_s(self._rtx, self._lrx, wire_bytes)
-                self.sim.timeout(leg).callbacks.append(deliver)
+                Event(self.sim).succeed(None, leg).callbacks.append(deliver)
 
 
 class VerbBatch:

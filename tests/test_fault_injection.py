@@ -33,6 +33,7 @@ from repro import (
 )
 from repro.btree import key_columns
 from repro.errors import ConfigurationError
+from repro.nam.rpc import RPC_HEADER_BYTES, TreeCall
 from repro.rdma.verbs import Verb
 from repro.workloads import Op, WorkloadRunner, WorkloadSpec, check_history, generate_dataset
 
@@ -206,6 +207,41 @@ class TestMessageFaults:
         assert cluster.execute(session.lookup(dataset.key_at(9))) == [9]
         assert cluster.now - t0 > clean
         assert injector.stats["delays"] > 0
+
+    def test_a_crash_inside_a_sends_delay_spares_the_request(self):
+        # Every message is delayed 10 us. The server crashes and restarts
+        # inside the request's delay, after its arrival verdict was drawn.
+        # The envelope takes the crash epoch when the delay ends, so the
+        # restarted server handles it and the call is answered on its first
+        # attempt. An epoch taken with the verdict would predate the crash,
+        # and the worker would drop the request as queued before it.
+        cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=3))
+        compute = cluster.new_compute_server()
+        server = cluster.memory_servers[0]
+        runs = []
+
+        def handler(srv, call):
+            runs.append(cluster.now)
+            yield srv.cpu(1e-6)
+            return True, RPC_HEADER_BYTES
+
+        server.register_handler("lookup", handler)
+        injector = cluster.attach_faults(FaultPlan(delay_probability=1.0, delay_s=10e-6))
+        request = TreeCall("lookup", "idx", 0, (1,))
+        call = cluster.spawn(compute.qp(0).call(request, request.wire_bytes))
+        while not injector.stats["delays"]:  # the request leg is in flight
+            cluster.sim.run(until=cluster.now + 0.25e-6)
+        started = cluster.now
+        injector.crash_memory_server(0)
+        cluster.sim.run(until=started + 2e-6)
+        injector.restart_memory_server(0)
+        assert not runs and cluster.now - started < 10e-6  # still inside the delay
+        assert cluster.sim.run_until_complete(call) is True
+        assert len(runs) == 1 and runs[0] - started >= 9e-6
+        stats = injector.stats
+        assert stats["server_crashes"] == stats["server_restarts"] == 1
+        assert stats["retries"] == 0 and stats["rpc_replays"] == 0
+        assert stats["delays"] == 2  # the request's and the response's
 
 
 class TestComputeCrash:

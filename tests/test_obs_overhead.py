@@ -64,10 +64,12 @@ hand-off, fixed cost, three node slices, serialisation slice, reply — where
 the reply alone used to be four (a process's start hop, its leg's sleep,
 ``reply.succeed`` and a completion fired at nobody: 11 entries, 202.1 ->
 180.1 calls/op on the run above; 157.1 -> 151.1 once the handler answered
-from the descent with no frame of its own; ``CG_HUB_OFF_CEILING`` sits 28.9
-above it). With an injector attached it is ten (PR 24; 13 before): the wait
-for the reply is bounded, one deadline entry, and the reply is delivered by
-a carrier event when its leg ends — *untriggered* until then, and it has
+from the descent with no frame of its own; 148.1 once the server-side read
+decoded its pointer inline; ``CG_HUB_OFF_CEILING`` sits 13.9 above it, the
+fine-grained ceiling's margin). With an injector attached it is ten (13
+before the wait was bounded): the wait for the reply is bounded, one
+deadline entry, and the reply is delivered by a carrier event when its
+leg ends — *untriggered* until then, and it has
 to be: ``QueuePair.call`` asks ``reply.triggered`` at the deadline, and a
 reply still on the wire must not read as delivered —
 ``test_a_reply_in_flight_at_the_timeout_is_retried`` fails if that arm is
@@ -77,7 +79,19 @@ The fourth is PR 24's: what *attaching* a plan that injects nothing costs one
 hybrid lookup (an RPC plus a READ, both through their attempt loops), as
 heap entries and calls per operation with the plan minus without —
 ``NOOP_PLAN_ENTRIES`` and ``NOOP_PLAN_CEILING``. A possible fault should
-cost a test, not a process.
+cost a test, not a process. On this test's inputs, no-op-plan surcharge on
+the hybrid / coarse-grained hub-off, calls per operation (entries stay 2
+and 10):
+
+* one call per question: a predicate each for drop, delay and
+  duplicate, ``server_down`` and ``crash_epoch`` calls, the
+  reply's carrier a ``Timeout``:                46.0 / 151.1
+* one verdict per message where its draws are
+  adjacent, crash state read in place (``down``,
+  ``crash_epochs``), the carrier a plain event, the
+  directory epoch read off the catalog:         32.0 / 148.1
+
+``NOOP_PLAN_CEILING`` sits 3.0 above the surcharge.
 """
 
 from __future__ import annotations
@@ -99,12 +113,12 @@ from repro.workloads import WorkloadRunner, generate_dataset, workload_a
 #: (fine-grained; coarse-grained, whose every operation is one RPC).
 SURCHARGE_BOUND = 50
 HUB_OFF_CEILING = 146
-CG_HUB_OFF_CEILING = 180
+CG_HUB_OFF_CEILING = 162
 #: What a no-op ``FaultPlan`` adds to one hybrid point lookup: heap entries
 #: (the carrier and the deadline, exactly; 5 at the parent of PR 24) and
-#: calls (46.0 now, 97.8 at that parent).
+#: calls (32.0 now, 97.8 at that parent).
 NOOP_PLAN_ENTRIES = 2
-NOOP_PLAN_CEILING = 50
+NOOP_PLAN_CEILING = 35
 
 
 def profiled_run(hub: bool, design: str = "fine-grained", faults: bool = False):
@@ -320,9 +334,9 @@ def test_a_replay_that_overtakes_a_delayed_original_completes_the_call_first(mon
     # the hub on, so that both late legs are seen stamped onto the issuing op:
     # the replay's by the worker that posts it, the original's by its process.
     cluster, qp, _server, runs = rpc_setup(faults=True, hub=True)
-    delays = iter([0.0, 200e-6])  # the request's draw, the first response's
+    delays = iter([0.0, 200e-6])  # the request's verdict, the first response's
     monkeypatch.setattr(
-        cluster.fault_injector, "extra_delay", lambda verb, server: next(delays, 0.0)
+        cluster.fault_injector, "send_verdict", lambda verb, server: next(delays, 0.0)
     )
     request = TreeCall("lookup", "idx", 0, (1,))
 

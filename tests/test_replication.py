@@ -224,10 +224,10 @@ class TestFailover:
         FineGrainedIndex.build(cluster, "idx", *dataset.columns())
         injector = cluster.attach_faults(FaultPlan())
         replication = cluster.replication
-        epoch = replication.epoch
+        epoch = cluster.catalog.epoch
         injector.crash_memory_server(1)
         replication.promote(1)
-        assert replication.epoch == epoch + 1
+        assert cluster.catalog.epoch == epoch + 1
         assert replication.primary_host_id(1) == 2
         host, region = replication.route(1)
         assert host.server_id == 2
@@ -449,11 +449,11 @@ def test_lossy_link_to_healthy_primary_never_promotes():
     cluster = _replicated_cluster()
     cluster.attach_faults(FaultPlan(server_drop={1: 1.0}))
     compute = cluster.new_compute_server()
-    epoch = cluster.replication.epoch
+    epoch = cluster.catalog.epoch
     with pytest.raises(RetriesExhaustedError):
         cluster.execute(compute.qp(1).read(_OFF, 8))
     assert cluster.replication.stats["failovers"] == 0
-    assert cluster.replication.epoch == epoch
+    assert cluster.catalog.epoch == epoch
     assert compute.qp(1).remote is cluster.memory_server(1)
 
 
