@@ -306,7 +306,10 @@ class BLinkTree:
         """Insert ``(key, value)``; duplicates are allowed (secondary index)."""
         if key >= MAX_KEY:
             raise IndexError_(f"key {key} is reserved (MAX_KEY sentinel)")
-        if is_tombstoned(value):
+        # The tombstone bit, the high key and the entry count are tested
+        # inline, not through is_tombstoned, Node.covers and Node.count:
+        # three calls fewer per insert.
+        if value & TOMBSTONE_BIT:
             raise IndexError_("payloads must leave bit 63 clear (tombstone bit)")
         while True:
             raw_ptr, node = yield from self._find_leaf(key)
@@ -317,12 +320,12 @@ class BLinkTree:
             # The CAS succeeded on the version we read, so the node we read
             # is the current page content and its range information is
             # trustworthy.
-            if not node.covers(key) and not is_null(node.right):
+            if key >= node.high_key and not is_null(node.right):
                 yield from self.acc.unlock_nochange(raw_ptr)
                 continue
             # What we read is the memo's master: change a private copy.
             node = node.clone()
-            if node.count < self.max_entries:
+            if len(node.keys) < self.max_entries:
                 node.insert_entry(key, value)
                 yield from self.acc.unlock_write(raw_ptr, node)
             else:

@@ -66,6 +66,9 @@ _LOCK_VERSION_MASK = (1 << _LOCK_TAG_SHIFT) - 1
 _PTR_OFFSET_MASK = (1 << 56) - 1
 
 READ = Verb.READ
+WRITE = Verb.WRITE
+CAS = Verb.CAS
+FETCH_ADD = Verb.FETCH_ADD
 
 #: Version-word peek without a slice allocation (unpack_from reads the
 #: first 8 bytes of any buffer directly).
@@ -312,6 +315,10 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         #: Lock steals performed by this accessor (lease recovery).
         self.lock_steals = 0
         self._decode_cache = compute_server.decode_memo
+        #: The compute server's routing table, indexed per verb (a
+        #: promotion re-points an entry in place, so this reference stays
+        #: current; an unknown server id raises NetworkError).
+        self._qps = compute_server.qps
 
     def read_node(
         self, raw_ptr: int, _ignored: bool = False
@@ -326,7 +333,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         # that copy, unless the queue pair is co-located). The READ goes
         # to the executor as QueuePair.read_view would post it, minus
         # that wrapper's call.
-        data = yield from self.compute_server.qp((raw_ptr >> 56) & 0x7F)._post(
+        data = yield from self._qps[(raw_ptr >> 56) & 0x7F]._post(
             ((READ, self.page_size, raw_ptr & _PTR_OFFSET_MASK, True),), 1, False, False
         )
         master = self._decode_shared(raw_ptr, data)
@@ -396,7 +403,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
             count = total - start
             if count > max_wqes:
                 count = max_wqes
-            pages = yield from self.compute_server.qp(server_id)._post(
+            pages = yield from self._qps[server_id]._post(
                 [
                     (READ, page_size, raw_ptrs[slot] & _PTR_OFFSET_MASK, True)
                     for slot in chunk
@@ -421,7 +428,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         """
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
             raise RemoteAccessError("cannot decode a NULL remote pointer")
-        data = yield from self.compute_server.qp((raw_ptr >> 56) & 0x7F).read(
+        data = yield from self._qps[(raw_ptr >> 56) & 0x7F].read(
             raw_ptr & _PTR_OFFSET_MASK, 8
         )
         return int.from_bytes(data, "little")
@@ -431,17 +438,18 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         # memo learns it from its first reader, as from a bulk load.
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
             raise RemoteAccessError("cannot decode a NULL remote pointer")
-        return self.compute_server.qp((raw_ptr >> 56) & 0x7F).write(
+        return self._qps[(raw_ptr >> 56) & 0x7F].write(
             raw_ptr & _PTR_OFFSET_MASK, node.to_bytes(self.page_size)
         )
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
             raise RemoteAccessError("cannot decode a NULL remote pointer")
-        swapped, _old = yield from self.compute_server.qp(
-            (raw_ptr >> 56) & 0x7F
-        ).compare_and_swap(
-            raw_ptr & _PTR_OFFSET_MASK, version, version | 1 | self._owner_tag_word
+        # The CAS goes to the executor as QueuePair.compare_and_swap would
+        # post it, minus that wrapper's call.
+        offset = raw_ptr & _PTR_OFFSET_MASK
+        swapped, _old = yield from self._qps[(raw_ptr >> 56) & 0x7F]._post(
+            ((CAS, 8, offset, version, version | 1 | self._owner_tag_word),), 1, False, False
         )
         obs = self.obs
         if obs is not None:
@@ -460,20 +468,26 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         server_id = (raw_ptr >> 56) & 0x7F
         offset = raw_ptr & _PTR_OFFSET_MASK
         node.version |= 1
-        data = node.to_bytes(self.page_size)
-        qp = self.compute_server.qp
+        page_size = self.page_size
+        data = node.to_bytes(page_size)
+        qps = self._qps
         if self._batching:
             # One doorbell: the page WRITE and the releasing FAA travel in
             # a single chain. RC in-order execution applies the write
             # before the version bump, so the unlock is still a release
-            # store — and the two round trips collapse into one.
-            old = yield from qp(server_id).write_faa_chain(offset, data)
+            # store — and the two round trips collapse into one. The chain
+            # goes to the executor as QueuePair.write_faa_chain would post
+            # it, minus that wrapper's call and its len(): the image is
+            # exactly a page.
+            old = yield from qps[server_id]._post(
+                ((WRITE, page_size, offset, data), (FETCH_ADD, 8, offset, 1)), 2, True, False
+            )
         else:
-            # The queue pair is resolved per verb: a failover between the
-            # two re-routes the FAA to the promoted copy the WRITE was
+            # The table is indexed per verb: a failover between the two
+            # re-points the FAA at the promoted copy the WRITE was
             # mirrored to.
-            yield from qp(server_id).write(offset, data)
-            old = yield from qp(server_id).fetch_and_add(offset, 1)
+            yield from qps[server_id].write(offset, data)
+            old = yield from qps[server_id].fetch_and_add(offset, 1)
         # The FAA found the word our WRITE left (mirrors are synchronous, so
         # on a promoted copy too): the page holds *node* at ``old + 1``,
         # and it becomes that version's master.
@@ -486,7 +500,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         # tag (mod 2**64), restoring a clean even word in one atomic.
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
             raise RemoteAccessError("cannot decode a NULL remote pointer")
-        return self.compute_server.qp((raw_ptr >> 56) & 0x7F).fetch_and_add(
+        return self._qps[(raw_ptr >> 56) & 0x7F].fetch_and_add(
             raw_ptr & _PTR_OFFSET_MASK, 1 - self._owner_tag_word
         )
 
@@ -496,7 +510,7 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         else:
             server_id = self._alloc_counter % self.compute_server.num_memory_servers
             self._alloc_counter += 1
-        offset = yield from self.compute_server.qp(server_id).fetch_and_add(
+        offset = yield from self._qps[server_id].fetch_and_add(
             ALLOC_WORD_OFFSET, self.page_size
         )
         return encode_pointer(server_id, offset)
@@ -535,9 +549,9 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
             raise RemoteAccessError("cannot decode a NULL remote pointer")
         stolen_word = ((observed_word & _LOCK_VERSION_MASK) & ~1) + 2
-        swapped, _old = yield from self.compute_server.qp(
-            (raw_ptr >> 56) & 0x7F
-        ).compare_and_swap(raw_ptr & _PTR_OFFSET_MASK, observed_word, stolen_word)
+        swapped, _old = yield from self._qps[(raw_ptr >> 56) & 0x7F].compare_and_swap(
+            raw_ptr & _PTR_OFFSET_MASK, observed_word, stolen_word
+        )
         if swapped:
             self.lock_steals += 1
             injector = self.compute_server.fabric.injector
@@ -613,7 +627,7 @@ class RemoteRootRef(RootRef):
 
     def refresh(self) -> Generator[Any, Any, int]:
         location = self.location
-        data = yield from self.compute_server.qp(location.server_id).read(
+        data = yield from self.compute_server.qps[location.server_id].read(
             location.offset, 8
         )
         raw = int.from_bytes(data, "little")
@@ -624,8 +638,8 @@ class RemoteRootRef(RootRef):
 
     def compare_and_swap(self, old: int, new: int) -> Generator[Any, Any, bool]:
         location = self.location
-        swapped, current = yield from self.compute_server.qp(
+        swapped, current = yield from self.compute_server.qps[
             location.server_id
-        ).compare_and_swap(location.offset, old, new)
+        ].compare_and_swap(location.offset, old, new)
         self._cached = new if swapped else current
         return swapped

@@ -284,7 +284,7 @@ class PartitionedSession(IndexSession):
         """The tree call *op* on *partition*, sent to its host tenant-stamped;
         returns the handler's plain result."""
         call = TreeCall(op, self.index.name, partition, args)
-        return self.compute_server.qp(partition).call(
+        return self.compute_server.qps[partition].call(
             call, call.wire_bytes, tenant=self.tenant
         )
 

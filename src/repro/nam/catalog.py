@@ -55,9 +55,10 @@ class Catalog:
     def __init__(self) -> None:
         self._indexes: Dict[str, IndexDescriptor] = {}
         #: Directory epoch for server indirection. Bumped by the
-        #: replication manager on every failover; compute servers
-        #: re-resolve logical-server routes whenever a cached queue
-        #: pair's epoch lags this value.
+        #: replication manager on every failover (which also re-points
+        #: the compute servers' queue pairs); a queue pair whose retry
+        #: budget ran out compares it with the value it started under to
+        #: tell whether someone else already failed over.
         self.epoch = 0
 
     def register(self, descriptor: IndexDescriptor) -> None:

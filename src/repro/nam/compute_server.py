@@ -18,7 +18,25 @@ from repro.rdma.nic import NicPort
 from repro.rdma.qp import QueuePair
 from repro.sim import Simulator
 
-__all__ = ["ComputeServer"]
+__all__ = ["ComputeServer", "QueuePairTable"]
+
+
+class QueuePairTable(dict):
+    """Logical memory-server id -> the :class:`QueuePair` a compute server
+    posts on. Indexed directly on every verb and RPC; an id with no entry
+    raises :class:`~repro.errors.NetworkError`, not ``KeyError``."""
+
+    __slots__ = ("owner_id",)
+
+    def __init__(self, owner_id: int) -> None:
+        super().__init__()
+        self.owner_id = owner_id
+
+    def __missing__(self, server_id: int) -> QueuePair:
+        raise NetworkError(
+            f"compute server {self.owner_id} has no QP to "
+            f"memory server {server_id}"
+        )
 
 
 class ComputeServer:
@@ -45,57 +63,46 @@ class ComputeServer:
         #: Decode memo of the remote accessors: the cluster's one shared dict
         #: (see ``Cluster.decode_memo``), a private one on a hand-built server.
         self.decode_memo: Dict[int, Any] = {}
-        self._qps: Dict[int, QueuePair] = {}
+        #: The routing table. Accessors and sessions index it directly and
+        #: may keep a reference: it is re-pointed in place, never replaced.
+        self.qps = QueuePairTable(server_id)
+        replication = fabric.replication
         for server in memory_servers:
-            local = colocated and server.machine is machine
-            self._qps[server.server_id] = QueuePair(
-                sim,
-                fabric,
-                port,
-                server,
-                use_local_fast_path=local,
-                owner=self,
-            )
+            if replication is None:
+                self.route(server.server_id, server, server.region)
+            else:
+                self.route(server.server_id, *replication.route(server.server_id))
+
+    def route(self, logical_id: int, host: MemoryServer, region: Any) -> None:
+        """Point the entry for *logical_id* at a fresh queue pair to *host*,
+        addressing *region*. Called for every logical server when this
+        compute server is built, and by
+        :meth:`~repro.nam.replication.ReplicationManager.promote` for the
+        promoted one. A verb already posted keeps the queue pair it was
+        posted on."""
+        self.qps[logical_id] = QueuePair(
+            self.sim,
+            self.fabric,
+            self.port,
+            host,
+            use_local_fast_path=self._colocated and host.machine is self.machine,
+            region=region,
+            logical_id=logical_id,
+            owner=self,
+        )
 
     def qp(self, server_id: int) -> QueuePair:
-        """The queue pair connected to *logical* memory server *server_id*.
-
-        Under replication this is a routed lookup: when the directory
-        epoch has advanced since the QP was last resolved, the server-
-        indirection table is consulted and — if the logical server moved
-        to a promoted backup — a fresh QP to the new physical host is
-        built. Without a replication manager the dictionary lookup is all
-        that happens.
-        """
-        try:
-            qp = self._qps[server_id]
-        except KeyError:
-            raise NetworkError(
-                f"compute server {self.server_id} has no QP to "
-                f"memory server {server_id}"
-            ) from None
-        replication = self.fabric.replication
-        if replication is not None and qp.route_epoch != replication.catalog.epoch:
-            host, region = replication.route(server_id)
-            if host is not qp.remote or region is not qp.region:
-                local = self._colocated and host.machine is self.machine
-                qp = QueuePair(
-                    self.sim,
-                    self.fabric,
-                    self.port,
-                    host,
-                    use_local_fast_path=local,
-                    region=region,
-                    logical_id=server_id,
-                    owner=self,
-                )
-                self._qps[server_id] = qp
-            qp.route_epoch = replication.catalog.epoch
-        return qp
+        """The queue pair connected to *logical* memory server *server_id*:
+        ``qps[server_id]``. Routing is pushed, not pulled: the table is
+        filled when the server is built, against the replication
+        directory if there is one, and a promotion re-points the promoted
+        id's entry; nothing is checked per call. Raises
+        :class:`~repro.errors.NetworkError` for an id with no entry."""
+        return self.qps[server_id]
 
     @property
     def num_memory_servers(self) -> int:
-        return len(self._qps)
+        return len(self.qps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ComputeServer({self.server_id}, machine={self.machine.machine_id})"

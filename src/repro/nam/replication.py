@@ -15,10 +15,12 @@ Logical vs physical servers
     Remote pointers and partition maps name *logical* server ids (the ids
     assigned at cluster construction). The :class:`ReplicationManager`
     maintains an indirection table from logical id to the physical host
-    currently serving it; :meth:`repro.nam.compute_server.ComputeServer.qp`
-    re-resolves its queue pairs against that table whenever the
-    *directory epoch* (``Catalog.epoch``) advances. Pointers never change
-    on failover — only the indirection does.
+    currently serving it. Routing against it is pushed: a compute server
+    routes its queue-pair table when it is built, and :meth:`promote`
+    re-points every compute server's entry for the promoted id
+    (:meth:`repro.nam.compute_server.ComputeServer.route`); no verb checks
+    anything. Pointers never change on failover — only the indirection
+    does.
 
 State vs timing
     Backup copies are kept byte-converged by synchronous region mirrors
@@ -118,9 +120,9 @@ class ReplicationManager:
 
     def __init__(self, cluster: Any, factor: int) -> None:
         self.cluster = cluster
-        #: Holds the directory epoch (Section 4.2's catalog service is what
-        #: compute servers consult to re-route): readers take
-        #: ``catalog.epoch`` in place, :meth:`promote` advances it.
+        #: Holds the directory epoch (Section 4.2's catalog service): the
+        #: attempt loops take ``catalog.epoch`` in place to tell whether
+        #: someone failed over, :meth:`promote` advances it.
         self.catalog = cluster.catalog
         self.factor = factor
         self.stats: Dict[str, int] = {
@@ -222,9 +224,10 @@ class ReplicationManager:
     def promote(self, logical_id: int) -> None:
         """Promote the first live backup (in placement order) of
         *logical_id* to primary, advance the directory epoch, rewire
-        mirrors, run promotion hooks, and start background
-        re-replication. Raises :class:`FailoverError` when no live copy
-        remains."""
+        mirrors, re-point every compute server's queue pair for
+        *logical_id* at the new primary, run promotion hooks, and start
+        background re-replication. Raises :class:`FailoverError` when no
+        live copy remains."""
         rset = self._sets[logical_id]
         injector = self.cluster.fault_injector
         candidates = [
@@ -250,6 +253,8 @@ class ReplicationManager:
         self.catalog.epoch += 1
         self.stats["failovers"] += 1
         new_host = self.cluster.memory_servers[new_primary.host_id]
+        for compute in self.cluster.compute_servers:
+            compute.route(logical_id, new_host, new_primary.region)
         for hook in self._promotion_hooks:
             hook(logical_id, new_host, new_primary.region)
         self.cluster.sim.process(self._restore_factor(logical_id))

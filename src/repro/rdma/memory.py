@@ -53,6 +53,11 @@ class MemoryRegion:
     prefix an access has touched is materialised (``_buf``); the rest
     reads as zeros, through :meth:`read`, :meth:`read_view`,
     :meth:`read_u64` and the atomics alike, which materialise it first.
+
+    Every access method — the bulk ones, the word ones and the atomics —
+    raises :class:`~repro.errors.RemoteAccessError` on a negative offset
+    and calls :meth:`_ensure` only when it reaches past the materialised
+    end; inside it, an access is comparisons and the buffer operation.
     """
 
     def __init__(self, initial_bytes: int, max_bytes: int) -> None:
@@ -170,22 +175,34 @@ class MemoryRegion:
         if offset < 0:
             raise RemoteAccessError(f"bad write at offset={offset}")
         end = offset + len(data)
-        self._ensure(end)
+        if end > self._end:
+            self._ensure(end)
         self._buf[offset:end] = data
         if self._mirrors:
             for mirror in self._mirrors:
                 mirror.write(offset, data)
 
     # -- 8-byte word access (the granularity of RDMA atomics) ----------------
+    #
+    # A negative offset must not reach struct, which counts it back from the
+    # end of the buffer: each method below rejects one before it does.
 
     def read_u64(self, offset: int) -> int:
-        self._ensure(offset + 8)
+        """The 8-byte word at *offset* (zero if never written)."""
+        if offset < 0:
+            raise RemoteAccessError(f"bad word read at offset={offset}")
+        if offset + 8 > self._end:
+            self._ensure(offset + 8)
         return _U64.unpack_from(self._buf, offset)[0]
 
     def write_u64(self, offset: int, value: int) -> None:
+        """Store the 8-byte word *value* (mod 2**64) at *offset*."""
         # CAS and FETCH_AND_ADD mutate through here, so this single hook
         # (plus :meth:`write`) covers every way a region changes.
-        self._ensure(offset + 8)
+        if offset < 0:
+            raise RemoteAccessError(f"bad word write at offset={offset}")
+        if offset + 8 > self._end:
+            self._ensure(offset + 8)
         _U64.pack_into(self._buf, offset, value & 0xFFFFFFFFFFFFFFFF)
         if self._mirrors:
             for mirror in self._mirrors:
@@ -197,7 +214,11 @@ class MemoryRegion:
         Like the RDMA verb, the old value is returned whether or not the
         swap happened.
         """
-        old = self.read_u64(offset)
+        if offset < 0:
+            raise RemoteAccessError(f"bad atomic at offset={offset}")
+        if offset + 8 > self._end:
+            self._ensure(offset + 8)
+        old = _U64.unpack_from(self._buf, offset)[0]
         if old == expected:
             self.write_u64(offset, new)
             return True, old
@@ -205,6 +226,10 @@ class MemoryRegion:
 
     def fetch_and_add(self, offset: int, delta: int) -> int:
         """Atomic 8-byte fetch-and-add; returns the value before the add."""
-        old = self.read_u64(offset)
+        if offset < 0:
+            raise RemoteAccessError(f"bad atomic at offset={offset}")
+        if offset + 8 > self._end:
+            self._ensure(offset + 8)
+        old = _U64.unpack_from(self._buf, offset)[0]
         self.write_u64(offset, (old + delta) & 0xFFFFFFFFFFFFFFFF)
         return old

@@ -184,9 +184,6 @@ class QueuePair:
         self.logical_id = (
             logical_id if logical_id is not None else remote_server.server_id
         )
-        #: Directory epoch this QP's routing was resolved at; compared by
-        #: :meth:`ComputeServer.qp` against the catalog epoch.
-        self.route_epoch = 0
         # At-most-once RPC state (only touched under fault injection).
         self._next_seq = 0
         self._rpc_inflight: set = set()
@@ -231,21 +228,21 @@ class QueuePair:
             lock_epoch=epoch,
         )
 
-    def _rerouted(self, route_epoch: int) -> Optional["QueuePair"]:
+    def _rerouted(self, observed_epoch: int) -> Optional["QueuePair"]:
         """The retry budget is spent: the queue pair to re-post on, or None
-        to raise. *route_epoch* is the directory epoch the attempt loop
+        to raise. *observed_epoch* is the directory epoch the attempt loop
         started under. Failover is for dead servers, not lossy links:
         :meth:`ReplicationManager.handle_failure` says yes only when the
         directory already moved on or it just promoted a backup of a down
-        primary, and the owner's epoch-checked routing does the rest."""
+        primary, and the promotion has re-pointed the owner's table."""
         replication = self.fabric.replication
         if (
             replication is None
             or self.owner is None
-            or not replication.handle_failure(self.logical_id, route_epoch)
+            or not replication.handle_failure(self.logical_id, observed_epoch)
         ):
             return None
-        return self.owner.qp(self.logical_id)
+        return self.owner.qps[self.logical_id]
 
     # -- one-sided verbs -------------------------------------------------------
 
@@ -374,7 +371,7 @@ class QueuePair:
                     results.append(result)
         else:
             retry = injector.retry
-            route_epoch = replication.catalog.epoch if replication is not None else 0
+            observed_epoch = replication.catalog.epoch if replication is not None else 0
             server_id = self.remote.server_id
             lead = wqes[0][0]
             followers = [wqe[0] for wqe in wqes[1:]] if n > 1 else ()
@@ -440,7 +437,7 @@ class QueuePair:
                 if obs is not None:
                     obs.stamp("client_backoff", wait_start, sim.now)
             else:
-                rerouted = self._rerouted(route_epoch)
+                rerouted = self._rerouted(observed_epoch)
                 if rerouted is not None:
                     return (yield from rerouted._post(wqes, n, chained, whole))
                 what = lead.value if n == 1 else f"doorbell batch of {n} verbs"
@@ -565,7 +562,7 @@ class QueuePair:
         else:
             retry = injector.retry
             replication = fabric.replication
-            route_epoch = replication.catalog.epoch if replication is not None else 0
+            observed_epoch = replication.catalog.epoch if replication is not None else 0
             server_id = remote.server_id
             seq = self._next_seq
             self._next_seq += 1
@@ -603,7 +600,7 @@ class QueuePair:
                 self._rpc_cache.pop(seq, None)
                 self._rpc_admitted.discard(seq)
                 self._rpc_inflight.discard(seq)
-                rerouted = self._rerouted(route_epoch)
+                rerouted = self._rerouted(observed_epoch)
                 if rerouted is not None:
                     return (
                         yield from rerouted.call(request, request_wire_bytes, tenant)

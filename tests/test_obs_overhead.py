@@ -39,14 +39,22 @@ operation hub-off / surcharge / ratio:
 * the descent returns a point lookup's
   answer, so no ``lookup`` frame sits on
   its resume chain:                         132.3 /  41.6 / 1.3140  ( 69 553 /  52 932 calls)
+* routing pushed at promotion, no
+  ``ComputeServer.qp`` call per verb:       129.3 /  41.5 / 1.3210  ( 68 334 /  51 729 calls)
 
 and on nambench's ``fg_point_uniform`` inputs (120 x 100, seed 1):
 1.553 (419.64 / 270.21), 1.226 (331.27 / 270.23), 1.222 (319.25 / 261.22),
 1.352 (222.95 / 164.92), 1.400 (202.97 / 144.94), 1.415 (197.94 / 139.92),
-1.279 (178.91 / 139.92), 1.276 (174.75 / 136.91), 1.296 (165.73 / 127.89).
+1.279 (178.91 / 139.92), 1.276 (174.75 / 136.91), 1.296 (165.73 / 127.89),
+1.303 (162.73 / 124.88).
 ``SURCHARGE_BOUND`` sits 8.4 calls per operation above the surcharge and
 ``HUB_OFF_CEILING`` 13.7 above the hub-off count: a hook that adds one call
 per verb is +3 calls/op; three of those trip the first, five the second.
+``INSERT_HUB_OFF_CEILING`` gates the one-sided write path the same way, on
+the same run with YCSB-D's mix (214 lookups, 186 inserts), at the same
+margin: 178.9 calls/op at the parent of the change that pushed routing
+to promotion and posted the insert's CAS and WRITE+FAA straight to the
+executor, 168.9 after it.
 (Counted on CPython 3.11, the
 version CI's test matrix includes for these exact gates; other versions
 count a few builtins differently on both sides.)
@@ -65,8 +73,9 @@ the reply alone used to be four (a process's start hop, its leg's sleep,
 ``reply.succeed`` and a completion fired at nobody: 11 entries, 202.1 ->
 180.1 calls/op on the run above; 157.1 -> 151.1 once the handler answered
 from the descent with no frame of its own; 148.1 once the server-side read
-decoded its pointer inline; ``CG_HUB_OFF_CEILING`` sits 13.9 above it, the
-fine-grained ceiling's margin). With an injector attached it is ten (13
+decoded its pointer inline; 146.1 once routing was pushed to promotion;
+``CG_HUB_OFF_CEILING`` sits 13.9 above it, the fine-grained ceiling's
+margin). With an injector attached it is ten (13
 before the wait was bounded): the wait for the reply is bounded, one
 deadline entry, and the reply is delivered by a carrier event when its
 leg ends — *untriggered* until then, and it has
@@ -107,13 +116,15 @@ from repro.experiments.common import build_index
 from repro.nam.rpc import RPC_HEADER_BYTES, TreeCall
 from repro.obs import attribute_span_dict
 from repro.obs.spans import LEG, VERB
-from repro.workloads import WorkloadRunner, generate_dataset, workload_a
+from repro.workloads import WorkloadRunner, generate_dataset, workload_a, workload_d
 
 #: Calls per operation the hub may add, and the hub-off run may make
 #: (fine-grained; coarse-grained, whose every operation is one RPC).
 SURCHARGE_BOUND = 50
-HUB_OFF_CEILING = 146
-CG_HUB_OFF_CEILING = 162
+HUB_OFF_CEILING = 143
+CG_HUB_OFF_CEILING = 160
+#: The hub-off fine-grained run with half of its operations inserts.
+INSERT_HUB_OFF_CEILING = 182.6
 #: What a no-op ``FaultPlan`` adds to one hybrid point lookup: heap entries
 #: (the carrier and the deadline, exactly; 5 at the parent of PR 24) and
 #: calls (32.0 now, 97.8 at that parent).
@@ -121,8 +132,11 @@ NOOP_PLAN_ENTRIES = 2
 NOOP_PLAN_CEILING = 35
 
 
-def profiled_run(hub: bool, design: str = "fine-grained", faults: bool = False):
-    """One seeded run; returns its simulated outcome, the number of calls
+def profiled_run(
+    hub: bool, design: str = "fine-grained", faults: bool = False, workload=None
+):
+    """One seeded run of *workload* (default: YCSB-A's uniform point
+    lookups); returns its simulated outcome, the number of calls
     made inside ``runner.run``, the run's result, and the decode census
     ``(Node.from_bytes calls, pages in the cluster's decode memo)``."""
     cluster = Cluster(
@@ -135,7 +149,12 @@ def profiled_run(hub: bool, design: str = "fine-grained", faults: bool = False):
     runner = WorkloadRunner(cluster, dataset)
     profiler = cProfile.Profile()
     result = profiler.runcall(
-        runner.run, index, workload_a(), num_clients=8, ops_per_client=50, seed=7
+        runner.run,
+        index,
+        workload or workload_a(),
+        num_clients=8,
+        ops_per_client=50,
+        seed=7,
     )
     stats = pstats.Stats(profiler).stats
     calls = sum(row[1] for row in stats.values())
@@ -172,6 +191,15 @@ def test_hub_on_call_ratio_stays_under_the_bound():
     # Read-only, so every page has one image, and the memo is keyed by page:
     # each is decoded once per cluster, not once per client that reads it.
     assert 0 < decodes == memoized, (decodes, memoized)
+
+
+def test_insert_heavy_hub_off_calls_stay_under_the_ceiling():
+    _, calls, result, _ = profiled_run(hub=False, workload=workload_d())
+    assert result.total_ops == 400 and result.op_counts["insert"] > 150
+    assert calls / 400 <= INSERT_HUB_OFF_CEILING, (
+        f"hub-off makes {calls / 400:.1f} calls per operation with inserts, "
+        f"ceiling {INSERT_HUB_OFF_CEILING}"
+    )
 
 
 # -- the RPC path: heap entries per coarse-grained lookup ----------------------

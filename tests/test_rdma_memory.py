@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Cluster, ClusterConfig
 from repro.errors import RemoteAccessError
 from repro.rdma.memory import MemoryRegion
 
@@ -36,6 +37,39 @@ def test_negative_offsets_rejected():
         region.read(-1, 4)
     with pytest.raises(RemoteAccessError):
         region.write(-1, b"x")
+
+
+@pytest.mark.parametrize(
+    "access",
+    [
+        lambda region: region.read_u64(-8),
+        lambda region: region.write_u64(-8, 5),
+        lambda region: region.compare_and_swap(-8, 0, 5),
+        lambda region: region.fetch_and_add(-8, 1),
+    ],
+    ids=["read_u64", "write_u64", "compare_and_swap", "fetch_and_add"],
+)
+def test_word_accesses_reject_negative_offsets(access):
+    """A negative offset must not reach struct, which would count it back
+    from the end of the materialised buffer and touch its last word."""
+    region = MemoryRegion(1024, 4096)
+    region.write(0, b"\x01" * 64)
+    materialised = len(region._buf)
+    last_word = region.read(materialised - 8, 8)
+    with pytest.raises(RemoteAccessError):
+        access(region)
+    assert region.read(materialised - 8, 8) == last_word
+
+
+def test_a_negative_atomic_offset_fails_the_verb():
+    cluster = Cluster(ClusterConfig(num_memory_servers=1, seed=3))
+    region = cluster.memory_server(0).region
+    region.write(0, b"\x01" * 64)
+    last = len(region._buf) - 8
+    before = region.read_u64(last)
+    with pytest.raises(RemoteAccessError):
+        cluster.execute(cluster.new_compute_server().qp(0).fetch_and_add(-8, 1))
+    assert region.read_u64(last) == before
 
 
 def test_u64_roundtrip():

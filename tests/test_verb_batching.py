@@ -562,7 +562,7 @@ class TestBatchedUnlockWrite:
         detector = RaceDetector().feed_all(collector.events)
         assert detector.ok, "\n".join(r.describe() for r in detector.races)
         # Batching actually happened: some doorbells flushed several WQEs.
-        ports = [qp.local_port for qp in cluster.compute_servers[0]._qps.values()]
+        ports = [qp.local_port for qp in cluster.compute_servers[0].qps.values()]
         assert any(p.wqes_posted > p.doorbells for p in ports)
 
 
