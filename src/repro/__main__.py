@@ -9,8 +9,8 @@ Subcommands:
   CSV;
 * ``chart <experiment> [--small]`` — run and render an ASCII chart of the
   headline series (throughput experiments only);
-* ``gate [experiment ...] [--record] [--seed N] [--artifacts DIR]`` —
-  run the gated experiments (all of them by default) at the scale their
+* ``gate [experiment ...] [--record] [--seed N] [--ties K] [--artifacts DIR]``
+  — run the gated experiments (all of them by default) at the scale their
   committed ``BENCH_*.json`` was recorded at and judge each run against
   that file (:mod:`repro.experiments.gate`); exit 1 unless every verdict
   is ``same``.
@@ -181,13 +181,18 @@ def cmd_gate(args) -> int:
                 f"--record keeps {entry.bench} at seed {module.DEFAULT_SCALE.seed}, "
                 f"the seed a plain `gate {name}` runs; drop --seed {args.seed}"
             )
+        if args.record and args.ties is not None:
+            raise SystemExit(
+                f"--record keeps {entry.bench} in scheduling order, the order a "
+                f"plain `gate {name}` runs; drop --ties {args.ties}"
+            )
         if not args.record and not Path(entry.bench).exists():
             raise SystemExit(
                 f"{entry.bench} not found: run from the repository root, or "
                 f"record it with `python -m repro gate {name} --record`"
             )
         passed &= gate(name, module, Path(entry.bench), record=args.record,
-                       seed=args.seed, artifacts=args.artifacts)
+                       seed=args.seed, artifacts=args.artifacts, ties=args.ties)
     return 0 if passed else 1
 
 
@@ -228,6 +233,9 @@ def main(argv=None) -> Optional[int]:
     gate_parser.add_argument("--seed", type=int, default=None,
                              help="any seed but the recorded one judges the"
                              " claims alone")
+    gate_parser.add_argument("--ties", type=int, default=None, metavar="K",
+                             help="break same-instant ties by a uniform pick"
+                             " seeded K; judges the claims alone")
     gate_parser.add_argument("--artifacts", type=Path, default=None,
                              help="keep payloads, flight bundles and traces here")
 

@@ -47,9 +47,11 @@ with the guard intact it must report zero violations).
 
 from __future__ import annotations
 
+import random
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import (
     Cluster,
@@ -68,6 +70,8 @@ from repro.workloads import generate_dataset
 
 __all__ = [
     "ControlledScheduler",
+    "TieShuffle",
+    "shuffled_ties",
     "ScheduleViolation",
     "ExploreReport",
     "explore",
@@ -117,6 +121,37 @@ class ControlledScheduler:
         self.counts.append(arity)
         self.choices.append(pick)
         return pick
+
+
+class TieShuffle:
+    """A seeded uniform pick among the events ready at exactly one instant
+    (``window = 0``): the same-instant order the model leaves undefined,
+    drawn at random instead of taken in scheduling order. Events at
+    distinct instants keep their order, so no cause ever fires late."""
+
+    window = 0.0
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+
+    def choose(self, at: float, ready: List[Any]) -> int:
+        return self._rng.randrange(len(ready))
+
+
+@contextmanager
+def shuffled_ties(seed: Optional[int]) -> Iterator[None]:
+    """Build every :class:`Cluster` inside the block under a fresh
+    ``TieShuffle(seed)``, so each cell draws the same stream whatever ran
+    before it; ``None`` changes nothing (``gate NAME --ties K``)."""
+    if seed is None:
+        yield
+        return
+    previous = Cluster.new_scheduler
+    Cluster.new_scheduler = lambda: TieShuffle(seed)
+    try:
+        yield
+    finally:
+        Cluster.new_scheduler = previous
 
 
 @dataclass(frozen=True)

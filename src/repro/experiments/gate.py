@@ -1,6 +1,6 @@
 """The one gate: the baseline file format and the verdict rule.
 
-``python -m repro gate [NAME ...] [--record] [--seed N] [--artifacts DIR]``
+``python -m repro gate [NAME ...] [--record] [--seed N] [--ties K] [--artifacts DIR]``
 runs each gated experiment at its ``DEFAULT_SCALE`` — the scale its
 committed ``BENCH_<name>.json`` was recorded at — and judges the run
 against that file. A gated experiment module provides
@@ -21,6 +21,11 @@ what ``--record`` commits. A run is judged
 
 Claims are judged on every run. At any other seed than the recorded one
 they are judged alone: the recorded cells say nothing about that run.
+Nor do they under ``--ties K``, which builds every cluster of the run with
+a seeded uniform pick among same-instant events
+(:class:`~repro.analysis.namsan.explore.TieShuffle`): an order the model
+does not define, so a claim that holds only in scheduling order is a claim
+about the kernel's tie rule, not about the design.
 Host time is not judged here: nambench (``benchmarks/nambench``) measures
 it as alternating pairs.
 """
@@ -34,6 +39,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional
+
+from repro.analysis.namsan.explore import shuffled_ties
 
 __all__ = ["Claim", "Row", "payload", "verdict", "gate"]
 
@@ -93,7 +100,7 @@ def verdict(baseline: Mapping[str, Any], fresh: Mapping[str, Any]) -> List[Row]:
     for claim in sorted(baseline["claims"].keys() ^ fresh["claims"].keys()):
         a, b = ("claim" if claim in side["claims"] else "missing" for side in (baseline, fresh))
         rows.append(Row(f"{name} claim {claim}", a, b, "worse"))
-    if baseline["seed"] != fresh["seed"]:
+    if baseline["seed"] != fresh["seed"] or baseline.get("ties") != fresh.get("ties"):
         return rows
     old, new = baseline["cells"], fresh["cells"]
     for key in sorted(old.keys() | new.keys()):
@@ -114,21 +121,27 @@ def gate(
     record: bool = False,
     seed: Optional[int] = None,
     artifacts: Optional[Path] = None,
+    ties: Optional[int] = None,
 ) -> bool:
     """Run one experiment at its gate scale and judge it; True on a pass.
 
     Prints the figure, every row that is not ``same`` and a count line.
     ``--record`` rewrites *baseline_path* with this run (its claims are
     still judged); ``--artifacts`` keeps this run's payload beside
-    whatever the experiment dumps there.
+    whatever the experiment dumps there. *ties* shuffles same-instant
+    events by that seed; the payload then carries it, and only its claims
+    are judged.
     """
     seed = module.DEFAULT_SCALE.seed if seed is None else seed
     kwargs: Dict[str, Any] = {}
     if artifacts is not None and "artifacts" in inspect.signature(module.run).parameters:
         kwargs["artifacts"] = artifacts
-    results = module.run(seed=seed, **kwargs)
+    with shuffled_ties(ties):
+        results = module.run(seed=seed, **kwargs)
     module.print_figure(results)
     fresh = payload(name, seed, results, module.CLAIMS)
+    if ties is not None:
+        fresh["ties"] = ties
     text = json.dumps(fresh, indent=1, sort_keys=True) + "\n"
     if artifacts is not None:
         artifacts.mkdir(parents=True, exist_ok=True)
@@ -145,6 +158,10 @@ def gate(
         f"{sum(row.verdict == word for row in rows)} {word}"
         for word in ("same", "worse")
     )
-    scope = "" if baseline["seed"] == seed else f" recorded at seed {baseline['seed']}, claims only"
-    print(f"gate {name} seed {seed} vs {baseline_path}{scope}: {counts}")
+    shuffle = "" if ties is None else f" ties {ties}"
+    scope = (
+        "" if baseline["seed"] == seed and ties is None
+        else f" recorded at seed {baseline['seed']}, claims only"
+    )
+    print(f"gate {name} seed {seed}{shuffle} vs {baseline_path}{scope}: {counts}")
     return not any(row.verdict == "worse" for row in rows)

@@ -20,7 +20,7 @@ servers take the local-memory fast path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,9 +56,16 @@ class DirectPageSink:
 class Cluster:
     """A simulated NAM cluster."""
 
+    #: Makes the tie-breaking scheduler (``Simulator.scheduler``) of every
+    #: cluster built while it is set; None keeps the plain heap order. Set
+    #: only inside :func:`repro.analysis.namsan.explore.shuffled_ties`
+    #: (``python -m repro gate NAME --ties K``).
+    new_scheduler: Optional[Callable[[], Any]] = None
+
     def __init__(self, config: ClusterConfig = None) -> None:
         self.config = config or ClusterConfig()
-        self.sim = Simulator()
+        new_scheduler = Cluster.new_scheduler
+        self.sim = Simulator(None if new_scheduler is None else new_scheduler())
         self.fabric = Fabric(self.sim, self.config.network)
         self.catalog = Catalog()
         self.rng = np.random.default_rng(self.config.seed)

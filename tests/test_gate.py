@@ -18,7 +18,9 @@ from typing import List
 
 import pytest
 
+from repro import Cluster
 from repro.__main__ import EXPERIMENTS, _load, main
+from repro.analysis.namsan.explore import TieShuffle, shuffled_ties
 from repro.experiments import gate
 from repro.experiments.gate import Claim
 from repro.experiments.scale import ExperimentScale
@@ -217,6 +219,45 @@ def test_the_command_refuses_an_ungated_name_and_a_missing_baseline(tmp_path, mo
     # Recording at another seed would leave every default run claims-only.
     with pytest.raises(SystemExit, match="--record keeps BENCH_batching.json at seed 42"):
         main(["gate", "batching", "--record", "--seed", "5"])
+    with pytest.raises(SystemExit, match="in scheduling order.*drop --ties 1"):
+        main(["gate", "batching", "--record", "--ties", "1"])
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match="BENCH_batching.json not found.*--record"):
         main(["gate", "batching"])
+
+
+# -- --ties: same-instant order shuffled, claims judged alone ---------------
+
+
+def test_a_tie_shuffle_judges_the_claims_alone(tmp_path: Path, capsys):
+    bench = tmp_path / "BENCH_fake.json"
+    assert gate.gate("fake", _fake_experiment(2.0), bench, record=True)
+    # The recorded seed, but the cells of a shuffled run say nothing.
+    assert gate.gate("fake", _fake_experiment(2.5), bench, ties=1)
+    assert "fake seed 3 ties 1 vs" in capsys.readouterr().out
+    assert not gate.gate("fake", _fake_experiment(-1.0), bench, ties=1)
+
+
+def test_every_cluster_built_under_shuffled_ties_gets_a_fresh_pick():
+    with shuffled_ties(None):
+        assert Cluster().sim.scheduler is None
+    with shuffled_ties(5):
+        first, second = Cluster().sim, Cluster().sim
+    assert isinstance(first.scheduler, TieShuffle) and first.scheduler.window == 0.0
+    assert first.scheduler is not second.scheduler
+    assert Cluster().sim.scheduler is None
+
+    def fired_order(sim):
+        order = []
+
+        def sleeper(tag):
+            yield 1e-6
+            order.append(tag)
+
+        for tag in range(8):
+            sim.process(sleeper(tag))
+        sim.run()
+        return order
+
+    # Equal instants only: the pick is seeded, and it does reorder.
+    assert fired_order(first) == fired_order(second) != list(range(8))
