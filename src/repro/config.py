@@ -77,8 +77,9 @@ class NetworkConfig:
     #: and ``unlock_write``'s WRITE+FETCH_ADD pair. See docs/performance.md.
     doorbell_batching: bool = True
     #: Most work-queue entries one doorbell may flush (send-queue depth a
-    #: single post can chain); larger fan-outs are split into several
-    #: batches posted in parallel.
+    #: single post can chain). A longer fan-out to one server is split into
+    #: several chains posted one after another; only fan-outs to different
+    #: servers overlap in time.
     max_batch_wqes: int = 16
 
     def __post_init__(self) -> None:

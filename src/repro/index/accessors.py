@@ -49,7 +49,7 @@ from repro.nam.catalog import RootLocation
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
 from repro.rdma.verbs import Verb
-from repro.sim import Condition, Process
+from repro.sim import Condition, Event, Process
 
 __all__ = ["LocalAccessor", "RemoteAccessor", "LocalRootRef", "RemoteRootRef"]
 
@@ -346,20 +346,27 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
         :meth:`BLinkTree.range_scan`).
 
         With doorbell batching the pointers are grouped by home server and
-        each group is one process (:meth:`_read_group`) posting chains of
-        up to ``max_batch_wqes`` borrowed READs — one doorbell and one
-        request/response message pair per chain, instead of one per node.
-        Groups on different servers still overlap in time. Without
-        batching each node is its own :meth:`read_node` process (the seed
-        behavior). Either way one ``all_of`` joins the processes, and the
-        results come back in ``raw_ptrs`` order.
+        each group is one process (:meth:`_read_group`) posting its chains
+        of up to ``max_batch_wqes`` borrowed READs one after another — one
+        doorbell and one request/response message pair per chain, instead
+        of one per node. Groups on different servers overlap in time. One
+        join event, triggered by the last group to finish, resumes the
+        caller at the latest group's end: its last chain's completion plus
+        that chain's search cost, which no group sleeps itself. Without
+        batching each node is its own :meth:`read_node` process under one
+        ``all_of`` (the seed behavior). A single pointer is no fan-out: it
+        is read inline. The results come back in ``raw_ptrs`` order.
         """
-        sim = self.compute_server.sim
         raw_ptrs = list(raw_ptrs)
         count = len(raw_ptrs)
+        if count < 2:
+            if not count:
+                return []
+            return [(yield from self.read_node(raw_ptrs[0]))]
+        sim = self.compute_server.sim
         # The kernel's classes, not Simulator.process / all_of: one wrapper
         # call less per process and per join.
-        if not self._batching or count < 2:
+        if not self._batching:
             pending = [Process(sim, self.read_node(raw)) for raw in raw_ptrs]
             return (yield Condition(sim, pending))
         # Slots by home server, the pointer decoded inline as in read_node.
@@ -374,48 +381,73 @@ class RemoteAccessor(_SharedDecode, NodeAccessor):
             else:
                 slots.append(slot)
         nodes: List[Any] = [None] * count
-        yield Condition(
-            sim,
-            [
-                Process(sim, self._read_group(server_id, slots, raw_ptrs, nodes))
-                for server_id, slots in by_server.items()
-            ],
-        )
+        join = Event(sim)
+        # The fan-in the groups share: how many are still reading (-1 once
+        # one failed the join) and the latest end any of them reached.
+        fan_in = [len(by_server), 0.0]
+        for server_id, slots in by_server.items():
+            Process(sim, self._read_group(server_id, slots, raw_ptrs, nodes, join, fan_in))
+        yield join
         return nodes
 
     def _read_group(
-        self, server_id: int, slots: List[int], raw_ptrs: List[int], nodes: List[Any]
+        self,
+        server_id: int,
+        slots: List[int],
+        raw_ptrs: List[int],
+        nodes: List[Any],
+        join: Event,
+        fan_in: List[Any],
     ) -> Generator[Any, Any, None]:
         """One server's share of :meth:`read_nodes`: its *slots* of
-        *raw_ptrs*, posted as READ chains of up to ``max_batch_wqes`` —
-        :class:`~repro.rdma.qp.VerbBatch`'s chains, handed to the queue
-        pair's executor without staging one — decoded into *nodes*.
+        *raw_ptrs*, posted as READ chains of up to ``max_batch_wqes``, one
+        after another — :class:`~repro.rdma.qp.VerbBatch`'s chains, handed
+        to the queue pair's executor without staging one — decoded into
+        *nodes*.
 
         The READs borrow, as :meth:`read_node`'s does: every page is a
         zero-copy view, decoded at the chain's completion and dropped
         before the search-cost sleep, so no view outlives the instant it
-        was read at (a held one would block the region's growth)."""
+        was read at (a held one would block the region's growth). The last
+        chain's sleep is not slept: its end goes into *fan_in*, and the
+        last group to finish triggers *join* at the latest end. A group
+        that raises fails *join* — only the first one does — and returns:
+        its own process never fails, since nobody waits on it."""
         page_size = self.page_size
         max_wqes = self._max_wqes
         total = len(slots)
-        for start in range(0, total, max_wqes):
-            chunk = slots[start : start + max_wqes]
-            count = total - start
-            if count > max_wqes:
-                count = max_wqes
-            pages = yield from self._qps[server_id]._post(
-                [
-                    (READ, page_size, raw_ptrs[slot] & _PTR_OFFSET_MASK, True)
-                    for slot in chunk
-                ],
-                count,
-                True,
-                True,
-            )
-            for slot, data in zip(chunk, pages):
-                nodes[slot] = self._decode_shared(raw_ptrs[slot], data)
-            del pages, data
-            yield self._search_cost * count
+        try:
+            for start in range(0, total, max_wqes):
+                chunk = slots[start : start + max_wqes]
+                count = total - start
+                if count > max_wqes:
+                    count = max_wqes
+                pages = yield from self._qps[server_id]._post(
+                    [
+                        (READ, page_size, raw_ptrs[slot] & _PTR_OFFSET_MASK, True)
+                        for slot in chunk
+                    ],
+                    count,
+                    True,
+                    True,
+                )
+                for slot, data in zip(chunk, pages):
+                    nodes[slot] = self._decode_shared(raw_ptrs[slot], data)
+                del pages, data
+                if start + count < total:
+                    yield self._search_cost * count
+        except Exception as exc:
+            if fan_in[0] > 0:
+                fan_in[0] = -1
+                join.fail(exc)
+            return
+        now = self.compute_server.sim.now
+        end = now + self._search_cost * count
+        if end > fan_in[1]:
+            fan_in[1] = end
+        fan_in[0] -= 1
+        if not fan_in[0]:
+            join.succeed(nodes, fan_in[1] - now)
 
     def read_version(self, raw_ptr: int) -> Generator[Any, Any, int]:
         """One 8-byte READ of the node's version word (page offset 0).

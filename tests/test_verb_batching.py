@@ -33,7 +33,7 @@ from repro.analysis.namsan.events import TraceCollector
 from repro.analysis.namsan.sanitizer import RaceDetector
 from repro.btree.node import Node, NodeType
 from repro.btree.pointers import encode_pointer
-from repro.config import NetworkConfig, RetryConfig
+from repro.config import NetworkConfig, RetryConfig, TreeConfig
 from repro.errors import NetworkError
 from repro.index.accessors import RemoteAccessor
 from repro.rdma.tracing import VerbTracer
@@ -587,6 +587,80 @@ class TestRpcDedupCacheLimit:
         # Bounded at the configured size, evicting oldest-first.
         assert len(qp._rpc_cache) == 16
         assert set(qp._rpc_cache) == set(range(34, 50))
+
+
+# --------------------------------------------------------------------------- #
+# the prefetch fan-out: one process per server group, one join                 #
+# --------------------------------------------------------------------------- #
+
+def _home(raw_ptr: int) -> int:
+    return (raw_ptr >> 56) & 0x7F
+
+
+@pytest.mark.parametrize("dropped", [(0,), (0, 1)])
+def test_a_failed_group_fails_the_fan_out_once(dropped):
+    """A group whose server drops every message fails the caller's join
+    with its RetriesExhaustedError — once, however many groups fail — and
+    the groups left running drain without an undefused failure."""
+    cluster = Cluster(ClusterConfig(num_memory_servers=4, seed=31))
+    accessor = RemoteAccessor(cluster.new_compute_server(), cluster.config)
+    raw_ptrs = [
+        _plant_leaf(cluster, server_id, 8192 * (1 + k))[0]
+        for k in range(2)
+        for server_id in range(4)
+    ]
+    cluster.attach_faults(FaultPlan(seed=9, server_drop={s: 1.0 for s in dropped}))
+
+    def scan():
+        # Caught here, at the caller: not raised out of the kernel's loop.
+        try:
+            yield from accessor.read_nodes(raw_ptrs)
+        except RetriesExhaustedError as exc:
+            return exc
+
+    caught = cluster.execute(scan())
+    assert "doorbell batch of 2 verbs" in str(caught)
+    cluster.sim.run()
+
+
+def test_a_scan_fan_out_of_several_chains_per_group_keeps_pointer_order(monkeypatch):
+    """A prefetch window of 16 over chains of at most 2: a fan-out spans
+    three or more servers, its groups post several chains one after
+    another, and every node comes back in ``raw_ptrs`` order, equal to
+    ``read_node``'s."""
+    config = ClusterConfig(
+        num_memory_servers=4,
+        seed=11,
+        network=NetworkConfig(max_batch_wqes=2),
+        tree=TreeConfig(head_node_interval=16, prefetch_window=16),
+    )
+    cluster = Cluster(config)
+    dataset = generate_dataset(4_000, gap=8)
+    index = FineGrainedIndex.build(cluster, "idx", *dataset.columns())
+    session = index.session(cluster.new_compute_server())
+    fan_outs = []
+    read_nodes = RemoteAccessor.read_nodes
+
+    def recording(self, raw_ptrs):
+        raw_ptrs = list(raw_ptrs)
+        nodes = yield from read_nodes(self, raw_ptrs)
+        fan_outs.append((self, raw_ptrs, nodes))
+        return nodes
+
+    monkeypatch.setattr(RemoteAccessor, "read_nodes", recording)
+    assert cluster.execute(session.range_scan(0, dataset.key_space)) == dataset.pairs()
+    monkeypatch.undo()
+    wide = [
+        raw_ptrs for _acc, raw_ptrs, _nodes in fan_outs
+        if len({_home(raw) for raw in raw_ptrs}) >= 3
+        and max(sum(_home(raw) == s for raw in raw_ptrs) for s in range(4)) > 2
+    ]
+    assert wide
+    for accessor, raw_ptrs, nodes in fan_outs:
+        alone = [cluster.execute(accessor.read_node(raw)) for raw in raw_ptrs]
+        assert [(n.keys, n.values, n.version, n.right) for n in nodes] == [
+            (n.keys, n.values, n.version, n.right) for n in alone
+        ]
 
 
 # --------------------------------------------------------------------------- #
