@@ -170,17 +170,20 @@ class MemoryRegion:
             view = self._view = memoryview(self._buf).toreadonly()
         return view[offset:end]
 
-    def write(self, offset: int, data: bytes) -> None:
-        """Store *data* at *offset*."""
+    def write(self, offset: int, data: bytes, length: Optional[int] = None) -> None:
+        """Store *data* at *offset*. *length*, when given, is ``len(data)``
+        as the caller already holds it (a WRITE's work-queue entry)."""
         if offset < 0:
             raise RemoteAccessError(f"bad write at offset={offset}")
-        end = offset + len(data)
+        if length is None:
+            length = len(data)
+        end = offset + length
         if end > self._end:
             self._ensure(end)
         self._buf[offset:end] = data
         if self._mirrors:
             for mirror in self._mirrors:
-                mirror.write(offset, data)
+                mirror.write(offset, data, length)
 
     # -- 8-byte word access (the granularity of RDMA atomics) ----------------
     #

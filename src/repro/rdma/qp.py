@@ -354,7 +354,7 @@ class QueuePair:
                     else:
                         result = region.read(wqe[2], wqe[1])
                 elif verb is WRITE:
-                    result = region.write(wqe[2], wqe[3])
+                    result = region.write(wqe[2], wqe[3], wqe[1])
                     mirror = wqe[1]
                 elif verb is CAS:
                     result = region.compare_and_swap(wqe[2], wqe[3], wqe[4])
@@ -403,7 +403,7 @@ class QueuePair:
                             if verb is READ:
                                 result = region.read(wqe[2], wqe[1])
                             elif verb is WRITE:
-                                result = region.write(wqe[2], wqe[3])
+                                result = region.write(wqe[2], wqe[3], wqe[1])
                                 mirror = wqe[1]
                             elif verb is CAS:
                                 result = region.compare_and_swap(wqe[2], wqe[3], wqe[4])

@@ -97,10 +97,12 @@ class _Run:
         sim = self.cluster.sim
         obs = self.cluster.obs
         op = None
+        # Each method bound once per client, with the op type it counts as.
+        calls = {method: (getattr(session, method), kind) for method, kind in OP_TYPES.items()}
         for method, args in stream:
             if self.stop:
                 return
-            op_kind = OP_TYPES[method]
+            call, op_kind = calls[method]
             start = sim.now
             if self.ops is not None:
                 op = Op(client, method, args, start)
@@ -109,7 +111,7 @@ class _Run:
             # the op may come back as a typed error.
             span = obs.begin_op("op", client) if obs is not None else None
             try:
-                result = yield from getattr(session, method)(*args)
+                result = yield from call(*args)
                 op_type = op_kind
             except (TimeoutError_, AdmissionRejectedError) as exc:
                 # A fault may exhaust the op's retry budget, or admission
@@ -146,7 +148,10 @@ class _Run:
             if self.measure_from <= end <= self.window_end:
                 if op_type in OpType.ALL:
                     latency = end - start
-                    latencies.setdefault(op_type, []).append(latency)
+                    try:
+                        latencies[op_type].append(latency)
+                    except KeyError:  # the op type's first sample
+                        latencies[op_type] = [latency]
                     if outcome is not None:
                         outcome.latencies.append(latency)
                 else:
