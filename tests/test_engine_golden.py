@@ -48,19 +48,19 @@ _GOLDENS = {
         "e7fcb7a6e3aaf871aac28c3a2a58dfd4f2f35c2aee96816faa3ad487c9b8b85a",
     ),
     ("fine-grained", True): (
-        8961,
+        7980,
         "b9aa736800a959dd92824ce9bec85d8d6357150d647989f3af45939c27f6a736",
     ),
     ("fine-grained", False): (
-        10369,
+        10327,
         "837ff4b895498648934f111d455642134381a87dc44a2faf388bb133997c0453",
     ),
     ("hybrid", True): (
-        10642,
+        9554,
         "74366dbcc1a4349d34a0ca50adb916129924baf48f1fefc399054d19071a8d62",
     ),
     ("hybrid", False): (
-        11358,
+        11325,
         "e8f3b995d6bd91929ab392e422413c082940e260af8ef6201fbfa48e1ff71b55",
     ),
 }

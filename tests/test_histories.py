@@ -182,7 +182,7 @@ TABLE = {
         "900722922c4c12dffaabb1c6035cb95f15dc10c1cfee0a37b72179f0097f5bdb"),
     ("scan", "fine-grained"): (
         row("fine-grained", scans, extras=("gc",)),
-        "422d9dc503011e9dad87ba2eee97ea855e122763096cb4c255a04542ba7460a0", None),
+        "c1af4d19ae42d69cc5c0d2bcef8c4a20bf70cd150bbb84eb653ab2dd75cad759", None),
     ("scan", "coarse-grained/range"): (
         row("coarse-grained", scans),
         "1d0035d5a568b893f3cff287f8e7332cb8260fc1682115145b281b8640c08878", None),
@@ -191,15 +191,15 @@ TABLE = {
         "032896cf774217c5509cb67db223e87b6405a0e5f18f8834e7c86156733efa6b", None),
     ("scan", "hybrid/range"): (
         row("hybrid", scans),
-        "a1e5322de704dda57902524d5c27f976a96b085e664c54369ba23d3c98ff78a2", None),
+        "904a78ffc54fb43e756f14e157d38b51f1d7c9f93c263457120e3f3f83db752e", None),
     ("scan", "hybrid/hash"): (
         row("hybrid", scans, "hash"),
-        "049c440ca4b08b5d9c2b405952e5233687a70138b9437cbe831d3e00971b4673", None),
+        "eb29d1f571cd59bf9d4c8671d514ca4a063e6285a4e8c7cac907a0fbf90c28d7", None),
     ("run", "hybrid/hash"): (
         Scenario("hybrid", runs, "hash", {"seed": 11, "tree": TreeConfig(page_size=256)},
                  num_keys=2_000),
-        "52777f2460f58cfb2d0e972a64e6ded57377846bf03aea62ca137362f8629e45",
-        "87b27a164813f8f8580339dfbdfcff1a8ab2d122d5e1b70afd4141775acd2190"),
+        "dfe3f1fe9dba0a48d980ee282278d17df4f40156ad940a3c27a13eaa6fdcb61f",
+        "115ee6a03b0e32fc8a69901dc5cf78140b661cfef71949e590c17131f09c771d"),
 }
 
 #: The quiet full scan of every write row (8 270 pairs after 2 000

@@ -74,6 +74,24 @@ coarse-grained  20.00 -> 16.00   1.7 -> 1.6
 fine-grained    41.39 -> 35.99   8.2 -> 8.1
 hybrid          41.39 -> 35.99   8.2 -> 7.9
 ==============  ===============  ================================================
+
+Before and after the prefetch fan-out was joined by one event that the last
+server group triggers, with each group's last search-cost sleep folded into
+the join's delay, and a one-pointer fan-out read inline. This change moves
+heap entries on purpose, by same-instant order alone: fine-grained
+9/45/352 -> 9/38/301, hybrid 10/46/353 -> 10/39/302; unbatched 60 -> 57 and
+61 -> 58 at 10 leaves; hybrid under hash partitioning 49/105/391 ->
+49/97/337. Calls per leaf before were 15.00 / 35.23 / 35.23 (the "after"
+column above predates later cuts). Each host time is the lower median of
+two alternating runs, taken beside another busy process.
+
+==============  ===============  ================================================
+design          calls per leaf   host us per leaf, indicative (2-core Xeon, 3.11)
+==============  ===============  ================================================
+coarse-grained  15.00 -> 15.00   1.4 -> 1.5
+fine-grained    35.23 -> 31.41   8.1 -> 8.0
+hybrid          35.23 -> 31.41   8.7 -> 8.1
+==============  ===============  ================================================
 """
 
 from __future__ import annotations
@@ -101,14 +119,14 @@ HOST_RUNS = 5
 #: calling process on a quiet cluster with a warm memo.
 ENTRIES = {
     "coarse-grained": (8, 17, 107),
-    "fine-grained": (9, 45, 352),
-    "hybrid": (10, 46, 353),
+    "fine-grained": (9, 38, 301),
+    "hybrid": (10, 39, 302),
 }
-#: Ceiling on cProfile calls per leaf scanned (16.00 / 35.99 / 35.99 now).
+#: Ceiling on cProfile calls per leaf scanned (15.00 / 31.41 / 31.41 now).
 CALLS_PER_LEAF = {
     "coarse-grained": 17,
-    "fine-grained": 37,
-    "hybrid": 37,
+    "fine-grained": 32,
+    "hybrid": 32,
 }
 
 
@@ -117,10 +135,10 @@ CALLS_PER_LEAF = {
 #: ``all_of``) and hash partitioning (every scan a scatter over all four
 #: partitions, so *n* leaves' worth of keys spread over four chains).
 FAN_OUT_ENTRIES = {
-    "fine-grained/unbatched": (9, 60, 532),
-    "hybrid/unbatched": (10, 61, 533),
+    "fine-grained/unbatched": (9, 57, 532),
+    "hybrid/unbatched": (10, 58, 533),
     "coarse-grained/hash": (41, 49, 139),
-    "hybrid/hash": (49, 105, 391),
+    "hybrid/hash": (49, 97, 337),
 }
 
 
