@@ -10,8 +10,8 @@ deliberately minimal — just what the RDMA fabric and NAM cluster models need:
   of a reply that may be lost): an event born ``succeed(value, delay)``-ed.
 * :class:`Process` — wraps a generator; itself an event that fires when the
   generator returns (its value is the generator's return value).
-* :class:`Condition` — ``all_of`` composition, used e.g. for head-node
-  prefetching where several RDMA READs are issued in parallel.
+* :class:`Condition` — ``all_of`` composition, used e.g. for the unbatched
+  head-node prefetch, where several RDMA READs are issued in parallel.
 * :class:`Simulator` — the event loop and virtual clock.
 
 Process protocol: a generator yields an :class:`Event` and is resumed with
